@@ -10,7 +10,7 @@
 //! host's parallelism is printed alongside).
 
 use mpl_bench::{fmt_dur, run_mpl, scale_bench, write_json, Table};
-use mpl_runtime::{sweep, RuntimeConfig, SchedMode};
+use mpl_runtime::{sweep, RuntimeConfig};
 use serde::Serialize;
 
 const PROCS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
@@ -123,9 +123,7 @@ fn real_execution() -> Vec<RealSeries> {
             // width even on small hosts — on an undersized host the
             // wide points measure oversubscription, which the printed
             // host parallelism makes visible.
-            let cfg = RuntimeConfig::managed()
-                .with_threads_exact(p)
-                .with_sched(SchedMode::WorkStealing);
+            let cfg = RuntimeConfig::managed().with_threads_exact(p);
             // Median of three (wall-clock on shared hosts is noisy).
             let mut runs: Vec<_> = (0..3).map(|_| run_mpl(bench.as_ref(), n, cfg)).collect();
             runs.sort_by_key(|r| r.wall);

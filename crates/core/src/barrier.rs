@@ -32,10 +32,11 @@
 //!   agree.
 //!
 //! Remembered-set entries are not published directly: the write barrier
-//! hands them to [`Mutator::buffer_remset`] (task-private, deduplicated),
-//! and batches flush at the task's safepoints — see
-//! `Mutator::flush_remset` in `crate::mutator` for the flush points and
-//! soundness argument.
+//! hands them to `TaskCtx::buffer_remset` (task-private, deduplicated),
+//! and batches flush at the task's boundaries — see
+//! `crate::mutator::boundary` for the protocol and soundness argument.
+//! Both slow tiers are poll points (`TaskCtx::poll`): a read- or
+//! write-heavy entangled loop may not allocate for a long stretch.
 
 use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, RemsetEntry, Value};
@@ -98,42 +99,41 @@ impl Mutator<'_> {
     /// Pins the object at `r` (which must be cache-resident from a
     /// preceding `locate_ref`) at `level`, registering it on first pin.
     /// Avoids a registry round-trip on the (common) already-pinned
-    /// steady state.
-    pub(crate) fn pin_cached(&mut self, r: ObjRef, level: u16) -> ObjRef {
+    /// steady state. Returns the pinned location (forwarding chased), or
+    /// `None` if the target was already dead-marked — the owner overwrote
+    /// the field this pointer was loaded from and its collection reclaimed
+    /// the object before the pin landed; nothing was pinned and the
+    /// caller must re-load the field.
+    pub(crate) fn pin_cached(&mut self, mut r: ObjRef, level: u16) -> Option<ObjRef> {
         use mpl_heap::PinOutcome;
         // Every remote acquisition funnels through here (read barrier,
         // write barrier, observe, allocation barrier): from now on this
         // task may hold raw remote pointers, so its allocations must be
         // scanned (see `alloc_pin_remote`).
         self.ctx.saw_remote = true;
-        let block = self.cached_block(r);
-        let obj = block.get(r.word());
-        // Steady state: already pinned at (or below) this level — a single
-        // header load, no CAS.
-        let hdr = obj.header();
-        if hdr.is_pinned() && hdr.pin_level() <= level && !hdr.is_forwarded() {
-            return r;
-        }
-        let owner = block.owner();
-        let size = obj.size_bytes();
-        match obj.try_pin(level) {
-            PinOutcome::AlreadyPinned { .. } => r,
-            PinOutcome::NewlyPinned => {
-                let store = self.rt.store();
-                store.heaps().register_entangled(owner, r, level);
-                self.cached_block(r).add_pinned(1);
-                store.stats().on_pin(size);
-                events::emit_obj(EventKind::Pin, r, u32::from(level));
-                self.rt.cgc_state().satb_log_shard(&self.ctx.satb, r);
-                self.rt.request_cgc_poll();
-                r
+        loop {
+            let block = self.cached_block(r);
+            let obj = block.get(r.word());
+            // Steady state: already pinned at (or below) this level — a
+            // single header load, no CAS.
+            let hdr = obj.header();
+            if hdr.is_pinned() && hdr.pin_level() <= level && !hdr.is_forwarded() {
+                return Some(r);
             }
-            PinOutcome::Forwarded(next) => {
-                let (pinned, newly) = self.rt.store().pin(next, level);
-                if newly {
-                    self.rt.cgc_state().satb_log_shard(&self.ctx.satb, pinned);
+            match obj.try_pin(level) {
+                PinOutcome::AlreadyPinned { .. } => return Some(r),
+                PinOutcome::NewlyPinned => {
+                    let store = self.rt.store();
+                    store.heaps().register_entangled(block.owner(), r, level);
+                    block.add_pinned(1);
+                    store.stats().on_pin(obj.size_bytes());
+                    events::emit_obj(EventKind::Pin, r, u32::from(level));
+                    self.ctx.satb_log(r);
+                    self.rt.request_cgc_poll();
+                    return Some(r);
                 }
-                pinned
+                PinOutcome::Forwarded(next) => r = self.locate_ref(Value::Obj(next), "pin target"),
+                PinOutcome::Dead => return None,
             }
         }
     }
@@ -155,7 +155,7 @@ impl Mutator<'_> {
             let (_, _, lca) = self.rt.store().heaps().path_relation(&self.ctx.path, owner);
             if let Some(level) = lca {
                 self.ctx.pending.entangled_writes += 1;
-                let pinned = self.pin_cached(t, level);
+                let pinned = self.pin_held(t, level);
                 events::emit_obj(EventKind::AllocPin, pinned, u32::from(level));
                 *slot = Value::Obj(pinned);
             } else if Value::Obj(t) != raw {
@@ -173,12 +173,13 @@ impl Mutator<'_> {
             "mutable read on {:?}",
             obj.kind()
         );
-        let raw = obj.field(idx);
-        let slow = obj.is_slow();
         let cfg = self.rt.config();
         if cfg.mode == Mode::NoEntanglementBarrier {
+            let raw = obj.field(idx);
             return self.fix_stale(raw);
         }
+        let raw = obj.field(idx);
+        let slow = obj.is_slow();
         self.ctx.pending.barrier_reads += 1;
         // FAST TIER, entanglement-candidates check (ICFP 2022): an object
         // that never received a down-pointer write and is not pinned can
@@ -195,7 +196,7 @@ impl Mutator<'_> {
         // touches the heap table: fast tier by construction. (Under
         // `force_slow_path` it counts as slow so the diagnostic mode
         // reports zero fast-tier entries.)
-        let Value::Obj(_) = raw else {
+        let Value::Obj(loaded) = raw else {
             if cfg.force_slow_path {
                 self.ctx.pending.read_slow += 1;
             } else {
@@ -203,49 +204,70 @@ impl Mutator<'_> {
             }
             return raw;
         };
-        // SLOW TIER: locate the target and query the heap table. Slow
-        // tiers are handshake poll points: a read-heavy entangled loop
-        // may not allocate for a long stretch. The same argument makes
-        // them cancellation poll points.
-        self.rt.cgc_state().poll_handshake(&self.ctx.satb);
-        self.poll_cancel();
+        // SLOW TIER: locate the target and query the heap table.
+        self.ctx.poll();
         self.ctx.pending.read_slow += 1;
         mpl_fail::hit_hard("barrier/read_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
-        let t = self.locate_ref(raw, "read target");
-        let (_, t_depth, lca) = self
-            .rt
-            .store()
-            .heaps()
-            .path_relation(&self.ctx.path, self.cached_block(t).owner());
-        let Some(level) = lca else {
-            // Local target: repair a stale source field if we chased
-            // forwarding (rare; re-locating the source is fine).
-            if Value::Obj(t) != raw {
-                let src = self.locate_ref(objv, "mutable read");
-                let _ = self
-                    .cached_block(src)
-                    .get(src.word())
-                    .cas_field(idx, raw, Value::Obj(t));
+        self.acquire_loaded(objv, idx, loaded)
+    }
+
+    /// The read side's entanglement handling for a pointer just `loaded`
+    /// from field `idx` of the mutable object `objv` (by a read,
+    /// or observed by a failed CAS): classify the target against this
+    /// task's path, pin a remote target at the LCA, and repair the field
+    /// if forwarding was chased.
+    ///
+    /// Load-then-pin is not atomic: the owner can overwrite the field and
+    /// its local collection can reclaim the old target in between. The
+    /// pin CAS and the collector's kill serialize on the target's header,
+    /// so a lost race surfaces as a refused pin — re-load the field and
+    /// go again; the read linearizes at the final load.
+    fn acquire_loaded(&mut self, objv: Value, idx: usize, mut loaded: ObjRef) -> Value {
+        loop {
+            let raw = Value::Obj(loaded);
+            let t = self.locate_ref(raw, "read target");
+            let (_, t_depth, lca) = self
+                .rt
+                .store()
+                .heaps()
+                .path_relation(&self.ctx.path, self.cached_block(t).owner());
+            let acquired = match lca {
+                None => Some(t), // local target
+                Some(level) => {
+                    // Entangled read: the paper's central event.
+                    if self.rt.config().mode == Mode::DetectOnly {
+                        panic!("{ENTANGLEMENT_PANIC}");
+                    }
+                    self.ctx.pending.entangled_reads += 1;
+                    let newly = mpl_obs::enabled()
+                        && !self.cached_block(t).get(t.word()).header().is_pinned();
+                    let pinned = self.pin_cached(t, level);
+                    if let Some(p) = pinned {
+                        self.provenance_sample(p, t_depth, newly);
+                    }
+                    pinned
+                }
+            };
+            if acquired == Some(loaded) {
+                return raw;
             }
-            return Value::Obj(t);
-        };
-        // Entangled read: the paper's central event.
-        if cfg.mode == Mode::DetectOnly {
-            panic!("{ENTANGLEMENT_PANIC}");
-        }
-        self.ctx.pending.entangled_reads += 1;
-        let newly = mpl_obs::enabled() && !self.cached_block(t).get(t.word()).header().is_pinned();
-        let pinned = self.pin_cached(t, level);
-        self.provenance_sample(pinned, t_depth, newly);
-        if Value::Obj(pinned) != raw {
+            // Both continuations are rare, so re-locating the source is
+            // fine: repair a stale field after chasing forwarding, or
+            // re-load it after a lost race.
             let src = self.locate_ref(objv, "mutable read");
-            let _ = self
-                .cached_block(src)
-                .get(src.word())
-                .cas_field(idx, raw, Value::Obj(pinned));
+            let obj = self.cached_block(src).get(src.word());
+            match acquired {
+                Some(t) => {
+                    let _ = obj.cas_field(idx, raw, Value::Obj(t));
+                    return Value::Obj(t);
+                }
+                None => match obj.field(idx) {
+                    Value::Obj(r) => loaded = r,
+                    imm => return imm,
+                },
+            }
         }
-        Value::Obj(pinned)
     }
 
     pub(crate) fn mut_write(&mut self, objv: Value, idx: usize, v: Value) {
@@ -260,7 +282,7 @@ impl Mutator<'_> {
         // `mpl_gc::cgc`.
         if self.rt.cgc_state().is_marking() {
             if let Some(old) = obj.field_word(idx).pointer() {
-                self.rt.cgc_state().satb_log_shard(&self.ctx.satb, old);
+                self.ctx.satb_log(old);
             }
         }
         obj.set_field(idx, v);
@@ -277,14 +299,14 @@ impl Mutator<'_> {
         let obj = self.cached_block(r).get(r.word());
         if self.rt.cgc_state().is_marking() {
             if let Value::Obj(old) = expected {
-                self.rt.cgc_state().satb_log_shard(&self.ctx.satb, old);
+                self.ctx.satb_log(old);
             }
         }
         // A CAS is also a read: the observed value may expose a remote
         // pointer on failure.
         match obj.cas_field(idx, expected, new) {
             Ok(()) => Ok(()),
-            Err(actual) => Err(self.observe_read(actual)),
+            Err(actual) => Err(self.observe_read(objv, idx, actual)),
         }
     }
 
@@ -327,7 +349,7 @@ impl Mutator<'_> {
         // registry lock, and no cache traffic that could evict the
         // source's slot (which callers need resident).
         if !cfg.force_slow_path && matches!(v, Value::Obj(_)) {
-            let leaf = self.leaf_heap();
+            let leaf = self.ctx.leaf_heap();
             if let Value::Obj(t) = v {
                 if self.cached_block(src).owner() == leaf
                     && store.sft().owner_of(t.block()) == Some(leaf)
@@ -338,11 +360,8 @@ impl Mutator<'_> {
             }
         }
         // SLOW TIER: full locate + path-relation machinery. (Re-locate
-        // the source: fast-exit-2 probing may have evicted it.) Also a
-        // handshake — and cancellation — poll point, like the read slow
-        // tier.
-        self.rt.cgc_state().poll_handshake(&self.ctx.satb);
-        self.poll_cancel();
+        // the source: fast-exit-2 probing may have evicted it.)
+        self.ctx.poll();
         self.ctx.pending.write_slow += 1;
         mpl_fail::hit_hard("barrier/write_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
@@ -363,7 +382,7 @@ impl Mutator<'_> {
                         // remote object's owner: pin at the heaps' LCA.
                         let t_heap = store.heaps().find(self.cached_block(t).owner());
                         let level = store.heaps().lca_of(o_heap, t_heap);
-                        let _ = self.pin_cached(t, level);
+                        let _ = self.pin_held(t, level);
                     }
                 }
             }
@@ -385,7 +404,7 @@ impl Mutator<'_> {
                     // buffer, published at the next safepoint flush.
                     let src = self.locate_ref(objv, "mutable write");
                     self.cached_block(src).get(src.word()).mark_suspect();
-                    self.buffer_remset(
+                    self.ctx.buffer_remset(
                         t_heap,
                         RemsetEntry {
                             src,
@@ -401,7 +420,7 @@ impl Mutator<'_> {
                 let level = store.heaps().lca_of(o_heap, t_heap);
                 let newly =
                     mpl_obs::enabled() && !self.cached_block(t).get(t.word()).header().is_pinned();
-                let pinned = self.pin_cached(t, level);
+                let pinned = self.pin_held(t, level);
                 self.provenance_sample(pinned, t_depth, newly);
                 let src = self.locate_ref(objv, "mutable write");
                 self.cached_block(src).get(src.word()).mark_suspect();
@@ -415,29 +434,22 @@ impl Mutator<'_> {
     }
 
     /// Applies the read-barrier's entanglement handling to a value
-    /// observed from a failed CAS.
-    fn observe_read(&mut self, actual: Value) -> Value {
-        let mode = self.rt.config().mode;
-        if mode == Mode::NoEntanglementBarrier {
-            return self.fix_stale(actual);
+    /// observed from a failed CAS on field `idx` of `objv`.
+    fn observe_read(&mut self, objv: Value, idx: usize, actual: Value) -> Value {
+        match actual {
+            Value::Obj(r) if self.rt.config().mode != Mode::NoEntanglementBarrier => {
+                self.acquire_loaded(objv, idx, r)
+            }
+            other => self.fix_stale(other),
         }
-        let Value::Obj(_) = actual else { return actual };
-        let t = self.locate_ref(actual, "cas observation");
-        let (_, t_depth, lca) = self
-            .rt
-            .store()
-            .heaps()
-            .path_relation(&self.ctx.path, self.cached_block(t).owner());
-        let Some(level) = lca else {
-            return Value::Obj(t);
-        };
-        if mode == Mode::DetectOnly {
-            panic!("{ENTANGLEMENT_PANIC}");
-        }
-        self.ctx.pending.entangled_reads += 1;
-        let newly = mpl_obs::enabled() && !self.cached_block(t).get(t.word()).header().is_pinned();
-        let pinned = self.pin_cached(t, level);
-        self.provenance_sample(pinned, t_depth, newly);
-        Value::Obj(pinned)
+    }
+
+    /// Pins a pointer this task already *holds* (a value being written or
+    /// allocated into an object). Held remote pointers were pinned at
+    /// acquisition and stay pinned past this task's lifetime, so a dead
+    /// target is not a race to retry — there is no field to re-load — and
+    /// the reference is passed through unpinned.
+    fn pin_held(&mut self, t: ObjRef, level: u16) -> ObjRef {
+        self.pin_cached(t, level).unwrap_or(t)
     }
 }

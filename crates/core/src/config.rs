@@ -4,7 +4,6 @@
 use mpl_fail::FailPlan;
 use mpl_gc::GcPolicy;
 use mpl_heap::StoreConfig;
-use mpl_sched::SchedMode;
 
 /// How the runtime treats entanglement — the axis of the paper's
 /// comparison experiments.
@@ -68,13 +67,9 @@ pub struct RuntimeConfig {
     pub record_dag: bool,
     /// Work weights for DAG recording.
     pub work: WorkModel,
-    /// Processors for the real-thread executor; `1` (the default) selects
-    /// the deterministic depth-first executor.
+    /// Processors for the work-stealing executor; `1` (the default)
+    /// selects deterministic depth-first execution with no pool.
     pub threads: usize,
-    /// Which real-thread execution strategy `fork` uses when
-    /// `threads > 1`: the persistent work-stealing pool (the default) or
-    /// the legacy thread-per-fork scoped executor.
-    pub sched: SchedMode,
     /// Enables the entanglement-candidates ("suspects") read-barrier fast
     /// path (ICFP 2022): reads of objects that never received a
     /// down-pointer write and are not pinned skip the remote check
@@ -150,7 +145,6 @@ impl Default for RuntimeConfig {
             record_dag: false,
             work: WorkModel::default(),
             threads: 1,
-            sched: SchedMode::default(),
             suspects: true,
             force_slow_path: false,
             cgc_slice_objects: 0,
@@ -368,12 +362,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the real-thread execution strategy.
-    pub fn with_sched(mut self, sched: SchedMode) -> RuntimeConfig {
-        self.sched = sched;
-        self
-    }
-
     /// Replaces the GC policy (preserving thread-safety of block freeing).
     pub fn with_policy(mut self, policy: GcPolicy) -> RuntimeConfig {
         self.policy = policy;
@@ -421,13 +409,6 @@ mod tests {
         assert_eq!(c.threads, 1, "in-range requests pass through");
         let c = RuntimeConfig::managed().with_threads_exact(max * 4);
         assert_eq!(c.threads, max * 4, "exact setter never clamps");
-    }
-
-    #[test]
-    fn sched_mode_defaults_to_work_stealing() {
-        assert_eq!(RuntimeConfig::managed().sched, SchedMode::WorkStealing);
-        let c = RuntimeConfig::managed().with_sched(SchedMode::ScopedThreads);
-        assert_eq!(c.sched, SchedMode::ScopedThreads);
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod config;
 pub mod mutator;
 mod roots;
 pub mod runtime;
+mod telemetry;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, RunError};
 pub use config::{Mode, RuntimeConfig, WorkModel};
@@ -73,4 +74,4 @@ pub use mpl_heap::{
     to_dot as heap_dot, BudgetSnapshot, ObjKind, ObjRef, StatsSnapshot, StoreConfig, TenantBudget,
     Value,
 };
-pub use mpl_sched::{simulate, sweep, Dag, SchedMode, SchedSnapshot, SimParams, SimResult};
+pub use mpl_sched::{simulate, sweep, Dag, SchedSnapshot, SimParams, SimResult};

@@ -1,4 +1,5 @@
-//! Lock-free task root stacks.
+//! Lock-free task root stacks, and the registry that publishes them to
+//! the concurrent collector.
 //!
 //! Every task owns a [`RootStack`]: the set of object references it has
 //! rooted via [`crate::mutator::Mutator::root`]. The stack used to be an
@@ -37,9 +38,10 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use mpl_heap::ObjRef;
+use mpl_heap::{ObjRef, Value};
+use parking_lot::Mutex;
 
 /// Slots in the first segment; segment `k` holds `SEG0 << k` slots.
 const SEG0: usize = 32;
@@ -149,10 +151,93 @@ impl fmt::Debug for RootStack {
     }
 }
 
+/// The concurrent collector's root set: every live task's (and every
+/// persistent session's) root stack, plus branch results parked between
+/// a branch's completion and its parent's join. The mutexes guard only
+/// the two small vectors — registration at task enter/finish, parking at
+/// branch end/join; the stacks themselves are lock-free and read in place
+/// by the collector's root scan.
+#[derive(Debug, Default)]
+pub(crate) struct RootRegistry {
+    stacks: Mutex<Vec<Arc<RootStack>>>,
+    parked: Mutex<Vec<Option<ObjRef>>>,
+}
+
+impl RootRegistry {
+    pub(crate) fn register(&self, s: &Arc<RootStack>) {
+        self.stacks.lock().push(Arc::clone(s));
+    }
+
+    pub(crate) fn unregister(&self, s: &Arc<RootStack>) {
+        let mut stacks = self.stacks.lock();
+        if let Some(pos) = stacks.iter().position(|x| Arc::ptr_eq(x, s)) {
+            stacks.swap_remove(pos);
+        }
+    }
+
+    /// Parks a branch result so the concurrent collector sees it between a
+    /// branch's completion and the parent's join. Returns a slot index.
+    pub(crate) fn park(&self, v: Value) -> Option<usize> {
+        let r = v.as_obj()?;
+        let mut parked = self.parked.lock();
+        if let Some(idx) = parked.iter().position(|p| p.is_none()) {
+            parked[idx] = Some(r);
+            Some(idx)
+        } else {
+            parked.push(Some(r));
+            Some(parked.len() - 1)
+        }
+    }
+
+    pub(crate) fn unpark(&self, idx: Option<usize>) {
+        if let Some(idx) = idx {
+            self.parked.lock()[idx] = None;
+        }
+    }
+
+    pub(crate) fn live_stacks(&self) -> usize {
+        self.stacks.lock().len()
+    }
+
+    pub(crate) fn parked(&self) -> usize {
+        self.parked.lock().iter().flatten().count()
+    }
+
+    /// The root set, packetized: one `ScanRoots` packet per registered
+    /// stack (parked branch results ride as one more), seeding the
+    /// collector's grey queue so root scanning itself fans out across
+    /// workers.
+    ///
+    /// Lock-free with respect to the mutators: each stack is snapshot by
+    /// atomic slot reads ([`RootStack::extend_snapshot`]) while its owner
+    /// keeps pushing — only the small registry mutex is held. A stale
+    /// beyond-`len` slot resolves safely because retired blocks are
+    /// graveyard-held until quiescence. Invoked by the collector *after*
+    /// the snapshot handshake, which is what makes the per-stack
+    /// snapshots sound against a mutator moving a value between a shared
+    /// slot and its own stack at the snapshot boundary: post-handshake,
+    /// every mutator's SATB logging is observably on, so any value that
+    /// leaves a scanned location is logged.
+    pub(crate) fn packets(&self) -> Vec<Vec<ObjRef>> {
+        let mut packets: Vec<Vec<ObjRef>> = Vec::new();
+        for s in self.stacks.lock().iter() {
+            let mut p = Vec::new();
+            s.extend_snapshot(&mut p);
+            if !p.is_empty() {
+                packets.push(p);
+            }
+        }
+        let parked: Vec<ObjRef> = self.parked.lock().iter().flatten().copied().collect();
+        if !parked.is_empty() {
+            packets.push(parked);
+        }
+        packets
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn segment_addressing_is_dense_and_doubling() {

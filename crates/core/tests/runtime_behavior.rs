@@ -589,3 +589,125 @@ fn root_marks_release_in_bulk() {
         Value::Unit
     });
 }
+
+/// Boundary conformance: a program that crosses every task boundary —
+/// allocation poll points, both barrier slow tiers, fork suspension,
+/// triggered local collections, pin-driven CGC safepoints, task finish —
+/// run to completion and with each of the three unwind kinds raised
+/// inside a forked branch, under the audit layer. Whatever happened, the
+/// runtime must be left exactly as a fresh one: no registered root stack
+/// or SATB shard, no parked result, no pin, no audit failure, and the
+/// next run computes the fresh-runtime checksum. (Debug builds also
+/// assert inside `suspend`/`collect_local`/`finish` that nothing buffered
+/// survives the boundary.)
+#[test]
+fn task_boundaries_leave_nothing_behind() {
+    use mpl_runtime::{Mutator, RunError};
+    use std::time::Duration;
+
+    type Fault = fn(&mut Mutator<'_>);
+    fn none(_: &mut Mutator<'_>) {}
+    fn panics(_: &mut Mutator<'_>) {
+        panic!("boom")
+    }
+    fn exhausts(m: &mut Mutator<'_>) {
+        let _ = m.alloc_array(1 << 20, Value::Unit); // 8 MiB against a 1 MiB limit
+    }
+    fn spins(m: &mut Mutator<'_>) {
+        loop {
+            let _ = m.alloc_tuple(&[Value::Unit]); // until the deadline trips the poll
+        }
+    }
+
+    fn program(m: &mut Mutator<'_>, fault: Fault) -> Value {
+        let cell = m.alloc_ref(Value::Unit);
+        let c = m.root(cell);
+        let (a, b) = m.fork(
+            |m| {
+                // A down-pointer into the parent's cell (buffered remset
+                // entry), then churn through several local collections.
+                let boxed = m.alloc_tuple(&[Value::Int(7)]);
+                m.write_ref(m.get(&c), boxed);
+                let mut acc = 0;
+                for i in 0..200 {
+                    let t = m.alloc_tuple(&[Value::Int(i), Value::Unit]);
+                    acc += m.tuple_get(t, 0).expect_int();
+                }
+                Value::Int(acc)
+            },
+            |m| {
+                let (x, y) = m.fork(
+                    |m| {
+                        // Entangled read (a pin, hence a CGC request) once
+                        // the cousin has published; same answer if not.
+                        let seen = match m.read_ref(m.get(&c)) {
+                            v @ Value::Obj(_) => m.tuple_get(v, 0).expect_int(),
+                            _ => 7,
+                        };
+                        for _ in 0..200 {
+                            let _ = m.alloc_tuple(&[Value::Int(0), Value::Unit]);
+                        }
+                        Value::Int(seen)
+                    },
+                    |m| {
+                        fault(m);
+                        Value::Int(1)
+                    },
+                );
+                Value::Int(x.expect_int() + y.expect_int())
+            },
+        );
+        Value::Int(a.expect_int() + b.expect_int())
+    }
+
+    fn assert_fresh(rt: &Runtime, after: &str) {
+        assert_eq!(rt.live_root_stacks(), 0, "{after}: root stacks");
+        assert_eq!(rt.registered_shards(), 0, "{after}: SATB shards");
+        assert_eq!(rt.parked_results(), 0, "{after}: parked results");
+        assert_eq!(rt.stats().pinned_bytes, 0, "{after}: pins");
+    }
+
+    for threads in [1, 3] {
+        let cfg = RuntimeConfig {
+            policy: GcPolicy {
+                lgc_trigger_bytes: 2048,
+                cgc_trigger_pinned_bytes: 1,
+                immediate_block_free: false,
+            },
+            ..RuntimeConfig::managed()
+        }
+        .with_threads_exact(threads)
+        .with_heap_limit(1 << 20)
+        .with_audit();
+        let expected = Runtime::new(cfg).run(|m| program(m, none));
+        let audit_failures = mpl_gc::audit::counters().failures;
+
+        let rt = Runtime::new(cfg);
+        assert_eq!(rt.run(|m| program(m, none)), expected);
+        assert_fresh(&rt, "clean run");
+        let r = rt.try_run(|m| program(m, panics));
+        assert!(
+            matches!(&r, Err(RunError::Panic(msg)) if msg == "boom"),
+            "{r:?}"
+        );
+        assert_fresh(&rt, "panic");
+        let r = rt.try_run(|m| program(m, exhausts));
+        assert!(matches!(r, Err(RunError::Alloc(_))), "{r:?}");
+        assert_fresh(&rt, "alloc error");
+        let r = rt.try_run_deadline(Duration::from_millis(20), |m| program(m, spins));
+        assert!(matches!(r, Err(RunError::Cancelled(_))), "{r:?}");
+        assert_fresh(&rt, "cancellation");
+        assert_eq!(rt.run(|m| program(m, none)), expected, "run after unwinds");
+        assert_fresh(&rt, "final run");
+
+        let s = rt.stats();
+        assert!(s.lgc_runs > 0 && s.remset_flushes > 0, "{s:?}");
+        if threads == 1 {
+            // Depth-first order makes the entangled read certain.
+            assert!(s.pins > 0 && s.cgc_runs > 0, "{s:?}");
+        }
+        assert_eq!(s.lgc_dead_traced, 0);
+        assert_eq!(mpl_gc::audit::counters().failures, audit_failures);
+        rt.assert_heap_sound();
+    }
+}

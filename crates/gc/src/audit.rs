@@ -311,24 +311,26 @@ pub fn check_dead_reachability(store: &Store) -> Vec<String> {
         };
         let header = obj.header();
         if header.is_dead() {
+            // A pin root was alive and pinned when the scan above queued
+            // it (dead headers are never queued). Dead by the time it is
+            // visited means a concurrent join unpinned it and its owner's
+            // collection then reclaimed it — there is no edge to
+            // re-confirm, and the object is legitimately collectable.
+            let Some((src, field)) = from else {
+                continue;
+            };
             // Re-confirm against the parent's current field: a mutator may
             // have overwritten the edge after we read it, making the old
             // target legitimately collectable.
-            if let Some((src, field)) = from {
-                if !edge_still_present(store, src, field, r) {
-                    continue;
-                }
+            if !edge_still_present(store, src, field, r) {
+                continue;
             }
             issues.push(format!(
                 "dead-reachable: {r} is dead-marked but reachable from a pinned object \
-                 (kind {:?}, entspace {}, block owner {}, via {})\n  path: {}",
+                 (kind {:?}, entspace {}, block owner {}, via {src} field {field})\n  path: {}",
                 header.kind(),
                 header.in_entangled_space(),
                 block.owner(),
-                match from {
-                    Some((src, field)) => format!("{src} field {field}"),
-                    None => "pin root".to_string(),
-                },
                 describe_path(store, &came_from, from, r),
             ));
             continue; // don't traverse a corpse

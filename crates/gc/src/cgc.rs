@@ -289,6 +289,12 @@ impl CgcState {
         self.shards.lock().retain(|s| !Arc::ptr_eq(s, shard));
     }
 
+    /// Number of currently registered mutator shards (diagnostics: a
+    /// shard leaked past its task would stall every later handshake).
+    pub fn registered_shards(&self) -> usize {
+        self.shards.lock().len()
+    }
+
     /// Cheap handshake poll for mutator safepoints (allocation slices,
     /// the slow-tier write barrier): two relaxed loads when idle;
     /// flush + acknowledge when a new snapshot epoch is pending.
@@ -893,20 +899,13 @@ fn prune_entangled_indexes(store: &Store) {
         if store.heaps().find(id) != id {
             continue; // merged away
         }
-        let info = store.heaps().info(id);
-        let entries = info.take_entangled();
-        for r in entries {
-            let live = store
+        store.heaps().info(id).retain_entangled(|r| {
+            store
                 .blocks()
                 .try_get(r.block())
                 .and_then(|b| b.try_get(r.word()).map(|o| !o.header().is_dead()))
-                .unwrap_or(false);
-            if live {
-                // Re-register through the seal-chasing path: the heap may
-                // have joined (and sealed) while we pruned.
-                store.heaps().register_entangled(id, r, 0);
-            }
-        }
+                .unwrap_or(false)
+        });
     }
 }
 

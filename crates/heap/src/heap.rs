@@ -169,6 +169,16 @@ impl HeapInfo {
         out
     }
 
+    /// Drops the entries `keep` rejects, in place. Unlike a take/re-add
+    /// round trip the index is never observably missing its live entries,
+    /// so a concurrent local collection's registry re-take cannot come up
+    /// empty mid-prune and kill the referents of still-pinned objects.
+    pub fn retain_entangled(&self, mut keep: impl FnMut(ObjRef) -> bool) {
+        for b in self.entangled.lock().buckets.iter_mut() {
+            b.retain(|r| keep(*r));
+        }
+    }
+
     /// Drains the whole index **and seals it**: subsequent registrations
     /// are redirected to `into`. Used exactly once, at the heap's join.
     pub fn drain_and_seal_entangled(&self, into: u32) -> Vec<ObjRef> {
@@ -676,8 +686,10 @@ mod tests {
         assert_eq!(info.remset_len(), 1);
 
         info.add_entangled(ObjRef::new(0, 1), 0);
+        info.add_entangled(ObjRef::new(0, 2), 3);
+        info.retain_entangled(|r| r.word() == 1);
         assert_eq!(info.entangled_len(), 1);
-        assert_eq!(info.take_entangled().len(), 1);
+        assert_eq!(info.take_entangled(), vec![ObjRef::new(0, 1)]);
     }
 
     #[test]

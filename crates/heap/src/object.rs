@@ -40,6 +40,11 @@ pub enum PinOutcome {
     },
     /// The object has been forwarded; pin the new copy instead.
     Forwarded(ObjRef),
+    /// The object was already dead-marked: its owner's collection found
+    /// it unreachable before this pin landed. Nothing was pinned; a
+    /// barrier that loaded the pointer from a mutable field must re-load
+    /// the field (the owner overwrote it before collecting).
+    Dead,
 }
 
 /// A view of one inline heap object: the block it lives in, its header's
@@ -252,7 +257,11 @@ impl<'a> Object<'a> {
 
     /// Attempts to pin the object at `level` (lowering an existing level
     /// if already pinned). If the object was concurrently forwarded, the
-    /// caller must redirect the pin to the new location.
+    /// caller must redirect the pin to the new location. A dead header is
+    /// refused: the pin CAS and [`Object::try_kill`] serialize on the one
+    /// header word, so a pin either lands first (and the kill backs off)
+    /// or reports [`PinOutcome::Dead`] — never a pinned corpse that the
+    /// join's unpin walk would skip.
     pub fn try_pin(&self, level: u16) -> PinOutcome {
         debug_assert!(level != NO_PIN_LEVEL, "NO_PIN_LEVEL is a sentinel");
         // Enter the barrier's slow set *before* the pin becomes visible:
@@ -266,6 +275,9 @@ impl<'a> Object<'a> {
                 return PinOutcome::Forwarded(
                     self.forward_ref().expect("forwarded object lacks fwd ref"),
                 );
+            }
+            if cur.is_dead() {
+                return PinOutcome::Dead;
             }
             let newly = !cur.is_pinned();
             let lowered = cur.is_pinned() && level < cur.pin_level();
@@ -571,6 +583,15 @@ mod tests {
         assert_eq!(b.forwarded_count(), 1);
         assert!(o.try_forward(ObjRef::new(3, 3)).is_err());
         assert_eq!(o.try_pin(0), PinOutcome::Forwarded(dst));
+    }
+
+    #[test]
+    fn pin_refuses_a_dead_header() {
+        let b = block();
+        let o = alloc(&b, ObjKind::Tuple, &[Value::Unit]);
+        assert!(o.try_kill().is_some());
+        assert_eq!(o.try_pin(1), PinOutcome::Dead);
+        assert!(!o.header().is_pinned(), "no pinned corpse");
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl Store {
                     events::emit_obj(EventKind::Pin, cur, u32::from(level));
                     return (cur, true);
                 }
-                PinOutcome::AlreadyPinned { .. } => return (cur, false),
+                PinOutcome::AlreadyPinned { .. } | PinOutcome::Dead => return (cur, false),
             }
         }
     }

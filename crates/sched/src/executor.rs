@@ -1,7 +1,6 @@
 //! A persistent work-stealing worker pool for the real-thread executor.
 //!
-//! This replaces the thread-per-fork scoped executor: a [`Executor`] owns
-//! `P - 1` long-lived worker threads (the thread that calls
+//! An [`Executor`] owns `P - 1` long-lived worker threads (the thread that calls
 //! `Runtime::run` acts as worker 0, the *driver*), each with a private
 //! LIFO deque of pending fork branches. `fork(f, g)` pushes the right
 //! branch onto the current worker's deque and runs the left branch
@@ -27,22 +26,6 @@ use crossbeam_deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::Mutex;
 
 use crate::worker::{self, DriverGuard, JobRef};
-
-/// Which real-thread execution strategy `fork` uses when
-/// `config.threads > 1`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedMode {
-    /// Thread-per-fork: spawn a scoped thread for the left branch while a
-    /// parallelism token is available ([`crate::tokens::TokenPool`]),
-    /// run sequentially otherwise. Simple and deterministic-ish; high
-    /// per-fork overhead. Kept for protocol comparison and as a
-    /// fallback.
-    ScopedThreads,
-    /// Persistent worker pool with per-worker deques and randomized
-    /// stealing (this module). The default.
-    #[default]
-    WorkStealing,
-}
 
 /// Scheduler event counters, updated by workers with relaxed atomics.
 #[derive(Debug, Default)]

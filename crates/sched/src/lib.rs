@@ -9,11 +9,7 @@
 //!   on hosts without many physical cores);
 //! * [`executor`] / [`worker`] — the real work-stealing executor: a
 //!   persistent worker pool with per-worker deques, randomized victim
-//!   selection, and a help-first fork-join protocol
-//!   ([`SchedMode::WorkStealing`]);
-//! * [`tokens`] — a parallelism token pool bounding the legacy
-//!   thread-per-fork executor's branch threads
-//!   ([`SchedMode::ScopedThreads`]).
+//!   selection, and a help-first fork-join protocol.
 //!
 //! # Example
 //!
@@ -44,13 +40,11 @@
 pub mod dag;
 pub mod executor;
 pub mod simsched;
-pub mod tokens;
 pub mod worker;
 
 pub use dag::{Dag, DagBuilder, StrandId};
-pub use executor::{Executor, SchedMode, SchedSnapshot, SchedStats};
+pub use executor::{Executor, SchedSnapshot, SchedStats};
 pub use simsched::{simulate, sweep, SimParams, SimResult};
-pub use tokens::{Token, TokenPool};
 pub use worker::{
     on_worker_thread, set_job_finish_hook, set_worker_start_hook, try_join, DriverGuard, WorkerCtx,
     PARK_INTERVAL,

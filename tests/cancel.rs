@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 use mpl_runtime::{
     CancelReason, FailAction, FailPlan, FailWhen, GcPolicy, Mutator, RunError, Runtime,
-    RuntimeConfig, SchedMode, StoreConfig, Value,
+    RuntimeConfig, StoreConfig, Value,
 };
 
 static CANCEL_LOCK: Mutex<()> = Mutex::new(());
@@ -52,7 +52,6 @@ fn cancel_config(threads: usize) -> RuntimeConfig {
         ..RuntimeConfig::managed()
     }
     .with_threads_exact(threads)
-    .with_sched(SchedMode::WorkStealing)
     .with_audit()
 }
 

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use mpl_runtime::{
-    FailAction, FailPlan, FailWhen, GcPolicy, Runtime, RuntimeConfig, SchedMode, StoreConfig, Value,
+    FailAction, FailPlan, FailWhen, GcPolicy, Runtime, RuntimeConfig, StoreConfig, Value,
 };
 
 mod common;
@@ -40,7 +40,6 @@ fn chaos_config(threads: usize) -> RuntimeConfig {
         ..RuntimeConfig::managed()
     }
     .with_threads_exact(threads)
-    .with_sched(SchedMode::WorkStealing)
     .with_audit()
 }
 

@@ -2,7 +2,7 @@
 //! per-tenant budget enforcement, failure-path cleanliness, and the
 //! deterministic traffic generator.
 
-use std::sync::Mutex;
+use std::sync::RwLock;
 
 use proptest::prelude::*;
 
@@ -12,10 +12,13 @@ use mpl_serve::{
     TrafficConfig,
 };
 
-/// The failpoint registry is process-global; tests that arm plans
-/// serialize here (and don't overlap the chaos binary, which cargo runs
-/// separately).
-static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+/// The failpoint registry is process-global: a plan armed by one test
+/// fires in every runtime alive in this binary. The test that arms a plan
+/// takes this lock exclusively; every other runtime-creating test takes
+/// it shared, so they run in parallel with each other but never under
+/// someone else's injected faults. (A poisoned lock only means another
+/// test failed; the guard is still good.)
+static REGISTRY_LOCK: RwLock<()> = RwLock::new(());
 
 /// Satellite regression: requests that *fail* — injected allocation
 /// errors striking inside fork branches mid-request — must leave no
@@ -23,7 +26,7 @@ static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 /// registrations, no dead-object traces, and the session keeps serving.
 #[test]
 fn failed_requests_leak_no_pins_or_registry_entries() {
-    let _guard = REGISTRY_LOCK.lock().unwrap();
+    let _guard = REGISTRY_LOCK.write().unwrap_or_else(|e| e.into_inner());
     let plan = FailPlan::new(0xfee1).with("alloc/words", FailAction::Error, FailWhen::OneIn(60));
     let audit0 = mpl_gc::audit::counters();
     let rt = Runtime::new(
@@ -76,6 +79,7 @@ fn failed_requests_leak_no_pins_or_registry_entries() {
 /// budget never exceeds its limit by more than one admission window.
 #[test]
 fn budget_isolation_adversary_sheds_victims_serve() {
+    let _guard = REGISTRY_LOCK.read().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
     let mut srv = Server::new(
         &rt,
@@ -115,6 +119,7 @@ fn budget_isolation_adversary_sheds_victims_serve() {
 /// reuses the same root stacks and serves everything.
 #[test]
 fn sessions_persist_across_runs() {
+    let _guard = REGISTRY_LOCK.read().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::new(RuntimeConfig::managed());
     let mut srv = Server::new(&rt, vec![TenantSpec::new("t", 0)]);
     let t1 = TrafficConfig {
@@ -138,6 +143,7 @@ fn sessions_persist_across_runs() {
 /// report's JSON carries the SLO fields CI parses.
 #[test]
 fn json_reports_are_machine_readable() {
+    let _guard = REGISTRY_LOCK.read().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::new(RuntimeConfig::managed().with_telemetry());
     let mut srv = Server::new(&rt, vec![TenantSpec::new("j", 1 << 20)]);
     let rep = srv.run(&TrafficConfig {
@@ -183,6 +189,7 @@ fn json_reports_are_machine_readable() {
 /// timing, never what load is offered.
 #[test]
 fn served_schedule_is_worker_count_independent() {
+    let _guard = REGISTRY_LOCK.read().unwrap_or_else(|e| e.into_inner());
     let mut digests = Vec::new();
     let mut admitted = Vec::new();
     for threads in [1, 4] {

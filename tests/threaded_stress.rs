@@ -4,7 +4,7 @@
 //! join lands on a merged-away index" (found and fixed during
 //! development) stay fixed.
 
-use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, SchedMode, StoreConfig, Value};
+use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, StoreConfig, Value};
 
 // `with_threads_exact`: these tests deliberately oversubscribe small
 // hosts — concurrency bugs need concurrency, not host-sized pools.
@@ -145,8 +145,7 @@ fn entangled_suite_work_stealing_worker_sweep() {
             for name in ["dedup", "msqueue", "bfs", "accounts"] {
                 let bench = mpl_bench_suite::by_name(name).unwrap();
                 let n = bench.small_n() / 2 + round;
-                let rt =
-                    Runtime::new(threaded_pressure(workers).with_sched(SchedMode::WorkStealing));
+                let rt = Runtime::new(threaded_pressure(workers));
                 let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
                 assert_eq!(
                     got,
@@ -178,39 +177,18 @@ fn entangled_suite_work_stealing_worker_sweep() {
 }
 
 #[test]
-fn scoped_threads_mode_still_agrees() {
-    // The legacy thread-per-fork executor stays available behind
-    // SchedMode::ScopedThreads and must produce identical results.
-    // Sizes match the rest of the suite (small_n / 2); full small_n is
-    // exercised by `lgc_dead_object_race_repro` below, the regression
-    // test for the once-notorious LGC dead-object race.
-    for name in ["dedup", "msqueue", "accounts"] {
-        let bench = mpl_bench_suite::by_name(name).unwrap();
-        let n = bench.small_n() / 2;
-        let rt = Runtime::new(threaded_pressure(4).with_sched(SchedMode::ScopedThreads));
-        let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
-        assert_eq!(got, Value::Int(bench.run_native(n)), "{name}");
-        let s = rt.stats();
-        assert_eq!(s.pinned_bytes, 0, "{name}: leaked pins");
-        assert_eq!(
-            s.sched_pushes, 0,
-            "{name}: scoped mode never touches deques"
-        );
-    }
-}
-
-#[test]
 fn lgc_dead_object_race_repro() {
     // Regression test for the LGC dead-object race (formerly #[ignore]d:
-    // dedup at full small_n under 4 scoped threads killed the referents
-    // of objects pinned mid-collection in roughly 2 of 3 debug runs).
-    // The fix is the registry re-take fixpoint before Phase C's kills
+    // dedup at full small_n under 4 threads killed the referents of
+    // objects pinned mid-collection in roughly 2 of 3 debug runs). The
+    // fix is the registry re-take fixpoint before Phase C's kills
     // (lgc.rs); `lgc_dead_traced` is the always-on detector and must
-    // stay zero.
+    // stay zero. The rest of the suite runs at small_n / 2; this is the
+    // one test at full small_n.
     for round in 0..5 {
         let bench = mpl_bench_suite::by_name("dedup").unwrap();
         let n = bench.small_n();
-        let rt = Runtime::new(threaded_pressure(4).with_sched(SchedMode::ScopedThreads));
+        let rt = Runtime::new(threaded_pressure(4));
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, Value::Int(bench.run_native(n)), "round {round}");
         let s = rt.stats();
@@ -378,10 +356,6 @@ mod executor_agreement {
     use super::*;
     use proptest::prelude::*;
 
-    fn ws(workers: usize) -> RuntimeConfig {
-        threaded_pressure(workers).with_sched(SchedMode::WorkStealing)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -390,7 +364,7 @@ mod executor_agreement {
             let bench = mpl_bench_suite::by_name("fib").unwrap();
             let seq = Runtime::new(threaded_pressure(1));
             let expect = seq.run(|m| Value::Int(bench.run_mpl(m, n)));
-            let rt = Runtime::new(ws(workers));
+            let rt = Runtime::new(threaded_pressure(workers));
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             prop_assert_eq!(got, expect);
             prop_assert_eq!(got, Value::Int(bench.run_native(n)));
@@ -402,7 +376,7 @@ mod executor_agreement {
             let bench = mpl_bench_suite::by_name("msort").unwrap();
             let seq = Runtime::new(threaded_pressure(1));
             let expect = seq.run(|m| Value::Int(bench.run_mpl(m, n)));
-            let rt = Runtime::new(ws(workers));
+            let rt = Runtime::new(threaded_pressure(workers));
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             prop_assert_eq!(got, expect);
             prop_assert_eq!(got, Value::Int(bench.run_native(n)));

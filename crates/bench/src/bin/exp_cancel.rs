@@ -296,7 +296,7 @@ fn main() {
         srv.shutdown();
         dead += rep.gc.lgc_dead_traced;
         let web = &rep.tenants[0];
-        let strict = &rep.tenants[2];
+        let strict = &rep.tenants[2].counts;
         assert!(
             strict.timed_out > 0,
             "rate {rate}: the 1 ns timeout must fire"
@@ -306,11 +306,14 @@ fn main() {
             "rate {rate}: consecutive timeouts must open the breaker"
         );
         assert!(
-            web.completed > 0,
+            web.counts.completed > 0,
             "rate {rate}: the untimed tenant keeps completing"
         );
-        let (timed_out, retried, brk_open, brk_shed, brownout, degraded) =
-            rep.tenants.iter().fold((0, 0, 0, 0, 0, 0), |acc, t| {
+        let (timed_out, retried, brk_open, brk_shed, brownout, degraded) = rep
+            .tenants
+            .iter()
+            .map(|t| &t.counts)
+            .fold((0, 0, 0, 0, 0, 0), |acc, t| {
                 (
                     acc.0 + t.timed_out,
                     acc.1 + t.retried,

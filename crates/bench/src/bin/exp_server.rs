@@ -115,9 +115,9 @@ fn tenant_rows(rep: &ServerReport) -> Vec<TenantRow> {
         .iter()
         .map(|t| TenantRow {
             tenant: t.name.clone(),
-            admitted: t.admitted,
-            completed: t.completed,
-            shed: t.shed_budget + t.shed_injected,
+            admitted: t.counts.admitted,
+            completed: t.counts.completed,
+            shed: t.counts.shed_budget + t.counts.shed_injected,
             p50_us: t.p50_ns as f64 / 1e3,
             p99_us: t.p99_ns as f64 / 1e3,
             p999_us: t.p999_ns as f64 / 1e3,
@@ -249,8 +249,8 @@ fn main() {
         control_victim_p99_us: victim_p99_us(&control),
         adversary_victim_p99_us: victim_p99_us(&adversary),
         victim_p99_ratio: victim_p99_us(&adversary) / victim_p99_us(&control).max(1e-9),
-        adversary_shed: hog.shed_budget + hog.shed_injected,
-        adversary_completed: hog.completed,
+        adversary_shed: hog.counts.shed_budget + hog.counts.shed_injected,
+        adversary_completed: hog.counts.completed,
         adversary_budget_sheds: hog.budget.as_ref().map_or(0, |b| b.sheds),
         adversary_peak_kib: hog
             .budget
@@ -270,7 +270,7 @@ fn main() {
         iso.adversary_victim_p99_us,
         iso.victim_p99_ratio,
         iso.adversary_shed,
-        hog.admitted + iso.adversary_shed,
+        hog.counts.admitted + iso.adversary_shed,
     );
     assert!(iso.adversary_shed > 0, "adversary was never shed");
 

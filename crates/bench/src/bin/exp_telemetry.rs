@@ -12,14 +12,15 @@
 //!   (`mpl-obs`), plus the per-phase breakdown.
 //! * **Exporter artifacts** — one instrumented entangled run dumped as
 //!   `results/telemetry_trace.json` (load in `chrome://tracing` or
-//!   Perfetto) and `results/telemetry.prom` (Prometheus text format),
-//!   exactly the documents `Runtime::telemetry_report` returns.
+//!   Perfetto), `results/telemetry.prom` (Prometheus text format) and
+//!   `results/telemetry_report.json`, exactly the documents
+//!   `Runtime::telemetry_report` returns.
 //!
 //! The disentangled invariant is re-checked **with telemetry enabled**:
 //! instrumentation must not perturb entanglement accounting (zero pins,
 //! zero entangled accesses).
 //!
-//! `--smoke` runs single repetitions (CI: validates both exporter
+//! `--smoke` runs single repetitions (CI: validates the exporter
 //! documents without paying for the full sweep).
 
 use std::time::Duration;
@@ -237,6 +238,7 @@ fn main() {
     let _ = std::fs::create_dir_all(dir);
     let _ = std::fs::write(dir.join("telemetry_trace.json"), &report.chrome_trace);
     let _ = std::fs::write(dir.join("telemetry.prom"), &report.prometheus);
+    let _ = std::fs::write(dir.join("telemetry_report.json"), &report.json);
     println!(
         "\nexporters (dedup, n={n}): {trace_events} trace events, {samples} sampler samples, \
          {} prom lines",
@@ -266,6 +268,7 @@ fn main() {
         },
     );
     println!(
-        "wrote results/telemetry_trace.json, results/telemetry.prom, results/e10_telemetry.json"
+        "wrote results/telemetry_trace.json, results/telemetry.prom, \
+         results/telemetry_report.json, results/e10_telemetry.json"
     );
 }

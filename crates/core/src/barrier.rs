@@ -189,7 +189,7 @@ impl Mutator<'_> {
         // block's `slow` side-metadata bitmap (suspect ∪ pinned); no
         // table, no lock, no Arc clone, no header traffic.
         if !cfg.force_slow_path && cfg.suspects && !slow {
-            self.ctx.pending.read_fast += 1;
+            self.ctx.pending.barrier_read_fast += 1;
             return raw;
         }
         // An immediate loaded from a suspect/pinned object still never
@@ -198,15 +198,15 @@ impl Mutator<'_> {
         // reports zero fast-tier entries.)
         let Value::Obj(loaded) = raw else {
             if cfg.force_slow_path {
-                self.ctx.pending.read_slow += 1;
+                self.ctx.pending.barrier_read_slow += 1;
             } else {
-                self.ctx.pending.read_fast += 1;
+                self.ctx.pending.barrier_read_fast += 1;
             }
             return raw;
         };
         // SLOW TIER: locate the target and query the heap table.
         self.ctx.poll();
-        self.ctx.pending.read_slow += 1;
+        self.ctx.pending.barrier_read_slow += 1;
         mpl_fail::hit_hard("barrier/read_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
         self.acquire_loaded(objv, idx, loaded)
@@ -333,7 +333,7 @@ impl Mutator<'_> {
         // check (any remote write is a detected entanglement in prior
         // MPL).
         if !cfg.force_slow_path && mode == Mode::Managed && !matches!(v, Value::Obj(_)) {
-            self.ctx.pending.write_fast += 1;
+            self.ctx.pending.barrier_write_fast += 1;
             return src;
         }
         // FAST TIER exit 2: a pointer store where source and target both
@@ -354,7 +354,7 @@ impl Mutator<'_> {
                 if self.cached_block(src).owner() == leaf
                     && store.sft().owner_of(t.block()) == Some(leaf)
                 {
-                    self.ctx.pending.write_fast += 1;
+                    self.ctx.pending.barrier_write_fast += 1;
                     return src;
                 }
             }
@@ -362,7 +362,7 @@ impl Mutator<'_> {
         // SLOW TIER: full locate + path-relation machinery. (Re-locate
         // the source: fast-exit-2 probing may have evicted it.)
         self.ctx.poll();
-        self.ctx.pending.write_slow += 1;
+        self.ctx.pending.barrier_write_slow += 1;
         mpl_fail::hit_hard("barrier/write_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
         let src = self.locate_ref(objv, "mutable write");

@@ -3,7 +3,7 @@
 //! poll point; the collections an allocation may trigger go through the
 //! `collect_local` / `cgc_safepoint` boundaries.
 
-use mpl_heap::{size_class, ObjKind, ObjRef, Value, Word, OBJECT_HEADER_WORDS};
+use mpl_heap::{size_class, Counter, ObjKind, ObjRef, Value, Word, OBJECT_HEADER_WORDS};
 
 use super::boundary::PENDING_FLUSH_BYTES;
 use super::{AllocError, Mutator};
@@ -66,7 +66,7 @@ impl Mutator<'_> {
             if let Some(block) = &self.ctx.alloc_cache[class] {
                 if let Some(r) = block.try_alloc(kind, words) {
                     self.ctx.pending.allocs += 1;
-                    self.ctx.pending.alloc_bytes += size;
+                    self.ctx.pending.alloc_bytes += size as u64;
                     if self.ctx.pending.alloc_bytes >= PENDING_FLUSH_BYTES
                         || self.rt.cgc_poll_requested()
                     {
@@ -77,7 +77,7 @@ impl Mutator<'_> {
             }
         }
         if mpl_fail::hit("alloc/words").is_err() {
-            self.rt.store().stats().on_alloc_failure();
+            self.rt.store().stats().add(Counter::alloc_failures, 1);
             self.raise_alloc_error(AllocError {
                 requested: size,
                 limit: 0,
@@ -221,19 +221,19 @@ impl Mutator<'_> {
                 b.on_forced_gc();
             }
         }
-        stats.on_gc_forced_by_pressure();
+        stats.add(Counter::gc_forced_by_pressure, 1);
         self.ctx.collect_local(extra);
-        stats.on_alloc_retry();
+        stats.add(Counter::alloc_retries, 1);
         if !self.over_budget(size) {
             return;
         }
-        stats.on_gc_forced_by_pressure();
+        stats.add(Counter::gc_forced_by_pressure, 1);
         self.ctx.cgc_safepoint(&[], true);
-        stats.on_alloc_retry();
+        stats.add(Counter::alloc_retries, 1);
         if !self.over_budget(size) {
             return;
         }
-        stats.on_alloc_failure();
+        stats.add(Counter::alloc_failures, 1);
         // Attribute the failure to the constraint still violated: the
         // tenant budget (the serving layer's shed signal) if it is the
         // binding one, else the global limit.

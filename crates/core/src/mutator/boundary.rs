@@ -24,7 +24,9 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mpl_heap::{Block, ObjRef, RemsetEntry, TenantBudget, Value, Word, NUM_SIZE_CLASSES};
+use mpl_heap::{
+    Block, Counter, ObjRef, PendingStats, RemsetEntry, TenantBudget, Value, Word, NUM_SIZE_CLASSES,
+};
 use mpl_sched::{DagBuilder, StrandId};
 
 use super::Mutator;
@@ -38,7 +40,7 @@ const REMSET_BUFFER_CAP: usize = 256;
 
 /// Task-buffered counters are published once this many allocated bytes
 /// are pending, so the allocation fast path pays no global atomics.
-pub(crate) const PENDING_FLUSH_BYTES: usize = 16 * 1024;
+pub(crate) const PENDING_FLUSH_BYTES: u64 = 16 * 1024;
 
 /// RAII collector-safe window on a task's SATB shard: while held, the
 /// concurrent collector's snapshot handshake does not wait on this task.
@@ -83,6 +85,10 @@ pub(crate) struct TaskCtx<'rt> {
     /// a per-object `Vec` (taken/restored around each allocation).
     pub(crate) scratch_vals: Vec<Value>,
     pub(crate) scratch_words: Vec<Word>,
+    /// Task-buffered counters, flushed to the global
+    /// [`mpl_heap::StoreStats`] at boundaries (forks, collections,
+    /// safepoints, task end, and every [`PENDING_FLUSH_BYTES`] of
+    /// allocation) so the hot path pays no global atomics.
     pub(crate) pending: PendingStats,
     /// Size-proportional collection budget: collect once `alloc_since`
     /// exceeds `max(policy trigger, 2 × last survivors)`. Keeps total
@@ -129,26 +135,6 @@ pub(crate) struct TaskCtx<'rt> {
     /// token unwinds within one poll interval. Runs always carry a
     /// per-run child of the runtime's root token.
     pub(crate) cancel: CancelToken,
-}
-
-/// Task-buffered counters, flushed to the global [`mpl_heap::StoreStats`]
-/// at boundaries (forks, collections, safepoints, task end, and every
-/// [`PENDING_FLUSH_BYTES`] of allocation) so the hot path pays no global
-/// atomics.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub(crate) struct PendingStats {
-    pub(crate) allocs: u64,
-    pub(crate) alloc_bytes: usize,
-    pub(crate) barrier_reads: u64,
-    pub(crate) barrier_writes: u64,
-    pub(crate) read_fast: u64,
-    pub(crate) read_slow: u64,
-    pub(crate) write_fast: u64,
-    pub(crate) write_slow: u64,
-    pub(crate) entangled_reads: u64,
-    pub(crate) entangled_writes: u64,
-    pub(crate) remset_buffered: u64,
-    pub(crate) remset_dedup_hits: u64,
 }
 
 impl<'rt> TaskCtx<'rt> {
@@ -231,7 +217,7 @@ impl<'rt> TaskCtx<'rt> {
     fn unwind_cancelled(&self, reason: CancelReason) -> ! {
         // One count per task that starts a cancellation unwind (the
         // root and each live branch of the cancelled tree).
-        self.rt.store().stats().on_cancel_requested();
+        self.rt.store().stats().add(Counter::cancel_requested, 1);
         mpl_fail::hit_hard("cancel/unwind");
         std::panic::panic_any(Cancelled { reason });
     }
@@ -396,24 +382,11 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     fn flush_stats(&mut self) {
-        let p = std::mem::take(&mut self.pending);
-        if p == PendingStats::default() {
-            return;
-        }
         // Tenant accounting rides the same batch the global gauge uses.
         if let Some(budget) = &self.budget {
-            budget.charge(p.alloc_bytes);
+            budget.charge(self.pending.alloc_bytes as usize);
         }
-        let stats = self.rt.store().stats();
-        stats.on_alloc_batch(p.allocs, p.alloc_bytes);
-        stats.on_barrier_batch(
-            p.barrier_reads,
-            p.barrier_writes,
-            p.entangled_reads,
-            p.entangled_writes,
-        );
-        stats.on_barrier_tiers(p.read_fast, p.read_slow, p.write_fast, p.write_slow);
-        stats.on_remset_buffer_batch(p.remset_buffered, p.remset_dedup_hits);
+        self.rt.store().stats().add_pending(&mut self.pending);
     }
 
     /// SATB deletion/pin log: records a pointer that must survive the

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::Ordering;
 
+use mpl_heap::Counter;
 use mpl_sched::Executor;
 use parking_lot::MutexGuard;
 
@@ -70,10 +71,17 @@ impl Runtime {
         mpl_obs::span_only(mpl_obs::Metric::CgcPause, span);
     }
 
+    /// The pinned-bytes gauge: one load, not a full [`Runtime::stats`]
+    /// snapshot — every pin requests an eligibility check, so
+    /// `maybe_cgc` reads this once per pin on entangled code.
+    fn pinned_bytes(&self) -> usize {
+        self.store.stats().get(Counter::pinned_bytes) as usize
+    }
+
     /// Records the pinned footprint a finished cycle left behind.
     fn rebaseline_cgc(&self) {
         self.cgc_baseline
-            .store(self.stats().pinned_bytes, Ordering::Relaxed);
+            .store(self.pinned_bytes(), Ordering::Relaxed);
     }
 
     /// Runs (or, with `cgc_slice_objects`, advances) the concurrent
@@ -95,7 +103,7 @@ impl Runtime {
         // trigger: the snapshot is already taken.
         let advancing = slice > 0 && self.cgc_state.cycle_active();
         if !advancing {
-            let pinned = self.stats().pinned_bytes;
+            let pinned = self.pinned_bytes();
             if !self.config.policy.should_cgc(pinned) {
                 return;
             }

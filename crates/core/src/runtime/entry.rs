@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpl_heap::Value;
+use mpl_heap::{Counter, Value};
 use mpl_sched::{Dag, DagBuilder, Executor, StrandId};
 
 use super::{Runtime, TenantSession};
@@ -154,7 +154,7 @@ impl Runtime {
         };
         let payload = match payload.downcast::<Cancelled>() {
             Ok(c) => {
-                self.store.stats().on_cancel_unwound();
+                self.store.stats().add(Counter::cancel_unwound, 1);
                 if let Some((_, trip_ns)) = token.trip_info() {
                     mpl_obs::record_duration(
                         mpl_obs::Metric::CancelUnwind,

@@ -19,7 +19,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use mpl_gc::{CgcState, Graveyard};
-use mpl_heap::{StatsSnapshot, Store};
+use mpl_heap::{Counter, StatsSnapshot, Store};
 use mpl_sched::{Dag, DagBuilder, Executor, SchedSnapshot};
 
 use crate::cancel::CancelToken;
@@ -68,8 +68,8 @@ pub struct Runtime {
     root_cancel: CancelToken,
     /// The persistent work-stealing pool; present iff `threads > 1`.
     /// Workers live as long as the runtime and are re-used across `run`
-    /// calls. Shared (`Arc`) so the sampler thread can read scheduler
-    /// counters without borrowing the runtime.
+    /// calls. Shared (`Arc`) so the sampler and watchdog threads can
+    /// read scheduler counters without borrowing the runtime.
     executor: Option<Arc<Executor>>,
 }
 
@@ -125,7 +125,7 @@ impl Runtime {
         });
         let watchdog = (config.gc_stall_deadline_ns > 0).then(|| {
             let cancel = config.watchdog_cancels.then(|| root_cancel.clone());
-            telemetry::spawn_watchdog(&store, config, cancel)
+            telemetry::spawn_watchdog(&store, executor.clone(), config, cancel)
         });
         Runtime {
             store,
@@ -183,40 +183,31 @@ impl Runtime {
     /// the runtime, so the counter lives next to the GC/cancel counters
     /// it correlates with.
     pub fn note_request_timeout(&self) {
-        self.store.stats().on_request_timeout();
+        self.store.stats().add(Counter::requests_timed_out, 1);
     }
 
     /// Records a server retry attempt launched after a timeout
     /// (exported as `request_retries`).
     pub fn note_request_retry(&self) {
-        self.store.stats().on_request_retry();
+        self.store.stats().add(Counter::request_retries, 1);
     }
 
     /// Records a circuit breaker opening (exported as `breaker_open`).
     pub fn note_breaker_open(&self) {
-        self.store.stats().on_breaker_open();
+        self.store.stats().add(Counter::breaker_open, 1);
     }
 
     /// A snapshot of the cost-metric counters, with the scheduler's
     /// counters overlaid when the work-stealing executor is active and
-    /// the (process-global) GC audit counters overlaid always.
+    /// the (process-global) GC audit and failpoint counters overlaid
+    /// always.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.store.stats().snapshot();
-        if let Some(e) = &self.executor {
-            let sched = e.stats();
-            s.sched_pushes = sched.pushes;
-            s.sched_steals = sched.steals;
-            s.sched_sequentialized = sched.sequentialized;
-            s.sched_parks = sched.parks;
-            s.sched_unparks = sched.unparks;
-        }
-        let audit = mpl_gc::audit::counters();
-        s.audit_runs = audit.audits_run;
-        s.audit_objects_checked = audit.objects_checked;
-        s.audit_events = audit.events_recorded;
-        s.audit_ring_overflows = audit.ring_overflows;
-        s.failpoint_fires = mpl_fail::fires();
-        s
+        telemetry::overlaid_stats(self.store.stats(), self.executor.as_deref())
+    }
+
+    #[cfg(test)]
+    pub(crate) fn executor(&self) -> Option<Arc<Executor>> {
+        self.executor.clone()
     }
 
     /// A snapshot of the work-stealing scheduler's counters (zeros when
@@ -304,20 +295,12 @@ impl Runtime {
     /// multiple concurrently-telemetered runtimes the report covers all
     /// of them; counters and sampler gauges are this runtime's own.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        let samples = self.telemetry_samples();
-        let spans = mpl_obs::snapshot_spans();
-        let stats = self.stats();
-        let census = self.heap_census();
-        TelemetryReport {
-            chrome_trace: mpl_obs::chrome_trace(&spans, &samples),
-            prometheus: telemetry::build_prometheus(&stats, samples.last(), Some(&census)),
-            json: telemetry::build_json(
-                &stats,
-                &samples,
-                Some(&census),
-                self.config.sampler_interval_ns,
-            ),
-        }
+        TelemetryReport::render(
+            &self.stats(),
+            &self.telemetry_samples(),
+            Some(&self.heap_census()),
+            self.config.sampler_interval_ns,
+        )
     }
 }
 

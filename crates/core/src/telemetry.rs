@@ -6,7 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpl_heap::{StatsSnapshot, Store};
+use mpl_heap::stats::Kind;
+use mpl_heap::{StatsSnapshot, Store, StoreStats};
 use mpl_sched::Executor;
 
 use crate::cancel::CancelToken;
@@ -27,6 +28,48 @@ pub struct TelemetryReport {
     /// nanoseconds), and the sampler's gauge series — what the E12 SLO
     /// reporter and CI assertions parse instead of scraping text.
     pub json: String,
+}
+
+impl TelemetryReport {
+    /// Renders the three documents: every row of `stats` plus, from the
+    /// process-global telemetry registry, the recorded spans and the
+    /// duration histograms. [`crate::Runtime::telemetry_report`] is this
+    /// over the runtime's own snapshot, samples and census.
+    pub fn render(
+        stats: &StatsSnapshot,
+        samples: &[mpl_obs::Sample],
+        census: Option<&mpl_obs::HeapCensus>,
+        sampler_interval_ns: u64,
+    ) -> TelemetryReport {
+        TelemetryReport {
+            chrome_trace: mpl_obs::chrome_trace(&mpl_obs::snapshot_spans(), samples),
+            prometheus: build_prometheus(stats, samples.last(), census),
+            json: build_json(stats, samples, census, sampler_interval_ns),
+        }
+    }
+}
+
+/// The store's snapshot with the rows other layers own overlaid (see
+/// `mpl_heap::stats::Owner`): the scheduler's counters when the
+/// work-stealing pool is active, and the process-global audit and
+/// failpoint counters always. Every reader of runtime counters —
+/// [`crate::Runtime::stats`], the sampler, the watchdog's stall report —
+/// goes through here, so they cannot disagree on a row.
+pub(crate) fn overlaid_stats(stats: &StoreStats, executor: Option<&Executor>) -> StatsSnapshot {
+    let mut s = stats.snapshot();
+    let sched = executor.map(Executor::stats).unwrap_or_default();
+    s.sched_pushes = sched.pushes;
+    s.sched_steals = sched.steals;
+    s.sched_sequentialized = sched.sequentialized;
+    s.sched_parks = sched.parks;
+    s.sched_unparks = sched.unparks;
+    let audit = mpl_gc::audit::counters();
+    s.audit_runs = audit.audits_run;
+    s.audit_objects_checked = audit.objects_checked;
+    s.audit_events = audit.events_recorded;
+    s.audit_ring_overflows = audit.ring_overflows;
+    s.failpoint_fires = mpl_fail::fires();
+    s
 }
 
 /// Flight-recorder hook for a surfaced [`crate::AllocError`]: records the event
@@ -72,6 +115,7 @@ impl Watchdog {
 
 pub(crate) fn spawn_watchdog(
     store: &Store,
+    executor: Option<Arc<Executor>>,
     config: RuntimeConfig,
     cancel: Option<CancelToken>,
 ) -> Watchdog {
@@ -113,8 +157,7 @@ pub(crate) fn spawn_watchdog(
                                 deadline_ns as f64 / 1e9,
                             );
                             mpl_gc::audit::dump_events();
-                            let mut snap = stats.snapshot();
-                            snap.failpoint_fires = mpl_fail::fires();
+                            let snap = overlaid_stats(&stats, executor.as_deref());
                             eprintln!("{}", build_prometheus(&snap, None, None));
                             // Post-mortem artifacts behind the same
                             // stderr report: a stall event in the flight
@@ -162,7 +205,7 @@ pub(crate) fn spawn_watchdog(
 /// Spawns the telemetry sampler: every tick (the configured
 /// [`RuntimeConfig::sampler_interval_ns`]) diffs the runtime counters
 /// (`StatsSnapshot::delta`) into allocation rates and combines the
-/// scheduler's park counter with [`mpl_sched::PARK_INTERVAL`] into a
+/// interval's park count with [`mpl_sched::PARK_INTERVAL`] into a
 /// worker-utilization estimate (time not spent parked).
 pub(crate) fn spawn_sampler(
     store: &Store,
@@ -171,20 +214,16 @@ pub(crate) fn spawn_sampler(
     interval: Duration,
 ) -> mpl_obs::Sampler {
     let stats = store.stats_shared();
-    let mut prev = stats.snapshot();
-    let mut prev_parks = executor.as_deref().map(|e| e.stats().parks).unwrap_or(0);
+    let mut prev = overlaid_stats(&stats, executor.as_deref());
     mpl_obs::Sampler::spawn(interval, move |dt| {
-        let cur = stats.snapshot();
+        let cur = overlaid_stats(&stats, executor.as_deref());
         let d = cur.delta(&prev);
         prev = cur;
-        let parks = executor.as_deref().map(|e| e.stats().parks).unwrap_or(0);
-        let parked_intervals = parks.saturating_sub(prev_parks);
-        prev_parks = parks;
         let secs = dt.as_secs_f64().max(1e-9);
         // Parks are fixed-length sleeps, so parked time ≈ count × interval;
         // utilization is the busy remainder across the pool. With no pool
         // (sequential execution) the single mutator thread counts as busy.
-        let parked_secs = parked_intervals as f64 * mpl_sched::PARK_INTERVAL.as_secs_f64();
+        let parked_secs = d.sched_parks as f64 * mpl_sched::PARK_INTERVAL.as_secs_f64();
         let utilization = (1.0 - parked_secs / (threads as f64 * secs)).clamp(0.0, 1.0);
         mpl_obs::Sample {
             t_ns: mpl_obs::now_ns(),
@@ -197,201 +236,24 @@ pub(crate) fn spawn_sampler(
     })
 }
 
-/// Assembles the Prometheus document: every `StatsSnapshot` counter and
-/// gauge under the `mpl_` prefix, the duration histograms from the
-/// telemetry registry, and the latest sampler rates.
-pub(crate) fn build_prometheus(
+/// Assembles the Prometheus document: every `StatsSnapshot` row under
+/// the `mpl_` prefix (monotonic rows as `mpl_<name>_total` counters,
+/// gauges and high-water marks as `mpl_<name>` gauges), the duration
+/// histograms from the telemetry registry, and the latest sampler rates.
+fn build_prometheus(
     s: &StatsSnapshot,
     last_sample: Option<&mpl_obs::Sample>,
     census: Option<&mpl_obs::HeapCensus>,
 ) -> String {
     let mut w = mpl_obs::PromWriter::new();
-    for (name, help, v) in [
-        ("mpl_allocs_total", "Objects allocated", s.allocs),
-        ("mpl_alloc_bytes_total", "Bytes allocated", s.alloc_bytes),
-        (
-            "mpl_barrier_reads_total",
-            "Barriered mutable reads",
-            s.barrier_reads,
-        ),
-        (
-            "mpl_barrier_writes_total",
-            "Barriered mutable writes",
-            s.barrier_writes,
-        ),
-        (
-            "mpl_barrier_read_fast_total",
-            "Reads completed on the fast tier",
-            s.barrier_read_fast,
-        ),
-        (
-            "mpl_barrier_read_slow_total",
-            "Reads that entered the slow tier",
-            s.barrier_read_slow,
-        ),
-        (
-            "mpl_barrier_write_fast_total",
-            "Writes completed on the fast tier",
-            s.barrier_write_fast,
-        ),
-        (
-            "mpl_barrier_write_slow_total",
-            "Writes that entered the slow tier",
-            s.barrier_write_slow,
-        ),
-        (
-            "mpl_entangled_reads_total",
-            "Entangled reads (remote objects pinned)",
-            s.entangled_reads,
-        ),
-        (
-            "mpl_entangled_writes_total",
-            "Entangled writes",
-            s.entangled_writes,
-        ),
-        ("mpl_pins_total", "Objects pinned", s.pins),
-        ("mpl_unpins_total", "Objects unpinned", s.unpins),
-        (
-            "mpl_remset_inserts_total",
-            "Remembered-set insertions",
-            s.remset_inserts,
-        ),
-        (
-            "mpl_remset_flushes_total",
-            "Remembered-set buffer flushes",
-            s.remset_flushes,
-        ),
-        ("mpl_lgc_runs_total", "Local collections", s.lgc_runs),
-        (
-            "mpl_lgc_copied_bytes_total",
-            "Bytes evacuated by local collections",
-            s.lgc_copied_bytes,
-        ),
-        (
-            "mpl_lgc_reclaimed_bytes_total",
-            "Bytes reclaimed by local collections",
-            s.lgc_reclaimed_bytes,
-        ),
-        ("mpl_cgc_runs_total", "Concurrent collections", s.cgc_runs),
-        (
-            "mpl_cgc_swept_bytes_total",
-            "Bytes swept by concurrent collections",
-            s.cgc_swept_bytes,
-        ),
-        (
-            "mpl_cgc_packets_total",
-            "CGC work packets executed on scheduler workers",
-            s.cgc_packets,
-        ),
-        (
-            "mpl_cgc_packet_retries_total",
-            "CGC packets re-enqueued after an injected or real panic",
-            s.cgc_packet_retries,
-        ),
-        (
-            "mpl_blocks_allocated_total",
-            "Size-class blocks handed out by the registry",
-            s.blocks_allocated,
-        ),
-        (
-            "mpl_blocks_freed_total",
-            "Blocks returned to the registry (LGC, CGC, joins)",
-            s.blocks_freed,
-        ),
-        (
-            "mpl_lines_swept_total",
-            "Lines reclaimed by line-mark sweeps",
-            s.lines_swept,
-        ),
-        (
-            "mpl_lgc_dead_traced_total",
-            "Corruption canary: traces reaching dead objects",
-            s.lgc_dead_traced,
-        ),
-        (
-            "mpl_sched_pushes_total",
-            "Jobs pushed to worker deques",
-            s.sched_pushes,
-        ),
-        (
-            "mpl_sched_steals_total",
-            "Successful steals",
-            s.sched_steals,
-        ),
-        (
-            "mpl_sched_sequentialized_total",
-            "Forks resolved inline (popped back)",
-            s.sched_sequentialized,
-        ),
-        (
-            "mpl_sched_parks_total",
-            "Worker park intervals",
-            s.sched_parks,
-        ),
-        (
-            "mpl_gc_forced_by_pressure_total",
-            "Collections forced by the heap budget",
-            s.gc_forced_by_pressure,
-        ),
-        (
-            "mpl_alloc_retries_total",
-            "Allocation retries after a forced collection",
-            s.alloc_retries,
-        ),
-        (
-            "mpl_alloc_failures_total",
-            "Allocations rejected (budget exhausted or injected)",
-            s.alloc_failures,
-        ),
-        (
-            "mpl_failpoint_fires_total",
-            "Fault-injection failpoint fires (process-global)",
-            s.failpoint_fires,
-        ),
-        (
-            "mpl_cancel_requested_total",
-            "Tasks that observed a cancel-token trip and began unwinding",
-            s.cancel_requested,
-        ),
-        (
-            "mpl_cancel_unwound_total",
-            "Runs that fully unwound as cancelled",
-            s.cancel_unwound,
-        ),
-        (
-            "mpl_requests_timed_out_total",
-            "Serve requests that exhausted their deadline",
-            s.requests_timed_out,
-        ),
-        (
-            "mpl_request_retries_total",
-            "Serve request retry attempts after a timeout",
-            s.request_retries,
-        ),
-        (
-            "mpl_breaker_open_total",
-            "Per-tenant circuit-breaker open transitions",
-            s.breaker_open,
-        ),
-    ] {
-        w.counter(name, help, v);
+    for row in s.rows() {
+        match row.kind {
+            Kind::Monotonic => w.counter(&format!("mpl_{}_total", row.name), row.help, row.value),
+            Kind::Gauge | Kind::HighWater => {
+                w.gauge(&format!("mpl_{}", row.name), row.help, row.value as f64)
+            }
+        }
     }
-    w.gauge("mpl_live_bytes", "Live bytes", s.live_bytes as f64);
-    w.gauge(
-        "mpl_max_live_bytes",
-        "Live-bytes high-water mark",
-        s.max_live_bytes as f64,
-    );
-    w.gauge(
-        "mpl_pinned_bytes",
-        "Pinned (entangled) bytes",
-        s.pinned_bytes as f64,
-    );
-    w.gauge(
-        "mpl_max_pinned_bytes",
-        "Pinned-bytes high-water mark",
-        s.max_pinned_bytes as f64,
-    );
     if let Some(sample) = last_sample {
         w.gauge(
             "mpl_alloc_bytes_per_second",
@@ -417,12 +279,13 @@ pub(crate) fn build_prometheus(
     w.finish()
 }
 
-/// Assembles the machine-readable JSON telemetry document: counters,
-/// gauges, per-metric histogram percentile summaries (nanoseconds), and
+/// Assembles the machine-readable JSON telemetry document: every
+/// `StatsSnapshot` row (monotonic rows under `"counters"`, gauges and
+/// high-water marks under `"gauges"`), per-metric histogram percentile summaries (nanoseconds), and
 /// the sampler's gauge series. Consumed by the E12 SLO reporter and CI
 /// assertions (live-bytes slope, pause percentiles) instead of scraping
 /// the Prometheus text.
-pub(crate) fn build_json(
+fn build_json(
     s: &StatsSnapshot,
     samples: &[mpl_obs::Sample],
     census: Option<&mpl_obs::HeapCensus>,
@@ -431,58 +294,16 @@ pub(crate) fn build_json(
     let mut w = mpl_obs::JsonWriter::new();
     w.begin_object();
     w.field_u64("sampler_interval_ns", sampler_interval_ns);
-    w.key("counters").begin_object();
-    for (name, v) in [
-        ("allocs", s.allocs),
-        ("alloc_bytes", s.alloc_bytes),
-        ("barrier_reads", s.barrier_reads),
-        ("barrier_writes", s.barrier_writes),
-        ("barrier_read_fast", s.barrier_read_fast),
-        ("barrier_read_slow", s.barrier_read_slow),
-        ("barrier_write_fast", s.barrier_write_fast),
-        ("barrier_write_slow", s.barrier_write_slow),
-        ("entangled_reads", s.entangled_reads),
-        ("entangled_writes", s.entangled_writes),
-        ("pins", s.pins),
-        ("unpins", s.unpins),
-        ("remset_inserts", s.remset_inserts),
-        ("remset_flushes", s.remset_flushes),
-        ("lgc_runs", s.lgc_runs),
-        ("lgc_copied_bytes", s.lgc_copied_bytes),
-        ("lgc_reclaimed_bytes", s.lgc_reclaimed_bytes),
-        ("cgc_runs", s.cgc_runs),
-        ("cgc_swept_bytes", s.cgc_swept_bytes),
-        ("cgc_packets", s.cgc_packets),
-        ("cgc_packet_retries", s.cgc_packet_retries),
-        ("blocks_allocated", s.blocks_allocated),
-        ("blocks_freed", s.blocks_freed),
-        ("lines_swept", s.lines_swept),
-        ("lgc_dead_traced", s.lgc_dead_traced),
-        ("sched_pushes", s.sched_pushes),
-        ("sched_steals", s.sched_steals),
-        ("sched_sequentialized", s.sched_sequentialized),
-        ("sched_parks", s.sched_parks),
-        ("gc_forced_by_pressure", s.gc_forced_by_pressure),
-        ("alloc_retries", s.alloc_retries),
-        ("alloc_failures", s.alloc_failures),
-        ("failpoint_fires", s.failpoint_fires),
-        ("audit_runs", s.audit_runs),
-        ("audit_objects_checked", s.audit_objects_checked),
-        ("cancel_requested", s.cancel_requested),
-        ("cancel_unwound", s.cancel_unwound),
-        ("requests_timed_out", s.requests_timed_out),
-        ("request_retries", s.request_retries),
-        ("breaker_open", s.breaker_open),
-    ] {
-        w.field_u64(name, v);
+    for (section, monotonic) in [("counters", true), ("gauges", false)] {
+        w.key(section).begin_object();
+        for row in s
+            .rows()
+            .filter(|r| (r.kind == Kind::Monotonic) == monotonic)
+        {
+            w.field_u64(row.name, row.value);
+        }
+        w.end_object();
     }
-    w.end_object();
-    w.key("gauges").begin_object();
-    w.field_u64("live_bytes", s.live_bytes as u64);
-    w.field_u64("max_live_bytes", s.max_live_bytes as u64);
-    w.field_u64("pinned_bytes", s.pinned_bytes as u64);
-    w.field_u64("max_pinned_bytes", s.max_pinned_bytes as u64);
-    w.end_object();
     w.key("histograms_ns").begin_object();
     for (metric, snap) in mpl_obs::metric_snapshots() {
         w.key(metric.name()).begin_object();
@@ -514,4 +335,47 @@ pub(crate) fn build_json(
     w.end_array();
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Runtime, Value};
+    use mpl_heap::stats::Owner;
+
+    /// The watchdog's stall report reads the same overlay `Runtime::stats`
+    /// does. The overlaid rows are all monotonic and some keep moving on
+    /// an idle pool (parks) or under concurrently running tests (the
+    /// process-global audit and failpoint rows), so "equal" is checked as
+    /// "between two `Runtime::stats` readings taken around it".
+    #[test]
+    fn watchdog_snapshot_overlays_what_runtime_stats_does() {
+        let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
+        rt.run(|m| {
+            m.fork(|_| Value::Unit, |_| Value::Unit);
+            Value::Unit
+        });
+        let before = rt.stats();
+        // Exactly what `spawn_watchdog`'s thread holds and prints.
+        let (stats, executor) = (rt.store().stats_shared(), rt.executor());
+        let printed = overlaid_stats(&stats, executor.as_deref());
+        let after = rt.stats();
+        let overlaid = |s: &StatsSnapshot| -> Vec<_> {
+            s.rows().filter(|r| r.owner != Owner::Store).collect()
+        };
+        let (lo, got, hi) = (overlaid(&before), overlaid(&printed), overlaid(&after));
+        assert_eq!(got.len(), 10);
+        for ((lo, got), hi) in lo.iter().zip(&got).zip(&hi) {
+            assert!(
+                lo.value <= got.value && got.value <= hi.value,
+                "{}: {} not within {}..={}",
+                got.name,
+                got.value,
+                lo.value,
+                hi.value
+            );
+        }
+        assert!(printed.sched_pushes > 0, "the fork pushed a job");
+        assert_eq!(printed.sched_pushes, after.sched_pushes);
+    }
 }

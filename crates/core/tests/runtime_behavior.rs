@@ -711,3 +711,56 @@ fn task_boundaries_leave_nothing_behind() {
         rt.assert_heap_sound();
     }
 }
+
+// A `StatsSnapshot` field can only exist as a table row.
+const _: () = assert!(
+    std::mem::size_of::<mpl_runtime::StatsSnapshot>() == 8 * mpl_heap::stats::ROWS,
+    "StatsSnapshot has a field outside the counter table"
+);
+
+/// Every row of the counter table reaches both exporters exactly once,
+/// under the family its kind dictates, and nothing else poses as one.
+#[test]
+fn every_counter_row_reaches_both_exporters_exactly_once() {
+    use mpl_heap::stats::{Kind, ROWS};
+    let snap = mpl_runtime::StatsSnapshot::from_values(std::array::from_fn(|i| 1000 + i as u64));
+    let report = mpl_runtime::TelemetryReport::render(&snap, &[], None, 0);
+
+    let prom_samples: Vec<&str> = report
+        .prometheus
+        .lines()
+        .filter(|l| l.starts_with("mpl_") && !l.contains("_seconds"))
+        .collect();
+    // The flat `"section":{...}` object of the JSON document, as its
+    // `"key":value` members.
+    let json_section = |section: &str| -> Vec<&str> {
+        let open = format!("\"{section}\":{{");
+        let body = &report.json[report.json.find(&open).expect(section) + open.len()..];
+        body[..body.find('}').unwrap()].split(',').collect()
+    };
+    let (counters, gauges) = (json_section("counters"), json_section("gauges"));
+
+    for row in snap.rows() {
+        let (family, kind, section) = match row.kind {
+            Kind::Monotonic => (format!("mpl_{}_total", row.name), "counter", &counters),
+            Kind::Gauge | Kind::HighWater => (format!("mpl_{}", row.name), "gauge", &gauges),
+        };
+        let sample = format!("{family} {}", row.value);
+        let hits = prom_samples.iter().filter(|l| **l == sample).count();
+        assert_eq!(hits, 1, "{sample}: {hits} Prometheus samples");
+        let header = format!(
+            "# HELP {family} {}\n# TYPE {family} {kind}\n{sample}\n",
+            row.help
+        );
+        assert!(report.prometheus.contains(&header), "missing {header}");
+        let member = format!("\"{}\":{}", row.name, row.value);
+        let hits = section.iter().filter(|m| **m == member).count();
+        assert_eq!(hits, 1, "{member}: {hits} JSON members");
+    }
+    assert_eq!(
+        prom_samples.len(),
+        ROWS,
+        "stray mpl_ sample: {prom_samples:?}"
+    );
+    assert_eq!(counters.len() + gauges.len(), ROWS, "stray JSON member");
+}

@@ -74,7 +74,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_CGC};
-use mpl_heap::{ObjRef, Store};
+use mpl_heap::{Counter, ObjRef, Store};
 
 /// Refs per grey packet when chunking roots, SATB drains, and repairs.
 const PACKET_REFS: usize = 128;
@@ -778,11 +778,12 @@ fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutc
     // Index pruning is proportional to the (usually small) pinned
     // population; it stays in the final slice.
     prune_entangled_indexes(store);
-    store.stats().on_cgc(out.swept_bytes);
-    store.stats().on_cgc_packets(
-        state.packets.swap(0, Ordering::Relaxed),
-        state.packet_retries.swap(0, Ordering::Relaxed),
-    );
+    let stats = store.stats();
+    stats.on_cgc(out.swept_bytes);
+    let packets = state.packets.swap(0, Ordering::Relaxed);
+    stats.add(Counter::cgc_packets, packets);
+    let retries = state.packet_retries.swap(0, Ordering::Relaxed);
+    stats.add(Counter::cgc_packet_retries, retries);
     // Census piggyback: the sweep packets already walked every entangled
     // block's bitmaps; the cycle-end delta is two gauge reads.
     if mpl_obs::enabled() {
@@ -876,7 +877,7 @@ fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) {
     // Lines reclaimed by this sweep: everything in use minus what the
     // mark phase proved live.
     let lines = block.lines_in_use().saturating_sub(block.marked_lines());
-    store.stats().on_lines_swept(lines as u64);
+    store.stats().add(Counter::lines_swept, lines as u64);
     if swept_here != 0 {
         // Mirror the global live-bytes adjustment onto the tenant budget
         // of the block's (canonical) owning heap, if any.

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_ABANDON, DEAD_BY_LGC};
 use mpl_heap::{
-    size_class, Block, ObjHandle, ObjKind, ObjRef, RemsetEntry, Store, Value, Word,
+    size_class, Block, Counter, ObjHandle, ObjKind, ObjRef, RemsetEntry, Store, Value, Word,
     NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
 };
 
@@ -268,7 +268,7 @@ pub fn collect_local(
             // below but still surface the corruption through the
             // `lgc_dead_traced` stat — then log the full context, dump
             // the event trace, and die in debug builds.
-            store.stats().on_dead_traced();
+            store.stats().add(Counter::lgc_dead_traced, 1);
             eprintln!(
                 "mpl-gc ERROR: LGC({h})[{}] traced a dead object {r}: kind {:?} len {} suspect {} entspace {} block(owner {} entangled {} pinned_count {})",
                 phase.get(),

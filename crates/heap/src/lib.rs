@@ -68,6 +68,6 @@ pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;
 pub use sft::{SftEntry, SftTable};
-pub use stats::{StatsSnapshot, StoreStats};
+pub use stats::{Counter, PendingStats, StatsSnapshot, StoreStats};
 pub use store::{JoinOutcome, ObjHandle, Store, StoreConfig};
 pub use value::{ObjRef, Value, Word, INT_MAX, INT_MIN};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::block::Block;
-use crate::stats::StoreStats;
+use crate::stats::{Counter, StoreStats};
 
 /// Append-only table of all blocks ever allocated.
 #[derive(Debug)]
@@ -42,7 +42,7 @@ impl BlockRegistry {
         let id = u32::try_from(table.len()).expect("block id overflow");
         let block = Arc::new(make(id));
         table.push(Some(Arc::clone(&block)));
-        self.stats.on_block_alloc();
+        self.stats.add(Counter::blocks_allocated, 1);
         block
     }
 
@@ -70,7 +70,7 @@ impl BlockRegistry {
         if let Some(slot) = table.get_mut(id as usize) {
             if let Some(block) = slot.take() {
                 block.on_free();
-                self.stats.on_block_free();
+                self.stats.add(Counter::blocks_freed, 1);
                 crate::events::emit(crate::events::EventKind::BlockFree, id, 0, block.owner());
             }
         }

@@ -6,471 +6,360 @@
 //! collector must leave in place), and the ordinary allocation/collection
 //! volumes. This module is the measured counterpart: every counter here is
 //! reported by the experiment harness.
+//!
+//! Every observable is declared exactly once, as a row of the
+//! `counter_table!` invocation below: `name: Kind, Owner, "help";`. The
+//! macro turns the rows into [`Counter`] (one variant per row, indexing
+//! the [`StoreStats`] cells), the public [`StatsSnapshot`] struct (one
+//! field per row, documented by the row's help string), the row-order
+//! conversions [`StatsSnapshot::from_values`] / [`StatsSnapshot::values`],
+//! and — from the `task_buffered` group — [`PendingStats`] and its flush
+//! [`StoreStats::add_pending`]. Everything else (`snapshot`, `delta`,
+//! `rows`, the exporters in `mpl-runtime`) is a loop over the table. To
+//! add a counter: add a row, then increment it with [`StoreStats::add`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Monotonic counters plus the live-bytes gauge.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    // Mutator-side.
-    pub(crate) allocs: AtomicU64,
-    pub(crate) alloc_bytes: AtomicU64,
-    pub(crate) barrier_reads: AtomicU64,
-    pub(crate) barrier_writes: AtomicU64,
-    // Barrier tier split: "fast" completions never touched the heap
-    // table, a lock, or an `Arc` clone; "slow" entries ran the full
-    // locate/LCA machinery (and possibly pinned or remembered).
-    pub(crate) barrier_read_fast: AtomicU64,
-    pub(crate) barrier_read_slow: AtomicU64,
-    pub(crate) barrier_write_fast: AtomicU64,
-    pub(crate) barrier_write_slow: AtomicU64,
-    pub(crate) entangled_reads: AtomicU64,
-    pub(crate) entangled_writes: AtomicU64,
-    pub(crate) pins: AtomicU64,
-    pub(crate) unpins: AtomicU64,
-    pub(crate) remset_inserts: AtomicU64,
-    // Mutator-private remembered-set write buffers.
-    pub(crate) remset_buffered: AtomicU64,
-    pub(crate) remset_dedup_hits: AtomicU64,
-    pub(crate) remset_flushes: AtomicU64,
-    // Collector-side.
-    pub(crate) lgc_runs: AtomicU64,
-    pub(crate) lgc_copied_bytes: AtomicU64,
-    pub(crate) lgc_reclaimed_bytes: AtomicU64,
-    pub(crate) lgc_entangled_retained_bytes: AtomicU64,
-    pub(crate) lgc_pause_ns_total: AtomicU64,
-    pub(crate) lgc_pause_ns_max: AtomicU64,
-    pub(crate) cgc_runs: AtomicU64,
-    pub(crate) cgc_swept_bytes: AtomicU64,
-    pub(crate) cgc_pause_ns_total: AtomicU64,
-    pub(crate) cgc_pause_ns_max: AtomicU64,
-    // Parallel CGC work-packet machinery.
-    pub(crate) cgc_packets: AtomicU64,
-    pub(crate) cgc_packet_retries: AtomicU64,
-    // Block-grained allocator counters.
-    pub(crate) blocks_allocated: AtomicU64,
-    pub(crate) blocks_freed: AtomicU64,
-    pub(crate) lines_swept: AtomicU64,
-    // Corruption canary: a trace reached a dead-marked object. Always-on
-    // (release builds included) because the matching debug assertion
-    // vanishes under `--release`; any nonzero value is a collector bug.
-    pub(crate) lgc_dead_traced: AtomicU64,
-    // Memory-pressure path (heap limit set and approached).
-    pub(crate) gc_forced_by_pressure: AtomicU64,
-    pub(crate) alloc_retries: AtomicU64,
-    pub(crate) alloc_failures: AtomicU64,
-    // Cooperative cancellation (deadlines, explicit cancel, watchdog,
-    // alloc escalation).
-    pub(crate) cancel_requested: AtomicU64,
-    pub(crate) cancel_unwound: AtomicU64,
-    // Serving-layer robustness counters (recorded by mpl-serve through
-    // the runtime, kept here so one snapshot covers the whole stack).
-    pub(crate) requests_timed_out: AtomicU64,
-    pub(crate) request_retries: AtomicU64,
-    pub(crate) breaker_open: AtomicU64,
-    // Gauges.
-    pub(crate) live_bytes: AtomicUsize,
-    pub(crate) max_live_bytes: AtomicUsize,
-    pub(crate) pinned_bytes: AtomicUsize,
-    pub(crate) max_pinned_bytes: AtomicUsize,
+/// How a row moves over time. Decides its exporter type (Prometheus
+/// `counter` vs `gauge`, JSON `"counters"` vs `"gauges"`) and what
+/// [`StatsSnapshot::delta`] does with it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Only ever increases; an interval view subtracts.
+    Monotonic,
+    /// Rises and falls; an interval view keeps the later reading.
+    Gauge,
+    /// The largest value a gauge or duration has reached; kept like a gauge.
+    HighWater,
 }
 
-/// A plain-value snapshot of [`StoreStats`]. Field names mirror the
-/// counters documented there.
-#[allow(missing_docs)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub allocs: u64,
-    pub alloc_bytes: u64,
-    pub barrier_reads: u64,
-    pub barrier_writes: u64,
-    /// Mutable reads completed on the barrier's fast tier: no lock, no
-    /// heap-table acquisition, no `Arc` clone (the suspects header check
-    /// passed, or the loaded value was an immediate).
-    pub barrier_read_fast: u64,
-    /// Mutable reads that entered the slow tier (locate + LCA, possibly
-    /// pin).
-    pub barrier_read_slow: u64,
-    /// Mutable writes completed on the fast tier (immediate store, or a
-    /// pointer store whose source and target are both in the task's own
-    /// leaf heap — provably not a down-pointer, no table acquisition).
-    pub barrier_write_fast: u64,
-    /// Mutable writes that entered the slow tier (locality/LCA checks,
-    /// possibly pin + remembered-set insert).
-    pub barrier_write_slow: u64,
-    pub entangled_reads: u64,
-    pub entangled_writes: u64,
-    pub pins: u64,
-    pub unpins: u64,
-    pub remset_inserts: u64,
-    /// Down-pointer entries recorded into a mutator-private remembered-set
-    /// buffer (deduplicated; published to the owning heap at flush).
-    pub remset_buffered: u64,
-    /// Buffered remembered-set inserts suppressed by per-object dedup.
-    pub remset_dedup_hits: u64,
-    /// Remembered-set buffer flushes (join, GC handshake, mutator drop,
-    /// capacity).
-    pub remset_flushes: u64,
-    pub lgc_runs: u64,
-    pub lgc_copied_bytes: u64,
-    pub lgc_reclaimed_bytes: u64,
-    pub lgc_entangled_retained_bytes: u64,
-    /// Total stop-the-task time spent in local collections. Unlike CGC
-    /// pauses (timed by the runtime around the collector call), LGC
-    /// pauses are timed inside `collect_local` itself, so every caller —
-    /// allocation-triggered or forced — is covered.
-    pub lgc_pause_ns_total: u64,
-    /// Longest single local-collection pause.
-    pub lgc_pause_ns_max: u64,
-    pub cgc_runs: u64,
-    pub cgc_swept_bytes: u64,
-    pub cgc_pause_ns_total: u64,
-    pub cgc_pause_ns_max: u64,
-    /// CGC work packets executed (trace, sweep, and epilogue units).
-    pub cgc_packets: u64,
-    /// CGC packets re-enqueued after an injected or real packet panic.
-    pub cgc_packet_retries: u64,
-    /// Size-class blocks issued by the registry.
-    pub blocks_allocated: u64,
-    /// Blocks freed (wholesale or after a by-line sweep emptied them).
-    pub blocks_freed: u64,
-    /// Lines reclaimed by line-mark sweeps (lines in use minus marked
-    /// lines, summed over swept blocks).
-    pub lines_swept: u64,
-    /// Corruption canary: traces that reached a dead-marked object.
-    /// Counted in every build profile; any nonzero value is a collector
-    /// soundness bug (see `mpl-gc`'s audit layer).
-    pub lgc_dead_traced: u64,
-    /// Collections forced because an allocation found the heap limit
-    /// (`RuntimeConfig::with_heap_limit`) exhausted.
-    pub gc_forced_by_pressure: u64,
-    /// Allocation attempts retried after a pressure-forced collection.
-    pub alloc_retries: u64,
-    /// Allocations that still exceeded the heap limit after every forced
-    /// collection and surfaced a recoverable `AllocError`.
-    pub alloc_failures: u64,
-    /// Tasks that observed a tripped cancellation token and began a
-    /// cancellation unwind (one per live task of the cancelled tree).
-    pub cancel_requested: u64,
-    /// Runs that finished unwinding and surfaced `RunError::Cancelled`
-    /// (one per cancelled `Runtime::try_run*` call).
-    pub cancel_unwound: u64,
-    /// Server requests whose deadline expired (before any retry).
-    pub requests_timed_out: u64,
-    /// Server retry attempts after a timed-out request (with backoff).
-    pub request_retries: u64,
-    /// Per-tenant circuit-breaker open transitions in the server.
-    pub breaker_open: u64,
-    pub live_bytes: usize,
-    pub max_live_bytes: usize,
-    pub pinned_bytes: usize,
-    pub max_pinned_bytes: usize,
-    // Scheduler counters. The store itself never sets these (scheduling
-    // is not a memory-manager concern); the runtime overlays them from
-    // the work-stealing executor so experiment harnesses get one
-    // combined snapshot. Zero when the pool is inactive.
-    pub sched_pushes: u64,
-    pub sched_steals: u64,
-    pub sched_sequentialized: u64,
-    pub sched_parks: u64,
-    pub sched_unparks: u64,
-    // GC audit counters. Like the scheduler counters, these live outside
-    // the store (in `mpl-gc`'s audit layer, which is process-global) and
-    // are overlaid by the runtime. Zero when auditing was never enabled.
-    pub audit_runs: u64,
-    pub audit_objects_checked: u64,
-    pub audit_events: u64,
-    pub audit_ring_overflows: u64,
-    /// Failpoint fires. Like the audit counters this is process-global
-    /// (it lives in `mpl-fail`) and overlaid by the runtime; zero when no
-    /// failpoints were ever armed.
-    pub failpoint_fires: u64,
+/// Who writes a row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Owner {
+    /// A [`StoreStats`] cell, bumped by the store, mutators and collectors.
+    Store,
+    /// Overlaid by the runtime from the work-stealing executor (scheduling
+    /// is not a memory-manager concern); zero when the pool is inactive.
+    Sched,
+    /// Overlaid by the runtime from `mpl-gc`'s process-global audit layer;
+    /// zero when auditing was never enabled.
+    Audit,
+    /// Overlaid by the runtime from `mpl-fail` (process-global); zero when
+    /// no failpoint was ever armed.
+    Fail,
+}
+
+/// One table row with its value in some snapshot: what the exporters and
+/// table-driven tests iterate over (see [`StatsSnapshot::rows`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row {
+    /// The field / JSON key / Prometheus stem (`mpl_<name>[_total]`).
+    pub name: &'static str,
+    /// See [`Kind`].
+    pub kind: Kind,
+    /// See [`Owner`].
+    pub owner: Owner,
+    /// One-line description (field doc and Prometheus `# HELP`).
+    pub help: &'static str,
+    /// The row's value in the snapshot it was read from.
+    pub value: u64,
+}
+
+// A row's `StatsSnapshot` field type: `u64`, unless the row says
+// `Kind as <type>` (the byte gauges are `usize`).
+macro_rules! row_ty {
+    () => {
+        u64
+    };
+    ($ty:ty) => {
+        $ty
+    };
+}
+
+macro_rules! counter_table {
+    (task_buffered { $($buffered:tt)* } direct { $($direct:tt)* }) => {
+        counter_table!(@rows $($buffered)* $($direct)*);
+        counter_table!(@pending $($buffered)*);
+    };
+    (@rows $($(#[$doc:meta])* $name:ident: $kind:ident $(as $ty:ty)?, $owner:ident, $help:literal;)*) => {
+        /// Names a table row; `counter as usize` is its position in the
+        /// table, in [`StoreStats`]' cells and in [`StatsSnapshot::values`].
+        #[allow(non_camel_case_types, missing_docs)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter { $($name,)* }
+
+        const TABLE: &[Row] = &[$(Row {
+            name: stringify!($name),
+            kind: Kind::$kind,
+            owner: Owner::$owner,
+            help: $help,
+            value: 0,
+        },)*];
+
+        /// A plain-value snapshot of every row: the store's own cells as
+        /// [`StoreStats::snapshot`] read them, plus the rows the runtime
+        /// overlays (see [`Owner`]).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot { $(#[doc = $help] $(#[$doc])* pub $name: row_ty!($($ty)?),)* }
+
+        impl StatsSnapshot {
+            /// Builds a snapshot from one value per row, in table order.
+            pub fn from_values(values: [u64; ROWS]) -> StatsSnapshot {
+                StatsSnapshot { $($name: values[Counter::$name as usize] as _,)* }
+            }
+
+            /// Every row's value, in table order.
+            pub fn values(&self) -> [u64; ROWS] {
+                [$(self.$name as u64,)*]
+            }
+        }
+    };
+    (@pending $($(#[$doc:meta])* $name:ident: $kind:ident, $owner:ident, $help:literal;)*) => {
+        /// Task-buffered counters: plain fields a task increments privately
+        /// so its hot paths pay no global atomics, published by
+        /// [`StoreStats::add_pending`] at task boundaries.
+        #[derive(Debug, Default, PartialEq, Eq)]
+        pub struct PendingStats { $(#[doc = $help] pub $name: u64,)* }
+
+        #[cfg(test)]
+        impl PendingStats {
+            fn fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+                vec![$((stringify!($name), &mut self.$name),)*]
+            }
+        }
+
+        impl StoreStats {
+            /// Publishes a task's buffered counts into the identically
+            /// named rows (and the live-bytes gauge), leaving `pending`
+            /// zeroed.
+            pub fn add_pending(&self, pending: &mut PendingStats) {
+                let p = std::mem::take(pending);
+                $(if p.$name != 0 {
+                    self.add(Counter::$name, p.$name);
+                })*
+                if p.alloc_bytes != 0 {
+                    self.add_live_bytes(p.alloc_bytes as usize);
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    task_buffered {
+        allocs: Monotonic, Store, "Objects allocated";
+        alloc_bytes: Monotonic, Store, "Bytes allocated";
+        barrier_reads: Monotonic, Store, "Barriered mutable reads";
+        barrier_writes: Monotonic, Store, "Barriered mutable writes";
+        /// No lock, no heap-table acquisition, no `Arc` clone: the suspects
+        /// header check passed, or the loaded value was an immediate.
+        barrier_read_fast: Monotonic, Store, "Reads completed on the fast tier";
+        /// Locate + LCA, possibly pin.
+        barrier_read_slow: Monotonic, Store, "Reads that entered the slow tier";
+        /// An immediate store, or a pointer store whose source and target
+        /// are both in the task's own leaf heap — provably not a
+        /// down-pointer, no table acquisition.
+        barrier_write_fast: Monotonic, Store, "Writes completed on the fast tier";
+        /// Locality/LCA checks, possibly pin + remembered-set insert.
+        barrier_write_slow: Monotonic, Store, "Writes that entered the slow tier";
+        entangled_reads: Monotonic, Store, "Entangled reads (remote objects pinned)";
+        entangled_writes: Monotonic, Store, "Entangled writes";
+        /// Deduplicated; published to the owning heap at flush.
+        remset_buffered: Monotonic, Store, "Down-pointers recorded into a mutator-private remset buffer";
+        remset_dedup_hits: Monotonic, Store, "Buffered remset inserts suppressed by per-object dedup";
+    }
+    direct {
+        pins: Monotonic, Store, "Objects pinned";
+        unpins: Monotonic, Store, "Objects unpinned";
+        remset_inserts: Monotonic, Store, "Remembered-set insertions";
+        /// At joins, GC handshakes, mutator drop and buffer capacity.
+        remset_flushes: Monotonic, Store, "Remembered-set buffer flushes";
+        lgc_runs: Monotonic, Store, "Local collections";
+        lgc_copied_bytes: Monotonic, Store, "Bytes evacuated by local collections";
+        lgc_reclaimed_bytes: Monotonic, Store, "Bytes reclaimed by local collections";
+        lgc_entangled_retained_bytes: Monotonic, Store, "Pinned bytes local collections left in place";
+        /// Unlike CGC pauses (timed by the runtime around the collector
+        /// call), LGC pauses are timed inside `collect_local` itself, so
+        /// every caller — allocation-triggered or forced — is covered.
+        lgc_pause_ns_total: Monotonic, Store, "Stop-the-task nanoseconds spent in local collections";
+        lgc_pause_ns_max: HighWater, Store, "Longest local-collection pause in nanoseconds";
+        cgc_runs: Monotonic, Store, "Concurrent collections";
+        cgc_swept_bytes: Monotonic, Store, "Bytes swept by concurrent collections";
+        cgc_pause_ns_total: Monotonic, Store, "Pause nanoseconds spent in concurrent collections";
+        cgc_pause_ns_max: HighWater, Store, "Longest concurrent-collection pause in nanoseconds";
+        /// Trace, sweep, and epilogue units.
+        cgc_packets: Monotonic, Store, "CGC work packets executed on scheduler workers";
+        cgc_packet_retries: Monotonic, Store, "CGC packets re-enqueued after an injected or real panic";
+        blocks_allocated: Monotonic, Store, "Size-class blocks handed out by the registry";
+        blocks_freed: Monotonic, Store, "Blocks returned to the registry (LGC, CGC, joins)";
+        /// Lines in use minus marked lines, summed over swept blocks.
+        lines_swept: Monotonic, Store, "Lines reclaimed by line-mark sweeps";
+        /// Counted in every build profile, because the matching debug
+        /// assertion vanishes under `--release`; any nonzero value is a
+        /// collector soundness bug (see `mpl-gc`'s audit layer).
+        lgc_dead_traced: Monotonic, Store, "Corruption canary: traces reaching dead objects";
+        sched_pushes: Monotonic, Sched, "Jobs pushed to worker deques";
+        sched_steals: Monotonic, Sched, "Successful steals";
+        sched_sequentialized: Monotonic, Sched, "Forks resolved inline (popped back)";
+        sched_parks: Monotonic, Sched, "Worker park intervals";
+        sched_unparks: Monotonic, Sched, "Parked workers woken by a push or a cancel kick";
+        /// The limit is `RuntimeConfig::with_heap_limit` or a tenant budget.
+        gc_forced_by_pressure: Monotonic, Store, "Collections forced by the heap budget";
+        alloc_retries: Monotonic, Store, "Allocation retries after a forced collection";
+        /// Surfaced as a recoverable `AllocError`.
+        alloc_failures: Monotonic, Store, "Allocations rejected (budget exhausted or injected)";
+        failpoint_fires: Monotonic, Fail, "Fault-injection failpoint fires (process-global)";
+        audit_runs: Monotonic, Audit, "GC phase-boundary audits executed (process-global)";
+        audit_objects_checked: Monotonic, Audit, "Objects visited by audit reachability cross-checks";
+        audit_events: Monotonic, Audit, "Events recorded into the audit rings";
+        audit_ring_overflows: Monotonic, Audit, "Audit ring overwrites (history lost to wraparound)";
+        /// One per live task of the cancelled tree.
+        cancel_requested: Monotonic, Store, "Tasks that observed a cancel-token trip and began unwinding";
+        /// One per cancelled `Runtime::try_run*` call.
+        cancel_unwound: Monotonic, Store, "Runs that fully unwound as cancelled";
+        /// The serving-layer rows are recorded by `mpl-serve` through the
+        /// runtime, so one snapshot covers the whole stack.
+        requests_timed_out: Monotonic, Store, "Serve requests that exhausted their deadline";
+        request_retries: Monotonic, Store, "Serve request retry attempts after a timeout";
+        breaker_open: Monotonic, Store, "Per-tenant circuit-breaker open transitions";
+        live_bytes: Gauge as usize, Store, "Live bytes";
+        max_live_bytes: HighWater as usize, Store, "Live-bytes high-water mark";
+        pinned_bytes: Gauge as usize, Store, "Pinned (entangled) bytes";
+        max_pinned_bytes: HighWater as usize, Store, "Pinned-bytes high-water mark";
+    }
+}
+
+/// Number of table rows (and of [`StatsSnapshot`] fields).
+pub const ROWS: usize = TABLE.len();
+
+/// The store's cell for every row. Rows another layer owns keep a zero
+/// cell, so a plain [`StoreStats::snapshot`] reads them as zero.
+#[derive(Debug)]
+pub struct StoreStats {
+    cells: [AtomicU64; ROWS],
+}
+
+impl Default for StoreStats {
+    fn default() -> StoreStats {
+        StoreStats::new()
+    }
 }
 
 impl StoreStats {
     /// Creates zeroed counters.
     pub fn new() -> StoreStats {
-        StoreStats::default()
+        StoreStats {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    #[inline]
+    fn cell(&self, counter: Counter) -> &AtomicU64 {
+        &self.cells[counter as usize]
     }
 
     /// Takes a consistent-enough snapshot (individual counters are loaded
     /// independently; exactness across counters is not required for
     /// reporting).
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            alloc_bytes: self.alloc_bytes.load(Ordering::Relaxed),
-            barrier_reads: self.barrier_reads.load(Ordering::Relaxed),
-            barrier_writes: self.barrier_writes.load(Ordering::Relaxed),
-            barrier_read_fast: self.barrier_read_fast.load(Ordering::Relaxed),
-            barrier_read_slow: self.barrier_read_slow.load(Ordering::Relaxed),
-            barrier_write_fast: self.barrier_write_fast.load(Ordering::Relaxed),
-            barrier_write_slow: self.barrier_write_slow.load(Ordering::Relaxed),
-            entangled_reads: self.entangled_reads.load(Ordering::Relaxed),
-            entangled_writes: self.entangled_writes.load(Ordering::Relaxed),
-            pins: self.pins.load(Ordering::Relaxed),
-            unpins: self.unpins.load(Ordering::Relaxed),
-            remset_inserts: self.remset_inserts.load(Ordering::Relaxed),
-            remset_buffered: self.remset_buffered.load(Ordering::Relaxed),
-            remset_dedup_hits: self.remset_dedup_hits.load(Ordering::Relaxed),
-            remset_flushes: self.remset_flushes.load(Ordering::Relaxed),
-            lgc_runs: self.lgc_runs.load(Ordering::Relaxed),
-            lgc_copied_bytes: self.lgc_copied_bytes.load(Ordering::Relaxed),
-            lgc_reclaimed_bytes: self.lgc_reclaimed_bytes.load(Ordering::Relaxed),
-            lgc_entangled_retained_bytes: self.lgc_entangled_retained_bytes.load(Ordering::Relaxed),
-            lgc_pause_ns_total: self.lgc_pause_ns_total.load(Ordering::Relaxed),
-            lgc_pause_ns_max: self.lgc_pause_ns_max.load(Ordering::Relaxed),
-            cgc_runs: self.cgc_runs.load(Ordering::Relaxed),
-            cgc_swept_bytes: self.cgc_swept_bytes.load(Ordering::Relaxed),
-            cgc_pause_ns_total: self.cgc_pause_ns_total.load(Ordering::Relaxed),
-            cgc_pause_ns_max: self.cgc_pause_ns_max.load(Ordering::Relaxed),
-            cgc_packets: self.cgc_packets.load(Ordering::Relaxed),
-            cgc_packet_retries: self.cgc_packet_retries.load(Ordering::Relaxed),
-            blocks_allocated: self.blocks_allocated.load(Ordering::Relaxed),
-            blocks_freed: self.blocks_freed.load(Ordering::Relaxed),
-            lines_swept: self.lines_swept.load(Ordering::Relaxed),
-            lgc_dead_traced: self.lgc_dead_traced.load(Ordering::Relaxed),
-            gc_forced_by_pressure: self.gc_forced_by_pressure.load(Ordering::Relaxed),
-            alloc_retries: self.alloc_retries.load(Ordering::Relaxed),
-            alloc_failures: self.alloc_failures.load(Ordering::Relaxed),
-            cancel_requested: self.cancel_requested.load(Ordering::Relaxed),
-            cancel_unwound: self.cancel_unwound.load(Ordering::Relaxed),
-            requests_timed_out: self.requests_timed_out.load(Ordering::Relaxed),
-            request_retries: self.request_retries.load(Ordering::Relaxed),
-            breaker_open: self.breaker_open.load(Ordering::Relaxed),
-            live_bytes: self.live_bytes.load(Ordering::Relaxed),
-            max_live_bytes: self.max_live_bytes.load(Ordering::Relaxed),
-            pinned_bytes: self.pinned_bytes.load(Ordering::Relaxed),
-            max_pinned_bytes: self.max_pinned_bytes.load(Ordering::Relaxed),
-            // Scheduler counters live outside the store; the runtime
-            // overlays them (see the field comments on StatsSnapshot).
-            ..StatsSnapshot::default()
-        }
+        StatsSnapshot::from_values(std::array::from_fn(|i| self.cells[i].load(Relaxed)))
     }
 
-    pub(crate) fn count(counter: &AtomicU64, delta: u64) {
-        counter.fetch_add(delta, Ordering::Relaxed);
+    /// Adds `n` to a monotonic row.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.cell(counter).fetch_add(n, Relaxed);
     }
 
-    /// The live-bytes gauge, read directly (one atomic load). Pressure
-    /// checks on the allocation path use this instead of building a full
-    /// [`StatsSnapshot`].
+    /// One row, read directly (one atomic load). Pressure checks and
+    /// collection triggers on the allocation path use this instead of
+    /// building a full [`StatsSnapshot`].
+    #[inline]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.cell(counter).load(Relaxed)
+    }
+
+    /// [`StoreStats::get`] of the live-bytes gauge.
     #[inline]
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.get(Counter::live_bytes) as usize
+    }
+
+    fn raise(&self, gauge: Counter, high_water: Counter, bytes: usize) {
+        let now = self.cell(gauge).fetch_add(bytes as u64, Relaxed) + bytes as u64;
+        self.cell(high_water).fetch_max(now, Relaxed);
+    }
+
+    fn lower(&self, gauge: Counter, bytes: usize) {
+        let sub = |v: u64| Some(v.saturating_sub(bytes as u64));
+        let _ = self.cell(gauge).fetch_update(Relaxed, Relaxed, sub);
     }
 
     /// Adds to the live-bytes gauge and updates the high-water mark.
     pub fn add_live_bytes(&self, bytes: usize) {
-        let now = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.raise_max(&self.max_live_bytes, now);
+        self.raise(Counter::live_bytes, Counter::max_live_bytes, bytes);
     }
 
     /// Subtracts from the live-bytes gauge (saturating).
     pub fn sub_live_bytes(&self, bytes: usize) {
-        sub_saturating(&self.live_bytes, bytes);
+        self.lower(Counter::live_bytes, bytes);
     }
 
     /// Adds to the pinned-bytes gauge and updates its high-water mark.
     pub fn add_pinned_bytes(&self, bytes: usize) {
-        let now = self.pinned_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.raise_max(&self.max_pinned_bytes, now);
+        self.raise(Counter::pinned_bytes, Counter::max_pinned_bytes, bytes);
     }
 
     /// Subtracts from the pinned-bytes gauge (saturating).
     pub fn sub_pinned_bytes(&self, bytes: usize) {
-        sub_saturating(&self.pinned_bytes, bytes);
+        self.lower(Counter::pinned_bytes, bytes);
     }
 
-    // ---- event recorders (used by the runtime and collector crates) ----
+    // ---- recorders that couple a counter to a gauge or histogram ----
 
     /// Records an allocation of `bytes`.
     pub fn on_alloc(&self, bytes: usize) {
-        Self::count(&self.allocs, 1);
-        Self::count(&self.alloc_bytes, bytes as u64);
+        self.add(Counter::allocs, 1);
+        self.add(Counter::alloc_bytes, bytes as u64);
         self.add_live_bytes(bytes);
-    }
-
-    /// Records a batch of allocations (task-buffered fast path).
-    pub fn on_alloc_batch(&self, allocs: u64, bytes: usize) {
-        Self::count(&self.allocs, allocs);
-        Self::count(&self.alloc_bytes, bytes as u64);
-        self.add_live_bytes(bytes);
-    }
-
-    /// Records a batch of barrier events (task-buffered fast path).
-    pub fn on_barrier_batch(
-        &self,
-        reads: u64,
-        writes: u64,
-        entangled_reads: u64,
-        entangled_writes: u64,
-    ) {
-        Self::count(&self.barrier_reads, reads);
-        Self::count(&self.barrier_writes, writes);
-        Self::count(&self.entangled_reads, entangled_reads);
-        Self::count(&self.entangled_writes, entangled_writes);
-    }
-
-    /// Records a batch of per-tier barrier completions (task-buffered
-    /// fast path). See the tier definitions on [`StatsSnapshot`].
-    pub fn on_barrier_tiers(
-        &self,
-        read_fast: u64,
-        read_slow: u64,
-        write_fast: u64,
-        write_slow: u64,
-    ) {
-        Self::count(&self.barrier_read_fast, read_fast);
-        Self::count(&self.barrier_read_slow, read_slow);
-        Self::count(&self.barrier_write_fast, write_fast);
-        Self::count(&self.barrier_write_slow, write_slow);
-    }
-
-    /// Records a batch of mutator-private remembered-set buffer events.
-    pub fn on_remset_buffer_batch(&self, buffered: u64, dedup_hits: u64) {
-        Self::count(&self.remset_buffered, buffered);
-        Self::count(&self.remset_dedup_hits, dedup_hits);
-    }
-
-    /// Records a remembered-set buffer flush that published `entries`
-    /// entries into heap remembered sets.
-    pub fn on_remset_flush(&self, entries: u64) {
-        Self::count(&self.remset_flushes, 1);
-        Self::count(&self.remset_inserts, entries);
-    }
-
-    /// Records a barriered mutable read.
-    pub fn on_barrier_read(&self) {
-        Self::count(&self.barrier_reads, 1);
-    }
-
-    /// Records a barriered mutable write.
-    pub fn on_barrier_write(&self) {
-        Self::count(&self.barrier_writes, 1);
-    }
-
-    /// Records an entangled read (the read barrier found a remote object).
-    pub fn on_entangled_read(&self) {
-        Self::count(&self.entangled_reads, 1);
-    }
-
-    /// Records an entangled write (a pointer was written into a remote
-    /// object, or a remote pointer was written).
-    pub fn on_entangled_write(&self) {
-        Self::count(&self.entangled_writes, 1);
     }
 
     /// Records a newly pinned object of `bytes`.
     pub fn on_pin(&self, bytes: usize) {
-        Self::count(&self.pins, 1);
+        self.add(Counter::pins, 1);
         self.add_pinned_bytes(bytes);
     }
 
     /// Records an unpinned object of `bytes`.
     pub fn on_unpin(&self, bytes: usize) {
-        Self::count(&self.unpins, 1);
+        self.add(Counter::unpins, 1);
         self.sub_pinned_bytes(bytes);
-    }
-
-    /// Records a remembered-set insertion.
-    pub fn on_remset_insert(&self) {
-        Self::count(&self.remset_inserts, 1);
-    }
-
-    /// Records that a trace reached a dead-marked object — heap
-    /// corruption. Always counted, so release builds surface the bug in
-    /// [`StatsSnapshot::lgc_dead_traced`] even though the debug
-    /// assertion is compiled out.
-    pub fn on_dead_traced(&self) {
-        Self::count(&self.lgc_dead_traced, 1);
-    }
-
-    /// Records a collection forced by heap-limit pressure.
-    pub fn on_gc_forced_by_pressure(&self) {
-        Self::count(&self.gc_forced_by_pressure, 1);
-    }
-
-    /// Records an allocation retried after a pressure-forced collection.
-    pub fn on_alloc_retry(&self) {
-        Self::count(&self.alloc_retries, 1);
-    }
-
-    /// Records an allocation that exceeded the heap limit even after
-    /// forced collections and surfaced a recoverable error.
-    pub fn on_alloc_failure(&self) {
-        Self::count(&self.alloc_failures, 1);
-    }
-
-    /// Records a task starting a cancellation unwind (it observed a
-    /// tripped token at a poll point).
-    pub fn on_cancel_requested(&self) {
-        Self::count(&self.cancel_requested, 1);
-    }
-
-    /// Records a run that finished unwinding after cancellation.
-    pub fn on_cancel_unwound(&self) {
-        Self::count(&self.cancel_unwound, 1);
-    }
-
-    /// Records a server request whose deadline expired.
-    pub fn on_request_timeout(&self) {
-        Self::count(&self.requests_timed_out, 1);
-    }
-
-    /// Records a server retry attempt after a timeout.
-    pub fn on_request_retry(&self) {
-        Self::count(&self.request_retries, 1);
-    }
-
-    /// Records a circuit breaker transitioning to open.
-    pub fn on_breaker_open(&self) {
-        Self::count(&self.breaker_open, 1);
     }
 
     /// Records a completed local collection.
     pub fn on_lgc(&self, copied_bytes: u64, reclaimed_bytes: u64, retained_entangled_bytes: u64) {
-        Self::count(&self.lgc_runs, 1);
-        Self::count(&self.lgc_copied_bytes, copied_bytes);
-        Self::count(&self.lgc_reclaimed_bytes, reclaimed_bytes);
-        Self::count(&self.lgc_entangled_retained_bytes, retained_entangled_bytes);
+        self.add(Counter::lgc_runs, 1);
+        self.add(Counter::lgc_copied_bytes, copied_bytes);
+        self.add(Counter::lgc_reclaimed_bytes, reclaimed_bytes);
+        self.add(
+            Counter::lgc_entangled_retained_bytes,
+            retained_entangled_bytes,
+        );
         self.sub_live_bytes(reclaimed_bytes as usize);
     }
 
-    /// Records a completed concurrent collection and its pause.
+    /// Records a completed concurrent collection.
     pub fn on_cgc(&self, swept_bytes: u64) {
-        Self::count(&self.cgc_runs, 1);
-        Self::count(&self.cgc_swept_bytes, swept_bytes);
+        self.add(Counter::cgc_runs, 1);
+        self.add(Counter::cgc_swept_bytes, swept_bytes);
         self.sub_live_bytes(swept_bytes as usize);
-    }
-
-    /// Records CGC work-packet executions (and any panic-retry
-    /// re-enqueues) from a finished cycle.
-    pub fn on_cgc_packets(&self, packets: u64, retries: u64) {
-        Self::count(&self.cgc_packets, packets);
-        Self::count(&self.cgc_packet_retries, retries);
-    }
-
-    /// Records a block issued by the registry.
-    pub fn on_block_alloc(&self) {
-        Self::count(&self.blocks_allocated, 1);
-    }
-
-    /// Records a block freed back to the registry.
-    pub fn on_block_free(&self) {
-        Self::count(&self.blocks_freed, 1);
-    }
-
-    /// Records lines reclaimed by a line-mark sweep.
-    pub fn on_lines_swept(&self, lines: u64) {
-        Self::count(&self.lines_swept, lines);
     }
 
     /// Records a concurrent-collection pause duration. Also feeds the
     /// telemetry pause histogram (a no-op unless telemetry is enabled).
     pub fn on_cgc_pause(&self, ns: u64) {
-        Self::count(&self.cgc_pause_ns_total, ns);
-        raise_max_u64(&self.cgc_pause_ns_max, ns);
+        self.add(Counter::cgc_pause_ns_total, ns);
+        self.cell(Counter::cgc_pause_ns_max).fetch_max(ns, Relaxed);
         mpl_obs::record_duration(mpl_obs::Metric::CgcPause, ns);
     }
 
@@ -478,44 +367,20 @@ impl StoreStats {
     /// `collect_local` stop-the-task window). Also feeds the telemetry
     /// pause histogram (a no-op unless telemetry is enabled).
     pub fn on_lgc_pause(&self, ns: u64) {
-        Self::count(&self.lgc_pause_ns_total, ns);
-        raise_max_u64(&self.lgc_pause_ns_max, ns);
+        self.add(Counter::lgc_pause_ns_total, ns);
+        self.cell(Counter::lgc_pause_ns_max).fetch_max(ns, Relaxed);
         mpl_obs::record_duration(mpl_obs::Metric::LgcPause, ns);
-    }
-
-    fn raise_max(&self, max: &AtomicUsize, candidate: usize) {
-        let mut cur = max.load(Ordering::Relaxed);
-        while candidate > cur {
-            match max.compare_exchange_weak(cur, candidate, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-    }
-}
-
-fn raise_max_u64(max: &AtomicU64, candidate: u64) {
-    let mut cur = max.load(Ordering::Relaxed);
-    while candidate > cur {
-        match max.compare_exchange_weak(cur, candidate, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(c) => cur = c,
-        }
-    }
-}
-
-fn sub_saturating(gauge: &AtomicUsize, bytes: usize) {
-    let mut cur = gauge.load(Ordering::Relaxed);
-    loop {
-        let next = cur.saturating_sub(bytes);
-        match gauge.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(c) => cur = c,
-        }
     }
 }
 
 impl StatsSnapshot {
+    /// Every row — name, kind, owner, help and this snapshot's value — in
+    /// table order.
+    pub fn rows(&self) -> impl Iterator<Item = Row> {
+        let with_value = |(&row, value)| Row { value, ..row };
+        TABLE.iter().zip(self.values()).map(with_value)
+    }
+
     /// Entangled accesses (reads + writes) — the paper's primary time-cost
     /// metric for entanglement.
     pub fn entangled_accesses(&self) -> u64 {
@@ -523,78 +388,23 @@ impl StatsSnapshot {
     }
 
     /// The per-interval view between an `earlier` snapshot and this one:
-    /// monotonic counters are subtracted (saturating, so reset counters or
-    /// snapshot skew never underflow), gauges and high-water marks
-    /// (`live_bytes`/`pinned_bytes`, their maxima, and the pause maxima)
-    /// keep this snapshot's value. Used by the telemetry sampler and the
-    /// bench harnesses instead of hand-rolled field subtraction.
+    /// [`Kind::Monotonic`] rows are subtracted (saturating, so reset
+    /// counters or snapshot skew never underflow), gauges and high-water
+    /// marks keep this snapshot's value. Used by the telemetry sampler and
+    /// the bench harnesses instead of hand-rolled field subtraction.
     pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let d = |a: u64, b: u64| a.saturating_sub(b);
-        StatsSnapshot {
-            allocs: d(self.allocs, earlier.allocs),
-            alloc_bytes: d(self.alloc_bytes, earlier.alloc_bytes),
-            barrier_reads: d(self.barrier_reads, earlier.barrier_reads),
-            barrier_writes: d(self.barrier_writes, earlier.barrier_writes),
-            barrier_read_fast: d(self.barrier_read_fast, earlier.barrier_read_fast),
-            barrier_read_slow: d(self.barrier_read_slow, earlier.barrier_read_slow),
-            barrier_write_fast: d(self.barrier_write_fast, earlier.barrier_write_fast),
-            barrier_write_slow: d(self.barrier_write_slow, earlier.barrier_write_slow),
-            entangled_reads: d(self.entangled_reads, earlier.entangled_reads),
-            entangled_writes: d(self.entangled_writes, earlier.entangled_writes),
-            pins: d(self.pins, earlier.pins),
-            unpins: d(self.unpins, earlier.unpins),
-            remset_inserts: d(self.remset_inserts, earlier.remset_inserts),
-            remset_buffered: d(self.remset_buffered, earlier.remset_buffered),
-            remset_dedup_hits: d(self.remset_dedup_hits, earlier.remset_dedup_hits),
-            remset_flushes: d(self.remset_flushes, earlier.remset_flushes),
-            lgc_runs: d(self.lgc_runs, earlier.lgc_runs),
-            lgc_copied_bytes: d(self.lgc_copied_bytes, earlier.lgc_copied_bytes),
-            lgc_reclaimed_bytes: d(self.lgc_reclaimed_bytes, earlier.lgc_reclaimed_bytes),
-            lgc_entangled_retained_bytes: d(
-                self.lgc_entangled_retained_bytes,
-                earlier.lgc_entangled_retained_bytes,
-            ),
-            lgc_pause_ns_total: d(self.lgc_pause_ns_total, earlier.lgc_pause_ns_total),
-            lgc_pause_ns_max: self.lgc_pause_ns_max,
-            cgc_runs: d(self.cgc_runs, earlier.cgc_runs),
-            cgc_swept_bytes: d(self.cgc_swept_bytes, earlier.cgc_swept_bytes),
-            cgc_pause_ns_total: d(self.cgc_pause_ns_total, earlier.cgc_pause_ns_total),
-            cgc_pause_ns_max: self.cgc_pause_ns_max,
-            cgc_packets: d(self.cgc_packets, earlier.cgc_packets),
-            cgc_packet_retries: d(self.cgc_packet_retries, earlier.cgc_packet_retries),
-            blocks_allocated: d(self.blocks_allocated, earlier.blocks_allocated),
-            blocks_freed: d(self.blocks_freed, earlier.blocks_freed),
-            lines_swept: d(self.lines_swept, earlier.lines_swept),
-            lgc_dead_traced: d(self.lgc_dead_traced, earlier.lgc_dead_traced),
-            gc_forced_by_pressure: d(self.gc_forced_by_pressure, earlier.gc_forced_by_pressure),
-            alloc_retries: d(self.alloc_retries, earlier.alloc_retries),
-            alloc_failures: d(self.alloc_failures, earlier.alloc_failures),
-            cancel_requested: d(self.cancel_requested, earlier.cancel_requested),
-            cancel_unwound: d(self.cancel_unwound, earlier.cancel_unwound),
-            requests_timed_out: d(self.requests_timed_out, earlier.requests_timed_out),
-            request_retries: d(self.request_retries, earlier.request_retries),
-            breaker_open: d(self.breaker_open, earlier.breaker_open),
-            live_bytes: self.live_bytes,
-            max_live_bytes: self.max_live_bytes,
-            pinned_bytes: self.pinned_bytes,
-            max_pinned_bytes: self.max_pinned_bytes,
-            sched_pushes: d(self.sched_pushes, earlier.sched_pushes),
-            sched_steals: d(self.sched_steals, earlier.sched_steals),
-            sched_sequentialized: d(self.sched_sequentialized, earlier.sched_sequentialized),
-            sched_parks: d(self.sched_parks, earlier.sched_parks),
-            sched_unparks: d(self.sched_unparks, earlier.sched_unparks),
-            audit_runs: d(self.audit_runs, earlier.audit_runs),
-            audit_objects_checked: d(self.audit_objects_checked, earlier.audit_objects_checked),
-            audit_events: d(self.audit_events, earlier.audit_events),
-            audit_ring_overflows: d(self.audit_ring_overflows, earlier.audit_ring_overflows),
-            failpoint_fires: d(self.failpoint_fires, earlier.failpoint_fires),
-        }
+        let (now, then) = (self.values(), earlier.values());
+        StatsSnapshot::from_values(std::array::from_fn(|i| match TABLE[i].kind {
+            Kind::Monotonic => now[i].saturating_sub(then[i]),
+            Kind::Gauge | Kind::HighWater => now[i],
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn gauges_track_high_water() {
@@ -630,36 +440,51 @@ mod tests {
         assert_eq!(snap.lgc_pause_ns_max, 700);
     }
 
-    #[test]
-    fn delta_subtracts_counters_and_keeps_gauges() {
-        let s = StoreStats::new();
-        s.on_alloc(100);
-        s.on_lgc_pause(500);
-        let t0 = s.snapshot();
-        s.on_alloc(60);
-        s.on_pin(8);
-        let t1 = s.snapshot();
-        let d = t1.delta(&t0);
-        assert_eq!(d.allocs, 1);
-        assert_eq!(d.alloc_bytes, 60);
-        assert_eq!(d.pins, 1);
-        assert_eq!(d.lgc_pause_ns_total, 0);
-        // Gauges keep the later snapshot's value.
-        assert_eq!(d.live_bytes, t1.live_bytes);
-        assert_eq!(d.max_live_bytes, t1.max_live_bytes);
-        assert_eq!(d.pinned_bytes, 8);
-        assert_eq!(d.lgc_pause_ns_max, 500);
-        // Skewed inputs saturate instead of underflowing.
-        assert_eq!(t0.delta(&t1).allocs, 0);
+    proptest! {
+        #[test]
+        fn delta_subtracts_counters_and_keeps_gauges(
+            a in proptest::collection::vec(any::<u64>(), ROWS),
+            b in proptest::collection::vec(any::<u64>(), ROWS),
+        ) {
+            let earlier = StatsSnapshot::from_values(a.try_into().unwrap());
+            let later = StatsSnapshot::from_values(b.try_into().unwrap());
+            let d = later.delta(&earlier);
+            for ((d, l), e) in d.rows().zip(later.rows()).zip(earlier.rows()) {
+                let want = match d.kind {
+                    // Skewed inputs saturate instead of underflowing.
+                    Kind::Monotonic => l.value.saturating_sub(e.value),
+                    Kind::Gauge | Kind::HighWater => l.value,
+                };
+                prop_assert_eq!(d.value, want, "{}", d.name);
+            }
+            for row in later.delta(&later).rows().filter(|r| r.kind == Kind::Monotonic) {
+                prop_assert_eq!(row.value, 0, "{}", row.name);
+            }
+        }
     }
 
+    /// Every task-buffered field lands in the identically named snapshot
+    /// row, and the flush leaves nothing behind.
     #[test]
-    fn entangled_accesses_sums() {
-        let snap = StatsSnapshot {
-            entangled_reads: 3,
-            entangled_writes: 4,
-            ..Default::default()
-        };
-        assert_eq!(snap.entangled_accesses(), 7);
+    fn add_pending_publishes_every_buffered_field() {
+        let mut p = PendingStats::default();
+        let mut want = Vec::new();
+        for (i, (name, field)) in p.fields_mut().into_iter().enumerate() {
+            *field = 100 + i as u64;
+            want.push((name, *field));
+        }
+        let stats = StoreStats::new();
+        stats.add_pending(&mut p);
+        assert_eq!(p, PendingStats::default());
+        let snap = stats.snapshot();
+        for (name, value) in &want {
+            let row = snap.rows().find(|r| r.name == *name).expect(name);
+            assert_eq!(row.value, *value, "{name}");
+        }
+        // Nothing else moved, except that allocated bytes raise the gauge.
+        let moved = snap.rows().filter(|r| r.value != 0).count();
+        assert_eq!(moved, want.len() + 2);
+        assert_eq!(snap.live_bytes as u64, snap.alloc_bytes);
+        assert_eq!(snap.max_live_bytes, snap.live_bytes);
     }
 }

@@ -17,7 +17,7 @@ use crate::heap::{HeapTable, RemsetEntry};
 use crate::object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 use crate::registry::BlockRegistry;
 use crate::sft::SftTable;
-use crate::stats::StoreStats;
+use crate::stats::{Counter, StoreStats};
 use crate::value::{ObjRef, Value, Word};
 
 /// Store configuration.
@@ -419,7 +419,7 @@ impl Store {
     /// `dst_heap`.
     pub fn remember(&self, dst_heap: u32, entry: RemsetEntry) {
         self.heaps.remember_canonical(dst_heap, entry);
-        self.stats.on_remset_insert();
+        self.stats.add(Counter::remset_inserts, 1);
         events::emit_obj(EventKind::RemsetInsert, entry.src, entry.field);
     }
 
@@ -432,7 +432,9 @@ impl Store {
             return;
         }
         self.heaps.remember_canonical_batch(dst_heap, entries);
-        self.stats.on_remset_flush(entries.len() as u64);
+        self.stats.add(Counter::remset_flushes, 1);
+        self.stats
+            .add(Counter::remset_inserts, entries.len() as u64);
         if events::tracing_enabled() {
             for e in entries {
                 events::emit_obj(EventKind::RemsetInsert, e.src, e.field);

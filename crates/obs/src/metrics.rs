@@ -10,124 +10,73 @@
 use crate::hist::{HistSnapshot, Histogram};
 use crate::{enabled, now_ns};
 
-/// Every duration the runtime instruments. The discriminant indexes the
-/// global histogram registry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Metric {
-    /// Whole local-collection (LGC) stop-the-task pause.
-    LgcPause = 0,
-    /// Whole entangled-collection (CGC) pause (monolithic or one slice).
-    CgcPause,
-    /// LGC Phase A: shield — mark the shield closure.
-    LgcShield,
-    /// LGC Phase B: evacuate — copy live objects and fix references.
-    LgcEvacuate,
-    /// LGC Phase C: reclaim — return dead blocks.
-    LgcReclaim,
-    /// CGC mark phase (SATB trace over the entangled space).
-    CgcMark,
-    /// CGC sweep + epilogue.
-    CgcSweep,
-    /// Slow-tier barrier entry (read or write): locate/LCA/pin/remset work.
-    BarrierSlow,
-    /// Successful steal: from first probe to a job in hand.
-    SchedSteal,
-    /// One job execution on a worker.
-    SchedRun,
-    /// One park interval on an idle worker.
-    SchedPark,
-    /// One buffered remset flush (grouped publish to ancestor heaps).
-    RemsetFlush,
-    /// One CGC work packet (trace, sweep, or epilogue unit on a worker).
-    CgcPacket,
-    /// Allocation-cache refill: the store-path fallback taken when a
-    /// task's cached size-class block overflows (or the object is
-    /// oversized) — block acquisition plus cache re-adoption.
-    AllocRefill,
-    /// Cancellation latency: token trip to the run fully unwound
-    /// (`Runtime::try_run*` catching the `Cancelled` payload).
-    CancelUnwind,
+/// One row per instrumented duration: `Variant: "name", "category",
+/// "help";`. Generates [`Metric`] (the discriminant indexes the global
+/// histogram registry), [`METRIC_COUNT`], [`ALL_METRICS`] and the
+/// per-metric strings.
+macro_rules! metric_table {
+    ($($(#[$doc:meta])* $variant:ident: $name:literal, $category:literal, $help:literal;)*) => {
+        /// Every duration the runtime instruments. The discriminant indexes
+        /// the global histogram registry.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Metric { $(#[doc = $help] $(#[$doc])* $variant,)* }
+
+        /// All metrics, in discriminant order.
+        pub const ALL_METRICS: [Metric; METRIC_COUNT] = [$(Metric::$variant,)*];
+
+        /// `(name, category, help)` per metric, in discriminant order.
+        const STRINGS: &[(&str, &str, &str)] = &[$(($name, $category, $help),)*];
+    };
+}
+
+metric_table! {
+    LgcPause: "lgc_pause", "gc.lgc", "Local collection stop-the-task pause";
+    CgcPause: "cgc_pause", "gc.cgc", "Entangled collection pause (monolithic or slice)";
+    /// Mark the shield closure.
+    LgcShield: "lgc_shield", "gc.lgc", "LGC phase A (shield) duration";
+    /// Copy live objects and fix references.
+    LgcEvacuate: "lgc_evacuate", "gc.lgc", "LGC phase B (evacuate) duration";
+    /// Return dead blocks.
+    LgcReclaim: "lgc_reclaim", "gc.lgc", "LGC phase C (reclaim) duration";
+    /// SATB trace over the entangled space.
+    CgcMark: "cgc_mark", "gc.cgc", "CGC mark phase duration";
+    CgcSweep: "cgc_sweep", "gc.cgc", "CGC sweep+epilogue duration";
+    /// Read or write: locate/LCA/pin/remset work.
+    BarrierSlow: "barrier_slow", "barrier", "Slow-tier barrier entry latency";
+    /// From first probe to a job in hand.
+    SchedSteal: "sched_steal", "sched", "Successful steal latency";
+    SchedRun: "sched_run", "sched", "Job run time on a worker";
+    SchedPark: "sched_park", "sched", "Idle worker park interval";
+    /// Grouped publish to ancestor heaps.
+    RemsetFlush: "remset_flush", "barrier", "Buffered remset flush duration";
+    /// A trace, sweep, or epilogue unit.
+    CgcPacket: "cgc_packet", "gc.cgc", "One CGC work packet on a scheduler worker";
+    /// Taken when a task's cached size-class block overflows (or the
+    /// object is oversized) — block acquisition plus cache re-adoption.
+    AllocRefill: "alloc_refill", "alloc", "Allocation-cache refill (store-path block overflow fallback)";
+    /// Ends at `Runtime::try_run*` catching the `Cancelled` payload.
+    CancelUnwind: "cancel_unwind", "cancel", "Cancellation latency (token trip to run fully unwound)";
 }
 
 /// Number of [`Metric`] variants.
-pub const METRIC_COUNT: usize = 15;
-
-/// All metrics, in discriminant order.
-pub const ALL_METRICS: [Metric; METRIC_COUNT] = [
-    Metric::LgcPause,
-    Metric::CgcPause,
-    Metric::LgcShield,
-    Metric::LgcEvacuate,
-    Metric::LgcReclaim,
-    Metric::CgcMark,
-    Metric::CgcSweep,
-    Metric::BarrierSlow,
-    Metric::SchedSteal,
-    Metric::SchedRun,
-    Metric::SchedPark,
-    Metric::RemsetFlush,
-    Metric::CgcPacket,
-    Metric::AllocRefill,
-    Metric::CancelUnwind,
-];
+pub const METRIC_COUNT: usize = STRINGS.len();
 
 impl Metric {
     /// Stable snake_case name (used for Prometheus metric names and Chrome
     /// trace event names).
     pub fn name(self) -> &'static str {
-        match self {
-            Metric::LgcPause => "lgc_pause",
-            Metric::CgcPause => "cgc_pause",
-            Metric::LgcShield => "lgc_shield",
-            Metric::LgcEvacuate => "lgc_evacuate",
-            Metric::LgcReclaim => "lgc_reclaim",
-            Metric::CgcMark => "cgc_mark",
-            Metric::CgcSweep => "cgc_sweep",
-            Metric::BarrierSlow => "barrier_slow",
-            Metric::SchedSteal => "sched_steal",
-            Metric::SchedRun => "sched_run",
-            Metric::SchedPark => "sched_park",
-            Metric::RemsetFlush => "remset_flush",
-            Metric::CgcPacket => "cgc_packet",
-            Metric::AllocRefill => "alloc_refill",
-            Metric::CancelUnwind => "cancel_unwind",
-        }
-    }
-
-    /// One-line description (Prometheus `# HELP`).
-    pub fn help(self) -> &'static str {
-        match self {
-            Metric::LgcPause => "Local collection stop-the-task pause",
-            Metric::CgcPause => "Entangled collection pause (monolithic or slice)",
-            Metric::LgcShield => "LGC phase A (shield) duration",
-            Metric::LgcEvacuate => "LGC phase B (evacuate) duration",
-            Metric::LgcReclaim => "LGC phase C (reclaim) duration",
-            Metric::CgcMark => "CGC mark phase duration",
-            Metric::CgcSweep => "CGC sweep+epilogue duration",
-            Metric::BarrierSlow => "Slow-tier barrier entry latency",
-            Metric::SchedSteal => "Successful steal latency",
-            Metric::SchedRun => "Job run time on a worker",
-            Metric::SchedPark => "Idle worker park interval",
-            Metric::RemsetFlush => "Buffered remset flush duration",
-            Metric::CgcPacket => "One CGC work packet on a scheduler worker",
-            Metric::AllocRefill => "Allocation-cache refill (store-path block overflow fallback)",
-            Metric::CancelUnwind => "Cancellation latency (token trip to run fully unwound)",
-        }
+        STRINGS[self as usize].0
     }
 
     /// Chrome-trace category for the subsystem this metric belongs to.
     pub fn category(self) -> &'static str {
-        match self {
-            Metric::LgcPause | Metric::LgcShield | Metric::LgcEvacuate | Metric::LgcReclaim => {
-                "gc.lgc"
-            }
-            Metric::CgcPause | Metric::CgcMark | Metric::CgcSweep | Metric::CgcPacket => "gc.cgc",
-            Metric::BarrierSlow | Metric::RemsetFlush => "barrier",
-            Metric::SchedSteal | Metric::SchedRun | Metric::SchedPark => "sched",
-            Metric::AllocRefill => "alloc",
-            Metric::CancelUnwind => "cancel",
-        }
+        STRINGS[self as usize].1
+    }
+
+    /// One-line description (Prometheus `# HELP`).
+    pub fn help(self) -> &'static str {
+        STRINGS[self as usize].2
     }
 
     /// Reconstruct a metric from its discriminant (span ring decode).

@@ -51,7 +51,7 @@ pub mod workload;
 
 pub use report::{GcReport, ServerReport, TenantReport};
 pub use server::{Brownout, Server};
-pub use tenant::{Breaker, BreakerState, Tenant, TenantSpec};
+pub use tenant::{Breaker, BreakerState, Tenant, TenantCounts, TenantSpec};
 pub use traffic::{
     schedule, schedule_digest, Arrival, ArrivalProcess, RequestKind, RequestMix, SplitMix64,
     TrafficConfig,

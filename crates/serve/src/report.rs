@@ -4,34 +4,15 @@
 use mpl_heap::BudgetSnapshot;
 use mpl_obs::{JsonWriter, Sample};
 
+use crate::tenant::TenantCounts;
+
 /// Per-tenant SLO row.
 #[derive(Clone, Debug)]
 pub struct TenantReport {
     /// Tenant name.
     pub name: String,
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests shed for budget reasons (admission gate or mid-flight).
-    pub shed_budget: u64,
-    /// Requests shed by injected admission faults.
-    pub shed_injected: u64,
-    /// Maintenance collections triggered by the admission gate.
-    pub maintenance_gcs: u64,
-    /// Request attempts that exhausted their deadline (including ones
-    /// that later succeeded on retry).
-    pub timed_out: u64,
-    /// Retry attempts launched after a timeout.
-    pub retried: u64,
-    /// Times the tenant's circuit breaker opened.
-    pub breaker_opens: u64,
-    /// Requests shed at the door by an open breaker.
-    pub breaker_shed: u64,
-    /// Requests shed by the brownout ladder.
-    pub brownout_shed: u64,
-    /// Requests served degraded (cheap read) under brownout.
-    pub degraded: u64,
+    /// This run's admission counters.
+    pub counts: TenantCounts,
     /// Median request latency, ns (from scheduled arrival).
     pub p50_ns: u64,
     /// 99th percentile latency, ns.
@@ -164,20 +145,11 @@ impl ServerReport {
         w.end_object();
         w.key("tenants").begin_array();
         for t in &self.tenants {
-            w.begin_object()
-                .field_str("name", &t.name)
-                .field_u64("admitted", t.admitted)
-                .field_u64("completed", t.completed)
-                .field_u64("shed_budget", t.shed_budget)
-                .field_u64("shed_injected", t.shed_injected)
-                .field_u64("maintenance_gcs", t.maintenance_gcs)
-                .field_u64("timed_out", t.timed_out)
-                .field_u64("retried", t.retried)
-                .field_u64("breaker_opens", t.breaker_opens)
-                .field_u64("breaker_shed", t.breaker_shed)
-                .field_u64("brownout_shed", t.brownout_shed)
-                .field_u64("degraded", t.degraded)
-                .field_u64("p50_ns", t.p50_ns)
+            w.begin_object().field_str("name", &t.name);
+            for (key, count) in t.counts.fields() {
+                w.field_u64(key, count);
+            }
+            w.field_u64("p50_ns", t.p50_ns)
                 .field_u64("p99_ns", t.p99_ns)
                 .field_u64("p999_ns", t.p999_ns)
                 .field_u64("max_ns", t.max_ns)
@@ -243,26 +215,27 @@ impl ServerReport {
             out.push_str(&format!(
                 "{:<10} {:>9} {:>9} {:>7} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>12.1}\n",
                 t.name,
-                t.admitted,
-                t.completed,
-                t.shed_budget + t.shed_injected + t.breaker_shed + t.brownout_shed,
+                t.counts.admitted,
+                t.counts.completed,
+                t.counts.shed_total(),
                 t.p50_ns as f64 / 1e3,
                 t.p99_ns as f64 / 1e3,
                 t.p999_ns as f64 / 1e3,
                 t.max_ns as f64 / 1e3,
                 t.goodput_rps,
             ));
-            if t.timed_out + t.breaker_opens + t.brownout_shed + t.degraded > 0 {
+            let c = &t.counts;
+            if c.timed_out + c.breaker_opens + c.brownout_shed + c.degraded > 0 {
                 out.push_str(&format!(
                     "{:<10}   timeouts {}  retries {}  breaker-opens {}  breaker-shed {}  \
                      brownout-shed {}  degraded {}\n",
                     "",
-                    t.timed_out,
-                    t.retried,
-                    t.breaker_opens,
-                    t.breaker_shed,
-                    t.brownout_shed,
-                    t.degraded,
+                    c.timed_out,
+                    c.retried,
+                    c.breaker_opens,
+                    c.breaker_shed,
+                    c.brownout_shed,
+                    c.degraded,
                 ));
             }
             if let Some(b) = &t.budget {
@@ -353,17 +326,19 @@ mod tests {
             goodput_rps: 9000.0,
             tenants: vec![TenantReport {
                 name: "a\"b".into(),
-                admitted: 10,
-                completed: 9,
-                shed_budget: 1,
-                shed_injected: 0,
-                maintenance_gcs: 2,
-                timed_out: 3,
-                retried: 2,
-                breaker_opens: 1,
-                breaker_shed: 4,
-                brownout_shed: 5,
-                degraded: 6,
+                counts: TenantCounts {
+                    admitted: 10,
+                    completed: 9,
+                    shed_budget: 1,
+                    shed_injected: 0,
+                    maintenance_gcs: 2,
+                    timed_out: 3,
+                    retried: 2,
+                    breaker_opens: 1,
+                    breaker_shed: 4,
+                    brownout_shed: 5,
+                    degraded: 6,
+                },
                 p50_ns: 100,
                 p99_ns: 500,
                 p999_ns: 900,
@@ -402,6 +377,11 @@ mod tests {
         assert!(j.contains("\"schedule_digest\":42"));
         assert!(j.contains("\"a\\\"b\""));
         assert!(j.contains("\"sheds\":1"));
+        assert!(j.contains(
+            "\"admitted\":10,\"completed\":9,\"shed_budget\":1,\"shed_injected\":0,\
+             \"maintenance_gcs\":2,\"timed_out\":3,\"retried\":2,\"breaker_opens\":1,\
+             \"breaker_shed\":4,\"brownout_shed\":5,\"degraded\":6,\"p50_ns\":100"
+        ));
         assert!(j.contains("\"census\""));
         assert!(j.contains("\"clean_block_ratio\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -126,25 +126,7 @@ impl<'rt> Server<'rt> {
         let lat0: Vec<_> = self.tenants.iter().map(|t| t.latency.snapshot()).collect();
         // Tenant counters accumulate for the server's lifetime; the
         // report covers this run only.
-        let counts0: Vec<[u64; 11]> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                [
-                    t.admitted,
-                    t.completed,
-                    t.shed_budget,
-                    t.shed_injected,
-                    t.maintenance_gcs,
-                    t.timed_out,
-                    t.retried,
-                    t.breaker_opens,
-                    t.breaker_shed,
-                    t.brownout_shed,
-                    t.degraded,
-                ]
-            })
-            .collect();
+        let counts0: Vec<_> = self.tenants.iter().map(|t| t.counts).collect();
         // Retry jitter is seeded from the traffic seed so overload runs
         // replay deterministically.
         let mut rng = SplitMix64::new(traffic.seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -191,21 +173,21 @@ impl<'rt> Server<'rt> {
             let tn = &mut self.tenants[a.tenant % ntenants];
             // 1. Injected admission fault.
             if mpl_fail::hit(FP_ADMIT).is_err() {
-                tn.shed_injected += 1;
+                tn.counts.shed_injected += 1;
                 continue;
             }
             // 2. Brownout ladder: entangled-profile work (the pin and
             //    CGC feeder) is shed at the door under pressure.
             if brownout >= Brownout::ShedEntangled && tn.spec.profile == Profile::Entangled {
                 mpl_fail::hit_hard(FP_SHED);
-                tn.brownout_shed += 1;
+                tn.counts.brownout_shed += 1;
                 continue;
             }
             // 3. Circuit breaker: a tenant with a streak of run failures
             //    is shed without touching the runtime until its breaker
             //    half-opens for a probe.
             if !tn.breaker.admit(t0.elapsed().as_nanos() as u64) {
-                tn.breaker_shed += 1;
+                tn.counts.breaker_shed += 1;
                 continue;
             }
             // 4. Budget admission gate, with one collect-and-retry. A
@@ -215,7 +197,7 @@ impl<'rt> Server<'rt> {
             if let Some(b) = tn.session.budget().cloned() {
                 if b.would_exceed(self.admit_estimate) {
                     if tn.futile_at != Some(b.live_bytes()) {
-                        tn.maintenance_gcs += 1;
+                        tn.counts.maintenance_gcs += 1;
                         let _ = self.rt.try_run_session(&tn.session, |m| {
                             m.force_lgc(&mut []);
                             Value::Unit
@@ -225,7 +207,7 @@ impl<'rt> Server<'rt> {
                         tn.futile_at = Some(b.live_bytes());
                         mpl_fail::hit_hard(FP_SHED);
                         b.on_shed();
-                        tn.shed_budget += 1;
+                        tn.counts.shed_budget += 1;
                         continue;
                     }
                     tn.futile_at = None;
@@ -234,13 +216,13 @@ impl<'rt> Server<'rt> {
             // 5. Run it, under the tenant deadline when one is set; the
             //    AllocError backstop sheds mid-flight exhaustion without
             //    poisoning the session.
-            tn.admitted += 1;
+            tn.counts.admitted += 1;
             let mut kind = a.kind;
             let mut size = a.size * tn.spec.payload_scale;
             if brownout >= Brownout::Degraded && kind != RequestKind::Read {
                 kind = RequestKind::Read;
                 size = 1;
-                tn.degraded += 1;
+                tn.counts.degraded += 1;
             }
             let profile = tn.spec.profile;
             let timeout_ns = tn.spec.timeout_ns;
@@ -262,11 +244,11 @@ impl<'rt> Server<'rt> {
                 match res {
                     Ok(_) => break Ok(()),
                     Err(RunError::Cancelled(c)) if matches!(c.reason, CancelReason::Deadline) => {
-                        tn.timed_out += 1;
+                        tn.counts.timed_out += 1;
                         window_timeouts += 1;
                         self.rt.note_request_timeout();
                         if attempt <= tn.spec.retries {
-                            tn.retried += 1;
+                            tn.counts.retried += 1;
                             self.rt.note_request_retry();
                             // Exponential backoff jittered into [½, 1]×
                             // so a storm's retries decorrelate.
@@ -284,7 +266,7 @@ impl<'rt> Server<'rt> {
             match outcome {
                 Ok(()) => {
                     tn.breaker.on_success();
-                    tn.completed += 1;
+                    tn.counts.completed += 1;
                     let done_ns = t0.elapsed().as_nanos() as u64;
                     tn.latency.record(done_ns.saturating_sub(a.at_ns));
                 }
@@ -292,13 +274,13 @@ impl<'rt> Server<'rt> {
                     // Ordinary budget shed: not a breaker failure (the
                     // budget gate, not the tenant's latency, is at fault).
                     mpl_fail::hit_hard(FP_SHED);
-                    tn.shed_budget += 1;
+                    tn.counts.shed_budget += 1;
                 }
                 Err(Failure::Timeout) | Err(Failure::Fatal) => {
                     let now_ns = t0.elapsed().as_nanos() as u64;
                     let open_ns = (4 * timeout_ns.max(500_000)).max(2_000_000);
                     if tn.breaker.on_failure(now_ns, BREAKER_THRESHOLD, open_ns) {
-                        tn.breaker_opens += 1;
+                        tn.counts.breaker_opens += 1;
                         self.rt.note_breaker_open();
                         flight_record(
                             FlightKind::Event,
@@ -334,25 +316,16 @@ impl<'rt> Server<'rt> {
                 // This run's own recordings: the family histogram is
                 // process-global, so subtract the pre-run snapshot.
                 let lat = diff_hist(&snap, l0);
+                let counts = t.counts.since(c0);
                 TenantReport {
                     name: t.spec.name.clone(),
-                    admitted: t.admitted - c0[0],
-                    completed: t.completed - c0[1],
-                    shed_budget: t.shed_budget - c0[2],
-                    shed_injected: t.shed_injected - c0[3],
-                    maintenance_gcs: t.maintenance_gcs - c0[4],
-                    timed_out: t.timed_out - c0[5],
-                    retried: t.retried - c0[6],
-                    breaker_opens: t.breaker_opens - c0[7],
-                    breaker_shed: t.breaker_shed - c0[8],
-                    brownout_shed: t.brownout_shed - c0[9],
-                    degraded: t.degraded - c0[10],
+                    counts,
                     p50_ns: lat.percentile(0.50),
                     p99_ns: lat.percentile(0.99),
                     p999_ns: lat.percentile(0.999),
                     max_ns: lat.max,
                     mean_ns: lat.mean(),
-                    goodput_rps: (t.completed - c0[1]) as f64 / wall_s,
+                    goodput_rps: counts.completed as f64 / wall_s,
                     budget: t.session.budget().map(|b| b.snapshot()),
                     census: census
                         .as_ref()
@@ -360,11 +333,8 @@ impl<'rt> Server<'rt> {
                 }
             })
             .collect::<Vec<_>>();
-        let completed_total: u64 = tenants.iter().map(|t| t.completed).sum();
-        let shed_total: u64 = tenants
-            .iter()
-            .map(|t| t.shed_budget + t.shed_injected + t.breaker_shed + t.brownout_shed)
-            .sum();
+        let completed_total: u64 = tenants.iter().map(|t| t.counts.completed).sum();
+        let shed_total: u64 = tenants.iter().map(|t| t.counts.shed_total()).sum();
         ServerReport {
             digest,
             wall_ns,
@@ -522,7 +492,7 @@ mod tests {
             },
             ..TrafficConfig::default()
         });
-        let t = &rep.tenants[0];
+        let t = &rep.tenants[0].counts;
         assert!(t.timed_out > 0, "1ns deadline never timed out: {t:?}");
         assert!(t.retried > 0, "timeouts must retry: {t:?}");
         assert!(
@@ -576,8 +546,8 @@ mod tests {
             },
             ..TrafficConfig::default()
         });
-        let pin = &rep.tenants[0];
-        let plain = &rep.tenants[1];
+        let pin = &rep.tenants[0].counts;
+        let plain = &rep.tenants[1].counts;
         assert!(pin.brownout_shed > 0, "entangled tenant must shed: {pin:?}");
         assert_eq!(pin.completed, 0, "shed at the door, never admitted");
         assert!(plain.completed > 0, "disentangled tenant keeps serving");
@@ -627,7 +597,7 @@ mod tests {
         // The rung itself may have relaxed again by the end of the run
         // (an open breaker silences the storm), so the witness is the
         // victim's shed count, not the final rung.
-        let victim = &rep.tenants[1];
+        let victim = &rep.tenants[1].counts;
         assert!(
             victim.brownout_shed > 0,
             "entangled victim must be shed under brownout: {victim:?}"

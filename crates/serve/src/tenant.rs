@@ -176,6 +176,69 @@ impl Breaker {
     }
 }
 
+/// Declares [`TenantCounts`] from one list of its fields, so the struct,
+/// its interval view and the report's key order cannot drift apart.
+macro_rules! tenant_counts {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Per-tenant dispatcher counters: one field per admission
+        /// outcome. [`Tenant`] accumulates them for the server's lifetime;
+        /// a [`crate::report::TenantReport`] holds one run's share
+        /// ([`TenantCounts::since`]).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct TenantCounts { $($(#[$doc])* pub $name: u64,)* }
+
+        impl TenantCounts {
+            /// Every counter with its report key, in report order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+
+            /// What was counted after `earlier` was taken.
+            pub fn since(&self, earlier: &TenantCounts) -> TenantCounts {
+                TenantCounts { $($name: self.$name - earlier.$name,)* }
+            }
+        }
+    };
+}
+
+tenant_counts! {
+    /// Requests that passed admission.
+    admitted,
+    /// Requests that completed successfully.
+    completed,
+    /// Requests shed by budget admission control or by a mid-request
+    /// budget `AllocError`.
+    shed_budget,
+    /// Requests shed by an injected `serve/admit` failpoint.
+    shed_injected,
+    /// Maintenance collections run when admission found the tenant over
+    /// budget (the retry-after-collection path).
+    maintenance_gcs,
+    /// Request attempts that exhausted their deadline (every timed-out
+    /// attempt counts, including ones that later succeeded on retry).
+    timed_out,
+    /// Retry attempts launched after a timeout.
+    retried,
+    /// Times this tenant's circuit breaker opened.
+    breaker_opens,
+    /// Requests shed at the door by an open breaker.
+    breaker_shed,
+    /// Requests shed by the server's brownout ladder (entangled-profile
+    /// load shedding under memory/pause pressure).
+    brownout_shed,
+    /// Requests served degraded (cheap read instead of the scheduled
+    /// kind) while the server was at the brownout ladder's last rung.
+    degraded,
+}
+
+impl TenantCounts {
+    /// Total requests shed for any reason (budget, injected fault, open
+    /// breaker, brownout).
+    pub fn shed_total(&self) -> u64 {
+        self.shed_budget + self.shed_injected + self.breaker_shed + self.brownout_shed
+    }
+}
+
 /// A live tenant: its runtime session (root heap + budget + persistent
 /// root stack), its session states, its latency histogram, and the
 /// dispatcher's admission counters.
@@ -190,33 +253,9 @@ pub struct Tenant {
     /// completion. Registered in the `"serve_latency"` histogram family
     /// under the tenant name, so exporters see it too.
     pub latency: Arc<Histogram>,
-    /// Requests that passed admission.
-    pub admitted: u64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests shed by budget admission control or by a mid-request
-    /// budget `AllocError`.
-    pub shed_budget: u64,
-    /// Requests shed by an injected `serve/admit` failpoint.
-    pub shed_injected: u64,
-    /// Maintenance collections run when admission found the tenant over
-    /// budget (the retry-after-collection path).
-    pub maintenance_gcs: u64,
-    /// Request attempts that exhausted their deadline (every timed-out
-    /// attempt counts, including ones that later succeeded on retry).
-    pub timed_out: u64,
-    /// Retry attempts launched after a timeout.
-    pub retried: u64,
-    /// Times this tenant's circuit breaker opened.
-    pub breaker_opens: u64,
-    /// Requests shed at the door by an open breaker.
-    pub breaker_shed: u64,
-    /// Requests shed by the server's brownout ladder (entangled-profile
-    /// load shedding under memory/pause pressure).
-    pub brownout_shed: u64,
-    /// Requests served degraded (cheap read instead of the scheduled
-    /// kind) while the server was at the brownout ladder's last rung.
-    pub degraded: u64,
+    /// The dispatcher's admission counters, accumulated over the
+    /// server's lifetime.
+    pub counts: TenantCounts,
     /// Circuit-breaker state over this tenant's run failures.
     pub breaker: Breaker,
     /// Budget live-bytes after the last maintenance collection that
@@ -249,26 +288,10 @@ impl Tenant {
             session,
             states,
             latency,
-            admitted: 0,
-            completed: 0,
-            shed_budget: 0,
-            shed_injected: 0,
-            maintenance_gcs: 0,
-            timed_out: 0,
-            retried: 0,
-            breaker_opens: 0,
-            breaker_shed: 0,
-            brownout_shed: 0,
-            degraded: 0,
+            counts: TenantCounts::default(),
             breaker: Breaker::default(),
             futile_at: None,
         }
-    }
-
-    /// Total requests shed for any reason (budget, injected fault, open
-    /// breaker, brownout).
-    pub fn shed_total(&self) -> u64 {
-        self.shed_budget + self.shed_injected + self.breaker_shed + self.brownout_shed
     }
 }
 

@@ -37,9 +37,9 @@ fn main() {
     let hog = &report.tenants[2];
     println!(
         "hog shed {} requests against its {} KiB budget; web/feed shed {}",
-        hog.shed_budget,
+        hog.counts.shed_budget,
         hog.budget.as_ref().map_or(0, |b| b.limit / 1024),
-        report.tenants[0].shed_budget + report.tenants[1].shed_budget,
+        report.tenants[0].counts.shed_budget + report.tenants[1].counts.shed_budget,
     );
     server.shutdown();
     rt.assert_heap_sound();

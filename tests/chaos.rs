@@ -387,7 +387,7 @@ fn serving_survives_admission_and_shed_chaos() {
             ..TrafficConfig::default()
         });
         assert!(
-            rep.tenants[0].completed > 0,
+            rep.tenants[0].counts.completed > 0,
             "seed {seed}: benign tenant starved"
         );
         assert!(

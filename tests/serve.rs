@@ -100,9 +100,12 @@ fn budget_isolation_adversary_sheds_victims_serve() {
     });
     let victim = &rep.tenants[0];
     let adv = &rep.tenants[1];
-    assert_eq!(victim.shed_budget, 0, "victim shed by adversary pressure");
-    assert_eq!(victim.completed, victim.admitted);
-    assert!(adv.shed_budget > 0, "adversary never shed");
+    assert_eq!(
+        victim.counts.shed_budget, 0,
+        "victim shed by adversary pressure"
+    );
+    assert_eq!(victim.counts.completed, victim.counts.admitted);
+    assert!(adv.counts.shed_budget > 0, "adversary never shed");
     let b = adv.budget.as_ref().expect("adversary budget");
     assert!(b.sheds > 0);
     assert!(
@@ -212,7 +215,7 @@ fn served_schedule_is_worker_count_independent() {
         admitted.push(
             rep.tenants
                 .iter()
-                .map(|t| (t.admitted, t.completed))
+                .map(|t| (t.counts.admitted, t.counts.completed))
                 .collect::<Vec<_>>(),
         );
         srv.shutdown();

@@ -92,9 +92,6 @@ impl Runtime {
         mpl_fail::init_from_env();
         let failpoint_owner =
             (!config.failpoints.is_empty()).then(|| mpl_fail::install(&config.failpoints));
-        // Give each pool worker its own event ring. Registered before the
-        // pool exists so the first worker to start is already covered.
-        mpl_sched::set_worker_start_hook(mpl_gc::audit::register_worker);
         // Task-boundary markers in the event rings: lets an audit dump
         // reconstruct which jobs surrounded a failure.
         mpl_sched::set_job_finish_hook(mpl_gc::audit::note_job_boundary);

@@ -11,11 +11,11 @@
 //!    mis-mark at the marking site instead of cycles later at a trace),
 //!    and no live field may dangle
 //!    ([`validate::dangling_fields`](crate::validate::dangling_fields)).
-//! 2. **Event tracing** — a lock-free, per-worker ring buffer of the
-//!    structured events defined in [`mpl_heap::events`]. On any audit
-//!    failure (or the collector's own corruption assertions) the rings
-//!    are dumped in global sequence order, so a failing run prints the
-//!    exact pin/unpin/dead-mark interleaving that led to the bug.
+//! 2. **Event tracing** — switches on the per-worker event rings of
+//!    [`mpl_heap::events`]. On any audit failure (or the collector's own
+//!    corruption assertions) the rings are dumped in global sequence
+//!    order, so a failing run prints the exact pin/unpin/dead-mark
+//!    interleaving that led to the bug.
 //!
 //! Enablement is either the `MPL_DEBUG_LGC_VALIDATE` environment
 //! variable (read once) or the refcounted programmatic switch
@@ -24,83 +24,19 @@
 //! Counters ([`counters`]) are process-global and overlaid onto
 //! `StatsSnapshot` by the runtime, mirroring the scheduler counters.
 
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use mpl_heap::events::{self, Event, EventKind};
+use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, Store};
 
-/// Number of event rings. Worker threads registered via
-/// [`register_worker`] map onto ring `index % RINGS`; unregistered
-/// threads are assigned round-robin. Sharing a ring is harmless (events
-/// carry global sequence numbers), it only shortens per-thread history.
-const RINGS: usize = 32;
-/// Events retained per ring; older events are overwritten (counted as
-/// overflows).
-const RING_CAP: usize = 16384;
-
-struct Slot {
-    /// Global sequence number, 0 = empty. Written last (release) so a
-    /// racing dump sees either the old event or the complete new one.
-    seq: AtomicU64,
-    /// `kind << 32 | block`.
-    a: AtomicU64,
-    /// `aux << 32 | word`.
-    b: AtomicU64,
-}
-
-struct Ring {
-    cursor: AtomicUsize,
-    slots: [Slot; RING_CAP],
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SLOT: Slot = Slot {
-    seq: AtomicU64::new(0),
-    a: AtomicU64::new(0),
-    b: AtomicU64::new(0),
-};
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_RING: Ring = Ring {
-    cursor: AtomicUsize::new(0),
-    slots: [EMPTY_SLOT; RING_CAP],
-};
-static RINGBUF: [Ring; RINGS] = [EMPTY_RING; RINGS];
-
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static OVERFLOWS: AtomicU64 = AtomicU64::new(0);
 static AUDITS: AtomicU64 = AtomicU64::new(0);
 static OBJECTS_CHECKED: AtomicU64 = AtomicU64::new(0);
 static FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Programmatic enablement refcount (see [`enable`]).
 static FORCED: AtomicUsize = AtomicUsize::new(0);
-/// Round-robin ring assignment for threads that never registered.
-static NEXT_RING: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static RING_ID: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn ring_id() -> usize {
-    RING_ID.with(|c| {
-        let mut id = c.get();
-        if id == usize::MAX {
-            id = NEXT_RING.fetch_add(1, Ordering::Relaxed) % RINGS;
-            c.set(id);
-        }
-        id
-    })
-}
-
-/// Pins the calling thread's events to ring `index % RINGS`. The
-/// scheduler calls this from its worker-start hook so each worker's
-/// history lives in its own ring.
-pub fn register_worker(index: usize) {
-    RING_ID.with(|c| c.set(index % RINGS));
-}
 
 /// Records a task-boundary marker in the calling worker's event ring.
 /// The scheduler calls this from its job-finish hook; the markers let a
@@ -110,38 +46,12 @@ pub fn note_job_boundary(index: usize) {
     events::emit(EventKind::TaskBoundary, 0, 0, index as u32);
 }
 
-/// The event sink installed into [`mpl_heap::events`].
-fn record(ev: Event) {
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let ring = &RINGBUF[ring_id()];
-    let cur = ring.cursor.fetch_add(1, Ordering::Relaxed);
-    if cur >= RING_CAP {
-        OVERFLOWS.fetch_add(1, Ordering::Relaxed);
-    }
-    let slot = &ring.slots[cur % RING_CAP];
-    slot.seq.store(0, Ordering::Release);
-    slot.a.store(
-        (u64::from(ev.kind as u8) << 32) | u64::from(ev.block),
-        Ordering::Relaxed,
-    );
-    slot.b.store(
-        (u64::from(ev.aux) << 32) | u64::from(ev.word),
-        Ordering::Relaxed,
-    );
-    slot.seq.store(seq, Ordering::Release);
-}
-
-fn install_tracing() {
-    events::install_sink(record);
-    events::set_tracing(true);
-}
-
 fn env_enabled() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
     *ENV.get_or_init(|| {
         let on = std::env::var_os("MPL_DEBUG_LGC_VALIDATE").is_some();
         if on {
-            install_tracing();
+            events::set_tracing(true);
         }
         on
     })
@@ -155,7 +65,7 @@ pub fn enabled() -> bool {
 /// Programmatically enables auditing (refcounted; every [`enable`] needs
 /// a matching [`disable`]). Used by `RuntimeConfig::with_audit`.
 pub fn enable() {
-    install_tracing();
+    events::set_tracing(true);
     FORCED.fetch_add(1, Ordering::AcqRel);
 }
 
@@ -182,52 +92,37 @@ pub struct AuditCounters {
     pub failures: u64,
 }
 
-/// Snapshot of the process-global audit counters.
+/// Snapshot of the process-global audit counters. The event counts are
+/// the event rings' own (spans and flight records share the sequence
+/// numbers but not these counts).
 pub fn counters() -> AuditCounters {
+    let (events_recorded, ring_overflows) = events::recorded();
     AuditCounters {
         audits_run: AUDITS.load(Ordering::Relaxed),
         objects_checked: OBJECTS_CHECKED.load(Ordering::Relaxed),
-        events_recorded: SEQ.load(Ordering::Relaxed),
-        ring_overflows: OVERFLOWS.load(Ordering::Relaxed),
+        events_recorded,
+        ring_overflows,
         failures: FAILURES.load(Ordering::Relaxed),
     }
 }
 
 /// Dumps every recorded event to stderr in global sequence order and
-/// returns how many were printed. Safe to call at any time (racing
-/// writers may tear at most the slots being written right now); the
-/// collectors call it before dying on a corruption assertion.
+/// returns how many were printed. Safe to call at any time (a slot being
+/// written right now is left out); the collectors call it before dying on
+/// a corruption assertion.
 pub fn dump_events() -> usize {
-    let mut all: Vec<(u64, usize, u64, u64)> = Vec::new();
-    for (ri, ring) in RINGBUF.iter().enumerate() {
-        for slot in &ring.slots {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            all.push((
-                seq,
-                ri,
-                slot.a.load(Ordering::Relaxed),
-                slot.b.load(Ordering::Relaxed),
-            ));
-        }
-    }
+    let all = events::snapshot();
     if all.is_empty() {
         return 0;
     }
-    all.sort_unstable();
     eprintln!(
         "=== mpl-gc event trace ({} events, {} lost to ring wraparound) ===",
         all.len(),
-        OVERFLOWS.load(Ordering::Relaxed)
+        events::recorded().1
     );
-    for (seq, ring, a, b) in &all {
-        let kind = EventKind::from_bits((a >> 32) as u8);
-        let block = *a as u32;
-        let word = *b as u32;
-        let aux = (b >> 32) as u32;
-        let name = kind.map_or("?", EventKind::name);
+    for e in &all {
+        let (seq, ring, name) = (e.seq, e.ring, e.kind.name());
+        let (block, word, aux) = (e.block, e.word, e.aux);
         eprintln!("[seq {seq:08} ring {ring:02}] {name:<14} b{block}w{word} aux={aux}");
     }
     eprintln!("=== end event trace ===");
@@ -533,6 +428,17 @@ mod tests {
         let after = counters().events_recorded;
         assert!(after >= before + 2, "{before} -> {after}");
         assert!(dump_events() >= 2);
+        // Spans draw from the same global sequence but are not events:
+        // closing one leaves the count alone. (Other tests in this binary
+        // may emit concurrently, so look for one quiet attempt.)
+        mpl_obs::enable();
+        let quiet = (0..100).any(|_| {
+            let before = counters().events_recorded;
+            mpl_obs::span_close(mpl_obs::Metric::SchedRun, mpl_obs::span_start());
+            counters().events_recorded == before
+        });
+        mpl_obs::disable();
+        assert!(quiet, "closing a span moved events_recorded every time");
         disable();
     }
 

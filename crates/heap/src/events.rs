@@ -6,14 +6,14 @@
 //! module. When tracing is off (the default) an emission is a single
 //! relaxed atomic load and a predicted-not-taken branch, so the
 //! disentangled fast path keeps the paper's near-zero-cost discipline.
-//! When tracing is on, events flow to an installed *sink*; the sink (a
-//! lock-free per-worker ring buffer that can reconstruct the exact
-//! interleaving behind a GC audit failure) lives in `mpl-gc`'s `audit`
-//! module. This module only defines the contract, keeping the heap
-//! crate free of collector dependencies.
+//! When tracing is on, events go into a per-worker [`Ring`] (the `mpl-obs`
+//! ring primitive); `mpl-gc`'s `audit` module switches tracing
+//! on and dumps the rings in global sequence order to reconstruct the
+//! exact interleaving behind a GC audit failure.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+
+use mpl_obs::ring::{Record, Ring, SHARDS};
 
 use crate::value::ObjRef;
 
@@ -107,9 +107,13 @@ impl EventKind {
     }
 }
 
-/// One recorded event. Sequence numbers are assigned by the sink.
+/// One recorded event, decoded from the rings.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
+    /// Global sequence number (arrival order).
+    pub seq: u64,
+    /// The ring shard (emitting worker's id modulo the shard count).
+    pub ring: usize,
     /// What happened.
     pub kind: EventKind,
     /// Block id of the subject (or the block itself for block events).
@@ -120,8 +124,13 @@ pub struct Event {
     pub aux: u32,
 }
 
+/// Events retained per worker shard; older events are overwritten
+/// (counted as overflows).
+const RING_CAP: usize = 16384;
+
 static TRACING: AtomicBool = AtomicBool::new(false);
-static SINK: OnceLock<fn(Event)> = OnceLock::new();
+/// Payload: `kind << 32 | block`, `aux << 32 | word`.
+static RINGS: Ring<2, RING_CAP, SHARDS> = Ring::new();
 
 /// Turns event emission on or off. Off is the default; emission sites
 /// pay one relaxed load either way.
@@ -134,26 +143,39 @@ pub fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// Installs the process-wide event sink. First caller wins; later calls
-/// are ignored (the audit layer installs exactly one).
-pub fn install_sink(sink: fn(Event)) {
-    let _ = SINK.set(sink);
-}
-
-/// Emits one event if tracing is enabled and a sink is installed.
+/// Emits one event into the calling worker's ring if tracing is enabled.
 #[inline]
 pub fn emit(kind: EventKind, block: u32, word: u32, aux: u32) {
     if !TRACING.load(Ordering::Relaxed) {
         return;
     }
-    if let Some(sink) = SINK.get() {
-        sink(Event {
-            kind,
-            block,
-            word,
-            aux,
-        });
-    }
+    RINGS.push([
+        (u64::from(kind as u8) << 32) | u64::from(block),
+        (u64::from(aux) << 32) | u64::from(word),
+    ]);
+}
+
+/// Every retained event in global sequence order. Safe to call while
+/// workers keep emitting.
+pub fn snapshot() -> Vec<Event> {
+    let decode = |r: Record<2>| {
+        let [a, b] = r.words;
+        Some(Event {
+            seq: r.seq,
+            ring: r.shard,
+            kind: EventKind::from_bits((a >> 32) as u8)?,
+            block: a as u32,
+            word: b as u32,
+            aux: (b >> 32) as u32,
+        })
+    };
+    RINGS.snapshot().into_iter().filter_map(decode).collect()
+}
+
+/// `(recorded, overwritten)`: events ever emitted into the rings, and how
+/// many of those wraparound has since evicted.
+pub fn recorded() -> (u64, u64) {
+    (RINGS.pushed(), RINGS.overwritten())
 }
 
 /// Emits one event about an object reference.
@@ -188,8 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn emission_without_sink_is_a_no_op() {
-        // Tracing defaults off; even toggled on, a missing sink is fine.
+    fn emission_with_tracing_off_records_nothing() {
+        // Nothing in this test binary turns tracing on.
         emit(EventKind::Pin, 1, 2, 3);
+        assert_eq!(recorded(), (0, 0));
+        assert!(snapshot().is_empty());
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Two always-cheap companions live here too:
 //!
-//! * **Entanglement provenance** — a bounded lossy ring of sampled
+//! * **Entanglement provenance** — a bounded lossy [`Ring`] of sampled
 //!   `(reader depth, owner depth, size class, pinned?)` tuples recorded
 //!   by the barrier slow tier (1-in-k, seeded upstream via the
 //!   `mpl-fail` `decides` pattern). The census report aggregates the
@@ -23,14 +23,15 @@
 //!
 //! Overhead discipline: recording a provenance sample or a GC delta is
 //! gated on [`crate::enabled`] upstream; the ring write is one
-//! `fetch_add` plus one relaxed store.
+//! [`Ring::push`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::flight;
 use crate::json::JsonWriter;
 use crate::prom::PromWriter;
+use crate::ring::Ring;
 
 /// Census rows track at most this many size classes (the heap currently
 /// has 4; headroom keeps the aggregation arrays fixed-size).
@@ -372,66 +373,45 @@ pub struct ProvenanceSample {
 /// Retained provenance samples (lossy: newer overwrite older).
 const PROV_CAP: usize = 2048;
 
-#[allow(clippy::declare_interior_mutable_const)]
-const PROV_EMPTY: AtomicU64 = AtomicU64::new(0);
-static PROV_SLOTS: [AtomicU64; PROV_CAP] = [PROV_EMPTY; PROV_CAP];
-static PROV_HEAD: AtomicUsize = AtomicUsize::new(0);
-
-const PROV_VALID: u64 = 1 << 63;
+static PROV: Ring<1, PROV_CAP> = Ring::new();
 
 fn pack(s: ProvenanceSample) -> u64 {
-    PROV_VALID
-        | (u64::from(s.reader_depth) << 32)
+    (u64::from(s.reader_depth) << 32)
         | (u64::from(s.owner_depth) << 16)
         | (u64::from(s.size_class) << 8)
         | u64::from(s.pinned)
 }
 
-fn unpack(bits: u64) -> Option<ProvenanceSample> {
-    (bits & PROV_VALID != 0).then_some(ProvenanceSample {
+fn unpack(bits: u64) -> ProvenanceSample {
+    ProvenanceSample {
         reader_depth: (bits >> 32) as u16,
         owner_depth: (bits >> 16) as u16,
         size_class: (bits >> 8) as u8,
         pinned: bits & 1 != 0,
-    })
+    }
 }
 
 /// Record one sampled entangled access. Callers make the 1-in-k sampling
-/// decision (and the [`crate::enabled`] check) upstream; the write here
-/// is one `fetch_add` and one relaxed store.
+/// decision (and the [`crate::enabled`] check) upstream.
 #[inline]
 pub fn provenance_record(s: ProvenanceSample) {
-    let i = PROV_HEAD.fetch_add(1, Ordering::Relaxed);
-    PROV_SLOTS[i % PROV_CAP].store(pack(s), Ordering::Relaxed);
-}
-
-/// Samples ever recorded (retained or overwritten).
-pub fn provenance_recorded() -> u64 {
-    PROV_HEAD.load(Ordering::Relaxed) as u64
-}
-
-/// The currently retained samples, oldest position first (ring order,
-/// not arrival order once the ring has wrapped).
-pub fn provenance_samples() -> Vec<ProvenanceSample> {
-    PROV_SLOTS
-        .iter()
-        .filter_map(|s| unpack(s.load(Ordering::Relaxed)))
-        .collect()
+    PROV.push([pack(s)]);
 }
 
 /// Clears the ring and its recorded count (bench-harness use).
 pub fn reset_provenance() {
-    for s in &PROV_SLOTS {
-        s.store(0, Ordering::Relaxed);
-    }
-    PROV_HEAD.store(0, Ordering::Relaxed);
+    PROV.clear();
 }
 
-/// Aggregates the retained provenance samples.
+/// Aggregates the retained provenance samples (read in arrival order).
 pub fn provenance_summary() -> ProvenanceSummary {
-    let samples = provenance_samples();
+    let samples: Vec<ProvenanceSample> = PROV
+        .snapshot()
+        .into_iter()
+        .map(|r| unpack(r.words[0]))
+        .collect();
     let mut sum = ProvenanceSummary {
-        recorded: provenance_recorded(),
+        recorded: PROV.pushed(),
         retained: samples.len() as u64,
         ..ProvenanceSummary::default()
     };
@@ -550,9 +530,8 @@ mod tests {
             sample(7, 2, 3, true),
             sample(u16::MAX, 1, 255, false),
         ] {
-            assert_eq!(unpack(pack(s)), Some(s));
+            assert_eq!(unpack(pack(s)), s);
         }
-        assert_eq!(unpack(0), None);
     }
 
     #[test]

@@ -1,44 +1,63 @@
 //! Chrome trace-event JSON exporter.
 //!
 //! Produces the [trace-event format] consumed by `chrome://tracing` and
-//! Perfetto: one `"ph":"B"`/`"ph":"E"` duration-event pair per recorded
-//! span (timestamps in microseconds, one track per worker id) plus
-//! `"ph":"C"` counter events for sampler gauges and `"ph":"M"` metadata
-//! events naming the tracks. The JSON is built by hand — the vendored
-//! serde_json stub is serialize-only and the event shape is fixed, so a
-//! string builder is both smaller and dependency-free.
+//! Perfetto. [`chrome_trace`] renders the span rings — one
+//! `"ph":"B"`/`"ph":"E"` duration-event pair per recorded span
+//! (timestamps in microseconds, one track per worker id) plus `"ph":"C"`
+//! counter events for sampler gauges and `"ph":"M"` metadata events naming
+//! the tracks; [`flight_chrome_trace`] renders a decoded flight
+//! recording. Both go through the one event [`Emitter`].
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use crate::flight::{event_name, FlightEvent, FlightKind};
+use crate::json::JsonWriter;
+use crate::metrics::Metric;
 use crate::sampler::Sample;
 use crate::span::SpanRecord;
 
-const PID: u32 = 1;
-
-/// Comma-separating event-array builder.
-struct Emitter {
-    out: String,
-    first: bool,
-}
+/// Builder of the `{"traceEvents":[...]}` document: every event gets the
+/// fields the viewer requires, then whatever `extra` appends.
+struct Emitter(JsonWriter);
 
 impl Emitter {
-    fn event(&mut self, name: &str, cat: &str, ph: char, ts_ns: u64, tid: u32, args: Option<&str>) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        let ts = ts_ns as f64 / 1000.0;
-        let _ = write!(
-            self.out,
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts:.3},\"pid\":{PID},\"tid\":{tid}"
+    fn new() -> Emitter {
+        let mut w = JsonWriter::new();
+        w.begin_object().key("traceEvents").begin_array();
+        Emitter(w)
+    }
+
+    fn event(
+        &mut self,
+        (name, cat, ph): (&str, &str, &str),
+        ts_ns: u64,
+        tid: u32,
+        extra: impl FnOnce(&mut JsonWriter),
+    ) {
+        let w = &mut self.0;
+        w.begin_object();
+        w.field_str("name", name).field_str("cat", cat);
+        w.field_str("ph", ph).field_f64("ts", ts_ns as f64 / 1e3);
+        w.field_u64("pid", 1).field_u64("tid", u64::from(tid));
+        extra(w);
+        w.end_object();
+    }
+
+    /// A span's `B` or `E` event.
+    fn edge(&mut self, s: &SpanRecord, ph: &str, ts_ns: u64) {
+        self.event(
+            (s.kind.name(), s.kind.category(), ph),
+            ts_ns,
+            s.worker,
+            |_| {},
         );
-        if let Some(args) = args {
-            let _ = write!(self.out, ",\"args\":{args}");
-        }
-        self.out.push('}');
+    }
+
+    fn finish(mut self) -> String {
+        self.0.end_array().end_object();
+        self.0.finish()
     }
 }
 
@@ -50,11 +69,7 @@ impl Emitter {
 /// is closed first), which is what the viewer's per-thread stack expects.
 /// Sampler gauges become counter tracks on tid 0.
 pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
-    let mut em = Emitter {
-        out: String::with_capacity(64 + spans.len() * 160 + samples.len() * 360),
-        first: true,
-    };
-    em.out.push_str("{\"traceEvents\":[");
+    let mut em = Emitter::new();
 
     // Group spans by worker track.
     let mut tracks: BTreeMap<u32, Vec<&SpanRecord>> = BTreeMap::new();
@@ -63,8 +78,10 @@ pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
     }
 
     for (&tid, track) in &mut tracks {
-        let name_args = format!("{{\"name\":\"worker-{tid}\"}}");
-        em.event("thread_name", "__metadata", 'M', 0, tid, Some(&name_args));
+        em.event(("thread_name", "__metadata", "M"), 0, tid, |w| {
+            w.key("args").begin_object();
+            w.field_str("name", &format!("worker-{tid}")).end_object();
+        });
         // Outer-first order: by start ascending, longer span first on ties.
         track.sort_by(|a, b| {
             a.start_ns
@@ -76,33 +93,14 @@ pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
         // depth (innermost spans close first).
         let mut stack: Vec<&SpanRecord> = Vec::new();
         for s in track.iter() {
-            while let Some(&open) = stack.last() {
-                if open.end_ns <= s.start_ns {
-                    em.event(
-                        open.kind.name(),
-                        open.kind.category(),
-                        'E',
-                        open.end_ns,
-                        tid,
-                        None,
-                    );
-                    stack.pop();
-                } else {
-                    break;
-                }
+            while let Some(open) = stack.pop_if(|open| open.end_ns <= s.start_ns) {
+                em.edge(open, "E", open.end_ns);
             }
-            em.event(s.kind.name(), s.kind.category(), 'B', s.start_ns, tid, None);
+            em.edge(s, "B", s.start_ns);
             stack.push(s);
         }
         while let Some(open) = stack.pop() {
-            em.event(
-                open.kind.name(),
-                open.kind.category(),
-                'E',
-                open.end_ns,
-                tid,
-                None,
-            );
+            em.edge(open, "E", open.end_ns);
         }
     }
 
@@ -113,14 +111,44 @@ pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
             ("pinned_bytes", s.pinned_bytes as f64),
             ("worker_utilization", s.worker_utilization),
         ] {
+            // Gauges are exported to three decimals; non-finite ones as 0.
             let v = if value.is_finite() { value } else { 0.0 };
-            let args = format!("{{\"value\":{v:.3}}}");
-            em.event(name, "sampler", 'C', s.t_ns, 0, Some(&args));
+            let v = (v * 1e3).round() / 1e3;
+            em.event((name, "sampler", "C"), s.t_ns, 0, |w| {
+                w.key("args").begin_object();
+                w.field_f64("value", v).end_object();
+            });
         }
     }
 
-    em.out.push_str("]}");
-    em.out
+    em.finish()
+}
+
+/// Render decoded flight records as `chrome://tracing`-loadable JSON:
+/// spans become complete (`"X"`) events on their metric's category
+/// track; anomaly events and census deltas become global instants.
+pub fn flight_chrome_trace(events: &[FlightEvent]) -> String {
+    let mut em = Emitter::new();
+    for e in events {
+        match e.kind {
+            FlightKind::Span => {
+                let metric = Metric::from_index(e.code as usize);
+                let name = metric.map_or("span", |m| m.name());
+                let cat = metric.map_or("flight", |m| m.category());
+                em.event((name, cat, "X"), e.a, 0, |w| {
+                    w.field_f64("dur", e.b.saturating_sub(e.a) as f64 / 1e3);
+                });
+            }
+            FlightKind::Event | FlightKind::Census => {
+                let name = event_name(e.kind, e.code);
+                em.event((name, "flight", "i"), e.t_ns, 0, |w| {
+                    w.field_str("s", "g").key("args").begin_object();
+                    w.field_u64("a", e.a).field_u64("b", e.b).end_object();
+                });
+            }
+        }
+    }
+    em.finish()
 }
 
 #[cfg(test)]

@@ -2,29 +2,28 @@
 //!
 //! Aviation-style black box for the runtime: while telemetry is enabled,
 //! every closed span, every GC census delta, and every anomaly event
-//! (allocation failure, watchdog stall, audit failure) lands in a fixed
-//! global ring. When something goes wrong the ring is **dumped** to a
+//! (allocation failure, watchdog stall, audit failure) is retained in a
+//! bounded ring. When something goes wrong the recording is **dumped** to a
 //! compact binary file — automatically on a GC-watchdog stall, an
 //! `AllocError`, or a chaos-detected audit failure — so a post-mortem
 //! has the last few thousand things the runtime did, in order, without
 //! anyone having had to arrange tracing in advance.
 //!
-//! The ring reuses the span-ring publication idiom (seq written 0 first
-//! with `Release`, payload relaxed, final seq `Release` last), so a
-//! racing dump sees either the old record or the complete new one,
-//! never a torn one. Recording costs a `fetch_add` and five stores;
-//! disabled cost is the usual one relaxed load upstream.
+//! Closed spans are not copied: the recording *is* the span rings' newest
+//! records merged, by global sequence number, with one small [`Ring`] of
+//! anomaly/census records (slot protocol: [`crate::ring`]), truncated to
+//! the newest [`FLIGHT_CAP`]. Disabled cost is the usual one relaxed load
+//! upstream.
 //!
 //! The dump format is deliberately simple — a magic header, a record
 //! count, and fixed 32-byte little-endian records — decodable by
 //! [`flight_decode`] and renderable as Chrome-trace JSON by
-//! [`flight_chrome_trace`] (see `examples/flight_decode.rs`).
+//! [`crate::chrome::flight_chrome_trace`] (see `examples/flight_decode.rs`).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::JsonWriter;
-use crate::metrics::Metric;
+use crate::ring::{self, Ring};
 use crate::{enabled, now_ns};
 
 /// Record kinds in the ring / dump format.
@@ -100,30 +99,14 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
-/// Records retained in the ring; older records are overwritten.
+/// Records in a flight recording; older records are dropped.
 const FLIGHT_CAP: usize = 4096;
 
-struct Slot {
-    /// Global sequence, 0 = empty. Written last (release).
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    /// `kind << 32 | code`.
-    meta: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SLOT: Slot = Slot {
-    seq: AtomicU64::new(0),
-    t_ns: AtomicU64::new(0),
-    meta: AtomicU64::new(0),
-    a: AtomicU64::new(0),
-    b: AtomicU64::new(0),
-};
-static RING: [Slot; FLIGHT_CAP] = [EMPTY_SLOT; FLIGHT_CAP];
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static CURSOR: AtomicUsize = AtomicUsize::new(0);
+/// Anomaly and census records. Payload: `t_ns`, `kind << 32 | code`, `a`,
+/// `b`.
+static EVENTS: Ring<4, FLIGHT_CAP> = Ring::new();
+/// Records at or below this sequence number are hidden ([`clear_flight`]).
+static FLOOR: AtomicU64 = AtomicU64::new(0);
 static DUMPS: AtomicU64 = AtomicU64::new(0);
 
 /// Per-process cap on automatic dumps: post-mortems want the first few
@@ -134,15 +117,7 @@ const MAX_DUMPS: u64 = 16;
 /// Append one record with an explicit timestamp (collectors pass the
 /// timestamp they already took). No enabled gate — callers apply it.
 pub fn flight_record_at(t_ns: u64, kind: FlightKind, code: u32, a: u64, b: u64) {
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let slot = &RING[CURSOR.fetch_add(1, Ordering::Relaxed) % FLIGHT_CAP];
-    slot.seq.store(0, Ordering::Release);
-    slot.t_ns.store(t_ns, Ordering::Relaxed);
-    slot.meta
-        .store((kind as u64) << 32 | u64::from(code), Ordering::Relaxed);
-    slot.a.store(a, Ordering::Relaxed);
-    slot.b.store(b, Ordering::Relaxed);
-    slot.seq.store(seq, Ordering::Release);
+    EVENTS.push([t_ns, (kind as u64) << 32 | u64::from(code), a, b]);
 }
 
 /// Append one record stamped now, if telemetry is enabled (the usual
@@ -155,54 +130,50 @@ pub fn flight_record(kind: FlightKind, code: u32, a: u64, b: u64) {
     flight_record_at(now_ns(), kind, code, a, b);
 }
 
-/// Feed from the span ring: called by `record_span`, which only runs for
-/// spans opened while telemetry was enabled.
-#[inline]
-pub(crate) fn note_span(metric: Metric, start_ns: u64, end_ns: u64) {
-    flight_record_at(end_ns, FlightKind::Span, metric as u32, start_ns, end_ns);
-}
-
-/// Snapshot the retained records in sequence (arrival) order. Torn
-/// slots mid-write are skipped.
+/// The newest [`FLIGHT_CAP`] records — closed spans and anomaly/census
+/// records interleaved — in global sequence (arrival) order.
 pub fn flight_snapshot() -> Vec<FlightEvent> {
-    let mut out: Vec<(u64, FlightEvent)> = Vec::new();
-    let filled = CURSOR.load(Ordering::Relaxed).min(FLIGHT_CAP);
-    for slot in &RING[..filled] {
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == 0 {
-            continue;
-        }
-        let meta = slot.meta.load(Ordering::Relaxed);
-        let Some(kind) = FlightKind::from_u32((meta >> 32) as u32) else {
-            continue;
+    let mut all: Vec<(u64, FlightEvent)> = EVENTS
+        .snapshot()
+        .into_iter()
+        .filter_map(|r| {
+            let [t_ns, meta, a, b] = r.words;
+            let kind = FlightKind::from_u32((meta >> 32) as u32)?;
+            let code = meta as u32;
+            Some((
+                r.seq,
+                FlightEvent {
+                    t_ns,
+                    kind,
+                    code,
+                    a,
+                    b,
+                },
+            ))
+        })
+        .collect();
+    all.extend(crate::span::snapshot_spans().into_iter().map(|s| {
+        let span = FlightEvent {
+            t_ns: s.end_ns,
+            kind: FlightKind::Span,
+            code: s.kind as u32,
+            a: s.start_ns,
+            b: s.end_ns,
         };
-        out.push((
-            seq,
-            FlightEvent {
-                t_ns: slot.t_ns.load(Ordering::Relaxed),
-                kind,
-                code: meta as u32,
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
-            },
-        ));
-    }
-    out.sort_by_key(|(seq, _)| *seq);
-    out.into_iter().map(|(_, e)| e).collect()
+        (s.seq, span)
+    }));
+    let floor = FLOOR.load(Ordering::Relaxed);
+    all.retain(|(seq, _)| *seq > floor);
+    all.sort_unstable_by_key(|(seq, _)| *seq);
+    let older = all.len().saturating_sub(FLIGHT_CAP);
+    all.into_iter().skip(older).map(|(_, e)| e).collect()
 }
 
-/// Total records ever appended (retained or overwritten).
-pub fn flight_recorded() -> u64 {
-    SEQ.load(Ordering::Relaxed)
-}
-
-/// Clear the ring (bench-harness use; racy against writers by design).
+/// Start a fresh recording: everything recorded so far is hidden from
+/// later snapshots (bench-harness use; nothing is erased, so this is
+/// safe against concurrent writers).
 pub fn clear_flight() {
-    let filled = CURSOR.load(Ordering::Relaxed).min(FLIGHT_CAP);
-    for slot in &RING[..filled] {
-        slot.seq.store(0, Ordering::Release);
-    }
-    CURSOR.store(0, Ordering::Relaxed);
+    FLOOR.store(ring::current_seq(), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,54 +266,10 @@ pub fn flight_dumps() -> u64 {
     DUMPS.load(Ordering::Relaxed)
 }
 
-// ---------------------------------------------------------------------------
-// Chrome-trace rendering (the decoder example's output format).
-// ---------------------------------------------------------------------------
-
-/// Render decoded flight records as `chrome://tracing`-loadable JSON:
-/// spans become complete (`"X"`) events on their metric's category
-/// track; anomaly events and census deltas become global instants.
-pub fn flight_chrome_trace(events: &[FlightEvent]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("traceEvents");
-    w.begin_array();
-    for e in events {
-        w.begin_object();
-        match e.kind {
-            FlightKind::Span => {
-                let metric = Metric::from_index(e.code as usize);
-                w.field_str("name", metric.map_or("span", |m| m.name()));
-                w.field_str("cat", metric.map_or("flight", |m| m.category()));
-                w.field_str("ph", "X");
-                w.field_f64("ts", e.a as f64 / 1e3);
-                w.field_f64("dur", e.b.saturating_sub(e.a) as f64 / 1e3);
-            }
-            FlightKind::Event | FlightKind::Census => {
-                w.field_str("name", event_name(e.kind, e.code));
-                w.field_str("cat", "flight");
-                w.field_str("ph", "i");
-                w.field_str("s", "g");
-                w.field_f64("ts", e.t_ns as f64 / 1e3);
-                w.key("args");
-                w.begin_object();
-                w.field_u64("a", e.a);
-                w.field_u64("b", e.b);
-                w.end_object();
-            }
-        }
-        w.field_u64("pid", 1);
-        w.field_u64("tid", 0);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chrome::flight_chrome_trace;
 
     #[test]
     fn encode_decode_roundtrip() {

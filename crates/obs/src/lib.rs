@@ -11,9 +11,12 @@
 //! * [`metrics`] — a fixed registry of process-global histograms, one per
 //!   instrumented duration ([`Metric`]): LGC/CGC pause, per-GC-phase
 //!   duration, slow-tier barrier latency, steal latency, job run time, …
-//! * [`span`] — per-worker lock-free begin/end span rings (worker id +
-//!   monotonic timestamps) covering GC phases, scheduler park/steal/run and
-//!   remset flushes.
+//! * [`ring`] — the one lock-free, seqlock-validated ring primitive (and
+//!   the one global sequence and worker id) that spans, GC audit events,
+//!   the flight recorder and provenance samples are all instances of.
+//! * [`span`] — per-worker begin/end spans (worker id + monotonic
+//!   timestamps) covering GC phases, scheduler park/steal/run and remset
+//!   flushes.
 //! * [`chrome`] — `chrome://tracing`-loadable trace-event JSON exporter.
 //! * [`prom`] — Prometheus text-exposition exporter for counters, gauges
 //!   and histograms.
@@ -41,24 +44,24 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod prom;
+pub mod ring;
 pub mod sampler;
 pub mod span;
 
 pub use census::{
-    gc_censuses, last_gc_census, note_gc_census, provenance_record, provenance_recorded,
-    provenance_samples, provenance_summary, reset_provenance, ClassCensus, GcCensus, GcCensusKind,
-    HeapCensus, ProvenanceSample, ProvenanceSummary, TenantCensus, CENSUS_MAX_CLASSES,
+    gc_censuses, last_gc_census, note_gc_census, provenance_record, provenance_summary,
+    reset_provenance, ClassCensus, GcCensus, GcCensusKind, HeapCensus, ProvenanceSample,
+    ProvenanceSummary, TenantCensus, CENSUS_MAX_CLASSES,
 };
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, flight_chrome_trace};
 pub use family::{
     family_counter, family_counter_add, family_counters, family_histogram, family_snapshots,
     reset_families,
 };
 pub use flight::{
-    clear_flight, dump_flight, event_name, flight_chrome_trace, flight_decode, flight_dumps,
-    flight_encode, flight_record, flight_recorded, flight_snapshot, FlightEvent, FlightKind,
-    EV_ALLOC_ERROR, EV_AUDIT_FAILURE, EV_BREAKER_OPEN, EV_CGC_CENSUS, EV_DEADLINE_STORM,
-    EV_LGC_CENSUS, EV_WATCHDOG_STALL,
+    clear_flight, dump_flight, event_name, flight_decode, flight_dumps, flight_encode,
+    flight_record, flight_snapshot, FlightEvent, FlightKind, EV_ALLOC_ERROR, EV_AUDIT_FAILURE,
+    EV_BREAKER_OPEN, EV_CGC_CENSUS, EV_DEADLINE_STORM, EV_LGC_CENSUS, EV_WATCHDOG_STALL,
 };
 pub use hist::{bucket_bound, bucket_index, HistSnapshot, Histogram, BUCKETS};
 pub use json::JsonWriter;
@@ -66,10 +69,11 @@ pub use metrics::{
     histogram, metric_snapshots, record_duration, reset_metrics, timer, Metric, Timer, METRIC_COUNT,
 };
 pub use prom::PromWriter;
+pub use ring::register_worker;
 pub use sampler::{Sample, Sampler};
 pub use span::{
-    clear_spans, register_worker, snapshot_spans, span_close, span_guard, span_only, span_start,
-    SpanGuard, SpanRecord,
+    clear_spans, snapshot_spans, span_close, span_guard, span_only, span_start, SpanGuard,
+    SpanRecord,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

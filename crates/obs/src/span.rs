@@ -1,85 +1,25 @@
-//! Per-worker lock-free span recorder.
+//! Telemetry spans: begin/end intervals on one worker thread.
 //!
-//! A *span* is a begin/end interval on one worker thread — a GC phase, a
-//! scheduler park/steal/run, a remset flush — identified by its [`Metric`]
-//! kind. Spans land in per-worker ring buffers (same design as the gc
-//! audit event rings: fixed slots, global sequence numbers, `Release`
-//! seq-last publication so a racing snapshot sees either the old span or
-//! the complete new one). Closing a span also records its duration into
-//! the kind's histogram, so the timeline and the percentile tables always
-//! agree on what was measured.
+//! A *span* — a GC phase, a scheduler park/steal/run, a remset flush — is
+//! identified by its [`Metric`] kind and recorded, when it closes, into
+//! the calling worker's shard of one [`Ring`] (slot protocol and reader
+//! validation: [`crate::ring`]). Closing a span also records its
+//! duration into the kind's histogram, so the timeline and the percentile
+//! tables always agree on what was measured. The flight recorder reads
+//! the same rings; a span is written once.
 //!
 //! Disabled cost: [`span_start`] is one relaxed load returning `None`
 //! (no clock read); [`span_close`] on a `None` start is one branch.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use crate::metrics::{record_duration, Metric};
+use crate::ring::{worker_id, Ring, SHARDS};
 use crate::{enabled, now_ns};
 
-/// Number of span rings; workers registered via [`register_worker`] map
-/// onto ring `index % RINGS`, unregistered threads round-robin.
-const RINGS: usize = 32;
-/// Spans retained per ring; older spans are overwritten (counted).
+/// Spans retained per worker shard; older spans are overwritten.
 const RING_CAP: usize = 8192;
 
-struct Slot {
-    /// Global sequence number, 0 = empty. Written last (release).
-    seq: AtomicU64,
-    /// `kind << 32 | worker`.
-    meta: AtomicU64,
-    /// Begin timestamp, ns since the telemetry epoch.
-    start: AtomicU64,
-    /// End timestamp.
-    end: AtomicU64,
-}
-
-struct Ring {
-    cursor: AtomicUsize,
-    slots: [Slot; RING_CAP],
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SLOT: Slot = Slot {
-    seq: AtomicU64::new(0),
-    meta: AtomicU64::new(0),
-    start: AtomicU64::new(0),
-    end: AtomicU64::new(0),
-};
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_RING: Ring = Ring {
-    cursor: AtomicUsize::new(0),
-    slots: [EMPTY_SLOT; RING_CAP],
-};
-static RINGBUF: [Ring; RINGS] = [EMPTY_RING; RINGS];
-
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static OVERFLOWS: AtomicU64 = AtomicU64::new(0);
-/// Round-robin ring assignment for threads that never registered.
-static NEXT_RING: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static WORKER_ID: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn worker_id() -> usize {
-    WORKER_ID.with(|c| {
-        let mut id = c.get();
-        if id == usize::MAX {
-            id = NEXT_RING.fetch_add(1, Ordering::Relaxed);
-            c.set(id);
-        }
-        id
-    })
-}
-
-/// Pins the calling thread's spans to worker id `index` (ring
-/// `index % RINGS`). The scheduler calls this from its worker-start path
-/// so each worker's timeline lives on its own Chrome-trace track.
-pub fn register_worker(index: usize) {
-    WORKER_ID.with(|c| c.set(index));
-}
+/// Payload: `kind << 32 | worker`, begin ns, end ns.
+static SPANS: Ring<3, RING_CAP, SHARDS> = Ring::new();
 
 /// Begin a span: returns the start timestamp if telemetry is enabled,
 /// `None` otherwise (one relaxed load, no clock read).
@@ -133,25 +73,8 @@ pub fn span_only(kind: Metric, start: Option<u64>) {
 }
 
 fn record_span(kind: Metric, start: u64, end: u64) {
-    // Feed the flight recorder too: spans only reach here when telemetry
-    // was on at open, so no second gate is needed.
-    crate::flight::note_span(kind, start, end);
-    let worker = worker_id();
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let ring = &RINGBUF[worker % RINGS];
-    let cur = ring.cursor.fetch_add(1, Ordering::Relaxed);
-    if cur >= RING_CAP {
-        OVERFLOWS.fetch_add(1, Ordering::Relaxed);
-    }
-    let slot = &ring.slots[cur % RING_CAP];
-    slot.seq.store(0, Ordering::Release);
-    slot.meta.store(
-        ((kind as u64) << 32) | (worker as u64 & 0xffff_ffff),
-        Ordering::Relaxed,
-    );
-    slot.start.store(start, Ordering::Relaxed);
-    slot.end.store(end, Ordering::Relaxed);
-    slot.seq.store(seq, Ordering::Release);
+    let meta = ((kind as u64) << 32) | (worker_id() as u64 & 0xffff_ffff);
+    SPANS.push([meta, start, end]);
 }
 
 /// A decoded span from the rings.
@@ -160,8 +83,9 @@ pub struct SpanRecord {
     /// Global sequence number (close order).
     pub seq: u64,
     pub kind: Metric,
-    /// Worker id recorded at close ([`register_worker`] index, or a
-    /// round-robin id for unregistered threads).
+    /// Worker id recorded at close ([`crate::ring::worker_id`]: the pool
+    /// index, or an id disjoint from every pool index for a thread that
+    /// never registered).
     pub worker: u32,
     /// Begin, ns since the telemetry epoch.
     pub start_ns: u64,
@@ -170,50 +94,30 @@ pub struct SpanRecord {
 }
 
 /// Snapshot all retained spans, sorted by start time (sequence number as
-/// tie-break). Safe to call while workers keep recording; torn slots
-/// (seq 0 mid-write) are skipped.
+/// tie-break). Safe to call while workers keep recording.
 pub fn snapshot_spans() -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    for ring in &RINGBUF {
-        let filled = ring.cursor.load(Ordering::Relaxed).min(RING_CAP);
-        for slot in &ring.slots[..filled] {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let Some(kind) = Metric::from_index((meta >> 32) as usize) else {
-                continue;
-            };
-            out.push(SpanRecord {
-                seq,
-                kind,
-                worker: (meta & 0xffff_ffff) as u32,
-                start_ns: slot.start.load(Ordering::Relaxed),
-                end_ns: slot.end.load(Ordering::Relaxed),
-            });
-        }
-    }
+    let mut out: Vec<SpanRecord> = SPANS
+        .snapshot()
+        .into_iter()
+        .filter_map(|r| {
+            let [meta, start_ns, end_ns] = r.words;
+            Some(SpanRecord {
+                seq: r.seq,
+                kind: Metric::from_index((meta >> 32) as usize)?,
+                worker: meta as u32,
+                start_ns,
+                end_ns,
+            })
+        })
+        .collect();
     out.sort_by_key(|s| (s.start_ns, s.seq));
     out
-}
-
-/// Number of spans dropped to ring overwrite since process start.
-pub fn span_overflows() -> u64 {
-    OVERFLOWS.load(Ordering::Relaxed)
 }
 
 /// Clear all rings (bench-harness use between suite phases; racy against
 /// concurrent writers by design).
 pub fn clear_spans() {
-    for ring in &RINGBUF {
-        let filled = ring.cursor.load(Ordering::Relaxed).min(RING_CAP);
-        for slot in &ring.slots[..filled] {
-            slot.seq.store(0, Ordering::Release);
-        }
-        ring.cursor.store(0, Ordering::Relaxed);
-    }
-    OVERFLOWS.store(0, Ordering::Relaxed);
+    SPANS.clear();
 }
 
 #[cfg(test)]
@@ -227,8 +131,8 @@ mod tests {
             return; // another test holds an enable ref; covered elsewhere
         }
         assert_eq!(span_start(), None);
-        let before = SEQ.load(Ordering::Relaxed);
+        let before = SPANS.pushed();
         span_close(Metric::SchedRun, None);
-        assert_eq!(SEQ.load(Ordering::Relaxed), before);
+        assert_eq!(SPANS.pushed(), before);
     }
 }

@@ -46,6 +46,5 @@ pub use dag::{Dag, DagBuilder, StrandId};
 pub use executor::{Executor, SchedSnapshot, SchedStats};
 pub use simsched::{simulate, sweep, SimParams, SimResult};
 pub use worker::{
-    on_worker_thread, set_job_finish_hook, set_worker_start_hook, try_join, DriverGuard, WorkerCtx,
-    PARK_INTERVAL,
+    on_worker_thread, set_job_finish_hook, try_join, DriverGuard, WorkerCtx, PARK_INTERVAL,
 };

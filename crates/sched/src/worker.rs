@@ -354,32 +354,6 @@ pub fn on_worker_thread() -> bool {
     CURRENT.with(|c| !c.get().is_null())
 }
 
-/// Hook invoked with the worker's pool index whenever a thread takes a
-/// worker role: each background worker at the top of its loop, and the
-/// driver thread each time it installs itself as worker 0. The runtime
-/// uses it to register worker-local diagnostic state (e.g. the GC audit
-/// layer's per-worker event rings) without this crate depending on any
-/// of it. First [`set_worker_start_hook`] wins; later calls are ignored.
-static WORKER_START_HOOK: OnceLock<fn(usize)> = OnceLock::new();
-
-/// Installs the process-wide worker-start hook (see
-/// [`WORKER_START_HOOK`]). Idempotent for the same function; a second,
-/// different hook is ignored.
-pub fn set_worker_start_hook(hook: fn(usize)) {
-    let _ = WORKER_START_HOOK.set(hook);
-}
-
-fn run_worker_start_hook(index: usize) {
-    // Telemetry worker registration is invoked directly (not via the
-    // OnceLock hook, which the runtime already claims for the GC audit
-    // layer's per-worker rings): pin this worker's spans to its own
-    // timeline track.
-    mpl_obs::register_worker(index);
-    if let Some(hook) = WORKER_START_HOOK.get() {
-        hook(index);
-    }
-}
-
 /// Hook invoked with the worker's pool index after each job the worker
 /// finishes executing (both jobs run from `WorkerCtx::join`'s help loop
 /// and jobs run from the background worker loop). The runtime uses it to
@@ -429,7 +403,8 @@ pub struct DriverGuard<'e> {
 
 impl<'e> DriverGuard<'e> {
     pub(crate) fn install(exec: &'e Executor, deque: Deque<JobRef>) -> DriverGuard<'e> {
-        run_worker_start_hook(0);
+        // Worker 0's diagnostic rings and timeline track.
+        mpl_obs::register_worker(0);
         let ctx = Box::new(WorkerCtx::new(Arc::clone(exec.shared()), 0, deque));
         let prev = CURRENT.with(|c| c.replace(&*ctx as *const WorkerCtx));
         DriverGuard {
@@ -451,7 +426,7 @@ impl Drop for DriverGuard<'_> {
 /// The background worker loop: drain available work, then park with
 /// exponential backoff until pushed work (or shutdown) arrives.
 pub(crate) fn worker_loop(shared: Arc<Shared>, index: usize, deque: Deque<JobRef>) {
-    run_worker_start_hook(index);
+    mpl_obs::register_worker(index);
     let ctx = WorkerCtx::new(shared, index, deque);
     let _tls = TlsGuard::install(&ctx);
     let backoff = Backoff::new();

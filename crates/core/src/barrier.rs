@@ -123,11 +123,7 @@ impl Mutator<'_> {
             match obj.try_pin(level) {
                 PinOutcome::AlreadyPinned { .. } => return Some(r),
                 PinOutcome::NewlyPinned => {
-                    let store = self.rt.store();
-                    store.heaps().register_entangled(block.owner(), r, level);
-                    block.add_pinned(1);
-                    store.stats().on_pin(obj.size_bytes());
-                    events::emit_obj(EventKind::Pin, r, u32::from(level));
+                    self.rt.store().on_newly_pinned(block, r, level);
                     self.ctx.satb_log(r);
                     self.rt.request_cgc_poll();
                     return Some(r);

@@ -110,9 +110,7 @@ impl Mutator<'_> {
     fn refresh_alloc_cache(&mut self) {
         let store = self.rt.store();
         let info = store.heaps().info(store.heaps().find(self.ctx.leaf_heap()));
-        for (class, slot) in self.ctx.alloc_cache.iter_mut().enumerate() {
-            *slot = info.alloc_block(class);
-        }
+        self.ctx.alloc_cache = info.with(|s| s.alloc_blocks.clone());
     }
 
     /// Allocates an immutable tuple (also used for immutable arrays).

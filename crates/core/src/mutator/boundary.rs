@@ -444,7 +444,7 @@ impl<'rt> TaskCtx<'rt> {
         let store = self.rt.store();
         for group in buf.chunk_by(|a, b| a.0 == b.0) {
             let entries: Vec<RemsetEntry> = group.iter().map(|(_, e)| *e).collect();
-            store.remember_batch(group[0].0, &entries);
+            store.remember(group[0].0, &entries);
         }
         buf.clear();
         self.remset_buf = buf;

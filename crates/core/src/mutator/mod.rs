@@ -288,7 +288,7 @@ impl<'rt> Mutator<'rt> {
         drop(suspended);
 
         // Cleanup precedes any re-raise: the join must merge both child
-        // heaps (sealing their entangled indexes and applying
+        // heaps (taking their state, entangled indexes included, and applying
         // unpin-at-join) and the parked sibling result must be released
         // even when a branch panicked — otherwise a shed request leaks
         // pins and pending-slot roots for the runtime's lifetime.

@@ -51,9 +51,8 @@ impl Runtime {
     /// heap forked under the session's root, so the tenant's whole
     /// request DAGs are accounted against it.
     pub fn new_tenant(&self, name: &str, budget_bytes: usize) -> TenantSession {
-        let root_heap = self.store.new_root_heap();
         let budget = TenantBudget::new(name, budget_bytes);
-        self.store.set_heap_budget(root_heap, Arc::clone(&budget));
+        let root_heap = self.store.new_tenant_root_heap(Arc::clone(&budget));
         let roots = Arc::new(RootStack::new());
         // Registered for the session's lifetime: objects rooted in one
         // request stay CGC roots until `retire_session`.

@@ -166,6 +166,9 @@ struct Cycle {
     /// Blocks whose sweep packet panicked; re-swept before the epilogue
     /// (kills are idempotent CAS transitions, so re-sweeping is safe).
     resweep: Mutex<Vec<u32>>,
+    /// Canonical owner heaps of the blocks this cycle's sweep killed
+    /// objects in: the only indexes that can have gained dead entries.
+    killed_in: Mutex<Vec<u32>>,
     out: OutcomeCells,
 }
 
@@ -176,6 +179,7 @@ impl Cycle {
             grey: Mutex::new(root_packets),
             marked: Mutex::new(Vec::new()),
             resweep: Mutex::new(Vec::new()),
+            killed_in: Mutex::new(Vec::new()),
             out: OutcomeCells::default(),
         }
     }
@@ -616,11 +620,14 @@ fn sweep_packet(store: &Store, state: &CgcState, cycle: &Cycle, bid: u32) {
     let res = catch_unwind(AssertUnwindSafe(|| {
         mpl_fail::hit_hard("cgc/packet");
         let mut local = CgcOutcome::default();
-        sweep_block(store, bid, &mut local);
-        local
+        let killed_in = sweep_block(store, bid, &mut local);
+        (local, killed_in)
     }));
     match res {
-        Ok(local) => cycle.out.merge(&local),
+        Ok((local, killed_in)) => {
+            cycle.out.merge(&local);
+            cycle.killed_in.lock().extend(killed_in);
+        }
         Err(_) => {
             state.dirty_cycle.store(true, Ordering::SeqCst);
             state.packet_retries.fetch_add(1, Ordering::Relaxed);
@@ -775,9 +782,10 @@ pub fn cgc_step(store: &Store, state: &CgcState, budget: usize) -> Option<CgcOut
 fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutcome {
     let cycle = guard.take().expect("cycle present");
     let out = cycle.out.get();
-    // Index pruning is proportional to the (usually small) pinned
-    // population; it stays in the final slice.
-    prune_entangled_indexes(store);
+    // Index pruning walks the whole index of every heap the sweep killed
+    // in — proportional to those heaps' pinned populations, whatever the
+    // number of heaps — and stays in the final slice.
+    prune_entangled_indexes(store, cycle.killed_in.into_inner());
     let stats = store.stats();
     stats.on_cgc(out.swept_bytes);
     let packets = state.packets.swap(0, Ordering::Relaxed);
@@ -828,12 +836,11 @@ where
 /// starts (`obj_start & !mark`, one bitmap word per 64 slots) are
 /// visited; marked objects are never touched. Reclaims unmarked
 /// entangled-space objects and frees the block outright when its line
-/// map is clean and nothing retains it.
-fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) {
+/// map is clean and nothing retains it. Returns the block's canonical
+/// owner heap if anything in it was killed.
+fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) -> Option<u32> {
     mpl_fail::hit_hard("cgc/sweep");
-    let Some(block) = store.blocks().try_get(bid) else {
-        return; // freed between slices
-    };
+    let block = store.blocks().try_get(bid)?; // else: freed between slices
     let mut retainers = 0usize;
     let mut swept_here = 0usize;
     let unmarked: Vec<u32> = block.unmarked_offsets().collect();
@@ -878,13 +885,11 @@ fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) {
     // mark phase proved live.
     let lines = block.lines_in_use().saturating_sub(block.marked_lines());
     store.stats().add(Counter::lines_swept, lines as u64);
-    if swept_here != 0 {
+    let killed_in = (swept_here != 0).then(|| store.heaps().find(block.owner()));
+    if let Some(budget) = killed_in.and_then(|owner| store.heaps().info(owner).budget()) {
         // Mirror the global live-bytes adjustment onto the tenant budget
-        // of the block's (canonical) owning heap, if any.
-        let owner = store.heaps().find(block.owner());
-        if let Some(budget) = store.heaps().info(owner).budget() {
-            budget.credit(swept_here);
-        }
+        // of the block's (canonical) owning heap.
+        budget.credit(swept_here);
     }
     if retainers == 0 && block.line_map_clean() && block.is_full() {
         // Clean line map, nothing moved or retained, and no bump space
@@ -892,21 +897,32 @@ fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) {
         store.blocks().free(block.id());
         out.freed_blocks += 1;
     }
+    killed_in
 }
 
-/// Drops dead entries from every heap's entangled-object index.
-fn prune_entangled_indexes(store: &Store) {
-    for id in 0..store.heaps().len() as u32 {
-        if store.heaps().find(id) != id {
-            continue; // merged away
-        }
-        store.heaps().info(id).retain_entangled(|r| {
-            store
-                .blocks()
-                .try_get(r.block())
-                .and_then(|b| b.try_get(r.word()).map(|o| !o.header().is_dead()))
-                .unwrap_or(false)
-        });
+/// Drops dead entries from the entangled-object indexes of `heaps` (as
+/// canonical at sweep time; a heap joined since carried its entries to
+/// the heap it is canonicalized to here).
+fn prune_entangled_indexes(store: &Store, mut heaps: Vec<u32>) {
+    for id in heaps.iter_mut() {
+        *id = store.heaps().find(*id);
+    }
+    heaps.sort_unstable();
+    heaps.dedup();
+    let alive = |r: ObjRef| {
+        store
+            .blocks()
+            .try_get(r.block())
+            .and_then(|b| b.try_get(r.word()).map(|o| !o.header().is_dead()))
+            .unwrap_or(false)
+    };
+    for id in heaps {
+        // `None`: joined after the `find` above; the next cycle that
+        // kills in the surviving heap prunes what it inherited.
+        store
+            .heaps()
+            .info(id)
+            .try_with(|s| s.retain_entangled(alive));
     }
 }
 
@@ -1111,7 +1127,7 @@ mod tests {
         let state = CgcState::new();
         collect_entangled(&s, &state, Vec::new);
         let canon = s.heaps().find(l);
-        assert_eq!(s.heaps().info(canon).entangled_len(), 0);
+        assert_eq!(s.heaps().info(canon).with(|h| h.entangled_len()), 0);
     }
 
     #[test]

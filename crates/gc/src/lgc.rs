@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_ABANDON, DEAD_BY_LGC};
 use mpl_heap::{
-    size_class, Block, Counter, ObjHandle, ObjKind, ObjRef, RemsetEntry, Store, Value, Word,
-    NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
+    size_class, Block, Counter, HeapInfo, ObjHandle, ObjKind, ObjRef, RemsetEntry, Store, Value,
+    Word, NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
 };
 
 use crate::graveyard::Graveyard;
@@ -156,7 +156,7 @@ pub fn collect_local(
 
     let h = store.heaps().find(heap);
     let info = store.heaps().info(h);
-    let from_blocks: Vec<u32> = info.block_ids();
+    let from_blocks: Vec<u32> = info.with(|s| s.blocks.clone());
     let from_set: HashSet<u32> = from_blocks.iter().copied().collect();
     let total_from_live: u64 = from_blocks
         .iter()
@@ -173,7 +173,7 @@ pub fn collect_local(
     let mut entangled_closure: HashSet<ObjRef> = HashSet::new();
     let mut retained_block_ids: HashSet<u32> = HashSet::new();
     {
-        let entries = info.take_entangled();
+        let entries = info.with(|s| s.take_entangled());
         let mut kept = Vec::with_capacity(entries.len());
         let mut stack: Vec<ObjRef> = Vec::new();
         // The closure traversal must pass THROUGH foreign objects: a
@@ -189,16 +189,16 @@ pub fn collect_local(
             let Some(r) = store.try_resolve(r) else {
                 continue; // reclaimed by the concurrent collector
             };
-            let hd = store.handle(r);
-            if hd.header().is_dead() || !hd.header().is_pinned() {
+            let header = store.handle(r).header();
+            if header.is_dead() || !header.is_pinned() {
                 continue;
             }
-            kept.push(r);
+            kept.push((r, header.pin_level()));
             if in_heap(r) {
                 stack.push(r);
             }
         }
-        info.extend_entangled(kept);
+        restore_entangled(info, kept);
         shield_sweep(
             store,
             h,
@@ -337,7 +337,7 @@ pub fn collect_local(
     // Remembered set: down-pointers from ancestor heaps are roots, and the
     // source fields must be repaired after the move.
     phase.set("remset");
-    let remset = info.take_remset();
+    let remset = info.with(|s| std::mem::take(&mut s.remset));
     let mut kept_remset: Vec<RemsetEntry> = Vec::new();
     for entry in remset {
         let Some(_block) = store.blocks().try_get(entry.src.block()) else {
@@ -402,7 +402,7 @@ pub fn collect_local(
             }
         }
     }
-    info.extend_remset(kept_remset);
+    info.with(|s| s.remset.append(&mut kept_remset));
 
     // Transitive scan of evacuated objects.
     phase.set("scan");
@@ -521,7 +521,7 @@ pub fn collect_local(
         let mut foreign_seen: HashSet<ObjRef> = HashSet::new();
         loop {
             mpl_fail::hit_hard("lgc/retake");
-            let entries = info.take_entangled();
+            let entries = info.with(|s| s.take_entangled());
             if entries.is_empty() {
                 break;
             }
@@ -531,11 +531,11 @@ pub fn collect_local(
                 let Some(r) = store.try_resolve(r) else {
                     continue;
                 };
-                let hd = store.handle(r);
-                if hd.header().is_dead() || !hd.header().is_pinned() {
+                let header = store.handle(r).header();
+                if header.is_dead() || !header.is_pinned() {
                     continue;
                 }
-                kept.push(r);
+                kept.push((r, header.pin_level()));
                 if in_heap(r) && !entangled_closure.contains(&r) {
                     stack.push(r);
                 }
@@ -551,7 +551,7 @@ pub fn collect_local(
                 &mut retained_block_ids,
                 &mut out,
             );
-            info.extend_entangled(kept);
+            restore_entangled(info, kept);
             if !progress {
                 break;
             }
@@ -649,13 +649,13 @@ pub fn collect_local(
                 .try_get(*b)
                 .is_some_and(|bl| bl.pinned_count() > 0)
     }));
-    info.set_blocks(new_blocks);
-    info.clear_alloc_blocks();
-    for class in 0..NUM_SIZE_CLASSES {
-        if let Some(i) = tospace.current[class] {
-            info.set_alloc_block(class, Some(Arc::clone(&tospace.blocks[i])));
-        }
-    }
+    let alloc_blocks = tospace
+        .current
+        .map(|cur| cur.map(|i| Arc::clone(&tospace.blocks[i])));
+    info.with(|s| {
+        s.blocks = new_blocks;
+        s.alloc_blocks = alloc_blocks;
+    });
 
     store.stats().on_lgc(
         out.copied_bytes,
@@ -695,6 +695,18 @@ pub fn collect_local(
     // span only.
     mpl_obs::span_only(mpl_obs::Metric::LgcPause, span_pause);
     out
+}
+
+/// Puts the pins a collection found still standing back into the heap's
+/// index, each under its current level: a join only visits the buckets at
+/// or above its depth, so an entry filed below its pin's level would miss
+/// the join that ends it.
+fn restore_entangled(info: &HeapInfo, kept: Vec<(ObjRef, u16)>) {
+    info.with(|s| {
+        for (r, level) in kept {
+            s.add_entangled(r, level);
+        }
+    });
 }
 
 /// Expands `entangled_closure` with everything reachable from `stack`,
@@ -880,10 +892,10 @@ mod tests {
         s.handle(cell).set_field(0, Value::Obj(deep));
         s.remember(
             l,
-            RemsetEntry {
+            &[RemsetEntry {
                 src: cell,
                 field: 0,
-            },
+            }],
         );
 
         // No task root references `deep`; the remset alone must keep it
@@ -894,7 +906,7 @@ mod tests {
         let moved = s.handle(cell).field(0).expect_obj();
         assert_ne!(moved, deep, "object must have been evacuated");
         assert_eq!(s.handle(moved).field(0), Value::Int(5));
-        assert_eq!(s.heaps().info(l).remset_len(), 1, "entry kept");
+        assert_eq!(s.heaps().info(l).with(|h| h.remset.len()), 1, "entry kept");
     }
 
     #[test]

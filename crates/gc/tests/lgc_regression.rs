@@ -24,10 +24,10 @@ fn remset_repairs_target_already_evacuated_via_roots() {
     s.handle(cell).set_field(0, Value::Obj(x));
     s.remember(
         l,
-        RemsetEntry {
+        &[RemsetEntry {
             src: cell,
             field: 0,
-        },
+        }],
     );
 
     let g = Graveyard::new();
@@ -40,7 +40,7 @@ fn remset_repairs_target_already_evacuated_via_roots() {
     assert_eq!(field, roots[0], "field repaired to the evacuated location");
     assert_eq!(s.handle(field).field(0), Value::Int(5));
     // And the entry survives for future collections.
-    assert_eq!(s.heaps().info(l).remset_len(), 1);
+    assert_eq!(s.heaps().info(l).with(|h| h.remset.len()), 1);
 
     // A second collection (nothing else live) must also stay sound.
     let mut roots2 = [roots[0]];
@@ -72,10 +72,10 @@ fn repeated_collections_with_bucket_rewrites() {
         s.handle(table).set_field(b, Value::Obj(node));
         s.remember(
             l,
-            RemsetEntry {
+            &[RemsetEntry {
                 src: table,
                 field: b as u32,
-            },
+            }],
         );
         nodes.push(node);
 

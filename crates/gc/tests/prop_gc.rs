@@ -326,7 +326,7 @@ proptest! {
                 Op::Remset(i) => {
                     if let Some(r) = alive(objs[i % objs.len()]) {
                         let cell = s.alloc_values(root_heap, ObjKind::Ref, &[Value::Obj(r)]);
-                        s.remember(l, RemsetEntry { src: cell, field: 0 });
+                        s.remember(l, &[RemsetEntry { src: cell, field: 0 }]);
                     }
                 }
                 Op::Garbage => {

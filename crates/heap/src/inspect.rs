@@ -42,12 +42,14 @@ pub struct StoreReport {
 /// Takes a snapshot of the hierarchy.
 pub fn report(store: &Store) -> StoreReport {
     let mut heaps = Vec::new();
-    for id in 0..store.heaps().len() as u32 {
-        if store.heaps().find(id) != id {
-            continue; // merged away
-        }
-        let info = store.heaps().info(id);
-        let block_ids = info.block_ids();
+    let table = store.heaps();
+    for id in (0..table.len() as u32).filter(|&id| table.is_canonical(id)) {
+        let info = table.info(id);
+        let Some((block_ids, remset, entangled_index)) =
+            info.try_with(|s| (s.blocks.clone(), s.remset.len(), s.entangled_len()))
+        else {
+            continue; // joined since the filter looked
+        };
         let mut live = 0usize;
         let mut pinned = 0u32;
         for bid in &block_ids {
@@ -59,12 +61,12 @@ pub fn report(store: &Store) -> StoreReport {
         heaps.push(HeapReport {
             id,
             depth: info.depth(),
-            parent: store.heaps().parent_of(id),
+            parent: table.parent_of(id),
             blocks: block_ids.len(),
             live_bytes: live,
             pinned,
-            remset: info.remset_len(),
-            entangled_index: info.entangled_len(),
+            remset,
+            entangled_index,
         });
     }
     StoreReport {

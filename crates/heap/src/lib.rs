@@ -51,6 +51,7 @@ pub mod heap;
 pub mod inspect;
 pub mod object;
 pub mod registry;
+mod segtable;
 pub mod sft;
 pub mod stats;
 pub mod store;
@@ -63,7 +64,7 @@ pub use block::{
 pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};
 pub use header::{Header, ObjKind, NO_PIN_LEVEL};
-pub use heap::{HeapInfo, HeapTable, RemsetEntry};
+pub use heap::{HeapInfo, HeapState, HeapTable, RemsetEntry};
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;

@@ -6,11 +6,8 @@
 //! entangled flag changes, so classifying an arbitrary `ObjRef` costs a
 //! couple of dependent loads — **no registry read-lock, no `Arc` clone,
 //! no heap-table query**. Block ids are dense (the registry issues them
-//! monotonically), so the table is a segmented array: a fixed spine of
-//! lazily-initialized fixed-size segments, giving lock-free O(1) lookup
-//! with bounded memory (`id >> SEG_SHIFT` picks the segment, the low bits
-//! pick the slot; the only synchronization is the `OnceLock` fill on
-//! first touch of a segment).
+//! monotonically), so the table is a `SegTable` (`segtable.rs`):
+//! lock-free O(1) lookup over the whole `u32` id range.
 //!
 //! Entries are packed `u64`s:
 //!
@@ -31,11 +28,8 @@
 //! local, and locality is stable while the owning task runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-const SEG_SHIFT: u32 = 12;
-const SEG_LEN: usize = 1 << SEG_SHIFT; // 4096 entries per segment
-const SEGMENTS: usize = 1 << 12; // spine for up to ~16.7M blocks
+use crate::segtable::SegTable;
 
 const PRESENT: u64 = 1 << 63;
 const ENTANGLED: u64 = 1 << 62;
@@ -50,65 +44,37 @@ pub struct SftEntry {
     pub entangled: bool,
 }
 
-/// The segmented block-classification table. One per [`crate::Store`].
+/// The block-classification table. One per [`crate::Store`].
+#[derive(Debug, Default)]
 pub struct SftTable {
-    segments: Box<[OnceLock<Box<[AtomicU64]>>]>,
-}
-
-impl std::fmt::Debug for SftTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let live = self.segments.iter().filter(|s| s.get().is_some()).count();
-        f.debug_struct("SftTable")
-            .field("segments_touched", &live)
-            .finish()
-    }
-}
-
-impl Default for SftTable {
-    fn default() -> Self {
-        SftTable::new()
-    }
+    entries: SegTable<AtomicU64>,
 }
 
 impl SftTable {
     /// Creates an empty table (no segments materialized).
     pub fn new() -> SftTable {
-        let segments: Vec<OnceLock<Box<[AtomicU64]>>> =
-            (0..SEGMENTS).map(|_| OnceLock::new()).collect();
-        SftTable {
-            segments: segments.into_boxed_slice(),
-        }
-    }
-
-    fn segment(&self, id: u32) -> &[AtomicU64] {
-        let seg = (id >> SEG_SHIFT) as usize;
-        assert!(seg < SEGMENTS, "block id {id} beyond SFT capacity");
-        self.segments[seg].get_or_init(|| (0..SEG_LEN).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    fn slot(&self, id: u32) -> &AtomicU64 {
-        &self.segment(id)[(id as usize) & (SEG_LEN - 1)]
+        SftTable::default()
     }
 
     /// Publishes (or updates) the entry for a live block. Called by the
     /// block on construction and on every owner/entangled transition.
     pub fn publish(&self, id: u32, owner: u32, entangled: bool) {
         let bits = PRESENT | u64::from(owner) | if entangled { ENTANGLED } else { 0 };
-        self.slot(id).store(bits, Ordering::Release);
+        self.entries.get_or_grow(id).store(bits, Ordering::Release);
     }
 
     /// Clears the entry when the block is freed.
     pub fn retract(&self, id: u32) {
-        self.slot(id).store(0, Ordering::Release);
+        if let Some(entry) = self.entries.get(id) {
+            entry.store(0, Ordering::Release);
+        }
     }
 
     /// Classifies a block id: `None` for unknown/freed blocks. The fast
-    /// path the barrier takes: a shift, a segment load, an entry load.
+    /// path the barrier takes: a segment load, an entry load.
     #[inline]
     pub fn classify(&self, id: u32) -> Option<SftEntry> {
-        let seg = (id >> SEG_SHIFT) as usize;
-        let table = self.segments.get(seg)?.get()?;
-        let bits = table[(id as usize) & (SEG_LEN - 1)].load(Ordering::Acquire);
+        let bits = self.entries.get(id)?.load(Ordering::Acquire);
         if bits & PRESENT == 0 {
             return None;
         }
@@ -150,9 +116,32 @@ mod tests {
     #[test]
     fn cross_segment_ids() {
         let t = SftTable::new();
-        let far = (SEG_LEN * 3 + 17) as u32;
+        let far = 4096 * 3 + 17;
         t.publish(far, 99, false);
         assert_eq!(t.owner_of(far), Some(99));
         assert_eq!(t.owner_of(far + 1), None);
+        assert_eq!(t.owner_of(far * 2), None, "untouched segment");
+    }
+
+    /// Block ids are never reused, so a long-lived process walks past any
+    /// fixed capacity: the 16 777 216th id used to panic ("beyond SFT
+    /// capacity").
+    #[test]
+    fn ids_past_two_to_the_24_classify() {
+        let t = SftTable::new();
+        for id in [1 << 24, (1 << 24) + 4097] {
+            assert_eq!(t.classify(id), None);
+            t.publish(id, 7, true);
+            assert_eq!(
+                t.classify(id),
+                Some(SftEntry {
+                    owner: 7,
+                    entangled: true
+                })
+            );
+        }
+        t.retract(1 << 24);
+        assert_eq!(t.classify(1 << 24), None);
+        assert_eq!(t.classify(u32::MAX), None, "the spine covers every id");
     }
 }

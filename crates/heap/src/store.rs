@@ -235,7 +235,7 @@ impl Store {
         let block = self
             .blocks
             .register(|id| Block::new(id, heap, capacity, class, sft));
-        self.heaps.info(heap).add_block(block.id());
+        self.heaps.info(heap).with(|s| s.blocks.push(block.id()));
         block
     }
 
@@ -260,14 +260,14 @@ impl Store {
         }
         let class = size_class(nwords);
         loop {
-            if let Some(block) = info.alloc_block(class) {
+            if let Some(block) = info.with(|s| s.alloc_blocks[class].clone()) {
                 if let Some(r) = block.try_alloc(kind, fields) {
                     self.stats.on_alloc(size);
                     return r;
                 }
             }
             let block = self.new_block(heap, class, self.config.block_words);
-            info.set_alloc_block(class, Some(block));
+            info.with(|s| s.alloc_blocks[class] = Some(block));
         }
     }
 
@@ -376,18 +376,18 @@ impl Store {
     // ---- remoteness ---------------------------------------------------
 
     /// True if the object is on the task's root-to-leaf heap `path`
-    /// (canonical ids, indexed by depth). O(1).
+    /// (canonical ids, indexed by depth).
     pub fn is_local(&self, path: &[u32], r: ObjRef) -> bool {
-        let h = self.heap_of(r);
-        let d = self.heaps.info(h).depth() as usize;
-        d < path.len() && self.heaps.find(path[d]) == h
+        let owner = self.blocks.get(r.block()).owner();
+        self.heaps.path_relation(path, owner).2.is_none()
     }
 
     /// The entanglement level of an access from `path` to the object: the
     /// depth of the least common ancestor heap.
     pub fn entanglement_level(&self, path: &[u32], r: ObjRef) -> u16 {
         let owner = self.blocks.get(r.block()).owner();
-        self.heaps.lca_depth_on_path(path, owner)
+        let (_, depth, lca) = self.heaps.path_relation(path, owner);
+        lca.unwrap_or(depth)
     }
 
     // ---- pin protocol --------------------------------------------------
@@ -402,10 +402,7 @@ impl Store {
             match h.obj().try_pin(level) {
                 PinOutcome::Forwarded(next) => cur = next,
                 PinOutcome::NewlyPinned => {
-                    self.heaps.register_entangled(h.block().owner(), cur, level);
-                    h.block().add_pinned(1);
-                    self.stats.on_pin(h.obj().size_bytes());
-                    events::emit_obj(EventKind::Pin, cur, u32::from(level));
+                    self.on_newly_pinned(h.block(), cur, level);
                     return (cur, true);
                 }
                 PinOutcome::AlreadyPinned { .. } | PinOutcome::Dead => return (cur, false),
@@ -413,25 +410,26 @@ impl Store {
         }
     }
 
-    // ---- remembered sets ------------------------------------------------
-
-    /// Records that `entry.src[entry.field]` holds a down-pointer into
-    /// `dst_heap`.
-    pub fn remember(&self, dst_heap: u32, entry: RemsetEntry) {
-        self.heaps.remember_canonical(dst_heap, entry);
-        self.stats.add(Counter::remset_inserts, 1);
-        events::emit_obj(EventKind::RemsetInsert, entry.src, entry.field);
+    /// The bookkeeping owed by whoever's `try_pin` on the object at `r`
+    /// (in `block`) returned [`PinOutcome::NewlyPinned`]: index it on its
+    /// heap, count it on its block and in the gauges, trace it.
+    pub fn on_newly_pinned(&self, block: &Block, r: ObjRef, level: u16) {
+        self.heaps.register_entangled(block.owner(), r, level);
+        block.add_pinned(1);
+        self.stats.on_pin(block.get(r.word()).size_bytes());
+        events::emit_obj(EventKind::Pin, r, u32::from(level));
     }
 
-    /// Publishes a batch of remembered-set entries into `dst_heap` (one
-    /// table acquisition, one remset lock). This is the flush path for
-    /// mutator-private remembered-set buffers; `remember` remains the
-    /// unbuffered single-entry path.
-    pub fn remember_batch(&self, dst_heap: u32, entries: &[RemsetEntry]) {
+    // ---- remembered sets ------------------------------------------------
+
+    /// Publishes remembered-set entries — each `src[field]` holds a
+    /// down-pointer into `dst_heap` — under one acquisition of that heap's
+    /// lock. Mutators buffer entries privately and flush them here.
+    pub fn remember(&self, dst_heap: u32, entries: &[RemsetEntry]) {
         if entries.is_empty() {
             return;
         }
-        self.heaps.remember_canonical_batch(dst_heap, entries);
+        self.heaps.remember(dst_heap, entries);
         self.stats.add(Counter::remset_flushes, 1);
         self.stats
             .add(Counter::remset_inserts, entries.len() as u64);
@@ -533,24 +531,22 @@ impl Store {
 
     // ---- fork / join -----------------------------------------------------
 
-    /// Creates a root heap and returns its id.
+    /// Creates an unbudgeted root heap and returns its id.
     pub fn new_root_heap(&self) -> u32 {
-        self.heaps.new_root()
+        self.heaps.new_root(None)
     }
 
-    /// Attaches a tenant budget to `heap` (canonicalized). Heaps forked
-    /// under it from then on inherit the budget, so the tenant's whole
-    /// subtree is accounted against one limit.
-    pub fn set_heap_budget(&self, heap: u32, budget: Arc<TenantBudget>) {
-        self.heaps
-            .info(self.heaps.find(heap))
-            .set_budget(Some(budget));
+    /// Creates a tenant's root heap. Heaps forked under it inherit the
+    /// budget, so the tenant's whole subtree is accounted against one
+    /// limit.
+    pub fn new_tenant_root_heap(&self, budget: Arc<TenantBudget>) -> u32 {
+        self.heaps.new_root(Some(budget))
     }
 
     /// The tenant budget the (canonicalized) heap is accounted against,
     /// if any.
     pub fn budget_of(&self, heap: u32) -> Option<Arc<TenantBudget>> {
-        self.heaps.info(self.heaps.find(heap)).budget()
+        self.heaps.info(self.heaps.find(heap)).budget().cloned()
     }
 
     /// Creates the two child heaps of a fork from `parent`.
@@ -562,65 +558,26 @@ impl Store {
     /// sets, and entangled indexes, and applies the unpin-at-join rule —
     /// every object pinned at a level `>=` the parent's depth is unpinned,
     /// because the tasks that entangled it are no longer concurrent.
+    /// Index entries below that level cannot unpin here and are not
+    /// visited, so the join costs in proportion to the pins it resolves.
     ///
     /// Returns the number of objects unpinned and the live bytes merged
     /// in (so the resuming task can charge them toward its next local
     /// collection — merged garbage must not dodge the collector).
     pub fn join(&self, parent: u32, left: u32, right: u32) -> JoinOutcome {
         let parent = self.heaps.find(parent);
-        let join_depth = self.heaps.info(parent).depth();
+        let info = self.heaps.info(parent);
+        let join_depth = info.depth();
+        let (moved, candidates) = self.heaps.join(parent, left, right);
+        let merged_bytes = moved
+            .iter()
+            .filter_map(|&bid| self.blocks.try_get(bid))
+            .map(|b| b.live_bytes())
+            .sum();
         let mut unpinned = 0;
-        let mut merged_bytes: usize = 0;
-        for child in [left, right] {
-            let child = self.heaps.find(child);
-            for bid in self.heaps.info(child).block_ids() {
-                if let Some(b) = self.blocks.try_get(bid) {
-                    merged_bytes += b.live_bytes();
-                }
-            }
-        }
-
-        // Candidates: entries recorded at level >= the join depth, from
-        // both children and the parent's own accumulated index. Entries
-        // below the join depth cannot unpin here and are left untouched
-        // (this keeps join cost proportional to the pins that actually
-        // resolve, not to every pin in flight).
-        let mut candidates: Vec<ObjRef> = Vec::new();
-        for child in [left, right] {
-            let child = self.heaps.find(child);
-            let info = self.heaps.info(child);
-            let rems = info.take_remset();
-            // Drain-and-seal linearizes against concurrent pin
-            // registrations: anything racing this join lands on the
-            // parent's index instead of vanishing into the merged-away
-            // child's.
-            let all = info.drain_and_seal_entangled(parent);
-            self.heaps.merge_child(parent, child);
-            let pinfo = self.heaps.info(parent);
-            pinfo.extend_remset(rems);
-            for r in all {
-                let Some(r) = self.try_resolve(r) else {
-                    continue; // the concurrent collector reclaimed it
-                };
-                let hd = self.handle(r);
-                let hdr = hd.obj().header();
-                if hdr.is_dead() || !hdr.is_pinned() {
-                    continue;
-                }
-                if hdr.pin_level() >= join_depth {
-                    candidates.push(r);
-                } else {
-                    // Still entangled with something outside this join.
-                    pinfo.add_entangled(r, hdr.pin_level());
-                }
-            }
-        }
-        let pinfo = self.heaps.info(parent);
-        candidates.extend(pinfo.take_entangled_at_or_below(join_depth));
-
         for r in candidates {
             let Some(r) = self.try_resolve(r) else {
-                continue; // reclaimed concurrently
+                continue; // the concurrent collector reclaimed it
             };
             let h = self.handle(r);
             if h.obj().header().is_dead() {
@@ -633,7 +590,8 @@ impl Store {
                 unpinned += 1;
             } else if h.obj().header().is_pinned() {
                 // A lowered pin: re-home it at its authoritative level.
-                pinfo.add_entangled(r, h.obj().header().pin_level());
+                let level = h.obj().header().pin_level();
+                info.with(|s| s.add_entangled(r, level));
             }
         }
         JoinOutcome {
@@ -781,21 +739,21 @@ mod tests {
     }
 
     #[test]
-    fn remember_canonicalizes_heap() {
+    fn remember_lands_on_the_canonical_heap() {
         let s = store();
         let root = s.new_root_heap();
         let (l, r) = s.fork_heaps(root);
         s.join(root, l, r);
         // Remember against the merged id: lands on the canonical heap.
-        s.remember(
-            l,
-            RemsetEntry {
-                src: ObjRef::new(0, 0),
-                field: 0,
-            },
-        );
-        assert_eq!(s.heaps().info(root).remset_len(), 1);
+        let entry = RemsetEntry {
+            src: ObjRef::new(0, 0),
+            field: 0,
+        };
+        s.remember(l, &[entry]);
+        s.remember(l, &[]);
+        assert_eq!(s.heaps().info(root).with(|h| h.remset.len()), 1);
         assert_eq!(s.stats().snapshot().remset_inserts, 1);
+        assert_eq!(s.stats().snapshot().remset_flushes, 1, "empty: no flush");
     }
 
     #[test]
@@ -812,8 +770,7 @@ mod tests {
     #[test]
     fn census_counts_blocks_objects_and_tenants() {
         let s = store();
-        let root = s.new_root_heap();
-        s.set_heap_budget(root, TenantBudget::new("acme", 0));
+        let root = s.new_tenant_root_heap(TenantBudget::new("acme", 0));
         let other = s.new_root_heap(); // no budget: unattributed
         for i in 0..10 {
             s.alloc_values(root, ObjKind::Tuple, &[Value::Int(i)]);

@@ -95,7 +95,7 @@ proptest! {
     #[test]
     fn hierarchy_matches_oracle(script in ops()) {
         let table = HeapTable::new();
-        let root = table.new_root();
+        let root = table.new_root(None);
         let mut oracle = Oracle {
             parent: vec![root as usize],
             depth: vec![0],
@@ -129,8 +129,7 @@ proptest! {
                     });
                     if let Some(pos) = pos {
                         let (p, l, r) = forks.remove(pos);
-                        table.merge_child(p, l);
-                        table.merge_child(p, r);
+                        table.join(p, l, r);
                         oracle.merged[l as usize] = p as usize;
                         oracle.merged[r as usize] = p as usize;
                         leaves.retain(|&x| x != l && x != r);
@@ -140,31 +139,20 @@ proptest! {
             }
         }
 
+        // Canonicalization, canonical depth, ancestry and LCA, for every
+        // pair of ids ever issued (merged ones included). Ancestry is
+        // asked the way the runtime asks it — is `i` on the root path of
+        // `j`? — so every heap, not only the live leaves, ends a path.
         let n = oracle.parent.len();
-        for i in 0..n as u32 {
-            prop_assert_eq!(table.find(i) as usize, oracle.find(i as usize), "find({})", i);
-            let (canon, depth) = table.canonical_and_depth(i);
-            prop_assert_eq!(canon as usize, oracle.find(i as usize));
-            prop_assert_eq!(depth, oracle.depth[oracle.find(i as usize)]);
-            for j in 0..n as u32 {
-                prop_assert_eq!(
-                    table.is_ancestor(i, j),
-                    oracle.on_path(i as usize, j as usize),
-                    "is_ancestor({}, {})", i, j
-                );
-                prop_assert_eq!(
-                    table.lca_of(i, j),
-                    oracle.lca_depth(i as usize, j as usize),
-                    "lca({}, {})", i, j
-                );
-            }
-        }
-
-        // Path-relation agrees with membership + lca for every live leaf.
-        for &leaf in &leaves {
-            // Build the leaf's root path from the oracle.
+        prop_assert_eq!(table.len(), n);
+        for j in 0..n as u32 {
+            let canon = oracle.find(j as usize);
+            prop_assert_eq!(table.find(j) as usize, canon, "find({})", j);
+            prop_assert_eq!(table.is_canonical(j), canon == j as usize);
+            prop_assert_eq!(table.info(table.find(j)).depth(), oracle.depth[canon]);
+            // The root path of `j`'s canonical heap, from the oracle.
             let mut path = Vec::new();
-            let mut cur = oracle.find(leaf as usize);
+            let mut cur = canon;
             loop {
                 path.push(cur as u32);
                 let p = oracle.find(oracle.parent[cur]);
@@ -174,13 +162,15 @@ proptest! {
                 cur = p;
             }
             path.reverse();
-            for h in 0..n as u32 {
-                let (_, _, lca) = table.path_relation(&path, h);
-                let local = oracle.on_path(h as usize, leaf as usize);
-                prop_assert_eq!(lca.is_none(), local, "relation({}, leaf {})", h, leaf);
-                if let Some(d) = lca {
-                    prop_assert_eq!(d, oracle.lca_depth(h as usize, leaf as usize));
-                }
+            for i in 0..n as u32 {
+                let lca = oracle.lca_depth(i as usize, j as usize);
+                prop_assert_eq!(table.lca_of(i, j), lca, "lca({}, {})", i, j);
+                let (c, d, rel) = table.path_relation(&path, i);
+                prop_assert_eq!(c as usize, oracle.find(i as usize));
+                prop_assert_eq!(d, oracle.depth[oracle.find(i as usize)]);
+                let on_path = oracle.on_path(i as usize, j as usize);
+                prop_assert_eq!(rel.is_none(), on_path, "relation({}, path of {})", i, j);
+                prop_assert_eq!(rel.unwrap_or(d), lca, "level({}, path of {})", i, j);
             }
         }
     }

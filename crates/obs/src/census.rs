@@ -128,7 +128,9 @@ pub struct ProvenanceSummary {
 pub struct HeapCensus {
     /// Capture timestamp (ns since the telemetry epoch).
     pub at_ns: u64,
-    /// Heap-table entries (canonical heaps) at capture.
+    /// Heap ids ever issued at capture — every fork adds two, and a join
+    /// retires ids without reusing them, so this counts merged heaps too
+    /// (it is not the number of live heaps).
     pub heaps: u64,
     /// Live blocks at capture.
     pub blocks: u64,

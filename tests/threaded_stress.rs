@@ -1,5 +1,5 @@
 //! Concurrency stress: repeated real-thread runs of the entangled suite,
-//! hammering the pin/seal/join, SATB, and graveyard protocols. These
+//! hammering the pin/join, SATB, and graveyard protocols. These
 //! tests exist to make races like "pin registered concurrently with a
 //! join lands on a merged-away index" (found and fixed during
 //! development) stay fixed.

@@ -96,11 +96,12 @@ fn server_config() -> RuntimeConfig {
 
 fn run_once(specs: Vec<TenantSpec>, traffic: &TrafficConfig) -> ServerReport {
     let rt = Runtime::new(server_config());
+    let tenants = specs.len();
     let mut srv = Server::new(&rt, specs);
     let rep = srv.run(traffic);
     // Quiescent invariants every run must leave behind.
     rt.assert_heap_sound();
-    assert_eq!(rt.parked_results(), 0, "leaked parked results");
+    assert_eq!(rt.live_root_stacks(), tenants, "leaked branch slots");
     srv.shutdown();
     assert_eq!(rt.live_root_stacks(), 0, "leaked session roots");
     // The last runtime's telemetry doubles as the CI artifact.

@@ -124,7 +124,7 @@ impl Mutator<'_> {
                 PinOutcome::AlreadyPinned { .. } => return Some(r),
                 PinOutcome::NewlyPinned => {
                     self.rt.store().on_newly_pinned(block, r, level);
-                    self.ctx.satb_log(r);
+                    self.ctx.log_satb(r);
                     self.rt.request_cgc_poll();
                     return Some(r);
                 }
@@ -278,7 +278,7 @@ impl Mutator<'_> {
         // `mpl_gc::cgc`.
         if self.rt.cgc_state().is_marking() {
             if let Some(old) = obj.field_word(idx).pointer() {
-                self.ctx.satb_log(old);
+                self.ctx.log_satb(old);
             }
         }
         obj.set_field(idx, v);
@@ -295,7 +295,7 @@ impl Mutator<'_> {
         let obj = self.cached_block(r).get(r.word());
         if self.rt.cgc_state().is_marking() {
             if let Value::Obj(old) = expected {
-                self.ctx.satb_log(old);
+                self.ctx.log_satb(old);
             }
         }
         // A CAS is also a read: the observed value may expose a remote

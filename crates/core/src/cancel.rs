@@ -13,7 +13,7 @@
 //! Tripping is first-writer-wins: exactly one trip records the trip
 //! timestamp (the start of the cancellation-latency window) and fires
 //! the *kick* — a callback the runtime uses to unpark sleeping
-//! scheduler workers so a parked pool notices the trip in microseconds
+//! scheduler workers so a sleeping pool notices the trip in microseconds
 //! instead of a full park interval.
 //!
 //! Cancellation *delivery* is an ordinary unwind: the polling task

@@ -197,7 +197,7 @@ impl Mutator<'_> {
     /// panic payload. Raising here is sound: both collectors have fully
     /// completed and released their locks before the raise, the pending
     /// object has not been written anywhere, and the unwinding task's
-    /// [`Mutator`] drop flushes its buffers and deregisters its roots.
+    /// [`Mutator`] drop flushes its buffers and pauses its slot.
     ///
     /// Called before field encoding, where the not-yet-allocated pointer
     /// fields can still ride through the moving collection as roots —

@@ -1,12 +1,14 @@
 //! Per-task GC state and the boundary protocol that keeps it coherent.
 //!
 //! A [`TaskCtx`] is everything one task owns on the mutator/collector
-//! seam: allocation and block caches, the remembered-set write buffer,
-//! the SATB shard, the root stack, task-buffered counters, DAG work, the
-//! tenant budget and the cancel token. That state crosses exactly five
-//! boundaries, and each boundary is one method here — the only place its
-//! work happens (DESIGN.md "Task boundaries" tabulates which component
-//! does what at which boundary):
+//! seam — allocation and block caches, the remembered-set write buffer,
+//! task-buffered counters, DAG work, the tenant budget and the cancel
+//! token — plus the [`MutatorSlot`] (root stack + SATB shard) it
+//! *borrows*: its run's, its session's, or its forker's, unless the
+//! scheduler migrated it (`crate::roots` has the ownership rule). That
+//! state crosses exactly five boundaries, and each boundary is one method
+//! here — the only place its work happens (DESIGN.md "Task boundaries"
+//! tabulates which component does what at which boundary):
 //!
 //! | boundary | method | who calls it |
 //! |---|---|---|
@@ -17,8 +19,11 @@
 //! | task end | [`TaskCtx::finish`] | `Drop` (normal return and every unwind) |
 //!
 //! [`TaskCtx::enter`] is the one constructor. The remembered-set buffer,
-//! its dedup set, the SATB shard and the session link are private to this
-//! module, so no other file can flush, register or drop them.
+//! its dedup set and the session link are private to this module, so no
+//! other file can flush or drop them. Nothing here registers anything:
+//! slots are opened and closed by the run, the session and the steal
+//! (`runtime/`, `Mutator::fork`), and whoever catches a task's outcome
+//! pops its frame (`run_branch`, `run_root`).
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -31,7 +36,7 @@ use mpl_sched::{DagBuilder, StrandId};
 
 use super::Mutator;
 use crate::cancel::{CancelReason, CancelToken, Cancelled};
-use crate::roots::RootStack;
+use crate::roots::MutatorSlot;
 use crate::runtime::{Runtime, TenantSession};
 
 /// Buffered remembered-set entries are published once the buffer reaches
@@ -42,8 +47,8 @@ const REMSET_BUFFER_CAP: usize = 256;
 /// are pending, so the allocation fast path pays no global atomics.
 pub(crate) const PENDING_FLUSH_BYTES: u64 = 16 * 1024;
 
-/// RAII collector-safe window on a task's SATB shard: while held, the
-/// concurrent collector's snapshot handshake does not wait on this task.
+/// RAII collector-safe window on a slot's SATB shard: while held, the
+/// concurrent collector's snapshot handshake does not wait on the slot.
 /// Held around every region where the task either blocks (fork branch
 /// suspension, the collection gate) or runs for an unbounded stretch
 /// without reaching a poll point (a local collection).
@@ -51,18 +56,20 @@ pub(crate) const PENDING_FLUSH_BYTES: u64 = 16 * 1024;
 /// Soundness: entering flushes the shard's SATB buffer and the exit
 /// re-acks the current epoch, so a snapshot taken while this window is
 /// open sees every pre-window logged pointer; the wrapped regions perform
-/// no unlogged entangled-pointer deletions (branch bodies mutate through
-/// their *own* shards, and the collectors' own heap surgery is covered by
+/// no unlogged entangled-pointer deletions (a branch body borrowing the
+/// slot resumes it for as long as it runs, a migrated one mutates
+/// through its own, and the collectors' own heap surgery is covered by
 /// the forwarding/graveyard arguments in [`TaskCtx::collect_local`]).
-/// Windows nest — the shard's `safe` word is a depth counter.
+/// Windows nest — the shard's `safe` word is a depth counter, and a
+/// slot nobody runs on rests at depth 1.
 pub(crate) struct SafeWindow<'rt> {
     st: &'rt mpl_gc::CgcState,
-    shard: Arc<mpl_gc::SatbShard>,
+    slot: Arc<MutatorSlot>,
 }
 
 impl Drop for SafeWindow<'_> {
     fn drop(&mut self) {
-        self.st.exit_safe(&self.shard);
+        self.st.exit_safe(&self.slot.satb);
     }
 }
 
@@ -71,7 +78,13 @@ impl Drop for SafeWindow<'_> {
 pub(crate) struct TaskCtx<'rt> {
     pub(crate) rt: &'rt Runtime,
     pub(crate) path: Vec<u32>,
-    pub(crate) roots: Arc<RootStack>,
+    /// The slot this task runs on (borrowed — see the module docs), and
+    /// where its frame starts on the slot's root stack: roots below
+    /// `base` belong to suspended ancestors and are not this task's to
+    /// release or to collect from. 0 for a root task, so a session's
+    /// roots from earlier requests are its LGC roots.
+    pub(crate) slot: Arc<MutatorSlot>,
+    pub(crate) base: usize,
     pub(crate) alloc_since: usize,
     pub(crate) dag: Option<Arc<DagBuilder>>,
     pub(crate) strand: StrandId,
@@ -117,19 +130,9 @@ pub(crate) struct TaskCtx<'rt> {
     /// once at task setup; child heaps inherit it at fork). `None` for
     /// unbudgeted tasks — the common case, which pays one branch.
     pub(crate) budget: Option<Arc<TenantBudget>>,
-    /// Set for a tenant-session root task: the root stack is the
-    /// session's (registered for the session's lifetime, so `finish`
-    /// leaves it registered) and the collection debt is carried back
-    /// into the session at `finish`.
+    /// Set for a tenant-session root task: the collection debt is
+    /// restored from the session at `enter` and carried back at `finish`.
     session: Option<&'rt TenantSession>,
-    /// This task's SATB shard: a private modbuf the barriers log into,
-    /// flushed to the collector at capacity and at boundaries, plus the
-    /// safe/ack words the collector's snapshot handshake reads. Every
-    /// registered shard must keep polling, sit inside a safe window, or
-    /// deregister — otherwise the handshake stalls; `finish` deregisters
-    /// unconditionally (the shard, unlike a session's root stack, is
-    /// per-task state).
-    satb: Arc<mpl_gc::SatbShard>,
     /// Cooperative-cancellation token, inherited at fork (like the
     /// tenant budget) and checked by [`TaskCtx::poll`], so a tripped
     /// token unwinds within one poll interval. Runs always carry a
@@ -139,12 +142,13 @@ pub(crate) struct TaskCtx<'rt> {
 
 impl<'rt> TaskCtx<'rt> {
     /// **Enter**: builds the state of a task whose leaf heap is the last
-    /// element of `path`, and publishes it to the collectors — a fresh
-    /// registered root stack (or the session's persistent one, so handles
-    /// from earlier requests stay valid, with the session's carried
-    /// collection debt restored) and a fresh registered SATB shard.
+    /// element of `path`, running on the (paused) `slot` it is handed:
+    /// resumes the slot and opens a frame at the top of its root stack —
+    /// at the bottom for a root task, which also restores its session's
+    /// carried collection debt.
     pub(crate) fn enter(
         rt: &'rt Runtime,
+        slot: &Arc<MutatorSlot>,
         path: Vec<u32>,
         dag: Option<Arc<DagBuilder>>,
         strand: StrandId,
@@ -152,25 +156,21 @@ impl<'rt> TaskCtx<'rt> {
         session: Option<&'rt TenantSession>,
     ) -> TaskCtx<'rt> {
         let trigger = rt.config().policy.lgc_trigger_bytes;
-        let (roots, alloc_since, lgc_budget) = match session {
-            Some(s) => (
-                Arc::clone(&s.roots),
+        let (alloc_since, lgc_budget) = session.map_or((0, trigger), |s| {
+            (
                 s.alloc_debt.load(Ordering::Relaxed),
                 s.lgc_budget.load(Ordering::Relaxed).max(trigger),
-            ),
-            None => {
-                let roots = Arc::new(RootStack::new());
-                rt.roots().register(&roots);
-                (roots, 0, trigger)
-            }
-        };
+            )
+        });
         let budget = rt
             .store()
             .budget_of(*path.last().expect("task path is never empty"));
+        rt.cgc_state().exit_safe(&slot.satb);
         TaskCtx {
             rt,
+            base: if path.len() == 1 { 0 } else { slot.roots.len() },
             path,
-            roots,
+            slot: Arc::clone(slot),
             alloc_since,
             dag,
             strand,
@@ -186,7 +186,6 @@ impl<'rt> TaskCtx<'rt> {
             remset_seen: HashSet::new(),
             budget,
             session,
-            satb: rt.cgc_state().register_shard(),
             cancel,
         }
     }
@@ -207,7 +206,7 @@ impl<'rt> TaskCtx<'rt> {
     /// a cancel — the same liveness caveat as MPL's safepoint scheme.)
     #[inline]
     pub(crate) fn poll(&self) {
-        self.rt.cgc_state().poll_handshake(&self.satb);
+        self.rt.cgc_state().poll_handshake(&self.slot.satb);
         if let Some(reason) = self.cancel.poll() {
             self.unwind_cancelled(reason);
         }
@@ -251,9 +250,9 @@ impl<'rt> TaskCtx<'rt> {
     /// handshake while this one blocks on the gate).
     pub(crate) fn cgc_safepoint(&mut self, roots: &[Value], force: bool) {
         self.flush_stats();
-        let mark = self.roots.len();
+        let mark = self.slot.roots.len();
         for r in roots.iter().filter_map(|v| v.as_obj()) {
-            self.roots.push(r);
+            self.slot.roots.push(r);
         }
         {
             let _safe = self.safe_window();
@@ -263,11 +262,13 @@ impl<'rt> TaskCtx<'rt> {
                 self.rt.maybe_cgc();
             }
         }
-        self.roots.truncate(mark);
+        self.slot.roots.truncate(mark);
     }
 
-    /// **Local collection** of this task's leaf heap. The root stack plus
-    /// `extra` (updated in place) are the roots; buffered remembered-set
+    /// **Local collection** of this task's leaf heap. This task's frame
+    /// of the root stack plus `extra` (updated in place) are the roots —
+    /// frames below it belong to suspended ancestors, whose roots point
+    /// into their own heaps, not this leaf; buffered remembered-set
     /// entries targeting this task's own heaps are roots too, so they are
     /// published first. Afterwards the collection debt restarts and the
     /// caches — whose blocks the collection replaced or freed — are
@@ -292,15 +293,14 @@ impl<'rt> TaskCtx<'rt> {
         if rt.config().cgc_slice_objects > 0 && rt.cgc_state().cycle_active() {
             rt.force_cgc();
         }
-        // Snapshot this task's root stack (owner read: nobody else
-        // pushes), collect, then write the updated locations back with
+        // Snapshot this task's frame (owner read: nobody else pushes),
+        // collect, then write the updated locations back with
         // atomic slot stores. A concurrent CGC root scan may interleave
         // and read a pre-collection reference; that is sound — the old
         // location forwards to the new one, and retired fromspace blocks
         // outlive the cycle (the graveyard drains only at quiescence).
-        let nroots = self.roots.len();
-        let mut roots: Vec<ObjRef> = Vec::with_capacity(nroots + extra.len());
-        self.roots.extend_snapshot(&mut roots);
+        let mut roots = self.slot.roots.snapshot(self.base);
+        let nroots = roots.len();
         roots.extend(extra.iter().filter_map(|v| v.as_obj()));
         let out = mpl_gc::collect_local(
             rt.store(),
@@ -310,7 +310,7 @@ impl<'rt> TaskCtx<'rt> {
             rt.config().policy.immediate_block_free,
         );
         for (i, r) in roots[..nroots].iter().enumerate() {
-            self.roots.set(i, *r);
+            self.slot.roots.set(self.base + i, *r);
         }
         let mut moved = roots[nroots..].iter();
         for v in extra.iter_mut().filter(|v| v.as_obj().is_some()) {
@@ -335,24 +335,20 @@ impl<'rt> TaskCtx<'rt> {
     /// (`panic!`, `AllocError`, `Cancelled`); [`Drop`] is the one caller.
     /// Publishes everything buffered (an ancestor may resume and collect
     /// a heap the buffered remembered-set entries point into), hands the
-    /// collection debt back to the session, and withdraws the task from
-    /// the collectors: the root stack leaves the registry unless it is a
-    /// session's (a leaked entry would keep dead roots alive forever),
-    /// and the SATB shard always deregisters (a registered shard nobody
-    /// polls would stall the snapshot handshake; deregistration drains
-    /// its buffer).
+    /// collection debt back to the session, and pauses the slot again
+    /// (nobody polls it until the forker resumes or the next request
+    /// enters — a running slot would stall the snapshot handshake;
+    /// pausing flushes its SATB buffer). The frame was popped before
+    /// this, by whoever caught the task's outcome.
     fn finish(&mut self) {
         self.flush_work();
         self.flush_remset();
-        match self.session {
+        if let Some(s) = self.session {
             // Even after a shed request: the garbage is still there.
-            Some(s) => {
-                s.alloc_debt.store(self.alloc_since, Ordering::Relaxed);
-                s.lgc_budget.store(self.lgc_budget, Ordering::Relaxed);
-            }
-            None => self.rt.roots().unregister(&self.roots),
+            s.alloc_debt.store(self.alloc_since, Ordering::Relaxed);
+            s.lgc_budget.store(self.lgc_budget, Ordering::Relaxed);
         }
-        self.rt.cgc_state().deregister_shard(&self.satb);
+        self.rt.cgc_state().enter_safe(&self.slot.satb);
         self.debug_assert_flushed();
     }
 
@@ -364,10 +360,10 @@ impl<'rt> TaskCtx<'rt> {
 
     fn safe_window(&self) -> SafeWindow<'rt> {
         let st = self.rt.cgc_state();
-        st.enter_safe(&self.satb);
+        st.enter_safe(&self.slot.satb);
         SafeWindow {
             st,
-            shard: Arc::clone(&self.satb),
+            slot: Arc::clone(&self.slot),
         }
     }
 
@@ -390,10 +386,10 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// SATB deletion/pin log: records a pointer that must survive the
-    /// current snapshot into this task's shard (no-op unless marking).
+    /// current snapshot into the slot's shard (no-op unless marking).
     #[inline]
-    pub(crate) fn satb_log(&self, r: ObjRef) {
-        self.rt.cgc_state().satb_log_shard(&self.satb, r);
+    pub(crate) fn log_satb(&self, r: ObjRef) {
+        self.rt.cgc_state().satb_log_shard(&self.slot.satb, r);
     }
 
     /// Buffers a down-pointer remembered-set entry targeting `dst_heap`

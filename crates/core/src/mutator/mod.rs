@@ -22,8 +22,8 @@
 //! accesses to the same object/array, the allocation fast path is a
 //! single bump-pointer reservation in a cached size-class block (no lock,
 //! no `Arc` clone, no per-object `Vec` — field words are staged in a
-//! reused task scratch buffer), and rooting is a push onto the task's
-//! private lock-free [`crate::roots::RootStack`]. Down-pointer
+//! reused task scratch buffer), and rooting is a push onto the lock-free
+//! [`crate::roots::RootStack`] of the slot the task runs on. Down-pointer
 //! remembered-set entries are buffered task-locally (with per-object
 //! dedup) and published in batches at the task's boundaries.
 //!
@@ -31,8 +31,9 @@
 //!
 //! `alloc` and `access` are the hot paths; `boundary` owns the per-task
 //! GC state (`TaskCtx`) and the five points at which it is flushed,
-//! registered or dropped. This file holds the public types, rooting, and
-//! `fork` — which touches that state only through the boundary methods.
+//! paused or dropped. This file holds the public types, rooting, and
+//! `fork` — which touches that state only through the boundary methods,
+//! and is where a stolen branch's slot is opened and closed.
 
 mod access;
 mod alloc;
@@ -41,10 +42,9 @@ mod boundary;
 use std::sync::Arc;
 
 use mpl_heap::Value;
-use mpl_sched::{DagBuilder, StrandId};
+use mpl_sched::StrandId;
 
-use crate::cancel::CancelToken;
-use crate::roots::RootStack;
+use crate::roots::MutatorSlot;
 use crate::runtime::Runtime;
 
 pub(crate) use boundary::TaskCtx;
@@ -61,8 +61,8 @@ pub const ENTANGLEMENT_PANIC: &str =
 ///
 /// The error unwinds out of the allocating call as a panic payload and
 /// rides the fork/join propagation path (each join re-raises a branch
-/// panic after its sibling parks), so every ancestor task's [`Mutator`]
-/// drops and deregisters normally. [`crate::Runtime::try_run`] catches it
+/// panic after its sibling finishes), so every ancestor task's
+/// [`Mutator`] drops, and pops its frame, normally. [`crate::Runtime::try_run`] catches it
 /// at the top and returns it as a value; the runtime stays usable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocError {
@@ -96,9 +96,9 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// A rooted value handle. Immediates are stored inline; objects live in
-/// the creating task's lock-free root stack and survive (and track)
-/// moving collections. A handle may be read from descendant tasks (the
-/// creating task is suspended, so its stack is stable), which is how
+/// the creating task's frame of a lock-free root stack and survive (and
+/// track) moving collections. A handle may be read from descendant tasks
+/// (the creating task is suspended, so its frame is stable), which is how
 /// fork branches access pre-fork values. Dereferencing is a single
 /// atomic slot load — no lock, no `Arc` clone.
 #[derive(Clone, Debug)]
@@ -107,11 +107,11 @@ pub struct Handle(HandleRepr);
 #[derive(Clone, Debug)]
 enum HandleRepr {
     Imm(Value),
-    Slot(Arc<RootStack>, usize),
+    Slot(Arc<MutatorSlot>, usize),
 }
 
 /// A watermark for bulk-releasing roots (scope exit).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RootMark(usize);
 
 /// One task's interface to the runtime.
@@ -152,7 +152,7 @@ impl<'rt> Mutator<'rt> {
     /// parent data into fork branches: [`Mutator::get`] works from the
     /// creating task *and* from its descendants.
     ///
-    /// Rooting is lock-free: a push onto the task's private
+    /// Rooting is lock-free: a push onto the task's frame of its slot's
     /// [`crate::roots::RootStack`], published to collectors by a single
     /// release store.
     ///
@@ -174,8 +174,8 @@ impl<'rt> Mutator<'rt> {
     pub fn root(&mut self, v: Value) -> Handle {
         match v {
             Value::Obj(r) => {
-                let slot = self.ctx.roots.push(r);
-                Handle(HandleRepr::Slot(Arc::clone(&self.ctx.roots), slot))
+                let i = self.ctx.slot.roots.push(r);
+                Handle(HandleRepr::Slot(Arc::clone(&self.ctx.slot), i))
             }
             imm => Handle(HandleRepr::Imm(imm)),
         }
@@ -187,7 +187,7 @@ impl<'rt> Mutator<'rt> {
     pub fn get(&self, h: &Handle) -> Value {
         match &h.0 {
             HandleRepr::Imm(v) => *v,
-            HandleRepr::Slot(stack, i) => Value::Obj(stack.get(*i)),
+            HandleRepr::Slot(slot, i) => Value::Obj(slot.roots.get(*i)),
         }
     }
 
@@ -199,8 +199,8 @@ impl<'rt> Mutator<'rt> {
     /// object.
     pub fn set_root(&mut self, h: &Handle, v: Value) {
         match &h.0 {
-            HandleRepr::Slot(stack, i) => {
-                stack.set(*i, v.expect_obj());
+            HandleRepr::Slot(slot, i) => {
+                slot.roots.set(*i, v.expect_obj());
             }
             HandleRepr::Imm(_) => panic!("cannot overwrite an immediate handle"),
         }
@@ -208,12 +208,14 @@ impl<'rt> Mutator<'rt> {
 
     /// Returns a watermark capturing the current root-stack height.
     pub fn mark(&self) -> RootMark {
-        RootMark(self.ctx.roots.len())
+        RootMark(self.ctx.slot.roots.len())
     }
 
-    /// Releases every root created after `mark`.
+    /// Releases every root created after `mark` — a mark this task took:
+    /// roots below its frame are a suspended ancestor's.
     pub fn release(&mut self, mark: RootMark) {
-        self.ctx.roots.truncate(mark.0);
+        debug_assert!(mark.0 >= self.ctx.base, "a mark below the task's frame");
+        self.ctx.slot.roots.truncate(mark.0);
     }
 
     // ---- fork-join ---------------------------------------------------------
@@ -249,6 +251,7 @@ impl<'rt> Mutator<'rt> {
         // The parent is suspended (or running branch bodies under their
         // own task contexts) until the join.
         let suspended = self.ctx.suspend();
+        let mark = self.ctx.slot.roots.len();
         let rt = self.rt;
         let parent_heap = self.ctx.leaf_heap();
         let (lh, rh) = rt.store().fork_heaps(parent_heap);
@@ -256,19 +259,14 @@ impl<'rt> Mutator<'rt> {
             Some(dag) => dag.fork(self.ctx.strand),
             None => (StrandId(0), StrandId(0)),
         };
-        let mut lpath = self.ctx.path.clone();
-        lpath.push(lh);
-        let mut rpath = self.ctx.path.clone();
-        rpath.push(rh);
-        // Branches inherit the cancellation token (like the tenant
-        // budget): one tripped token unwinds the whole tree. Branch
-        // bodies rebuild their task context from the captured heap
-        // paths, so which worker executes a branch is invisible to the
-        // heap hierarchy.
-        let (ldag, lcancel) = (self.ctx.dag.clone(), self.ctx.cancel.clone());
-        let (rdag, rcancel) = (self.ctx.dag.clone(), self.ctx.cancel.clone());
-        let left = move || run_branch(rt, lpath, ldag, ls, lcancel, f);
-        let right = move || run_branch(rt, rpath, rdag, rs, rcancel, g);
+        // Branch bodies build their task context from this (suspended,
+        // hence frozen) one and their own heap, so which worker executes
+        // a branch is invisible to the heap hierarchy; the scheduler
+        // tells a branch whether it migrated, which decides whose slot it
+        // runs on.
+        let forker = &self.ctx;
+        let left = move |migrated| run_branch(forker, migrated, lh, ls, f);
+        let right = move |migrated| run_branch(forker, migrated, rh, rs, g);
         // Parallel path: offer the right branch to thieves on this
         // worker's deque and run the left branch inline (help-first). If
         // nobody steals it, `try_join` pops it back and runs it inline —
@@ -281,7 +279,7 @@ impl<'rt> Mutator<'rt> {
             Err((left, right))
         };
         let ((lv, lend, lslot), (rv, rend, rslot)) =
-            joined.unwrap_or_else(|(left, right)| (left(), right()));
+            joined.unwrap_or_else(|(left, right)| (left(false), right(false)));
 
         // The join merge below mutates heap structure under this task's
         // identity again: close the suspension window first.
@@ -289,12 +287,21 @@ impl<'rt> Mutator<'rt> {
 
         // Cleanup precedes any re-raise: the join must merge both child
         // heaps (taking their state, entangled indexes included, and applying
-        // unpin-at-join) and the parked sibling result must be released
-        // even when a branch panicked — otherwise a shed request leaks
-        // pins and pending-slot roots for the runtime's lifetime.
+        // unpin-at-join) and take the branches' result roots — one on top
+        // of this task's frame per object a borrowing branch returned,
+        // one in the slot a migrated branch hands back — even when a
+        // branch panicked; otherwise a shed request leaks pins, roots and
+        // registered slots for the runtime's lifetime.
         let join = rt.store().join(parent_heap, lh, rh);
-        rt.roots().unpark(lslot);
-        rt.roots().unpark(rslot);
+        let roots = &self.ctx.slot.roots;
+        for (v, own) in [(&rv, &rslot), (&lv, &lslot)] {
+            match own {
+                Some(own) => rt.close_slot(own),
+                None if matches!(v, Ok(Value::Obj(_))) => roots.truncate(roots.len() - 1),
+                None => {}
+            }
+        }
+        debug_assert_eq!(roots.len(), mark, "a branch left roots behind");
         if let Some(dag) = &self.ctx.dag {
             self.ctx.strand = dag.join(lend, rend);
         }
@@ -330,37 +337,50 @@ impl<'rt> Mutator<'rt> {
     }
 }
 
-/// Runs one fork branch as its own task: enter, poll, body, finish.
+/// Runs one fork branch as its own task: enter, poll, body, finish — on
+/// its forker's slot (the forker is suspended directly beneath it on this
+/// native stack), or, if the scheduler migrated it, on a slot of its own,
+/// which it hands back (paused, rooting the result) with its outcome and
+/// last strand for the join to close. The branch inherits the forker's
+/// cancellation token (like the tenant budget): one tripped token unwinds
+/// the whole tree.
 fn run_branch<F>(
-    rt: &Runtime,
-    path: Vec<u32>,
-    dag: Option<Arc<DagBuilder>>,
+    forker: &TaskCtx<'_>,
+    migrated: bool,
+    heap: u32,
     strand: StrandId,
-    cancel: CancelToken,
     body: F,
-) -> (std::thread::Result<Value>, StrandId, Option<usize>)
+) -> (
+    std::thread::Result<Value>,
+    StrandId,
+    Option<Arc<MutatorSlot>>,
+)
 where
     F: FnOnce(&mut Mutator<'_>) -> Value,
 {
-    let mut m = Mutator::new(TaskCtx::enter(rt, path, dag, strand, cancel, None));
+    let own = migrated.then(|| forker.rt.open_slot());
+    let slot = own.as_ref().unwrap_or(&forker.slot);
+    let mut path = forker.path.clone();
+    path.push(heap);
+    let (dag, cancel) = (forker.dag.clone(), forker.cancel.clone());
+    let ctx = TaskCtx::enter(forker.rt, slot, path, dag, strand, cancel, None);
+    let mut m = Mutator::new(ctx);
     // A panicking branch (entanglement abort, AllocError, injected
     // fault, cancellation) is caught here and re-raised by the parent's
-    // join *after* both child heaps merged and the sibling's parked
-    // result was released — the caught payload rides back as a value so
+    // join *after* both child heaps merged and both branches' result
+    // roots were taken — the caught payload rides back as a value so
     // the fork can run its cleanup unconditionally. Branch entry is a
     // poll point, so a branch stolen after the trip unwinds immediately.
     let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         m.ctx.poll();
         body(&mut m)
     }));
-    // Park the result before the task finishes (dropping its roots) so a
-    // concurrent collection between branch completion and the join still
-    // sees it.
-    let slot = match &v {
-        Ok(v) => rt.roots().park(*v),
-        Err(_) => None,
-    };
+    // The frame collapses to the result before the task finishes (and
+    // pauses the slot), so a concurrent collection between branch
+    // completion and the join still sees it.
+    let result = v.as_ref().ok().and_then(|v| v.as_obj());
+    m.ctx.slot.roots.pop_frame(m.ctx.base, result);
     let end = m.ctx.strand;
     drop(m);
-    (v, end, slot)
+    (v, end, own)
 }

@@ -1,15 +1,38 @@
-//! Lock-free task root stacks, and the registry that publishes them to
-//! the concurrent collector.
+//! Mutator slots — a lock-free root stack plus a SATB shard — and the
+//! registry that publishes them to the concurrent collector.
 //!
-//! Every task owns a [`RootStack`]: the set of object references it has
-//! rooted via [`crate::mutator::Mutator::root`]. The stack used to be an
+//! A [`MutatorSlot`] is what the collectors see of one *thread of
+//! execution*: a persistent tenant session, an anonymous run, or a fork
+//! branch the scheduler migrated to another worker. [`RootRegistry::open`]
+//! is the one constructor, and exactly those three call it; tasks do not
+//! own slots, they *borrow* one. A root task runs on its session's or
+//! run's slot; an un-migrated fork branch runs on its forker's, above a
+//! frame base it records on entry (`TaskCtx::enter`), so a slot's
+//! [`RootStack`] holds the frames of every task currently nested on it.
+//!
+//! # One OS thread per slot, frames nest LIFO
+//!
+//! A slot is created by the thread that starts the run or executes the
+//! stolen job, and a task borrows its forker's slot only when the
+//! scheduler reports it un-migrated — when it runs *directly inside* its
+//! forker's `join` frame on the same native stack (`mpl_sched`'s
+//! `migrated` flag; a job popped by a deeper join of the same worker
+//! counts as migrated). So all pushes and truncations of one stack come
+//! from one thread, every task's frame sits directly on its suspended
+//! forker's, and a task finishes (popping its frame) before its forker
+//! resumes. Other threads touch a slot only while it is paused: a later
+//! request of the same session, or the join closing a migrated branch's
+//! slot, both ordered after the pause by the hand-off itself.
+//!
+//! # The stack
+//!
+//! The set of object references rooted via
+//! [`crate::mutator::Mutator::root`] used to be an
 //! `Arc<Mutex<Vec<ObjRef>>>`, which put a lock acquisition on every root
 //! push/pop and every handle dereference — pure mutator-side overhead,
 //! since the only concurrent readers (the concurrent collector's root
-//! scan, and descendants reading a suspended parent's handles) never
+//! scan, and descendants reading a suspended ancestor's handles) never
 //! need mutual exclusion, only a consistent prefix.
-//!
-//! # Design
 //!
 //! A `RootStack` is a segmented stack of `AtomicU64` slots (packed
 //! [`ObjRef`]s) with a published length:
@@ -18,8 +41,8 @@
 //!   lazily by the owner behind `OnceLock`s, so a slot's address never
 //!   changes once written — growing the stack never moves earlier
 //!   entries, which is what lets readers run without locks.
-//! * **Owner-only structure mutation**: only the owning task pushes,
-//!   truncates, or allocates segments. A push writes the slot first,
+//! * **Owner-only structure mutation**: only the task running on the
+//!   slot pushes, truncates, or allocates segments. A push writes first,
 //!   then publishes it with a `Release` store of `len`.
 //! * **Readers** (`iter_snapshot`, `Handle` dereferences from
 //!   descendants, the CGC root assembly) take an `Acquire` load of `len`
@@ -37,10 +60,11 @@
 //! (the one `Arc` clone happens at `root()` when the handle is created).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use mpl_heap::{ObjRef, Value};
+use mpl_gc::{CgcState, SatbShard};
+use mpl_heap::ObjRef;
 use parking_lot::Mutex;
 
 /// Slots in the first segment; segment `k` holds `SEG0 << k` slots.
@@ -74,7 +98,7 @@ pub(crate) struct RootStack {
 }
 
 impl RootStack {
-    pub(crate) fn new() -> RootStack {
+    fn new() -> RootStack {
         RootStack {
             len: AtomicUsize::new(0),
             segs: std::array::from_fn(|_| OnceLock::new()),
@@ -131,15 +155,24 @@ impl RootStack {
         self.len.store(new_len, Ordering::Release);
     }
 
-    /// Copies the current contents into `out`. Lock-free; concurrent
+    /// Ends the frame that starts at `base`: drops its roots, keeping one
+    /// slot for `keep` (a branch's result, which must stay rooted until
+    /// the join pops it). Owner-only. The kept root goes on top first and
+    /// is copied down before the length shrinks, so no reader finds the
+    /// stack without it.
+    pub(crate) fn pop_frame(&self, base: usize, keep: Option<ObjRef>) {
+        if let Some(r) = keep {
+            self.push(r);
+            self.set(base, r);
+        }
+        self.truncate(base + usize::from(keep.is_some()));
+    }
+
+    /// Copies out the roots from index `from` up. Lock-free; concurrent
     /// `set`s may interleave, which is sound for collector root scans
     /// (every observed value denotes a live object).
-    pub(crate) fn extend_snapshot(&self, out: &mut Vec<ObjRef>) {
-        let n = self.len();
-        out.reserve(n);
-        for i in 0..n {
-            out.push(self.get(i));
-        }
+    pub(crate) fn snapshot(&self, from: usize) -> Vec<ObjRef> {
+        (from..self.len()).map(|i| self.get(i)).collect()
     }
 }
 
@@ -151,65 +184,69 @@ impl fmt::Debug for RootStack {
     }
 }
 
-/// The concurrent collector's root set: every live task's (and every
-/// persistent session's) root stack, plus branch results parked between
-/// a branch's completion and its parent's join. The mutexes guard only
-/// the two small vectors — registration at task enter/finish, parking at
-/// branch end/join; the stacks themselves are lock-free and read in place
-/// by the collector's root scan.
+/// What the collectors see of one thread of execution (module docs): the
+/// root stack the concurrent collector scans and the SATB shard its
+/// snapshot handshake waits on, registered and withdrawn together. A
+/// registered slot rests *paused* (the shard's safe depth is 1): a task
+/// entering on it resumes it, and pauses it again when it finishes.
+#[derive(Debug)]
+pub(crate) struct MutatorSlot {
+    pub(crate) roots: RootStack,
+    pub(crate) satb: Arc<SatbShard>,
+    closed: AtomicBool,
+}
+
+impl MutatorSlot {
+    /// True once [`RootRegistry::close`] withdrew the slot: nothing
+    /// rooted on it is scanned any more, so nothing may run on it.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+}
+
+/// The concurrent collector's root set: every open slot's root stack.
+/// The mutex guards only the small vector — taken when a run starts or
+/// ends, a branch is stolen or joined, a session is created or retired,
+/// never at an un-migrated task's enter or finish; the stacks themselves
+/// are lock-free and read in place by the collector's root scan.
 #[derive(Debug, Default)]
 pub(crate) struct RootRegistry {
-    stacks: Mutex<Vec<Arc<RootStack>>>,
-    parked: Mutex<Vec<Option<ObjRef>>>,
+    stacks: Mutex<Vec<Arc<MutatorSlot>>>,
 }
 
 impl RootRegistry {
-    pub(crate) fn register(&self, s: &Arc<RootStack>) {
-        self.stacks.lock().push(Arc::clone(s));
+    /// Opens a slot: a fresh root stack and a fresh SATB shard, both
+    /// registered, paused.
+    pub(crate) fn open(&self, cgc: &CgcState) -> Arc<MutatorSlot> {
+        let slot = Arc::new(MutatorSlot {
+            roots: RootStack::new(),
+            satb: cgc.register_shard(),
+            closed: AtomicBool::new(false),
+        });
+        self.stacks.lock().push(Arc::clone(&slot));
+        slot
     }
 
-    pub(crate) fn unregister(&self, s: &Arc<RootStack>) {
-        let mut stacks = self.stacks.lock();
-        if let Some(pos) = stacks.iter().position(|x| Arc::ptr_eq(x, s)) {
-            stacks.swap_remove(pos);
-        }
-    }
-
-    /// Parks a branch result so the concurrent collector sees it between a
-    /// branch's completion and the parent's join. Returns a slot index.
-    pub(crate) fn park(&self, v: Value) -> Option<usize> {
-        let r = v.as_obj()?;
-        let mut parked = self.parked.lock();
-        if let Some(idx) = parked.iter().position(|p| p.is_none()) {
-            parked[idx] = Some(r);
-            Some(idx)
-        } else {
-            parked.push(Some(r));
-            Some(parked.len() - 1)
-        }
-    }
-
-    pub(crate) fn unpark(&self, idx: Option<usize>) {
-        if let Some(idx) = idx {
-            self.parked.lock()[idx] = None;
-        }
+    /// Closes a paused slot: withdraws its stack from the root set and
+    /// its shard from the handshake (draining the shard's buffer).
+    /// Whatever it still roots — a migrated branch's result — is the
+    /// caller's to keep alive from here. Closing twice is harmless.
+    pub(crate) fn close(&self, cgc: &CgcState, slot: &Arc<MutatorSlot>) {
+        slot.closed.store(true, Ordering::Release);
+        cgc.deregister_shard(&slot.satb);
+        self.stacks.lock().retain(|x| !Arc::ptr_eq(x, slot));
     }
 
     pub(crate) fn live_stacks(&self) -> usize {
         self.stacks.lock().len()
     }
 
-    pub(crate) fn parked(&self) -> usize {
-        self.parked.lock().iter().flatten().count()
-    }
-
-    /// The root set, packetized: one `ScanRoots` packet per registered
-    /// stack (parked branch results ride as one more), seeding the
-    /// collector's grey queue so root scanning itself fans out across
-    /// workers.
+    /// The root set: the contents of every registered stack, one vec
+    /// each (the collector chunks them into grey packets, so root
+    /// scanning itself fans out across workers).
     ///
     /// Lock-free with respect to the mutators: each stack is snapshot by
-    /// atomic slot reads ([`RootStack::extend_snapshot`]) while its owner
+    /// atomic slot reads ([`RootStack::snapshot`]) while its owner
     /// keeps pushing — only the small registry mutex is held. A stale
     /// beyond-`len` slot resolves safely because retired blocks are
     /// graveyard-held until quiescence. Invoked by the collector *after*
@@ -219,19 +256,8 @@ impl RootRegistry {
     /// every mutator's SATB logging is observably on, so any value that
     /// leaves a scanned location is logged.
     pub(crate) fn packets(&self) -> Vec<Vec<ObjRef>> {
-        let mut packets: Vec<Vec<ObjRef>> = Vec::new();
-        for s in self.stacks.lock().iter() {
-            let mut p = Vec::new();
-            s.extend_snapshot(&mut p);
-            if !p.is_empty() {
-                packets.push(p);
-            }
-        }
-        let parked: Vec<ObjRef> = self.parked.lock().iter().flatten().copied().collect();
-        if !parked.is_empty() {
-            packets.push(parked);
-        }
-        packets
+        let stacks = self.stacks.lock();
+        stacks.iter().map(|s| s.roots.snapshot(0)).collect()
     }
 }
 
@@ -268,10 +294,20 @@ mod tests {
         assert_eq!(s.get(0), ObjRef::new(7, 9));
         s.truncate(10);
         assert_eq!(s.len(), 10);
-        let mut snap = Vec::new();
-        s.extend_snapshot(&mut snap);
+        let snap = s.snapshot(0);
         assert_eq!(snap.len(), 10);
         assert_eq!(snap[3], ObjRef::new(3, 4));
+        assert_eq!(s.snapshot(7), [7, 8, 9].map(|i| ObjRef::new(i, i + 1)));
+        // Ending a frame keeps its result, wherever the frame stood.
+        s.pop_frame(4, Some(ObjRef::new(70, 71)));
+        assert_eq!(s.snapshot(3), [ObjRef::new(3, 4), ObjRef::new(70, 71)]);
+        s.pop_frame(5, Some(ObjRef::new(80, 81))); // an empty frame
+        assert_eq!(s.snapshot(4), [ObjRef::new(70, 71), ObjRef::new(80, 81)]);
+        s.pop_frame(4, None);
+        assert_eq!(s.len(), 4);
+        for i in 4..10 {
+            s.push(ObjRef::new(i, i + 1));
+        }
         // Push after truncate reuses slots.
         s.push(ObjRef::new(42, 42));
         assert_eq!(s.get(10), ObjRef::new(42, 42));

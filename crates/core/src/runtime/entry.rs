@@ -26,12 +26,13 @@ impl Runtime {
     }
 
     /// The shared body of [`Runtime::run`] and [`Runtime::run_session`]:
-    /// runs `f` as a root task on the session's root heap (or a fresh one
-    /// for an anonymous run), with the cleanup a
+    /// runs `f` as a root task on the session's root heap and mutator
+    /// slot (or fresh ones for an anonymous run), with the cleanup a
     /// panicking program needs running unconditionally — the root task
-    /// finishes (`TaskCtx::finish`: buffers flush, registrations drop),
-    /// the graveyard drains, and a half-built DAG recording is discarded
-    /// — before the payload is re-raised. By the time a panic reaches
+    /// finishes (`TaskCtx::finish`: buffers flush, the slot pauses), an
+    /// anonymous run's slot closes, the graveyard drains, and a
+    /// half-built DAG recording is discarded — before the payload is
+    /// re-raised. By the time a panic reaches
     /// here every fork inside `f` has already joined (joins complete
     /// both branches and merge their heaps before re-raising), so the
     /// program is quiescent and draining is safe.
@@ -57,8 +58,17 @@ impl Runtime {
         } else {
             (None, StrandId(0))
         };
-        let root_heap = session.map_or_else(|| self.store.new_root_heap(), |s| s.root_heap);
-        let ctx = TaskCtx::enter(self, vec![root_heap], dag, strand, cancel, session);
+        let (root_heap, slot) = match session {
+            Some(s) => {
+                // Nothing scans a retired session's stack any more: a
+                // request on it would run with its roots invisible.
+                let name = s.budget().map_or("?", |b| b.name());
+                assert!(!s.slot.is_closed(), "tenant session `{name}` was retired");
+                (s.root_heap, Arc::clone(&s.slot))
+            }
+            None => (self.store.new_root_heap(), self.open_slot()),
+        };
+        let ctx = TaskCtx::enter(self, &slot, vec![root_heap], dag, strand, cancel, session);
         let mut m = Mutator::new(ctx);
         let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m)));
         if session.is_none() {
@@ -69,12 +79,15 @@ impl Runtime {
             // shield phase) and repeated runs — and cancellation storms —
             // don't strand their garbage forever. Session heaps persist
             // by design; their carried collection debt owns them.
-            m.ctx.roots.truncate(0);
+            slot.roots.truncate(0);
             let mut escaping = [*result.as_ref().unwrap_or(&Value::Unit)];
             m.ctx.collect_local(&mut escaping);
             result = result.map(|_| escaping[0]);
         }
         drop(m);
+        if session.is_none() {
+            self.close_slot(&slot);
+        }
         self.graveyard.drain(&self.store);
         if let Some(builder) = self.dag.lock().take() {
             // A panic can leave strands un-joined; the partial recording
@@ -101,10 +114,10 @@ impl Runtime {
     ///   payloads are re-raised unchanged.
     ///
     /// The runtime remains fully usable after an `Err`: every task the
-    /// unwind crossed finished normally (buffers flushed, root-stack and
-    /// SATB-shard registrations dropped), and joins re-raise the error
-    /// only after the sibling branch parks, so no worker or registry
-    /// entry leaks.
+    /// unwind crossed finished normally (buffers flushed, frame popped,
+    /// slot paused), and joins re-raise the error only after the sibling
+    /// branch finished and any stolen branch's slot closed, so no worker
+    /// or registry entry leaks.
     pub fn try_run<F>(&self, f: F) -> Result<Value, RunError>
     where
         F: FnOnce(&mut Mutator<'_>) -> Value,

@@ -1,7 +1,7 @@
 //! The entanglement-managed runtime.
 //!
 //! A [`Runtime`] owns the store, the collectors' shared state, and the
-//! task-root registry the concurrent collector draws from. Programs run
+//! registry of mutator slots the concurrent collector draws roots from. Programs run
 //! against a [`crate::mutator::Mutator`] obtained from [`Runtime::run`].
 //!
 //! This file holds the struct, its construction/teardown and the
@@ -24,7 +24,7 @@ use mpl_sched::{Dag, DagBuilder, Executor, SchedSnapshot};
 
 use crate::cancel::CancelToken;
 use crate::config::RuntimeConfig;
-use crate::roots::RootRegistry;
+use crate::roots::{MutatorSlot, RootRegistry};
 use crate::telemetry::{self, Watchdog};
 
 pub use crate::telemetry::TelemetryReport;
@@ -37,8 +37,8 @@ pub struct Runtime {
     config: RuntimeConfig,
     cgc_state: CgcState,
     graveyard: Graveyard,
-    /// The concurrent collector's root set: live tasks' and sessions'
-    /// root stacks plus parked branch results.
+    /// The concurrent collector's root set: the root stacks of the open
+    /// mutator slots (sessions, runs in flight, stolen branches).
     roots: RootRegistry,
     dag: Mutex<Option<Arc<DagBuilder>>>,
     last_dag: Mutex<Option<Dag>>,
@@ -63,7 +63,7 @@ pub struct Runtime {
     /// never the root itself — so a per-run trip (deadline expiry,
     /// alloc-error escalation) can't poison later runs, while
     /// cancelling the root still reaches every run in flight. The
-    /// token's kick unparks the worker pool so parked workers notice a
+    /// token's kick unparks the worker pool so sleeping workers notice a
     /// trip immediately.
     root_cancel: CancelToken,
     /// The persistent work-stealing pool; present iff `threads > 1`.
@@ -97,7 +97,7 @@ impl Runtime {
         mpl_sched::set_job_finish_hook(mpl_gc::audit::note_job_boundary);
         let executor = (config.threads > 1).then(|| Arc::new(Executor::new(config.threads)));
         let store = Store::new(config.store);
-        // Root cancellation token: the kick wakes the pool's parked
+        // Root cancellation token: the kick wakes the pool's sleeping
         // workers so a trip is noticed within one steal probe instead of
         // a full park interval. `Weak` so the token never extends the
         // pool's lifetime past the runtime's.
@@ -224,29 +224,26 @@ impl Runtime {
         &self.graveyard
     }
 
-    pub(crate) fn roots(&self) -> &RootRegistry {
-        &self.roots
+    /// Opens a mutator slot — root stack and SATB shard, registered
+    /// together, paused. Three callers: a new tenant session, an
+    /// anonymous run, a fork branch the scheduler migrated. Each closes
+    /// its slot with [`Runtime::close_slot`].
+    pub(crate) fn open_slot(&self) -> Arc<MutatorSlot> {
+        self.roots.open(&self.cgc_state)
     }
 
-    /// Number of root stacks currently registered with the concurrent
-    /// collector (live tasks + persistent sessions). Diagnostics: a
-    /// completed request must leave exactly the persistent sessions.
+    pub(crate) fn close_slot(&self, slot: &Arc<MutatorSlot>) {
+        self.roots.close(&self.cgc_state, slot);
+    }
+
+    /// Number of mutator slots — a root stack and a SATB shard each —
+    /// currently registered with the concurrent collector: one per
+    /// persistent session, per run in flight and per stolen branch not
+    /// yet joined. Diagnostics: a completed request must leave exactly
+    /// the persistent sessions — a leaked slot keeps dead roots (a
+    /// branch's result among them) alive forever.
     pub fn live_root_stacks(&self) -> usize {
         self.roots.live_stacks()
-    }
-
-    /// Number of branch results currently parked for the concurrent
-    /// collector. Diagnostics: zero between requests — a leak here keeps
-    /// dead objects alive forever.
-    pub fn parked_results(&self) -> usize {
-        self.roots.parked()
-    }
-
-    /// Number of SATB shards currently registered with the concurrent
-    /// collector (one per live task). Diagnostics: zero between runs — a
-    /// leaked shard would stall every later snapshot handshake.
-    pub fn registered_shards(&self) -> usize {
-        self.cgc_state.registered_shards()
     }
 
     /// Validates the whole heap: panics with a report if any reachable

@@ -1,5 +1,5 @@
-//! Persistent tenant sessions: a dedicated root heap and root stack that
-//! outlive individual requests.
+//! Persistent tenant sessions: a dedicated root heap and mutator slot
+//! that outlive individual requests.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -10,13 +10,15 @@ use mpl_heap::{TenantBudget, Value};
 use super::Runtime;
 use crate::cancel::RunError;
 use crate::mutator::Mutator;
-use crate::roots::RootStack;
+use crate::roots::MutatorSlot;
 
 /// A persistent tenant execution context on one [`Runtime`]: a dedicated
 /// root heap (with an optional [`TenantBudget`] attached, inherited by
-/// every heap forked under it), plus a root stack that survives across
-/// [`Runtime::run_session`] calls so [`crate::mutator::Handle`]s created
-/// in one request stay valid — and stay CGC roots — in the next.
+/// every heap forked under it), plus a mutator slot whose root stack
+/// survives across [`Runtime::run_session`] calls so
+/// [`crate::mutator::Handle`]s created in one request stay valid — and
+/// stay CGC roots — in the next. Each request's root task borrows the
+/// slot; between requests it rests paused.
 ///
 /// Collection debt (`alloc_since` / the size-proportional LGC budget) is
 /// carried across requests: garbage accumulated in the tenant's root
@@ -25,7 +27,7 @@ use crate::roots::RootStack;
 #[derive(Debug)]
 pub struct TenantSession {
     pub(crate) root_heap: u32,
-    pub(crate) roots: Arc<RootStack>,
+    pub(crate) slot: Arc<MutatorSlot>,
     budget: Option<Arc<TenantBudget>>,
     pub(crate) alloc_debt: AtomicUsize,
     pub(crate) lgc_budget: AtomicUsize,
@@ -46,20 +48,18 @@ impl TenantSession {
 impl Runtime {
     /// Creates a persistent tenant session: a dedicated root heap with a
     /// [`TenantBudget`] of `budget_bytes` attached (`0` = unlimited,
-    /// accounting only), and a root stack that outlives individual
+    /// accounting only), and a mutator slot that outlives individual
     /// [`Runtime::run_session`] calls. The budget is inherited by every
     /// heap forked under the session's root, so the tenant's whole
     /// request DAGs are accounted against it.
     pub fn new_tenant(&self, name: &str, budget_bytes: usize) -> TenantSession {
         let budget = TenantBudget::new(name, budget_bytes);
         let root_heap = self.store.new_tenant_root_heap(Arc::clone(&budget));
-        let roots = Arc::new(RootStack::new());
-        // Registered for the session's lifetime: objects rooted in one
-        // request stay CGC roots until `retire_session`.
-        self.roots.register(&roots);
         TenantSession {
             root_heap,
-            roots,
+            // Open for the session's lifetime: objects rooted in one
+            // request stay CGC roots until `retire_session`.
+            slot: self.open_slot(),
             budget: Some(budget),
             alloc_debt: AtomicUsize::new(0),
             lgc_budget: AtomicUsize::new(self.config.policy.lgc_trigger_bytes),
@@ -68,12 +68,18 @@ impl Runtime {
 
     /// Runs one request on a tenant session. Like [`Runtime::run`], but
     /// the root task executes on the session's persistent root heap and
-    /// root stack: handles rooted in earlier requests resolve, objects
+    /// mutator slot: handles rooted in earlier requests resolve, objects
     /// they reference survive collections, and the session's carried
     /// collection debt keeps the root heap's LGC firing across requests.
     ///
     /// Requests on the *same* session must not run concurrently (the
-    /// root stack is single-owner); different sessions are independent.
+    /// slot is single-owner); different sessions are independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was retired ([`Runtime::retire_session`]);
+    /// the `try_run_session*` variants return that as
+    /// [`RunError::Panic`].
     pub fn run_session<F>(&self, session: &TenantSession, f: F) -> Value
     where
         F: FnOnce(&mut Mutator<'_>) -> Value,
@@ -116,11 +122,12 @@ impl Runtime {
         )
     }
 
-    /// Retires a tenant session: deregisters its persistent root stack,
-    /// letting the concurrent collector reclaim everything only the
-    /// session kept alive. The session's heaps remain valid (heap ids
-    /// are never reused) but nothing roots them anymore.
+    /// Retires a tenant session: closes its mutator slot, letting the
+    /// concurrent collector reclaim everything only the session kept
+    /// alive. The session's heaps remain valid (heap ids are never
+    /// reused) but nothing roots them anymore, so the session accepts no
+    /// further request: a later `run_session` on it panics.
     pub fn retire_session(&self, session: &TenantSession) {
-        self.roots.unregister(&session.roots);
+        self.close_slot(&session.slot);
     }
 }

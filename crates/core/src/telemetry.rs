@@ -206,7 +206,7 @@ pub(crate) fn spawn_watchdog(
 /// [`RuntimeConfig::sampler_interval_ns`]) diffs the runtime counters
 /// (`StatsSnapshot::delta`) into allocation rates and combines the
 /// interval's park count with [`mpl_sched::PARK_INTERVAL`] into a
-/// worker-utilization estimate (time not spent parked).
+/// worker-utilization estimate (time not spent asleep).
 pub(crate) fn spawn_sampler(
     store: &Store,
     executor: Option<Arc<Executor>>,
@@ -220,11 +220,11 @@ pub(crate) fn spawn_sampler(
         let d = cur.delta(&prev);
         prev = cur;
         let secs = dt.as_secs_f64().max(1e-9);
-        // Parks are fixed-length sleeps, so parked time ≈ count × interval;
+        // Parks are fixed-length sleeps, so sleep time ≈ count × interval;
         // utilization is the busy remainder across the pool. With no pool
         // (sequential execution) the single mutator thread counts as busy.
-        let parked_secs = d.sched_parks as f64 * mpl_sched::PARK_INTERVAL.as_secs_f64();
-        let utilization = (1.0 - parked_secs / (threads as f64 * secs)).clamp(0.0, 1.0);
+        let asleep_secs = d.sched_parks as f64 * mpl_sched::PARK_INTERVAL.as_secs_f64();
+        let utilization = (1.0 - asleep_secs / (threads as f64 * secs)).clamp(0.0, 1.0);
         mpl_obs::Sample {
             t_ns: mpl_obs::now_ns(),
             alloc_bytes_per_s: d.alloc_bytes as f64 / secs,

@@ -595,29 +595,18 @@ fn root_marks_release_in_bulk() {
 /// triggered local collections, pin-driven CGC safepoints, task finish —
 /// run to completion and with each of the three unwind kinds raised
 /// inside a forked branch, under the audit layer. Whatever happened, the
-/// runtime must be left exactly as a fresh one: no registered root stack
-/// or SATB shard, no parked result, no pin, no audit failure, and the
-/// next run computes the fresh-runtime checksum. (Debug builds also
-/// assert inside `suspend`/`collect_local`/`finish` that nothing buffered
-/// survives the boundary.)
+/// runtime must be left exactly as a fresh one: no registered mutator
+/// slot (root stack + SATB shard, a stolen branch's result root with
+/// them), no pin, no audit failure, and the next run computes the
+/// fresh-runtime checksum. (Debug builds also assert inside
+/// `suspend`/`collect_local`/`finish` that nothing buffered survives the
+/// boundary, and in `fork` that the branches left the forker's root stack
+/// as they found it.)
 #[test]
 fn task_boundaries_leave_nothing_behind() {
+    use faults::*;
     use mpl_runtime::{Mutator, RunError};
     use std::time::Duration;
-
-    type Fault = fn(&mut Mutator<'_>);
-    fn none(_: &mut Mutator<'_>) {}
-    fn panics(_: &mut Mutator<'_>) {
-        panic!("boom")
-    }
-    fn exhausts(m: &mut Mutator<'_>) {
-        let _ = m.alloc_array(1 << 20, Value::Unit); // 8 MiB against a 1 MiB limit
-    }
-    fn spins(m: &mut Mutator<'_>) {
-        loop {
-            let _ = m.alloc_tuple(&[Value::Unit]); // until the deadline trips the poll
-        }
-    }
 
     fn program(m: &mut Mutator<'_>, fault: Fault) -> Value {
         let cell = m.alloc_ref(Value::Unit);
@@ -661,9 +650,7 @@ fn task_boundaries_leave_nothing_behind() {
     }
 
     fn assert_fresh(rt: &Runtime, after: &str) {
-        assert_eq!(rt.live_root_stacks(), 0, "{after}: root stacks");
-        assert_eq!(rt.registered_shards(), 0, "{after}: SATB shards");
-        assert_eq!(rt.parked_results(), 0, "{after}: parked results");
+        assert_eq!(rt.live_root_stacks(), 0, "{after}: mutator slots");
         assert_eq!(rt.stats().pinned_bytes, 0, "{after}: pins");
     }
 
@@ -710,6 +697,291 @@ fn task_boundaries_leave_nothing_behind() {
         assert_eq!(mpl_gc::audit::counters().failures, audit_failures);
         rt.assert_heap_sound();
     }
+}
+
+/// The three unwind kinds a task can end by, as bodies to drop into a
+/// fork branch (under a 1 MiB heap limit and, for `spins`, a deadline).
+mod faults {
+    use mpl_runtime::{Mutator, Value};
+
+    pub type Fault = fn(&mut Mutator<'_>);
+    pub fn none(_: &mut Mutator<'_>) {}
+    pub fn panics(_: &mut Mutator<'_>) {
+        panic!("boom")
+    }
+    pub fn exhausts(m: &mut Mutator<'_>) {
+        let _ = m.alloc_array(1 << 20, Value::Unit); // 8 MiB against a 1 MiB limit
+    }
+    pub fn spins(m: &mut Mutator<'_>) {
+        loop {
+            let _ = m.alloc_tuple(&[Value::Unit]); // until the deadline trips the poll
+        }
+    }
+}
+
+/// Spins until the pool reports a steal beyond `steals0`: called by the
+/// left branch of a fork on a quiet pool, it returns once the right
+/// branch — the only job there is — has migrated to another worker.
+fn await_steal(rt: &Runtime, steals0: u64) {
+    while rt.sched_stats().steals == steals0 {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_sequential_run_registers_one_slot() {
+    fn tree(m: &mut mpl_runtime::Mutator<'_>, depth: u32, slots_at_leaf: usize) -> Value {
+        if depth == 0 {
+            assert_eq!(m.runtime().live_root_stacks(), slots_at_leaf);
+            return Value::Unit;
+        }
+        m.fork(
+            move |m| tree(m, depth - 1, slots_at_leaf),
+            move |m| tree(m, depth - 1, slots_at_leaf),
+        );
+        Value::Unit
+    }
+    let rt = Runtime::new(RuntimeConfig::managed());
+    rt.run(|m| tree(m, 12, 1));
+    assert_eq!(rt.live_root_stacks(), 0, "the run's slot closes with it");
+    // A session's slot is its own; requests on it open nothing.
+    let session = rt.new_tenant("t", 0);
+    rt.run(|m| tree(m, 12, 2));
+    rt.run_session(&session, |m| tree(m, 12, 1));
+    assert_eq!(rt.live_root_stacks(), 1);
+    rt.retire_session(&session);
+    assert_eq!(rt.live_root_stacks(), 0);
+}
+
+#[test]
+fn stolen_branches_register_and_withdraw_their_own_slot() {
+    let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(4));
+    let session = rt.new_tenant("t", 0);
+    for round in 0..20 {
+        for on_session in [false, true] {
+            let body = |m: &mut mpl_runtime::Mutator<'_>| {
+                let rt = m.runtime();
+                let steals0 = rt.sched_stats().steals;
+                let (_, seen) = m.fork(
+                    |m| {
+                        await_steal(m.runtime(), steals0);
+                        m.alloc_tuple(&[Value::Int(1)]) // a result root to take back
+                    },
+                    |m| {
+                        let seen = m.runtime().live_root_stacks();
+                        // The thief's slot carries this result to the join.
+                        let _ = m.alloc_tuple(&[Value::Int(2)]);
+                        Value::Int(seen as i64)
+                    },
+                );
+                seen
+            };
+            let seen = if on_session {
+                rt.run_session(&session, body)
+            } else {
+                rt.run(body)
+            };
+            // The session's, the anonymous run's (if any), the thief's.
+            let expect = if on_session { 2 } else { 3 };
+            assert_eq!(seen, Value::Int(expect), "round {round}: inside the steal");
+            assert_eq!(rt.live_root_stacks(), 1, "round {round}: after the join");
+        }
+    }
+    let s = rt.sched_stats();
+    assert!(s.steals >= 40, "{s:?}");
+    assert_eq!(s.steals + s.sequentialized, s.pushes, "{s:?}");
+    rt.retire_session(&session);
+    assert_eq!(rt.live_root_stacks(), 0);
+}
+
+/// Between a branch's end and the join, nothing but the branch's result
+/// root keeps a returned object alive once every heap reference to it is
+/// gone — and if it sits pinned in the entangled space, a concurrent
+/// collection in that window sweeps it. (An object can only get there
+/// while its allocator still runs — its own LGC shields it — so the
+/// sibling has to be concurrent: the right branch is stolen.)
+#[test]
+fn a_finished_branchs_result_stays_rooted_until_the_join() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let rt = Runtime::new(
+        RuntimeConfig {
+            policy: GcPolicy {
+                cgc_trigger_pinned_bytes: 1, // any pin makes the next safepoint collect
+                ..tiny_gc()
+            },
+            ..RuntimeConfig::managed()
+        }
+        .with_threads_exact(2),
+    );
+    let x = rt.run(|m| {
+        let cell = m.alloc_ref(Value::Unit);
+        let c = m.root(cell);
+        let pinned = AtomicBool::new(false);
+        let (x, _) = m.fork(
+            |m| {
+                let x = m.alloc_tuple(&[Value::Int(41)]);
+                let hx = m.root(x);
+                m.write_ref(m.get(&c), x);
+                while !pinned.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                // X is pinned: this collection shields it in place, which
+                // hands its lifetime to the concurrent collector.
+                m.force_lgc(&mut []);
+                m.get(&hx)
+            },
+            |m| {
+                let rt = m.runtime();
+                // Entangled read: pins X in the running sibling's heap.
+                while !matches!(m.read_ref(m.get(&c)), Value::Obj(_)) {
+                    std::thread::yield_now();
+                }
+                m.write_ref(m.get(&c), Value::Unit);
+                let parks0 = rt.sched_stats().parks;
+                pinned.store(true, Ordering::Release);
+                // The only other worker is the forker: once it parks it
+                // is waiting at the join, so the left branch has finished.
+                while rt.sched_stats().parks == parks0 {
+                    std::thread::yield_now();
+                }
+                // Allocation safepoints honour the pin's CGC request.
+                let cgc0 = rt.stats().cgc_runs;
+                for _ in 0..10_000 {
+                    let _ = m.alloc_tuple(&[Value::Unit]);
+                    if rt.stats().cgc_runs > cgc0 {
+                        return Value::Unit;
+                    }
+                }
+                panic!("no concurrent collection ran inside the branch");
+            },
+        );
+        let obj = m.runtime().store().resolve(x.expect_obj());
+        assert!(
+            !m.runtime().store().handle(obj).header().is_dead(),
+            "the result was swept between the branch's end and the join"
+        );
+        m.tuple_get(x, 0)
+    });
+    assert_eq!(x, Value::Int(41));
+    let s = rt.stats();
+    assert_eq!((s.cgc_swept_bytes, s.lgc_dead_traced), (0, 0), "{s:?}");
+    assert!(
+        rt.sched_stats().steals >= 1,
+        "the right branch ran concurrently"
+    );
+    rt.assert_heap_sound();
+}
+
+/// Every way a branch can end pops its frame: after a panic, an
+/// `AllocError` or a cancellation in either branch — run inline, or with
+/// the right branch stolen — the forker's root stack is back at its
+/// pre-fork height when the fork re-raises, and the session's stack holds
+/// exactly what its requests' root tasks rooted.
+#[test]
+fn frames_are_popped_on_every_unwind() {
+    use faults::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    fn litter(m: &mut mpl_runtime::Mutator<'_>) {
+        for i in 0..5 {
+            let junk = m.alloc_tuple(&[Value::Int(i)]);
+            m.root(junk);
+        }
+    }
+
+    for (threads, stolen) in [(1, false), (4, true)] {
+        let rt = Runtime::new(
+            RuntimeConfig::managed()
+                .with_threads_exact(threads)
+                .with_heap_limit(1 << 20),
+        );
+        let session = rt.new_tenant("t", 0);
+        rt.run_session(&session, |m| {
+            litter(m); // roots of an earlier request stay, by design
+            Value::Unit
+        });
+        let mut expect_mark = None;
+        for (fault, deadline) in [(panics as Fault, 60_000), (exhausts, 60_000), (spins, 20)] {
+            for in_left in [true, false] {
+                let tag = format!("threads {threads}, fault in left: {in_left}");
+                let r =
+                    rt.try_run_session_deadline(&session, Duration::from_millis(deadline), |m| {
+                        if let Some(mark) = expect_mark {
+                            assert_eq!(m.mark(), mark, "{tag}: carried roots");
+                        }
+                        let kept = m.alloc_tuple(&[Value::Int(7)]);
+                        m.root(kept);
+                        let pre_fork = m.mark();
+                        expect_mark = Some(pre_fork);
+                        let steals0 = m.runtime().sched_stats().steals;
+                        let forked = catch_unwind(AssertUnwindSafe(|| {
+                            m.fork(
+                                |m| {
+                                    litter(m);
+                                    if stolen {
+                                        await_steal(m.runtime(), steals0);
+                                    }
+                                    if in_left {
+                                        fault(m);
+                                    }
+                                    m.alloc_tuple(&[Value::Unit])
+                                },
+                                |m| {
+                                    litter(m);
+                                    if !in_left {
+                                        fault(m);
+                                    }
+                                    m.alloc_tuple(&[Value::Unit])
+                                },
+                            )
+                        }));
+                        assert_eq!(m.mark(), pre_fork, "{tag}: forker's stack");
+                        match forked {
+                            Ok(_) => unreachable!("{tag}: the fault must surface"),
+                            Err(payload) => resume_unwind(payload),
+                        }
+                    });
+                assert!(r.is_err(), "{tag}: {r:?}");
+                assert_eq!(rt.live_root_stacks(), 1, "{tag}: only the session");
+            }
+        }
+        rt.run_session(&session, |m| {
+            assert_eq!(Some(m.mark()), expect_mark, "what the requests rooted");
+            Value::Unit
+        });
+        assert_eq!(rt.stats().pinned_bytes, 0);
+        rt.retire_session(&session);
+        rt.assert_heap_sound();
+    }
+}
+
+#[test]
+fn a_request_on_a_retired_session_fails_loudly() {
+    use mpl_runtime::RunError;
+    let rt = Runtime::new(RuntimeConfig::managed());
+    let session = rt.new_tenant("gone", 0);
+    rt.run_session(&session, |m| {
+        let v = m.alloc_tuple(&[Value::Int(1)]);
+        m.root(v);
+        Value::Unit
+    });
+    rt.retire_session(&session);
+    rt.retire_session(&session); // idempotent
+    assert_eq!(rt.live_root_stacks(), 0);
+    // Nothing scans the session's stack any more: roots pushed by a later
+    // request would be invisible to the concurrent collector.
+    let r = rt.try_run_session(&session, |_| Value::Unit);
+    assert!(
+        matches!(&r, Err(RunError::Panic(msg)) if msg.contains("`gone`") && msg.contains("retired")),
+        "{r:?}"
+    );
+    assert_eq!(rt.live_root_stacks(), 0);
+    assert_eq!(
+        rt.run(|_| Value::Int(3)),
+        Value::Int(3),
+        "runtime still usable"
+    );
 }
 
 // A `StatsSnapshot` field can only exist as a table row.

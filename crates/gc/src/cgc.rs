@@ -26,8 +26,8 @@
 //!   (`mpl-heap`), set with a single atomic `fetch_or` that also marks
 //!   the object's **lines**, so racing tracers are benign and the sweep
 //!   can consult line granularity. Mutators log overwritten pointers and
-//!   fresh pins into per-task **SATB shards** (modbuf-style buffers,
-//!   flushed at fork/join/capacity like the mutator remset buffers); the
+//!   fresh pins into per-slot **SATB shards** (modbuf-style buffers,
+//!   flushed at capacity and whenever the slot pauses); the
 //!   collector drains shards to a fixpoint, re-handshakes, re-drains,
 //!   and only then declares mark termination.
 //! * **Sweep** — one packet per entangled block, each a **line-mark
@@ -91,18 +91,27 @@ const PHASE_MARK: u8 = 1;
 const PHASE_SWEEP: u8 = 2;
 const PHASE_EPILOGUE: u8 = 3;
 
-/// A per-task SATB buffer ("modbuf") plus the handshake cells the
-/// collector uses to establish the snapshot boundary.
+/// A SATB buffer ("modbuf") plus the handshake cells the collector uses
+/// to establish the snapshot boundary.
 ///
-/// Register one per mutator task via [`CgcState::register_shard`]; log
-/// through [`CgcState::satb_log_shard`]; acknowledge snapshot epochs via
-/// [`CgcState::poll_handshake`] from allocation safepoints and the
-/// slow-tier write barrier; and bracket blocking regions (fork
-/// suspension, collections, gate waits) with [`CgcState::enter_safe`] /
-/// [`CgcState::exit_safe`] so a parked task never stalls a handshake.
+/// One per *thread of execution*, not per task: the runtime registers a
+/// shard ([`CgcState::register_shard`]) with each mutator slot — a
+/// session, an anonymous run, a stolen branch — and every task that runs
+/// on the slot logs through it ([`CgcState::satb_log_shard`]) and
+/// acknowledges snapshot epochs on it ([`CgcState::poll_handshake`],
+/// from allocation safepoints and the slow-tier write barrier). A shard
+/// is registered *paused* (safe depth 1): whoever runs on it brackets the
+/// stretch with [`CgcState::exit_safe`] / [`CgcState::enter_safe`], and
+/// opens nested windows around blocking regions (fork suspension,
+/// collections, gate waits), so a shard nobody is polling never stalls a
+/// handshake.
 #[derive(Debug, Default)]
 pub struct SatbShard {
     buf: Mutex<Vec<ObjRef>>,
+    /// Owner-written: something was logged since the owner's last flush,
+    /// so a flush must take `buf`. The collector's drain leaves it set,
+    /// which costs the owner one lock of an empty buffer.
+    dirty: AtomicBool,
     /// Safe-window depth: while > 0 the owner performs no unlogged
     /// overwrites, so the collector may treat the shard as acknowledged.
     safe: AtomicU64,
@@ -119,8 +128,8 @@ pub struct CgcState {
     phase: AtomicU8,
     /// Snapshot epoch, bumped by each handshake.
     epoch: AtomicU64,
-    /// Global SATB log: shard flush target, and the direct target for
-    /// shard-less loggers (tests, the sequential executor).
+    /// Global SATB log: where shards flush to and the collector drains
+    /// from. Mutators only ever log through a registered shard.
     satb: Mutex<Vec<ObjRef>>,
     shards: Mutex<Vec<Arc<SatbShard>>>,
     /// In-flight cycle; the lock doubles as the coordinator gate.
@@ -223,7 +232,7 @@ impl CgcState {
     }
 
     /// True while a mark phase is active; mutators must log overwritten
-    /// pointers via [`CgcState::satb_log`] / [`CgcState::satb_log_shard`].
+    /// pointers via [`CgcState::satb_log_shard`].
     #[inline]
     pub fn is_marking(&self) -> bool {
         self.marking.load(Ordering::Acquire)
@@ -231,20 +240,13 @@ impl CgcState {
 
     /// Logs a pointer that must survive the current snapshot (an
     /// overwritten field value, or a newly pinned object) into the
-    /// global log. Shard-less fallback; tasks prefer
-    /// [`CgcState::satb_log_shard`].
-    pub fn satb_log(&self, r: ObjRef) {
-        if self.is_marking() {
-            self.satb.lock().push(r);
-        }
-    }
-
-    /// Logs into a per-task shard buffer, flushing to the global log at
-    /// capacity (the mutator-side `cgc/modbuf-flush` failpoint site).
+    /// caller's shard buffer, flushing to the global log at capacity (the
+    /// mutator-side `cgc/modbuf-flush` failpoint site).
     pub fn satb_log_shard(&self, shard: &SatbShard, r: ObjRef) {
         if !self.is_marking() {
             return;
         }
+        shard.dirty.store(true, Ordering::Relaxed);
         let flush = {
             let mut buf = shard.buf.lock();
             buf.push(r);
@@ -260,9 +262,14 @@ impl CgcState {
         }
     }
 
-    /// Flushes a shard's buffered entries into the global log
-    /// (fork/join, task finish, safepoint entry).
+    /// Flushes a shard's buffered entries into the global log (every
+    /// pause and handshake ack). Owner-only, and lock-free when the owner
+    /// logged nothing since its last flush — always, outside a mark phase.
     pub fn flush_shard(&self, shard: &SatbShard) {
+        if !shard.dirty.load(Ordering::Relaxed) {
+            return;
+        }
+        shard.dirty.store(false, Ordering::Relaxed);
         let drained = std::mem::take(&mut *shard.buf.lock());
         if !drained.is_empty() {
             mpl_fail::hit_hard("cgc/modbuf-flush");
@@ -270,33 +277,27 @@ impl CgcState {
         }
     }
 
-    /// Registers a new mutator shard, pre-acknowledged at the current
-    /// epoch (the shards-lock acquisition orders the registration
-    /// against any in-flight handshake: a handshake that misses this
-    /// shard in its list cannot be waiting on it, and the registrant
-    /// reads the epoch/flag stores made before the lock was released).
+    /// Registers a new mutator shard, *paused*: safe depth 1, so no
+    /// handshake waits on it until its owner resumes it with
+    /// [`CgcState::exit_safe`] (which acks the then-current epoch). The
+    /// shards-lock acquisition orders the registration against an
+    /// in-flight handshake that misses this shard in its list: the
+    /// registrant reads the epoch and flag stores made before that
+    /// handshake released the lock.
     pub fn register_shard(&self) -> Arc<SatbShard> {
-        let mut shards = self.shards.lock();
         let shard = Arc::new(SatbShard {
-            buf: Mutex::new(Vec::new()),
-            safe: AtomicU64::new(0),
-            acked: AtomicU64::new(self.epoch.load(Ordering::SeqCst)),
+            safe: AtomicU64::new(1),
+            ..SatbShard::default()
         });
-        shards.push(Arc::clone(&shard));
+        self.shards.lock().push(Arc::clone(&shard));
         shard
     }
 
-    /// Deregisters a shard (task finish), draining any buffered entries
-    /// into the global log first.
+    /// Deregisters a (paused) shard, draining any buffered entries into
+    /// the global log first.
     pub fn deregister_shard(&self, shard: &Arc<SatbShard>) {
         self.flush_shard(shard);
         self.shards.lock().retain(|s| !Arc::ptr_eq(s, shard));
-    }
-
-    /// Number of currently registered mutator shards (diagnostics: a
-    /// shard leaked past its task would stall every later handshake).
-    pub fn registered_shards(&self) -> usize {
-        self.shards.lock().len()
     }
 
     /// Cheap handshake poll for mutator safepoints (allocation slices,
@@ -321,13 +322,15 @@ impl CgcState {
 
     /// Enters a safe window: the owner guarantees no unlogged overwrites
     /// until the matching [`CgcState::exit_safe`]. Buffered entries are
-    /// flushed first so a parked task holds no SATB entries hostage.
-    /// Windows nest (fork suspension around a collection around the
-    /// pressure ladder).
+    /// flushed first so a parked task holds no SATB entries hostage (the
+    /// owner logs nothing between that flush and the ack below, so one
+    /// flush covers both). Windows nest (a paused slot, fork suspension
+    /// around a collection around the pressure ladder).
     pub fn enter_safe(&self, shard: &SatbShard) {
         self.flush_shard(shard);
         shard.safe.fetch_add(1, Ordering::SeqCst);
-        self.ack(shard);
+        let e = self.epoch.load(Ordering::SeqCst);
+        shard.acked.store(e, Ordering::SeqCst);
     }
 
     /// Leaves a safe window. The ordering here is load-bearing: the
@@ -429,11 +432,11 @@ where
     }
     let mut left = items;
     let right = left.split_off(left.len() / 2);
-    match mpl_sched::try_join(|| par_each(left, f), || par_each(right, f)) {
+    match mpl_sched::try_join(|_| par_each(left, f), |_| par_each(right, f)) {
         Ok(_) => {}
         Err((a, b)) => {
-            a();
-            b();
+            a(false);
+            b(false);
         }
     }
 }
@@ -653,8 +656,9 @@ fn clear_block_marks(store: &Store, state: &CgcState, bid: u32) {
 
 /// Starts an incremental cycle: raises the marking flag, handshakes
 /// every mutator shard (the snapshot instant), then invokes `roots` —
-/// the runtime assembles one packet per task root stack — and seeds the
-/// grey queue. No-op if a cycle is already in flight.
+/// the runtime returns one vec per registered root stack — and seeds the
+/// grey queue with it in `PACKET_REFS` chunks. No-op if a cycle is
+/// already in flight.
 ///
 /// The flag-then-handshake-then-roots order is what makes the snapshot
 /// airtight: any mutator overwrite that skipped logging must have
@@ -672,7 +676,12 @@ where
     }
     state.marking.store(true, Ordering::SeqCst);
     state.handshake();
-    let packets: Vec<Vec<ObjRef>> = roots().into_iter().filter(|p| !p.is_empty()).collect();
+    // One vec per root stack comes back; a slot's stack holds the frames
+    // of every task nested on it, so chunk it for the tracers to share.
+    let packets = roots()
+        .iter()
+        .flat_map(|stack| stack.chunks(PACKET_REFS).map(<[ObjRef]>::to_vec))
+        .collect();
     state.phase.store(PHASE_MARK, Ordering::Relaxed);
     *cycle = Some(Cycle::new(packets));
 }
@@ -812,9 +821,9 @@ fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutc
 
 /// Runs a full mark–sweep cycle over the entangled spaces.
 ///
-/// `roots` is invoked *after* the snapshot handshake and must return one
-/// packet per live task's root stack (plus any pending results); the
-/// runtime is responsible for assembling them. Packets fan out on the
+/// `roots` is invoked *after* the snapshot handshake and must return the
+/// contents of every registered root stack (one vec each); the runtime
+/// is responsible for assembling them. Packets fan out on the
 /// `mpl-sched` pool when the caller holds a worker context (install a
 /// driver first); otherwise the cycle runs on the calling thread.
 pub fn collect_entangled<F>(store: &Store, state: &CgcState, roots: F) -> CgcOutcome
@@ -1051,10 +1060,12 @@ mod tests {
         let state = CgcState::new();
         // Simulate a mutator hiding `x` during marking: no root mentions
         // it, but the overwritten value is logged.
+        let shard = state.register_shard();
         state.marking.store(true, Ordering::SeqCst);
-        state.satb_log(x);
+        state.satb_log_shard(&shard, x);
         state.marking.store(false, Ordering::SeqCst);
-        // The buffered entry must be honored by the next cycle.
+        // The entry is still in the (paused) shard's buffer: the next
+        // cycle's drain must honor it there.
         let out = collect_entangled(&s, &state, Vec::new);
         assert_eq!(out.swept_objects, 0, "SATB-logged object survives");
         assert!(!s.handle(x).header().is_dead());
@@ -1079,10 +1090,8 @@ mod tests {
         );
         state.flush_shard(&shard);
         assert!(shard.buf.lock().is_empty());
+        assert!(!shard.dirty.load(Ordering::Relaxed), "flushed clean");
         state.marking.store(false, Ordering::SeqCst);
-        // A registered shard that never polls would stall the snapshot
-        // handshake, exactly like a finished task: deregister (which
-        // drains) before collecting.
         state.deregister_shard(&shard);
         assert!(state.shards.lock().is_empty());
         // The logged entries must be honored by the next cycle.
@@ -1093,8 +1102,18 @@ mod tests {
     #[test]
     fn safe_window_lets_handshake_complete() {
         let state = CgcState::new();
+        // A shard is registered paused: nobody polls it yet, and the
+        // handshake must not wait for it.
         let shard = state.register_shard();
-        // An unsafe, never-polling shard would hang the handshake; a
+        state.handshake();
+        state.exit_safe(&shard);
+        assert_eq!(shard.safe.load(Ordering::SeqCst), 0, "resumed");
+        assert_eq!(
+            shard.acked.load(Ordering::SeqCst),
+            state.epoch.load(Ordering::SeqCst),
+            "resuming acks the epoch the handshake set"
+        );
+        // A running, never-polling shard would hang the handshake; a
         // safe window must unblock it.
         state.enter_safe(&shard);
         state.handshake();
@@ -1170,11 +1189,12 @@ mod tests {
             let _ = i;
         }
         let state = CgcState::new();
+        let shard = state.register_shard();
         cgc_begin(&s, &state, || vec![vec![prev]]);
         // First slice runs...
         assert!(cgc_step(&s, &state, 2).is_none(), "chain needs more slices");
         // ...then a mutator "hides" x behind an overwrite, logging it.
-        state.satb_log(x);
+        state.satb_log_shard(&shard, x);
         let mut out = None;
         while out.is_none() {
             out = cgc_step(&s, &state, 4);

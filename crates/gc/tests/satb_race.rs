@@ -1,6 +1,6 @@
 //! Seeded-interleaving regression test for the SATB snapshot race.
 //!
-//! The historical bug: `CgcState::satb_log` was check-then-act — a
+//! The historical bug: the SATB deletion log was check-then-act — a
 //! mutator loaded the `marking` flag, saw `false`, and skipped logging
 //! the pointer it was about to overwrite, while the collector raised the
 //! flag and took its root snapshot *between the check and the store*.
@@ -89,7 +89,9 @@ fn run_seed(seed: u64) {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            // Registered paused; resume to run, pause again to leave.
             let shard = state.register_shard();
+            state.exit_safe(&shard);
             let mut rng = Rng(seed | 1);
             let blk = s.blocks().get(holder.block());
             while !stop.load(Ordering::Relaxed) {
@@ -111,6 +113,7 @@ fn run_seed(seed: u64) {
                                                      // collector's handshake may take our ack.
                 state.poll_handshake(&shard);
             }
+            state.enter_safe(&shard);
             state.deregister_shard(&shard);
         })
     };

@@ -18,7 +18,7 @@
 //! preserves exactly.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
 
@@ -79,6 +79,9 @@ pub(crate) struct Shared {
     pub(crate) stealers: Vec<Stealer<JobRef>>,
     /// Threads currently parked waiting for work.
     pub(crate) sleepers: Mutex<Vec<Thread>>,
+    /// How many workers sit between listing themselves in `sleepers` and
+    /// delisting: lets a push skip the list's lock when nobody sleeps.
+    pub(crate) sleeping: AtomicUsize,
     /// Pool shutdown flag.
     pub(crate) terminate: AtomicBool,
     /// Event counters.
@@ -86,8 +89,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Wakes one sleeping worker, if any (called after a push).
+    /// Wakes one sleeping worker, if any (called after a push). A worker
+    /// that lists itself just after the count is read misses this push —
+    /// the window the list itself always had (it could be locked and
+    /// found empty a moment too early); `PARK_INTERVAL` bounds the cost.
     pub(crate) fn notify_one(&self) {
+        if self.sleeping.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let woken = self.sleepers.lock().pop();
         if let Some(t) = woken {
             self.stats.unparks.fetch_add(1, Ordering::Relaxed);
@@ -124,6 +133,7 @@ impl Executor {
             injector: Injector::new(),
             stealers,
             sleepers: Mutex::new(Vec::new()),
+            sleeping: AtomicUsize::new(0),
             terminate: AtomicBool::new(false),
             stats: SchedStats::default(),
         });
@@ -216,9 +226,9 @@ mod tests {
         if n < 2 {
             return n;
         }
-        match try_join(move || fib(n - 1), move || fib(n - 2)) {
+        match try_join(move |_| fib(n - 1), move |_| fib(n - 2)) {
             Ok((a, b)) => a + b,
-            Err((a, b)) => a() + b(),
+            Err((a, b)) => a(false) + b(false),
         }
     }
 
@@ -233,7 +243,7 @@ mod tests {
     fn join_off_pool_falls_back_to_sequential() {
         // No driver installed on this thread: try_join must hand the
         // closures back.
-        assert!(try_join(|| 1, || 2).is_err());
+        assert!(try_join(|_| 1, |_| 2).is_err());
         assert_eq!(fib(10), 55);
     }
 
@@ -250,6 +260,47 @@ mod tests {
             s.pushes,
             "every push is either stolen or popped back: {s:?}"
         );
+    }
+
+    #[test]
+    fn migrated_is_false_inline_and_true_for_a_stolen_job() {
+        // One worker: nobody can steal, so both closures of every join —
+        // nested ones included — run inside the frame that forked them.
+        let ex = Executor::new(1);
+        let guard = ex.install_driver().expect("driver slot free");
+        let nested = |outer: bool| {
+            let (l, r) = try_join(|m| m, |m| m).ok().expect("on the pool");
+            outer || l || r
+        };
+        let (l, r) = try_join(nested, nested).ok().expect("on the pool");
+        assert!(!l && !r, "nothing migrates on one worker");
+        drop(guard);
+        assert_eq!(ex.stats().steals, 0);
+
+        // Two workers: the left branch holds the driver until the right
+        // one has been stolen, so the right one must report the steal.
+        let ex = Executor::new(2);
+        let guard = ex.install_driver().expect("driver slot free");
+        let stolen = AtomicBool::new(false);
+        let (l, r) = try_join(
+            |m| {
+                while !stolen.load(Ordering::Acquire) {
+                    thread::yield_now();
+                }
+                m
+            },
+            |m| {
+                stolen.store(true, Ordering::Release);
+                m
+            },
+        )
+        .ok()
+        .expect("on the pool");
+        assert!(!l, "the left branch always runs inline");
+        assert!(r, "a job another worker took is migrated");
+        drop(guard);
+        let s = ex.stats();
+        assert_eq!((s.steals, s.sequentialized), (1, 0), "{s:?}");
     }
 
     #[test]
@@ -288,11 +339,11 @@ mod tests {
                 return;
             }
             let (l, r) = items.split_at(items.len() / 2);
-            match try_join(|| fan(l, sum), || fan(r, sum)) {
+            match try_join(|_| fan(l, sum), |_| fan(r, sum)) {
                 Ok(_) => {}
                 Err((a, b)) => {
-                    a();
-                    b();
+                    a(false);
+                    b(false);
                 }
             }
         }
@@ -318,8 +369,8 @@ mod tests {
         let guard = ex.install_driver().expect("driver slot free");
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = try_join(
-                || 1,
-                || -> i32 {
+                |_| 1,
+                |_| -> i32 {
                     panic!("branch panic");
                 },
             );

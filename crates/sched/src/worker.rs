@@ -29,8 +29,10 @@ use crate::executor::{Executor, Shared};
 
 /// How long an idle worker sleeps between work re-checks once its
 /// exponential backoff is exhausted. Short enough that a missed wakeup
-/// (the push/park race window) costs microseconds, long enough that a
-/// quiescent pool burns no meaningful CPU. Public so the telemetry
+/// (the push/park race window — a push that finds no sleeper listed,
+/// whether by `Shared::sleeping` reading zero or by the list being
+/// empty, just before the worker lists itself) costs microseconds, long
+/// enough that a quiescent pool burns no meaningful CPU. Public so the telemetry
 /// sampler can convert park counts into an idle-time estimate.
 pub const PARK_INTERVAL: Duration = Duration::from_micros(100);
 
@@ -42,7 +44,7 @@ pub const PARK_INTERVAL: Duration = Duration::from_micros(100);
 /// protocol) and outlives the reference (see module docs).
 pub(crate) struct JobRef {
     data: *const (),
-    execute_fn: unsafe fn(*const ()),
+    execute_fn: unsafe fn(*const (), bool),
 }
 
 unsafe impl Send for JobRef {}
@@ -54,7 +56,8 @@ impl JobRef {
         self.data as usize
     }
 
-    /// Runs the job.
+    /// Runs the job, telling its closure whether it `migrated` — left
+    /// the frame of the `join` that pushed it (see [`WorkerCtx::join`]).
     ///
     /// # Safety
     ///
@@ -62,8 +65,8 @@ impl JobRef {
     /// executed. Both are guaranteed by the join protocol: each job is
     /// taken from a deque exactly once, and the pushing frame blocks in
     /// `join` until the latch is set.
-    pub(crate) unsafe fn execute(self) {
-        (self.execute_fn)(self.data)
+    pub(crate) unsafe fn execute(self, migrated: bool) {
+        (self.execute_fn)(self.data, migrated)
     }
 }
 
@@ -100,7 +103,7 @@ struct StackJob<F, R> {
 
 impl<F, R> StackJob<F, R>
 where
-    F: FnOnce() -> R + Send,
+    F: FnOnce(bool) -> R + Send,
     R: Send,
 {
     fn new(f: F) -> StackJob<F, R> {
@@ -132,14 +135,14 @@ where
     }
 }
 
-unsafe fn execute_stack_job<F, R>(data: *const ())
+unsafe fn execute_stack_job<F, R>(data: *const (), migrated: bool)
 where
-    F: FnOnce() -> R + Send,
+    F: FnOnce(bool) -> R + Send,
     R: Send,
 {
     let job = &*(data as *const StackJob<F, R>);
     let f = (*job.f.get()).take().expect("stack job executed twice");
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    let result = panic::catch_unwind(AssertUnwindSafe(|| f(migrated)));
     *job.result.get() = Some(result);
     job.latch.set();
 }
@@ -246,18 +249,41 @@ impl WorkerCtx {
         None
     }
 
+    /// Runs a job this worker took from a deque, as one timeline span
+    /// followed by the job-finish hook. `migrated` is passed on to the
+    /// job's closure (see [`WorkerCtx::join`]).
+    ///
+    /// # Safety
+    ///
+    /// As for [`JobRef::execute`]: `job` was taken from a deque (exactly
+    /// once), so its pusher is still blocked in its own `join`.
+    unsafe fn run(&self, job: JobRef, migrated: bool) {
+        let span = mpl_obs::span_start();
+        job.execute(migrated);
+        mpl_obs::span_close(mpl_obs::Metric::SchedRun, span);
+        run_job_finish_hook(self.index);
+    }
+
     /// Help-first fork-join: pushes `b` onto this worker's deque, runs
     /// `a` inline, then resolves `b` — popping it back and running it
     /// inline if nobody stole it, otherwise working (own deque, then
     /// steals) while waiting for the thief's latch, parking briefly when
     /// the whole pool is out of work.
     ///
+    /// Each closure is told whether it `migrated` (rayon's
+    /// `join_context`): `false` when it runs directly inside this call's
+    /// frame — `a` always, `b` when popped back — so everything its
+    /// forker left on this native stack is exactly one frame below it;
+    /// `true` when it was stolen, or popped by a *deeper* join waiting on
+    /// this worker, and so runs on top of frames that are not its
+    /// forker's.
+    ///
     /// Panics in either branch propagate to the caller after *both*
     /// branches have finished, so no stack job outlives its frame.
     pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
+        A: FnOnce(bool) -> RA + Send,
+        B: FnOnce(bool) -> RB + Send,
         RA: Send,
         RB: Send,
     {
@@ -268,14 +294,15 @@ impl WorkerCtx {
         let b_id = b_ref.id();
         self.push(b_ref);
 
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
+        let ra = panic::catch_unwind(AssertUnwindSafe(|| a(false)));
 
         let backoff = Backoff::new();
         while !job_b.latch.probe() {
             // Own deque first: if `b` is still here it is resolved on
             // the spot (the sequentialized-fork fast path). Anything
             // else found here is a shallower branch of our own spine,
-            // safe to run inline while we wait.
+            // safe to run inline while we wait — but it runs above
+            // frames that are not its forker's, so it is migrated.
             if let Some(job) = self.deque.pop() {
                 let popped_b = job.id() == b_id;
                 if popped_b {
@@ -286,10 +313,7 @@ impl WorkerCtx {
                 }
                 // Safety: taken from a deque exactly once; pusher still
                 // blocked in its own join.
-                let span = mpl_obs::span_start();
-                unsafe { job.execute() };
-                mpl_obs::span_close(mpl_obs::Metric::SchedRun, span);
-                run_job_finish_hook(self.index);
+                unsafe { self.run(job, !popped_b) };
                 if popped_b {
                     break;
                 }
@@ -299,10 +323,7 @@ impl WorkerCtx {
             // `b` was stolen: help rather than spin.
             if let Some(job) = self.steal_job() {
                 // Safety: as above.
-                let span = mpl_obs::span_start();
-                unsafe { job.execute() };
-                mpl_obs::span_close(mpl_obs::Metric::SchedRun, span);
-                run_job_finish_hook(self.index);
+                unsafe { self.run(job, true) };
                 backoff.reset();
                 continue;
             }
@@ -329,11 +350,13 @@ impl WorkerCtx {
 
 /// Runs `a` and `b` as a potentially parallel fork-join on the calling
 /// thread's worker, or hands both closures back (`Err`) if the calling
-/// thread is not a pool worker so the caller can run them sequentially.
+/// thread is not a pool worker so the caller can run them sequentially
+/// (passing `false`: nothing migrates without a pool). See
+/// [`WorkerCtx::join`] for the `migrated` argument.
 pub fn try_join<A, B, RA, RB>(a: A, b: B) -> Result<(RA, RB), (A, B)>
 where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
+    A: FnOnce(bool) -> RA + Send,
+    B: FnOnce(bool) -> RB + Send,
     RA: Send,
     RB: Send,
 {
@@ -433,11 +456,9 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, index: usize, deque: Deque<JobRef
     loop {
         if let Some(job) = ctx.find_job() {
             // Safety: taken from a deque exactly once; pusher is blocked
-            // in its join until our execute sets the latch.
-            let span = mpl_obs::span_start();
-            unsafe { job.execute() };
-            mpl_obs::span_close(mpl_obs::Metric::SchedRun, span);
-            run_job_finish_hook(index);
+            // in its join until our execute sets the latch. Nothing runs
+            // inline at the top of a worker's stack: every job migrated.
+            unsafe { ctx.run(job, true) };
             backoff.reset();
             continue;
         }
@@ -447,11 +468,13 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, index: usize, deque: Deque<JobRef
         if backoff.is_completed() {
             mpl_fail::hit_hard("sched/park");
             ctx.shared.sleepers.lock().push(thread::current());
+            ctx.shared.sleeping.fetch_add(1, Ordering::SeqCst);
             ctx.shared.stats.parks.fetch_add(1, Ordering::Relaxed);
             let span = mpl_obs::span_start();
             thread::park_timeout(PARK_INTERVAL);
             mpl_obs::span_close(mpl_obs::Metric::SchedPark, span);
             let me = thread::current().id();
+            ctx.shared.sleeping.fetch_sub(1, Ordering::SeqCst);
             ctx.shared.sleepers.lock().retain(|t| t.id() != me);
         } else {
             backoff.snooze();

@@ -515,7 +515,6 @@ mod tests {
         // Storms of mid-request unwinds leave the sessions coherent.
         srv.shutdown();
         rt.assert_heap_sound();
-        assert_eq!(rt.parked_results(), 0);
         assert_eq!(rt.live_root_stacks(), 0);
     }
 
@@ -604,7 +603,7 @@ mod tests {
         );
         srv.shutdown();
         rt.assert_heap_sound();
-        assert_eq!(rt.parked_results(), 0);
+        assert_eq!(rt.live_root_stacks(), 0);
     }
 
     #[test]
@@ -627,6 +626,6 @@ mod tests {
         // The session survives shedding: runtime invariants hold.
         srv.shutdown();
         rt.assert_heap_sound();
-        assert_eq!(rt.parked_results(), 0);
+        assert_eq!(rt.live_root_stacks(), 0);
     }
 }

@@ -345,7 +345,6 @@ mod tests {
             policy: mpl_runtime::GcPolicy {
                 lgc_trigger_bytes: 16 * 1024,
                 cgc_trigger_pinned_bytes: usize::MAX,
-                immediate_block_free: true,
             },
             ..RuntimeConfig::managed()
         };

@@ -33,7 +33,6 @@ fn main() {
     let policy = GcPolicy {
         lgc_trigger_bytes: 256 * 1024,
         cgc_trigger_pinned_bytes: 128 * 1024,
-        immediate_block_free: true,
     };
     let mut rows = Vec::new();
     for bench in mpl_bench_suite::all() {

@@ -235,7 +235,6 @@ mod tests {
             policy: mpl_runtime::GcPolicy {
                 lgc_trigger_bytes: 1024,
                 cgc_trigger_pinned_bytes: 8192,
-                immediate_block_free: true,
             },
             store: mpl_runtime::StoreConfig {
                 block_words: 32,

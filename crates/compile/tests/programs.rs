@@ -19,7 +19,6 @@ fn configs() -> Vec<(&'static str, RuntimeConfig)> {
                 policy: GcPolicy {
                     lgc_trigger_bytes: 8 * 1024,
                     cgc_trigger_pinned_bytes: 16 * 1024,
-                    immediate_block_free: true,
                 },
                 store: StoreConfig {
                     block_words: 64,
@@ -96,7 +95,6 @@ fn histogram_program_entangles() {
             policy: GcPolicy {
                 lgc_trigger_bytes: 8 * 1024,
                 cgc_trigger_pinned_bytes: 16 * 1024,
-                immediate_block_free: true,
             },
             store: StoreConfig {
                 block_words: 64,

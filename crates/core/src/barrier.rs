@@ -41,7 +41,7 @@
 use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, RemsetEntry, Value};
 
-use crate::config::Mode;
+use crate::config::{Mode, READ_WORK, WRITE_WORK};
 use crate::mutator::{Mutator, ENTANGLEMENT_PANIC};
 
 /// 1-in-k sampling rate for entanglement-provenance recording: at the
@@ -161,7 +161,7 @@ impl Mutator<'_> {
     }
 
     pub(crate) fn mut_read(&mut self, objv: Value, idx: usize) -> Value {
-        self.ctx.work += self.rt.config().work.read;
+        self.ctx.work += READ_WORK;
         let src = self.locate_ref(objv, "mutable read");
         let obj = self.cached_block(src).get(src.word());
         debug_assert!(
@@ -310,7 +310,7 @@ impl Mutator<'_> {
     /// become cross-visible, and maintains the down-pointer remembered
     /// set. Returns the resolved target, guaranteed cache-resident.
     fn write_barrier(&mut self, objv: Value, idx: usize, v: Value) -> ObjRef {
-        self.ctx.work += self.rt.config().work.write;
+        self.ctx.work += WRITE_WORK;
         let src = self.locate_ref(objv, "mutable write");
         debug_assert!(
             self.cached_block(src)

@@ -1,5 +1,5 @@
-//! Runtime configuration: execution mode, processors, GC policy, work
-//! model.
+//! Runtime configuration: execution mode, processors, GC policy, and the
+//! work weights charged to the recorded DAG.
 
 use mpl_fail::FailPlan;
 use mpl_gc::GcPolicy;
@@ -28,31 +28,16 @@ pub enum Mode {
 }
 
 /// Virtual work units charged per runtime operation; these weights drive
-/// the DAG the speedup simulation replays. The defaults approximate
-/// relative costs of an allocation, a barriered access, and task creation
-/// in MPL-like runtimes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkModel {
-    /// Base cost of an allocation (plus one unit per 4 fields).
-    pub alloc: u64,
-    /// Cost of a read (barriered or not).
-    pub read: u64,
-    /// Cost of a write.
-    pub write: u64,
-    /// Cost charged to the parent strand per fork.
-    pub fork: u64,
-}
-
-impl Default for WorkModel {
-    fn default() -> Self {
-        WorkModel {
-            alloc: 2,
-            read: 1,
-            write: 1,
-            fork: 8,
-        }
-    }
-}
+/// the DAG the speedup simulation replays. They approximate relative costs
+/// of an allocation (plus one unit per 4 fields), a barriered access, and
+/// task creation (charged to the parent strand) in MPL-like runtimes.
+pub const ALLOC_WORK: u64 = 2;
+/// Work units per read (barriered or not); see [`ALLOC_WORK`].
+pub const READ_WORK: u64 = 1;
+/// Work units per write; see [`ALLOC_WORK`].
+pub const WRITE_WORK: u64 = 1;
+/// Work units per fork; see [`ALLOC_WORK`].
+pub const FORK_WORK: u64 = 8;
 
 /// Complete runtime configuration.
 #[derive(Clone, Copy, Debug)]
@@ -65,10 +50,12 @@ pub struct RuntimeConfig {
     pub store: StoreConfig,
     /// Record the computation DAG for scheduler simulation.
     pub record_dag: bool,
-    /// Work weights for DAG recording.
-    pub work: WorkModel,
     /// Processors for the work-stealing executor; `1` (the default)
-    /// selects deterministic depth-first execution with no pool.
+    /// selects deterministic depth-first execution with no pool. It also
+    /// decides block reclamation: with one thread the local collector
+    /// frees evacuated blocks at once; with more, concurrent entangled
+    /// readers may still resolve forwarding words in them, so they are
+    /// retired to the graveyard until quiescence.
     pub threads: usize,
     /// Enables the entanglement-candidates ("suspects") read-barrier fast
     /// path (ICFP 2022): reads of objects that never received a
@@ -143,7 +130,6 @@ impl Default for RuntimeConfig {
             policy: GcPolicy::default(),
             store: StoreConfig::default(),
             record_dag: false,
-            work: WorkModel::default(),
             threads: 1,
             suspects: true,
             force_slow_path: false,
@@ -337,37 +323,22 @@ impl RuntimeConfig {
         } else {
             threads
         };
-        self.set_threads(clamped)
+        self.with_threads_exact(clamped)
     }
 
     /// Sets the processor count exactly as given, without clamping to
     /// host parallelism. Oversubscription is functionally correct (the
     /// concurrent protocols are exercised harder, which is exactly what
     /// the stress tests want) but wasteful for performance runs.
-    pub fn with_threads_exact(self, threads: usize) -> RuntimeConfig {
+    pub fn with_threads_exact(mut self, threads: usize) -> RuntimeConfig {
         assert!(threads >= 1, "need at least one thread");
-        self.set_threads(threads)
-    }
-
-    fn set_threads(mut self, threads: usize) -> RuntimeConfig {
         self.threads = threads;
-        self.policy = if threads > 1 {
-            GcPolicy {
-                immediate_block_free: false,
-                ..self.policy
-            }
-        } else {
-            self.policy
-        };
         self
     }
 
-    /// Replaces the GC policy (preserving thread-safety of block freeing).
+    /// Replaces the GC policy.
     pub fn with_policy(mut self, policy: GcPolicy) -> RuntimeConfig {
         self.policy = policy;
-        if self.threads > 1 {
-            self.policy.immediate_block_free = false;
-        }
         self
     }
 }
@@ -390,12 +361,35 @@ mod tests {
     fn threaded_config_defers_block_freeing() {
         let c = RuntimeConfig::managed().with_threads_exact(4);
         assert_eq!(c.threads, 4);
-        assert!(!c.policy.immediate_block_free);
         let c = c.with_policy(GcPolicy::default());
-        assert!(
-            !c.policy.immediate_block_free,
-            "preserved across policy set"
-        );
+        // Block freeing follows `threads`, so a policy set cannot undo it.
+        assert_eq!(c.threads, 4, "preserved across policy set");
+    }
+
+    #[test]
+    fn block_freeing_follows_the_thread_count() {
+        // A struct literal bypasses every builder: the thread count alone
+        // decides whether a local collection frees its evacuated blocks
+        // or retires them until quiescence.
+        for threads in [1, 2] {
+            let rt = crate::Runtime::new(RuntimeConfig {
+                threads,
+                ..RuntimeConfig::managed()
+            });
+            rt.run(|m| {
+                let freed_before = m.runtime().stats().blocks_freed;
+                let mut keep = [m.alloc_tuple(&[mpl_heap::Value::Int(1)])];
+                m.force_lgc(&mut keep);
+                let freed = m.runtime().stats().blocks_freed - freed_before;
+                let retired = m.runtime().graveyard().pending();
+                assert_eq!(
+                    (freed > 0, retired > 0),
+                    (threads == 1, threads > 1),
+                    "threads {threads}: freed {freed}, retired {retired}"
+                );
+                keep[0]
+            });
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod runtime;
 mod telemetry;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, RunError};
-pub use config::{Mode, RuntimeConfig, WorkModel};
+pub use config::{Mode, RuntimeConfig};
 pub use mutator::{AllocError, Handle, Mutator, RootMark, ENTANGLEMENT_PANIC};
 pub use runtime::{Runtime, TelemetryReport, TenantSession};
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use mpl_heap::{Block, ObjKind, ObjRef, Value};
 
 use super::Mutator;
+use crate::config::{READ_WORK, WRITE_WORK};
 
 /// A resolved object location: current address plus its (cached) block.
 pub(super) struct Located {
@@ -85,7 +86,7 @@ impl Mutator<'_> {
     ///
     /// Panics if the payload is not valid UTF-8 (corrupted string object).
     pub fn read_str(&mut self, v: Value) -> String {
-        self.ctx.work += self.rt.config().work.read;
+        self.ctx.work += READ_WORK;
         let loc = self.locate(v, "string");
         let obj = loc.block.get(loc.r.word());
         let len = obj.load_raw(0) as usize;
@@ -101,7 +102,7 @@ impl Mutator<'_> {
 
     /// Number of fields of the object (tuple arity, array length).
     pub fn len(&mut self, v: Value) -> usize {
-        self.ctx.work += self.rt.config().work.read;
+        self.ctx.work += READ_WORK;
         let r = self.locate_ref(v, "length query");
         self.cached_block(r).get(r.word()).len()
     }
@@ -112,7 +113,7 @@ impl Mutator<'_> {
     /// tuple's fields are fixed at allocation and can only reference older
     /// objects, so they can never *create* entanglement.
     pub fn tuple_get(&mut self, t: Value, i: usize) -> Value {
-        self.ctx.work += self.rt.config().work.read;
+        self.ctx.work += READ_WORK;
         let r = self.locate_ref(t, "tuple read");
         let obj = self.cached_block(r).get(r.word());
         debug_assert_eq!(obj.kind(), ObjKind::Tuple, "tuple_get on {:?}", obj.kind());
@@ -166,21 +167,21 @@ impl Mutator<'_> {
 
     /// Reads a raw 64-bit word.
     pub fn raw_get(&mut self, a: Value, i: usize) -> u64 {
-        self.ctx.work += self.rt.config().work.read;
+        self.ctx.work += READ_WORK;
         let r = self.locate_ref(a, "raw read");
         self.cached_block(r).get(r.word()).load_raw(i)
     }
 
     /// Writes a raw 64-bit word.
     pub fn raw_set(&mut self, a: Value, i: usize, bits: u64) {
-        self.ctx.work += self.rt.config().work.write;
+        self.ctx.work += WRITE_WORK;
         let r = self.locate_ref(a, "raw write");
         self.cached_block(r).get(r.word()).store_raw(i, bits);
     }
 
     /// Compare-and-swap on a raw word; true on success.
     pub fn raw_cas(&mut self, a: Value, i: usize, expected: u64, new: u64) -> bool {
-        self.ctx.work += self.rt.config().work.write;
+        self.ctx.work += WRITE_WORK;
         let r = self.locate_ref(a, "raw cas");
         self.cached_block(r)
             .get(r.word())
@@ -190,7 +191,7 @@ impl Mutator<'_> {
 
     /// Atomic fetch-add on a raw word; returns the previous bits.
     pub fn raw_fetch_add(&mut self, a: Value, i: usize, delta: u64) -> u64 {
-        self.ctx.work += self.rt.config().work.write;
+        self.ctx.work += WRITE_WORK;
         let r = self.locate_ref(a, "raw fetch_add");
         self.cached_block(r).get(r.word()).fetch_add_raw(i, delta)
     }

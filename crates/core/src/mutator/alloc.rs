@@ -7,7 +7,7 @@ use mpl_heap::{size_class, Counter, ObjKind, ObjRef, Value, Word, OBJECT_HEADER_
 
 use super::boundary::PENDING_FLUSH_BYTES;
 use super::{AllocError, Mutator};
-use crate::config::Mode;
+use crate::config::{Mode, ALLOC_WORK};
 
 impl Mutator<'_> {
     fn alloc_object(&mut self, kind: ObjKind, fields: &[Value]) -> Value {
@@ -44,8 +44,7 @@ impl Mutator<'_> {
     }
 
     fn charge_alloc(&mut self, fields: usize) {
-        let wm = self.rt.config().work;
-        self.ctx.work += wm.alloc + fields as u64 / 4;
+        self.ctx.work += ALLOC_WORK + fields as u64 / 4;
         self.ctx.alloc_since += mpl_heap::OBJECT_OVERHEAD_BYTES + 8 * fields;
     }
 

@@ -307,7 +307,7 @@ impl<'rt> TaskCtx<'rt> {
             self.leaf_heap(),
             &mut roots,
             rt.graveyard(),
-            rt.config().policy.immediate_block_free,
+            rt.config().threads == 1,
         );
         for (i, r) in roots[..nroots].iter().enumerate() {
             self.slot.roots.set(self.base + i, *r);

@@ -44,6 +44,7 @@ use std::sync::Arc;
 use mpl_heap::Value;
 use mpl_sched::StrandId;
 
+use crate::config::FORK_WORK;
 use crate::roots::MutatorSlot;
 use crate::runtime::Runtime;
 
@@ -247,7 +248,7 @@ impl<'rt> Mutator<'rt> {
         F: FnOnce(&mut Mutator<'_>) -> Value + Send,
         G: FnOnce(&mut Mutator<'_>) -> Value + Send,
     {
-        self.ctx.work += self.rt.config().work.fork;
+        self.ctx.work += FORK_WORK;
         // The parent is suspended (or running branch bodies under their
         // own task contexts) until the join.
         let suspended = self.ctx.suspend();

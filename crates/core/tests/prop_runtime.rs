@@ -116,7 +116,6 @@ fn configs() -> Vec<(&'static str, RuntimeConfig)> {
                 policy: GcPolicy {
                     lgc_trigger_bytes: 512,
                     cgc_trigger_pinned_bytes: 2048,
-                    immediate_block_free: true,
                 },
                 store: StoreConfig {
                     block_words: 32,

@@ -7,7 +7,6 @@ fn tiny_gc() -> GcPolicy {
     GcPolicy {
         lgc_trigger_bytes: 2048,
         cgc_trigger_pinned_bytes: usize::MAX,
-        immediate_block_free: true,
     }
 }
 
@@ -190,7 +189,6 @@ fn cgc_reclaims_dropped_entangled_objects() {
         policy: GcPolicy {
             lgc_trigger_bytes: 1024,
             cgc_trigger_pinned_bytes: usize::MAX, // manual only
-            immediate_block_free: true,
         },
         store: StoreConfig {
             block_words: 32,
@@ -438,7 +436,7 @@ fn len_and_read_str_charge_work() {
         }
         Value::Unit
     });
-    let read_cost = RuntimeConfig::managed().work.read;
+    let read_cost = mpl_runtime::config::READ_WORK;
     assert!(
         with_len >= base + 10 * read_cost,
         "len must charge work: base={base}, with_len={with_len}"
@@ -659,7 +657,6 @@ fn task_boundaries_leave_nothing_behind() {
             policy: GcPolicy {
                 lgc_trigger_bytes: 2048,
                 cgc_trigger_pinned_bytes: 1,
-                immediate_block_free: false,
             },
             ..RuntimeConfig::managed()
         }

@@ -20,10 +20,6 @@ pub struct GcPolicy {
     /// Run a concurrent collection once the global pinned footprint
     /// exceeds this many bytes. `usize::MAX` disables the CGC.
     pub cgc_trigger_pinned_bytes: usize,
-    /// Free evacuated blocks immediately (safe under the sequential
-    /// executor) instead of retiring them to the graveyard for
-    /// quiescence-deferred reclamation (required under real threads).
-    pub immediate_block_free: bool,
 }
 
 impl Default for GcPolicy {
@@ -31,7 +27,6 @@ impl Default for GcPolicy {
         GcPolicy {
             lgc_trigger_bytes: 256 * 1024,
             cgc_trigger_pinned_bytes: 1024 * 1024,
-            immediate_block_free: true,
         }
     }
 }
@@ -43,16 +38,6 @@ impl GcPolicy {
         GcPolicy {
             lgc_trigger_bytes: usize::MAX,
             cgc_trigger_pinned_bytes: usize::MAX,
-            immediate_block_free: true,
-        }
-    }
-
-    /// A policy suitable for the real-thread executor: deferred block
-    /// reclamation.
-    pub fn threaded() -> GcPolicy {
-        GcPolicy {
-            immediate_block_free: false,
-            ..GcPolicy::default()
         }
     }
 
@@ -87,11 +72,5 @@ mod tests {
         let p = GcPolicy::disabled();
         assert!(!p.should_lgc(usize::MAX - 1));
         assert!(!p.should_cgc(usize::MAX - 1));
-    }
-
-    #[test]
-    fn threaded_defers_freeing() {
-        assert!(!GcPolicy::threaded().immediate_block_free);
-        assert!(GcPolicy::default().immediate_block_free);
     }
 }

@@ -43,7 +43,6 @@ fn cancel_config(threads: usize) -> RuntimeConfig {
         policy: GcPolicy {
             lgc_trigger_bytes: 16 * 1024,
             cgc_trigger_pinned_bytes: 32 * 1024,
-            immediate_block_free: false,
         },
         store: StoreConfig {
             block_words: 128,

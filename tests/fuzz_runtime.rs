@@ -205,7 +205,6 @@ fn pressure() -> RuntimeConfig {
         policy: GcPolicy {
             lgc_trigger_bytes: 2 * 1024,
             cgc_trigger_pinned_bytes: 4 * 1024,
-            immediate_block_free: true,
         },
         store: StoreConfig {
             block_words: 32,

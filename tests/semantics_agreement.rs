@@ -160,7 +160,6 @@ fn space_bounds_agree() {
         policy: mpl_runtime::GcPolicy {
             lgc_trigger_bytes: 1024,
             cgc_trigger_pinned_bytes: usize::MAX,
-            immediate_block_free: true,
         },
         ..RuntimeConfig::managed()
     };

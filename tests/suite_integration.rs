@@ -13,7 +13,6 @@ fn gc_pressure() -> RuntimeConfig {
         policy: GcPolicy {
             lgc_trigger_bytes: 32 * 1024,
             cgc_trigger_pinned_bytes: 64 * 1024,
-            immediate_block_free: true,
         },
         store: StoreConfig {
             block_words: 256,

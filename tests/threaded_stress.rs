@@ -13,7 +13,6 @@ fn threaded_pressure(threads: usize) -> RuntimeConfig {
         policy: GcPolicy {
             lgc_trigger_bytes: 16 * 1024,
             cgc_trigger_pinned_bytes: 32 * 1024,
-            immediate_block_free: false,
         },
         store: StoreConfig {
             block_words: 128,
@@ -181,7 +180,7 @@ fn lgc_dead_object_race_repro() {
     // Regression test for the LGC dead-object race (formerly #[ignore]d:
     // dedup at full small_n under 4 threads killed the referents of
     // objects pinned mid-collection in roughly 2 of 3 debug runs). The
-    // fix is the registry re-take fixpoint before Phase C's kills
+    // fix is the shield fixpoint's re-take before Phase C's kills
     // (lgc.rs); `lgc_dead_traced` is the always-on detector and must
     // stay zero. The rest of the suite runs at small_n / 2; this is the
     // one test at full small_n.
@@ -303,7 +302,6 @@ fn buffered_remsets_flush_at_joins_under_audit() {
             policy: GcPolicy {
                 lgc_trigger_bytes: 2048,
                 cgc_trigger_pinned_bytes: 16 * 1024,
-                immediate_block_free: false,
             },
             store: StoreConfig {
                 block_words: 64,

@@ -24,7 +24,7 @@
 //!   entanglement nor a down-pointer.
 //!
 //! * **Slow tier** (`barrier_read_slow` / `barrier_write_slow`): the
-//!   full machinery — locate the target, query the heap table for the
+//!   full machinery — resolve the target, query the heap table for the
 //!   path relation / LCA, pin, buffer remembered-set entries. The slow
 //!   tier is semantically complete on its own; the fast tier is purely
 //!   an elision. [`crate::RuntimeConfig::force_slow_path`] disables
@@ -42,7 +42,7 @@ use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, RemsetEntry, Value};
 
 use crate::config::{Mode, READ_WORK, WRITE_WORK};
-use crate::mutator::{Mutator, ENTANGLEMENT_PANIC};
+use crate::mutator::{Mutator, Resolved, ENTANGLEMENT_PANIC};
 
 /// 1-in-k sampling rate for entanglement-provenance recording: at the
 /// slow tier's cost (heap-table queries, possible pin CAS) a 1/64 sample
@@ -81,30 +81,34 @@ impl Mutator<'_> {
         ) {
             return;
         }
+        let size_class = self
+            .resolve(Value::Obj(target), "provenance sample")
+            .block()
+            .size_class() as u8;
         mpl_obs::provenance_record(mpl_obs::ProvenanceSample {
             reader_depth: self.ctx.path.len() as u16,
             owner_depth,
-            size_class: self.cached_block(target).size_class() as u8,
+            size_class,
             pinned: newly_pinned,
         });
     }
     /// Re-resolves a possibly stale (forwarded) object value.
+    #[inline]
     pub(crate) fn fix_stale(&mut self, v: Value) -> Value {
         match v {
-            Value::Obj(_) => Value::Obj(self.locate_ref(v, "stale fix")),
+            Value::Obj(_) => Value::Obj(self.resolve_at(v, "stale fix").r),
             imm => imm,
         }
     }
 
-    /// Pins the object at `r` (which must be cache-resident from a
-    /// preceding `locate_ref`) at `level`, registering it on first pin.
-    /// Avoids a registry round-trip on the (common) already-pinned
-    /// steady state. Returns the pinned location (forwarding chased), or
-    /// `None` if the target was already dead-marked — the owner overwrote
-    /// the field this pointer was loaded from and its collection reclaimed
-    /// the object before the pin landed; nothing was pinned and the
-    /// caller must re-load the field.
-    pub(crate) fn pin_cached(&mut self, mut r: ObjRef, level: u16) -> Option<ObjRef> {
+    /// Pins the object resolved at `at` at `level`, registering it on
+    /// first pin. Avoids a registry round-trip on the (common)
+    /// already-pinned steady state. Returns the pinned location
+    /// (forwarding chased), or `None` if the target was already
+    /// dead-marked — the owner overwrote the field this pointer was loaded
+    /// from and its collection reclaimed the object before the pin landed;
+    /// nothing was pinned and the caller must re-load the field.
+    pub(crate) fn pin_cached(&mut self, mut at: Resolved, level: u16) -> Option<ObjRef> {
         use mpl_heap::PinOutcome;
         // Every remote acquisition funnels through here (read barrier,
         // write barrier, observe, allocation barrier): from now on this
@@ -112,8 +116,7 @@ impl Mutator<'_> {
         // scanned (see `alloc_pin_remote`).
         self.ctx.saw_remote = true;
         loop {
-            let block = self.cached_block(r);
-            let obj = block.get(r.word());
+            let (r, obj) = (at.r, self.view(at));
             // Steady state: already pinned at (or below) this level — a
             // single header load, no CAS.
             let hdr = obj.header();
@@ -123,12 +126,14 @@ impl Mutator<'_> {
             match obj.try_pin(level) {
                 PinOutcome::AlreadyPinned { .. } => return Some(r),
                 PinOutcome::NewlyPinned => {
-                    self.rt.store().on_newly_pinned(block, r, level);
+                    self.rt.store().on_newly_pinned(obj.block(), r, level);
                     self.ctx.log_satb(r);
                     self.rt.request_cgc_poll();
                     return Some(r);
                 }
-                PinOutcome::Forwarded(next) => r = self.locate_ref(Value::Obj(next), "pin target"),
+                PinOutcome::Forwarded(next) => {
+                    at = self.resolve_at(Value::Obj(next), "pin target");
+                }
                 PinOutcome::Dead => return None,
             }
         }
@@ -146,35 +151,37 @@ impl Mutator<'_> {
         for slot in fields.iter_mut() {
             let raw = *slot;
             let Value::Obj(_) = raw else { continue };
-            let t = self.locate_ref(raw, "allocation barrier");
-            let owner = self.cached_block(t).owner();
+            let t = self.resolve_at(raw, "allocation barrier");
+            let owner = self.view(t).block().owner();
             let (_, _, lca) = self.rt.store().heaps().path_relation(&self.ctx.path, owner);
             if let Some(level) = lca {
                 self.ctx.pending.entangled_writes += 1;
                 let pinned = self.pin_held(t, level);
                 events::emit_obj(EventKind::AllocPin, pinned, u32::from(level));
                 *slot = Value::Obj(pinned);
-            } else if Value::Obj(t) != raw {
-                *slot = Value::Obj(t); // chased forwarding: keep the fresh location
+            } else if Value::Obj(t.r) != raw {
+                *slot = Value::Obj(t.r); // chased forwarding: keep the fresh location
             }
         }
     }
 
+    /// The read barrier. The fast tier counts nothing of its own: it is
+    /// `barrier_reads − barrier_read_slow`, derived when the task's
+    /// counters flush.
     pub(crate) fn mut_read(&mut self, objv: Value, idx: usize) -> Value {
         self.ctx.work += READ_WORK;
-        let src = self.locate_ref(objv, "mutable read");
-        let obj = self.cached_block(src).get(src.word());
+        let at = self.resolve_at(objv, "mutable read");
+        let obj = self.view(at);
         debug_assert!(
             obj.kind().is_mutable_boxed(),
             "mutable read on {:?}",
             obj.kind()
         );
         let cfg = self.rt.config();
+        let raw = obj.field(idx);
         if cfg.mode == Mode::NoEntanglementBarrier {
-            let raw = obj.field(idx);
             return self.fix_stale(raw);
         }
-        let raw = obj.field(idx);
         let slow = obj.is_slow();
         self.ctx.pending.barrier_reads += 1;
         // FAST TIER, entanglement-candidates check (ICFP 2022): an object
@@ -185,7 +192,6 @@ impl Mutator<'_> {
         // block's `slow` side-metadata bitmap (suspect ∪ pinned); no
         // table, no lock, no Arc clone, no header traffic.
         if !cfg.force_slow_path && cfg.suspects && !slow {
-            self.ctx.pending.barrier_read_fast += 1;
             return raw;
         }
         // An immediate loaded from a suspect/pinned object still never
@@ -195,21 +201,21 @@ impl Mutator<'_> {
         let Value::Obj(loaded) = raw else {
             if cfg.force_slow_path {
                 self.ctx.pending.barrier_read_slow += 1;
-            } else {
-                self.ctx.pending.barrier_read_fast += 1;
             }
             return raw;
         };
-        // SLOW TIER: locate the target and query the heap table.
-        self.ctx.poll();
+        // SLOW TIER: resolve the target and query the heap table. (Counted
+        // before the poll, so an access a cancellation unwinds out of is
+        // classified like every other.)
         self.ctx.pending.barrier_read_slow += 1;
+        self.ctx.poll();
         mpl_fail::hit_hard("barrier/read_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
-        self.acquire_loaded(objv, idx, loaded)
+        self.acquire_loaded(at.r, idx, loaded)
     }
 
     /// The read side's entanglement handling for a pointer just `loaded`
-    /// from field `idx` of the mutable object `objv` (by a read,
+    /// from field `idx` of the mutable object at `src` (by a read,
     /// or observed by a failed CAS): classify the target against this
     /// task's path, pin a remote target at the LCA, and repair the field
     /// if forwarding was chased.
@@ -219,25 +225,24 @@ impl Mutator<'_> {
     /// pin CAS and the collector's kill serialize on the target's header,
     /// so a lost race surfaces as a refused pin — re-load the field and
     /// go again; the read linearizes at the final load.
-    fn acquire_loaded(&mut self, objv: Value, idx: usize, mut loaded: ObjRef) -> Value {
+    fn acquire_loaded(&mut self, src: ObjRef, idx: usize, mut loaded: ObjRef) -> Value {
         loop {
             let raw = Value::Obj(loaded);
-            let t = self.locate_ref(raw, "read target");
+            let t = self.resolve_at(raw, "read target");
             let (_, t_depth, lca) = self
                 .rt
                 .store()
                 .heaps()
-                .path_relation(&self.ctx.path, self.cached_block(t).owner());
+                .path_relation(&self.ctx.path, self.view(t).block().owner());
             let acquired = match lca {
-                None => Some(t), // local target
+                None => Some(t.r), // local target
                 Some(level) => {
                     // Entangled read: the paper's central event.
                     if self.rt.config().mode == Mode::DetectOnly {
                         panic!("{ENTANGLEMENT_PANIC}");
                     }
                     self.ctx.pending.entangled_reads += 1;
-                    let newly = mpl_obs::enabled()
-                        && !self.cached_block(t).get(t.word()).header().is_pinned();
+                    let newly = mpl_obs::enabled() && !self.view(t).header().is_pinned();
                     let pinned = self.pin_cached(t, level);
                     if let Some(p) = pinned {
                         self.provenance_sample(p, t_depth, newly);
@@ -248,11 +253,10 @@ impl Mutator<'_> {
             if acquired == Some(loaded) {
                 return raw;
             }
-            // Both continuations are rare, so re-locating the source is
+            // Both continuations are rare, so resolving the source again is
             // fine: repair a stale field after chasing forwarding, or
             // re-load it after a lost race.
-            let src = self.locate_ref(objv, "mutable read");
-            let obj = self.cached_block(src).get(src.word());
+            let obj = self.resolve(Value::Obj(src), "mutable read");
             match acquired {
                 Some(t) => {
                     let _ = obj.cas_field(idx, raw, Value::Obj(t));
@@ -267,8 +271,8 @@ impl Mutator<'_> {
     }
 
     pub(crate) fn mut_write(&mut self, objv: Value, idx: usize, v: Value) {
-        let r = self.write_barrier(objv, idx, v);
-        let obj = self.cached_block(r).get(r.word());
+        let at = self.write_barrier(objv, idx, v);
+        let obj = self.view(at);
         // Deletion barrier: log the overwritten pointer *before* the
         // store. `is_marking` is an Acquire load of the flag the
         // collector raises before its snapshot handshake; a mutator that
@@ -291,8 +295,8 @@ impl Mutator<'_> {
         expected: Value,
         new: Value,
     ) -> Result<(), Value> {
-        let r = self.write_barrier(objv, idx, new);
-        let obj = self.cached_block(r).get(r.word());
+        let at = self.write_barrier(objv, idx, new);
+        let obj = self.view(at);
         if self.rt.cgc_state().is_marking() {
             if let Value::Obj(old) = expected {
                 self.ctx.log_satb(old);
@@ -302,21 +306,20 @@ impl Mutator<'_> {
         // pointer on failure.
         match obj.cas_field(idx, expected, new) {
             Ok(()) => Ok(()),
-            Err(actual) => Err(self.observe_read(objv, idx, actual)),
+            Err(actual) => Err(self.observe_read(at.r, idx, actual)),
         }
     }
 
     /// The write barrier: detects entangled writes, pins pointees that
     /// become cross-visible, and maintains the down-pointer remembered
-    /// set. Returns the resolved target, guaranteed cache-resident.
-    fn write_barrier(&mut self, objv: Value, idx: usize, v: Value) -> ObjRef {
+    /// set. Returns the resolved target, for the caller's store to
+    /// [`Mutator::view`]. Like the read barrier's, the fast tier is
+    /// `barrier_writes − barrier_write_slow`, derived at the counter flush.
+    fn write_barrier(&mut self, objv: Value, idx: usize, v: Value) -> Resolved {
         self.ctx.work += WRITE_WORK;
-        let src = self.locate_ref(objv, "mutable write");
+        let src = self.resolve_at(objv, "mutable write");
         debug_assert!(
-            self.cached_block(src)
-                .get(src.word())
-                .kind()
-                .is_mutable_boxed(),
+            self.view(src).kind().is_mutable_boxed(),
             "mutable write on immutable object"
         );
         let cfg = self.rt.config();
@@ -329,7 +332,6 @@ impl Mutator<'_> {
         // check (any remote write is a detected entanglement in prior
         // MPL).
         if !cfg.force_slow_path && mode == Mode::Managed && !matches!(v, Value::Obj(_)) {
-            self.ctx.pending.barrier_write_fast += 1;
             return src;
         }
         // FAST TIER exit 2: a pointer store where source and target both
@@ -343,28 +345,26 @@ impl Mutator<'_> {
         // case too.) The target is classified by the SFT block table —
         // one shifted load into the side-metadata segment array, no
         // registry lock, and no cache traffic that could evict the
-        // source's slot (which callers need resident).
+        // source's slot (which the caller's store views).
         if !cfg.force_slow_path && matches!(v, Value::Obj(_)) {
             let leaf = self.ctx.leaf_heap();
             if let Value::Obj(t) = v {
-                if self.cached_block(src).owner() == leaf
+                if self.view(src).block().owner() == leaf
                     && store.sft().owner_of(t.block()) == Some(leaf)
                 {
-                    self.ctx.pending.barrier_write_fast += 1;
                     return src;
                 }
             }
         }
-        // SLOW TIER: full locate + path-relation machinery. (Re-locate
-        // the source: fast-exit-2 probing may have evicted it.)
-        self.ctx.poll();
+        // SLOW TIER: full resolve + path-relation machinery. (Counted
+        // before the poll, as on the read side.)
         self.ctx.pending.barrier_write_slow += 1;
+        self.ctx.poll();
         mpl_fail::hit_hard("barrier/write_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
-        let src = self.locate_ref(objv, "mutable write");
         let (o_heap, o_depth, o_lca) = store
             .heaps()
-            .path_relation(&self.ctx.path, self.cached_block(src).owner());
+            .path_relation(&self.ctx.path, self.view(src).block().owner());
         let o_local = o_lca.is_none();
         if !o_local {
             match mode {
@@ -373,37 +373,37 @@ impl Mutator<'_> {
                 Mode::Managed => {
                     self.ctx.pending.entangled_writes += 1;
                     if let Value::Obj(_) = v {
-                        let t = self.locate_ref(v, "written value");
+                        let t = self.resolve_at(v, "written value");
                         // The written pointer becomes visible to the
                         // remote object's owner: pin at the heaps' LCA.
-                        let t_heap = store.heaps().find(self.cached_block(t).owner());
+                        let t_heap = store.heaps().find(self.view(t).block().owner());
                         let level = store.heaps().lca_of(o_heap, t_heap);
                         let _ = self.pin_held(t, level);
                     }
                 }
             }
-            return self.locate_ref(objv, "mutable write");
+            return self.resolve_at(Value::Obj(src.r), "mutable write");
         }
         if let Value::Obj(_) = v {
-            let t = self.locate_ref(v, "written value");
+            let t = self.resolve_at(v, "written value");
             let (t_heap, t_depth, t_lca) = store
                 .heaps()
-                .path_relation(&self.ctx.path, self.cached_block(t).owner());
+                .path_relation(&self.ctx.path, self.view(t).block().owner());
             let t_local = t_lca.is_none();
             if t_local {
                 if t_depth > o_depth {
                     // Down-pointer: root for the deeper heap's collections,
                     // and the written-to object becomes an entanglement
-                    // candidate — its reads must check. (Re-locate: the
+                    // candidate — its reads must check. (Resolve again: the
                     // target lookup above may have evicted the source's
                     // cache slot.) The entry goes to the task-private
                     // buffer, published at the next safepoint flush.
-                    let src = self.locate_ref(objv, "mutable write");
-                    self.cached_block(src).get(src.word()).mark_suspect();
+                    let src = self.resolve_at(Value::Obj(src.r), "mutable write");
+                    self.view(src).mark_suspect();
                     self.ctx.buffer_remset(
                         t_heap,
                         RemsetEntry {
-                            src,
+                            src: src.r,
                             field: idx as u32,
                         },
                     );
@@ -414,27 +414,26 @@ impl Mutator<'_> {
                 // and mark the holder a candidate.
                 self.ctx.pending.entangled_writes += 1;
                 let level = store.heaps().lca_of(o_heap, t_heap);
-                let newly =
-                    mpl_obs::enabled() && !self.cached_block(t).get(t.word()).header().is_pinned();
+                let newly = mpl_obs::enabled() && !self.view(t).header().is_pinned();
                 let pinned = self.pin_held(t, level);
                 self.provenance_sample(pinned, t_depth, newly);
-                let src = self.locate_ref(objv, "mutable write");
-                self.cached_block(src).get(src.word()).mark_suspect();
+                let src = self.resolve_at(Value::Obj(src.r), "mutable write");
+                self.view(src).mark_suspect();
                 return src;
             } else if mode == Mode::DetectOnly {
                 panic!("{ENTANGLEMENT_PANIC}");
             }
-            return self.locate_ref(objv, "mutable write");
+            return self.resolve_at(Value::Obj(src.r), "mutable write");
         }
         src
     }
 
     /// Applies the read-barrier's entanglement handling to a value
-    /// observed from a failed CAS on field `idx` of `objv`.
-    fn observe_read(&mut self, objv: Value, idx: usize, actual: Value) -> Value {
+    /// observed from a failed CAS on field `idx` of the object at `src`.
+    fn observe_read(&mut self, src: ObjRef, idx: usize, actual: Value) -> Value {
         match actual {
             Value::Obj(r) if self.rt.config().mode != Mode::NoEntanglementBarrier => {
-                self.acquire_loaded(objv, idx, r)
+                self.acquire_loaded(src, idx, r)
             }
             other => self.fix_stale(other),
         }
@@ -445,7 +444,7 @@ impl Mutator<'_> {
     /// acquisition and stay pinned past this task's lifetime, so a dead
     /// target is not a race to retry — there is no field to re-load — and
     /// the reference is passed through unpinned.
-    fn pin_held(&mut self, t: ObjRef, level: u16) -> ObjRef {
-        self.pin_cached(t, level).unwrap_or(t)
+    fn pin_held(&mut self, t: Resolved, level: u16) -> ObjRef {
+        self.pin_cached(t, level).unwrap_or(t.r)
     }
 }

@@ -1,82 +1,95 @@
-//! Object access: locating objects through the task-local block cache,
+//! Object access: resolving values through the task-local block cache,
 //! immutable reads, the barriered mutable accessors (thin wrappers over
 //! `crate::barrier`), and raw word arrays.
+//!
+//! Every access resolves its object exactly once: [`Mutator::resolve`]
+//! is one cache-slot compare plus [`mpl_heap::Block::resolve`] (one
+//! publication check, one header load giving both the forwarded bit and
+//! the field count) on the hit path, which inlines into each accessor; a
+//! cache miss and the forwarding chase share one out-of-line function.
 
-use std::sync::Arc;
-
-use mpl_heap::{Block, ObjKind, ObjRef, Value};
+use mpl_heap::{ObjKind, ObjRef, Object, Value};
 
 use super::Mutator;
 use crate::config::{READ_WORK, WRITE_WORK};
 
-/// A resolved object location: current address plus its (cached) block.
-pub(super) struct Located {
-    pub(super) r: ObjRef,
-    pub(super) block: Arc<Block>,
+/// An object resolved into the block cache: its current (forwarding
+/// chased) reference, whose block sits in cache slot `r.block() & 3`,
+/// and its field count. Valid until the next resolution, which may evict
+/// the slot; [`Mutator::view`] turns it back into an [`Object`] under a
+/// shared borrow, so a caller can hold the view and still reach the rest
+/// of the task state.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Resolved {
+    pub(crate) r: ObjRef,
+    len: usize,
 }
 
 impl Mutator<'_> {
     // ---- hot-path plumbing ----------------------------------------------
 
-    fn block(&mut self, id: u32) -> Arc<Block> {
-        let slot = (id & 3) as usize;
-        if let Some((bid, b)) = &self.ctx.block_cache[slot] {
-            if *bid == id {
-                return Arc::clone(b);
-            }
-        }
-        let b = self.rt.store().blocks().get(id);
-        self.ctx.block_cache[slot] = Some((id, Arc::clone(&b)));
-        b
-    }
-
-    /// Like [`Mutator::locate`], but returns only the reference and leaves
-    /// the block in the cache — callers borrow it with
-    /// [`Mutator::cached_block`], avoiding an `Arc` clone per operation.
-    pub(crate) fn locate_ref(&mut self, v: Value, what: &str) -> ObjRef {
-        let mut r = match v {
-            Value::Obj(r) => r,
-            other => panic!("{what} expects an object, found {other:?}"),
-        };
-        loop {
-            let slot = (r.block() & 3) as usize;
-            let hit = matches!(&self.ctx.block_cache[slot], Some((bid, _)) if *bid == r.block());
-            if !hit {
-                let b = self.rt.store().blocks().get(r.block());
-                self.ctx.block_cache[slot] = Some((r.block(), b));
-            }
-            let (_, block) = self.ctx.block_cache[slot].as_ref().unwrap();
-            match block.get(r.word()).forward_ref() {
-                Some(next) => r = next,
-                None => return r,
-            }
-        }
-    }
-
-    /// Borrows the cached block for `r` (must have been located by
-    /// [`Mutator::locate_ref`] in the same operation, with no intervening
-    /// cache traffic).
-    pub(crate) fn cached_block(&self, r: ObjRef) -> &Block {
-        match &self.ctx.block_cache[(r.block() & 3) as usize] {
-            Some((bid, b)) if *bid == r.block() => b,
-            _ => unreachable!("cached_block without a preceding locate_ref"),
-        }
-    }
-
-    /// Resolves a value to its current object location, chasing
+    /// Resolves a value to a view of its current object, chasing
     /// forwarding. Panics with `what` context on non-objects and dangling
     /// references.
-    pub(super) fn locate(&mut self, v: Value, what: &str) -> Located {
+    #[inline(always)]
+    pub(crate) fn resolve(&mut self, v: Value, what: &str) -> Object<'_> {
+        let at = self.resolve_at(v, what);
+        self.view(at)
+    }
+
+    /// [`Mutator::resolve`] without building the view.
+    #[inline(always)]
+    pub(crate) fn resolve_at(&mut self, v: Value, what: &str) -> Resolved {
         let mut r = match v {
             Value::Obj(r) => r,
-            other => panic!("{what} expects an object, found {other:?}"),
+            other => not_an_object(what, other),
         };
         loop {
-            let block = self.block(r.block());
-            match block.get(r.word()).forward_ref() {
-                Some(next) => r = next,
-                None => return Located { r, block },
+            if let Some((id, block)) = &self.ctx.block_cache[(r.block() & 3) as usize] {
+                if *id == r.block() {
+                    if let Ok(obj) = block.resolve(r.word()) {
+                        return Resolved { r, len: obj.len() };
+                    }
+                }
             }
+            // Taken at most once per miss or evacuation: the cold half
+            // leaves the current copy's block cached, so the retry hits.
+            r = self.resolve_cold(r);
+        }
+    }
+
+    /// The cache-miss and forwarding half of [`Mutator::resolve_at`]:
+    /// fills slots from the block registry and follows forwarding words
+    /// to the current copy, whose block it leaves cached. Returns only
+    /// that copy's reference — one register, so the inlined hit path
+    /// keeps its values out of memory.
+    #[cold]
+    #[inline(never)]
+    fn resolve_cold(&mut self, mut r: ObjRef) -> ObjRef {
+        loop {
+            let slot = &mut self.ctx.block_cache[(r.block() & 3) as usize];
+            if !matches!(slot, Some((id, _)) if *id == r.block()) {
+                *slot = Some((r.block(), self.rt.store().blocks().get(r.block())));
+            }
+            let Some((_, block)) = slot else {
+                unreachable!("the slot was just filled")
+            };
+            match block.resolve(r.word()) {
+                Ok(_) => return r,
+                Err(next) => r = next,
+            }
+        }
+    }
+
+    /// The view of an object resolved by the last [`Mutator::resolve_at`].
+    #[inline(always)]
+    pub(crate) fn view(&self, at: Resolved) -> Object<'_> {
+        match &self.ctx.block_cache[(at.r.block() & 3) as usize] {
+            Some((id, block)) => {
+                debug_assert_eq!(*id, at.r.block(), "a view of an evicted resolution");
+                block.view_resolved(at.r.word(), at.len)
+            }
+            None => unreachable!("a view of an evicted resolution"),
         }
     }
 
@@ -87,24 +100,22 @@ impl Mutator<'_> {
     /// Panics if the payload is not valid UTF-8 (corrupted string object).
     pub fn read_str(&mut self, v: Value) -> String {
         self.ctx.work += READ_WORK;
-        let loc = self.locate(v, "string");
-        let obj = loc.block.get(loc.r.word());
+        let obj = self.resolve(v, "string");
         let len = obj.load_raw(0) as usize;
-        self.ctx.work += (len as u64) / 8;
         let mut bytes = Vec::with_capacity(len);
         for w in 0..len.div_ceil(8) {
             let word = obj.load_raw(1 + w).to_le_bytes();
             let take = (len - bytes.len()).min(8);
             bytes.extend_from_slice(&word[..take]);
         }
+        self.ctx.work += (len as u64) / 8;
         String::from_utf8(bytes).expect("corrupted string object")
     }
 
     /// Number of fields of the object (tuple arity, array length).
     pub fn len(&mut self, v: Value) -> usize {
         self.ctx.work += READ_WORK;
-        let r = self.locate_ref(v, "length query");
-        self.cached_block(r).get(r.word()).len()
+        self.resolve(v, "length query").len()
     }
 
     // ---- immutable reads (no barrier) ------------------------------------
@@ -114,8 +125,7 @@ impl Mutator<'_> {
     /// objects, so they can never *create* entanglement.
     pub fn tuple_get(&mut self, t: Value, i: usize) -> Value {
         self.ctx.work += READ_WORK;
-        let r = self.locate_ref(t, "tuple read");
-        let obj = self.cached_block(r).get(r.word());
+        let obj = self.resolve(t, "tuple read");
         debug_assert_eq!(obj.kind(), ObjKind::Tuple, "tuple_get on {:?}", obj.kind());
         let v = obj.field(i);
         self.fix_stale(v)
@@ -164,35 +174,56 @@ impl Mutator<'_> {
     }
 
     // ---- raw (unboxed) arrays: mutable but pointer-free, no barrier -------
+    //
+    // Raw words are opaque bits to the collectors only inside a `RawArr`:
+    // the same bits stored into a boxed object would be decoded as a
+    // `Word`, possibly a pointer — hence the kind check in debug builds.
 
     /// Reads a raw 64-bit word.
     pub fn raw_get(&mut self, a: Value, i: usize) -> u64 {
         self.ctx.work += READ_WORK;
-        let r = self.locate_ref(a, "raw read");
-        self.cached_block(r).get(r.word()).load_raw(i)
+        let obj = self.resolve(a, "raw read");
+        debug_assert_raw(obj);
+        obj.load_raw(i)
     }
 
     /// Writes a raw 64-bit word.
     pub fn raw_set(&mut self, a: Value, i: usize, bits: u64) {
         self.ctx.work += WRITE_WORK;
-        let r = self.locate_ref(a, "raw write");
-        self.cached_block(r).get(r.word()).store_raw(i, bits);
+        let obj = self.resolve(a, "raw write");
+        debug_assert_raw(obj);
+        obj.store_raw(i, bits);
     }
 
     /// Compare-and-swap on a raw word; true on success.
     pub fn raw_cas(&mut self, a: Value, i: usize, expected: u64, new: u64) -> bool {
         self.ctx.work += WRITE_WORK;
-        let r = self.locate_ref(a, "raw cas");
-        self.cached_block(r)
-            .get(r.word())
-            .cas_raw(i, expected, new)
-            .is_ok()
+        let obj = self.resolve(a, "raw cas");
+        debug_assert_raw(obj);
+        obj.cas_raw(i, expected, new).is_ok()
     }
 
     /// Atomic fetch-add on a raw word; returns the previous bits.
     pub fn raw_fetch_add(&mut self, a: Value, i: usize, delta: u64) -> u64 {
         self.ctx.work += WRITE_WORK;
-        let r = self.locate_ref(a, "raw fetch_add");
-        self.cached_block(r).get(r.word()).fetch_add_raw(i, delta)
+        let obj = self.resolve(a, "raw fetch_add");
+        debug_assert_raw(obj);
+        obj.fetch_add_raw(i, delta)
     }
+}
+
+#[inline]
+fn debug_assert_raw(obj: Object<'_>) {
+    debug_assert_eq!(
+        obj.kind(),
+        ObjKind::RawArr,
+        "raw access on {:?}",
+        obj.kind()
+    );
+}
+
+#[cold]
+#[inline(never)]
+fn not_an_object(what: &str, v: Value) -> ! {
+    panic!("{what} expects an object, found {v:?}")
 }

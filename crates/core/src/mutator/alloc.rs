@@ -165,8 +165,7 @@ impl Mutator<'_> {
         let bytes = s.as_bytes();
         let nwords = bytes.len().div_ceil(8);
         let v = self.alloc_raw(1 + nwords);
-        let loc = self.locate(v, "string");
-        let obj = loc.block.get(loc.r.word());
+        let obj = self.resolve(v, "string");
         obj.store_raw(0, bytes.len() as u64);
         for (w, piece) in bytes.chunks(8).enumerate() {
             let mut buf = [0u8; 8];

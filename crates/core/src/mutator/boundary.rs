@@ -378,6 +378,11 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     fn flush_stats(&mut self) {
+        // The barriers count every access and each slow-tier entry; the
+        // fast tiers are the rest, so a fast access pays one increment.
+        let p = &mut self.pending;
+        p.barrier_read_fast = p.barrier_reads - p.barrier_read_slow;
+        p.barrier_write_fast = p.barrier_writes - p.barrier_write_slow;
         // Tenant accounting rides the same batch the global gauge uses.
         if let Some(budget) = &self.budget {
             budget.charge(self.pending.alloc_bytes as usize);

@@ -19,10 +19,14 @@
 //! Mutator operations are the compiled program's inner loop, so each op
 //! touches global structures as little as possible: a four-entry
 //! task-local block cache short-circuits the block registry for repeated
-//! accesses to the same object/array, the allocation fast path is a
-//! single bump-pointer reservation in a cached size-class block (no lock,
-//! no `Arc` clone, no per-object `Vec` — field words are staged in a
-//! reused task scratch buffer), and rooting is a push onto the lock-free
+//! accesses to the same object/array, and every access resolves its
+//! object exactly once (`Mutator::resolve`: one slot compare, one
+//! publication check, one header load giving the forwarded bit and the
+//! field count, inlined into the accessor; misses and forwarding chases
+//! go out of line). The allocation fast path is a single bump-pointer
+//! reservation in a cached size-class block (no lock, no `Arc` clone, no
+//! per-object `Vec` — field words are staged in a reused task scratch
+//! buffer), and rooting is a push onto the lock-free
 //! [`crate::roots::RootStack`] of the slot the task runs on. Down-pointer
 //! remembered-set entries are buffered task-locally (with per-object
 //! dedup) and published in batches at the task's boundaries.
@@ -48,6 +52,7 @@ use crate::config::FORK_WORK;
 use crate::roots::MutatorSlot;
 use crate::runtime::Runtime;
 
+pub(crate) use access::Resolved;
 pub(crate) use boundary::TaskCtx;
 
 /// Message used when `Mode::DetectOnly` encounters entanglement, matching

@@ -1,7 +1,7 @@
 //! Behavioral tests for the entanglement-managed runtime: barriers,
 //! pinning, unpin-at-join, collector interaction, modes, and executors.
 
-use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, SimParams, StoreConfig, Value};
+use mpl_runtime::{GcPolicy, ObjRef, Runtime, RuntimeConfig, SimParams, StoreConfig, Value};
 
 fn tiny_gc() -> GcPolicy {
     GcPolicy {
@@ -323,6 +323,115 @@ fn alloc_raw_is_zero_initialized() {
             }
         }
         Value::Unit
+    });
+}
+
+/// Every accessor resolves its object once, following forwarding: a
+/// value captured before two local collections moved the object (so its
+/// old copy forwards to a copy that forwards again) must read and update
+/// the current copy. Two threads, so the collections retire the
+/// evacuated blocks instead of freeing them and the old copies stay
+/// readable until the run's quiescent end.
+#[test]
+fn stale_values_reach_the_current_copy_through_every_accessor() {
+    let cfg = RuntimeConfig::managed().with_threads_exact(2);
+    let rt = Runtime::new(cfg);
+    rt.run(|m| {
+        let raw = m.alloc_raw(3);
+        m.raw_set(raw, 1, 11);
+        let tuple = m.alloc_tuple(&[Value::Int(7), Value::Int(8)]);
+        let arr = m.alloc_array(4, Value::Int(0));
+        let cell = m.alloc_ref(Value::Int(1));
+        let s = m.alloc_str("moved twice");
+        let stale = [raw, tuple, arr, cell, s];
+        let handles: Vec<_> = stale.iter().map(|&v| m.root(v)).collect();
+        m.force_lgc(&mut []);
+        m.force_lgc(&mut []);
+        let current: Vec<Value> = handles.iter().map(|h| m.get(h)).collect();
+        for (old, new) in stale.iter().zip(&current) {
+            assert_ne!(old, new, "the collections moved every object");
+        }
+        let [raw, tuple, arr, cell, s] = stale;
+
+        assert_eq!(m.raw_get(raw, 1), 11);
+        m.raw_set(raw, 2, 22);
+        assert_eq!(m.raw_get(current[0], 2), 22);
+
+        assert_eq!(m.tuple_get(tuple, 1), Value::Int(8));
+        assert_eq!(m.len(tuple), 2);
+        assert_eq!(m.len(arr), 4);
+
+        m.arr_set(arr, 3, Value::Int(33));
+        assert_eq!(m.arr_get(current[2], 3), Value::Int(33));
+        assert_eq!(m.arr_get(arr, 3), Value::Int(33));
+
+        assert_eq!(m.read_ref(cell), Value::Int(1));
+        m.write_ref(cell, Value::Int(2));
+        assert_eq!(m.read_ref(current[3]), Value::Int(2));
+        assert_eq!(m.ref_cas(cell, Value::Int(2), Value::Int(3)), Ok(()));
+        assert_eq!(
+            m.ref_cas(cell, Value::Int(2), Value::Int(4)),
+            Err(Value::Int(3))
+        );
+        assert_eq!(m.read_ref(current[3]), Value::Int(3));
+
+        assert_eq!(m.read_str(s), "moved twice");
+        Value::Unit
+    });
+}
+
+/// Five arrays larger than a block each get a block of their own, so two
+/// of them share one of the block cache's four slots (ids mod 4): the
+/// interleaved accesses below keep evicting each other and take the
+/// cache-miss path. Every read is checked against a plain mirror.
+#[test]
+fn conflicting_cache_slots_resolve_correctly() {
+    let rt = Runtime::new(RuntimeConfig::managed().with_policy(GcPolicy::disabled()));
+    rt.run(|m| {
+        let len = 2 * StoreConfig::default().block_words;
+        let arrays: Vec<Value> = (0..5).map(|_| m.alloc_raw(len)).collect();
+        let mut slots: Vec<u32> = arrays.iter().map(|a| a.expect_obj().block() & 3).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert!(slots.len() < arrays.len(), "pigeonhole: a shared slot");
+        let mut mirror = vec![vec![0u64; len]; arrays.len()];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let (a, i) = ((x >> 33) as usize % arrays.len(), (x >> 13) as usize % len);
+            if step % 3 == 0 {
+                m.raw_set(arrays[a], i, step);
+                mirror[a][i] = step;
+            } else {
+                assert_eq!(m.raw_get(arrays[a], i), mirror[a][i], "array {a}[{i}]");
+            }
+        }
+        for (a, want) in arrays.iter().zip(&mirror) {
+            for (i, &w) in want.iter().enumerate() {
+                assert_eq!(m.raw_get(*a, i), w);
+            }
+        }
+        Value::Unit
+    });
+}
+
+#[test]
+#[should_panic(expected = "expects an object")]
+fn raw_access_to_an_immediate_panics() {
+    let rt = Runtime::new(RuntimeConfig::managed());
+    rt.run(|m| Value::Int(m.raw_get(Value::Int(3), 0) as i64));
+}
+
+/// A reference into a live block at an offset where no object was ever
+/// published (here: the first object's forwarding word).
+#[test]
+#[should_panic(expected = "dangling reference")]
+fn an_unpublished_offset_panics_as_dangling() {
+    let rt = Runtime::new(RuntimeConfig::managed());
+    rt.run(|m| {
+        let t = m.alloc_tuple(&[Value::Int(1)]).expect_obj();
+        let inside = Value::Obj(ObjRef::new(t.block(), t.word() + 1));
+        m.tuple_get(inside, 0)
     });
 }
 

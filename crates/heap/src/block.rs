@@ -338,8 +338,55 @@ impl Block {
     /// Panics on an unpublished offset — a dangling reference.
     #[inline]
     pub fn get(&self, off: u32) -> Object<'_> {
-        self.try_get(off)
-            .unwrap_or_else(|| panic!("dangling reference b{}w{}", self.id, off))
+        match self.try_get(off) {
+            Some(obj) => obj,
+            None => self.dangling(off),
+        }
+    }
+
+    /// Resolves the published object at `off` with one header load: its
+    /// view, or — if it was evacuated — the reference its forwarding word
+    /// holds (which the caller resolves in turn). The mutator's one
+    /// lookup per access; the same publication check as [`Block::get`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unpublished offset — a dangling reference.
+    #[inline]
+    pub fn resolve(&self, off: u32) -> Result<Object<'_>, ObjRef> {
+        let header = match self.words.get(off as usize) {
+            Some(header) if self.obj_start.get(off) => header,
+            _ => self.dangling(off),
+        };
+        let hdr = Header::from_bits(header.load(Ordering::Acquire));
+        if hdr.is_forwarded() {
+            // Read in place: a call here would keep the caller's registers
+            // saved across its whole inlined hit path.
+            let fwd = Word::from_bits(self.words[off as usize + 1].load(Ordering::Acquire));
+            return Err(fwd.pointer().expect("forwarded object lacks fwd ref"));
+        }
+        Ok(Object::with_len(self, off, hdr.len()))
+    }
+
+    /// The view [`Block::resolve`] returned for `off`, rebuilt from the
+    /// field count it carried — no publication check, no header load. For
+    /// a caller that had to let go of the first view's borrow in between.
+    #[inline]
+    pub fn view_resolved(&self, off: u32, len: usize) -> Object<'_> {
+        debug_assert!(
+            self.try_get(off).is_some_and(|obj| obj.len() == len),
+            "b{}w{off} was not resolved with {len} fields",
+            self.id
+        );
+        Object::with_len(self, off, len)
+    }
+
+    /// Out of line so the accessors above inline into other crates
+    /// without dragging the formatting machinery along.
+    #[cold]
+    #[inline(never)]
+    fn dangling(&self, off: u32) -> ! {
+        panic!("dangling reference b{}w{}", self.id, off)
     }
 
     /// Iterates `(offset, object)` over every published object, in
@@ -619,6 +666,28 @@ mod tests {
         let b = Block::new(3, 0, 16, 0, sft());
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.get(5)));
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn resolve_yields_the_view_or_the_forwardee() {
+        let b = Block::new(0, 0, 32, 0, sft());
+        let r = b
+            .try_alloc(ObjKind::Tuple, &[Word::UNIT, Word::encode(Value::Int(4))])
+            .unwrap();
+        let obj = b.resolve(r.word()).expect("not forwarded");
+        assert_eq!((obj.offset(), obj.len()), (r.word(), 2));
+        assert_eq!(b.view_resolved(r.word(), 2).field(1), Value::Int(4));
+        let dst = ObjRef::new(9, 4);
+        obj.try_forward(dst).unwrap();
+        assert_eq!(b.resolve(r.word()).unwrap_err(), dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "dangling reference b3w1")]
+    fn resolve_of_an_unpublished_offset_panics() {
+        let b = Block::new(3, 0, 16, 0, sft());
+        b.try_alloc(ObjKind::Ref, &[Word::UNIT]).unwrap();
+        let _ = b.resolve(1);
     }
 
     #[test]

@@ -76,6 +76,13 @@ impl<'a> Object<'a> {
     #[inline]
     pub(crate) fn view(block: &'a Block, off: u32) -> Object<'a> {
         let len = Header::from_bits(block.word(off).load(Ordering::Acquire)).len();
+        Object::with_len(block, off, len)
+    }
+
+    /// Builds a view from a field count the caller already decoded from
+    /// the object's header (crate-internal; go through [`Block::resolve`]).
+    #[inline]
+    pub(crate) fn with_len(block: &'a Block, off: u32, len: usize) -> Object<'a> {
         Object {
             block,
             off,
@@ -139,11 +146,9 @@ impl<'a> Object<'a> {
 
     #[inline]
     fn field_atom(&self, i: usize) -> &'a std::sync::atomic::AtomicU64 {
-        assert!(
-            i < self.len as usize,
-            "field index {i} out of bounds (len {})",
-            self.len
-        );
+        if i >= self.len as usize {
+            field_out_of_bounds(i, self.len);
+        }
         self.block.word(self.off + 2 + i as u32)
     }
 
@@ -487,6 +492,14 @@ impl<'a> Object<'a> {
             .compare_exchange(cur.bits(), next.bits(), Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
+}
+
+/// The field accessors' bounds-check failure, out of line (and taking
+/// its operands by value) so the check inlines as one compare.
+#[cold]
+#[inline(never)]
+fn field_out_of_bounds(i: usize, len: u32) -> ! {
+    panic!("field index {i} out of bounds (len {len})")
 }
 
 #[cfg(test)]

@@ -153,12 +153,15 @@ counter_table! {
         barrier_writes: Monotonic, Store, "Barriered mutable writes";
         /// No lock, no heap-table acquisition, no `Arc` clone: the suspects
         /// header check passed, or the loaded value was an immediate.
+        /// Not counted per access: a task's flush derives it as
+        /// `barrier_reads - barrier_read_slow`.
         barrier_read_fast: Monotonic, Store, "Reads completed on the fast tier";
         /// Locate + LCA, possibly pin.
         barrier_read_slow: Monotonic, Store, "Reads that entered the slow tier";
         /// An immediate store, or a pointer store whose source and target
         /// are both in the task's own leaf heap — provably not a
-        /// down-pointer, no table acquisition.
+        /// down-pointer, no table acquisition. Derived at the flush as
+        /// `barrier_writes - barrier_write_slow`.
         barrier_write_fast: Monotonic, Store, "Writes completed on the fast tier";
         /// Locality/LCA checks, possibly pin + remembered-set insert.
         barrier_write_slow: Monotonic, Store, "Writes that entered the slow tier";

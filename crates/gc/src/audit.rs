@@ -25,11 +25,14 @@
 //! `StatsSnapshot` by the runtime, mirroring the scheduler counters.
 
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, Store};
+
+use crate::lgc::IdSet;
 
 static AUDITS: AtomicU64 = AtomicU64::new(0);
 static OBJECTS_CHECKED: AtomicU64 = AtomicU64::new(0);
@@ -130,17 +133,31 @@ pub fn dump_events() -> usize {
 }
 
 /// Checks every member of a local collection's shield closure: members
-/// must be alive, tagged into the entangled space, and unmoved (the
-/// whole point of the shield is that concurrent readers never see them
-/// move). Returns human-readable issues; empty means the closure holds.
-pub fn check_shield_closure(store: &Store, closure: &HashSet<ObjRef>) -> Vec<String> {
+/// must be tagged into the entangled space and unmoved (the whole point
+/// of the shield is that concurrent readers never see them move), and
+/// alive unless the concurrent collector reclaimed them. Returns
+/// human-readable issues; empty means the closure holds.
+///
+/// The CGC sweep runs concurrently with local collections and may kill
+/// members — and free their blocks — that its mark proved unreachable: a
+/// pin outlives the reader's last reference (it ends only at the join),
+/// so the shield conservatively keeps pinned garbage the sweep then
+/// rightly takes. Nothing else kills a member or frees its block before
+/// the local collection ends (its own kills skip entangled-space objects
+/// and it never frees a retained block), so a member in a freed block, or
+/// dead in an entangled one (the only kind the sweep visits), is the
+/// sweep's verdict; whether that verdict was right is
+/// [`check_dead_reachability`]'s to say.
+pub fn check_shield_closure<S: BuildHasher>(
+    store: &Store,
+    closure: &HashSet<ObjRef, S>,
+) -> Vec<String> {
     let mut issues = Vec::new();
     let mut checked = 0u64;
     for &r in closure {
         checked += 1;
         let Some(block) = store.blocks().try_get(r.block()) else {
-            issues.push(format!("shield: member {r} sits in a freed block"));
-            continue;
+            continue; // freed by the CGC sweep
         };
         let Some(obj) = block.try_get(r.word()) else {
             issues.push(format!("shield: member {r} names an empty word"));
@@ -148,7 +165,9 @@ pub fn check_shield_closure(store: &Store, closure: &HashSet<ObjRef>) -> Vec<Str
         };
         let h = obj.header();
         if h.is_dead() {
-            issues.push(format!("shield: member {r} is dead-marked"));
+            if !block.is_entangled() {
+                issues.push(format!("shield: member {r} is dead-marked"));
+            }
         } else if h.is_forwarded() {
             issues.push(format!("shield: member {r} was moved"));
         } else if !h.in_entangled_space() {
@@ -334,7 +353,7 @@ fn edge_still_present(store: &Store, src: ObjRef, field: usize, target: ObjRef) 
 /// phases (`lgc/reclaim`, `cgc/sweep`, `graveyard/reap`) additionally
 /// run the dead-reachability cross-check and the dangling-field scan.
 /// Any issue dumps the event rings and panics.
-pub fn audit_phase(store: &Store, phase: &str, heap: u32, closure: Option<&HashSet<ObjRef>>) {
+pub fn audit_phase(store: &Store, phase: &str, heap: u32, closure: Option<&IdSet<ObjRef>>) {
     if !enabled() {
         return;
     }
@@ -417,6 +436,34 @@ mod tests {
         let issues = check_shield_closure(&s, &closure);
         assert_eq!(issues.len(), 1, "{issues:?}");
         assert!(issues[0].contains("entangled-space tag"), "{issues:?}");
+    }
+
+    #[test]
+    fn shield_check_leaves_the_sweeps_reclamation_alone() {
+        let s = Store::new(StoreConfig {
+            block_words: 12,
+            ..Default::default()
+        });
+        let h = s.new_root_heap();
+        let members: Vec<ObjRef> = (0..3)
+            .map(|i| s.alloc_values(h, ObjKind::Tuple, &[Value::Int(i)]))
+            .collect();
+        for &r in &members {
+            s.handle(r).obj().set_entangled_space();
+        }
+        let closure: HashSet<ObjRef> = members.iter().copied().collect();
+        assert!(check_shield_closure(&s, &closure).is_empty());
+        // Dead in a block the sweep never visits: not the sweep's doing.
+        s.handle(members[0]).obj().set_dead();
+        let issues = check_shield_closure(&s, &closure);
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].contains("dead-marked"), "{issues:?}");
+        // Once the block is swept (entangled), dead members, and then the
+        // freed block itself, are the sweep's verdict.
+        s.blocks().get(members[0].block()).set_entangled(true);
+        assert!(check_shield_closure(&s, &closure).is_empty());
+        s.blocks().free(members[0].block());
+        assert!(check_shield_closure(&s, &closure).is_empty());
     }
 
     #[test]

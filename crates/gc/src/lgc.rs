@@ -46,8 +46,26 @@
 //!   retired to the graveyard **wholesale** — no per-object walk is needed
 //!   to free a block, only the retained (entangled) minority is walked to
 //!   dead-mark unshielded garbage.
+//!
+//! **The collection resolves its own blocks itself.** `Lgc::new` takes
+//! the heap's live blocks (from-space) into a collection-local
+//! `BlockTable`, and every to-space block joins it as it is registered,
+//! so copying an object, forwarding a field, following a forwarding word
+//! and testing from-space membership cost one hash probe — no
+//! process-wide lock, no `Arc` traffic. The global registry is consulted
+//! only for blocks that are not this collection's: foreign objects the
+//! shield passes through, and remembered-set sources (once per run of
+//! entries from the same block). `LgcOutcome::registry_lookups` counts
+//! exactly those. The one thing the table cannot know is a from-space
+//! block freed under the collection — the CGC sweep reclaims retained
+//! blocks whose every object it proved unreachable, pinned garbage
+//! included, concurrently with the owner's collection — so a from-space
+//! block is live only while its SFT `PRESENT` bit says so, and a freed
+//! one reads as gone everywhere, exactly as a registry miss did.
 
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_ABANDON, DEAD_BY_LGC};
@@ -73,64 +91,129 @@ pub struct LgcOutcome {
     pub retained_blocks: usize,
     /// Number of objects evacuated.
     pub copied_objects: usize,
+    /// Times the collection fell back to the global block registry: one
+    /// per foreign block the shield read or resolved through, per run of
+    /// remembered-set entries from one source block, and per evacuated
+    /// remembered-set source. Nothing per copied object.
+    pub registry_lookups: usize,
 }
 
-/// To-space: per-size-class bump blocks owned by the collection, promoted
-/// to the heap's allocation blocks when the cycle installs them.
-struct ToSpace<'s> {
-    store: &'s Store,
-    heap: u32,
-    blocks: Vec<Arc<Block>>,
-    current: [Option<usize>; NUM_SIZE_CLASSES],
-}
+/// A multiply-shift hasher for the collection's id-keyed tables: block
+/// ids and object locations are dense integers, not adversarial input,
+/// so SipHash's cost buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
 
-impl<'s> ToSpace<'s> {
-    fn new(store: &'s Store, heap: u32) -> Self {
-        ToSpace {
-            store,
-            heap,
-            blocks: Vec::new(),
-            current: [None; NUM_SIZE_CLASSES],
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
-    fn register(&mut self, capacity: usize, class: usize) -> Arc<Block> {
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table picks buckets by the low bits: hand it the product's
+        // well-mixed high half there.
+        self.0.rotate_left(32)
+    }
+}
+
+/// A set keyed through [`IdHasher`] (the shield closure's type).
+pub type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
+/// The blocks one collection owns: from-space — the heap's live blocks
+/// when the collection began, slots `0..from_len` — then every to-space
+/// block in registration order.
+#[derive(Default)]
+struct BlockTable {
+    blocks: Vec<Arc<Block>>,
+    slots: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
+    from_len: usize,
+}
+
+impl BlockTable {
+    /// Adds `block`; returns its slot.
+    fn insert(&mut self, block: Arc<Block>) -> usize {
+        let slot = self.blocks.len();
+        self.slots.insert(block.id(), slot);
+        self.blocks.push(block);
+        slot
+    }
+
+    #[inline]
+    fn slot(&self, id: u32) -> Option<usize> {
+        self.slots.get(&id).copied()
+    }
+
+    /// The from-space slot of block `id`, if it is one.
+    #[inline]
+    fn fromspace_slot(&self, id: u32) -> Option<usize> {
+        self.slot(id).filter(|&i| i < self.from_len)
+    }
+}
+
+/// To-space: per-size-class bump blocks owned by the collection, each
+/// added to its block table, promoted to the heap's allocation blocks
+/// when the cycle installs them.
+struct ToSpace<'s> {
+    store: &'s Store,
+    heap: u32,
+    /// Table slot of each class's current bump block.
+    current: [Option<usize>; NUM_SIZE_CLASSES],
+}
+
+impl ToSpace<'_> {
+    fn register(&mut self, table: &mut BlockTable, capacity: usize, class: usize) -> usize {
         let heap = self.heap;
         let sft = Arc::clone(self.store.sft());
-        let block = self
-            .store
-            .blocks()
-            .register(|id| Block::new(id, heap, capacity, class, sft));
-        self.blocks.push(Arc::clone(&block));
-        block
+        table.insert(
+            self.store
+                .blocks()
+                .register(|id| Block::new(id, heap, capacity, class, sft)),
+        )
     }
 
     /// Copies an object image into to-space, preserving the suspect bit
     /// (part of the object's identity for the read barrier).
-    fn alloc(&mut self, kind: ObjKind, fields: &[Word], suspect: bool) -> ObjRef {
+    fn alloc(
+        &mut self,
+        table: &mut BlockTable,
+        kind: ObjKind,
+        fields: &[Word],
+        suspect: bool,
+    ) -> ObjRef {
         let nwords = OBJECT_HEADER_WORDS + fields.len();
         let block_words = self.store.config().block_words;
-        if nwords > block_words {
-            let block = self.register(nwords, NUM_SIZE_CLASSES - 1);
-            let r = block.try_alloc(kind, fields).expect("dedicated block fits");
-            if suspect {
-                block.set_suspect(r.word());
-            }
-            return r;
-        }
-        let class = size_class(nwords);
-        loop {
-            if let Some(i) = self.current[class] {
-                if let Some(r) = self.blocks[i].try_alloc(kind, fields) {
-                    if suspect {
-                        self.blocks[i].set_suspect(r.word());
+        let (slot, r) = if nwords > block_words {
+            let slot = self.register(table, nwords, NUM_SIZE_CLASSES - 1);
+            let r = table.blocks[slot].try_alloc(kind, fields);
+            (slot, r.expect("dedicated block fits"))
+        } else {
+            let class = size_class(nwords);
+            loop {
+                if let Some(slot) = self.current[class] {
+                    if let Some(r) = table.blocks[slot].try_alloc(kind, fields) {
+                        break (slot, r);
                     }
-                    return r;
                 }
+                self.current[class] = Some(self.register(table, block_words, class));
             }
-            self.register(block_words, class);
-            self.current[class] = Some(self.blocks.len() - 1);
+        };
+        if suspect {
+            table.blocks[slot].set_suspect(r.word());
         }
+        r
     }
 }
 
@@ -231,11 +314,10 @@ struct Lgc<'s> {
     /// The collected heap (canonical id) and its node.
     h: u32,
     info: &'s HeapInfo,
-    /// From-space: the heap's blocks when the collection began, their
-    /// live bytes then, and the same ids as a set.
-    from_blocks: Vec<u32>,
+    /// From-space and to-space, and from-space's live bytes when the
+    /// collection began.
+    table: BlockTable,
     from_live: u64,
-    from_set: HashSet<u32>,
     tospace: ToSpace<'s>,
     /// Evacuated copies whose fields are not yet forwarded.
     scan: Vec<ObjRef>,
@@ -245,16 +327,19 @@ struct Lgc<'s> {
     /// earlier cycle (whose pin has since been released at a join) must
     /// not exempt an object from evacuation — its block is about to be
     /// freed.
-    closure: HashSet<ObjRef>,
-    /// Foreign objects the shield has passed through; they are traversed
-    /// but never tagged or retained.
-    foreign_seen: HashSet<ObjRef>,
-    /// From-space blocks holding a closure member.
-    retained: HashSet<u32>,
+    closure: IdSet<ObjRef>,
+    /// Objects outside from-space the shield has passed through; they are
+    /// traversed but never tagged or retained.
+    foreign_seen: IdSet<ObjRef>,
+    /// Per from-space slot: the block holds a closure member.
+    retained: Vec<bool>,
     /// Shield members whose fields are not yet swept.
     shield: Vec<ObjRef>,
     /// The field words of the object being copied.
     fields: Vec<Word>,
+    /// Fallbacks to the global registry so far (`registry_lookups`); a
+    /// cell, so lookups can count through `&self`.
+    lookups: Cell<usize>,
     /// What evacuation is tracing, for corruption reports.
     phase: &'static str,
     out: LgcOutcome,
@@ -264,33 +349,90 @@ impl<'s> Lgc<'s> {
     fn new(store: &'s Store, heap: u32) -> Lgc<'s> {
         let h = store.heaps().find(heap);
         let info = store.heaps().info(h);
-        let from_blocks: Vec<u32> = info.with(|s| s.blocks.clone());
-        let from_live = from_blocks
-            .iter()
-            .filter_map(|&b| store.blocks().try_get(b))
-            .map(|b| b.live_bytes() as u64)
-            .sum();
+        let mut table = BlockTable::default();
+        for id in info.with(|s| s.blocks.clone()) {
+            if let Some(block) = store.blocks().try_get(id) {
+                table.insert(block);
+            }
+        }
+        table.from_len = table.blocks.len();
+        let from_live = table.blocks.iter().map(|b| b.live_bytes() as u64).sum();
         Lgc {
             store,
             h,
             info,
-            from_set: from_blocks.iter().copied().collect(),
-            from_blocks,
+            retained: vec![false; table.from_len],
+            table,
             from_live,
-            tospace: ToSpace::new(store, h),
+            tospace: ToSpace {
+                store,
+                heap: h,
+                current: [None; NUM_SIZE_CLASSES],
+            },
             scan: Vec::new(),
-            closure: HashSet::new(),
-            foreign_seen: HashSet::new(),
-            retained: HashSet::new(),
+            closure: IdSet::default(),
+            foreign_seen: IdSet::default(),
             shield: Vec::new(),
             fields: Vec::new(),
+            lookups: Cell::new(0),
             phase: "init",
             out: LgcOutcome::default(),
         }
     }
 
     fn in_heap(&self, r: ObjRef) -> bool {
-        self.from_set.contains(&r.block())
+        self.table.fromspace_slot(r.block()).is_some()
+    }
+
+    /// Whether table slot `i` still holds a live block. To-space is the
+    /// collection's own until it installs it; a from-space block may have
+    /// been freed by the concurrent collector's sweep since the collection
+    /// began, which its SFT entry shows without the registry.
+    #[inline]
+    fn live(&self, i: usize) -> bool {
+        i >= self.table.from_len
+            || self
+                .store
+                .sft()
+                .classify(self.table.blocks[i].id())
+                .is_some()
+    }
+
+    fn count_lookup(&self) {
+        self.lookups.set(self.lookups.get() + 1);
+    }
+
+    /// Block `id` unless it was freed: from the table if it is the
+    /// collection's own, else from the registry.
+    fn block(&self, id: u32) -> Option<Arc<Block>> {
+        match self.table.slot(id) {
+            Some(i) => self.live(i).then(|| Arc::clone(&self.table.blocks[i])),
+            None => {
+                self.count_lookup();
+                self.store.blocks().try_get(id)
+            }
+        }
+    }
+
+    /// [`Store::try_resolve`] through the table: follows forwarding to
+    /// `r`'s current location, or `None` if the chain meets a freed block
+    /// or an empty word, and gives the table slot of the block the object
+    /// lives in (`None` for a foreign one, which the store resolves).
+    fn locate(&self, r: ObjRef) -> Option<(ObjRef, Option<usize>)> {
+        let mut cur = r;
+        loop {
+            let Some(i) = self.table.slot(cur.block()) else {
+                self.count_lookup();
+                return self.store.try_resolve(cur).map(|r| (r, None));
+            };
+            if !self.live(i) {
+                return None;
+            }
+            match self.table.blocks[i].try_get(cur.word())?.forward_ref() {
+                Some(next) => cur = next,
+                None => return Some((cur, Some(i))),
+            }
+        }
     }
 
     /// The shield fixpoint: sweeps the stack, then drains the entangled
@@ -314,10 +456,16 @@ impl<'s> Lgc<'s> {
         let mut kept = Vec::with_capacity(entries.len());
         let mut fresh = false;
         for r in entries {
-            let Some(r) = self.store.try_resolve(r) else {
-                continue; // reclaimed by the concurrent collector
+            // Gone: reclaimed by the concurrent collector, block and all.
+            let Some((r, _)) = self.locate(r) else {
+                continue;
             };
-            let header = self.store.handle(r).header();
+            let Some(header) = self
+                .block(r.block())
+                .and_then(|b| b.try_get(r.word()).map(|o| o.header()))
+            else {
+                continue;
+            };
             if header.is_dead() || !header.is_pinned() {
                 continue;
             }
@@ -336,7 +484,7 @@ impl<'s> Lgc<'s> {
     /// targets.
     fn sweep(&mut self) {
         while let Some(r) = self.shield.pop() {
-            let Some(block) = self.store.blocks().try_get(r.block()) else {
+            let Some(block) = self.block(r.block()) else {
                 continue;
             };
             let Some(obj) = block.try_get(r.word()) else {
@@ -347,7 +495,7 @@ impl<'s> Lgc<'s> {
             }
             let local = self.in_heap(r);
             for t in obj.field_words().filter_map(|w| w.pointer()) {
-                let Some(t) = self.store.try_resolve(t) else {
+                let Some((t, _)) = self.locate(t) else {
                     continue;
                 };
                 if self.shield_push(t) && self.in_heap(t) != local {
@@ -360,20 +508,21 @@ impl<'s> Lgc<'s> {
     /// Adds `r` to the shield and its stack unless it is gone, dead, or
     /// already there; returns whether it was added. An in-heap object
     /// joins the closure: tagged entangled-space, its block retained, its
-    /// bytes counted. A foreign object is only traversed.
+    /// bytes counted. Any other object is only traversed.
     fn shield_push(&mut self, r: ObjRef) -> bool {
-        let local = self.in_heap(r);
-        let seen = if local {
-            &mut self.closure
+        let slot = self.table.fromspace_slot(r.block());
+        let seen = if slot.is_some() {
+            &self.closure
         } else {
-            &mut self.foreign_seen
+            &self.foreign_seen
         };
         if seen.contains(&r) {
             return false;
         }
         // Foreign blocks can be swept (and freed) by a concurrent
-        // collection elsewhere; read them defensively.
-        let Some(block) = self.store.blocks().try_get(r.block()) else {
+        // collection elsewhere, and so can this heap's retained ones;
+        // read them defensively.
+        let Some(block) = self.block(r.block()) else {
             return false;
         };
         let Some(obj) = block.try_get(r.word()) else {
@@ -382,12 +531,17 @@ impl<'s> Lgc<'s> {
         if obj.header().is_dead() {
             return false;
         }
-        seen.insert(r);
-        if local {
-            obj.set_entangled_space();
-            events::emit_obj(EventKind::Entangle, r, self.h);
-            self.retained.insert(r.block());
-            self.out.retained_entangled_bytes += obj.size_bytes() as u64;
+        match slot {
+            Some(i) => {
+                self.closure.insert(r);
+                obj.set_entangled_space();
+                events::emit_obj(EventKind::Entangle, r, self.h);
+                self.retained[i] = true;
+                self.out.retained_entangled_bytes += obj.size_bytes() as u64;
+            }
+            None => {
+                self.foreign_seen.insert(r);
+            }
         }
         self.shield.push(r);
         true
@@ -402,27 +556,45 @@ impl<'s> Lgc<'s> {
         }
 
         // Remembered set: down-pointers from ancestor heaps are roots, and
-        // the source fields must be repaired after the move.
+        // the source fields must be repaired after the move. Entries come
+        // in runs from one source block (an ancestor array's elements, a
+        // table's buckets), so the registry is asked once per run, and a
+        // source is resolved with one header load.
         self.phase = "remset";
         let remset = self.info.with(|s| std::mem::take(&mut s.remset));
         let mut kept: Vec<RemsetEntry> = Vec::new();
+        let mut run: Option<(u32, Option<Arc<Block>>)> = None;
         for entry in remset {
-            if self.store.blocks().try_get(entry.src.block()).is_none() {
-                continue; // source block reclaimed: entry is stale
+            let id = entry.src.block();
+            if run.as_ref().is_none_or(|(b, _)| *b != id) {
+                self.count_lookup();
+                run = Some((id, self.store.blocks().try_get(id)));
             }
-            let src = self.store.resolve(entry.src);
+            let Some(block) = run.as_ref().and_then(|(_, b)| b.as_ref()) else {
+                continue; // source block reclaimed: entry is stale
+            };
+            let moved;
+            let (src, src_obj) = match block.resolve(entry.src.word()) {
+                Ok(obj) => (entry.src, obj),
+                Err(_) => {
+                    // The source itself was evacuated since the write.
+                    self.count_lookup();
+                    let src = self.store.resolve(entry.src);
+                    moved = self.store.handle(src);
+                    (src, moved.obj())
+                }
+            };
             if self.in_heap(src) {
                 // The source merged into this very heap; the pointer is
                 // now internal and ordinary tracing covers it.
                 continue;
             }
-            let src_h = self.store.handle(src);
             let idx = entry.field as usize;
-            if src_h.header().is_dead() || idx >= src_h.len() {
+            if src_obj.header().is_dead() || idx >= src_obj.len() {
                 continue;
             }
             loop {
-                let old_word = src_h.field_word(idx);
+                let old_word = src_obj.field_word(idx);
                 let Some(t) = old_word.pointer() else { break };
                 // The raw target decides membership: a target already
                 // evacuated through another path must still have its
@@ -433,9 +605,7 @@ impl<'s> Lgc<'s> {
                 }
                 let nt = self.forward(t);
                 if nt != t {
-                    let repair = src_h
-                        .obj()
-                        .cas_field(idx, old_word.decode(), Value::Obj(nt));
+                    let repair = src_obj.cas_field(idx, old_word.decode(), Value::Obj(nt));
                     if repair.is_err() {
                         continue; // concurrent write: re-read and retry
                     }
@@ -452,29 +622,42 @@ impl<'s> Lgc<'s> {
         }
         self.info.with(|s| s.remset.append(&mut kept));
 
-        // Transitive scan of evacuated objects.
+        // Transitive scan of evacuated objects, field by field in place:
+        // forwarding a field may copy an object and add a to-space block
+        // to the table, so the copy's view is rebuilt from its slot each
+        // time instead of held.
         self.phase = "scan";
         while let Some(nr) = self.scan.pop() {
-            let hd = self.store.handle(nr);
-            if !hd.kind().is_traced() {
+            let i = self
+                .table
+                .slot(nr.block())
+                .expect("copies live in to-space");
+            let (off, len) = (nr.word(), self.table.blocks[i].get(nr.word()).len());
+            if !self.table.blocks[i]
+                .view_resolved(off, len)
+                .kind()
+                .is_traced()
+            {
                 continue;
             }
-            for i in 0..hd.len() {
-                let Some(t) = hd.field_word(i).pointer() else {
+            for f in 0..len {
+                let copy = self.table.blocks[i].view_resolved(off, len);
+                let Some(t) = copy.field_word(f).pointer() else {
                     continue;
                 };
-                let Some(rt) = self.store.try_resolve(t) else {
+                let Some((rt, slot)) = self.locate(t) else {
                     panic!(
-                        "scan: {nr} (kind {:?}, len {}, copied into block {} owner {}) field {i} -> dangling {t}",
-                        hd.kind(),
-                        hd.len(),
+                        "scan: {nr} (kind {:?}, len {len}, copied into block {} owner {}) field {f} -> dangling {t}",
+                        copy.kind(),
                         nr.block(),
-                        self.store.blocks().get(nr.block()).owner(),
+                        copy.block().owner(),
                     );
                 };
-                let nt = self.forward_one(rt);
+                let nt = self.forward_one(rt, slot);
                 if nt != t {
-                    hd.set_field(i, Value::Obj(nt));
+                    self.table.blocks[i]
+                        .view_resolved(off, len)
+                        .set_field(f, Value::Obj(nt));
                 }
             }
         }
@@ -482,8 +665,8 @@ impl<'s> Lgc<'s> {
 
     /// [`Lgc::forward_one`] of `r`'s current location.
     fn forward(&mut self, r: ObjRef) -> ObjRef {
-        match self.store.try_resolve(r) {
-            Some(r) => self.forward_one(r),
+        match self.locate(r) {
+            Some((r, slot)) => self.forward_one(r, slot),
             None => panic!(
                 "forward_one[{}]: unresolvable {r} (block {} freed) while collecting heap {}",
                 self.phase,
@@ -493,17 +676,21 @@ impl<'s> Lgc<'s> {
         }
     }
 
-    /// Evacuates the resolved object `r` unless it is foreign (not
-    /// collected now) or shielded (non-moving), and returns where it lives
-    /// now. `r` was just resolved and only this task forwards its heap's
-    /// objects, so an object reaching the copy is unforwarded, and the
-    /// forwarding word the copy leaves is all a later edge needs.
-    fn forward_one(&mut self, r: ObjRef) -> ObjRef {
-        if !self.in_heap(r) || self.closure.contains(&r) {
+    /// Evacuates the object `r` — just resolved into table slot `slot` —
+    /// unless it is foreign (not collected now), already in to-space, or
+    /// shielded (non-moving), and returns where it lives now. Only this
+    /// task forwards its heap's objects, so an object reaching the copy is
+    /// unforwarded, and the forwarding word the copy leaves is all a later
+    /// edge needs.
+    fn forward_one(&mut self, r: ObjRef, slot: Option<usize>) -> ObjRef {
+        let Some(i) = slot.filter(|&i| i < self.table.from_len) else {
+            return r;
+        };
+        if self.closure.contains(&r) {
             return r;
         }
-        let hd = self.store.handle(r);
-        let header = hd.header();
+        let obj = self.table.blocks[i].get(r.word());
+        let header = obj.header();
         debug_assert!(!header.is_forwarded(), "copying forwarded {r}");
         if header.is_dead() {
             // A reachable-but-swept object is a collector bug. Count it
@@ -517,35 +704,37 @@ impl<'s> Lgc<'s> {
                 self.h,
                 self.phase,
                 header.kind(),
-                hd.len(),
-                hd.is_suspect(),
+                obj.len(),
+                obj.is_suspect(),
                 header.in_entangled_space(),
-                hd.block().owner(),
-                hd.block().is_entangled(),
-                hd.block().pinned_count(),
+                obj.block().owner(),
+                obj.block().is_entangled(),
+                obj.block().pinned_count(),
             );
             crate::audit::dump_events();
             debug_assert!(false, "traced a dead object {r} (details on stderr)");
         }
         // Copy the payload and claim the original.
         self.fields.clear();
-        self.fields.extend(hd.obj().field_words());
+        self.fields.extend(obj.field_words());
+        let (suspect, size) = (obj.is_suspect(), obj.size_bytes());
         let nr = self
             .tospace
-            .alloc(header.kind(), &self.fields, hd.is_suspect());
-        match hd.obj().try_forward(nr) {
+            .alloc(&mut self.table, header.kind(), &self.fields, suspect);
+        let obj = self.table.blocks[i].view_resolved(r.word(), self.fields.len());
+        match obj.try_forward(nr) {
             Ok(()) => {
-                self.out.copied_bytes += hd.size_bytes() as u64;
+                self.out.copied_bytes += size as u64;
                 self.out.copied_objects += 1;
                 self.scan.push(nr);
                 nr
             }
             Err(hdr) => {
-                abandon_copy(self.store, nr);
+                self.abandon_copy(nr);
                 if hdr.is_forwarded() {
                     // Another collector claimed it first (cannot happen
                     // for a task-owned heap, but be defensive).
-                    return hd.forward_ref().expect("forwarded header without fwd ref");
+                    return obj.forward_ref().expect("forwarded header without fwd ref");
                 }
                 // A remote reader pinned the object since the shield
                 // phase: it just became entangled. It stays in place, and
@@ -557,12 +746,23 @@ impl<'s> Lgc<'s> {
         }
     }
 
+    /// Takes back a copy that lost the claim on its original.
+    fn abandon_copy(&self, r: ObjRef) {
+        let i = self.table.slot(r.block()).expect("copies live in to-space");
+        let block = &self.table.blocks[i];
+        let obj = block.get(r.word());
+        obj.set_dead();
+        events::emit_obj(EventKind::DeadMark, r, DEAD_BY_ABANDON);
+        block.sub_live_bytes(obj.size_bytes());
+    }
+
     /// Phase C: frees or retires every from-space block with nothing
     /// shielded or pinned in it, dead-marks the unshielded garbage of the
     /// rest, and installs to-space plus the retained blocks as the heap's
     /// block list.
     fn reclaim(&mut self, graveyard: &Graveyard, free_now: bool) {
         let store = self.store;
+        let from = self.table.from_len;
         // Forwarding-chain path compression: retained blocks keep
         // forwarded entries alive indefinitely (entangled readers resolve
         // lazily), so every forwarding word must point at the *final*
@@ -570,37 +770,32 @@ impl<'s> Lgc<'s> {
         // through are reclaimed — this or any future cycle. Blocks that
         // forwarded nothing (the `forwarded_count` gauge is zero) are
         // skipped without a walk.
-        for &bid in &self.from_blocks {
-            let Some(block) = store.blocks().try_get(bid) else {
-                continue;
-            };
-            if block.forwarded_count() == 0 {
+        for i in 0..from {
+            if !self.live(i) || self.table.blocks[i].forwarded_count() == 0 {
                 continue;
             }
-            for (_off, obj) in block.objects() {
-                if let Some(first) = obj.forward_ref() {
-                    let fin = store.resolve(first);
-                    if fin != first {
-                        obj.compress_forward(fin);
-                    }
+            for (_off, obj) in self.table.blocks[i].objects() {
+                let Some(first) = obj.forward_ref() else {
+                    continue;
+                };
+                if let Some((fin, _)) = self.locate(first).filter(|&(fin, _)| fin != first) {
+                    obj.compress_forward(fin);
                 }
             }
         }
         let mut retained_blocks = Vec::new();
-        for &bid in &self.from_blocks {
-            let Some(block) = store.blocks().try_get(bid) else {
-                continue;
-            };
-            if !self.retained.contains(&bid) && block.pinned_count() == 0 {
+        let mut dead_blocks = Vec::new();
+        for i in 0..from {
+            if !self.live(i) {
+                continue; // freed under this collection by the CGC sweep
+            }
+            let block = &self.table.blocks[i];
+            let bid = block.id();
+            if !self.retained[i] && block.pinned_count() == 0 {
                 // Clean line map (nothing pinned, nothing shielded): the
                 // whole block is garbage or evacuated — freed wholesale,
                 // no walk.
-                self.out.freed_blocks += 1;
-                if free_now {
-                    store.blocks().free(bid);
-                } else {
-                    graveyard.retire(bid);
-                }
+                dead_blocks.push(bid);
                 continue;
             }
             retained_blocks.push(bid);
@@ -631,32 +826,41 @@ impl<'s> Lgc<'s> {
             }
         }
         self.out.retained_blocks = retained_blocks.len();
+        self.out.freed_blocks = dead_blocks.len();
 
-        let retained_live: u64 = self
-            .retained
-            .iter()
-            .filter_map(|&b| store.blocks().try_get(b))
-            .map(|b| b.live_bytes() as u64)
+        let retained_live: u64 = (0..from)
+            .filter(|&i| self.retained[i] && self.live(i))
+            .map(|i| self.table.blocks[i].live_bytes() as u64)
             .sum();
         self.out.reclaimed_bytes = self
             .from_live
             .saturating_sub(self.out.copied_bytes)
             .saturating_sub(retained_live);
 
-        // Install the new block list: to-space first, then the retained
-        // blocks; the per-class to-space bump blocks become the heap's
-        // allocation blocks.
-        let mut blocks: Vec<u32> = self.tospace.blocks.iter().map(|b| b.id()).collect();
+        // The new block list: to-space first, then the retained blocks;
+        // the per-class to-space bump blocks become the heap's allocation
+        // blocks. Then the table lets go of every block, so none outlives
+        // its free below.
+        let mut blocks: Vec<u32> = self.table.blocks[from..].iter().map(|b| b.id()).collect();
         blocks.extend(retained_blocks);
         let alloc_blocks = self
             .tospace
             .current
-            .map(|cur| cur.map(|i| Arc::clone(&self.tospace.blocks[i])));
+            .map(|cur| cur.map(|i| Arc::clone(&self.table.blocks[i])));
+        self.table = BlockTable::default();
+        for bid in dead_blocks {
+            if free_now {
+                store.blocks().free(bid);
+            } else {
+                graveyard.retire(bid);
+            }
+        }
         self.info.with(|s| {
             s.blocks = blocks;
             s.alloc_blocks = alloc_blocks;
         });
 
+        self.out.registry_lookups = self.lookups.get();
         let out = self.out;
         store.stats().on_lgc(
             out.copied_bytes,
@@ -680,14 +884,6 @@ impl<'s> Lgc<'s> {
             );
         }
     }
-}
-
-fn abandon_copy(store: &Store, r: ObjRef) {
-    let hd = store.handle(r);
-    let size = hd.size_bytes();
-    hd.obj().set_dead();
-    events::emit_obj(EventKind::DeadMark, r, DEAD_BY_ABANDON);
-    hd.block().sub_live_bytes(size);
 }
 
 #[cfg(test)]

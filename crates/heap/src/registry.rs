@@ -7,6 +7,7 @@
 //! immediate test failures. Freeing a block also retracts its SFT entry, so
 //! the barrier's side-metadata classification fails closed on stale ids.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -18,6 +19,9 @@ use crate::stats::{Counter, StoreStats};
 #[derive(Debug)]
 pub struct BlockRegistry {
     blocks: RwLock<Vec<Option<Arc<Block>>>>,
+    /// Occupied slots of `blocks`, kept by `register`/`free` under the
+    /// write lock so `live` need not walk every id ever issued.
+    live: AtomicUsize,
     stats: Arc<StoreStats>,
 }
 
@@ -32,6 +36,7 @@ impl BlockRegistry {
     pub fn new(stats: Arc<StoreStats>) -> BlockRegistry {
         BlockRegistry {
             blocks: RwLock::new(Vec::new()),
+            live: AtomicUsize::new(0),
             stats,
         }
     }
@@ -42,6 +47,7 @@ impl BlockRegistry {
         let id = u32::try_from(table.len()).expect("block id overflow");
         let block = Arc::new(make(id));
         table.push(Some(Arc::clone(&block)));
+        self.live.fetch_add(1, Ordering::Relaxed);
         self.stats.add(Counter::blocks_allocated, 1);
         block
     }
@@ -69,6 +75,7 @@ impl BlockRegistry {
         let mut table = self.blocks.write();
         if let Some(slot) = table.get_mut(id as usize) {
             if let Some(block) = slot.take() {
+                self.live.fetch_sub(1, Ordering::Relaxed);
                 block.on_free();
                 self.stats.add(Counter::blocks_freed, 1);
                 crate::events::emit(crate::events::EventKind::BlockFree, id, 0, block.owner());
@@ -81,9 +88,9 @@ impl BlockRegistry {
         self.blocks.read().len()
     }
 
-    /// Number of blocks currently live.
+    /// Number of blocks currently live: one load, no lock, no walk.
     pub fn live(&self) -> usize {
-        self.blocks.read().iter().filter(|c| c.is_some()).count()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Total logical live bytes across all live blocks.
@@ -143,6 +150,20 @@ mod tests {
         assert_eq!(stats.snapshot().blocks_freed, 1);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.get(0)));
         assert!(res.is_err(), "freed block access must panic");
+    }
+
+    #[test]
+    fn live_counts_registrations_minus_frees() {
+        let (reg, sft, _) = registry();
+        for _ in 0..3 {
+            reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
+        }
+        reg.free(1);
+        reg.free(1); // a second free of the same id is a no-op
+        reg.free(7); // never issued
+        assert_eq!(reg.live(), 2);
+        assert_eq!(reg.live(), reg.live_blocks().len());
+        assert_eq!(reg.issued(), 3);
     }
 
     #[test]

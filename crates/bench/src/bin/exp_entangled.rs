@@ -243,14 +243,16 @@ fn main() {
                 .enumerate()
                 .filter_map(|(i, o)| (i % 2 == 0).then_some(o))
                 .collect();
-            let roots: Vec<ObjRef> = survivors.iter().map(|&o| s.resolve(o)).collect();
+            // One slot roots every survivor, the way one task's root stack
+            // would; the snapshot chunks it into grey packets.
+            let slot = state.open_slot();
+            for &o in &survivors {
+                slot.roots.push(s.resolve(o));
+            }
             let start = std::time::Instant::now();
-            // One root packet per 4k survivors, seeding the parallel
-            // tracers the way the runtime's per-task packets would.
-            let out = collect_entangled(&s, state, || {
-                roots.chunks(4096).map(|c| c.to_vec()).collect()
-            });
+            let out = collect_entangled(&s, state);
             let pause = start.elapsed();
+            state.close_slot(&slot);
             assert_eq!(out.swept_objects, N / 2, "exactly the dropped half");
             assert!(
                 survivors

@@ -19,7 +19,7 @@
 //! Cancellation *delivery* is an ordinary unwind: the polling task
 //! raises a [`Cancelled`] payload with `panic_any`, which rides the
 //! exact path an [`AllocError`] already takes through fork/join —
-//! heaps merge, pins release, SATB shards drain, remset buffers flush,
+//! heaps merge, pins release, mutator slots close, remset buffers flush,
 //! budgets credit — so the heap is coherent when `Runtime::try_run*`
 //! catches the payload and returns [`RunError::Cancelled`].
 

@@ -112,15 +112,6 @@ pub struct RuntimeConfig {
     /// recoverable failure, which is what a serving deployment wants
     /// and an interactive debugging session may not.
     pub watchdog_cancels: bool,
-    /// Telemetry sampler tick in nanoseconds (only meaningful with
-    /// `telemetry` set). The default 25 ms is short enough that even
-    /// sub-second benchmark runs collect a useful gauge series; serving
-    /// runs that only care about minute-scale trends can widen it to cut
-    /// retained-sample volume. Stored as nanoseconds so the config stays
-    /// `Copy`-cheap and the interval round-trips exactly through
-    /// [`Runtime::telemetry_report`](crate::Runtime::telemetry_report)'s
-    /// JSON.
-    pub sampler_interval_ns: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -139,7 +130,6 @@ impl Default for RuntimeConfig {
             failpoints: FailPlan::default(),
             gc_stall_deadline_ns: 0,
             watchdog_cancels: false,
-            sampler_interval_ns: 25_000_000,
         }
     }
 }
@@ -279,30 +269,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the telemetry sampler tick (see
-    /// [`RuntimeConfig::sampler_interval_ns`]). A zero interval is
-    /// rejected — the sampler thread would spin.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use mpl_runtime::{Runtime, RuntimeConfig, Value};
-    ///
-    /// let cfg = RuntimeConfig::managed()
-    ///     .with_telemetry()
-    ///     .with_sampler_interval(Duration::from_millis(5));
-    /// let rt = Runtime::new(cfg);
-    /// rt.run(|m| m.alloc_ref(Value::Int(1)));
-    /// assert!(rt.telemetry_report().json.contains("\"sampler_interval_ns\":5000000"));
-    /// ```
-    pub fn with_sampler_interval(mut self, interval: std::time::Duration) -> RuntimeConfig {
-        let ns = interval.as_nanos() as u64;
-        assert!(ns > 0, "sampler interval must be nonzero");
-        self.sampler_interval_ns = ns;
-        self
-    }
-
     /// Sets the real-thread executor's processor count, clamped to the
     /// host's available parallelism (with a warning on stderr) — silent
     /// oversubscription only adds context-switch overhead for the
@@ -432,24 +398,6 @@ mod tests {
         let copied = c; // RuntimeConfig stays Copy with the plan aboard
         assert_eq!(copied.failpoints, plan);
         assert!(RuntimeConfig::managed().failpoints.is_empty());
-    }
-
-    #[test]
-    fn sampler_interval() {
-        assert_eq!(
-            RuntimeConfig::managed().sampler_interval_ns,
-            25_000_000,
-            "default tick is 25ms"
-        );
-        let c =
-            RuntimeConfig::managed().with_sampler_interval(std::time::Duration::from_millis(100));
-        assert_eq!(c.sampler_interval_ns, 100_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "sampler interval must be nonzero")]
-    fn sampler_interval_rejects_zero() {
-        let _ = RuntimeConfig::managed().with_sampler_interval(std::time::Duration::ZERO);
     }
 
     #[test]

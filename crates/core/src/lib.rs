@@ -55,7 +55,6 @@ mod barrier;
 pub mod cancel;
 pub mod config;
 pub mod mutator;
-mod roots;
 pub mod runtime;
 mod telemetry;
 

@@ -3,9 +3,9 @@
 //! A [`TaskCtx`] is everything one task owns on the mutator/collector
 //! seam — allocation and block caches, the remembered-set write buffer,
 //! task-buffered counters, DAG work, the tenant budget and the cancel
-//! token — plus the [`MutatorSlot`] (root stack + SATB shard) it
+//! token — plus the [`MutatorSlot`] (root stack + SATB buffer) it
 //! *borrows*: its run's, its session's, or its forker's, unless the
-//! scheduler migrated it (`crate::roots` has the ownership rule). That
+//! scheduler migrated it (`mpl_gc::roots` has the ownership rule). That
 //! state crosses exactly five boundaries, and each boundary is one method
 //! here — the only place its work happens (DESIGN.md "Task boundaries"
 //! tabulates which component does what at which boundary):
@@ -29,6 +29,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use mpl_gc::MutatorSlot;
 use mpl_heap::{
     Block, Counter, ObjRef, PendingStats, RemsetEntry, TenantBudget, Value, Word, NUM_SIZE_CLASSES,
 };
@@ -36,7 +37,6 @@ use mpl_sched::{DagBuilder, StrandId};
 
 use super::Mutator;
 use crate::cancel::{CancelReason, CancelToken, Cancelled};
-use crate::roots::MutatorSlot;
 use crate::runtime::{Runtime, TenantSession};
 
 /// Buffered remembered-set entries are published once the buffer reaches
@@ -47,20 +47,20 @@ const REMSET_BUFFER_CAP: usize = 256;
 /// are pending, so the allocation fast path pays no global atomics.
 pub(crate) const PENDING_FLUSH_BYTES: u64 = 16 * 1024;
 
-/// RAII collector-safe window on a slot's SATB shard: while held, the
+/// RAII collector-safe window on a mutator slot: while held, the
 /// concurrent collector's snapshot handshake does not wait on the slot.
 /// Held around every region where the task either blocks (fork branch
 /// suspension, the collection gate) or runs for an unbounded stretch
 /// without reaching a poll point (a local collection).
 ///
-/// Soundness: entering flushes the shard's SATB buffer and the exit
-/// re-acks the current epoch, so a snapshot taken while this window is
-/// open sees every pre-window logged pointer; the wrapped regions perform
-/// no unlogged entangled-pointer deletions (a branch body borrowing the
-/// slot resumes it for as long as it runs, a migrated one mutates
-/// through its own, and the collectors' own heap surgery is covered by
-/// the forwarding/graveyard arguments in [`TaskCtx::collect_local`]).
-/// Windows nest — the shard's `safe` word is a depth counter, and a
+/// Soundness: every pre-window logged pointer is already in the slot's
+/// SATB buffer, which the collector drains in place, and the exit re-acks
+/// the current epoch; the wrapped regions perform no unlogged
+/// entangled-pointer deletions (a branch body borrowing the slot resumes
+/// it for as long as it runs, a migrated one mutates through its own, and
+/// the collectors' own heap surgery is covered by the forwarding/graveyard
+/// arguments in [`TaskCtx::collect_local`]).
+/// Windows nest — the slot's safe-window depth is a counter, and a
 /// slot nobody runs on rests at depth 1.
 pub(crate) struct SafeWindow<'rt> {
     st: &'rt mpl_gc::CgcState,
@@ -69,7 +69,7 @@ pub(crate) struct SafeWindow<'rt> {
 
 impl Drop for SafeWindow<'_> {
     fn drop(&mut self) {
-        self.st.exit_safe(&self.slot.satb);
+        self.st.exit_safe(&self.slot);
     }
 }
 
@@ -165,7 +165,7 @@ impl<'rt> TaskCtx<'rt> {
         let budget = rt
             .store()
             .budget_of(*path.last().expect("task path is never empty"));
-        rt.cgc_state().exit_safe(&slot.satb);
+        rt.cgc_state().exit_safe(slot);
         TaskCtx {
             rt,
             base: if path.len() == 1 { 0 } else { slot.roots.len() },
@@ -206,7 +206,7 @@ impl<'rt> TaskCtx<'rt> {
     /// a cancel — the same liveness caveat as MPL's safepoint scheme.)
     #[inline]
     pub(crate) fn poll(&self) {
-        self.rt.cgc_state().poll_handshake(&self.slot.satb);
+        self.rt.cgc_state().poll_handshake(&self.slot);
         if let Some(reason) = self.cancel.poll() {
             self.unwind_cancelled(reason);
         }
@@ -246,7 +246,7 @@ impl<'rt> TaskCtx<'rt> {
     /// duration — CGC never moves objects, so they need no write-back;
     /// and the collection runs inside a safe window: if this thread wins
     /// the gate and begins a cycle, the snapshot handshake must not wait
-    /// on this task's own shard (nor deadlock against another thread's
+    /// on this task's own slot (nor deadlock against another thread's
     /// handshake while this one blocks on the gate).
     pub(crate) fn cgc_safepoint(&mut self, roots: &[Value], force: bool) {
         self.flush_stats();
@@ -278,7 +278,7 @@ impl<'rt> TaskCtx<'rt> {
         self.flush_remset();
         // The collection can run for an unbounded stretch without
         // reaching a poll point, and the sliced-cycle finish below blocks
-        // on the collection gate: keep the shard safe throughout. Sound
+        // on the collection gate: keep the slot safe throughout. Sound
         // for the same reason concurrent CGC marking is sound against
         // LGC at all — entangled-space objects are never moved or freed
         // locally, and a CGC tracer racing the move of a *local* object
@@ -337,9 +337,8 @@ impl<'rt> TaskCtx<'rt> {
     /// a heap the buffered remembered-set entries point into), hands the
     /// collection debt back to the session, and pauses the slot again
     /// (nobody polls it until the forker resumes or the next request
-    /// enters — a running slot would stall the snapshot handshake;
-    /// pausing flushes its SATB buffer). The frame was popped before
-    /// this, by whoever caught the task's outcome.
+    /// enters — a running slot would stall the snapshot handshake). The
+    /// frame was popped before this, by whoever caught the task's outcome.
     fn finish(&mut self) {
         self.flush_work();
         self.flush_remset();
@@ -348,7 +347,7 @@ impl<'rt> TaskCtx<'rt> {
             s.alloc_debt.store(self.alloc_since, Ordering::Relaxed);
             s.lgc_budget.store(self.lgc_budget, Ordering::Relaxed);
         }
-        self.rt.cgc_state().enter_safe(&self.slot.satb);
+        self.rt.cgc_state().enter_safe(&self.slot);
         self.debug_assert_flushed();
     }
 
@@ -360,7 +359,7 @@ impl<'rt> TaskCtx<'rt> {
 
     fn safe_window(&self) -> SafeWindow<'rt> {
         let st = self.rt.cgc_state();
-        st.enter_safe(&self.slot.satb);
+        st.enter_safe(&self.slot);
         SafeWindow {
             st,
             slot: Arc::clone(&self.slot),
@@ -391,10 +390,10 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// SATB deletion/pin log: records a pointer that must survive the
-    /// current snapshot into the slot's shard (no-op unless marking).
+    /// current snapshot into the slot's buffer (no-op unless marking).
     #[inline]
     pub(crate) fn log_satb(&self, r: ObjRef) {
-        self.rt.cgc_state().satb_log_shard(&self.slot.satb, r);
+        self.rt.cgc_state().satb_log(&self.slot, r);
     }
 
     /// Buffers a down-pointer remembered-set entry targeting `dst_heap`

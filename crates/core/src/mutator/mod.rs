@@ -4,7 +4,7 @@
 //! own leaf heap, barriered mutable accesses (where entanglement is
 //! detected and managed), immutable reads, rooting, and `fork`. The
 //! barrier tier split itself (fast path vs slow path) lives in
-//! `crate::barrier`; the lock-free root stack lives in `crate::roots`.
+//! `crate::barrier`; the lock-free root stack lives in `mpl_gc::roots`.
 //!
 //! # Rooting discipline
 //!
@@ -27,7 +27,7 @@
 //! reservation in a cached size-class block (no lock, no `Arc` clone, no
 //! per-object `Vec` — field words are staged in a reused task scratch
 //! buffer), and rooting is a push onto the lock-free
-//! [`crate::roots::RootStack`] of the slot the task runs on. Down-pointer
+//! [`mpl_gc::roots::RootStack`] of the slot the task runs on. Down-pointer
 //! remembered-set entries are buffered task-locally (with per-object
 //! dedup) and published in batches at the task's boundaries.
 //!
@@ -45,11 +45,11 @@ mod boundary;
 
 use std::sync::Arc;
 
+use mpl_gc::MutatorSlot;
 use mpl_heap::Value;
 use mpl_sched::StrandId;
 
 use crate::config::FORK_WORK;
-use crate::roots::MutatorSlot;
 use crate::runtime::Runtime;
 
 pub(crate) use access::Resolved;
@@ -159,7 +159,7 @@ impl<'rt> Mutator<'rt> {
     /// creating task *and* from its descendants.
     ///
     /// Rooting is lock-free: a push onto the task's frame of its slot's
-    /// [`crate::roots::RootStack`], published to collectors by a single
+    /// [`mpl_gc::roots::RootStack`], published to collectors by a single
     /// release store.
     ///
     /// # Example
@@ -302,7 +302,7 @@ impl<'rt> Mutator<'rt> {
         let roots = &self.ctx.slot.roots;
         for (v, own) in [(&rv, &rslot), (&lv, &lslot)] {
             match own {
-                Some(own) => rt.close_slot(own),
+                Some(own) => rt.cgc_state().close_slot(own),
                 None if matches!(v, Ok(Value::Obj(_))) => roots.truncate(roots.len() - 1),
                 None => {}
             }
@@ -364,7 +364,7 @@ fn run_branch<F>(
 where
     F: FnOnce(&mut Mutator<'_>) -> Value,
 {
-    let own = migrated.then(|| forker.rt.open_slot());
+    let own = migrated.then(|| forker.rt.cgc_state().open_slot());
     let slot = own.as_ref().unwrap_or(&forker.slot);
     let mut path = forker.path.clone();
     path.push(heap);

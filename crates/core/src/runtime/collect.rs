@@ -119,13 +119,13 @@ impl Runtime {
         };
         self.cgc_pause(gate, || {
             if slice == 0 {
-                mpl_gc::collect_entangled(&self.store, &self.cgc_state, || self.roots.packets());
+                mpl_gc::collect_entangled(&self.store, &self.cgc_state);
                 self.rebaseline_cgc();
                 return;
             }
             if !advancing {
                 // Begin the sliced cycle: handshake, then snapshot roots.
-                mpl_gc::cgc_begin(&self.store, &self.cgc_state, || self.roots.packets());
+                mpl_gc::cgc_begin(&self.cgc_state);
             }
             if mpl_gc::cgc_step(&self.store, &self.cgc_state, slice).is_some() {
                 self.rebaseline_cgc();
@@ -147,7 +147,7 @@ impl Runtime {
                 // Finish the in-flight sliced cycle.
                 while mpl_gc::cgc_step(&self.store, &self.cgc_state, usize::MAX).is_none() {}
             } else {
-                mpl_gc::collect_entangled(&self.store, &self.cgc_state, || self.roots.packets());
+                mpl_gc::collect_entangled(&self.store, &self.cgc_state);
             }
         });
     }

@@ -66,7 +66,7 @@ impl Runtime {
                 assert!(!s.slot.is_closed(), "tenant session `{name}` was retired");
                 (s.root_heap, Arc::clone(&s.slot))
             }
-            None => (self.store.new_root_heap(), self.open_slot()),
+            None => (self.store.new_root_heap(), self.cgc_state.open_slot()),
         };
         let ctx = TaskCtx::enter(self, &slot, vec![root_heap], dag, strand, cancel, session);
         let mut m = Mutator::new(ctx);
@@ -86,7 +86,7 @@ impl Runtime {
         }
         drop(m);
         if session.is_none() {
-            self.close_slot(&slot);
+            self.cgc_state.close_slot(&slot);
         }
         self.graveyard.drain(&self.store);
         if let Some(builder) = self.dag.lock().take() {

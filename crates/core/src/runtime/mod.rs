@@ -1,8 +1,9 @@
 //! The entanglement-managed runtime.
 //!
-//! A [`Runtime`] owns the store, the collectors' shared state, and the
-//! registry of mutator slots the concurrent collector draws roots from. Programs run
-//! against a [`crate::mutator::Mutator`] obtained from [`Runtime::run`].
+//! A [`Runtime`] owns the store and the collectors' shared state — which
+//! includes the registry of mutator slots the concurrent collector draws
+//! roots from. Programs run against a [`crate::mutator::Mutator`]
+//! obtained from [`Runtime::run`].
 //!
 //! This file holds the struct, its construction/teardown and the
 //! read-only accessors; `entry` has the `run*` entry points, `session`
@@ -14,7 +15,6 @@ mod entry;
 mod session;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -24,7 +24,6 @@ use mpl_sched::{Dag, DagBuilder, Executor, SchedSnapshot};
 
 use crate::cancel::CancelToken;
 use crate::config::RuntimeConfig;
-use crate::roots::{MutatorSlot, RootRegistry};
 use crate::telemetry::{self, Watchdog};
 
 pub use crate::telemetry::TelemetryReport;
@@ -35,11 +34,10 @@ pub use session::TenantSession;
 pub struct Runtime {
     store: Store,
     config: RuntimeConfig,
+    /// The concurrent collector's state, the open mutator slots (sessions,
+    /// runs in flight, stolen branches) among it.
     cgc_state: CgcState,
     graveyard: Graveyard,
-    /// The concurrent collector's root set: the root stacks of the open
-    /// mutator slots (sessions, runs in flight, stolen branches).
-    roots: RootRegistry,
     dag: Mutex<Option<Arc<DagBuilder>>>,
     last_dag: Mutex<Option<Dag>>,
     cgc_gate: Mutex<()>,
@@ -112,14 +110,9 @@ impl Runtime {
             }
             None => CancelToken::new(),
         };
-        let sampler = config.telemetry.then(|| {
-            telemetry::spawn_sampler(
-                &store,
-                executor.clone(),
-                config.threads.max(1),
-                Duration::from_nanos(config.sampler_interval_ns.max(1)),
-            )
-        });
+        let sampler = config
+            .telemetry
+            .then(|| telemetry::spawn_sampler(&store, executor.clone(), config.threads.max(1)));
         let watchdog = (config.gc_stall_deadline_ns > 0).then(|| {
             let cancel = config.watchdog_cancels.then(|| root_cancel.clone());
             telemetry::spawn_watchdog(&store, executor.clone(), config, cancel)
@@ -128,7 +121,6 @@ impl Runtime {
             store,
             cgc_state: CgcState::new(),
             graveyard: Graveyard::new(),
-            roots: RootRegistry::default(),
             dag: Mutex::new(None),
             last_dag: Mutex::new(None),
             cgc_gate: Mutex::new(()),
@@ -224,26 +216,16 @@ impl Runtime {
         &self.graveyard
     }
 
-    /// Opens a mutator slot — root stack and SATB shard, registered
-    /// together, paused. Three callers: a new tenant session, an
-    /// anonymous run, a fork branch the scheduler migrated. Each closes
-    /// its slot with [`Runtime::close_slot`].
-    pub(crate) fn open_slot(&self) -> Arc<MutatorSlot> {
-        self.roots.open(&self.cgc_state)
-    }
-
-    pub(crate) fn close_slot(&self, slot: &Arc<MutatorSlot>) {
-        self.roots.close(&self.cgc_state, slot);
-    }
-
-    /// Number of mutator slots — a root stack and a SATB shard each —
-    /// currently registered with the concurrent collector: one per
-    /// persistent session, per run in flight and per stolen branch not
-    /// yet joined. Diagnostics: a completed request must leave exactly
+    /// Number of mutator slots — a root stack and a SATB buffer each —
+    /// currently open with the concurrent collector: one per persistent
+    /// session, per run in flight and per stolen branch not yet joined.
+    /// Slots are opened in exactly three places (a new tenant session, an
+    /// anonymous run, a fork branch the scheduler migrated), each of which
+    /// closes its own. Diagnostics: a completed request must leave exactly
     /// the persistent sessions — a leaked slot keeps dead roots (a
     /// branch's result among them) alive forever.
     pub fn live_root_stacks(&self) -> usize {
-        self.roots.live_stacks()
+        self.cgc_state.live_slots()
     }
 
     /// Validates the whole heap: panics with a report if any reachable
@@ -293,7 +275,6 @@ impl Runtime {
             &self.stats(),
             &self.telemetry_samples(),
             Some(&self.heap_census()),
-            self.config.sampler_interval_ns,
         )
     }
 }

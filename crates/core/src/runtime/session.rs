@@ -5,12 +5,12 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
+use mpl_gc::MutatorSlot;
 use mpl_heap::{TenantBudget, Value};
 
 use super::Runtime;
 use crate::cancel::RunError;
 use crate::mutator::Mutator;
-use crate::roots::MutatorSlot;
 
 /// A persistent tenant execution context on one [`Runtime`]: a dedicated
 /// root heap (with an optional [`TenantBudget`] attached, inherited by
@@ -59,7 +59,7 @@ impl Runtime {
             root_heap,
             // Open for the session's lifetime: objects rooted in one
             // request stay CGC roots until `retire_session`.
-            slot: self.open_slot(),
+            slot: self.cgc_state.open_slot(),
             budget: Some(budget),
             alloc_debt: AtomicUsize::new(0),
             lgc_budget: AtomicUsize::new(self.config.policy.lgc_trigger_bytes),
@@ -128,6 +128,6 @@ impl Runtime {
     /// reused) but nothing roots them anymore, so the session accepts no
     /// further request: a later `run_session` on it panics.
     pub fn retire_session(&self, session: &TenantSession) {
-        self.close_slot(&session.slot);
+        self.cgc_state.close_slot(&session.slot);
     }
 }

@@ -13,6 +13,10 @@ use mpl_sched::Executor;
 use crate::cancel::CancelToken;
 use crate::config::RuntimeConfig;
 
+/// The telemetry sampler tick: short enough that even sub-second
+/// benchmark runs collect a useful gauge series.
+pub(crate) const SAMPLER_INTERVAL: Duration = Duration::from_millis(25);
+
 /// The exporter documents produced by [`crate::Runtime::telemetry_report`].
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
@@ -39,12 +43,11 @@ impl TelemetryReport {
         stats: &StatsSnapshot,
         samples: &[mpl_obs::Sample],
         census: Option<&mpl_obs::HeapCensus>,
-        sampler_interval_ns: u64,
     ) -> TelemetryReport {
         TelemetryReport {
             chrome_trace: mpl_obs::chrome_trace(&mpl_obs::snapshot_spans(), samples),
             prometheus: build_prometheus(stats, samples.last(), census),
-            json: build_json(stats, samples, census, sampler_interval_ns),
+            json: build_json(stats, samples, census),
         }
     }
 }
@@ -202,20 +205,18 @@ pub(crate) fn spawn_watchdog(
     }
 }
 
-/// Spawns the telemetry sampler: every tick (the configured
-/// [`RuntimeConfig::sampler_interval_ns`]) diffs the runtime counters
-/// (`StatsSnapshot::delta`) into allocation rates and combines the
-/// interval's park count with [`mpl_sched::PARK_INTERVAL`] into a
-/// worker-utilization estimate (time not spent asleep).
+/// Spawns the telemetry sampler: every [`SAMPLER_INTERVAL`] it diffs the
+/// runtime counters (`StatsSnapshot::delta`) into allocation rates and
+/// combines the interval's park count with [`mpl_sched::PARK_INTERVAL`]
+/// into a worker-utilization estimate (time not spent asleep).
 pub(crate) fn spawn_sampler(
     store: &Store,
     executor: Option<Arc<Executor>>,
     threads: usize,
-    interval: Duration,
 ) -> mpl_obs::Sampler {
     let stats = store.stats_shared();
     let mut prev = overlaid_stats(&stats, executor.as_deref());
-    mpl_obs::Sampler::spawn(interval, move |dt| {
+    mpl_obs::Sampler::spawn(SAMPLER_INTERVAL, move |dt| {
         let cur = overlaid_stats(&stats, executor.as_deref());
         let d = cur.delta(&prev);
         prev = cur;
@@ -289,11 +290,10 @@ fn build_json(
     s: &StatsSnapshot,
     samples: &[mpl_obs::Sample],
     census: Option<&mpl_obs::HeapCensus>,
-    sampler_interval_ns: u64,
 ) -> String {
     let mut w = mpl_obs::JsonWriter::new();
     w.begin_object();
-    w.field_u64("sampler_interval_ns", sampler_interval_ns);
+    w.field_u64("sampler_interval_ns", SAMPLER_INTERVAL.as_nanos() as u64);
     for (section, monotonic) in [("counters", true), ("gauges", false)] {
         w.key(section).begin_object();
         for row in s

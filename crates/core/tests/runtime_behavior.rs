@@ -702,8 +702,8 @@ fn root_marks_release_in_bulk() {
 /// triggered local collections, pin-driven CGC safepoints, task finish —
 /// run to completion and with each of the three unwind kinds raised
 /// inside a forked branch, under the audit layer. Whatever happened, the
-/// runtime must be left exactly as a fresh one: no registered mutator
-/// slot (root stack + SATB shard, a stolen branch's result root with
+/// runtime must be left exactly as a fresh one: no open mutator
+/// slot (root stack + SATB buffer, a stolen branch's result root with
 /// them), no pin, no audit failure, and the next run computes the
 /// fresh-runtime checksum. (Debug builds also assert inside
 /// `suspend`/`collect_local`/`finish` that nothing buffered survives the
@@ -1102,7 +1102,7 @@ const _: () = assert!(
 fn every_counter_row_reaches_both_exporters_exactly_once() {
     use mpl_heap::stats::{Kind, ROWS};
     let snap = mpl_runtime::StatsSnapshot::from_values(std::array::from_fn(|i| 1000 + i as u64));
-    let report = mpl_runtime::TelemetryReport::render(&snap, &[], None, 0);
+    let report = mpl_runtime::TelemetryReport::render(&snap, &[], None);
 
     let prom_samples: Vec<&str> = report
         .prometheus

@@ -38,9 +38,10 @@
 //! parallel work: `cgc/packet` fires inside a single trace/sweep work
 //! packet on whichever scheduler worker picked it up (exercising packet
 //! crash-isolation and retry), and `cgc/modbuf-flush` fires where a
-//! mutator's SATB shard buffer drains into the collector (exercising the
-//! snapshot handshake's flush ordering). Grep for `hit_hard(` / `hit(`
-//! for the authoritative list.
+//! mutator slot's SATB entries change hands — the collector's drain of a
+//! non-empty slot buffer, and a closing slot's hand-off of its leftovers
+//! (exercising the drain's ordering against slots opening and closing).
+//! Grep for `hit_hard(` / `hit(` for the authoritative list.
 
 #![warn(missing_docs)]
 

@@ -2,34 +2,39 @@
 //!
 //! The local collector shields pinned objects and their closure in place;
 //! reclaiming them requires knowing global reachability, which is this
-//! collector's job. It is a snapshot-at-the-beginning (SATB) mark–sweep,
-//! restructured as **work packets** scheduled on the `mpl-sched` pool:
+//! collector's job. It keeps the one registry of **mutator slots**
+//! ([`MutatorSlot`]): one per thread of execution, opened and closed by
+//! the runtime through [`CgcState::open_slot`] / [`CgcState::close_slot`],
+//! each carrying the two things marking needs from it — its root stack
+//! and its SATB buffer with the handshake cells. The collector is a
+//! snapshot-at-the-beginning (SATB) mark–sweep, restructured as **work
+//! packets** scheduled on the `mpl-sched` pool:
 //!
 //! * **Snapshot** — [`cgc_begin`] raises the marking flag, then runs an
-//!   **epoch handshake** with every registered mutator shard, and only
-//!   then asks the runtime for root packets. The semantic snapshot
+//!   **epoch handshake** with every open slot, and only then snapshots
+//!   the slots' root stacks. The semantic snapshot
 //!   instant is the completion of the handshake: every mutator has
 //!   either acknowledged the new epoch (so its later overwrites pre-log
 //!   into a SATB buffer) or sits inside a *safe window* (fork
 //!   suspension, a GC, the allocation pressure ladder) where it performs
-//!   no unlogged hides. Because roots are assembled *after* the
+//!   no unlogged hides. Because roots are read *after* the
 //!   handshake, a pointer a mutator moved from a shared slot into its
 //!   own root stack just before the snapshot is still visible — this
 //!   closes the check-then-act race where a mutator loading
 //!   `marking == false` as the collector raised the flag could drop an
 //!   overwritten pointer.
-//! * **Mark** — per-task root vecs become the first grey packets; worker
-//!   tracers run [`Trace` packets](self) with local mark stacks,
+//! * **Mark** — each slot's root snapshot becomes the first grey
+//!   packets; worker tracers run [`Trace` packets](self) with local mark stacks,
 //!   spilling half of an overgrown stack back to the shared grey queue
 //!   and handing packets off through `mpl_sched::try_join` binary
 //!   splits. Mark bits live in per-block **side-metadata bitmaps**
 //!   (`mpl-heap`), set with a single atomic `fetch_or` that also marks
 //!   the object's **lines**, so racing tracers are benign and the sweep
 //!   can consult line granularity. Mutators log overwritten pointers and
-//!   fresh pins into per-slot **SATB shards** (modbuf-style buffers,
-//!   flushed at capacity and whenever the slot pauses); the
-//!   collector drains shards to a fixpoint, re-handshakes, re-drains,
-//!   and only then declares mark termination.
+//!   fresh pins into their slot's **SATB buffer** (one push under the
+//!   slot's lock); the collector empties every open slot's buffer where
+//!   it is, to a fixpoint, re-handshakes, re-drains, and only then
+//!   declares mark termination.
 //! * **Sweep** — one packet per entangled block, each a **line-mark
 //!   sweep**: only unmarked object starts (`obj_start & !mark`, one
 //!   bitmap AND per 64 objects) are visited; a block whose line map is
@@ -60,7 +65,7 @@
 //! pauses, the same cycle can be **sliced**: [`cgc_begin`] snapshots and
 //! raises the flag; repeated [`cgc_step`] calls advance the current
 //! bucket by a bounded budget (mutators run between slices, logging into
-//! their shards). Soundness is the usual SATB argument — everything live
+//! their slots). Soundness is the usual SATB argument — everything live
 //! at the snapshot is either reached from the snapshot roots or was
 //! logged when a mutator hid it — plus one observation specific to this
 //! runtime: objects can only *enter* a sweepable state (the entangled
@@ -76,12 +81,12 @@ use parking_lot::Mutex;
 use mpl_heap::events::{self, EventKind, DEAD_BY_CGC};
 use mpl_heap::{Counter, ObjRef, Store};
 
+use crate::roots::RootStack;
+
 /// Refs per grey packet when chunking roots, SATB drains, and repairs.
 const PACKET_REFS: usize = 128;
 /// A tracer whose local stack outgrows this spills half back to grey.
 const SPILL_LIMIT: usize = 512;
-/// Mutator shard buffers flush into the global SATB log at this size.
-const MODBUF_CAP: usize = 128;
 /// Give up re-enqueueing packets after this many panics in one cycle
 /// (a failpoint plan set to `Always` must not spin forever).
 const MAX_PACKET_PANICS: u64 = 256;
@@ -91,32 +96,41 @@ const PHASE_MARK: u8 = 1;
 const PHASE_SWEEP: u8 = 2;
 const PHASE_EPILOGUE: u8 = 3;
 
-/// A SATB buffer ("modbuf") plus the handshake cells the collector uses
-/// to establish the snapshot boundary.
+/// What the collectors see of one *thread of execution* — a persistent
+/// tenant session, an anonymous run, or a fork branch the scheduler
+/// migrated: the root stack the snapshot scans, and the SATB buffer plus
+/// handshake cells the snapshot protocol runs on.
 ///
-/// One per *thread of execution*, not per task: the runtime registers a
-/// shard ([`CgcState::register_shard`]) with each mutator slot — a
-/// session, an anonymous run, a stolen branch — and every task that runs
-/// on the slot logs through it ([`CgcState::satb_log_shard`]) and
-/// acknowledges snapshot epochs on it ([`CgcState::poll_handshake`],
-/// from allocation safepoints and the slow-tier write barrier). A shard
-/// is registered *paused* (safe depth 1): whoever runs on it brackets the
-/// stretch with [`CgcState::exit_safe`] / [`CgcState::enter_safe`], and
-/// opens nested windows around blocking regions (fork suspension,
-/// collections, gate waits), so a shard nobody is polling never stalls a
-/// handshake.
-#[derive(Debug, Default)]
-pub struct SatbShard {
+/// Every task that runs on the slot logs through it
+/// ([`CgcState::satb_log`]) and acknowledges snapshot epochs on it
+/// ([`CgcState::poll_handshake`], from allocation safepoints and the
+/// slow-tier write barrier). A slot is opened *paused* (safe depth 1):
+/// whoever runs on it brackets the stretch with [`CgcState::exit_safe`] /
+/// [`CgcState::enter_safe`], and opens nested windows around blocking
+/// regions (fork suspension, collections, gate waits), so a slot nobody
+/// is polling never stalls a handshake.
+#[derive(Debug)]
+pub struct MutatorSlot {
+    /// The roots of every task currently running on the slot (see
+    /// [`crate::roots`] for the ownership rule).
+    pub roots: RootStack,
+    /// The SATB log: taken only by the owner's barrier (one push while
+    /// marking) and by the collector's drain.
     buf: Mutex<Vec<ObjRef>>,
-    /// Owner-written: something was logged since the owner's last flush,
-    /// so a flush must take `buf`. The collector's drain leaves it set,
-    /// which costs the owner one lock of an empty buffer.
-    dirty: AtomicBool,
     /// Safe-window depth: while > 0 the owner performs no unlogged
-    /// overwrites, so the collector may treat the shard as acknowledged.
+    /// overwrites, so the collector may treat the slot as acknowledged.
     safe: AtomicU64,
     /// Last snapshot epoch the owner acknowledged.
     acked: AtomicU64,
+    closed: AtomicBool,
+}
+
+impl MutatorSlot {
+    /// True once [`CgcState::close_slot`] withdrew the slot: nothing
+    /// rooted on it is scanned any more, so nothing may run on it.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
 }
 
 /// Shared state coordinating mutators with a concurrent mark phase.
@@ -128,10 +142,14 @@ pub struct CgcState {
     phase: AtomicU8,
     /// Snapshot epoch, bumped by each handshake.
     epoch: AtomicU64,
-    /// Global SATB log: where shards flush to and the collector drains
-    /// from. Mutators only ever log through a registered shard.
+    /// The SATB entries of slots closed with entries still buffered;
+    /// the drain empties it after the open slots' buffers.
     satb: Mutex<Vec<ObjRef>>,
-    shards: Mutex<Vec<Arc<SatbShard>>>,
+    /// The open slots. The mutex guards only the small vector — taken
+    /// when a run starts or ends, a branch is stolen or joined, a session
+    /// is created or retired, and by the collector's handshake, root
+    /// snapshot and drain; never at an un-migrated task's enter or finish.
+    slots: Mutex<Vec<Arc<MutatorSlot>>>,
     /// In-flight cycle; the lock doubles as the coordinator gate.
     cycle: Mutex<Option<Cycle>>,
     /// A packet panicked since the last repair pass: re-scan marked
@@ -232,120 +250,105 @@ impl CgcState {
     }
 
     /// True while a mark phase is active; mutators must log overwritten
-    /// pointers via [`CgcState::satb_log_shard`].
+    /// pointers via [`CgcState::satb_log`].
     #[inline]
     pub fn is_marking(&self) -> bool {
         self.marking.load(Ordering::Acquire)
     }
 
+    /// Opens a mutator slot, *paused*: safe depth 1, so no handshake
+    /// waits on it until its owner resumes it with
+    /// [`CgcState::exit_safe`] (which acks the then-current epoch). The
+    /// slots-lock acquisition orders the opening against an in-flight
+    /// handshake that misses this slot in its list: the opener reads the
+    /// epoch and flag stores made before that handshake released the
+    /// lock.
+    pub fn open_slot(&self) -> Arc<MutatorSlot> {
+        let slot = Arc::new(MutatorSlot {
+            roots: RootStack::new(),
+            buf: Mutex::new(Vec::new()),
+            safe: AtomicU64::new(1),
+            acked: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
+        });
+        self.slots.lock().push(Arc::clone(&slot));
+        slot
+    }
+
+    /// Closes a paused slot: its roots leave the root set and it leaves
+    /// the handshake. Whatever it still roots — a migrated branch's
+    /// result — is the caller's to keep alive from here. Entries still
+    /// buffered move to the closed-slot log under the slot's lock, so a
+    /// drain that finds the buffer empty finds them in the log it
+    /// empties last. Closing twice is harmless.
+    pub fn close_slot(&self, slot: &Arc<MutatorSlot>) {
+        slot.closed.store(true, Ordering::Release);
+        {
+            let mut buf = slot.buf.lock();
+            if !buf.is_empty() {
+                mpl_fail::hit_hard("cgc/modbuf-flush");
+                self.satb.lock().append(&mut buf);
+            }
+        }
+        self.slots.lock().retain(|s| !Arc::ptr_eq(s, slot));
+    }
+
+    /// Number of open slots.
+    pub fn live_slots(&self) -> usize {
+        self.slots.lock().len()
+    }
+
     /// Logs a pointer that must survive the current snapshot (an
     /// overwritten field value, or a newly pinned object) into the
-    /// caller's shard buffer, flushing to the global log at capacity (the
-    /// mutator-side `cgc/modbuf-flush` failpoint site).
-    pub fn satb_log_shard(&self, shard: &SatbShard, r: ObjRef) {
-        if !self.is_marking() {
-            return;
+    /// caller's slot buffer, where the collector's drain finds it.
+    pub fn satb_log(&self, slot: &MutatorSlot, r: ObjRef) {
+        if self.is_marking() {
+            slot.buf.lock().push(r);
         }
-        shard.dirty.store(true, Ordering::Relaxed);
-        let flush = {
-            let mut buf = shard.buf.lock();
-            buf.push(r);
-            if buf.len() >= MODBUF_CAP {
-                Some(std::mem::take(&mut *buf))
-            } else {
-                None
-            }
-        };
-        if let Some(drained) = flush {
-            mpl_fail::hit_hard("cgc/modbuf-flush");
-            self.satb.lock().extend(drained);
-        }
-    }
-
-    /// Flushes a shard's buffered entries into the global log (every
-    /// pause and handshake ack). Owner-only, and lock-free when the owner
-    /// logged nothing since its last flush — always, outside a mark phase.
-    pub fn flush_shard(&self, shard: &SatbShard) {
-        if !shard.dirty.load(Ordering::Relaxed) {
-            return;
-        }
-        shard.dirty.store(false, Ordering::Relaxed);
-        let drained = std::mem::take(&mut *shard.buf.lock());
-        if !drained.is_empty() {
-            mpl_fail::hit_hard("cgc/modbuf-flush");
-            self.satb.lock().extend(drained);
-        }
-    }
-
-    /// Registers a new mutator shard, *paused*: safe depth 1, so no
-    /// handshake waits on it until its owner resumes it with
-    /// [`CgcState::exit_safe`] (which acks the then-current epoch). The
-    /// shards-lock acquisition orders the registration against an
-    /// in-flight handshake that misses this shard in its list: the
-    /// registrant reads the epoch and flag stores made before that
-    /// handshake released the lock.
-    pub fn register_shard(&self) -> Arc<SatbShard> {
-        let shard = Arc::new(SatbShard {
-            safe: AtomicU64::new(1),
-            ..SatbShard::default()
-        });
-        self.shards.lock().push(Arc::clone(&shard));
-        shard
-    }
-
-    /// Deregisters a (paused) shard, draining any buffered entries into
-    /// the global log first.
-    pub fn deregister_shard(&self, shard: &Arc<SatbShard>) {
-        self.flush_shard(shard);
-        self.shards.lock().retain(|s| !Arc::ptr_eq(s, shard));
     }
 
     /// Cheap handshake poll for mutator safepoints (allocation slices,
     /// the slow-tier write barrier): two relaxed loads when idle;
-    /// flush + acknowledge when a new snapshot epoch is pending.
+    /// acknowledge when a new snapshot epoch is pending. Everything the
+    /// owner logged before the ack is in its buffer, which the
+    /// post-handshake re-drain reads.
     #[inline]
-    pub fn poll_handshake(&self, shard: &SatbShard) {
+    pub fn poll_handshake(&self, slot: &MutatorSlot) {
         let e = self.epoch.load(Ordering::Relaxed);
-        if shard.acked.load(Ordering::Relaxed) != e {
-            self.ack(shard);
+        if slot.acked.load(Ordering::Relaxed) != e {
+            self.ack(slot);
         }
     }
 
     #[cold]
-    fn ack(&self, shard: &SatbShard) {
-        // Flush before acknowledging so everything logged before the ack
-        // is visible to the collector's post-handshake re-drain.
-        self.flush_shard(shard);
+    fn ack(&self, slot: &MutatorSlot) {
         let e = self.epoch.load(Ordering::SeqCst);
-        shard.acked.store(e, Ordering::SeqCst);
+        slot.acked.store(e, Ordering::SeqCst);
     }
 
     /// Enters a safe window: the owner guarantees no unlogged overwrites
-    /// until the matching [`CgcState::exit_safe`]. Buffered entries are
-    /// flushed first so a parked task holds no SATB entries hostage (the
-    /// owner logs nothing between that flush and the ack below, so one
-    /// flush covers both). Windows nest (a paused slot, fork suspension
-    /// around a collection around the pressure ladder).
-    pub fn enter_safe(&self, shard: &SatbShard) {
-        self.flush_shard(shard);
-        shard.safe.fetch_add(1, Ordering::SeqCst);
+    /// until the matching [`CgcState::exit_safe`]. Windows nest (a paused
+    /// slot, fork suspension around a collection around the pressure
+    /// ladder).
+    pub fn enter_safe(&self, slot: &MutatorSlot) {
+        slot.safe.fetch_add(1, Ordering::SeqCst);
         let e = self.epoch.load(Ordering::SeqCst);
-        shard.acked.store(e, Ordering::SeqCst);
+        slot.acked.store(e, Ordering::SeqCst);
     }
 
     /// Leaves a safe window. The ordering here is load-bearing: the
     /// depth decrement (SeqCst) precedes the epoch load (SeqCst)
     /// precedes the ack store. If a concurrent handshake read this
-    /// shard as safe, this exit's decrement is SC-after that read, so
+    /// slot as safe, this exit's decrement is SC-after that read, so
     /// the epoch load observes the handshake's epoch and the ack plus
     /// all later `is_marking` loads see the raised flag; if the
-    /// handshake read the shard as unsafe it waits for the ack, which
+    /// handshake read the slot as unsafe it waits for the ack, which
     /// implies the same visibility. Either way no overwrite after the
     /// window can go unlogged against the new snapshot.
-    pub fn exit_safe(&self, shard: &SatbShard) {
-        shard.safe.fetch_sub(1, Ordering::SeqCst);
+    pub fn exit_safe(&self, slot: &MutatorSlot) {
+        slot.safe.fetch_sub(1, Ordering::SeqCst);
         let e = self.epoch.load(Ordering::SeqCst);
-        shard.acked.store(e, Ordering::SeqCst);
+        slot.acked.store(e, Ordering::SeqCst);
     }
 
     /// True if a cycle is in flight (begun, not yet finished). One
@@ -357,29 +360,54 @@ impl CgcState {
         self.phase.load(Ordering::Relaxed) != PHASE_IDLE
     }
 
-    /// Drains the global log and every shard buffer.
+    /// Empties every open slot's buffer, then the closed-slot log (last:
+    /// see [`CgcState::close_slot`]).
     fn drain_all_satb(&self) -> Vec<ObjRef> {
-        let mut out = std::mem::take(&mut *self.satb.lock());
-        let shards: Vec<Arc<SatbShard>> = self.shards.lock().clone();
-        for s in shards {
-            out.extend(std::mem::take(&mut *s.buf.lock()));
+        let mut out = Vec::new();
+        for slot in self.slots.lock().iter() {
+            let logged = std::mem::take(&mut *slot.buf.lock());
+            if !logged.is_empty() {
+                mpl_fail::hit_hard("cgc/modbuf-flush");
+                out.extend(logged);
+            }
         }
+        out.append(&mut self.satb.lock());
         out
     }
 
-    /// Bumps the snapshot epoch and waits until every registered shard
-    /// has acknowledged it or sits in a safe window. The shard list is
-    /// re-cloned each spin so deregistration unblocks the wait. Called
-    /// at the snapshot boundary and again at mark termination.
+    /// The root set: every open slot's root stack, snapshot in place and
+    /// chunked into grey packets (a slot's stack holds the frames of
+    /// every task nested on it, so the tracers share it). Lock-free with
+    /// respect to the mutators — only the small slots mutex is held. A
+    /// stale beyond-`len` slot resolves safely because retired blocks are
+    /// graveyard-held until quiescence. Read *after* the snapshot
+    /// handshake, which is what makes the per-stack snapshots sound
+    /// against a mutator moving a value between a shared slot and its own
+    /// stack at the snapshot boundary: post-handshake, every mutator's
+    /// SATB logging is observably on, so any value that leaves a scanned
+    /// location is logged.
+    fn root_packets(&self) -> Vec<Vec<ObjRef>> {
+        let mut packets = Vec::new();
+        for slot in self.slots.lock().iter() {
+            let roots = slot.roots.snapshot(0);
+            packets.extend(roots.chunks(PACKET_REFS).map(<[ObjRef]>::to_vec));
+        }
+        packets
+    }
+
+    /// Bumps the snapshot epoch and waits until every open slot has
+    /// acknowledged it or sits in a safe window. The slot list is re-read
+    /// each spin so closing a slot unblocks the wait. Called at the
+    /// snapshot boundary and again at mark termination.
     fn handshake(&self) {
         let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let _stall = crate::stall::guard(crate::stall::CGC_MARK);
         let mut spins = 0u32;
         loop {
-            let shards: Vec<Arc<SatbShard>> = self.shards.lock().clone();
-            let pending = shards
-                .iter()
-                .any(|s| s.safe.load(Ordering::SeqCst) == 0 && s.acked.load(Ordering::SeqCst) < e);
+            let pending =
+                self.slots.lock().iter().any(|s| {
+                    s.safe.load(Ordering::SeqCst) == 0 && s.acked.load(Ordering::SeqCst) < e
+                });
             if !pending {
                 return;
             }
@@ -553,11 +581,16 @@ fn repair_refs(store: &Store) -> Vec<ObjRef> {
 /// the mark fixpoint open forever. Peeks the mark bit without setting
 /// it, so the tracer's `try_mark` visited-gate still governs tracing;
 /// two overlapping drains passing the same unmarked ref is benign for
-/// the same reason two tracers racing on it is.
+/// the same reason two tracers racing on it is. An entry can outlive the
+/// cycle that logged it (logged after that cycle's last drain), and by
+/// the next cycle its block may be gone: such an object is no longer
+/// anyone's to keep, so the entry resolves to nothing.
 fn fresh_satb(store: &Store, drained: Vec<ObjRef>) -> Vec<ObjRef> {
     let mut fresh = Vec::new();
     for r0 in drained {
-        let r = store.resolve(r0);
+        let Some(r) = store.try_resolve(r0) else {
+            continue;
+        };
         let Some(block) = store.blocks().try_get(r.block()) else {
             continue;
         };
@@ -655,33 +688,23 @@ fn clear_block_marks(store: &Store, state: &CgcState, bid: u32) {
 }
 
 /// Starts an incremental cycle: raises the marking flag, handshakes
-/// every mutator shard (the snapshot instant), then invokes `roots` —
-/// the runtime returns one vec per registered root stack — and seeds the
-/// grey queue with it in `PACKET_REFS` chunks. No-op if a cycle is
-/// already in flight.
+/// every open slot (the snapshot instant), then snapshots the slots' root
+/// stacks and seeds the grey queue with them in `PACKET_REFS` chunks.
+/// No-op if a cycle is already in flight.
 ///
 /// The flag-then-handshake-then-roots order is what makes the snapshot
 /// airtight: any mutator overwrite that skipped logging must have
 /// happened before its owner acknowledged the epoch, hence before the
 /// roots were read — so the overwritten value was either garbage at the
 /// snapshot or still reachable from some (post-handshake) root.
-pub fn cgc_begin<F>(store: &Store, state: &CgcState, roots: F)
-where
-    F: FnOnce() -> Vec<Vec<ObjRef>>,
-{
-    let _ = store;
+pub fn cgc_begin(state: &CgcState) {
     let mut cycle = state.cycle.lock();
     if cycle.is_some() {
         return;
     }
     state.marking.store(true, Ordering::SeqCst);
     state.handshake();
-    // One vec per root stack comes back; a slot's stack holds the frames
-    // of every task nested on it, so chunk it for the tracers to share.
-    let packets = roots()
-        .iter()
-        .flat_map(|stack| stack.chunks(PACKET_REFS).map(<[ObjRef]>::to_vec))
-        .collect();
+    let packets = state.root_packets();
     state.phase.store(PHASE_MARK, Ordering::Relaxed);
     *cycle = Some(Cycle::new(packets));
 }
@@ -819,18 +842,13 @@ fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutc
     out
 }
 
-/// Runs a full mark–sweep cycle over the entangled spaces.
-///
-/// `roots` is invoked *after* the snapshot handshake and must return the
-/// contents of every registered root stack (one vec each); the runtime
-/// is responsible for assembling them. Packets fan out on the
-/// `mpl-sched` pool when the caller holds a worker context (install a
-/// driver first); otherwise the cycle runs on the calling thread.
-pub fn collect_entangled<F>(store: &Store, state: &CgcState, roots: F) -> CgcOutcome
-where
-    F: FnOnce() -> Vec<Vec<ObjRef>>,
-{
-    cgc_begin(store, state, roots);
+/// Runs a full mark–sweep cycle over the entangled spaces, rooted at the
+/// open slots' root stacks (read after the snapshot handshake). Packets
+/// fan out on the `mpl-sched` pool when the caller holds a worker context
+/// (install a driver first); otherwise the cycle runs on the calling
+/// thread.
+pub fn collect_entangled(store: &Store, state: &CgcState) -> CgcOutcome {
+    cgc_begin(state);
     loop {
         if let Some(out) = cgc_step(store, state, usize::MAX) {
             return out;
@@ -963,12 +981,22 @@ mod tests {
         (l, x)
     }
 
+    /// Opens a slot rooting `roots`, the way a running task roots them.
+    fn rooted(state: &CgcState, roots: &[ObjRef]) -> Arc<MutatorSlot> {
+        let slot = state.open_slot();
+        for &r in roots {
+            slot.roots.push(r);
+        }
+        slot
+    }
+
     #[test]
     fn reachable_entangled_object_survives() {
         let s = store();
         let (_l, x) = entangle_one(&s);
         let state = CgcState::new();
-        let out = collect_entangled(&s, &state, || vec![vec![x]]);
+        let _slot = rooted(&state, &[x]);
+        let out = collect_entangled(&s, &state);
         assert_eq!(out.swept_objects, 0);
         assert!(!s.handle(x).header().is_dead());
         assert!(!s.handle(x).obj().is_marked(), "marks cleared after");
@@ -985,7 +1013,7 @@ mod tests {
         let pinned_before = s.stats().snapshot().pinned_bytes;
         assert!(pinned_before > 0);
         let state = CgcState::new();
-        let out = collect_entangled(&s, &state, Vec::new);
+        let out = collect_entangled(&s, &state);
         assert_eq!(out.swept_objects, 1);
         assert!(s
             .blocks()
@@ -1030,8 +1058,8 @@ mod tests {
 
         // Only keepers[0] is reachable.
         let state = CgcState::new();
-        let live_root = keepers[0];
-        let out = collect_entangled(&s, &state, || vec![vec![live_root]]);
+        let _slot = rooted(&state, &[keepers[0]]);
+        let out = collect_entangled(&s, &state);
 
         // The all-garbage block: freed wholesale.
         assert!(
@@ -1060,71 +1088,110 @@ mod tests {
         let state = CgcState::new();
         // Simulate a mutator hiding `x` during marking: no root mentions
         // it, but the overwritten value is logged.
-        let shard = state.register_shard();
+        let slot = state.open_slot();
         state.marking.store(true, Ordering::SeqCst);
-        state.satb_log_shard(&shard, x);
+        state.satb_log(&slot, x);
         state.marking.store(false, Ordering::SeqCst);
-        // The entry is still in the (paused) shard's buffer: the next
-        // cycle's drain must honor it there.
-        let out = collect_entangled(&s, &state, Vec::new);
+        // The entry is still in the (paused, open) slot's buffer: the
+        // next cycle's drain must honor it there.
+        let out = collect_entangled(&s, &state);
         assert_eq!(out.swept_objects, 0, "SATB-logged object survives");
         assert!(!s.handle(x).header().is_dead());
     }
 
     #[test]
-    fn shard_log_flushes_at_capacity_and_on_demand() {
+    fn an_entry_outliving_its_block_is_skipped() {
+        let s = store();
+        let h = s.new_root_heap();
+        let y = s.alloc_values(h, ObjKind::Tuple, &[Value::Int(1)]);
+        let state = CgcState::new();
+        let slot = state.open_slot();
+        state.marking.store(true, Ordering::SeqCst);
+        state.satb_log(&slot, y);
+        state.marking.store(false, Ordering::SeqCst);
+        // Nothing roots `y`: the local collection frees its block at once.
+        collect_local(&s, h, &mut [], &Graveyard::new(), true);
+        assert!(s.blocks().try_get(y.block()).is_none());
+        let out = collect_entangled(&s, &state);
+        assert_eq!(out.marked_objects, 0);
+    }
+
+    #[test]
+    fn a_slot_closed_mid_mark_hands_its_log_to_the_cycle() {
         let s = store();
         let (_l, x) = entangle_one(&s);
         let state = CgcState::new();
-        let shard = state.register_shard();
-        state.marking.store(true, Ordering::SeqCst);
-        state.satb_log_shard(&shard, x);
-        assert_eq!(shard.buf.lock().len(), 1, "buffered, not yet flushed");
-        assert!(state.satb.lock().is_empty());
-        for _ in 0..MODBUF_CAP {
-            state.satb_log_shard(&shard, x);
-        }
-        assert!(
-            state.satb.lock().len() >= MODBUF_CAP,
-            "capacity flush published the buffer"
-        );
-        state.flush_shard(&shard);
-        assert!(shard.buf.lock().is_empty());
-        assert!(!shard.dirty.load(Ordering::Relaxed), "flushed clean");
-        state.marking.store(false, Ordering::SeqCst);
-        state.deregister_shard(&shard);
-        assert!(state.shards.lock().is_empty());
-        // The logged entries must be honored by the next cycle.
-        let out = collect_entangled(&s, &state, Vec::new);
-        assert_eq!(out.swept_objects, 0);
+        let slot = state.open_slot();
+        cgc_begin(&state);
+        assert!(state.is_marking());
+        // The slot's task runs, hides `x` behind a logged overwrite, and
+        // its run ends with the entry still buffered.
+        state.exit_safe(&slot);
+        state.satb_log(&slot, x);
+        state.enter_safe(&slot);
+        state.close_slot(&slot);
+        assert_eq!(state.live_slots(), 0);
+        assert_eq!(*state.satb.lock(), [x], "handed off, not dropped");
+        let out = loop {
+            if let Some(out) = cgc_step(&s, &state, usize::MAX) {
+                break out;
+            }
+        };
+        assert_eq!(out.swept_objects, 0, "the logged object survives");
+        assert!(!s.handle(x).header().is_dead());
+        assert!(state.satb.lock().is_empty(), "the drain took the log");
     }
 
     #[test]
     fn safe_window_lets_handshake_complete() {
         let state = CgcState::new();
-        // A shard is registered paused: nobody polls it yet, and the
+        // A slot is opened paused: nobody polls it yet, and the
         // handshake must not wait for it.
-        let shard = state.register_shard();
+        let slot = state.open_slot();
         state.handshake();
-        state.exit_safe(&shard);
-        assert_eq!(shard.safe.load(Ordering::SeqCst), 0, "resumed");
+        state.exit_safe(&slot);
+        assert_eq!(slot.safe.load(Ordering::SeqCst), 0, "resumed");
         assert_eq!(
-            shard.acked.load(Ordering::SeqCst),
+            slot.acked.load(Ordering::SeqCst),
             state.epoch.load(Ordering::SeqCst),
             "resuming acks the epoch the handshake set"
         );
-        // A running, never-polling shard would hang the handshake; a
+        // A running, never-polling slot would hang the handshake; a
         // safe window must unblock it.
-        state.enter_safe(&shard);
+        state.enter_safe(&slot);
         state.handshake();
-        state.exit_safe(&shard);
-        assert_eq!(shard.safe.load(Ordering::SeqCst), 0);
-        // A polling shard acknowledges the next epoch.
+        state.exit_safe(&slot);
+        assert_eq!(slot.safe.load(Ordering::SeqCst), 0);
+        // A polling slot acknowledges the next epoch.
         let e0 = state.epoch.load(Ordering::SeqCst);
         state.epoch.fetch_add(1, Ordering::SeqCst);
-        state.poll_handshake(&shard);
-        assert_eq!(shard.acked.load(Ordering::SeqCst), e0 + 1);
-        state.deregister_shard(&shard);
+        state.poll_handshake(&slot);
+        assert_eq!(slot.acked.load(Ordering::SeqCst), e0 + 1);
+        // A closed slot leaves the handshake, even one left running and
+        // never polling: this would spin forever if it were still waited on.
+        state.close_slot(&slot);
+        assert!(slot.is_closed());
+        state.handshake();
+
+        // The root scan visits exactly the open slots: a closed slot's
+        // roots are not scanned, so what only it rooted is swept.
+        let s = store();
+        let (_l, kept) = entangle_one(&s);
+        let (_l2, dropped) = entangle_one(&s);
+        let open = rooted(&state, &[kept]);
+        let closed = rooted(&state, &[dropped]);
+        state.close_slot(&closed);
+        assert_eq!(state.live_slots(), 1);
+        assert_eq!(state.root_packets(), [vec![kept]]);
+        let out = collect_entangled(&s, &state);
+        assert_eq!(out.swept_objects, 1, "only the closed slot's root");
+        assert!(!s.handle(kept).header().is_dead());
+        assert!(s
+            .blocks()
+            .try_get(dropped.block())
+            .map(|b| b.try_get(dropped.word()).unwrap().header().is_dead())
+            .unwrap_or(true));
+        state.close_slot(&open);
     }
 
     #[test]
@@ -1133,7 +1200,8 @@ mod tests {
         let h = s.new_root_heap();
         let a = s.alloc_values(h, ObjKind::Tuple, &[Value::Int(1)]);
         let state = CgcState::new();
-        let out = collect_entangled(&s, &state, || vec![vec![a]]);
+        let _slot = rooted(&state, &[a]);
+        let out = collect_entangled(&s, &state);
         assert_eq!(out.swept_objects, 0);
         assert_eq!(out.swept_bytes, 0);
         assert_eq!(out.freed_blocks, 0);
@@ -1144,7 +1212,7 @@ mod tests {
         let s = store();
         let (l, _x) = entangle_one(&s);
         let state = CgcState::new();
-        collect_entangled(&s, &state, Vec::new);
+        collect_entangled(&s, &state);
         let canon = s.heaps().find(l);
         assert_eq!(s.heaps().info(canon).with(|h| h.entangled_len()), 0);
     }
@@ -1155,7 +1223,8 @@ mod tests {
         let (_l, live) = entangle_one(&s);
         let (_l2, dead) = entangle_one(&s);
         let state = CgcState::new();
-        cgc_begin(&s, &state, || vec![vec![live]]);
+        let _slot = rooted(&state, &[live]);
+        cgc_begin(&state);
         assert!(state.cycle_active());
         assert!(state.is_marking());
         let mut out = None;
@@ -1189,12 +1258,12 @@ mod tests {
             let _ = i;
         }
         let state = CgcState::new();
-        let shard = state.register_shard();
-        cgc_begin(&s, &state, || vec![vec![prev]]);
+        let slot = rooted(&state, &[prev]);
+        cgc_begin(&state);
         // First slice runs...
         assert!(cgc_step(&s, &state, 2).is_none(), "chain needs more slices");
         // ...then a mutator "hides" x behind an overwrite, logging it.
-        state.satb_log_shard(&shard, x);
+        state.satb_log(&slot, x);
         let mut out = None;
         while out.is_none() {
             out = cgc_step(&s, &state, 4);
@@ -1216,9 +1285,11 @@ mod tests {
         let s = store();
         let (_l, x) = entangle_one(&s);
         let state = CgcState::new();
-        cgc_begin(&s, &state, || vec![vec![x]]);
+        let slot = rooted(&state, &[x]);
+        cgc_begin(&state);
         // A second begin with *no* roots must not clobber the snapshot.
-        cgc_begin(&s, &state, Vec::new);
+        state.close_slot(&slot);
+        cgc_begin(&state);
         let mut out = None;
         while out.is_none() {
             out = cgc_step(&s, &state, 8);
@@ -1239,7 +1310,8 @@ mod tests {
         // Root -> holder -> x: the path crosses a disentangled object.
         let holder = s.alloc_values(root, ObjKind::Tuple, &[Value::Obj(x)]);
         let state = CgcState::new();
-        let out = collect_entangled(&s, &state, || vec![vec![holder]]);
+        let _slot = rooted(&state, &[holder]);
+        let out = collect_entangled(&s, &state);
         assert_eq!(out.swept_objects, 0);
         assert!(out.marked_objects >= 2);
     }
@@ -1265,12 +1337,14 @@ mod tests {
         let (live2, dead2, holder2) = build(&s2);
 
         let state1 = CgcState::new();
-        let out1 = collect_entangled(&s1, &state1, || vec![vec![holder1]]);
+        let _slot1 = rooted(&state1, &[holder1]);
+        let out1 = collect_entangled(&s1, &state1);
 
         let ex = mpl_sched::Executor::new(4);
         let _driver = ex.install_driver();
         let state2 = CgcState::new();
-        let out2 = collect_entangled(&s2, &state2, || vec![vec![holder2]]);
+        let _slot2 = rooted(&state2, &[holder2]);
+        let out2 = collect_entangled(&s2, &state2);
 
         assert_eq!(out1.swept_objects, out2.swept_objects);
         assert_eq!(out1.marked_objects, out2.marked_objects);
@@ -1305,7 +1379,8 @@ mod tests {
         );
         let token = mpl_fail::install(&plan);
         let state = CgcState::new();
-        let out = collect_entangled(&s, &state, || vec![vec![holder]]);
+        let _slot = rooted(&state, &[holder]);
+        let out = collect_entangled(&s, &state);
         mpl_fail::uninstall(token);
         assert_eq!(out.swept_objects, 1, "only the unreferenced pin");
         assert!(!s.handle(live).header().is_dead());

@@ -10,7 +10,10 @@
 //!   exposed to a moving object.
 //! * [`cgc`] — the **concurrent collector**: a snapshot-at-the-beginning
 //!   mark–sweep that reclaims *only* entangled-space objects. Disentangled
-//!   programs never trigger it.
+//!   programs never trigger it. Its [`CgcState`] is the one registry of
+//!   **mutator slots** — one per thread of execution, each a lock-free
+//!   [`roots`] stack plus the SATB buffer the snapshot protocol drains in
+//!   place — and the root set is whatever those slots hold.
 //! * [`policy`] — the triggers tying both to allocation volume and pinned
 //!   footprint.
 //! * [`graveyard`] — quiescence-deferred block reclamation for the
@@ -41,11 +44,15 @@
 //! collect_local(&s, left, &mut roots, &graveyard, true);
 //! assert!(s.handle(cell).header().in_entangled_space());
 //!
-//! // Once nothing references it, the concurrent mark-sweep reclaims it.
-//! // Roots are supplied as a closure returning per-task packets, read
-//! // *after* the snapshot handshake.
-//! let out = collect_entangled(&s, &CgcState::new(), Vec::new);
-//! assert_eq!(out.swept_objects, 1);
+//! // The concurrent mark-sweep roots at the open mutator slots' stacks,
+//! // read *after* the snapshot handshake: while a slot roots the cell it
+//! // survives; once nothing references it, it is reclaimed.
+//! let state = CgcState::new();
+//! let slot = state.open_slot();
+//! slot.roots.push(cell);
+//! assert_eq!(collect_entangled(&s, &state).swept_objects, 0);
+//! state.close_slot(&slot);
+//! assert_eq!(collect_entangled(&s, &state).swept_objects, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,11 +63,12 @@ pub mod cgc;
 pub mod graveyard;
 pub mod lgc;
 pub mod policy;
+pub mod roots;
 pub mod stall;
 pub mod validate;
 
 pub use audit::{audit_phase, check_dead_reachability, check_shield_closure, AuditCounters};
-pub use cgc::{cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, SatbShard};
+pub use cgc::{cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, MutatorSlot};
 pub use graveyard::Graveyard;
 pub use lgc::{collect_local, LgcOutcome};
 pub use policy::GcPolicy;

@@ -53,7 +53,7 @@ fn a_block_the_cgc_frees_mid_collection_reads_as_gone() {
         while mpl_fail::site_fires() != [("lgc/shield".to_string(), 1)] {
             std::thread::yield_now();
         }
-        let swept = collect_entangled(&s, &state, Vec::new);
+        let swept = collect_entangled(&s, &state);
         assert!(!lgc.is_finished(), "the sweep ran inside the hold");
         (lgc.join().expect("the local collection survives"), swept)
     });

@@ -175,7 +175,11 @@ proptest! {
         let keep: Vec<usize> = spec.pins.iter().copied().take(1).collect();
         let cgc_roots: Vec<ObjRef> = keep.iter().map(|&i| objs[i]).collect();
         let state = CgcState::new();
-        collect_entangled(&s, &state, || vec![cgc_roots.clone()]);
+        let slot = state.open_slot();
+        for &r in &cgc_roots {
+            slot.roots.push(r);
+        }
+        collect_entangled(&s, &state);
 
         let live = reachable_payloads(&spec, &keep);
         for &p in &spec.pins {
@@ -218,15 +222,23 @@ proptest! {
         let (par, par_objs) = build_and_shield();
         let keep: Vec<usize> = spec.pins.iter().copied().take(2).collect();
 
-        let seq_roots: Vec<ObjRef> = keep.iter().map(|&i| seq_objs[i]).collect();
-        let seq_out = collect_entangled(&seq, &CgcState::new(), || vec![seq_roots.clone()]);
+        let seq_state = CgcState::new();
+        let seq_slot = seq_state.open_slot();
+        for &i in &keep {
+            seq_slot.roots.push(seq_objs[i]);
+        }
+        let seq_out = collect_entangled(&seq, &seq_state);
 
         let ex = mpl_sched::Executor::new(4);
         let _driver = ex.install_driver();
-        // One packet per root: the parallel tracers race on the marks.
-        let par_roots: Vec<Vec<ObjRef>> =
-            keep.iter().map(|&i| vec![par_objs[i]]).collect();
-        let par_out = collect_entangled(&par, &CgcState::new(), || par_roots.clone());
+        // One slot, hence one packet, per root: the parallel tracers race
+        // on the marks.
+        let par_state = CgcState::new();
+        let par_slots: Vec<_> = keep.iter().map(|_| par_state.open_slot()).collect();
+        for (slot, &i) in par_slots.iter().zip(&keep) {
+            slot.roots.push(par_objs[i]);
+        }
+        let par_out = collect_entangled(&par, &par_state);
 
         prop_assert_eq!(seq_out.swept_objects, par_out.swept_objects);
         prop_assert_eq!(seq_out.marked_objects, par_out.marked_objects);

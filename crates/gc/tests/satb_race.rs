@@ -10,7 +10,7 @@
 //! object was swept while a mutator still held a reference to it.
 //!
 //! The fix is the snapshot handshake: the collector raises `marking`,
-//! bumps the epoch, and *waits for every registered shard to ack* (or
+//! bumps the epoch, and *waits for every open mutator slot to ack* (or
 //! sit in a safe window) before reading roots. A mutator acks only at
 //! poll points, which by the mutator protocol are never inside a
 //! hold-unrooted-in-hand window — so by the time the snapshot is taken,
@@ -75,6 +75,9 @@ fn run_seed(seed: u64) {
     }));
     let state = Arc::new(CgcState::new());
     let (holder, victim) = entangled_pair(&s);
+    // The collector's roots: a slot holding only the holder.
+    let rooted = state.open_slot();
+    rooted.roots.push(holder);
 
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -89,9 +92,9 @@ fn run_seed(seed: u64) {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            // Registered paused; resume to run, pause again to leave.
-            let shard = state.register_shard();
-            state.exit_safe(&shard);
+            // Opened paused; resume to run, pause again to leave.
+            let slot = state.open_slot();
+            state.exit_safe(&slot);
             let mut rng = Rng(seed | 1);
             let blk = s.blocks().get(holder.block());
             while !stop.load(Ordering::Relaxed) {
@@ -103,7 +106,7 @@ fn run_seed(seed: u64) {
                 jitter(&mut rng);
                 // Deletion barrier: the check-then-act pair under test.
                 if state.is_marking() {
-                    state.satb_log_shard(&shard, in_hand);
+                    state.satb_log(&slot, in_hand);
                 }
                 jitter(&mut rng);
                 o.set_field(0, Value::Unit); // victim now only in hand
@@ -111,10 +114,10 @@ fn run_seed(seed: u64) {
                 o.set_field(0, Value::Obj(in_hand)); // put it back
                                                      // Transition complete: this is the first point the
                                                      // collector's handshake may take our ack.
-                state.poll_handshake(&shard);
+                state.poll_handshake(&slot);
             }
-            state.enter_safe(&shard);
-            state.deregister_shard(&shard);
+            state.enter_safe(&slot);
+            state.close_slot(&slot);
         })
     };
 
@@ -123,7 +126,7 @@ fn run_seed(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     for round in 0..25 {
         jitter(&mut rng);
-        collect_entangled(&s, &state, || vec![vec![holder]]);
+        collect_entangled(&s, &state);
         let alive = s
             .blocks()
             .try_get(victim.block())

@@ -45,7 +45,7 @@ fn main() {
     // it): the concurrent collector reclaims the entangled space even
     // while the pin is still nominally in place.
     let state = CgcState::new();
-    let swept = collect_entangled(&store, &state, Vec::<Vec<ObjRef>>::new);
+    let swept = collect_entangled(&store, &state);
     println!(
         "CGC: swept {} object(s), {} bytes",
         swept.swept_objects, swept.swept_bytes

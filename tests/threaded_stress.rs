@@ -223,15 +223,15 @@ fn entangled_suite_with_phase_audits() {
 fn entangled_suite_with_audits_at_env_worker_count() {
     // CI's `cgc-parallel` job runs this at 2, 4, and 8 workers
     // (`MPL_CGC_WORKERS`, matrix-driven); locally it defaults to 4.
-    // Same invariants as the audit sweep above, plus proof that the
-    // concurrent collector actually ran packets under pressure. The run
-    // is telemetered and its Chrome trace written *before* the asserts,
-    // so a CI failure uploads the exact packet interleaving that broke.
+    // Same invariants as the audit sweep above, plus proof that after
+    // each program a cycle the test forces runs its work in packets at
+    // this worker count. The run is telemetered and its Chrome trace
+    // written *before* the asserts, so a CI failure uploads the exact
+    // packet interleaving that broke.
     let workers: usize = std::env::var("MPL_CGC_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let mut total_packets = 0u64;
     for name in ["dedup", "msqueue", "bfs", "accounts", "unionfind"] {
         let bench = mpl_bench_suite::by_name(name).unwrap();
         let n = bench.small_n() / 2;
@@ -248,12 +248,33 @@ fn entangled_suite_with_audits_at_env_worker_count() {
         assert_eq!(s.pinned_bytes, 0, "{name} @ {workers}w: leaked pins");
         assert_eq!(s.lgc_dead_traced, 0, "{name} @ {workers}w: dead traced");
         assert!(s.audit_runs > 0, "{name} @ {workers}w: audits must run");
-        total_packets += s.cgc_packets;
+        let packets = probe_cycle_packets(&rt);
+        assert!(
+            packets >= 3,
+            "{name} @ {workers}w: the forced cycle ran {packets} packets"
+        );
     }
-    assert!(
-        total_packets > 0,
-        "CGC never packetized across the suite at {workers} workers"
-    );
+}
+
+/// Packets run by a concurrent cycle the caller controls. Whether a cycle
+/// runs inside a run depends on where the pinned footprint crosses the
+/// trigger, and by the time a run returns its joins have released every
+/// pin and no entangled block is left to sweep. So a session roots three
+/// packets' worth of objects across requests and a forced cycle traces
+/// them: at least one trace packet each, fanned out to the workers.
+fn probe_cycle_packets(rt: &Runtime) -> u64 {
+    let session = rt.new_tenant("probe", 0);
+    rt.run_session(&session, |m| {
+        for i in 0..300 {
+            let v = m.alloc_tuple(&[Value::Int(i)]);
+            m.root(v);
+        }
+        Value::Unit
+    });
+    let before = rt.stats().cgc_packets;
+    rt.force_cgc();
+    rt.retire_session(&session);
+    rt.stats().cgc_packets - before
 }
 
 #[test]

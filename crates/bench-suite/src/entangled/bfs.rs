@@ -328,7 +328,7 @@ mod tests {
         assert_eq!(glob.expect_int(), native);
         let s = rt.stats();
         assert!(s.entangled_reads > 0, "contended claims entangle: {s:?}");
-        assert_eq!(s.pinned_bytes, 0);
+        rt.assert_heap_sound();
     }
 
     #[test]

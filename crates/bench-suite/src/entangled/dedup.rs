@@ -226,7 +226,7 @@ mod tests {
         let s = rt.stats();
         assert!(s.entangled_reads > 0, "dedup must entangle: {s:?}");
         assert!(s.pins > 0);
-        assert_eq!(s.pinned_bytes, 0, "everything unpinned by the end");
+        rt.assert_heap_sound();
     }
 
     #[test]

@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(b.run_seq(&mut seq, n), native);
         let s = rt.stats();
         assert!(s.entangled_reads > 0, "queue traffic entangles: {s:?}");
-        assert_eq!(s.pinned_bytes, 0);
+        rt.assert_heap_sound();
     }
 
     #[test]

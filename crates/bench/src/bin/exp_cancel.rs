@@ -152,7 +152,6 @@ fn main() {
             "every cancelled run records exactly one unwind-latency sample"
         );
         rt.assert_heap_sound();
-        assert_eq!(rt.stats().pinned_bytes, 0, "depth {depth}: leaked pins");
         worst_p99 = worst_p99.max(h.p99());
         latency_table.row(vec![
             depth.to_string(),

@@ -226,7 +226,7 @@ mod tests {
         let s = rt.stats();
         assert!(s.entangled_reads >= 1, "compiled deref entangles: {s:?}");
         assert!(s.pins >= 1);
-        assert_eq!(s.pinned_bytes, 0, "joins unpin");
+        rt.assert_heap_sound();
     }
 
     #[test]

@@ -21,9 +21,12 @@ fn interp(src: &str) -> String {
     .render()
 }
 
+/// Runs `src` compiled onto a fresh runtime and certifies the heap it
+/// leaves (pins resolved at the joins, nothing dead reachable).
 fn compiled(src: &str) -> (String, mpl_runtime::StatsSnapshot) {
     let rt = Runtime::new(RuntimeConfig::managed());
     let out = run_source(&rt, src, 50_000_000).expect("compiled run");
+    rt.assert_heap_sound();
     (out.rendered, rt.stats())
 }
 
@@ -31,9 +34,8 @@ fn compiled(src: &str) -> (String, mpl_runtime::StatsSnapshot) {
 fn all_examples_agree() {
     for (name, src) in mpl_lang::examples::ALL {
         let i = interp(src);
-        let (c, stats) = compiled(src);
+        let (c, _) = compiled(src);
         assert_eq!(i, c, "{name}: semantics vs compiled");
-        assert_eq!(stats.pinned_bytes, 0, "{name}: pins resolved");
     }
 }
 
@@ -140,9 +142,8 @@ proptest! {
     fn array_programs_agree(src in array_prog(6, 12)) {
         prop_assert!(typecheck(&parse(&src).unwrap()).is_ok(), "{src}");
         let i = interp(&src);
-        let (c, stats) = compiled(&src);
+        let (c, _) = compiled(&src);
         prop_assert_eq!(&i, &c, "program: {}", src);
-        prop_assert_eq!(stats.pinned_bytes, 0);
     }
 
     /// Out-of-bounds accesses fail identically in both systems.

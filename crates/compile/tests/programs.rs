@@ -45,7 +45,6 @@ fn check(name: &str, expect: &str) {
                 let out = run_source(&rt, &src, 500_000_000)
                     .unwrap_or_else(|e| panic!("{name} [{label}]: {e}"));
                 assert_eq!(out.rendered, expect, "{name} [{label}]");
-                assert_eq!(rt.stats().pinned_bytes, 0, "{name} [{label}]: pins resolve");
                 rt.assert_heap_sound();
             }
         })
@@ -109,7 +108,6 @@ fn histogram_program_entangles() {
         let s = rt.stats();
         assert_eq!(s.entangled_reads, 64, "every bump reads a sibling cell");
         assert_eq!(s.pins, 8, "one pin per bucket cell");
-        assert_eq!(s.pinned_bytes, 0, "unpinned at the join");
         rt.assert_heap_sound();
     }
     // Prior MPL rejects it.

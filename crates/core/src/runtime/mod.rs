@@ -228,10 +228,19 @@ impl Runtime {
         self.cgc_state.live_slots()
     }
 
-    /// Validates the whole heap: panics with a report if any reachable
-    /// pointer field dangles (tests and debugging).
+    /// Certifies the heap of a quiescent runtime — no run in flight — with
+    /// the heap checker's quiescent phase: no pointer field dangles, no
+    /// dead object is reachable from a pin or an open slot's roots, every
+    /// pin was released at its join (no pinned header, zero per-block pin
+    /// counts, a zero `pinned_bytes` gauge) and `lgc_dead_traced` is zero.
+    /// Panics with the checker's report otherwise (tests and debugging).
     pub fn assert_heap_sound(&self) {
-        mpl_gc::assert_heap_sound(&self.store);
+        let issues = mpl_gc::check(&self.store, mpl_gc::Phase::Quiescent(&self.cgc_state));
+        assert!(
+            issues.is_empty(),
+            "heap check failed:\n{}",
+            issues.join("\n")
+        );
     }
 
     /// Takes a structured snapshot of the heap hierarchy (debugging and

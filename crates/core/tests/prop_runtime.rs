@@ -150,8 +150,7 @@ proptest! {
                 Value::Int(run_prog(m, &h, &p))
             });
             prop_assert_eq!(got, Value::Int(expect), "config {}", label);
-            let s = rt.stats();
-            prop_assert_eq!(s.pinned_bytes, 0, "config {}: pins resolve", label);
+            rt.assert_heap_sound();
         }
     }
 

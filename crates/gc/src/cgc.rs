@@ -386,7 +386,7 @@ impl CgcState {
     /// stack at the snapshot boundary: post-handshake, every mutator's
     /// SATB logging is observably on, so any value that leaves a scanned
     /// location is logged.
-    fn root_packets(&self) -> Vec<Vec<ObjRef>> {
+    pub(crate) fn root_packets(&self) -> Vec<Vec<ObjRef>> {
         let mut packets = Vec::new();
         for slot in self.slots.lock().iter() {
             let roots = slot.roots.snapshot(0);
@@ -834,7 +834,7 @@ fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutc
             out.swept_bytes,
         );
     }
-    crate::audit::audit_phase(store, "cgc/sweep", 0, None);
+    crate::audit::audit(store, crate::check::Phase::CgcSweep);
     state.needs_repair.store(false, Ordering::SeqCst);
     state.dirty_cycle.store(false, Ordering::SeqCst);
     state.packet_panics.store(0, Ordering::Relaxed);

@@ -47,7 +47,7 @@ impl Graveyard {
         if n > 0 {
             // The reap is itself a reclamation phase: with auditing on,
             // certify no live field was left pointing into a freed block.
-            crate::audit::audit_phase(store, "graveyard/reap", 0, None);
+            crate::audit::audit(store, crate::check::Phase::GraveyardReap);
         }
         n
     }

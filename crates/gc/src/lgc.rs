@@ -74,6 +74,7 @@ use mpl_heap::{
     NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
 };
 
+use crate::check::{Phase, Shield};
 use crate::graveyard::Graveyard;
 
 /// Statistics from one local collection.
@@ -252,7 +253,13 @@ pub fn collect_local(
     let mut stall = crate::stall::enter(crate::stall::LGC_SHIELD);
     lgc.shield();
     mpl_fail::hit_hard("lgc/shield");
-    crate::audit::audit_phase(store, "lgc/shield", h, Some(&lgc.closure));
+    crate::audit::audit(
+        store,
+        Phase::LgcShield(Shield {
+            heap: h,
+            closure: &lgc.closure,
+        }),
+    );
     mpl_obs::span_close(mpl_obs::Metric::LgcShield, span_phase);
     let span_phase = mpl_obs::span_start();
     crate::stall::exit(stall);
@@ -281,7 +288,13 @@ pub fn collect_local(
     mpl_fail::hit_hard("lgc/retake");
     lgc.shield();
     mpl_fail::hit_hard("lgc/evacuate");
-    crate::audit::audit_phase(store, "lgc/evacuate", h, Some(&lgc.closure));
+    crate::audit::audit(
+        store,
+        Phase::LgcEvacuate(Shield {
+            heap: h,
+            closure: &lgc.closure,
+        }),
+    );
     mpl_obs::span_close(mpl_obs::Metric::LgcEvacuate, span_phase);
     let span_phase = mpl_obs::span_start();
     crate::stall::exit(stall);
@@ -296,7 +309,13 @@ pub fn collect_local(
     // trace if anything is off. Enabled by the same environment flag or
     // `RuntimeConfig::with_audit`.
     mpl_fail::hit_hard("lgc/reclaim");
-    crate::audit::audit_phase(store, "lgc/reclaim", h, Some(&lgc.closure));
+    crate::audit::audit(
+        store,
+        Phase::LgcReclaim(Shield {
+            heap: h,
+            closure: &lgc.closure,
+        }),
+    );
     mpl_obs::span_close(mpl_obs::Metric::LgcReclaim, span_phase);
     crate::stall::exit(stall);
     store

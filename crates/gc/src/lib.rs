@@ -18,6 +18,11 @@
 //!   footprint.
 //! * [`graveyard`] — quiescence-deferred block reclamation for the
 //!   real-thread executor.
+//! * [`check`](mod@check) — the **heap checker**: one walk over the store,
+//!   parameterised by the [`Phase`] it runs at (a collector phase
+//!   boundary, or a quiescent runtime), that certifies no field dangles,
+//!   no dead object is reachable, shields hold and pins were released.
+//!   [`audit`](fn@audit) runs it at every phase boundary when auditing is on.
 //!
 //! # Example
 //!
@@ -60,16 +65,16 @@
 
 pub mod audit;
 pub mod cgc;
+pub mod check;
 pub mod graveyard;
 pub mod lgc;
 pub mod policy;
 pub mod roots;
 pub mod stall;
-pub mod validate;
 
-pub use audit::{audit_phase, check_dead_reachability, check_shield_closure, AuditCounters};
+pub use audit::{audit, AuditCounters};
 pub use cgc::{cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, MutatorSlot};
+pub use check::{check, Phase, Shield};
 pub use graveyard::Graveyard;
 pub use lgc::{collect_local, LgcOutcome};
 pub use policy::GcPolicy;
-pub use validate::{assert_heap_sound, dangling_fields};

@@ -7,9 +7,10 @@
 //! fully disentangled program never runs it at all.
 //!
 //! Diagnostics are deliberately *not* part of the policy: phase-boundary
-//! auditing and event tracing (the [`crate::audit`] layer) are enabled
-//! per-process via `MPL_DEBUG_LGC_VALIDATE` or `RuntimeConfig::with_audit`
-//! and run at the end of whatever collections these triggers schedule.
+//! auditing and event tracing (the [`mod@crate::audit`] layer, which runs the
+//! [`mod@crate::check`] heap checker) are enabled per-process via
+//! `MPL_DEBUG_LGC_VALIDATE` or `RuntimeConfig::with_audit` and run at the
+//! end of whatever collections these triggers schedule.
 
 /// Tunable collection thresholds (ablation experiment E9 sweeps these).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

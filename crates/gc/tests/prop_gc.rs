@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard};
+use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard, Phase, Shield};
 use mpl_heap::{ObjKind, ObjRef, RemsetEntry, Store, StoreConfig, Value};
 
 /// Specification of a random heap graph: `edges[i]` lists the children of
@@ -354,11 +354,10 @@ proptest! {
         collect_local(&s, l, &mut roots, &g, true);
 
         // The audits inside collect_local already checked each phase; a
-        // final explicit sweep re-confirms the end state.
-        let dead = mpl_gc::check_dead_reachability(&s);
-        prop_assert!(dead.is_empty(), "{dead:?}");
-        let dangling = mpl_gc::dangling_fields(&s);
-        prop_assert!(dangling.is_empty(), "{dangling:?}");
+        // final explicit reclaim-class check re-confirms the end state.
+        let closure = mpl_gc::lgc::IdSet::default();
+        let issues = mpl_gc::check(&s, Phase::LgcReclaim(Shield { heap: l, closure: &closure }));
+        prop_assert!(issues.is_empty(), "{issues:?}");
         for (k, &ri) in spec.roots.iter().enumerate() {
             let expect = reachable_payloads(&spec, &[ri]);
             prop_assert_eq!(walk(&s, roots[k]), expect);
@@ -383,5 +382,12 @@ fn forced_reclaim_mismark_fails_the_phase_audit() {
     s.pin(holder, 0);
     // Simulate a buggy Phase C killing a reachable object.
     s.handle(victim).obj().set_dead();
-    mpl_gc::audit_phase(&s, "lgc/reclaim", h, None);
+    let closure = mpl_gc::lgc::IdSet::default();
+    mpl_gc::audit(
+        &s,
+        Phase::LgcReclaim(Shield {
+            heap: h,
+            closure: &closure,
+        }),
+    );
 }

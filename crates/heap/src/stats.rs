@@ -213,7 +213,7 @@ counter_table! {
         alloc_failures: Monotonic, Store, "Allocations rejected (budget exhausted or injected)";
         failpoint_fires: Monotonic, Fail, "Fault-injection failpoint fires (process-global)";
         audit_runs: Monotonic, Audit, "GC phase-boundary audits executed (process-global)";
-        audit_objects_checked: Monotonic, Audit, "Objects visited by audit reachability cross-checks";
+        audit_objects_checked: Monotonic, Audit, "Objects the heap checker visited (process-global)";
         audit_events: Monotonic, Audit, "Events recorded into the audit rings";
         audit_ring_overflows: Monotonic, Audit, "Audit ring overwrites (history lost to wraparound)";
         /// One per live task of the cancelled tree.

@@ -86,21 +86,14 @@ pub fn family_counters(family: &'static str) -> Vec<(String, u64)> {
     out
 }
 
-/// Drops every labeled histogram and counter in every family. Existing
-/// `Arc`s keep recording into detached instances; fresh lookups start
-/// clean. For tests and between experiment configurations.
-pub fn reset_families() {
-    hists().lock().unwrap().clear();
-    counters().lock().unwrap().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // The maps are process-global: each test owns its family names.
+
     #[test]
     fn histogram_family_is_shared_by_label() {
-        reset_families();
         let a = family_histogram("test_req_latency", "tenant-a");
         let a2 = family_histogram("test_req_latency", "tenant-a");
         assert!(Arc::ptr_eq(&a, &a2));
@@ -114,13 +107,10 @@ mod tests {
         assert_eq!(snaps[0].1.count, 2);
         assert_eq!(snaps[1].0, "tenant-b");
         assert_eq!(snaps[1].1.count, 1);
-        reset_families();
-        assert!(family_snapshots("test_req_latency").is_empty());
     }
 
     #[test]
     fn counter_family_accumulates() {
-        reset_families();
         family_counter_add("test_sheds", "t0", 2);
         family_counter_add("test_sheds", "t0", 3);
         family_counter_add("test_sheds", "t1", 1);
@@ -130,6 +120,5 @@ mod tests {
             vec![("t0".to_string(), 5), ("t1".to_string(), 1)],
             "sorted by label"
         );
-        reset_families();
     }
 }

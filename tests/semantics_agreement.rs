@@ -118,9 +118,9 @@ fn unpin_at_join_depth_agrees() {
         assert_eq!(got, Value::Int(42));
         Value::Unit
     });
-    let s = rt.stats();
-    assert!(s.pins >= 1);
-    assert_eq!(s.pinned_bytes, 0, "outer join released the pin");
+    assert!(rt.stats().pins >= 1);
+    // The outer join released the pin.
+    rt.assert_heap_sound();
 }
 
 /// DetectOnly agreement: both systems reject the same entangled program

@@ -58,9 +58,7 @@ fn failed_requests_leak_no_pins_or_registry_entries() {
         rep.completed_total > 0,
         "server stopped serving after faults"
     );
-    let s = rt.stats();
-    assert_eq!(s.pinned_bytes, 0, "leaked pins after failed requests");
-    assert_eq!(s.lgc_dead_traced, 0, "corruption canary");
+    rt.assert_heap_sound();
     assert_eq!(
         rt.live_root_stacks(),
         2,

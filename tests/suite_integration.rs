@@ -147,7 +147,7 @@ fn threaded_executor_runs_the_suite() {
         let rt = Runtime::new(RuntimeConfig::managed().with_threads(3));
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n))).expect_int();
         assert_eq!(got, bench.run_native(n), "{} (threads)", bench.name());
-        assert_eq!(rt.stats().pinned_bytes, 0, "{} (threads)", bench.name());
+        rt.assert_heap_sound();
     }
 }
 
@@ -202,5 +202,5 @@ fn repeated_runs_share_a_runtime() {
         let b = rt.run(|m| Value::Int(dedup.run_mpl(m, dedup.small_n())));
         assert_eq!(b, Value::Int(dedup.run_native(dedup.small_n())));
     }
-    assert_eq!(rt.stats().pinned_bytes, 0);
+    rt.assert_heap_sound();
 }

@@ -32,11 +32,7 @@ fn entangled_suite_under_threads_and_gc_pressure() {
             let rt = Runtime::new(threaded_pressure(4));
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             assert_eq!(got, Value::Int(bench.run_native(n)), "{name} round {round}");
-            let s = rt.stats();
-            assert_eq!(
-                s.pinned_bytes, 0,
-                "{name} round {round}: leaked pins: {s:?}"
-            );
+            rt.assert_heap_sound();
         }
     }
 }
@@ -53,11 +49,6 @@ fn entangled_suite_under_threads_with_sliced_cgc() {
             let rt = Runtime::new(threaded_pressure(4).with_cgc_slice(32));
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             assert_eq!(got, Value::Int(bench.run_native(n)), "{name} round {round}");
-            let s = rt.stats();
-            assert_eq!(
-                s.pinned_bytes, 0,
-                "{name} round {round}: leaked pins: {s:?}"
-            );
             rt.assert_heap_sound();
         }
     }
@@ -92,9 +83,9 @@ fn racy_publish_read_loops_never_leak_pins() {
             );
             Value::Unit
         });
-        assert_eq!(rt.stats().pinned_bytes, 0, "seed {seed}");
+        rt.assert_heap_sound();
         rt.force_cgc();
-        assert_eq!(rt.stats().pinned_bytes, 0, "seed {seed} after CGC");
+        rt.assert_heap_sound();
     }
 }
 
@@ -128,7 +119,7 @@ fn deep_fork_trees_with_cross_subtree_entanglement() {
             assert!(total >= 1, "every leaf read something or its own write");
             Value::Unit
         });
-        assert_eq!(rt.stats().pinned_bytes, 0);
+        rt.assert_heap_sound();
     }
 }
 
@@ -151,11 +142,8 @@ fn entangled_suite_work_stealing_worker_sweep() {
                     Value::Int(bench.run_native(n)),
                     "{name} round {round} at {workers} workers"
                 );
+                rt.assert_heap_sound();
                 let s = rt.stats();
-                assert_eq!(
-                    s.pinned_bytes, 0,
-                    "{name} round {round} at {workers} workers: leaked pins: {s:?}"
-                );
                 // Not every bench forks at every size (e.g. accounts below
                 // its parallel grain runs sequentially), so deque traffic
                 // is asserted for the suite as a whole, not per bench.
@@ -190,12 +178,7 @@ fn lgc_dead_object_race_repro() {
         let rt = Runtime::new(threaded_pressure(4));
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, Value::Int(bench.run_native(n)), "round {round}");
-        let s = rt.stats();
-        assert_eq!(
-            s.lgc_dead_traced, 0,
-            "round {round}: LGC traced a dead object: {s:?}"
-        );
-        assert_eq!(s.pinned_bytes, 0, "round {round}: leaked pins");
+        rt.assert_heap_sound();
     }
 }
 
@@ -212,10 +195,9 @@ fn entangled_suite_with_phase_audits() {
         let rt = Runtime::new(threaded_pressure(4).with_audit());
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, Value::Int(bench.run_native(n)), "{name}");
+        rt.assert_heap_sound();
         let s = rt.stats();
-        assert_eq!(s.pinned_bytes, 0, "{name}: leaked pins: {s:?}");
         assert!(s.audit_runs > 0, "{name}: audits must actually run: {s:?}");
-        assert_eq!(s.lgc_dead_traced, 0, "{name}: dead object traced: {s:?}");
     }
 }
 
@@ -244,9 +226,8 @@ fn entangled_suite_with_audits_at_env_worker_count() {
         std::fs::write(format!("results/cgc_parallel_trace_{workers}.json"), trace).ok();
         let got = got.unwrap_or_else(|p| std::panic::resume_unwind(p));
         assert_eq!(got, Value::Int(bench.run_native(n)), "{name} @ {workers}w");
+        rt.assert_heap_sound();
         let s = rt.stats();
-        assert_eq!(s.pinned_bytes, 0, "{name} @ {workers}w: leaked pins");
-        assert_eq!(s.lgc_dead_traced, 0, "{name} @ {workers}w: dead traced");
         assert!(s.audit_runs > 0, "{name} @ {workers}w: audits must run");
         let packets = probe_cycle_packets(&rt);
         assert!(
@@ -341,8 +322,6 @@ fn buffered_remsets_flush_at_joins_under_audit() {
             Value::Unit
         });
         let s = rt.stats();
-        assert_eq!(s.lgc_dead_traced, 0, "round {round}: dead traced: {s:?}");
-        assert_eq!(s.pinned_bytes, 0, "round {round}: leaked pins: {s:?}");
         assert!(
             s.remset_flushes > 0,
             "round {round}: buffers flushed: {s:?}"
@@ -363,7 +342,7 @@ fn work_stealing_runtime_is_reusable_across_runs() {
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, Value::Int(bench.run_native(n)), "round {round}");
     }
-    assert_eq!(rt.stats().pinned_bytes, 0);
+    rt.assert_heap_sound();
 }
 
 mod executor_agreement {
@@ -387,7 +366,7 @@ mod executor_agreement {
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             prop_assert_eq!(got, expect);
             prop_assert_eq!(got, Value::Int(bench.run_native(n)));
-            prop_assert_eq!(rt.stats().pinned_bytes, 0);
+            rt.assert_heap_sound();
         }
 
         #[test]
@@ -399,7 +378,7 @@ mod executor_agreement {
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             prop_assert_eq!(got, expect);
             prop_assert_eq!(got, Value::Int(bench.run_native(n)));
-            prop_assert_eq!(rt.stats().pinned_bytes, 0);
+            rt.assert_heap_sound();
         }
     }
 }
@@ -415,7 +394,7 @@ fn compiled_calculus_under_threads() {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             // Effectful programs may be racy in value; invariants are not.
             let _ = out;
-            assert_eq!(rt.stats().pinned_bytes, 0, "{name}: pins resolve");
+            rt.assert_heap_sound();
         }
     }
 }

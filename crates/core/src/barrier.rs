@@ -128,7 +128,7 @@ impl Mutator<'_> {
                 PinOutcome::NewlyPinned => {
                     self.rt.store().on_newly_pinned(obj.block(), r, level);
                     self.ctx.log_satb(r);
-                    self.rt.request_cgc_poll();
+                    self.ctx.request_cgc_poll();
                     return Some(r);
                 }
                 PinOutcome::Forwarded(next) => {

@@ -309,6 +309,12 @@ impl CancelToken {
         None
     }
 
+    /// True if this token or an ancestor carries a deadline: `poll` then
+    /// reads the clock.
+    pub(crate) fn has_deadline(&self) -> bool {
+        self.inner.effective_deadline_ns != NO_DEADLINE
+    }
+
     /// True if [`poll`](Self::poll) would report a trip (and trips an
     /// expired deadline as a side effect, like `poll`).
     pub fn is_cancelled(&self) -> bool {

@@ -1,80 +1,173 @@
-//! Allocation into the task's leaf heap: the bump fast path, the store
-//! refill path, and the memory-pressure ladder. Every allocation is a
-//! poll point; the collections an allocation may trigger go through the
-//! `collect_local` / `cgc_safepoint` boundaries.
+//! Allocation into the task's leaf heap: the bump fast path, the slow
+//! path that runs the collection triggers and refills a size class, and
+//! the memory-pressure ladder. Every allocation is a poll point; the
+//! collections an allocation may trigger go through the `collect_local` /
+//! `cgc_safepoint` boundaries.
+//!
+//! The fast path touches only state the task owns: one load of its slot's
+//! request word, one subtract-and-branch on its allocation allowance, one
+//! room compare in its region for the size class, the `saw_remote`
+//! branch, then the field stores and the header publication — no locked
+//! instruction and no copy. Anything else — a request on the slot, an
+//! allowance crossing zero, a full region, a task holding remote pointers
+//! — takes the slow path, which runs every check in a fixed order on
+//! fields staged where a collection can move them, so each collection
+//! fires at the same allocation whichever path came before it.
 
-use mpl_heap::{size_class, Counter, ObjKind, ObjRef, Value, Word, OBJECT_HEADER_WORDS};
+use mpl_heap::{
+    size_class, Counter, ObjKind, ObjRef, Region, Value, Word, OBJECT_HEADER_WORDS,
+    OBJECT_OVERHEAD_BYTES,
+};
 
-use super::boundary::PENDING_FLUSH_BYTES;
 use super::{AllocError, Mutator};
 use crate::config::{Mode, ALLOC_WORK};
 
+/// What an allocation writes into the object's fields.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    /// These values, in order.
+    Values(&'a [Value]),
+    /// `len` copies of one value.
+    Fill(usize, Value),
+    /// `len` zero raw words: a fresh reservation already holds them.
+    Raw(usize),
+}
+
+impl Payload<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        match self {
+            Payload::Values(vals) => vals.len(),
+            Payload::Fill(len, _) | Payload::Raw(len) => len,
+        }
+    }
+}
+
+/// Writes `vals` — or nothing, for a raw array — into the reservation at
+/// `off` and publishes it.
+fn publish_staged(
+    region: &mut Region,
+    off: u32,
+    kind: ObjKind,
+    len: usize,
+    vals: &[Value],
+) -> ObjRef {
+    for (i, &v) in vals.iter().enumerate() {
+        region.write(off, i, Word::encode(v));
+    }
+    region.publish(off, kind, len)
+}
+
 impl Mutator<'_> {
-    fn alloc_object(&mut self, kind: ObjKind, fields: &[Value]) -> Value {
-        let mut vals = std::mem::take(&mut self.ctx.scratch_vals);
-        vals.clear();
-        vals.extend_from_slice(fields);
-        let v = self.alloc_staged(kind, &mut vals);
-        self.ctx.scratch_vals = vals;
-        v
+    #[inline(always)]
+    fn alloc(&mut self, kind: ObjKind, payload: Payload<'_>) -> Value {
+        match self.try_bump(kind, payload) {
+            Some(r) => Value::Obj(r),
+            None => self.alloc_slow(kind, payload),
+        }
     }
 
-    /// The allocation midsection, operating on the staged (scratch) field
-    /// buffer so collections can treat the pending fields as movable
-    /// roots.
-    fn alloc_staged(&mut self, kind: ObjKind, fields: &mut [Value]) -> Value {
-        self.charge_alloc(fields.len());
+    /// The fast path: a reservation in the task's region for the
+    /// object's size class, encoded straight into the block. `None` sends
+    /// the allocation down the slow path with nothing charged.
+    #[inline(always)]
+    fn try_bump(&mut self, kind: ObjKind, payload: Payload<'_>) -> Option<ObjRef> {
+        let len = payload.len();
+        let nwords = OBJECT_HEADER_WORDS + len;
+        let size = OBJECT_OVERHEAD_BYTES + 8 * len;
+        let pointers = !matches!(payload, Payload::Raw(_));
+        let ctx = &mut self.ctx;
+        if ctx.slot.requests() != 0 || size as isize >= ctx.allowance {
+            return None;
+        }
         // Allocation barrier: only tasks that have already acquired a
         // remote pointer (`saw_remote`) can be holding one to store, so
         // disentangled tasks pay exactly this one predictable branch.
+        if pointers && ctx.saw_remote && self.rt.config().mode == Mode::Managed {
+            return None;
+        }
+        let region = ctx.alloc_cache[size_class(nwords)].as_mut()?;
+        let off = region.reserve(nwords)?;
+        let r = match payload {
+            Payload::Values(vals) => publish_staged(region, off, kind, len, vals),
+            Payload::Fill(_, v) => {
+                let w = Word::encode(v);
+                for i in 0..len {
+                    region.write(off, i, w);
+                }
+                region.publish(off, kind, len)
+            }
+            Payload::Raw(_) => region.publish(off, kind, len),
+        };
+        ctx.allowance -= size as isize;
+        ctx.alloc_since += size;
+        ctx.work += ALLOC_WORK + len as u64 / 4;
+        ctx.pending.allocs += 1;
+        ctx.pending.alloc_bytes += size as u64;
+        Some(r)
+    }
+
+    /// The slow path: stages the fields in the task's scratch buffer —
+    /// from here on they are roots of any collection the allocation runs,
+    /// updated in place — and allocates from there.
+    #[cold]
+    #[inline(never)]
+    fn alloc_slow(&mut self, kind: ObjKind, payload: Payload<'_>) -> Value {
+        let mut vals = std::mem::take(&mut self.ctx.scratch_vals);
+        vals.clear();
+        match payload {
+            Payload::Values(fields) => vals.extend_from_slice(fields),
+            Payload::Fill(len, v) => vals.resize(len, v),
+            Payload::Raw(_) => {}
+        }
+        let r = self.alloc_staged(kind, payload.len(), &mut vals);
+        self.ctx.scratch_vals = vals;
+        Value::Obj(r)
+    }
+
+    /// Runs the allocation's checks in order — charge, allocation barrier,
+    /// pressure ladder, LGC trigger, poll — then reserves (refilling the
+    /// size class if need be), answers a pending CGC request, and rearms
+    /// the allowance. `fields` is empty for a raw array.
+    fn alloc_staged(&mut self, kind: ObjKind, len: usize, fields: &mut [Value]) -> ObjRef {
+        let size = OBJECT_OVERHEAD_BYTES + 8 * len;
+        self.ctx.work += ALLOC_WORK + len as u64 / 4;
+        self.ctx.alloc_since += size;
         if self.ctx.saw_remote && self.rt.config().mode == Mode::Managed {
             self.alloc_pin_remote(fields);
         }
-        let size = mpl_heap::OBJECT_OVERHEAD_BYTES + 8 * fields.len();
         self.ensure_heap_budget(size, fields);
         if self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(fields);
         }
-        let mut words = std::mem::take(&mut self.ctx.scratch_words);
-        words.clear();
-        words.extend(fields.iter().map(|&v| Word::encode(v)));
-        let r = self.alloc_words(kind, &words);
-        self.ctx.scratch_words = words;
-        Value::Obj(r)
-    }
-
-    fn charge_alloc(&mut self, fields: usize) {
-        self.ctx.work += ALLOC_WORK + fields as u64 / 4;
-        self.ctx.alloc_since += mpl_heap::OBJECT_OVERHEAD_BYTES + 8 * fields;
-    }
-
-    /// The shared tail of every allocation: a bump-pointer reservation of
-    /// the pre-encoded words in the cached block for the object's size
-    /// class, falling back to the store when the block is full (or the
-    /// object is oversized). Counters are task-buffered and flushed at
-    /// boundaries.
-    fn alloc_words(&mut self, kind: ObjKind, words: &[Word]) -> ObjRef {
-        // Every allocation is a poll point.
         self.ctx.poll();
-        let size = mpl_heap::OBJECT_OVERHEAD_BYTES + 8 * words.len();
-        // FAST PATH: one bump in the task's cached size-class block — no
-        // lock, no registry, no `Arc` clone, no per-object `Vec`.
-        let nwords = OBJECT_HEADER_WORDS + words.len();
-        if nwords <= self.rt.store().config().block_words {
-            let class = size_class(nwords);
-            if let Some(block) = &self.ctx.alloc_cache[class] {
-                if let Some(r) = block.try_alloc(kind, words) {
-                    self.ctx.pending.allocs += 1;
-                    self.ctx.pending.alloc_bytes += size as u64;
-                    if self.ctx.pending.alloc_bytes >= PENDING_FLUSH_BYTES
-                        || self.rt.cgc_poll_requested()
-                    {
-                        self.ctx.cgc_safepoint(&[], false);
-                    }
-                    return r;
+        let nwords = OBJECT_HEADER_WORDS + len;
+        let cached = self.ctx.alloc_cache[size_class(nwords)]
+            .as_mut()
+            .and_then(|region| Some((region.reserve(nwords)?, region)));
+        let r = match cached {
+            Some((off, region)) => {
+                let r = publish_staged(region, off, kind, len, fields);
+                self.ctx.pending.allocs += 1;
+                self.ctx.pending.alloc_bytes += size as u64;
+                if self.ctx.slot.requests() & mpl_gc::REQ_CGC != 0 {
+                    self.ctx.cgc_safepoint(&[], false);
                 }
+                r
             }
-        }
+            None => self.refill(kind, len, fields),
+        };
+        self.ctx.rearm();
+        r
+    }
+
+    /// The store path: retires the size class's exhausted region, takes
+    /// the heap's next one from [`mpl_heap::Store::region`] — adopting
+    /// only the refilled class — and allocates there; an object larger
+    /// than a block gets a dedicated block and leaves the class alone.
+    /// Then a CGC safepoint, which publishes the task's counters.
+    fn refill(&mut self, kind: ObjKind, len: usize, fields: &[Value]) -> ObjRef {
+        let size = OBJECT_OVERHEAD_BYTES + 8 * len;
         if mpl_fail::hit("alloc/words").is_err() {
             self.rt.store().stats().add(Counter::alloc_failures, 1);
             self.raise_alloc_error(AllocError {
@@ -83,80 +176,69 @@ impl Mutator<'_> {
                 live_bytes: self.rt.store().stats().snapshot().live_bytes,
             });
         }
-        // The store path bumps the global gauge immediately (bypassing the
-        // pending batch), so tenant accounting must follow suit here or
-        // block-overflowing (large) allocations escape their budget.
-        // The refill timer covers exactly the fallback work (budget
-        // charge, store allocation, cache re-adoption) and not the
-        // collection a safepoint may run after it — a CGC pause has its
-        // own histogram and would drown the refill signal.
+        // The refill timer covers exactly the fallback work (retiring the
+        // old region, the store's block hand-out, the reservation) and not
+        // the collection the safepoint may run after it — a CGC pause has
+        // its own histogram and would drown the refill signal.
         let r = {
             let _t = mpl_obs::timer(mpl_obs::Metric::AllocRefill);
-            if let Some(budget) = &self.ctx.budget {
-                budget.charge(size);
+            let nwords = OBJECT_HEADER_WORDS + len;
+            let class = size_class(nwords);
+            let sized = nwords <= self.rt.store().config().block_words;
+            if sized {
+                if let Some(exhausted) = self.ctx.alloc_cache[class].take() {
+                    exhausted.retire();
+                }
             }
-            let r = self.rt.store().alloc(self.ctx.leaf_heap(), kind, words);
-            self.refresh_alloc_cache();
+            let mut region = self.rt.store().region(self.ctx.leaf_heap(), nwords);
+            let off = region
+                .reserve(nwords)
+                .expect("a fresh region fits its object");
+            let r = publish_staged(&mut region, off, kind, len, fields);
+            if sized {
+                self.ctx.alloc_cache[class] = Some(region);
+            } else {
+                region.settle();
+            }
             r
         };
+        self.ctx.pending.allocs += 1;
+        self.ctx.pending.alloc_bytes += size as u64;
         self.ctx.cgc_safepoint(&[], false);
         r
     }
 
-    /// Re-adopts the leaf heap's current per-class allocation blocks as
-    /// this task's bump targets (after a store-path allocation installed
-    /// fresh ones).
-    fn refresh_alloc_cache(&mut self) {
-        let store = self.rt.store();
-        let info = store.heaps().info(store.heaps().find(self.ctx.leaf_heap()));
-        self.ctx.alloc_cache = info.with(|s| s.alloc_blocks.clone());
-    }
-
     /// Allocates an immutable tuple (also used for immutable arrays).
     pub fn alloc_tuple(&mut self, fields: &[Value]) -> Value {
-        self.alloc_object(ObjKind::Tuple, fields)
+        self.alloc(ObjKind::Tuple, Payload::Values(fields))
     }
 
     /// Allocates a mutable cell (`ref v` in ML).
     pub fn alloc_ref(&mut self, v: Value) -> Value {
-        self.alloc_object(ObjKind::Ref, &[v])
+        self.alloc(ObjKind::Ref, Payload::Values(&[v]))
     }
 
     /// Allocates a mutable array of `len` copies of `init`.
     pub fn alloc_array(&mut self, len: usize, init: Value) -> Value {
-        let mut vals = std::mem::take(&mut self.ctx.scratch_vals);
-        vals.clear();
-        vals.resize(len, init);
-        let v = self.alloc_staged(ObjKind::MutArr, &mut vals);
-        self.ctx.scratch_vals = vals;
-        v
+        self.alloc(ObjKind::MutArr, Payload::Fill(len, init))
     }
 
     /// Allocates a mutable array from the given values.
     pub fn alloc_array_from(&mut self, vals: &[Value]) -> Value {
-        self.alloc_object(ObjKind::MutArr, vals)
+        self.alloc(ObjKind::MutArr, Payload::Values(vals))
     }
 
     /// Allocates a raw (unboxed, barrier-free) 64-bit word array,
     /// zero-initialized.
     ///
-    /// The payload is written as true zero **raw words** — not encoded
-    /// `Value`s — so `raw_get` reads back `0` regardless of the tagged
-    /// word encoding, and no per-element encode runs. Raw arrays hold no
-    /// pointers, so the allocation barrier and collection-root scan that
+    /// The payload is true zero **raw words** — not encoded `Value`s — so
+    /// `raw_get` reads back `0` regardless of the tagged word encoding.
+    /// Nothing writes it: a fresh reservation's words are already zero
+    /// (`mpl_heap::block`, "Zero payload"). Raw arrays hold no pointers,
+    /// so the allocation barrier and collection-root staging that
     /// `alloc_tuple`/`alloc_array` perform are skipped entirely.
     pub fn alloc_raw(&mut self, len: usize) -> Value {
-        self.charge_alloc(len);
-        self.ensure_heap_budget(mpl_heap::OBJECT_OVERHEAD_BYTES + 8 * len, &mut []);
-        if self.ctx.alloc_since >= self.ctx.lgc_budget {
-            self.ctx.collect_local(&mut []);
-        }
-        let mut words = std::mem::take(&mut self.ctx.scratch_words);
-        words.clear();
-        words.resize(len, Word::from_bits(0));
-        let r = self.alloc_words(ObjKind::RawArr, &words);
-        self.ctx.scratch_words = words;
-        Value::Obj(r)
+        self.alloc(ObjKind::RawArr, Payload::Raw(len))
     }
 
     /// Allocates a string as a raw array (`word0 = byte length`, bytes
@@ -186,20 +268,21 @@ impl Mutator<'_> {
                 .is_some_and(|b| b.would_exceed(size))
     }
 
-    /// The memory-pressure escalation ladder, run before each allocation
-    /// when a heap budget is configured: flush the gauge and re-check,
-    /// then force a local collection (with `extra` as updated roots),
-    /// then a full concurrent cycle, retrying the budget check after
-    /// each. If the live footprint still exceeds the budget, the
-    /// allocation fails with a recoverable [`AllocError`] raised as a
-    /// panic payload. Raising here is sound: both collectors have fully
-    /// completed and released their locks before the raise, the pending
-    /// object has not been written anywhere, and the unwinding task's
-    /// [`Mutator`] drop flushes its buffers and pauses its slot.
+    /// The memory-pressure escalation ladder, run on the slow path of
+    /// each allocation the allowance sends there (see
+    /// `TaskCtx::rearm`): flush the gauge and re-check, then force a local
+    /// collection (with `extra` as updated roots), then a full concurrent
+    /// cycle, retrying the budget check after each. If the live footprint
+    /// still exceeds the budget, the allocation fails with a recoverable
+    /// [`AllocError`] raised as a panic payload. Raising here is sound:
+    /// both collectors have fully completed and released their locks
+    /// before the raise, the pending object has not been written
+    /// anywhere, and the unwinding task's [`Mutator`] drop flushes its
+    /// buffers and pauses its slot.
     ///
-    /// Called before field encoding, where the not-yet-allocated pointer
+    /// Called before the reservation, where the not-yet-allocated pointer
     /// fields can still ride through the moving collection as roots —
-    /// after encoding they would go stale.
+    /// once written into the object they would go stale.
     fn ensure_heap_budget(&mut self, size: usize, extra: &mut [Value]) {
         let rt = self.rt;
         if !self.over_budget(size) {

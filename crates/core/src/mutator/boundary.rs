@@ -24,14 +24,19 @@
 //! slots are opened and closed by the run, the session and the steal
 //! (`runtime/`, `Mutator::fork`), and whoever catches a task's outcome
 //! pops its frame (`run_branch`, `run_root`).
+//!
+//! The task's allocation regions settle into their blocks at a refill
+//! (`mutator/alloc.rs`), at `suspend`, before `collect_local` and at
+//! `finish`: the points where the task lets go of them.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mpl_gc::MutatorSlot;
+use mpl_gc::{MutatorSlot, REQ_CANCEL, REQ_CGC};
 use mpl_heap::{
-    Block, Counter, ObjRef, PendingStats, RemsetEntry, TenantBudget, Value, Word, NUM_SIZE_CLASSES,
+    Block, Counter, ObjRef, PendingStats, Region, RemsetEntry, TenantBudget, Value,
+    NUM_SIZE_CLASSES,
 };
 use mpl_sched::{DagBuilder, StrandId};
 
@@ -43,9 +48,11 @@ use crate::runtime::{Runtime, TenantSession};
 /// this size, bounding the memory a write-heavy task can defer.
 const REMSET_BUFFER_CAP: usize = 256;
 
-/// Task-buffered counters are published once this many allocated bytes
-/// are pending, so the allocation fast path pays no global atomics.
-pub(crate) const PENDING_FLUSH_BYTES: u64 = 16 * 1024;
+/// `limit - used` as an allowance: zero when nothing is left, saturated
+/// for an unlimited threshold.
+fn room(limit: usize, used: usize) -> isize {
+    isize::try_from(limit.saturating_sub(used)).unwrap_or(isize::MAX)
+}
 
 /// RAII collector-safe window on a mutator slot: while held, the
 /// concurrent collector's snapshot handshake does not wait on the slot.
@@ -90,23 +97,28 @@ pub(crate) struct TaskCtx<'rt> {
     pub(crate) strand: StrandId,
     pub(crate) work: u64,
     pub(crate) block_cache: [Option<(u32, Arc<Block>)>; 4],
-    /// Per-size-class bump targets: the task's current allocation block
-    /// for each class, refreshed from the heap after every store-path
-    /// (overflow) allocation and dropped at collections.
-    pub(crate) alloc_cache: [Option<Arc<Block>>; NUM_SIZE_CLASSES],
-    /// Reused field staging buffers so the allocation paths never build
-    /// a per-object `Vec` (taken/restored around each allocation).
+    /// Per-size-class bump regions: the task's claim on its leaf heap's
+    /// current allocation block of each class. A class is refilled alone
+    /// when its region runs out; all are settled when the task lets go
+    /// (module docs) and dropped at collections.
+    pub(crate) alloc_cache: [Option<Region>; NUM_SIZE_CLASSES],
+    /// Reused field staging buffer for the allocation slow path, so it
+    /// never builds a per-object `Vec` (taken/restored around each use).
     pub(crate) scratch_vals: Vec<Value>,
-    pub(crate) scratch_words: Vec<Word>,
     /// Task-buffered counters, flushed to the global
     /// [`mpl_heap::StoreStats`] at boundaries (forks, collections,
-    /// safepoints, task end, and every [`PENDING_FLUSH_BYTES`] of
-    /// allocation) so the hot path pays no global atomics.
+    /// safepoints — every refill is one — and task end) so the hot path
+    /// pays no global atomics.
     pub(crate) pending: PendingStats,
     /// Size-proportional collection budget: collect once `alloc_since`
     /// exceeds `max(policy trigger, 2 × last survivors)`. Keeps total
     /// copying linear even when joins repeatedly merge surviving data.
     pub(crate) lgc_budget: usize,
+    /// Bytes the allocation fast path may still hand out before an
+    /// allocation must take the slow path and run the trigger checks: the
+    /// least of the LGC debt left and, when configured, the room under
+    /// the heap limit and the tenant budget (see [`TaskCtx::rearm`]).
+    pub(crate) allowance: isize,
     /// Whether this task has ever acquired a remote (entangled) pointer.
     /// Every first acquisition flows through `pin_cached`, which sets
     /// this; once set, allocations scan their pointer fields and pin any
@@ -166,7 +178,13 @@ impl<'rt> TaskCtx<'rt> {
             .store()
             .budget_of(*path.last().expect("task path is never empty"));
         rt.cgc_state().exit_safe(slot);
-        TaskCtx {
+        // A trip before this task's slot was open raised no bit on it,
+        // and an armed deadline keeps its bit raised: polls read the
+        // token only while the bit is up.
+        if cancel.has_deadline() || cancel.poll().is_some() {
+            slot.request(REQ_CANCEL);
+        }
+        let mut ctx = TaskCtx {
             rt,
             base: if path.len() == 1 { 0 } else { slot.roots.len() },
             path,
@@ -178,37 +196,100 @@ impl<'rt> TaskCtx<'rt> {
             block_cache: [None, None, None, None],
             alloc_cache: std::array::from_fn(|_| None),
             scratch_vals: Vec::new(),
-            scratch_words: Vec::new(),
             pending: PendingStats::default(),
             lgc_budget,
+            allowance: 0,
             saw_remote: false,
             remset_buf: Vec::new(),
             remset_seen: HashSet::new(),
             budget,
             session,
             cancel,
-        }
+        };
+        ctx.rearm();
+        ctx
     }
 
     pub(crate) fn leaf_heap(&self) -> u32 {
         *self.path.last().expect("task path is never empty")
     }
 
-    /// **Poll**: acknowledges a pending SATB snapshot handshake (two
-    /// relaxed loads unless the collector is mid-snapshot) and checks the
-    /// cancel token. If the token (or an ancestor's) has tripped, begins
-    /// unwinding with a [`Cancelled`] payload; the unwind rides the exact
-    /// path an `AllocError` takes — caught per branch, re-raised by the
-    /// parent's join after heap merge and sibling-result release, caught
-    /// at the top by `Runtime::try_run*` — and every task it crosses
-    /// drops through [`TaskCtx::finish`]. (A pure compute loop with no
-    /// allocation and no slow-tier access can still delay a handshake or
-    /// a cancel — the same liveness caveat as MPL's safepoint scheme.)
+    /// **Poll**: one relaxed load of the slot's request word; nothing
+    /// more unless a collector, a canceller or an armed deadline raised a
+    /// bit there. Then it acknowledges a pending SATB snapshot handshake
+    /// and checks the cancel token. If the token (or an ancestor's) has
+    /// tripped, begins unwinding with a [`Cancelled`] payload; the unwind
+    /// rides the exact path an `AllocError` takes — caught per branch,
+    /// re-raised by the parent's join after heap merge and sibling-result
+    /// release, caught at the top by `Runtime::try_run*` — and every task
+    /// it crosses drops through [`TaskCtx::finish`]. (A pure compute loop
+    /// with no allocation and no slow-tier access can still delay a
+    /// handshake or a cancel — the same liveness caveat as MPL's
+    /// safepoint scheme.)
     #[inline]
     pub(crate) fn poll(&self) {
+        if self.slot.requests() != 0 {
+            self.serve_requests();
+        }
+    }
+
+    /// The poll's out-of-line half. A CGC request stays raised: only an
+    /// allocation or a join, where the task's values are rooted, may run
+    /// the collector. The cancel bit is lowered before the token is read,
+    /// so a trip landing meanwhile raises it again — except under an armed
+    /// deadline, which keeps it raised so every poll reads the clock, and
+    /// after a trip, which keeps it raised for every task on the slot.
+    #[cold]
+    #[inline(never)]
+    fn serve_requests(&self) {
         self.rt.cgc_state().poll_handshake(&self.slot);
+        if self.slot.requests() & REQ_CANCEL == 0 {
+            return;
+        }
+        if !self.cancel.has_deadline() {
+            self.slot.clear_requests(REQ_CANCEL);
+        }
         if let Some(reason) = self.cancel.poll() {
+            self.slot.request(REQ_CANCEL);
             self.unwind_cancelled(reason);
+        }
+    }
+
+    /// Asks this task's next allocation or join to check whether the
+    /// concurrent collector should run: the pin path calls this, because
+    /// pinned-footprint growth happens on *reads*, which are not
+    /// safepoints (callers may hold unrooted values across them).
+    pub(crate) fn request_cgc_poll(&self) {
+        if self.slot.requests() & REQ_CGC == 0 {
+            self.slot.request(REQ_CGC);
+        }
+    }
+
+    /// Recomputes [`TaskCtx::allowance`] from the collection debt and, when
+    /// a heap limit or tenant budget is set, the room their gauges leave
+    /// now. Called wherever one of those inputs moves — task entry, every
+    /// counter flush (which moves the gauges), a local collection, a join
+    /// and the end of every slow-path allocation. The fast path only ever
+    /// spends it, so an allocation it lets through is one none of the
+    /// checks would have stopped: `alloc_since + size` stays under the LGC
+    /// budget, and `size` under the room each limit had at the last rearm.
+    pub(crate) fn rearm(&mut self) {
+        let mut allowance = room(self.lgc_budget, self.alloc_since);
+        let store = self.rt.store();
+        let limit = store.config().heap_limit;
+        if limit != 0 {
+            allowance = allowance.min(room(limit, store.stats().live_bytes()));
+        }
+        if let Some(b) = self.budget.as_ref().filter(|b| b.limit() != 0) {
+            allowance = allowance.min(room(b.limit(), b.live_bytes()));
+        }
+        self.allowance = allowance;
+    }
+
+    /// Settles every allocation region into its block.
+    fn settle_regions(&mut self) {
+        for region in self.alloc_cache.iter_mut().flatten() {
+            region.settle();
         }
     }
 
@@ -224,14 +305,16 @@ impl<'rt> TaskCtx<'rt> {
     /// **Suspend**: the task is about to fork and will not run (or poll)
     /// again until the join. A poll point first — a tripped tree stops
     /// spawning and unwinds here instead of fanning out doomed work —
-    /// then everything buffered is published (DAG work, counters, and
-    /// the remembered-set entries an ancestor's collection may need), and
+    /// then everything buffered is published (allocation regions, DAG
+    /// work, counters, and the remembered-set entries an ancestor's
+    /// collection may need), and
     /// a safe window opens so a concurrent collector's snapshot handshake
     /// does not wait on a task that cannot ack. The window closes
     /// (resume-at-join) when the returned guard drops.
     #[inline]
     pub(crate) fn suspend(&mut self) -> SafeWindow<'rt> {
         self.poll();
+        self.settle_regions();
         self.flush_work();
         self.flush_remset();
         self.debug_assert_flushed();
@@ -249,6 +332,10 @@ impl<'rt> TaskCtx<'rt> {
     /// on this task's own slot (nor deadlock against another thread's
     /// handshake while this one blocks on the gate).
     pub(crate) fn cgc_safepoint(&mut self, roots: &[Value], force: bool) {
+        if !force && self.slot.requests() & REQ_CGC != 0 {
+            // The eligibility check below answers the request.
+            self.slot.clear_requests(REQ_CGC);
+        }
         self.flush_stats();
         let mark = self.slot.roots.len();
         for r in roots.iter().filter_map(|v| v.as_obj()) {
@@ -270,12 +357,17 @@ impl<'rt> TaskCtx<'rt> {
     /// frames below it belong to suspended ancestors, whose roots point
     /// into their own heaps, not this leaf; buffered remembered-set
     /// entries targeting this task's own heaps are roots too, so they are
-    /// published first. Afterwards the collection debt restarts and the
-    /// caches — whose blocks the collection replaced or freed — are
-    /// dropped.
+    /// published first, and the allocation regions settle and are dropped
+    /// (the collection replaces or frees their blocks). Afterwards the
+    /// collection debt restarts and the block cache is dropped.
     pub(crate) fn collect_local(&mut self, extra: &mut [Value]) {
         self.flush_stats();
         self.flush_remset();
+        // The collection sums from-space's live bytes and replaces the
+        // heap's allocation blocks: let go of the regions first.
+        for mut region in self.alloc_cache.iter_mut().filter_map(Option::take) {
+            region.settle();
+        }
         // The collection can run for an unbounded stretch without
         // reaching a poll point, and the sliced-cycle finish below blocks
         // on the collection gate: keep the slot safe throughout. Sound
@@ -326,20 +418,23 @@ impl<'rt> TaskCtx<'rt> {
         // still include the full collection cost.)
         let survivors = (out.copied_bytes + out.retained_entangled_bytes) as usize;
         self.lgc_budget = rt.config().policy.lgc_trigger_bytes.max(2 * survivors);
-        self.alloc_cache = std::array::from_fn(|_| None);
+        self.rearm();
         self.block_cache = [None, None, None, None];
         self.debug_assert_flushed();
     }
 
     /// **Finish**: the task is over — normal return or any unwind
     /// (`panic!`, `AllocError`, `Cancelled`); [`Drop`] is the one caller.
-    /// Publishes everything buffered (an ancestor may resume and collect
-    /// a heap the buffered remembered-set entries point into), hands the
+    /// Publishes everything buffered (the allocation regions, whose
+    /// blocks a join hands to the parent's heap; and the remembered-set
+    /// entries, since an ancestor may resume and collect a heap they
+    /// point into), hands the
     /// collection debt back to the session, and pauses the slot again
     /// (nobody polls it until the forker resumes or the next request
     /// enters — a running slot would stall the snapshot handshake). The
     /// frame was popped before this, by whoever caught the task's outcome.
     fn finish(&mut self) {
+        self.settle_regions();
         self.flush_work();
         self.flush_remset();
         if let Some(s) = self.session {
@@ -387,6 +482,7 @@ impl<'rt> TaskCtx<'rt> {
             budget.charge(self.pending.alloc_bytes as usize);
         }
         self.rt.store().stats().add_pending(&mut self.pending);
+        self.rearm();
     }
 
     /// SATB deletion/pin log: records a pointer that must survive the

@@ -23,13 +23,18 @@
 //! object exactly once (`Mutator::resolve`: one slot compare, one
 //! publication check, one header load giving the forwarded bit and the
 //! field count, inlined into the accessor; misses and forwarding chases
-//! go out of line). The allocation fast path is a single bump-pointer
-//! reservation in a cached size-class block (no lock, no `Arc` clone, no
-//! per-object `Vec` — field words are staged in a reused task scratch
-//! buffer), and rooting is a push onto the lock-free
-//! [`mpl_gc::roots::RootStack`] of the slot the task runs on. Down-pointer
-//! remembered-set entries are buffered task-locally (with per-object
-//! dedup) and published in batches at the task's boundaries.
+//! go out of line). The allocation fast path touches only state the task
+//! owns: one load of its slot's request word, one subtract-and-branch on
+//! its allocation allowance, one room compare in its region for the size
+//! class (a `mpl_heap::Region`: block, plain-integer cursor, limit), the
+//! `saw_remote` branch, then the fields encoded straight into the block
+//! and the header published — no locked instruction, no lock, no `Arc`
+//! clone, no copy. Fields are staged in a reused scratch buffer only on
+//! the slow path, where a collection may move them. Rooting is a push
+//! onto the lock-free [`mpl_gc::roots::RootStack`] of the slot the task
+//! runs on. Down-pointer remembered-set entries are buffered task-locally
+//! (with per-object dedup) and published in batches at the task's
+//! boundaries.
 //!
 //! # Layout
 //!
@@ -302,7 +307,14 @@ impl<'rt> Mutator<'rt> {
         let roots = &self.ctx.slot.roots;
         for (v, own) in [(&rv, &rslot), (&lv, &lslot)] {
             match own {
-                Some(own) => rt.cgc_state().close_slot(own),
+                Some(own) => {
+                    // A CGC request the stolen branch left unanswered
+                    // moves to this task, whose join answers it below.
+                    if own.requests() & mpl_gc::REQ_CGC != 0 {
+                        self.ctx.request_cgc_poll();
+                    }
+                    rt.cgc_state().close_slot(own);
+                }
                 None if matches!(v, Ok(Value::Obj(_))) => roots.truncate(roots.len() - 1),
                 None => {}
             }
@@ -330,11 +342,12 @@ impl<'rt> Mutator<'rt> {
         // mutator handshakes full MPL performs; we defer it to the next
         // quiescent point instead (documented deviation, DESIGN.md §2).
         self.ctx.alloc_since = self.ctx.alloc_since.saturating_add(join.merged_bytes);
+        self.ctx.rearm();
         let quiescent = rt.config().threads <= 1 || self.ctx.path.len() == 1;
         let mut results = [lv, rv];
         if quiescent && self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(&mut results);
-        } else if rt.cgc_poll_requested() {
+        } else if self.ctx.slot.requests() & mpl_gc::REQ_CGC != 0 {
             // Joins are safepoints: honor any pin-driven CGC request,
             // with the child results reachable during its root scan.
             self.ctx.cgc_safepoint(&results, false);

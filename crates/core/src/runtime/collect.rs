@@ -35,21 +35,6 @@ impl Drop for InGcGuard {
 }
 
 impl Runtime {
-    /// Requests a CGC eligibility check at the caller's next safepoint.
-    ///
-    /// The pin path calls this: pinned-footprint growth happens on *reads*,
-    /// which are not safepoints (callers may hold unrooted values across
-    /// them), so the collection itself must wait for the next allocation
-    /// or fork/join.
-    pub(crate) fn request_cgc_poll(&self) {
-        self.cgc_poll.store(true, Ordering::Relaxed);
-    }
-
-    /// True if some task pinned since the last CGC eligibility check.
-    pub(crate) fn cgc_poll_requested(&self) -> bool {
-        self.cgc_poll.load(Ordering::Relaxed)
-    }
-
     /// The shared frame of every collection pause, entered with the
     /// collection gate held: marks this thread as collecting, makes sure
     /// it has a worker context (trace/sweep packets fan out via
@@ -88,7 +73,6 @@ impl Runtime {
     /// collector if the pinned footprint warrants it and no other
     /// collection is in flight.
     pub(crate) fn maybe_cgc(&self) {
-        self.cgc_poll.store(false, Ordering::Relaxed);
         let slice = self.config.cgc_slice_objects;
 
         // The collector's trace/sweep packets run as scheduler jobs; a

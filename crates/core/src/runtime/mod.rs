@@ -35,8 +35,9 @@ pub struct Runtime {
     store: Store,
     config: RuntimeConfig,
     /// The concurrent collector's state, the open mutator slots (sessions,
-    /// runs in flight, stolen branches) among it.
-    cgc_state: CgcState,
+    /// runs in flight, stolen branches) among it. Shared with the root
+    /// cancel token's kick, which raises the cancel bit on every slot.
+    cgc_state: Arc<CgcState>,
     graveyard: Graveyard,
     dag: Mutex<Option<Arc<DagBuilder>>>,
     last_dag: Mutex<Option<Dag>>,
@@ -45,7 +46,6 @@ pub struct Runtime {
     /// next one triggers only once the footprint has doubled (amortizing
     /// full-graph marking against entangled allocation volume).
     cgc_baseline: std::sync::atomic::AtomicUsize,
-    cgc_poll: std::sync::atomic::AtomicBool,
     /// The telemetry sampler thread (present iff `config.telemetry`).
     /// Declared before `executor` so it stops (and drops its executor
     /// handle) before the pool is torn down.
@@ -95,20 +95,24 @@ impl Runtime {
         mpl_sched::set_job_finish_hook(mpl_gc::audit::note_job_boundary);
         let executor = (config.threads > 1).then(|| Arc::new(Executor::new(config.threads)));
         let store = Store::new(config.store);
-        // Root cancellation token: the kick wakes the pool's sleeping
+        let cgc_state = Arc::new(CgcState::new());
+        // Root cancellation token: every winning trip on it or a run's
+        // child raises the cancel bit on every open slot, so the tree's
+        // next poll reads the token, and wakes the pool's sleeping
         // workers so a trip is noticed within one steal probe instead of
         // a full park interval. `Weak` so the token never extends the
-        // pool's lifetime past the runtime's.
-        let root_cancel = match &executor {
-            Some(e) => {
-                let weak = Arc::downgrade(e);
-                CancelToken::with_kick(move || {
-                    if let Some(e) = weak.upgrade() {
-                        e.unpark_all();
-                    }
-                })
-            }
-            None => CancelToken::new(),
+        // pool's or the slots' lifetime past the runtime's.
+        let root_cancel = {
+            let slots = Arc::downgrade(&cgc_state);
+            let pool = executor.as_ref().map(Arc::downgrade);
+            CancelToken::with_kick(move || {
+                if let Some(state) = slots.upgrade() {
+                    state.request_all(mpl_gc::REQ_CANCEL);
+                }
+                if let Some(e) = pool.as_ref().and_then(std::sync::Weak::upgrade) {
+                    e.unpark_all();
+                }
+            })
         };
         let sampler = config
             .telemetry
@@ -119,13 +123,12 @@ impl Runtime {
         });
         Runtime {
             store,
-            cgc_state: CgcState::new(),
+            cgc_state,
             graveyard: Graveyard::new(),
             dag: Mutex::new(None),
             last_dag: Mutex::new(None),
             cgc_gate: Mutex::new(()),
             cgc_baseline: std::sync::atomic::AtomicUsize::new(0),
-            cgc_poll: std::sync::atomic::AtomicBool::new(false),
             sampler,
             failpoint_owner,
             watchdog,

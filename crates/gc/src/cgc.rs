@@ -73,7 +73,7 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -123,13 +123,44 @@ pub struct MutatorSlot {
     /// Last snapshot epoch the owner acknowledged.
     acked: AtomicU64,
     closed: AtomicBool,
+    /// The request word: `REQ_*` bits that collectors, cancellers and
+    /// pins *set* and the owner's poll points serve. An allocation loads
+    /// it once; zero means nothing is asked of the owner.
+    requests: AtomicU32,
 }
+
+/// Request bit: a snapshot handshake bumped the epoch; ack it.
+pub const REQ_HANDSHAKE: u32 = 1;
+/// Request bit: the owner pinned an object; check, at its next
+/// allocation or join, whether the concurrent collector should run.
+pub const REQ_CGC: u32 = 2;
+/// Request bit: poll the cancel token — a trip, or an armed deadline
+/// (which keeps the bit set for the whole run, so the token's clock is
+/// read at every poll).
+pub const REQ_CANCEL: u32 = 4;
 
 impl MutatorSlot {
     /// True once [`CgcState::close_slot`] withdrew the slot: nothing
     /// rooted on it is scanned any more, so nothing may run on it.
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+
+    /// The request word (one relaxed load).
+    #[inline]
+    pub fn requests(&self) -> u32 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Raises `bits` in the request word.
+    pub fn request(&self, bits: u32) {
+        self.requests.fetch_or(bits, Ordering::SeqCst);
+    }
+
+    /// Lowers `bits` before the owner serves them, so a request raised
+    /// while it does stays raised for its next poll.
+    pub fn clear_requests(&self, bits: u32) {
+        self.requests.fetch_and(!bits, Ordering::SeqCst);
     }
 }
 
@@ -270,9 +301,19 @@ impl CgcState {
             safe: AtomicU64::new(1),
             acked: AtomicU64::new(0),
             closed: AtomicBool::new(false),
+            requests: AtomicU32::new(0),
         });
         self.slots.lock().push(Arc::clone(&slot));
         slot
+    }
+
+    /// Raises `bits` on every open slot (a cancel trip reaching every
+    /// task in flight). A slot opened after the walk polls its token when
+    /// its first task enters.
+    pub fn request_all(&self, bits: u32) {
+        for slot in self.slots.lock().iter() {
+            slot.request(bits);
+        }
     }
 
     /// Closes a paused slot: its roots leave the root set and it leaves
@@ -307,13 +348,17 @@ impl CgcState {
         }
     }
 
-    /// Cheap handshake poll for mutator safepoints (allocation slices,
-    /// the slow-tier write barrier): two relaxed loads when idle;
-    /// acknowledge when a new snapshot epoch is pending. Everything the
-    /// owner logged before the ack is in its buffer, which the
-    /// post-handshake re-drain reads.
+    /// Handshake poll for mutator safepoints (allocations and the
+    /// barrier slow tiers, once their slot's request word is nonzero):
+    /// serves [`REQ_HANDSHAKE`] — lowered first, so an epoch bumped
+    /// meanwhile raises it again — and acknowledges when a new snapshot
+    /// epoch is pending. Everything the owner logged before the ack is in
+    /// its buffer, which the post-handshake re-drain reads.
     #[inline]
     pub fn poll_handshake(&self, slot: &MutatorSlot) {
+        if slot.requests() & REQ_HANDSHAKE != 0 {
+            slot.clear_requests(REQ_HANDSHAKE);
+        }
         let e = self.epoch.load(Ordering::Relaxed);
         if slot.acked.load(Ordering::Relaxed) != e {
             self.ack(slot);
@@ -395,12 +440,20 @@ impl CgcState {
         packets
     }
 
-    /// Bumps the snapshot epoch and waits until every open slot has
-    /// acknowledged it or sits in a safe window. The slot list is re-read
-    /// each spin so closing a slot unblocks the wait. Called at the
-    /// snapshot boundary and again at mark termination.
+    /// Bumps the snapshot epoch, raises [`REQ_HANDSHAKE`] on every open
+    /// slot, and waits until each has acknowledged the epoch or sits in a
+    /// safe window. The slot list is re-read each spin so closing a slot
+    /// unblocks the wait. Called at the snapshot boundary and again at
+    /// mark termination.
+    ///
+    /// An owner lowers the bit before it reads the epoch, and the bump
+    /// precedes the raise: if the owner's lowering comes after the raise,
+    /// its epoch load comes after the bump and acks it; if before, the
+    /// bit stays raised for its next poll. (A slot opened after the raise
+    /// acks the epoch when its first task resumes it.)
     fn handshake(&self) {
         let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.request_all(REQ_HANDSHAKE);
         let _stall = crate::stall::guard(crate::stall::CGC_MARK);
         let mut spins = 0u32;
         loop {
@@ -1149,6 +1202,11 @@ mod tests {
         // handshake must not wait for it.
         let slot = state.open_slot();
         state.handshake();
+        assert_eq!(
+            slot.requests(),
+            REQ_HANDSHAKE,
+            "the bump is raised on the slot"
+        );
         state.exit_safe(&slot);
         assert_eq!(slot.safe.load(Ordering::SeqCst), 0, "resumed");
         assert_eq!(
@@ -1167,6 +1225,7 @@ mod tests {
         state.epoch.fetch_add(1, Ordering::SeqCst);
         state.poll_handshake(&slot);
         assert_eq!(slot.acked.load(Ordering::SeqCst), e0 + 1);
+        assert_eq!(slot.requests(), 0, "the poll served the request");
         // A closed slot leaves the handshake, even one left running and
         // never polling: this would spin forever if it were still waited on.
         state.close_slot(&slot);

@@ -26,6 +26,9 @@
 //!   point no live object carries a pin, every block's pin count matches
 //!   its headers (zero), the `pinned_bytes` gauge is zero, and no local
 //!   collection ever traced a dead object (`lgc_dead_traced` is zero).
+//!   Every allocation region has settled, too: no published object starts
+//!   at or beyond its block's allocated extent, and each block's live
+//!   bytes equal the summed size of its objects neither dead nor forwarded.
 //!
 //! One pass over the live blocks checks every field and collects the
 //! traversal roots from the header pin bits, never from the per-block pin
@@ -93,12 +96,18 @@ pub fn check(store: &Store, phase: Phase<'_>) -> Vec<String> {
         let mut roots = Vec::new();
         for block in store.blocks().live_blocks() {
             let mut pins = 0;
+            let mut live = 0;
+            let mut unsettled = None;
             for (off, obj) in block.objects() {
                 visited += 1;
+                if off as usize >= block.allocated() {
+                    unsettled.get_or_insert(off);
+                }
                 let h = obj.header();
                 if h.is_dead() || h.is_forwarded() {
                     continue;
                 }
+                live += obj.size_bytes();
                 let r = ObjRef::new(block.id(), off);
                 if h.is_pinned() {
                     pins += 1;
@@ -123,11 +132,28 @@ pub fn check(store: &Store, phase: Phase<'_>) -> Vec<String> {
                     }
                 }
             }
-            if quiescent.is_some() && block.pinned_count() != pins {
+            if quiescent.is_none() {
+                continue;
+            }
+            if block.pinned_count() != pins {
                 issues.push(format!(
                     "pin count: block {} counts {} pins, its headers carry {pins}",
                     block.id(),
                     block.pinned_count(),
+                ));
+            }
+            if let Some(off) = unsettled {
+                issues.push(format!(
+                    "unsettled region: b{}w{off} starts at or beyond the block's allocated extent {}",
+                    block.id(),
+                    block.allocated(),
+                ));
+            }
+            if block.live_bytes() != live {
+                issues.push(format!(
+                    "live bytes: block {} counts {}, its live objects hold {live}",
+                    block.id(),
+                    block.live_bytes(),
                 ));
             }
         }
@@ -271,7 +297,7 @@ fn describe_path(
 mod tests {
     use super::*;
     use crate::audit::{audit, counters, disable, enable};
-    use mpl_heap::{ObjKind, StoreConfig, Value};
+    use mpl_heap::{ObjKind, StoreConfig, Value, Word};
 
     /// Plants a state, or a defect, into a fresh store, slot registry and
     /// shield closure.
@@ -304,6 +330,14 @@ mod tests {
         s.alloc_values(h, ObjKind::Tuple, fields)
     }
 
+    /// Dead-marks `r` and takes its bytes out of its block, as every
+    /// collector kill does.
+    fn kill(s: &Store, r: ObjRef) {
+        let h = s.handle(r);
+        h.obj().set_dead();
+        h.block().sub_live_bytes(h.size_bytes());
+    }
+
     /// A pinned holder whose field leads to a dead-marked victim: the
     /// historical reclaim mis-mark, minus the race.
     fn mismark(s: &Store) -> ObjRef {
@@ -311,7 +345,7 @@ mod tests {
         let victim = tuple(s, h, &[Value::Int(7)]);
         let holder = tuple(s, h, &[Value::Obj(victim)]);
         s.pin(holder, 0);
-        s.handle(victim).obj().set_dead();
+        kill(s, victim);
         holder
     }
 
@@ -326,14 +360,14 @@ mod tests {
         }
         let first = *closure.iter().min().unwrap();
         if dead {
-            s.handle(first).obj().set_dead();
+            kill(s, first);
         }
         first
     }
 
     #[test]
     fn every_planted_state_fails_exactly_the_phases_whose_rules_see_it() {
-        let cases: [(&str, Plant, Expect); 15] = [
+        let cases: [(&str, Plant, Expect); 17] = [
             (
                 "clean_heap_validates",
                 |s, _, _| {
@@ -473,9 +507,29 @@ mod tests {
                     let victim = tuple(s, h, &[Value::Int(7)]);
                     let holder = tuple(s, h, &[Value::Obj(victim)]);
                     state.open_slot().roots.push(holder);
-                    s.handle(victim).obj().set_dead();
+                    kill(s, victim);
                 },
                 [OK, OK, OK, OK, OK, DEAD],
+            ),
+            (
+                "unsettled_region_fails_quiescence",
+                |s, _, _| {
+                    // An allocator that never let go of its region: the
+                    // object is published, the block's cursor and live
+                    // bytes never caught up.
+                    let mut region = s.region(s.new_root_heap(), 3);
+                    region.alloc(ObjKind::Tuple, &[Word::UNIT]).unwrap();
+                },
+                [OK, OK, OK, OK, OK, &["unsettled region", "live bytes"]],
+            ),
+            (
+                "skipped_live_bytes_settle_fails_quiescence",
+                |s, _, _| {
+                    // The cursor settled; the live-bytes add did not.
+                    let r = tuple(s, s.new_root_heap(), &[Value::Int(1)]);
+                    s.blocks().get(r.block()).sub_live_bytes(24);
+                },
+                [OK, OK, OK, OK, OK, &["live bytes"]],
             ),
         ];
         for (name, plant, expect) in cases {

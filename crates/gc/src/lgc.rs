@@ -70,7 +70,7 @@ use std::sync::Arc;
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_ABANDON, DEAD_BY_LGC};
 use mpl_heap::{
-    size_class, Block, Counter, HeapInfo, ObjKind, ObjRef, RemsetEntry, Store, Value, Word,
+    size_class, Block, Counter, HeapInfo, ObjRef, Region, RemsetEntry, Store, Value,
     NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
 };
 
@@ -164,57 +164,65 @@ impl BlockTable {
     }
 }
 
-/// To-space: per-size-class bump blocks owned by the collection, each
-/// added to its block table, promoted to the heap's allocation blocks
-/// when the cycle installs them.
+/// To-space: bump regions owned by the collection — one per size class,
+/// plus the dedicated block of the last oversized copy — each block added
+/// to the block table as it is registered. The class regions' blocks
+/// become the heap's allocation blocks when the cycle installs them.
 struct ToSpace<'s> {
     store: &'s Store,
     heap: u32,
-    /// Table slot of each class's current bump block.
-    current: [Option<usize>; NUM_SIZE_CLASSES],
+    /// Each class's current region, with its block's table slot.
+    current: [Option<(usize, Region)>; NUM_SIZE_CLASSES],
+    big: Option<(usize, Region)>,
 }
 
 impl ToSpace<'_> {
-    fn register(&mut self, table: &mut BlockTable, capacity: usize, class: usize) -> usize {
+    fn register(&self, table: &mut BlockTable, capacity: usize, class: usize) -> (usize, Region) {
         let heap = self.heap;
         let sft = Arc::clone(self.store.sft());
-        table.insert(
-            self.store
-                .blocks()
-                .register(|id| Block::new(id, heap, capacity, class, sft)),
-        )
+        let block = self
+            .store
+            .blocks()
+            .register(|id| Block::new(id, heap, capacity, class, sft));
+        (table.insert(Arc::clone(&block)), Region::adopt(block))
     }
 
-    /// Copies an object image into to-space, preserving the suspect bit
-    /// (part of the object's identity for the read barrier).
-    fn alloc(
-        &mut self,
-        table: &mut BlockTable,
-        kind: ObjKind,
-        fields: &[Word],
-        suspect: bool,
-    ) -> ObjRef {
-        let nwords = OBJECT_HEADER_WORDS + fields.len();
+    /// Reserves room for a copy of `nwords` inline words: the table slot
+    /// of its block, the region to write it through, and its offset.
+    fn reserve(&mut self, table: &mut BlockTable, nwords: usize) -> (usize, &mut Region, u32) {
         let block_words = self.store.config().block_words;
-        let (slot, r) = if nwords > block_words {
-            let slot = self.register(table, nwords, NUM_SIZE_CLASSES - 1);
-            let r = table.blocks[slot].try_alloc(kind, fields);
-            (slot, r.expect("dedicated block fits"))
+        let cur = if nwords > block_words {
+            let fresh = self.register(table, nwords, NUM_SIZE_CLASSES - 1);
+            if let Some((_, done)) = self.big.replace(fresh) {
+                done.retire();
+            }
+            self.big.as_mut()
         } else {
             let class = size_class(nwords);
-            loop {
-                if let Some(slot) = self.current[class] {
-                    if let Some(r) = table.blocks[slot].try_alloc(kind, fields) {
-                        break (slot, r);
-                    }
+            if self.current[class]
+                .as_ref()
+                .is_none_or(|(_, region)| region.room() < nwords)
+            {
+                let fresh = self.register(table, block_words, class);
+                if let Some((_, full)) = self.current[class].replace(fresh) {
+                    full.retire();
                 }
-                self.current[class] = Some(self.register(table, block_words, class));
             }
+            self.current[class].as_mut()
         };
-        if suspect {
-            table.blocks[slot].set_suspect(r.word());
+        let (slot, region) = cur.expect("a region was just installed");
+        let off = region
+            .reserve(nwords)
+            .expect("a fresh region fits its copy");
+        (*slot, region, off)
+    }
+
+    /// Settles every region into its block's cursor and live bytes.
+    fn settle(&mut self) {
+        let regions = self.current.iter_mut().flatten().chain(&mut self.big);
+        for (_, region) in regions {
+            region.settle();
         }
-        r
     }
 }
 
@@ -354,8 +362,6 @@ struct Lgc<'s> {
     retained: Vec<bool>,
     /// Shield members whose fields are not yet swept.
     shield: Vec<ObjRef>,
-    /// The field words of the object being copied.
-    fields: Vec<Word>,
     /// Fallbacks to the global registry so far (`registry_lookups`); a
     /// cell, so lookups can count through `&self`.
     lookups: Cell<usize>,
@@ -386,13 +392,13 @@ impl<'s> Lgc<'s> {
             tospace: ToSpace {
                 store,
                 heap: h,
-                current: [None; NUM_SIZE_CLASSES],
+                current: std::array::from_fn(|_| None),
+                big: None,
             },
             scan: Vec::new(),
             closure: IdSet::default(),
             foreign_seen: IdSet::default(),
             shield: Vec::new(),
-            fields: Vec::new(),
             lookups: Cell::new(0),
             phase: "init",
             out: LgcOutcome::default(),
@@ -733,15 +739,26 @@ impl<'s> Lgc<'s> {
             crate::audit::dump_events();
             debug_assert!(false, "traced a dead object {r} (details on stderr)");
         }
-        // Copy the payload and claim the original.
-        self.fields.clear();
-        self.fields.extend(obj.field_words());
-        let (suspect, size) = (obj.is_suspect(), obj.size_bytes());
-        let nr = self
+        // Copy the payload straight into a to-space reservation, keeping
+        // the suspect bit (part of the object's identity for the read
+        // barrier), then claim the original.
+        let (kind, len, suspect, size) =
+            (header.kind(), obj.len(), obj.is_suspect(), obj.size_bytes());
+        let (slot, region, off) = self
             .tospace
-            .alloc(&mut self.table, header.kind(), &self.fields, suspect);
-        let obj = self.table.blocks[i].view_resolved(r.word(), self.fields.len());
-        match obj.try_forward(nr) {
+            .reserve(&mut self.table, OBJECT_HEADER_WORDS + len);
+        let src = self.table.blocks[i].view_resolved(r.word(), len);
+        for (f, w) in src.field_words().enumerate() {
+            region.write(off, f, w);
+        }
+        let nr = region.publish(off, kind, len);
+        if suspect {
+            self.table.blocks[slot].set_suspect(off);
+        }
+        let claim = self.table.blocks[i]
+            .view_resolved(r.word(), len)
+            .try_forward(nr);
+        match claim {
             Ok(()) => {
                 self.out.copied_bytes += size as u64;
                 self.out.copied_objects += 1;
@@ -753,6 +770,7 @@ impl<'s> Lgc<'s> {
                 if hdr.is_forwarded() {
                     // Another collector claimed it first (cannot happen
                     // for a task-owned heap, but be defensive).
+                    let obj = self.table.blocks[i].view_resolved(r.word(), len);
                     return obj.forward_ref().expect("forwarded header without fwd ref");
                 }
                 // A remote reader pinned the object since the shield
@@ -765,8 +783,11 @@ impl<'s> Lgc<'s> {
         }
     }
 
-    /// Takes back a copy that lost the claim on its original.
-    fn abandon_copy(&self, r: ObjRef) {
+    /// Takes back a copy that lost the claim on its original. The
+    /// regions settle first: the block's live bytes must count the copy
+    /// before it comes back out, since the subtraction saturates at zero.
+    fn abandon_copy(&mut self, r: ObjRef) {
+        self.tospace.settle();
         let i = self.table.slot(r.block()).expect("copies live in to-space");
         let block = &self.table.blocks[i];
         let obj = block.get(r.word());
@@ -857,15 +878,17 @@ impl<'s> Lgc<'s> {
             .saturating_sub(retained_live);
 
         // The new block list: to-space first, then the retained blocks;
-        // the per-class to-space bump blocks become the heap's allocation
-        // blocks. Then the table lets go of every block, so none outlives
-        // its free below.
+        // the per-class to-space blocks, settled, become the heap's
+        // allocation blocks. Then the table lets go of every block, so
+        // none outlives its free below.
         let mut blocks: Vec<u32> = self.table.blocks[from..].iter().map(|b| b.id()).collect();
         blocks.extend(retained_blocks);
+        self.tospace.settle();
         let alloc_blocks = self
             .tospace
             .current
-            .map(|cur| cur.map(|i| Arc::clone(&self.table.blocks[i])));
+            .each_ref()
+            .map(|cur| cur.as_ref().map(|(_, region)| Arc::clone(region.block())));
         self.table = BlockTable::default();
         for bid in dead_blocks {
             if free_now {
@@ -908,7 +931,7 @@ impl<'s> Lgc<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_heap::{ObjKind, StoreConfig};
+    use mpl_heap::{ObjKind, StoreConfig, Word};
 
     fn store() -> Store {
         Store::new(StoreConfig {

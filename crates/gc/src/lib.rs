@@ -73,7 +73,10 @@ pub mod roots;
 pub mod stall;
 
 pub use audit::{audit, AuditCounters};
-pub use cgc::{cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, MutatorSlot};
+pub use cgc::{
+    cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, MutatorSlot, REQ_CANCEL, REQ_CGC,
+    REQ_HANDSHAKE,
+};
 pub use check::{check, Phase, Shield};
 pub use graveyard::Graveyard;
 pub use lgc::{collect_local, LgcOutcome};

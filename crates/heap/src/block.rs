@@ -5,9 +5,27 @@
 //! A block is a fixed run of atomic 64-bit words. Objects are laid out
 //! **inline**: `[header][fwd][field 0]…[field n-1]`, addressed by their
 //! header's word offset — an [`crate::ObjRef`] is a `(block id, word
-//! offset)` pair. Allocation is a single `fetch_add` on the bump cursor
-//! followed by plain word stores; there is no per-object `OnceLock`, no
+//! offset)` pair. Allocation goes through a [`Region`]: the free tail of
+//! one block, claimed by one allocator, whose cursor and limit are plain
+//! integers. A reservation is a compare and an add, followed by plain word
+//! stores; there is no locked instruction, no per-object `OnceLock`, no
 //! boxed `Object`, no `Vec`.
+//!
+//! ## One allocator per block
+//!
+//! At any time a block has at most one allocator: the task whose leaf
+//! heap holds it as a current allocation block, the local collection whose
+//! to-space it is, or the one store-level call that adopted it. Allocation
+//! blocks are per heap, and a heap is allocated into only by the task it
+//! is the leaf of: its ancestors' tasks are suspended until the join, a
+//! joined child's allocation blocks are dropped with its task, and a local
+//! collection runs inside the task. The block's shared `cursor` and
+//! `live_bytes` are therefore written by that allocator alone, and only
+//! when it lets go of the region — at a refill, a fork, a local collection
+//! and the end of the task ([`Region::settle`], [`Region::retire`]): one
+//! store and one `fetch_add` per region instead of two locked instructions
+//! per object. The next allocator adopts the block through an acquire load
+//! of the cursor that reads that store.
 //!
 //! ## Publication
 //!
@@ -16,14 +34,28 @@
 //! with release ordering. Readers (`try_get`, the `objects()` walker,
 //! both collectors) only ever interpret words beneath a set `obj_start`
 //! bit, acquired-loaded — a torn or half-initialized reservation cannot
-//! be observed. This bitmap is the publication point the old slot
-//! array's `OnceLock` used to provide, at the cost of one `fetch_or`
-//! per allocation instead of a per-slot lock word.
+//! be observed. The bit is set with a load and a release store, not a
+//! `fetch_or`: start bits are only ever set, never cleared, and only the
+//! block's one allocator sets them, so no other writer's bit can be lost
+//! between the load and the store.
+//!
+//! ## Zero payload
+//!
+//! Words at or beyond a block's allocated extent have never been written:
+//! blocks are built zeroed and never reused, and every store into a block
+//! lands inside a reserved or published object. A fresh reservation's
+//! words are therefore already zero, so its forwarding word needs no store
+//! and a raw array's payload is written by nobody. A block of 128 KiB or
+//! more maps its words (and metadata of that size) from the OS and unmaps
+//! them when dropped (`zeroed.rs` has the measured reason); smaller blocks
+//! take theirs from the Rust allocator.
 //!
 //! ## Side metadata
 //!
 //! Three more bitmaps (one bit per word, indexed by an object's header
-//! offset) carry the GC state that moved out of the header:
+//! offset) carry the GC state that moved out of the header. All four
+//! bitmaps share one allocation, interleaved so that the words covering
+//! the same 64 offsets sit side by side:
 //!
 //! * `mark` — the concurrent collector's per-cycle mark. Sound outside
 //!   the header CAS because marks are only read for reclamation *after*
@@ -47,9 +79,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
 use std::sync::Arc;
 
 use crate::header::{Header, ObjKind};
-use crate::object::{Object, OBJECT_OVERHEAD_BYTES};
+use crate::object::Object;
 use crate::sft::SftTable;
 use crate::value::{ObjRef, Word};
+use crate::zeroed::Zeroed;
 
 /// Default block payload size in words (4 KiB).
 pub const DEFAULT_BLOCK_WORDS: usize = 512;
@@ -70,6 +103,7 @@ pub const NUM_SIZE_CLASSES: usize = 4;
 pub const SIZE_CLASS_WORDS: [usize; NUM_SIZE_CLASSES - 1] = [4, 8, 16];
 
 /// The size class for an object of `nwords` total inline words.
+#[inline]
 pub fn size_class(nwords: usize) -> usize {
     SIZE_CLASS_WORDS
         .iter()
@@ -77,53 +111,79 @@ pub fn size_class(nwords: usize) -> usize {
         .unwrap_or(NUM_SIZE_CLASSES - 1)
 }
 
-/// One bit per word offset, atomically updated.
+/// The bitmaps of [`Bitmaps`], by position in an interleaved group.
+const OBJ_START: usize = 0;
+const MARK: usize = 1;
+const SUSPECT: usize = 2;
+const SLOW: usize = 3;
+const MAPS: usize = 4;
+
+/// The block's four side-metadata bitmaps — one bit per word offset each
+/// — in one allocation: word `MAPS * w + map` holds offsets `64w..64w+63`
+/// of bitmap `map`.
 #[derive(Debug)]
-struct Bitmap {
-    words: Box<[AtomicU64]>,
+struct Bitmaps {
+    words: Zeroed<AtomicU64>,
 }
 
-impl Bitmap {
-    fn new(bits: usize) -> Bitmap {
-        Bitmap {
-            words: (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+impl Bitmaps {
+    fn new(bits: usize) -> Bitmaps {
+        Bitmaps {
+            words: Zeroed::new(MAPS * bits.div_ceil(64)),
         }
+    }
+
+    /// Number of words in each bitmap.
+    #[inline]
+    fn len(&self) -> usize {
+        self.words.len() / MAPS
+    }
+
+    /// The word of `map` holding bit `i`, and the bit's mask.
+    #[inline]
+    fn bit(&self, map: usize, i: u32) -> (&AtomicU64, u64) {
+        (
+            &self.words[MAPS * (i / 64) as usize + map],
+            1u64 << (i % 64),
+        )
     }
 
     /// Sets bit `i`; true if it was previously clear.
     #[inline]
-    fn set(&self, i: u32) -> bool {
-        let mask = 1u64 << (i % 64);
-        self.words[(i / 64) as usize].fetch_or(mask, Ordering::AcqRel) & mask == 0
+    fn set(&self, map: usize, i: u32) -> bool {
+        let (word, mask) = self.bit(map, i);
+        word.fetch_or(mask, Ordering::AcqRel) & mask == 0
     }
 
     #[inline]
-    fn clear(&self, i: u32) {
-        let mask = 1u64 << (i % 64);
-        self.words[(i / 64) as usize].fetch_and(!mask, Ordering::AcqRel);
+    fn clear(&self, map: usize, i: u32) {
+        let (word, mask) = self.bit(map, i);
+        word.fetch_and(!mask, Ordering::AcqRel);
     }
 
     #[inline]
-    fn get(&self, i: u32) -> bool {
-        let mask = 1u64 << (i % 64);
-        self.words[(i / 64) as usize].load(Ordering::Acquire) & mask != 0
+    fn get(&self, map: usize, i: u32) -> bool {
+        let (word, mask) = self.bit(map, i);
+        word.load(Ordering::Acquire) & mask != 0
     }
 
     #[inline]
-    fn word(&self, w: usize) -> u64 {
-        self.words[w].load(Ordering::Acquire)
+    fn word(&self, map: usize, w: usize) -> u64 {
+        self.words[MAPS * w + map].load(Ordering::Acquire)
     }
 
-    fn clear_all(&self) {
-        for w in self.words.iter() {
+    fn clear_all(&self, map: usize) {
+        for w in self.words.iter().skip(map).step_by(MAPS) {
             w.store(0, Ordering::Release);
         }
     }
 
     /// Number of set bits (64 offsets per load; no per-object walk).
-    fn count(&self) -> usize {
+    fn count(&self, map: usize) -> usize {
         self.words
             .iter()
+            .skip(map)
+            .step_by(MAPS)
             .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
             .sum()
     }
@@ -140,10 +200,11 @@ pub struct Block {
     owner: AtomicU32,
     /// Retained by a local collection: swept by the concurrent collector.
     entangled: AtomicBool,
-    /// Bump cursor: next free word. May overshoot `capacity` (then the
-    /// block is simply full).
+    /// The settled extent: every word below it belongs to a published
+    /// object, or the block was retired full. Written only by the block's
+    /// allocator, when it lets go of its region.
     cursor: AtomicU32,
-    /// Logical live bytes (allocation sizes minus swept objects).
+    /// Logical live bytes (settled allocation sizes minus swept objects).
     live_bytes: AtomicUsize,
     /// Number of currently pinned objects in this block.
     pinned_count: AtomicU32,
@@ -151,18 +212,12 @@ pub struct Block {
     /// decremented): lets reclaim skip the chain-compression walk on
     /// blocks that never forwarded anything.
     forwarded_count: AtomicU32,
-    words: Box<[AtomicU64]>,
-    /// Publication bitmap: bit set at an object's header offset once the
-    /// object is fully initialized.
-    obj_start: Bitmap,
-    /// Concurrent-collector mark bits (per cycle).
-    mark: Bitmap,
-    /// Sticky entanglement-candidate bits.
-    suspect: Bitmap,
-    /// Barrier fast-tier classifier: `suspect ∪ pinned`, conservative.
-    slow: Bitmap,
+    words: Zeroed<AtomicU64>,
+    /// Publication (`obj_start`: set at an object's header offset once it
+    /// is fully initialized), concurrent mark, suspect and slow bits.
+    maps: Bitmaps,
     /// One mark byte per line, painted during concurrent marking.
-    line_marks: Box<[AtomicU8]>,
+    line_marks: Zeroed<AtomicU8>,
     /// Write-through classification table (see [`SftTable`]).
     sft: Arc<SftTable>,
 }
@@ -188,14 +243,9 @@ impl Block {
             live_bytes: AtomicUsize::new(0),
             pinned_count: AtomicU32::new(0),
             forwarded_count: AtomicU32::new(0),
-            words: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            obj_start: Bitmap::new(capacity),
-            mark: Bitmap::new(capacity),
-            suspect: Bitmap::new(capacity),
-            slow: Bitmap::new(capacity),
-            line_marks: (0..capacity.div_ceil(LINE_WORDS))
-                .map(|_| AtomicU8::new(0))
-                .collect(),
+            words: Zeroed::new(capacity),
+            maps: Bitmaps::new(capacity),
+            line_marks: Zeroed::new(capacity.div_ceil(LINE_WORDS)),
             sft,
         }
     }
@@ -251,65 +301,45 @@ impl Block {
         self.words.len()
     }
 
-    /// Words allocated so far (clamped to capacity).
+    /// Words allocated so far, as last settled.
     #[inline]
     pub fn allocated(&self) -> usize {
-        (self.cursor.load(Ordering::Acquire) as usize).min(self.capacity())
+        self.cursor.load(Ordering::Acquire) as usize
     }
 
-    /// True once the bump cursor reached (or overshot) capacity.
+    /// True once the settled cursor reached capacity (the block was
+    /// filled, or retired with a tail too short for the next object).
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.cursor.load(Ordering::Acquire) as usize >= self.capacity()
+        self.allocated() >= self.capacity()
     }
 
-    // ---- allocation -----------------------------------------------------
+    // ---- allocation (through a `Region`) --------------------------------
 
-    /// Reserves `nwords` contiguous words, returning the starting offset.
-    /// The reservation is private (invisible to walkers) until
-    /// [`Block::publish`] sets the `obj_start` bit.
-    #[inline]
-    pub fn try_reserve(&self, nwords: usize) -> Option<u32> {
-        let n = u32::try_from(nwords).ok()?;
-        let start = self.cursor.fetch_add(n, Ordering::AcqRel);
-        let end = start.checked_add(n)?;
-        if end as usize > self.capacity() {
-            // Overshot: leave the cursor saturated; the block is full.
-            return None;
-        }
-        Some(start)
-    }
-
-    /// Writes one payload word of a reservation (pre-publication; plain
-    /// ordering, the publish fence covers it).
-    #[inline]
-    pub fn init_word(&self, off: u32, bits: u64) {
-        self.words[off as usize].store(bits, Ordering::Relaxed);
-    }
-
-    /// Publishes a reserved object: installs the header and flips the
+    /// Installs the header of the object reserved at `off` and sets its
     /// `obj_start` bit with release ordering. All field words must have
-    /// been written. Accounts the allocation into `live_bytes`.
+    /// been written. The caller is the block's one allocator (see the
+    /// module docs), so the bit's word has no other writer.
     #[inline]
-    pub fn publish(&self, off: u32, kind: ObjKind, len: usize) {
+    fn publish(&self, off: u32, kind: ObjKind, len: usize) {
         self.words[off as usize].store(Header::new(kind, len).bits(), Ordering::Release);
-        self.obj_start.set(off);
-        self.live_bytes
-            .fetch_add(OBJECT_OVERHEAD_BYTES + 8 * len, Ordering::Relaxed);
+        let (word, mask) = self.maps.bit(OBJ_START, off);
+        word.store(word.load(Ordering::Relaxed) | mask, Ordering::Release);
     }
 
-    /// Bump-allocates a fully formed object: reserve, write `fwd = 0`
-    /// and the encoded fields, publish. Returns the object's reference,
-    /// or `None` if the block is full.
-    #[inline]
-    pub fn try_alloc(&self, kind: ObjKind, fields: &[Word]) -> Option<ObjRef> {
-        let off = self.try_reserve(OBJECT_HEADER_WORDS + fields.len())?;
-        self.init_word(off + 1, 0);
-        for (i, w) in fields.iter().enumerate() {
-            self.init_word(off + 2 + i as u32, w.bits());
+    /// Publishes an allocator's extent: the words between the settled
+    /// cursor and `cursor` are published objects, 8 live bytes per word.
+    /// With `full`, the cursor is then left at capacity.
+    fn settle(&self, cursor: u32, full: bool) {
+        let settled = self.cursor.load(Ordering::Relaxed);
+        if cursor > settled {
+            self.live_bytes
+                .fetch_add(8 * (cursor - settled) as usize, Ordering::Relaxed);
+            self.cursor.store(cursor, Ordering::Release);
         }
-        self.publish(off, kind, fields.len());
-        Some(ObjRef::new(self.id, off))
+        if full {
+            self.cursor.store(self.capacity() as u32, Ordering::Release);
+        }
     }
 
     // ---- object access --------------------------------------------------
@@ -324,7 +354,7 @@ impl Block {
     /// `off`, or `None` for never-published or out-of-range offsets.
     #[inline]
     pub fn try_get(&self, off: u32) -> Option<Object<'_>> {
-        if (off as usize) < self.capacity() && self.obj_start.get(off) {
+        if (off as usize) < self.capacity() && self.maps.get(OBJ_START, off) {
             Some(Object::view(self, off))
         } else {
             None
@@ -355,7 +385,7 @@ impl Block {
     #[inline]
     pub fn resolve(&self, off: u32) -> Result<Object<'_>, ObjRef> {
         let header = match self.words.get(off as usize) {
-            Some(header) if self.obj_start.get(off) => header,
+            Some(header) if self.maps.get(OBJ_START, off) => header,
             _ => self.dangling(off),
         };
         let hdr = Header::from_bits(header.load(Ordering::Acquire));
@@ -389,21 +419,24 @@ impl Block {
         panic!("dangling reference b{}w{}", self.id, off)
     }
 
+    /// The offsets of the set bits in `bits`, the `w`-th word of a bitmap.
+    fn offsets(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some((w as u32) * 64 + b)
+        })
+    }
+
     /// Iterates `(offset, object)` over every published object, in
     /// address order, by scanning the `obj_start` bitmap.
     pub fn objects(&self) -> impl Iterator<Item = (u32, Object<'_>)> + '_ {
-        let nwords = self.obj_start.words.len();
-        (0..nwords).flat_map(move |w| {
-            let mut bits = self.obj_start.word(w);
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                let off = (w as u32) * 64 + b;
-                Some((off, Object::view(self, off)))
-            })
+        (0..self.maps.len()).flat_map(move |w| {
+            Block::offsets(w, self.maps.word(OBJ_START, w))
+                .map(|off| (off, Object::view(self, off)))
         })
     }
 
@@ -411,17 +444,8 @@ impl Block {
     /// the sweep's kill candidates, computed 64 objects at a time from
     /// `obj_start & !mark` without touching any object header.
     pub fn unmarked_offsets(&self) -> impl Iterator<Item = u32> + '_ {
-        let nwords = self.obj_start.words.len();
-        (0..nwords).flat_map(move |w| {
-            let mut bits = self.obj_start.word(w) & !self.mark.word(w);
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some((w as u32) * 64 + b)
-            })
+        (0..self.maps.len()).flat_map(move |w| {
+            Block::offsets(w, self.maps.word(OBJ_START, w) & !self.maps.word(MARK, w))
         })
     }
 
@@ -429,20 +453,21 @@ impl Block {
 
     /// Number of published objects (census: popcount of `obj_start`).
     pub fn object_count(&self) -> usize {
-        self.obj_start.count()
+        self.maps.count(OBJ_START)
     }
 
     /// Number of objects carrying this cycle's concurrent mark bit.
     pub fn marked_count(&self) -> usize {
-        self.mark.count()
+        self.maps.count(MARK)
     }
 
     /// Number of sticky entanglement suspects in this block.
     pub fn suspect_count(&self) -> usize {
-        self.suspect.count()
+        self.maps.count(SUSPECT)
     }
 
-    /// Logical live bytes currently attributed to this block.
+    /// Logical live bytes currently attributed to this block, as last
+    /// settled.
     #[inline]
     pub fn live_bytes(&self) -> usize {
         self.live_bytes.load(Ordering::Acquire)
@@ -497,7 +522,7 @@ impl Block {
     /// its lines; true if this call marked it first.
     #[inline]
     pub(crate) fn try_set_mark(&self, off: u32, nwords: usize) -> bool {
-        let newly = self.mark.set(off);
+        let newly = self.maps.set(MARK, off);
         if newly {
             self.mark_lines(off, nwords);
         }
@@ -507,17 +532,17 @@ impl Block {
     /// True if the object at `off` carries the concurrent mark bit.
     #[inline]
     pub fn is_marked(&self, off: u32) -> bool {
-        self.mark.get(off)
+        self.maps.get(MARK, off)
     }
 
     #[inline]
     pub(crate) fn clear_mark(&self, off: u32) {
-        self.mark.clear(off);
+        self.maps.clear(MARK, off);
     }
 
     /// Clears the whole mark bitmap and the line map (cycle epilogue).
     pub fn clear_all_marks(&self) {
-        self.mark.clear_all();
+        self.maps.clear_all(MARK);
         for l in self.line_marks.iter() {
             l.store(0, Ordering::Release);
         }
@@ -531,36 +556,36 @@ impl Block {
         // Order: suspect first, then slow — `clear_slow_unless_suspect`
         // rechecks suspect after clearing, so a racing unpin can never
         // strand a suspect object outside the slow set.
-        self.suspect.set(off);
-        self.slow.set(off);
+        self.maps.set(SUSPECT, off);
+        self.maps.set(SLOW, off);
     }
 
     #[inline]
     pub(crate) fn is_suspect(&self, off: u32) -> bool {
-        self.suspect.get(off)
+        self.maps.get(SUSPECT, off)
     }
 
     /// The barrier fast tier's one-load classification: true if the
     /// object needs the slow path (suspect or possibly pinned).
     #[inline]
     pub(crate) fn is_slow(&self, off: u32) -> bool {
-        self.slow.get(off)
+        self.maps.get(SLOW, off)
     }
 
     /// Flags the object slow *before* a pin attempt (conservative: set
     /// even if the pin CAS then fails — a stray slow bit is harmless).
     #[inline]
     pub(crate) fn set_slow(&self, off: u32) {
-        self.slow.set(off);
+        self.maps.set(SLOW, off);
     }
 
     /// Clears the slow bit after an unpin, unless the sticky suspect
     /// bit keeps the object in the slow set.
     #[inline]
     pub(crate) fn clear_slow_unless_suspect(&self, off: u32) {
-        self.slow.clear(off);
-        if self.suspect.get(off) {
-            self.slow.set(off);
+        self.maps.clear(SLOW, off);
+        if self.maps.get(SUSPECT, off) {
+            self.maps.set(SLOW, off);
         }
     }
 
@@ -605,27 +630,139 @@ impl Block {
     }
 }
 
+/// A bump region: the free tail of one block, claimed by the block's one
+/// allocator (see the module docs) until it lets go. The cursor and limit
+/// are plain integers the allocator owns, so reserving is a compare and
+/// an add; the block's shared cursor and live bytes catch up when the
+/// region settles. Every allocation into a block — a task's, a local
+/// collection's to-space, a store-level call — goes through one.
+#[derive(Debug)]
+pub struct Region {
+    block: Arc<Block>,
+    cursor: u32,
+    limit: u32,
+}
+
+impl Region {
+    /// Claims the unallocated tail of `block`. The caller becomes its one
+    /// allocator until the region settles.
+    pub fn adopt(block: Arc<Block>) -> Region {
+        let cursor = block.allocated().min(block.capacity()) as u32;
+        let limit = block.capacity() as u32;
+        Region {
+            block,
+            cursor,
+            limit,
+        }
+    }
+
+    /// The block this region bumps through.
+    #[inline]
+    pub fn block(&self) -> &Arc<Block> {
+        &self.block
+    }
+
+    /// Words left in the region.
+    #[inline]
+    pub fn room(&self) -> usize {
+        (self.limit - self.cursor) as usize
+    }
+
+    /// Reserves `nwords` contiguous words and returns their offset, or
+    /// `None` when the region lacks room. The reservation is invisible to
+    /// walkers until [`Region::publish`], and its words are zero.
+    #[inline]
+    pub fn reserve(&mut self, nwords: usize) -> Option<u32> {
+        let start = self.cursor;
+        if nwords > self.room() {
+            return None;
+        }
+        self.cursor = start + nwords as u32;
+        Some(start)
+    }
+
+    /// Writes field `i` of the object reserved at `off`, before it is
+    /// published (plain ordering: the publication's release covers it).
+    #[inline]
+    pub fn write(&self, off: u32, i: usize, w: Word) {
+        self.block.words[off as usize + OBJECT_HEADER_WORDS + i].store(w.bits(), Ordering::Relaxed);
+    }
+
+    /// Publishes the object reserved at `off` once its fields are written
+    /// (its forwarding word is already zero) and returns its reference.
+    #[inline]
+    pub fn publish(&mut self, off: u32, kind: ObjKind, len: usize) -> ObjRef {
+        self.block.publish(off, kind, len);
+        ObjRef::new(self.block.id, off)
+    }
+
+    /// Reserves, writes and publishes an object with `fields`, or returns
+    /// `None` when the region lacks room.
+    #[inline]
+    pub fn alloc(&mut self, kind: ObjKind, fields: &[Word]) -> Option<ObjRef> {
+        let off = self.reserve(OBJECT_HEADER_WORDS + fields.len())?;
+        for (i, &w) in fields.iter().enumerate() {
+            self.write(off, i, w);
+        }
+        Some(self.publish(off, kind, fields.len()))
+    }
+
+    /// Publishes what the region reserved since it was adopted or last
+    /// settled into the block: one store of the cursor and one `fetch_add`
+    /// of the live bytes — every reserved word lies in a published object,
+    /// 8 bytes each. Nothing when nothing was reserved; the region stays
+    /// usable.
+    pub fn settle(&mut self) {
+        self.block.settle(self.cursor, false);
+    }
+
+    /// Settles and lets go of a region too short for the next object,
+    /// leaving the block full: no later allocator adopts the tail, and
+    /// the sweep and census count every line in use.
+    pub fn retire(self) {
+        self.block.settle(self.cursor, true);
+    }
+}
+
+/// Test helper: allocates one object the way a store-level call does —
+/// adopt, allocate, settle, or retire the block full when it lacks room.
+#[cfg(test)]
+pub(crate) fn alloc_once(block: &Arc<Block>, kind: ObjKind, fields: &[Word]) -> Option<ObjRef> {
+    let mut region = Region::adopt(Arc::clone(block));
+    let r = region.alloc(kind, fields);
+    match r {
+        Some(_) => region.settle(),
+        None => region.retire(),
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::OBJECT_OVERHEAD_BYTES;
     use crate::value::Value;
 
-    fn sft() -> Arc<SftTable> {
-        Arc::new(SftTable::new())
+    fn block(id: u32, owner: u32, capacity: usize) -> Arc<Block> {
+        Arc::new(Block::new(
+            id,
+            owner,
+            capacity,
+            0,
+            Arc::new(SftTable::new()),
+        ))
     }
 
     #[test]
     fn bump_allocates_inline_objects() {
-        let b = Block::new(0, 7, 64, 0, sft());
-        let r1 = b
-            .try_alloc(ObjKind::Tuple, &[Word::encode(Value::Int(1))])
-            .unwrap();
-        let r2 = b
-            .try_alloc(
-                ObjKind::Tuple,
-                &[Word::encode(Value::Int(2)), Word::encode(Value::Int(3))],
-            )
-            .unwrap();
+        let b = block(0, 7, 64);
+        let r1 = alloc_once(&b, ObjKind::Tuple, &[Word::encode(Value::Int(1))]).unwrap();
+        let r2 = alloc_once(
+            &b,
+            ObjKind::Tuple,
+            &[Word::encode(Value::Int(2)), Word::encode(Value::Int(3))],
+        )
+        .unwrap();
         assert_eq!(r1.word(), 0);
         assert_eq!(r2.word(), 3, "3-word object bumps the cursor by 3");
         let o1 = b.get(r1.word());
@@ -639,41 +776,71 @@ mod tests {
 
     #[test]
     fn overflow_returns_none_and_fills() {
-        let b = Block::new(0, 0, 8, 0, sft());
-        assert!(b.try_alloc(ObjKind::Tuple, &[Word::UNIT; 2]).is_some());
+        let b = block(0, 0, 8);
+        assert!(alloc_once(&b, ObjKind::Tuple, &[Word::UNIT; 2]).is_some());
         assert!(
-            b.try_alloc(ObjKind::Tuple, &[Word::UNIT; 4]).is_none(),
+            alloc_once(&b, ObjKind::Tuple, &[Word::UNIT; 4]).is_none(),
             "6 words do not fit in the 4 remaining"
         );
-        assert!(b.is_full(), "an overshot cursor leaves the block full");
+        assert!(b.is_full(), "a retired region leaves the block full");
+        assert_eq!(b.lines_in_use(), 1);
+        assert_eq!(
+            b.live_bytes(),
+            OBJECT_OVERHEAD_BYTES + 16,
+            "no bytes for the miss"
+        );
+    }
+
+    #[test]
+    fn a_region_settles_once_per_let_go() {
+        let b = block(0, 0, 64);
+        let mut region = Region::adopt(Arc::clone(&b));
+        let r1 = region.alloc(ObjKind::Tuple, &[Word::UNIT]).unwrap();
+        region.alloc(ObjKind::Tuple, &[Word::UNIT; 3]).unwrap();
+        assert_eq!(b.get(r1.word()).len(), 1, "published before the settle");
+        assert_eq!((b.allocated(), b.live_bytes()), (0, 0), "not yet settled");
+        region.settle();
+        assert_eq!((b.allocated(), b.live_bytes()), (8, 64));
+        region.settle();
+        assert_eq!((b.allocated(), b.live_bytes()), (8, 64), "idempotent");
+        region.alloc(ObjKind::Ref, &[Word::UNIT]).unwrap();
+        region.settle();
+        assert_eq!((b.allocated(), b.live_bytes()), (11, 88));
+        // The next allocator starts where the last one settled.
+        let mut next = Region::adopt(Arc::clone(&b));
+        assert_eq!(next.reserve(2), Some(11));
     }
 
     #[test]
     fn unpublished_offsets_are_invisible() {
-        let b = Block::new(0, 0, 32, 0, sft());
-        let off = b.try_reserve(3).unwrap();
+        let b = block(0, 0, 32);
+        let mut region = Region::adopt(Arc::clone(&b));
+        let off = region.reserve(3).unwrap();
         assert!(b.try_get(off).is_none(), "reserved but unpublished");
         assert_eq!(b.objects().count(), 0);
-        b.init_word(off + 1, 0);
-        b.init_word(off + 2, Word::encode(Value::Int(9)).bits());
-        b.publish(off, ObjKind::Ref, 1);
+        region.write(off, 0, Word::encode(Value::Int(9)));
+        region.publish(off, ObjKind::Ref, 1);
         assert_eq!(b.objects().count(), 1);
         assert_eq!(b.get(off).field(0), Value::Int(9));
+        assert_eq!(b.get(off).forward_ref(), None, "the zero fwd word");
     }
 
     #[test]
     fn dangling_get_panics() {
-        let b = Block::new(3, 0, 16, 0, sft());
+        let b = block(3, 0, 16);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.get(5)));
         assert!(res.is_err());
     }
 
     #[test]
     fn resolve_yields_the_view_or_the_forwardee() {
-        let b = Block::new(0, 0, 32, 0, sft());
-        let r = b
-            .try_alloc(ObjKind::Tuple, &[Word::UNIT, Word::encode(Value::Int(4))])
-            .unwrap();
+        let b = block(0, 0, 32);
+        let r = alloc_once(
+            &b,
+            ObjKind::Tuple,
+            &[Word::UNIT, Word::encode(Value::Int(4))],
+        )
+        .unwrap();
         let obj = b.resolve(r.word()).expect("not forwarded");
         assert_eq!((obj.offset(), obj.len()), (r.word(), 2));
         assert_eq!(b.view_resolved(r.word(), 2).field(1), Value::Int(4));
@@ -685,15 +852,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "dangling reference b3w1")]
     fn resolve_of_an_unpublished_offset_panics() {
-        let b = Block::new(3, 0, 16, 0, sft());
-        b.try_alloc(ObjKind::Ref, &[Word::UNIT]).unwrap();
+        let b = block(3, 0, 16);
+        alloc_once(&b, ObjKind::Ref, &[Word::UNIT]).unwrap();
         let _ = b.resolve(1);
     }
 
     #[test]
     fn mark_bitmap_and_lines() {
-        let b = Block::new(0, 0, 64, 0, sft());
-        let r = b.try_alloc(ObjKind::Tuple, &[Word::UNIT]).unwrap();
+        let b = block(0, 0, 64);
+        let r = alloc_once(&b, ObjKind::Tuple, &[Word::UNIT]).unwrap();
         assert!(!b.is_marked(r.word()));
         assert!(b.line_map_clean());
         assert!(b.try_set_mark(r.word(), 3));
@@ -707,9 +874,33 @@ mod tests {
     }
 
     #[test]
+    fn the_four_bitmaps_share_one_allocation_without_crosstalk() {
+        let b = block(0, 0, 200);
+        let mut region = Region::adopt(Arc::clone(&b));
+        let offs: Vec<u32> = (0..60)
+            .map(|_| region.alloc(ObjKind::Ref, &[Word::UNIT]).unwrap().word())
+            .collect();
+        region.settle();
+        assert_eq!(b.object_count(), 60);
+        for &off in offs.iter().step_by(3) {
+            b.try_set_mark(off, 3);
+        }
+        for &off in offs.iter().step_by(5) {
+            b.set_suspect(off);
+        }
+        assert_eq!(b.marked_count(), 20);
+        assert_eq!(b.suspect_count(), 12);
+        assert_eq!(b.unmarked_offsets().count(), 40);
+        assert!(offs.iter().all(|&off| b.is_slow(off) == b.is_suspect(off)));
+        assert_eq!(b.objects().map(|(off, _)| off).collect::<Vec<_>>(), offs);
+        b.clear_all_marks();
+        assert_eq!((b.marked_count(), b.suspect_count()), (0, 12));
+    }
+
+    #[test]
     fn suspect_and_slow_bits() {
-        let b = Block::new(0, 0, 32, 0, sft());
-        let r = b.try_alloc(ObjKind::Ref, &[Word::UNIT]).unwrap();
+        let b = block(0, 0, 32);
+        let r = alloc_once(&b, ObjKind::Ref, &[Word::UNIT]).unwrap();
         let off = r.word();
         assert!(!b.is_slow(off));
         b.set_slow(off); // pin path
@@ -735,7 +926,7 @@ mod tests {
 
     #[test]
     fn sft_write_through() {
-        let t = sft();
+        let t = Arc::new(SftTable::new());
         let b = Block::new(12, 5, 32, 0, Arc::clone(&t));
         assert_eq!(t.owner_of(12), Some(5));
         b.set_owner(9);
@@ -748,8 +939,8 @@ mod tests {
 
     #[test]
     fn live_bytes_saturating_sub() {
-        let b = Block::new(0, 0, 32, 0, sft());
-        b.try_alloc(ObjKind::Tuple, &[Word::UNIT]).unwrap();
+        let b = block(0, 0, 32);
+        alloc_once(&b, ObjKind::Tuple, &[Word::UNIT]).unwrap();
         let lb = b.live_bytes();
         b.sub_live_bytes(lb + 100);
         assert_eq!(b.live_bytes(), 0);

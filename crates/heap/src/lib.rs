@@ -56,10 +56,11 @@ pub mod sft;
 pub mod stats;
 pub mod store;
 pub mod value;
+mod zeroed;
 
 pub use block::{
-    size_class, Block, DEFAULT_BLOCK_WORDS, LINE_WORDS, NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
-    SIZE_CLASS_WORDS,
+    size_class, Block, Region, DEFAULT_BLOCK_WORDS, LINE_WORDS, NUM_SIZE_CLASSES,
+    OBJECT_HEADER_WORDS, SIZE_CLASS_WORDS,
 };
 pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};

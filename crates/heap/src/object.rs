@@ -509,13 +509,13 @@ mod tests {
     use crate::sft::SftTable;
     use std::sync::Arc;
 
-    fn block() -> Block {
-        Block::new(0, 0, 256, 0, Arc::new(SftTable::new()))
+    fn block() -> Arc<Block> {
+        Arc::new(Block::new(0, 0, 256, 0, Arc::new(SftTable::new())))
     }
 
-    fn alloc<'a>(b: &'a Block, kind: ObjKind, vals: &[Value]) -> Object<'a> {
+    fn alloc<'a>(b: &'a Arc<Block>, kind: ObjKind, vals: &[Value]) -> Object<'a> {
         let words: Vec<Word> = vals.iter().map(|&v| Word::encode(v)).collect();
-        let r = b.try_alloc(kind, &words).expect("block full");
+        let r = crate::block::alloc_once(b, kind, &words).expect("block full");
         b.get(r.word())
     }
 

@@ -170,7 +170,7 @@ mod tests {
     fn total_live_bytes_sums() {
         let (reg, sft, _) = registry();
         let b = reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
-        b.try_alloc(ObjKind::Tuple, &[Word::UNIT; 2]).unwrap();
+        crate::block::alloc_once(&b, ObjKind::Tuple, &[Word::UNIT; 2]).unwrap();
         assert_eq!(reg.total_live_bytes(), b.live_bytes());
         assert!(reg.total_live_bytes() > 0);
     }

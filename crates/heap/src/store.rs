@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use crate::block::{size_class, Block, DEFAULT_BLOCK_WORDS, NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS};
+use crate::block::{
+    size_class, Block, Region, DEFAULT_BLOCK_WORDS, NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
+};
 use crate::budget::TenantBudget;
 use crate::events::{self, EventKind};
 use crate::header::{Header, ObjKind};
@@ -226,49 +228,63 @@ impl Store {
 
     // ---- allocation ---------------------------------------------------
 
-    /// Registers a fresh block of `capacity` words for `heap`/`class` and
-    /// attributes it to the heap. The caller decides whether it becomes
-    /// the heap's allocation block for that class.
+    /// Registers a fresh block of `capacity` words for `heap`/`class`.
+    /// The caller attributes it to the heap.
     fn new_block(&self, heap: u32, class: usize, capacity: usize) -> Arc<Block> {
         mpl_fail::hit_hard("heap/block_map");
         let sft = Arc::clone(&self.sft);
-        let block = self
-            .blocks
-            .register(|id| Block::new(id, heap, capacity, class, sft));
-        self.heaps.info(heap).with(|s| s.blocks.push(block.id()));
-        block
+        self.blocks
+            .register(|id| Block::new(id, heap, capacity, class, sft))
     }
 
-    /// Allocates an object of `kind` with `fields` into `heap` (raw or
-    /// canonical id). Lock-free on the fast path: one `fetch_add` on the
-    /// bump cursor of the heap's current block for the object's size
-    /// class, then plain word stores.
-    pub fn alloc(&self, heap: u32, kind: ObjKind, fields: &[Word]) -> ObjRef {
+    /// A region of `heap` (raw or canonical id) with room for an object of
+    /// `nwords` inline words: the heap's current allocation block for the
+    /// object's size class if its free tail fits, else a fresh block that
+    /// replaces it (the old one is retired full). An object larger than a
+    /// block gets a dedicated block of its own, never an allocation block.
+    ///
+    /// The caller becomes the block's one allocator, so it must not hold
+    /// another region of the same heap and class (a task retires its own
+    /// before it refills). Takes the heap's lock once to read the current
+    /// block and once more to attribute a fresh one.
+    pub fn region(&self, heap: u32, nwords: usize) -> Region {
         mpl_fail::hit_hard("heap/alloc");
         let heap = self.heaps.find(heap);
         let info = self.heaps.info(heap);
-        let nwords = OBJECT_HEADER_WORDS + fields.len();
-        let size = OBJECT_OVERHEAD_BYTES + 8 * fields.len();
         if nwords > self.config.block_words {
-            // Oversized: a dedicated block, never shared with the bump path.
             let block = self.new_block(heap, NUM_SIZE_CLASSES - 1, nwords);
-            let r = block
-                .try_alloc(kind, fields)
-                .expect("dedicated block fits its object");
-            self.stats.on_alloc(size);
-            return r;
+            info.with(|s| s.blocks.push(block.id()));
+            return Region::adopt(block);
         }
         let class = size_class(nwords);
-        loop {
-            if let Some(block) = info.with(|s| s.alloc_blocks[class].clone()) {
-                if let Some(r) = block.try_alloc(kind, fields) {
-                    self.stats.on_alloc(size);
-                    return r;
-                }
+        if let Some(current) = info.with(|s| s.alloc_blocks[class].clone()) {
+            let region = Region::adopt(current);
+            if region.room() >= nwords {
+                return region;
             }
-            let block = self.new_block(heap, class, self.config.block_words);
-            info.with(|s| s.alloc_blocks[class] = Some(block));
+            region.retire();
         }
+        let block = self.new_block(heap, class, self.config.block_words);
+        info.with(|s| {
+            s.blocks.push(block.id());
+            s.alloc_blocks[class] = Some(Arc::clone(&block));
+        });
+        Region::adopt(block)
+    }
+
+    /// Allocates an object of `kind` with `fields` into `heap` (raw or
+    /// canonical id) and counts it straight into the global stats: a
+    /// [`Store::region`], one reservation, one settle. Store-level callers
+    /// (tests, tools) use it; a task allocates through regions it keeps.
+    pub fn alloc(&self, heap: u32, kind: ObjKind, fields: &[Word]) -> ObjRef {
+        let mut region = self.region(heap, OBJECT_HEADER_WORDS + fields.len());
+        let r = region
+            .alloc(kind, fields)
+            .expect("a fresh region fits its object");
+        region.settle();
+        self.stats
+            .on_alloc(OBJECT_OVERHEAD_BYTES + 8 * fields.len());
+        r
     }
 
     /// True when a heap limit is configured and an allocation of `extra`

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mpl_gc::{collect_local, Graveyard};
+use mpl_gc::collect_local;
 use mpl_heap::{ObjKind, ObjRef, Store, StoreConfig, Value};
 
 /// Builds a heap with `n` objects of which every `keep_every`-th is
@@ -31,8 +31,11 @@ fn bench_lgc(c: &mut Criterion) {
                         (s, l, roots)
                     },
                     |(s, l, mut roots)| {
-                        let g = Graveyard::new();
-                        collect_local(&s, l, &mut roots, &g, true)
+                        let out = collect_local(&s, l, &mut roots);
+                        for &id in &out.dead_blocks {
+                            s.blocks().free(id);
+                        }
+                        out
                     },
                 );
             },

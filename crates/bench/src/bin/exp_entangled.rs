@@ -205,7 +205,7 @@ fn main() {
     // sequentially (no executor), the single-threaded baseline.
     println!("\nE13: CGC reclamation at scale (100k shielded objects, half dropped):");
     {
-        use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard};
+        use mpl_gc::{collect_entangled, collect_local, CgcState};
         use mpl_heap::{ObjKind, ObjRef, Store, StoreConfig, Value as HVal};
 
         const N: usize = 100_000;
@@ -234,9 +234,9 @@ fn main() {
                 s.pin(o, 0);
             }
             // The owner's local collection shields the pinned population.
-            let g = Graveyard::new();
             let mut no_roots: [ObjRef; 0] = [];
-            collect_local(&s, l, &mut no_roots, &g, true);
+            let emptied = collect_local(&s, l, &mut no_roots).dead_blocks;
+            state.retire(&s, &emptied);
             // The pinner drops every other object.
             let survivors: Vec<ObjRef> = objs
                 .drain(..)
@@ -252,7 +252,7 @@ fn main() {
             let start = std::time::Instant::now();
             let out = collect_entangled(&s, state);
             let pause = start.elapsed();
-            state.close_slot(&slot);
+            state.close_slot(&s, &slot);
             assert_eq!(out.swept_objects, N / 2, "exactly the dropped half");
             assert!(
                 survivors

@@ -37,6 +37,15 @@
 //! `crate::mutator::boundary` for the protocol and soundness argument.
 //! Both slow tiers are poll points (`TaskCtx::poll`): a read- or
 //! write-heavy entangled loop may not allocate for a long stretch.
+//!
+//! A poll may acknowledge an epoch, and an acknowledgement lets the blocks
+//! other heaps' collections retired before it be freed. So no poll point
+//! sits between loading a pointer out of the heap and pinning it: at a
+//! poll, a task holds only its own, its ancestors' and pinned objects.
+//! The read slow tier re-loads the field after a poll that may have
+//! acked; the write slow tier polls holding only values the task already
+//! held (the source and the written value); an allocation polls after
+//! its fields, held values too, were pinned.
 
 use mpl_heap::events::{self, EventKind};
 use mpl_heap::{ObjRef, RemsetEntry, Value};
@@ -206,9 +215,22 @@ impl Mutator<'_> {
         };
         // SLOW TIER: resolve the target and query the heap table. (Counted
         // before the poll, so an access a cancellation unwinds out of is
-        // classified like every other.)
+        // classified like every other.) No acknowledgement while holding
+        // `loaded`: it may point into a block another heap's collection
+        // just emptied, which an ack would let be freed before the pin
+        // below chases its forwarding word. So a poll that may ack loads
+        // the field again afterwards.
         self.ctx.pending.barrier_read_slow += 1;
-        self.ctx.poll();
+        mpl_fail::hit_hard("barrier/read_loaded");
+        let loaded = if self.ctx.slot.requests() == 0 {
+            loaded
+        } else {
+            self.ctx.poll();
+            match self.view(at).field(idx) {
+                Value::Obj(r) => r,
+                imm => return imm,
+            }
+        };
         mpl_fail::hit_hard("barrier/read_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
         self.acquire_loaded(at.r, idx, loaded)

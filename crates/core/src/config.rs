@@ -51,11 +51,10 @@ pub struct RuntimeConfig {
     /// Record the computation DAG for scheduler simulation.
     pub record_dag: bool,
     /// Processors for the work-stealing executor; `1` (the default)
-    /// selects deterministic depth-first execution with no pool. It also
-    /// decides block reclamation: with one thread the local collector
-    /// frees evacuated blocks at once; with more, concurrent entangled
-    /// readers may still resolve forwarding words in them, so they are
-    /// retired to the graveyard until quiescence.
+    /// selects deterministic depth-first execution with no pool. It does
+    /// not decide block reclamation: blocks a local collection emptied
+    /// are freed once every open mutator slot has moved past the epoch
+    /// they were retired at, which with one slot running is at once.
     pub threads: usize,
     /// Enables the entanglement-candidates ("suspects") read-barrier fast
     /// path (ICFP 2022): reads of objects that never received a
@@ -324,19 +323,19 @@ mod tests {
     }
 
     #[test]
-    fn threaded_config_defers_block_freeing() {
+    fn a_policy_set_keeps_the_thread_count() {
         let c = RuntimeConfig::managed().with_threads_exact(4);
         assert_eq!(c.threads, 4);
         let c = c.with_policy(GcPolicy::default());
-        // Block freeing follows `threads`, so a policy set cannot undo it.
         assert_eq!(c.threads, 4, "preserved across policy set");
     }
 
     #[test]
-    fn block_freeing_follows_the_thread_count() {
-        // A struct literal bypasses every builder: the thread count alone
-        // decides whether a local collection frees its evacuated blocks
-        // or retires them until quiescence.
+    fn block_freeing_follows_the_epoch() {
+        // Neither the thread count nor a config field decides when a
+        // local collection's emptied blocks are freed: the epoch rule
+        // does. With the collecting slot the only one open, it passes at
+        // the retirement itself, at one worker and at two alike.
         for threads in [1, 2] {
             let rt = crate::Runtime::new(RuntimeConfig {
                 threads,
@@ -347,14 +346,15 @@ mod tests {
                 let mut keep = [m.alloc_tuple(&[mpl_heap::Value::Int(1)])];
                 m.force_lgc(&mut keep);
                 let freed = m.runtime().stats().blocks_freed - freed_before;
-                let retired = m.runtime().graveyard().pending();
-                assert_eq!(
-                    (freed > 0, retired > 0),
-                    (threads == 1, threads > 1),
+                let retired = m.runtime().retired_blocks();
+                assert!(
+                    freed > 0 && retired == 0,
                     "threads {threads}: freed {freed}, retired {retired}"
                 );
+                assert_eq!(m.runtime().stats().graveyard_high_water, freed);
                 keep[0]
             });
+            rt.assert_heap_sound();
         }
     }
 

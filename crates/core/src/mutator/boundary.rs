@@ -65,8 +65,11 @@ fn room(limit: usize, used: usize) -> isize {
 /// the current epoch; the wrapped regions perform no unlogged
 /// entangled-pointer deletions (a branch body borrowing the slot resumes
 /// it for as long as it runs, a migrated one mutates through its own, and
-/// the collectors' own heap surgery is covered by the forwarding/graveyard
-/// arguments in [`TaskCtx::collect_local`]).
+/// the collectors' own heap surgery is covered by the forwarding and
+/// retirement arguments in [`TaskCtx::collect_local`]). Nor does a task
+/// hold a pointer it loaded from another heap and has not yet pinned:
+/// a window opens only where a poll could, so a slot in one holds back
+/// no retired block (`mpl_gc::graveyard`).
 /// Windows nest — the slot's safe-window depth is a counter, and a
 /// slot nobody runs on rests at depth 1.
 pub(crate) struct SafeWindow<'rt> {
@@ -374,8 +377,8 @@ impl<'rt> TaskCtx<'rt> {
         // for the same reason concurrent CGC marking is sound against
         // LGC at all — entangled-space objects are never moved or freed
         // locally, and a CGC tracer racing the move of a *local* object
-        // resolves through forwarding (retired blocks are graveyard-held
-        // until quiescence).
+        // resolves through forwarding (a block retired while a cycle is
+        // in flight outlives the cycle).
         let _safe = self.safe_window();
         let rt = self.rt;
         // A local collection moves objects and (eagerly) frees blocks; a
@@ -389,18 +392,12 @@ impl<'rt> TaskCtx<'rt> {
         // collect, then write the updated locations back with
         // atomic slot stores. A concurrent CGC root scan may interleave
         // and read a pre-collection reference; that is sound — the old
-        // location forwards to the new one, and retired fromspace blocks
-        // outlive the cycle (the graveyard drains only at quiescence).
+        // location forwards to the new one, and a block retired while
+        // that cycle is in flight outlives it.
         let mut roots = self.slot.roots.snapshot(self.base);
         let nroots = roots.len();
         roots.extend(extra.iter().filter_map(|v| v.as_obj()));
-        let out = mpl_gc::collect_local(
-            rt.store(),
-            self.leaf_heap(),
-            &mut roots,
-            rt.graveyard(),
-            rt.config().threads == 1,
-        );
+        let out = mpl_gc::collect_local(rt.store(), self.leaf_heap(), &mut roots);
         for (i, r) in roots[..nroots].iter().enumerate() {
             self.slot.roots.set(self.base + i, *r);
         }
@@ -408,6 +405,11 @@ impl<'rt> TaskCtx<'rt> {
         for v in extra.iter_mut().filter(|v| v.as_obj().is_some()) {
             *v = Value::Obj(*moved.next().expect("one root per object value"));
         }
+        // Retire the emptied blocks only now: a CGC root scan that starts
+        // after the retirement reads the written-back roots, never a
+        // from-space one. With no other slot running and no cycle in
+        // flight, they are freed right here.
+        rt.cgc_state().retire(rt.store(), &out.dead_blocks);
         self.alloc_since = 0;
         // Size-proportional budget: next collection once we allocate
         // about as much as survived this one. (Collection work is

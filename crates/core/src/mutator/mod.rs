@@ -313,7 +313,7 @@ impl<'rt> Mutator<'rt> {
                     if own.requests() & mpl_gc::REQ_CGC != 0 {
                         self.ctx.request_cgc_poll();
                     }
-                    rt.cgc_state().close_slot(own);
+                    rt.cgc_state().close_slot(rt.store(), own);
                 }
                 None if matches!(v, Ok(Value::Obj(_))) => roots.truncate(roots.len() - 1),
                 None => {}
@@ -327,11 +327,6 @@ impl<'rt> Mutator<'rt> {
             (Ok(l), Ok(r)) => (l, r),
             (Err(p), _) | (_, Err(p)) => std::panic::resume_unwind(p),
         };
-        if self.ctx.path.len() == 1 {
-            // Root-level join: every other task has completed, so retired
-            // blocks are unreachable by construction.
-            rt.graveyard().drain(rt.store());
-        }
         // Merged data counts toward this task's collection debt: garbage
         // produced inside the children must not dodge the collector just
         // because their heaps dissolved into ours. Collecting a *merged*

@@ -30,12 +30,11 @@ impl Runtime {
     /// slot (or fresh ones for an anonymous run), with the cleanup a
     /// panicking program needs running unconditionally — the root task
     /// finishes (`TaskCtx::finish`: buffers flush, the slot pauses), an
-    /// anonymous run's slot closes, the graveyard drains, and a
-    /// half-built DAG recording is discarded — before the payload is
-    /// re-raised. By the time a panic reaches
-    /// here every fork inside `f` has already joined (joins complete
-    /// both branches and merge their heaps before re-raising), so the
-    /// program is quiescent and draining is safe.
+    /// anonymous run's slot closes — which frees the retired blocks no
+    /// other running slot holds back — and a half-built DAG recording is
+    /// discarded — before the payload is re-raised. By the time a panic
+    /// reaches here every fork inside `f` has already joined (joins
+    /// complete both branches and merge their heaps before re-raising).
     pub(super) fn run_root<F>(
         &self,
         session: Option<&TenantSession>,
@@ -86,9 +85,8 @@ impl Runtime {
         }
         drop(m);
         if session.is_none() {
-            self.cgc_state.close_slot(&slot);
+            self.cgc_state.close_slot(&self.store, &slot);
         }
-        self.graveyard.drain(&self.store);
         if let Some(builder) = self.dag.lock().take() {
             // A panic can leave strands un-joined; the partial recording
             // is useless — drop it rather than poisoning the next run.

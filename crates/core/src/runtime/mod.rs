@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mpl_gc::{CgcState, Graveyard};
+use mpl_gc::CgcState;
 use mpl_heap::{Counter, StatsSnapshot, Store};
 use mpl_sched::{Dag, DagBuilder, Executor, SchedSnapshot};
 
@@ -38,7 +38,6 @@ pub struct Runtime {
     /// runs in flight, stolen branches) among it. Shared with the root
     /// cancel token's kick, which raises the cancel bit on every slot.
     cgc_state: Arc<CgcState>,
-    graveyard: Graveyard,
     dag: Mutex<Option<Arc<DagBuilder>>>,
     last_dag: Mutex<Option<Dag>>,
     cgc_gate: Mutex<()>,
@@ -124,7 +123,6 @@ impl Runtime {
         Runtime {
             store,
             cgc_state,
-            graveyard: Graveyard::new(),
             dag: Mutex::new(None),
             last_dag: Mutex::new(None),
             cgc_gate: Mutex::new(()),
@@ -215,8 +213,13 @@ impl Runtime {
         &self.cgc_state
     }
 
-    pub(crate) fn graveyard(&self) -> &Graveyard {
-        &self.graveyard
+    /// Number of blocks local collections evacuated that wait, retired,
+    /// for a running mutator slot to reach a poll point (or for the
+    /// concurrent cycle in flight at their retirement to finish) before
+    /// they are freed. Zero whenever at most one slot runs and no cycle
+    /// is in flight.
+    pub fn retired_blocks(&self) -> usize {
+        self.cgc_state.retired_blocks()
     }
 
     /// Number of mutator slots — a root stack and a SATB buffer each —

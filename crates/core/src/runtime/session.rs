@@ -128,6 +128,6 @@ impl Runtime {
     /// reused) but nothing roots them anymore, so the session accepts no
     /// further request: a later `run_session` on it panics.
     pub fn retire_session(&self, session: &TenantSession) {
-        self.cgc_state.close_slot(&session.slot);
+        self.cgc_state.close_slot(&self.store, &session.slot);
     }
 }

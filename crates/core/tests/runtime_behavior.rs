@@ -329,55 +329,82 @@ fn alloc_raw_is_zero_initialized() {
 /// Every accessor resolves its object once, following forwarding: a
 /// value captured before two local collections moved the object (so its
 /// old copy forwards to a copy that forwards again) must read and update
-/// the current copy. Two threads, so the collections retire the
-/// evacuated blocks instead of freeing them and the old copies stay
-/// readable until the run's quiescent end.
+/// the current copy. The accesses run in a branch whose stolen sibling
+/// polls nothing until they are done, so the evacuated blocks stay
+/// retired — the sibling has not acknowledged their epoch — and the old
+/// copies stay readable.
 #[test]
 fn stale_values_reach_the_current_copy_through_every_accessor() {
+    use std::sync::atomic::{AtomicBool, Ordering};
     let cfg = RuntimeConfig::managed().with_threads_exact(2);
     let rt = Runtime::new(cfg);
+    let (running, done) = (AtomicBool::new(false), AtomicBool::new(false));
     rt.run(|m| {
-        let raw = m.alloc_raw(3);
-        m.raw_set(raw, 1, 11);
-        let tuple = m.alloc_tuple(&[Value::Int(7), Value::Int(8)]);
-        let arr = m.alloc_array(4, Value::Int(0));
-        let cell = m.alloc_ref(Value::Int(1));
-        let s = m.alloc_str("moved twice");
-        let stale = [raw, tuple, arr, cell, s];
-        let handles: Vec<_> = stale.iter().map(|&v| m.root(v)).collect();
-        m.force_lgc(&mut []);
-        m.force_lgc(&mut []);
-        let current: Vec<Value> = handles.iter().map(|h| m.get(h)).collect();
-        for (old, new) in stale.iter().zip(&current) {
-            assert_ne!(old, new, "the collections moved every object");
-        }
-        let [raw, tuple, arr, cell, s] = stale;
-
-        assert_eq!(m.raw_get(raw, 1), 11);
-        m.raw_set(raw, 2, 22);
-        assert_eq!(m.raw_get(current[0], 2), 22);
-
-        assert_eq!(m.tuple_get(tuple, 1), Value::Int(8));
-        assert_eq!(m.len(tuple), 2);
-        assert_eq!(m.len(arr), 4);
-
-        m.arr_set(arr, 3, Value::Int(33));
-        assert_eq!(m.arr_get(current[2], 3), Value::Int(33));
-        assert_eq!(m.arr_get(arr, 3), Value::Int(33));
-
-        assert_eq!(m.read_ref(cell), Value::Int(1));
-        m.write_ref(cell, Value::Int(2));
-        assert_eq!(m.read_ref(current[3]), Value::Int(2));
-        assert_eq!(m.ref_cas(cell, Value::Int(2), Value::Int(3)), Ok(()));
-        assert_eq!(
-            m.ref_cas(cell, Value::Int(2), Value::Int(4)),
-            Err(Value::Int(3))
+        let steals0 = m.runtime().sched_stats().steals;
+        m.fork(
+            |m| {
+                await_steal(m.runtime(), steals0);
+                while !running.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                accesses_through_stale_values(m);
+                done.store(true, Ordering::SeqCst);
+                Value::Unit
+            },
+            |_| {
+                running.store(true, Ordering::SeqCst);
+                while !done.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                Value::Unit
+            },
         );
-        assert_eq!(m.read_ref(current[3]), Value::Int(3));
-
-        assert_eq!(m.read_str(s), "moved twice");
         Value::Unit
     });
+    rt.assert_heap_sound();
+}
+
+fn accesses_through_stale_values(m: &mut mpl_runtime::Mutator<'_>) {
+    let raw = m.alloc_raw(3);
+    m.raw_set(raw, 1, 11);
+    let tuple = m.alloc_tuple(&[Value::Int(7), Value::Int(8)]);
+    let arr = m.alloc_array(4, Value::Int(0));
+    let cell = m.alloc_ref(Value::Int(1));
+    let s = m.alloc_str("moved twice");
+    let stale = [raw, tuple, arr, cell, s];
+    let handles: Vec<_> = stale.iter().map(|&v| m.root(v)).collect();
+    m.force_lgc(&mut []);
+    m.force_lgc(&mut []);
+    assert!(m.runtime().retired_blocks() > 0, "the sibling holds them");
+    let current: Vec<Value> = handles.iter().map(|h| m.get(h)).collect();
+    for (old, new) in stale.iter().zip(&current) {
+        assert_ne!(old, new, "the collections moved every object");
+    }
+    let [raw, tuple, arr, cell, s] = stale;
+
+    assert_eq!(m.raw_get(raw, 1), 11);
+    m.raw_set(raw, 2, 22);
+    assert_eq!(m.raw_get(current[0], 2), 22);
+
+    assert_eq!(m.tuple_get(tuple, 1), Value::Int(8));
+    assert_eq!(m.len(tuple), 2);
+    assert_eq!(m.len(arr), 4);
+
+    m.arr_set(arr, 3, Value::Int(33));
+    assert_eq!(m.arr_get(current[2], 3), Value::Int(33));
+    assert_eq!(m.arr_get(arr, 3), Value::Int(33));
+
+    assert_eq!(m.read_ref(cell), Value::Int(1));
+    m.write_ref(cell, Value::Int(2));
+    assert_eq!(m.read_ref(current[3]), Value::Int(2));
+    assert_eq!(m.ref_cas(cell, Value::Int(2), Value::Int(3)), Ok(()));
+    assert_eq!(
+        m.ref_cas(cell, Value::Int(2), Value::Int(4)),
+        Err(Value::Int(3))
+    );
+    assert_eq!(m.read_ref(current[3]), Value::Int(3));
+
+    assert_eq!(m.read_str(s), "moved twice");
 }
 
 /// Five arrays larger than a block each get a block of their own, so two

@@ -81,6 +81,7 @@ use parking_lot::Mutex;
 use mpl_heap::events::{self, EventKind, DEAD_BY_CGC};
 use mpl_heap::{Counter, ObjRef, Store};
 
+use crate::graveyard::{Graveyard, Retired};
 use crate::roots::RootStack;
 
 /// Refs per grey packet when chunking roots, SATB drains, and repairs.
@@ -171,8 +172,13 @@ pub struct CgcState {
     /// Relaxed phase tag (`PHASE_*`); lets `cycle_active` avoid the
     /// cycle mutex entirely (the allocation pressure ladder polls it).
     phase: AtomicU8,
-    /// Snapshot epoch, bumped by each handshake.
+    /// Snapshot epoch, bumped by each handshake and each block
+    /// retirement; a slot's ack of it serves both.
     epoch: AtomicU64,
+    /// Cycles begun plus cycles finished: odd while one is in flight.
+    cycles: AtomicU64,
+    /// Evacuated blocks waiting for every holder to move past them.
+    graveyard: Graveyard,
     /// The SATB entries of slots closed with entries still buffered;
     /// the drain empties it after the open slots' buffers.
     satb: Mutex<Vec<ObjRef>>,
@@ -321,8 +327,10 @@ impl CgcState {
     /// result — is the caller's to keep alive from here. Entries still
     /// buffered move to the closed-slot log under the slot's lock, so a
     /// drain that finds the buffer empty finds them in the log it
-    /// empties last. Closing twice is harmless.
-    pub fn close_slot(&self, slot: &Arc<MutatorSlot>) {
+    /// empties last. A closed slot no longer holds retired blocks back,
+    /// so the close ends with a [`CgcState::reclaim`]. Closing twice is
+    /// harmless.
+    pub fn close_slot(&self, store: &Store, slot: &Arc<MutatorSlot>) {
         slot.closed.store(true, Ordering::Release);
         {
             let mut buf = slot.buf.lock();
@@ -332,6 +340,63 @@ impl CgcState {
             }
         }
         self.slots.lock().retain(|s| !Arc::ptr_eq(s, slot));
+        self.reclaim(store);
+    }
+
+    /// Retires evacuated from-space `blocks` — call only once nothing the
+    /// collecting task roots points into them any more (its root stack is
+    /// written back) — then tries a [`CgcState::reclaim`].
+    ///
+    /// The retirement bumps the snapshot epoch: a slot that acknowledges
+    /// the new epoch has reached a poll point since, holding no pointer
+    /// loaded before. The cycle counter is read after the bump, both
+    /// SeqCst, so a cycle whose counter increment this read misses
+    /// bumps the epoch after this retirement and so snapshots its roots
+    /// after the write-back (see [`cgc_begin`]).
+    pub fn retire(&self, store: &Store, blocks: &[u32]) {
+        if blocks.is_empty() {
+            return;
+        }
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let cycle = self.cycles.load(Ordering::SeqCst);
+        let pending = self.graveyard.retire(blocks, epoch, cycle);
+        store.stats().note_retired(pending);
+        self.reclaim(store);
+    }
+
+    /// Frees every retired block no holder can still reach, and returns
+    /// how many: a block is freed once its retirement epoch is at or
+    /// below the *horizon* — the epoch read before scanning the slots,
+    /// lowered to the ack of every slot found running (safe depth 0) —
+    /// and the cycle in flight at its retirement, if any, has finished.
+    /// Reading the epoch first confines the verdict to blocks retired
+    /// before the scan. A running slot whose ack is behind the horizon
+    /// is asked for one (`REQ_HANDSHAKE`), so its next poll lets the
+    /// blocks go at the next reclaim.
+    pub fn reclaim(&self, store: &Store) -> usize {
+        if self.graveyard.pending() == 0 {
+            return 0;
+        }
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        let mut horizon = epoch;
+        for s in self.slots.lock().iter() {
+            if s.safe.load(Ordering::SeqCst) == 0 {
+                let acked = s.acked.load(Ordering::SeqCst);
+                if acked < epoch {
+                    s.request(REQ_HANDSHAKE);
+                    horizon = horizon.min(acked);
+                }
+            }
+        }
+        let cycles = self.cycles.load(Ordering::SeqCst);
+        self.graveyard.reap(store, |r: &Retired| {
+            r.epoch <= horizon && (r.cycle.is_multiple_of(2) || cycles > r.cycle)
+        })
+    }
+
+    /// Number of retired blocks not yet freed.
+    pub fn retired_blocks(&self) -> usize {
+        self.graveyard.pending()
     }
 
     /// Number of open slots.
@@ -424,8 +489,8 @@ impl CgcState {
     /// chunked into grey packets (a slot's stack holds the frames of
     /// every task nested on it, so the tracers share it). Lock-free with
     /// respect to the mutators — only the small slots mutex is held. A
-    /// stale beyond-`len` slot resolves safely because retired blocks are
-    /// graveyard-held until quiescence. Read *after* the snapshot
+    /// stale beyond-`len` slot resolves safely because a block retired
+    /// while this cycle is in flight outlives the cycle. Read *after* the snapshot
     /// handshake, which is what makes the per-stack snapshots sound
     /// against a mutator moving a value between a shared slot and its own
     /// stack at the snapshot boundary: post-handshake, every mutator's
@@ -750,11 +815,18 @@ fn clear_block_marks(store: &Store, state: &CgcState, bid: u32) {
 /// happened before its owner acknowledged the epoch, hence before the
 /// roots were read — so the overwritten value was either garbage at the
 /// snapshot or still reachable from some (post-handshake) root.
+///
+/// The cycle counter turns odd before the handshake's epoch bump: a block
+/// retired before that bump (in epoch order) was retired after its
+/// owner's root write-back, which the root snapshot therefore sees; one
+/// retired after it reads the odd counter and outlives the cycle
+/// ([`CgcState::retire`]).
 pub fn cgc_begin(state: &CgcState) {
     let mut cycle = state.cycle.lock();
     if cycle.is_some() {
         return;
     }
+    state.cycles.fetch_add(1, Ordering::SeqCst);
     state.marking.store(true, Ordering::SeqCst);
     state.handshake();
     let packets = state.root_packets();
@@ -892,6 +964,10 @@ fn finish(store: &Store, state: &CgcState, guard: &mut Option<Cycle>) -> CgcOutc
     state.dirty_cycle.store(false, Ordering::SeqCst);
     state.packet_panics.store(0, Ordering::Relaxed);
     state.phase.store(PHASE_IDLE, Ordering::Relaxed);
+    // No tracer holds a reference any more: blocks retired during the
+    // cycle wait only for the slots now.
+    state.cycles.fetch_add(1, Ordering::SeqCst);
+    state.reclaim(store);
     out
 }
 
@@ -1009,8 +1085,6 @@ fn prune_entangled_indexes(store: &Store, mut heaps: Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graveyard::Graveyard;
-    use crate::lgc::collect_local;
     use mpl_heap::{ObjKind, StoreConfig, Value};
 
     fn store() -> Store {
@@ -1020,6 +1094,14 @@ mod tests {
         })
     }
 
+    /// A local collection of `heap` that frees the blocks it emptied, as
+    /// the runtime does when nothing else runs.
+    fn collect_local(s: &Store, heap: u32, roots: &mut [ObjRef]) {
+        for id in crate::lgc::collect_local(s, heap, roots).dead_blocks {
+            s.blocks().free(id);
+        }
+    }
+
     /// Builds the canonical entanglement scenario: a sibling task pins an
     /// object in `l`, then LGC of `l` shields it in place.
     fn entangle_one(s: &Store) -> (u32, ObjRef) {
@@ -1027,9 +1109,7 @@ mod tests {
         let (l, _r) = s.fork_heaps(root);
         let x = s.alloc_values(l, ObjKind::Ref, &[Value::Int(11)]);
         s.pin(x, 0);
-        let g = Graveyard::new();
-        let mut roots: [ObjRef; 0] = [];
-        collect_local(s, l, &mut roots, &g, true);
+        collect_local(s, l, &mut []);
         assert!(s.handle(x).header().in_entangled_space());
         (l, x)
     }
@@ -1100,10 +1180,8 @@ mod tests {
         for &k in &keepers {
             s.pin(k, 0);
         }
-        let g = Graveyard::new();
-        let mut no_roots: [ObjRef; 0] = [];
-        collect_local(&s, l, &mut no_roots, &g, true);
-        collect_local(&s, l2, &mut no_roots, &g, true);
+        collect_local(&s, l, &mut []);
+        collect_local(&s, l2, &mut []);
         let garbage_block = garbage[0].block();
         let keeper_block = keepers[0].block();
         assert_ne!(garbage_block, keeper_block);
@@ -1163,7 +1241,7 @@ mod tests {
         state.satb_log(&slot, y);
         state.marking.store(false, Ordering::SeqCst);
         // Nothing roots `y`: the local collection frees its block at once.
-        collect_local(&s, h, &mut [], &Graveyard::new(), true);
+        collect_local(&s, h, &mut []);
         assert!(s.blocks().try_get(y.block()).is_none());
         let out = collect_entangled(&s, &state);
         assert_eq!(out.marked_objects, 0);
@@ -1182,7 +1260,7 @@ mod tests {
         state.exit_safe(&slot);
         state.satb_log(&slot, x);
         state.enter_safe(&slot);
-        state.close_slot(&slot);
+        state.close_slot(&s, &slot);
         assert_eq!(state.live_slots(), 0);
         assert_eq!(*state.satb.lock(), [x], "handed off, not dropped");
         let out = loop {
@@ -1197,6 +1275,7 @@ mod tests {
 
     #[test]
     fn safe_window_lets_handshake_complete() {
+        let s = store();
         let state = CgcState::new();
         // A slot is opened paused: nobody polls it yet, and the
         // handshake must not wait for it.
@@ -1228,18 +1307,17 @@ mod tests {
         assert_eq!(slot.requests(), 0, "the poll served the request");
         // A closed slot leaves the handshake, even one left running and
         // never polling: this would spin forever if it were still waited on.
-        state.close_slot(&slot);
+        state.close_slot(&s, &slot);
         assert!(slot.is_closed());
         state.handshake();
 
         // The root scan visits exactly the open slots: a closed slot's
         // roots are not scanned, so what only it rooted is swept.
-        let s = store();
         let (_l, kept) = entangle_one(&s);
         let (_l2, dropped) = entangle_one(&s);
         let open = rooted(&state, &[kept]);
         let closed = rooted(&state, &[dropped]);
-        state.close_slot(&closed);
+        state.close_slot(&s, &closed);
         assert_eq!(state.live_slots(), 1);
         assert_eq!(state.root_packets(), [vec![kept]]);
         let out = collect_entangled(&s, &state);
@@ -1250,7 +1328,79 @@ mod tests {
             .try_get(dropped.block())
             .map(|b| b.try_get(dropped.word()).unwrap().header().is_dead())
             .unwrap_or(true));
-        state.close_slot(&open);
+        state.close_slot(&s, &open);
+    }
+
+    /// A heap whose one block a local collection empties: the block id,
+    /// retired by the caller.
+    fn one_dead_block(s: &Store) -> Vec<u32> {
+        let h = s.new_root_heap();
+        s.alloc_values(h, ObjKind::Tuple, &[Value::Int(1)]);
+        let dead = crate::lgc::collect_local(s, h, &mut []).dead_blocks;
+        assert_eq!(dead.len(), 1);
+        dead
+    }
+
+    #[test]
+    fn a_retired_block_waits_for_every_running_slot_to_ack() {
+        let s = store();
+        let state = CgcState::new();
+        let paused = state.open_slot();
+        let running = state.open_slot();
+        state.exit_safe(&running);
+        let dead = one_dead_block(&s);
+        state.retire(&s, &dead);
+        // The paused slot holds nothing back; the running one has not
+        // polled since the retirement.
+        assert_eq!(state.retired_blocks(), 1);
+        assert!(s.blocks().try_get(dead[0]).is_some());
+        assert_eq!(running.requests(), REQ_HANDSHAKE, "asked to ack");
+        assert_eq!(paused.requests(), 0, "a paused slot is not asked");
+        assert_eq!(state.reclaim(&s), 0, "no poll yet");
+        state.poll_handshake(&running);
+        assert_eq!(state.reclaim(&s), 1, "freed at the first reclaim after");
+        assert!(s.blocks().try_get(dead[0]).is_none());
+        assert_eq!(s.stats().snapshot().graveyard_high_water, 1);
+        // A slot in a safe window holds nothing back either, and closing
+        // the last holder reclaims.
+        let dead = one_dead_block(&s);
+        state.enter_safe(&running);
+        state.exit_safe(&running);
+        state.retire(&s, &dead);
+        assert_eq!(state.retired_blocks(), 1);
+        state.enter_safe(&running);
+        state.close_slot(&s, &running);
+        assert_eq!(state.retired_blocks(), 0);
+        state.close_slot(&s, &paused);
+    }
+
+    #[test]
+    fn a_block_retired_mid_cycle_outlives_the_cycle() {
+        let s = store();
+        let state = CgcState::new();
+        // A cycle's tracers may hold references into the block from a
+        // root snapshot taken before the owner's write-back.
+        cgc_begin(&state);
+        let dead = one_dead_block(&s);
+        state.retire(&s, &dead);
+        assert_eq!(state.retired_blocks(), 1, "no slot, but a cycle");
+        assert_eq!(state.reclaim(&s), 0);
+        while cgc_step(&s, &state, usize::MAX).is_none() {}
+        assert_eq!(state.retired_blocks(), 0, "the cycle's end reclaims");
+        assert!(s.blocks().try_get(dead[0]).is_none());
+        // A cycle that begins after the retirement does not hold it: its
+        // root snapshot postdates the owner's write-back.
+        let dead = one_dead_block(&s);
+        let slot = state.open_slot();
+        state.exit_safe(&slot);
+        state.retire(&s, &dead);
+        assert_eq!(state.retired_blocks(), 1, "held by the running slot");
+        state.enter_safe(&slot);
+        cgc_begin(&state);
+        assert!(state.cycle_active());
+        assert_eq!(state.reclaim(&s), 1);
+        while cgc_step(&s, &state, usize::MAX).is_none() {}
+        state.close_slot(&s, &slot);
     }
 
     #[test]
@@ -1347,7 +1497,7 @@ mod tests {
         let slot = rooted(&state, &[x]);
         cgc_begin(&state);
         // A second begin with *no* roots must not clobber the snapshot.
-        state.close_slot(&slot);
+        state.close_slot(&s, &slot);
         cgc_begin(&state);
         let mut out = None;
         while out.is_none() {
@@ -1363,9 +1513,7 @@ mod tests {
         let (l, _r) = s.fork_heaps(root);
         let x = s.alloc_values(l, ObjKind::Ref, &[Value::Int(5)]);
         s.pin(x, 0);
-        let g = Graveyard::new();
-        let mut roots: [ObjRef; 0] = [];
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut []);
         // Root -> holder -> x: the path crosses a disentangled object.
         let holder = s.alloc_values(root, ObjKind::Tuple, &[Value::Obj(x)]);
         let state = CgcState::new();

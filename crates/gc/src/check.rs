@@ -15,7 +15,9 @@
 //!   tagged entangled-space and unmoved (concurrent readers never see it
 //!   move), and alive unless the concurrent collector reclaimed it.
 //! * **Dangling** — no pointer field of a live traced object leads,
-//!   through forwarding words, into a freed block.
+//!   through forwarding words, into a freed block. A hit is re-confirmed
+//!   against the field's current word: a mutator that overwrote the field
+//!   since it was read may have let its old target's block be freed.
 //! * **Dead-reachable** — no dead-marked object is reachable from the
 //!   roots through current fields, crossing heap boundaries. This catches
 //!   a reclaim mis-mark at the marking site, not cycles later when a
@@ -74,7 +76,7 @@ pub enum Phase<'a> {
     LgcReclaim(Shield<'a>),
     /// At the end of a concurrent collection.
     CgcSweep,
-    /// After the graveyard freed its retired blocks.
+    /// After a reclaim freed retired blocks, while other slots may run.
     GraveyardReap,
     /// No run in flight and no collection running: every slot is paused.
     Quiescent(&'a CgcState),
@@ -124,6 +126,13 @@ pub fn check(store: &Store, phase: Phase<'_>) -> Vec<String> {
                 }
                 for (i, w) in obj.field_words().enumerate() {
                     if let Some(Err(freed)) = w.pointer().map(|t| chase(store, t)) {
+                        // Reclaims run while other slots mutate: a field
+                        // overwritten since it was read may have named a
+                        // block freed since. Only a field still holding
+                        // the word dangles.
+                        if obj.field_word(i) != w {
+                            continue;
+                        }
                         issues.push(format!(
                             "dangling: {r} field {i} -> block {freed} (freed; src owner {}, entangled {})",
                             block.owner(),

@@ -1,33 +1,62 @@
-//! Deferred block reclamation.
+//! Epoch-based block reclamation.
 //!
-//! Under real threads, a block evacuated by the local collector may still
-//! be referenced by a concurrent task that read a (soon-stale) pointer just
-//! before the collection: the stale copy's forwarding word must remain
-//! readable until every task has passed a safepoint. Evacuated blocks are
-//! therefore *retired* to the graveyard and only freed at a quiescent
-//! point. The sequential executor has no such races and frees immediately.
+//! A from-space block a local collection evacuated may still be read by a
+//! thread that loaded a pointer into it before the collection repaired
+//! the field it came from: a remote reader between its load and its pin,
+//! whose pin then chases the forwarding word. A concurrent-collection
+//! tracer can hold such a pointer too, taken from a root snapshot or an
+//! SATB entry made before the owner wrote its roots back. So the owner
+//! *retires* the blocks once its roots are written back, and they are
+//! freed only when no such holder can be left
+//! ([`crate::CgcState::retire`]):
+//!
+//! * every open mutator slot either sits in a safe window or has
+//!   acknowledged an epoch at least the block's retirement epoch — an
+//!   acknowledgement happens only at a poll point, where the task holds
+//!   nothing but its own, its ancestors' and pinned objects; and
+//! * the concurrent cycle that was in flight when the block was retired,
+//!   if any, has finished.
+//!
+//! With one thread running, both hold at the retirement itself (the
+//! collecting slot is in a safe window), so the blocks are freed by the
+//! collection that evacuated them. The graveyard is only the list of
+//! blocks still waiting; [`crate::CgcState::reclaim`] decides and frees.
 
 use parking_lot::Mutex;
 
 use mpl_heap::events::{self, EventKind};
 use mpl_heap::Store;
 
-/// A set of blocks awaiting reclamation at the next quiescent point.
+/// A retired block and what it waits for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Retired {
+    pub(crate) block: u32,
+    /// The epoch its retirement bumped the snapshot epoch to.
+    pub(crate) epoch: u64,
+    /// The cycle counter at its retirement (odd: a cycle was in flight).
+    pub(crate) cycle: u64,
+}
+
+/// The blocks retired and not yet freed.
 #[derive(Debug, Default)]
 pub struct Graveyard {
-    pending: Mutex<Vec<u32>>,
+    pending: Mutex<Vec<Retired>>,
 }
 
 impl Graveyard {
-    /// Creates an empty graveyard.
-    pub fn new() -> Graveyard {
-        Graveyard::default()
-    }
-
-    /// Retires a block for deferred freeing.
-    pub fn retire(&self, block_id: u32) {
-        events::emit(EventKind::BlockRetire, block_id, 0, 0);
-        self.pending.lock().push(block_id);
+    /// Adds `blocks`, retired at `epoch` during cycle count `cycle`, and
+    /// returns how many blocks now wait.
+    pub(crate) fn retire(&self, blocks: &[u32], epoch: u64, cycle: u64) -> usize {
+        let mut pending = self.pending.lock();
+        for &block in blocks {
+            events::emit(EventKind::BlockRetire, block, 0, 0);
+            pending.push(Retired {
+                block,
+                epoch,
+                cycle,
+            });
+        }
+        pending.len()
     }
 
     /// Number of blocks awaiting reclamation.
@@ -35,43 +64,31 @@ impl Graveyard {
         self.pending.lock().len()
     }
 
-    /// Frees all retired blocks. Call only at a global quiescent point
-    /// (all tasks at safepoints, e.g. a top-level join).
-    pub fn drain(&self, store: &Store) -> usize {
+    /// Frees every waiting block `ripe` accepts and returns how many. The
+    /// blocks leave the list under its lock and are freed after it.
+    pub(crate) fn reap(&self, store: &Store, ripe: impl Fn(&Retired) -> bool) -> usize {
+        let freed: Vec<u32> = {
+            let mut pending = self.pending.lock();
+            let mut freed = Vec::new();
+            pending.retain(|r| {
+                let go = ripe(r);
+                if go {
+                    freed.push(r.block);
+                }
+                !go
+            });
+            freed
+        };
+        if freed.is_empty() {
+            return 0;
+        }
         let _stall = crate::stall::guard(crate::stall::GRAVEYARD);
-        let ids = std::mem::take(&mut *self.pending.lock());
-        let n = ids.len();
-        for id in ids {
+        for &id in &freed {
             store.blocks().free(id);
         }
-        if n > 0 {
-            // The reap is itself a reclamation phase: with auditing on,
-            // certify no live field was left pointing into a freed block.
-            crate::audit::audit(store, crate::check::Phase::GraveyardReap);
-        }
-        n
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mpl_heap::{ObjKind, StoreConfig};
-
-    #[test]
-    fn retire_then_drain_frees() {
-        let store = Store::new(StoreConfig {
-            block_words: 12,
-            ..Default::default()
-        });
-        let h = store.new_root_heap();
-        let r = store.alloc_values(h, ObjKind::Tuple, &[]);
-        let g = Graveyard::new();
-        g.retire(r.block());
-        assert_eq!(g.pending(), 1);
-        assert!(store.blocks().try_get(r.block()).is_some());
-        assert_eq!(g.drain(&store), 1);
-        assert_eq!(g.pending(), 0);
-        assert!(store.blocks().try_get(r.block()).is_none());
+        // The reap is itself a reclamation phase: with auditing on,
+        // certify no live field was left pointing into a freed block.
+        crate::audit::audit(store, crate::check::Phase::GraveyardReap);
+        freed.len()
     }
 }

@@ -42,10 +42,14 @@
 //!   ends with the same `shield()` fixpoint — the *re-take* — which sweeps
 //!   those raced pins and every pin registered since Phase A.
 //! * **Phase C (reclaim)** — from-space blocks that contain entangled
-//!   objects are retained (and flagged for the CGC); the rest are freed or
-//!   retired to the graveyard **wholesale** — no per-object walk is needed
-//!   to free a block, only the retained (entangled) minority is walked to
-//!   dead-mark unshielded garbage.
+//!   objects are retained (and flagged for the CGC); the rest are handed
+//!   back to the caller **wholesale** (`LgcOutcome::dead_blocks`) — no
+//!   per-object walk is needed to give up a block, only the retained
+//!   (entangled) minority is walked to dead-mark unshielded garbage. The
+//!   collection frees nothing itself: a concurrent reader may still be
+//!   about to chase a forwarding word in a dead block, so the runtime
+//!   retires them once the task's roots are written back and frees them
+//!   when every holder has moved past (`crate::graveyard`).
 //!
 //! **The collection resolves its own blocks itself.** `Lgc::new` takes
 //! the heap's live blocks (from-space) into a collection-local
@@ -75,10 +79,9 @@ use mpl_heap::{
 };
 
 use crate::check::{Phase, Shield};
-use crate::graveyard::Graveyard;
 
-/// Statistics from one local collection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Statistics from one local collection, and the blocks it emptied.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LgcOutcome {
     /// Bytes copied to to-space.
     pub copied_bytes: u64,
@@ -86,8 +89,10 @@ pub struct LgcOutcome {
     pub reclaimed_bytes: u64,
     /// Live bytes retained in place in the entangled space.
     pub retained_entangled_bytes: u64,
-    /// Number of from-space blocks freed or retired.
-    pub freed_blocks: usize,
+    /// The from-space blocks left with nothing live in them, for the
+    /// caller to free once no reader can reach them (see
+    /// `crate::CgcState::retire`).
+    pub dead_blocks: Vec<u32>,
     /// Number of from-space blocks retained for the CGC.
     pub retained_blocks: usize,
     /// Number of objects evacuated.
@@ -230,22 +235,17 @@ impl ToSpace<'_> {
 ///
 /// `roots` is the owning task's shadow stack (plus any values it holds
 /// across the collection, e.g. a pending result); entries are updated in
-/// place to the objects' new locations. With `free_now`, evacuated from-space
-/// blocks are freed at once — sound only when no other thread can be
-/// resolving forwarding words in them; otherwise they are retired to
-/// `graveyard` until quiescence.
+/// place to the objects' new locations. The evacuated from-space blocks
+/// come back in [`LgcOutcome::dead_blocks`], still registered: their
+/// forwarding words are what a reader holding a pre-collection pointer
+/// resolves through, so the caller frees them — at once when nothing else
+/// runs, through [`crate::CgcState::retire`] otherwise.
 ///
 /// # Panics
 ///
 /// Panics on heap corruption (dangling references outside the collected
 /// heap's own blocks).
-pub fn collect_local(
-    store: &Store,
-    heap: u32,
-    roots: &mut [ObjRef],
-    graveyard: &Graveyard,
-    free_now: bool,
-) -> LgcOutcome {
+pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutcome {
     // The whole call is the stop-the-task pause: timed here (not at call
     // sites) so allocation-triggered and forced collections are equally
     // covered. Phase spans are telemetry-gated; the pause counter is
@@ -309,7 +309,7 @@ pub fn collect_local(
     stall = crate::stall::enter(crate::stall::LGC_RECLAIM);
 
     // ---- Phase C: reclaim ------------------------------------------------
-    lgc.reclaim(graveyard, free_now);
+    lgc.reclaim();
     // Phase-boundary audit (formerly an ad-hoc MPL_DEBUG_LGC_VALIDATE
     // dangling-field scan printed to stderr): the reclaim-class audit
     // re-validates the shield, cross-checks reachability against dead
@@ -796,11 +796,11 @@ impl<'s> Lgc<'s> {
         block.sub_live_bytes(obj.size_bytes());
     }
 
-    /// Phase C: frees or retires every from-space block with nothing
-    /// shielded or pinned in it, dead-marks the unshielded garbage of the
-    /// rest, and installs to-space plus the retained blocks as the heap's
-    /// block list.
-    fn reclaim(&mut self, graveyard: &Graveyard, free_now: bool) {
+    /// Phase C: gives up every from-space block with nothing shielded or
+    /// pinned in it, dead-marks the unshielded garbage of the rest, and
+    /// installs to-space plus the retained blocks as the heap's block
+    /// list.
+    fn reclaim(&mut self) {
         let store = self.store;
         let from = self.table.from_len;
         // Forwarding-chain path compression: retained blocks keep
@@ -831,10 +831,13 @@ impl<'s> Lgc<'s> {
             }
             let block = &self.table.blocks[i];
             let bid = block.id();
-            if !self.retained[i] && block.pinned_count() == 0 {
+            if !self.retained[i] && block.try_retire() {
                 // Clean line map (nothing pinned, nothing shielded): the
-                // whole block is garbage or evacuated — freed wholesale,
-                // no walk.
+                // whole block is garbage or evacuated — given up
+                // wholesale, no walk. A reader that loaded a pointer to
+                // its garbage before this collection can no longer pin it
+                // (`Block::reserve_pin`), so nothing pinned can point into
+                // a block that is about to be freed.
                 dead_blocks.push(bid);
                 continue;
             }
@@ -866,7 +869,6 @@ impl<'s> Lgc<'s> {
             }
         }
         self.out.retained_blocks = retained_blocks.len();
-        self.out.freed_blocks = dead_blocks.len();
 
         let retained_live: u64 = (0..from)
             .filter(|&i| self.retained[i] && self.live(i))
@@ -880,7 +882,7 @@ impl<'s> Lgc<'s> {
         // The new block list: to-space first, then the retained blocks;
         // the per-class to-space blocks, settled, become the heap's
         // allocation blocks. Then the table lets go of every block, so
-        // none outlives its free below.
+        // none outlives its caller's free.
         let mut blocks: Vec<u32> = self.table.blocks[from..].iter().map(|b| b.id()).collect();
         blocks.extend(retained_blocks);
         self.tospace.settle();
@@ -890,20 +892,14 @@ impl<'s> Lgc<'s> {
             .each_ref()
             .map(|cur| cur.as_ref().map(|(_, region)| Arc::clone(region.block())));
         self.table = BlockTable::default();
-        for bid in dead_blocks {
-            if free_now {
-                store.blocks().free(bid);
-            } else {
-                graveyard.retire(bid);
-            }
-        }
+        self.out.dead_blocks = dead_blocks;
         self.info.with(|s| {
             s.blocks = blocks;
             s.alloc_blocks = alloc_blocks;
         });
 
         self.out.registry_lookups = self.lookups.get();
-        let out = self.out;
+        let out = &self.out;
         store.stats().on_lgc(
             out.copied_bytes,
             out.reclaimed_bytes,
@@ -940,9 +936,14 @@ mod tests {
         })
     }
 
+    /// Collects `heap` and frees the blocks it emptied, as the runtime
+    /// does when nothing else runs.
     fn lgc(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutcome {
-        let g = Graveyard::new();
-        collect_local(store, heap, roots, &g, true)
+        let out = collect_local(store, heap, roots);
+        for &id in &out.dead_blocks {
+            store.blocks().free(id);
+        }
+        out
     }
 
     #[test]
@@ -958,7 +959,7 @@ mod tests {
         assert!(out.reclaimed_bytes > 0);
         assert_eq!(out.copied_objects, 1);
         assert_eq!(s.handle(roots[0]).field(0), Value::Int(7));
-        assert!(out.freed_blocks > 0);
+        assert!(!out.dead_blocks.is_empty());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   place — and the root set is whatever those slots hold.
 //! * [`policy`] — the triggers tying both to allocation volume and pinned
 //!   footprint.
-//! * [`graveyard`] — quiescence-deferred block reclamation for the
-//!   real-thread executor.
+//! * [`graveyard`] — epoch-based block reclamation: a block a local
+//!   collection emptied is freed once every open slot has moved past the
+//!   epoch it was retired at ([`CgcState::retire`]).
 //! * [`check`](mod@check) — the **heap checker**: one walk over the store,
 //!   parameterised by the [`Phase`] it runs at (a collector phase
 //!   boundary, or a quiescent runtime), that certifies no field dangles,
@@ -31,7 +32,7 @@
 //! concurrent collector once it dies:
 //!
 //! ```
-//! use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard};
+//! use mpl_gc::{collect_entangled, collect_local, CgcState};
 //! use mpl_heap::{ObjKind, ObjRef, Store, StoreConfig, Value};
 //!
 //! let s = Store::new(StoreConfig::default());
@@ -43,20 +44,22 @@
 //! s.pin(cell, 0);
 //!
 //! // The owner's local collection cannot move a pinned object: it is
-//! // shielded in place, into the heap's non-moving entangled space.
-//! let graveyard = Graveyard::new();
+//! // shielded in place, into the heap's non-moving entangled space. The
+//! // blocks it emptied are retired: with no slot running, freed at once.
+//! let state = CgcState::new();
 //! let mut roots: [ObjRef; 0] = [];
-//! collect_local(&s, left, &mut roots, &graveyard, true);
+//! let out = collect_local(&s, left, &mut roots);
 //! assert!(s.handle(cell).header().in_entangled_space());
+//! state.retire(&s, &out.dead_blocks);
+//! assert_eq!(state.retired_blocks(), 0);
 //!
 //! // The concurrent mark-sweep roots at the open mutator slots' stacks,
 //! // read *after* the snapshot handshake: while a slot roots the cell it
 //! // survives; once nothing references it, it is reclaimed.
-//! let state = CgcState::new();
 //! let slot = state.open_slot();
 //! slot.roots.push(cell);
 //! assert_eq!(collect_entangled(&s, &state).swept_objects, 0);
-//! state.close_slot(&slot);
+//! state.close_slot(&s, &slot);
 //! assert_eq!(collect_entangled(&s, &state).swept_objects, 1);
 //! ```
 
@@ -78,6 +81,5 @@ pub use cgc::{
     REQ_HANDSHAKE,
 };
 pub use check::{check, Phase, Shield};
-pub use graveyard::Graveyard;
 pub use lgc::{collect_local, LgcOutcome};
 pub use policy::GcPolicy;

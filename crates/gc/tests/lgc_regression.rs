@@ -1,7 +1,17 @@
 //! Regression tests for collector bugs found by the integration suite.
 
-use mpl_gc::{collect_local, Graveyard};
+use mpl_gc::LgcOutcome;
 use mpl_heap::{ObjKind, ObjRef, RemsetEntry, Store, StoreConfig, Value};
+
+/// A local collection that frees the blocks it emptied, as the runtime
+/// does when no other slot runs.
+fn collect_local(s: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutcome {
+    let out = mpl_gc::collect_local(s, heap, roots);
+    for &id in &out.dead_blocks {
+        s.blocks().free(id);
+    }
+    out
+}
 
 /// A remembered-set entry whose target is evacuated through a *root* path
 /// before the remset pass reaches it must still repair the source field.
@@ -30,9 +40,8 @@ fn remset_repairs_target_already_evacuated_via_roots() {
         }],
     );
 
-    let g = Graveyard::new();
     let mut roots = [x]; // root processed before the remembered set
-    collect_local(&s, l, &mut roots, &g, true);
+    collect_local(&s, l, &mut roots);
 
     // The field must point at the new location, resolvable without
     // touching freed blocks.
@@ -44,7 +53,7 @@ fn remset_repairs_target_already_evacuated_via_roots() {
 
     // A second collection (nothing else live) must also stay sound.
     let mut roots2 = [roots[0]];
-    collect_local(&s, l, &mut roots2, &g, true);
+    collect_local(&s, l, &mut roots2);
     let field = s.handle(cell).field(0).expect_obj();
     assert_eq!(field, roots2[0]);
     assert_eq!(s.handle(field).field(0), Value::Int(5));
@@ -61,7 +70,6 @@ fn repeated_collections_with_bucket_rewrites() {
     let root_heap = s.new_root_heap();
     let (l, _r) = s.fork_heaps(root_heap);
     let table = s.alloc_values(root_heap, ObjKind::MutArr, &[Value::Unit; 8]);
-    let g = Graveyard::new();
 
     let mut nodes: Vec<ObjRef> = Vec::new();
     for round in 0..6 {
@@ -84,7 +92,7 @@ fn repeated_collections_with_bucket_rewrites() {
             s.alloc_values(l, ObjKind::Tuple, &[Value::Unit]);
         }
         let mut roots = [node];
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut roots);
 
         // Every bucket chain must resolve cleanly.
         for bb in 0..3 {
@@ -118,9 +126,8 @@ fn copying_a_list_makes_no_registry_lookups() {
             &[Value::Int(i), Value::Obj(head), Value::Unit, Value::Unit],
         );
     }
-    let g = Graveyard::new();
     let mut roots = [head];
-    let out = collect_local(&s, h, &mut roots, &g, true);
+    let out = collect_local(&s, h, &mut roots);
     assert_eq!(out.copied_objects, 1 << 16);
     assert_eq!(out.registry_lookups, 0, "{out:?}");
     assert_eq!(s.handle(roots[0]).field(0), Value::Int((1 << 16) - 1));
@@ -148,8 +155,7 @@ fn remembered_set_runs_cost_one_lookup_per_source_block() {
         .collect();
     s.remember(l, &entries);
     let source_blocks = 1; // an array larger than a block gets its own
-    let g = Graveyard::new();
-    let out = collect_local(&s, l, &mut [], &g, true);
+    let out = collect_local(&s, l, &mut []);
     assert_eq!(out.copied_objects, N);
     assert!(out.registry_lookups <= source_blocks, "{out:?}");
     for i in 0..N {
@@ -184,9 +190,8 @@ fn retained_blocks_forward_in_one_hop_to_live_objects() {
     let block = pinned.block();
     assert!(roots.iter().all(|r| r.block() == block));
     s.pin(pinned, 0);
-    let g = Graveyard::new();
     for _ in 0..2 {
-        let out = collect_local(&s, h, &mut roots, &g, true);
+        let out = collect_local(&s, h, &mut roots);
         assert_eq!(out.copied_objects, 3);
         assert_eq!(out.retained_blocks, 1);
     }

@@ -4,8 +4,18 @@
 
 use proptest::prelude::*;
 
-use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard, Phase, Shield};
+use mpl_gc::{collect_entangled, CgcState, LgcOutcome, Phase, Shield};
 use mpl_heap::{ObjKind, ObjRef, RemsetEntry, Store, StoreConfig, Value};
+
+/// A local collection that frees the blocks it emptied, as the runtime
+/// does when no other slot runs.
+fn collect_local(s: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutcome {
+    let out = mpl_gc::collect_local(s, heap, roots);
+    for &id in &out.dead_blocks {
+        s.blocks().free(id);
+    }
+    out
+}
 
 /// Specification of a random heap graph: `edges[i]` lists the children of
 /// object `i` among objects with smaller index (guaranteeing a DAG for
@@ -106,8 +116,7 @@ proptest! {
             s.pin(objs[p], 0);
         }
         let mut roots: Vec<ObjRef> = spec.roots.iter().map(|&i| objs[i]).collect();
-        let g = Graveyard::new();
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut roots);
 
         // Reachability from each root matches the oracle.
         for (k, &ri) in spec.roots.iter().enumerate() {
@@ -126,8 +135,7 @@ proptest! {
         }
         let shielded = reachable_payloads(&spec, &spec.pins);
         let mut roots: Vec<ObjRef> = spec.roots.iter().map(|&i| objs[i]).collect();
-        let g = Graveyard::new();
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut roots);
         for (i, &r) in objs.iter().enumerate() {
             if shielded.contains(&(i as i64)) {
                 prop_assert_eq!(s.resolve(r), r, "object {} must not move", i);
@@ -142,15 +150,14 @@ proptest! {
     fn lgc_is_idempotent(spec in graph_spec(16)) {
         let (s, _root, l, objs) = build(&spec);
         let mut roots: Vec<ObjRef> = spec.roots.iter().map(|&i| objs[i]).collect();
-        let g = Graveyard::new();
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut roots);
         let first: Vec<_> = spec
             .roots
             .iter()
             .enumerate()
             .map(|(k, _)| walk(&s, roots[k]))
             .collect();
-        let out2 = collect_local(&s, l, &mut roots, &g, true);
+        let out2 = collect_local(&s, l, &mut roots);
         prop_assert_eq!(out2.reclaimed_bytes, 0, "no garbage appears from thin air");
         for (k, expect) in first.into_iter().enumerate() {
             prop_assert_eq!(walk(&s, roots[k]), expect);
@@ -168,8 +175,7 @@ proptest! {
         // Shield via LGC with no task roots: only pin closures survive in
         // place; everything else is reclaimed.
         let mut no_roots: Vec<ObjRef> = Vec::new();
-        let g = Graveyard::new();
-        collect_local(&s, l, &mut no_roots, &g, true);
+        collect_local(&s, l, &mut no_roots);
 
         // Now run CGC with a root subset of the pinned objects.
         let keep: Vec<usize> = spec.pins.iter().copied().take(1).collect();
@@ -215,7 +221,7 @@ proptest! {
                 s.pin(objs[p], 0);
             }
             let mut no_roots: Vec<ObjRef> = Vec::new();
-            collect_local(&s, l, &mut no_roots, &Graveyard::new(), true);
+            collect_local(&s, l, &mut no_roots);
             (s, objs)
         };
         let (seq, seq_objs) = build_and_shield();
@@ -321,7 +327,6 @@ proptest! {
         let _audit = AuditGuard::new();
         let (s, root_heap, l, objs) = build(&spec);
         let mut roots: Vec<ObjRef> = spec.roots.iter().map(|&i| objs[i]).collect();
-        let g = Graveyard::new();
         let alive = |r: ObjRef| {
             let r = s.try_resolve(r)?;
             let block = s.blocks().try_get(r.block())?;
@@ -347,11 +352,11 @@ proptest! {
                     }
                 }
                 Op::Collect => {
-                    collect_local(&s, l, &mut roots, &g, true);
+                    collect_local(&s, l, &mut roots);
                 }
             }
         }
-        collect_local(&s, l, &mut roots, &g, true);
+        collect_local(&s, l, &mut roots);
 
         // The audits inside collect_local already checked each phase; a
         // final explicit reclaim-class check re-confirms the end state.

@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mpl_gc::{collect_entangled, CgcState, Graveyard};
+use mpl_gc::{collect_entangled, CgcState};
 use mpl_heap::{ObjKind, ObjRef, Store, StoreConfig, Value};
 
 /// Tiny deterministic generator (xorshift64*) so each seed replays the
@@ -64,7 +64,9 @@ fn entangled_pair(s: &Store) -> (ObjRef, ObjRef) {
     s.pin(victim, 0);
     s.pin(holder, 0);
     let mut no_roots: Vec<ObjRef> = Vec::new();
-    mpl_gc::collect_local(s, l, &mut no_roots, &Graveyard::new(), true);
+    for id in mpl_gc::collect_local(s, l, &mut no_roots).dead_blocks {
+        s.blocks().free(id);
+    }
     (s.resolve(holder), s.resolve(victim))
 }
 
@@ -117,7 +119,7 @@ fn run_seed(seed: u64) {
                 state.poll_handshake(&slot);
             }
             state.enter_safe(&slot);
-            state.close_slot(&slot);
+            state.close_slot(&s, &slot);
         })
     };
 

@@ -99,6 +99,9 @@ pub const OBJECT_HEADER_WORDS: usize = 2;
 /// block get a dedicated block).
 pub const NUM_SIZE_CLASSES: usize = 4;
 
+/// The pin-count bit [`Block::try_retire`] sets.
+const RETIRED: u32 = 1 << 31;
+
 /// Upper bounds (inclusive, in total words) of the non-overflow classes.
 pub const SIZE_CLASS_WORDS: [usize; NUM_SIZE_CLASSES - 1] = [4, 8, 16];
 
@@ -206,7 +209,8 @@ pub struct Block {
     cursor: AtomicU32,
     /// Logical live bytes (settled allocation sizes minus swept objects).
     live_bytes: AtomicUsize,
-    /// Number of currently pinned objects in this block.
+    /// Number of currently pinned objects in this block, plus pins being
+    /// taken; [`RETIRED`] once a local collection gave the block up.
     pinned_count: AtomicU32,
     /// Number of forwarding words installed in this block (never
     /// decremented): lets reclaim skip the chain-compression walk on
@@ -493,7 +497,31 @@ impl Block {
     /// Number of currently pinned objects.
     #[inline]
     pub fn pinned_count(&self) -> u32 {
-        self.pinned_count.load(Ordering::Acquire)
+        self.pinned_count.load(Ordering::Acquire) & !RETIRED
+    }
+
+    /// Gives the block up to its local collection's retirement, unless a
+    /// pin holds or is being taken on it: one CAS of the pin count from
+    /// zero, so it and [`Block::reserve_pin`] exclude each other. A
+    /// retired block's objects are all forwarded or garbage; none can be
+    /// pinned from here on.
+    pub fn try_retire(&self) -> bool {
+        self.pinned_count
+            .compare_exchange(0, RETIRED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Counts a pin about to be taken on an object of this block, before
+    /// its header shows it; false (and nothing counted) once the block is
+    /// retired — the object is garbage a reader loaded before its owner's
+    /// collection, which must not escape pinned into a block about to be
+    /// freed.
+    pub fn reserve_pin(&self) -> bool {
+        if self.pinned_count.fetch_add(1, Ordering::AcqRel) & RETIRED == 0 {
+            return true;
+        }
+        self.pinned_count.fetch_sub(1, Ordering::AcqRel);
+        false
     }
 
     /// Adjusts the pinned-object count.

@@ -266,7 +266,10 @@ impl<'a> Object<'a> {
     /// refused: the pin CAS and [`Object::try_kill`] serialize on the one
     /// header word, so a pin either lands first (and the kill backs off)
     /// or reports [`PinOutcome::Dead`] — never a pinned corpse that the
-    /// join's unpin walk would skip.
+    /// join's unpin walk would skip. A new pin is counted on the block
+    /// before the header shows it ([`Block::reserve_pin`]), so it and the
+    /// block's retirement exclude each other the same way: an unforwarded
+    /// object in a retired block is garbage, and reads as dead.
     pub fn try_pin(&self, level: u16) -> PinOutcome {
         debug_assert!(level != NO_PIN_LEVEL, "NO_PIN_LEVEL is a sentinel");
         // Enter the barrier's slow set *before* the pin becomes visible:
@@ -274,30 +277,42 @@ impl<'a> Object<'a> {
         // the slow tier. A stray slow bit (forwarded object, lost race)
         // only costs a spurious slow-tier trip.
         self.block.set_slow(self.off);
-        loop {
+        let mut reserved = false;
+        let outcome = loop {
             let cur = self.header();
             if cur.is_forwarded() {
-                return PinOutcome::Forwarded(
+                break PinOutcome::Forwarded(
                     self.forward_ref().expect("forwarded object lacks fwd ref"),
                 );
             }
             if cur.is_dead() {
-                return PinOutcome::Dead;
+                break PinOutcome::Dead;
             }
             let newly = !cur.is_pinned();
             let lowered = cur.is_pinned() && level < cur.pin_level();
             if !newly && !lowered {
-                return PinOutcome::AlreadyPinned { lowered: false };
+                break PinOutcome::AlreadyPinned { lowered: false };
+            }
+            if newly && !reserved {
+                if !self.block.reserve_pin() {
+                    return PinOutcome::Dead;
+                }
+                reserved = true;
+                continue;
             }
             let next = cur.with_pin(level).with_entangled_space();
             if self.cas_header(cur, next) {
-                return if newly {
+                break if newly {
                     PinOutcome::NewlyPinned
                 } else {
                     PinOutcome::AlreadyPinned { lowered }
                 };
             }
+        };
+        if reserved && outcome != PinOutcome::NewlyPinned {
+            self.block.add_pinned(-1);
         }
+        outcome
     }
 
     /// Clears the pin if the current pin level is `>= join_depth` (the

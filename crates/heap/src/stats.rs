@@ -195,6 +195,9 @@ counter_table! {
         cgc_packet_retries: Monotonic, Store, "CGC packets re-enqueued after an injected or real panic";
         blocks_allocated: Monotonic, Store, "Size-class blocks handed out by the registry";
         blocks_freed: Monotonic, Store, "Blocks returned to the registry (LGC, CGC, joins)";
+        /// A block a local collection emptied waits, retired, until every
+        /// open mutator slot has moved past the epoch it was retired at.
+        graveyard_high_water: HighWater, Store, "Peak number of evacuated blocks retired and not yet freed";
         /// Lines in use minus marked lines, summed over swept blocks.
         lines_swept: Monotonic, Store, "Lines reclaimed by line-mark sweeps";
         /// Counted in every build profile, because the matching debug
@@ -349,6 +352,12 @@ impl StoreStats {
             retained_entangled_bytes,
         );
         self.sub_live_bytes(reclaimed_bytes as usize);
+    }
+
+    /// Records how many blocks wait, retired, after a retirement.
+    pub fn note_retired(&self, pending: usize) {
+        self.cell(Counter::graveyard_high_water)
+            .fetch_max(pending as u64, Relaxed);
     }
 
     /// Records a completed concurrent collection.

@@ -428,10 +428,10 @@ impl Store {
 
     /// The bookkeeping owed by whoever's `try_pin` on the object at `r`
     /// (in `block`) returned [`PinOutcome::NewlyPinned`]: index it on its
-    /// heap, count it on its block and in the gauges, trace it.
+    /// heap, count it in the gauges, trace it. (The pin already counts on
+    /// its block: `try_pin` reserved it there.)
     pub fn on_newly_pinned(&self, block: &Block, r: ObjRef, level: u16) {
         self.heaps.register_entangled(block.owner(), r, level);
-        block.add_pinned(1);
         self.stats.on_pin(block.get(r.word()).size_bytes());
         events::emit_obj(EventKind::Pin, r, u32::from(level));
     }

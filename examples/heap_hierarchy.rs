@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example heap_hierarchy`
 
-use mpl_gc::{collect_entangled, collect_local, CgcState, Graveyard};
+use mpl_gc::{collect_entangled, collect_local, CgcState};
 use mpl_heap::{ObjKind, ObjRef, Store, StoreConfig, Value};
 
 fn main() {
@@ -28,12 +28,18 @@ fn main() {
     println!("pinned {pinned} at level {level} (newly: {newly})");
 
     // The left task collects its heap: the pinned record must stay put.
+    // The blocks it emptied are retired; no slot is running, so they are
+    // freed at once.
+    let state = CgcState::new();
     let mut roots: [ObjRef; 0] = [];
-    let graveyard = Graveyard::new();
-    let out = collect_local(&store, left, &mut roots, &graveyard, true);
+    let out = collect_local(&store, left, &mut roots);
+    state.retire(&store, &out.dead_blocks);
     println!(
-        "LGC(left): copied={}B reclaimed={}B retained-entangled={}B",
-        out.copied_bytes, out.reclaimed_bytes, out.retained_entangled_bytes
+        "LGC(left): copied={}B reclaimed={}B retained-entangled={}B, {} block(s) freed",
+        out.copied_bytes,
+        out.reclaimed_bytes,
+        out.retained_entangled_bytes,
+        out.dead_blocks.len()
     );
     assert_eq!(
         store.handle(record).field(0),
@@ -44,7 +50,6 @@ fn main() {
     // Nothing actually references the record (the "right task" dropped
     // it): the concurrent collector reclaims the entangled space even
     // while the pin is still nominally in place.
-    let state = CgcState::new();
     let swept = collect_entangled(&store, &state);
     println!(
         "CGC: swept {} object(s), {} bytes",

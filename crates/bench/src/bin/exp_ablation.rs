@@ -141,49 +141,6 @@ fn main() {
     println!("\nCGC-trigger sweep (dedup, n={dn}):");
     print!("{}", t3.render());
 
-    // CGC slicing (incremental marking): pause bound vs slice size.
-    let mut t5 = Table::new(&[
-        "slice (objs)",
-        "wall",
-        "CGC cycles",
-        "total pause",
-        "max pause",
-    ]);
-    let uf = mpl_bench_suite::by_name("unionfind").unwrap();
-    let un = scaled(uf.default_n()) / 2;
-    for slice in [0usize, 4096, 512, 64] {
-        let mut cfg = RuntimeConfig::managed().with_cgc_slice(slice);
-        cfg.policy.cgc_trigger_pinned_bytes = 64 * 1024;
-        let run = run_mpl(uf.as_ref(), un, cfg);
-        t5.row(vec![
-            if slice == 0 {
-                "monolithic".into()
-            } else {
-                slice.to_string()
-            },
-            fmt_dur(run.wall),
-            run.stats.cgc_runs.to_string(),
-            fmt_dur(std::time::Duration::from_nanos(
-                run.stats.cgc_pause_ns_total,
-            )),
-            fmt_dur(std::time::Duration::from_nanos(run.stats.cgc_pause_ns_max)),
-        ]);
-        rows.push(Row {
-            ablation: "cgc-slice".into(),
-            benchmark: "unionfind".into(),
-            setting: slice.to_string(),
-            wall_us: run.wall.as_micros(),
-            max_live: run.stats.max_live_bytes,
-            lgc_runs: run.stats.lgc_runs,
-            cgc_runs: run.stats.cgc_runs,
-            max_pinned: run.stats.max_pinned_bytes,
-            lgc_pause_ns_total: run.stats.lgc_pause_ns_total,
-            lgc_pause_ns_max: run.stats.lgc_pause_ns_max,
-        });
-    }
-    println!("\nCGC incremental-slicing sweep (unionfind, n={un}, trigger=64KiB):");
-    print!("{}", t5.render());
-
     // Suspects (entanglement candidates) on/off.
     let mut t4 = Table::new(&["benchmark", "suspects", "wall", "ent.reads", "pins"]);
     for name in ["dedup", "unionfind", "conc_stack", "tokens"] {

@@ -151,7 +151,6 @@ fn main() {
     let mut pause = Table::new(&[
         "benchmark",
         "threads",
-        "slice",
         "CGC runs",
         "swept",
         "total pause",
@@ -161,34 +160,24 @@ fn main() {
     // msqueue needs the real-thread executor here: under the sequential
     // schedule its consumer is a non-allocating loop, so no safepoint
     // falls inside the pin-growth phase (CGC is safepoint-based; see
-    // DESIGN.md, decision 8). Each benchmark also runs with incremental
-    // (sliced) cycles, the bounded-pause configuration.
+    // DESIGN.md, decision 8).
     for (name, threads) in [("dedup", 1), ("bfs", 1), ("msqueue", 2)] {
-        for slice in [0usize, 512] {
-            let bench = mpl_bench_suite::by_name(name).expect("known benchmark");
-            let n = scale_bench(bench.as_ref());
-            let mut cfg = RuntimeConfig::managed()
-                .with_threads(threads)
-                .with_cgc_slice(slice);
-            cfg.policy.cgc_trigger_pinned_bytes = 64 * 1024;
-            let out = run_mpl(bench.as_ref(), n, cfg);
-            pause.row(vec![
-                name.into(),
-                threads.to_string(),
-                if slice == 0 {
-                    "-".into()
-                } else {
-                    slice.to_string()
-                },
-                out.stats.cgc_runs.to_string(),
-                fmt_bytes(out.stats.cgc_swept_bytes as usize),
-                fmt_dur(std::time::Duration::from_nanos(
-                    out.stats.cgc_pause_ns_total,
-                )),
-                fmt_dur(std::time::Duration::from_nanos(out.stats.cgc_pause_ns_max)),
-                fmt_bytes(out.stats.max_pinned_bytes),
-            ]);
-        }
+        let bench = mpl_bench_suite::by_name(name).expect("known benchmark");
+        let n = scale_bench(bench.as_ref());
+        let mut cfg = RuntimeConfig::managed().with_threads(threads);
+        cfg.policy.cgc_trigger_pinned_bytes = 64 * 1024;
+        let out = run_mpl(bench.as_ref(), n, cfg);
+        pause.row(vec![
+            name.into(),
+            threads.to_string(),
+            out.stats.cgc_runs.to_string(),
+            fmt_bytes(out.stats.cgc_swept_bytes as usize),
+            fmt_dur(std::time::Duration::from_nanos(
+                out.stats.cgc_pause_ns_total,
+            )),
+            fmt_dur(std::time::Duration::from_nanos(out.stats.cgc_pause_ns_max)),
+            fmt_bytes(out.stats.max_pinned_bytes),
+        ]);
     }
     print!("{}", pause.render());
 

@@ -69,11 +69,6 @@ pub struct RuntimeConfig {
     /// without it — which is exactly what the tier-agreement proptest
     /// checks. Diagnostic/testing knob; never faster.
     pub force_slow_path: bool,
-    /// Incremental concurrent collection: when nonzero, each CGC pause
-    /// traces at most this many objects; the cycle spans multiple
-    /// safepoints with mutators running (and SATB-logging) in between.
-    /// `0` (the default) runs each cycle to completion in one pause.
-    pub cgc_slice_objects: usize,
     /// Enables GC phase-boundary audits and entanglement-event tracing
     /// (`mpl-gc`'s audit layer) for this runtime's lifetime — the
     /// programmatic equivalent of setting `MPL_DEBUG_LGC_VALIDATE`.
@@ -123,7 +118,6 @@ impl Default for RuntimeConfig {
             threads: 1,
             suspects: true,
             force_slow_path: false,
-            cgc_slice_objects: 0,
             audit: false,
             telemetry: false,
             failpoints: FailPlan::default(),
@@ -153,25 +147,6 @@ impl RuntimeConfig {
             mode: Mode::NoEntanglementBarrier,
             ..RuntimeConfig::default()
         }
-    }
-
-    /// Slices concurrent collections into pauses of at most `objects`
-    /// traced objects (`0` restores single-pause cycles).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mpl_runtime::{Runtime, RuntimeConfig, Value};
-    ///
-    /// let mut cfg = RuntimeConfig::managed().with_cgc_slice(256);
-    /// cfg.policy.cgc_trigger_pinned_bytes = 64 * 1024;
-    /// let rt = Runtime::new(cfg);
-    /// let v = rt.run(|m| m.alloc_ref(Value::Int(1)));
-    /// assert!(v.as_obj().is_some());
-    /// ```
-    pub fn with_cgc_slice(mut self, objects: usize) -> RuntimeConfig {
-        self.cgc_slice_objects = objects;
-        self
     }
 
     /// Enables DAG recording.

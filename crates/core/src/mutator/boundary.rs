@@ -325,12 +325,12 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// **CGC safepoint**: gives the concurrent collector a chance to run
-    /// (or advance a sliced cycle) — or, with `force`, blocks until a full
-    /// cycle completes. Counters are published first so the gauges the
-    /// trigger reads are current; `roots` (values the caller holds that
-    /// nothing else reaches yet, e.g. join results) are rooted for the
-    /// duration — CGC never moves objects, so they need no write-back;
-    /// and the collection runs inside a safe window: if this thread wins
+    /// — or, with `force`, blocks until a full cycle completes. Counters
+    /// are published first so the gauges the trigger reads are current;
+    /// `roots` (values the caller holds that nothing else reaches yet,
+    /// e.g. join results) are rooted for the duration — CGC never moves
+    /// objects, so they need no write-back; and the collection runs
+    /// inside a safe window: if this thread wins
     /// the gate and begins a cycle, the snapshot handshake must not wait
     /// on this task's own slot (nor deadlock against another thread's
     /// handshake while this one blocks on the gate).
@@ -372,8 +372,7 @@ impl<'rt> TaskCtx<'rt> {
             region.settle();
         }
         // The collection can run for an unbounded stretch without
-        // reaching a poll point, and the sliced-cycle finish below blocks
-        // on the collection gate: keep the slot safe throughout. Sound
+        // reaching a poll point: keep the slot safe throughout. Sound
         // for the same reason concurrent CGC marking is sound against
         // LGC at all — entangled-space objects are never moved or freed
         // locally, and a CGC tracer racing the move of a *local* object
@@ -381,13 +380,6 @@ impl<'rt> TaskCtx<'rt> {
         // in flight outlives the cycle).
         let _safe = self.safe_window();
         let rt = self.rt;
-        // A local collection moves objects and (eagerly) frees blocks; a
-        // paused incremental CGC holds object refs in its mark stack, so
-        // finish that cycle first. (Full MPL repairs the marker's state
-        // instead; serializing keeps the interaction sound here.)
-        if rt.config().cgc_slice_objects > 0 && rt.cgc_state().cycle_active() {
-            rt.force_cgc();
-        }
         // Snapshot this task's frame (owner read: nobody else pushes),
         // collect, then write the updated locations back with
         // atomic slot stores. A concurrent CGC root scan may interleave

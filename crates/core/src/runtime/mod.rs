@@ -40,7 +40,6 @@ pub struct Runtime {
     cgc_state: Arc<CgcState>,
     dag: Mutex<Option<Arc<DagBuilder>>>,
     last_dag: Mutex<Option<Dag>>,
-    cgc_gate: Mutex<()>,
     /// Pinned footprint after the previous concurrent collection; the
     /// next one triggers only once the footprint has doubled (amortizing
     /// full-graph marking against entangled allocation volume).
@@ -125,7 +124,6 @@ impl Runtime {
             cgc_state,
             dag: Mutex::new(None),
             last_dag: Mutex::new(None),
-            cgc_gate: Mutex::new(()),
             cgc_baseline: std::sync::atomic::AtomicUsize::new(0),
             sampler,
             failpoint_owner,

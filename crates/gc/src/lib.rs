@@ -77,8 +77,8 @@ pub mod stall;
 
 pub use audit::{audit, AuditCounters};
 pub use cgc::{
-    cgc_begin, cgc_step, collect_entangled, CgcOutcome, CgcState, MutatorSlot, REQ_CANCEL, REQ_CGC,
-    REQ_HANDSHAKE,
+    cgc_begin, cgc_finish, collect_entangled, CgcOutcome, CgcState, MutatorSlot, REQ_CANCEL,
+    REQ_CGC, REQ_HANDSHAKE,
 };
 pub use check::{check, Phase, Shield};
 pub use lgc::{collect_local, LgcOutcome};

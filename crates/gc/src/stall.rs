@@ -101,7 +101,8 @@ static REPORTS: AtomicU64 = AtomicU64::new(0);
 
 /// Records that the watchdog flagged a stalled phase and dumped state.
 /// Called by the runtime's watchdog thread; tests use [`reports`] to
-/// assert sliced/packetized cycles under load do *not* trip it.
+/// assert that whole cycles under load, their clock re-armed by every
+/// packet and handshake, do *not* trip it.
 pub fn note_report() {
     REPORTS.fetch_add(1, Ordering::Relaxed);
 }

@@ -32,7 +32,7 @@ macro_rules! metric_table {
 
 metric_table! {
     LgcPause: "lgc_pause", "gc.lgc", "Local collection stop-the-task pause";
-    CgcPause: "cgc_pause", "gc.cgc", "Entangled collection pause (monolithic or slice)";
+    CgcPause: "cgc_pause", "gc.cgc", "Entangled collection pause (one whole cycle)";
     /// Mark the shield closure.
     LgcShield: "lgc_shield", "gc.lgc", "LGC phase A (shield) duration";
     /// Copy live objects and fix references.

@@ -379,4 +379,40 @@ mod tests {
         drop(guard);
         drop(ex);
     }
+
+    /// Overwrites the stack below its caller with junk.
+    #[inline(never)]
+    fn scribble(seed: usize) -> usize {
+        let mut junk = [0usize; 128];
+        for (k, w) in junk.iter_mut().enumerate() {
+            *w = seed ^ k ^ 0x5a5a_5a5a;
+        }
+        std::hint::black_box(&mut junk);
+        junk[seed % 128]
+    }
+
+    /// A thief's latch set must read nothing of the job after its store:
+    /// the owner returns from its join at once and reuses the frame. The
+    /// failpoint holds the setter between the store and the wake-up while
+    /// the owner scribbles over the frame the job lived in.
+    #[test]
+    fn a_latch_set_reads_nothing_of_a_popped_frame() {
+        let plan = mpl_fail::FailPlan::new(1).with(
+            "sched/latch",
+            mpl_fail::FailAction::Delay(100_000),
+            mpl_fail::FailWhen::OneIn(8),
+        );
+        let token = mpl_fail::install(&plan);
+        let ex = Executor::new(4);
+        let guard = ex.install_driver().expect("driver slot free");
+        let mut acc = 0usize;
+        for i in 0..20_000usize {
+            let (a, b) = try_join(|_| i, |_| i + 1).ok().expect("on the pool");
+            acc = acc.wrapping_add(scribble(a + b));
+        }
+        drop(guard);
+        mpl_fail::uninstall(token);
+        std::hint::black_box(acc);
+        assert!(ex.stats().steals > 0, "no job was stolen");
+    }
 }

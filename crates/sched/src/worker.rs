@@ -89,8 +89,13 @@ impl Latch {
     }
 
     fn set(&self) {
+        // Once `done` reads true the owner may return from its join and
+        // pop the frame this latch lives in: take the handle the wake-up
+        // needs first, and touch nothing of `self` after the store.
+        let owner = self.owner.clone();
         self.done.store(true, Ordering::Release);
-        self.owner.unpark();
+        mpl_fail::hit_hard("sched/latch");
+        owner.unpark();
     }
 }
 

@@ -218,13 +218,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Sequential executor: every read agrees with the pure oracle, under
-    /// the default policy, aggressive collection pressure, and sliced
-    /// (incremental) concurrent collection.
+    /// the default policy and aggressive collection pressure.
     #[test]
     fn random_programs_agree_with_oracle(ops in program()) {
         run_fuzz(&ops, RuntimeConfig::managed(), true);
         run_fuzz(&ops, pressure(), true);
-        run_fuzz(&ops, pressure().with_cgc_slice(4), true);
     }
 
     /// The suspects fast path is semantics-preserving on random programs.
@@ -247,6 +245,5 @@ proptest! {
     fn random_programs_threaded_sound(ops in program()) {
         run_fuzz(&ops, RuntimeConfig::managed().with_threads(3), false);
         run_fuzz(&ops, pressure().with_threads(3), false);
-        run_fuzz(&ops, pressure().with_threads(3).with_cgc_slice(8), false);
     }
 }

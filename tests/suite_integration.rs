@@ -61,19 +61,6 @@ fn all_benchmarks_default_config() {
 }
 
 #[test]
-fn all_benchmarks_under_sliced_cgc() {
-    // Incremental concurrent collection: pauses are bounded by the slice,
-    // cycles span many safepoints, and every checksum still holds.
-    for bench in mpl_bench_suite::all() {
-        check(
-            bench.as_ref(),
-            gc_pressure().with_cgc_slice(64),
-            "sliced-cgc",
-        );
-    }
-}
-
-#[test]
 fn all_benchmarks_under_gc_pressure() {
     for bench in mpl_bench_suite::all() {
         check(bench.as_ref(), gc_pressure(), "gc-pressure");

@@ -38,15 +38,18 @@ fn entangled_suite_under_threads_and_gc_pressure() {
 }
 
 #[test]
-fn entangled_suite_under_threads_with_sliced_cgc() {
-    // Incremental cycles interleave with running mutators on real
-    // threads: the SATB protocol (plus the LGC force-finish rule) must
-    // keep every checksum and the pin accounting intact.
+fn entangled_suite_under_threads_with_frequent_cgc() {
+    // A cycle runs on one worker while the others keep mutating and
+    // logging into their slots: with a low pinned trigger cycles overlap
+    // running mutators and local collections over and over, and the SATB
+    // protocol must keep every checksum and the pin accounting intact.
     for round in 0..3 {
         for name in ["dedup", "msqueue", "unionfind", "accounts"] {
             let bench = mpl_bench_suite::by_name(name).unwrap();
             let n = bench.small_n() / 2 + round;
-            let rt = Runtime::new(threaded_pressure(4).with_cgc_slice(32));
+            let mut cfg = threaded_pressure(4);
+            cfg.policy.cgc_trigger_pinned_bytes = 4 * 1024;
+            let rt = Runtime::new(cfg);
             let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             assert_eq!(got, Value::Int(bench.run_native(n)), "{name} round {round}");
             rt.assert_heap_sound();

@@ -59,7 +59,7 @@ fn bench_join(c: &mut Criterion) {
                 }
                 (s, root, l, r)
             },
-            |(s, root, l, r)| s.join(root, l, r),
+            |(s, root, l, r)| s.join(root, [l, r]),
         );
     });
     g.bench_function("pin_unpinned_object", |b| {

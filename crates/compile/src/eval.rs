@@ -5,7 +5,8 @@
 //! environments are heap-allocated frames, closures are heap records,
 //! `ref`/`!`/`:=` hit the real read/write barriers (so cross-task effects
 //! entangle and pin exactly as in compiled Parallel ML), and `par` maps
-//! onto the runtime's fork-join with fresh child heaps.
+//! onto the runtime's fork-join, whose branches get child heaps on first
+//! use.
 //!
 //! ## Heap representation
 //!

@@ -95,7 +95,7 @@ impl Mutator<'_> {
             .block()
             .size_class() as u8;
         mpl_obs::provenance_record(mpl_obs::ProvenanceSample {
-            reader_depth: self.ctx.path.len() as u16,
+            reader_depth: self.ctx.heap.depth() + 1,
             owner_depth,
             size_class,
             pinned: newly_pinned,
@@ -162,7 +162,11 @@ impl Mutator<'_> {
             let Value::Obj(_) = raw else { continue };
             let t = self.resolve_at(raw, "allocation barrier");
             let owner = self.view(t).block().owner();
-            let (_, _, lca) = self.rt.store().heaps().path_relation(&self.ctx.path, owner);
+            let (_, _, lca) = self
+                .rt
+                .store()
+                .heaps()
+                .path_relation(self.ctx.path(), owner);
             if let Some(level) = lca {
                 self.ctx.pending.entangled_writes += 1;
                 let pinned = self.pin_held(t, level);
@@ -255,7 +259,7 @@ impl Mutator<'_> {
                 .rt
                 .store()
                 .heaps()
-                .path_relation(&self.ctx.path, self.view(t).block().owner());
+                .path_relation(self.ctx.path(), self.view(t).block().owner());
             let acquired = match lca {
                 None => Some(t.r), // local target
                 Some(level) => {
@@ -369,7 +373,7 @@ impl Mutator<'_> {
         // registry lock, and no cache traffic that could evict the
         // source's slot (which the caller's store views).
         if !cfg.force_slow_path && matches!(v, Value::Obj(_)) {
-            let leaf = self.ctx.leaf_heap();
+            let leaf = self.ctx.heap.leaf();
             if let Value::Obj(t) = v {
                 if self.view(src).block().owner() == leaf
                     && store.sft().owner_of(t.block()) == Some(leaf)
@@ -386,7 +390,7 @@ impl Mutator<'_> {
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
         let (o_heap, o_depth, o_lca) = store
             .heaps()
-            .path_relation(&self.ctx.path, self.view(src).block().owner());
+            .path_relation(self.ctx.path(), self.view(src).block().owner());
         let o_local = o_lca.is_none();
         if !o_local {
             match mode {
@@ -410,7 +414,7 @@ impl Mutator<'_> {
             let t = self.resolve_at(v, "written value");
             let (t_heap, t_depth, t_lca) = store
                 .heaps()
-                .path_relation(&self.ctx.path, self.view(t).block().owner());
+                .path_relation(self.ctx.path(), self.view(t).block().owner());
             let t_local = t_lca.is_none();
             if t_local {
                 if t_depth > o_depth {

@@ -190,7 +190,7 @@ impl Mutator<'_> {
                     exhausted.retire();
                 }
             }
-            let mut region = self.rt.store().region(self.ctx.leaf_heap(), nwords);
+            let mut region = self.rt.store().region(self.ctx.materialise(), nwords);
             let off = region
                 .reserve(nwords)
                 .expect("a fresh region fits its object");
@@ -261,11 +261,7 @@ impl Mutator<'_> {
     /// would be exceeded by an allocation of `size` bytes.
     fn over_budget(&self, size: usize) -> bool {
         self.rt.store().over_limit(size)
-            || self
-                .ctx
-                .budget
-                .as_ref()
-                .is_some_and(|b| b.would_exceed(size))
+            || self.ctx.heap.budget().is_some_and(|b| b.would_exceed(size))
     }
 
     /// The memory-pressure escalation ladder, run on the slow path of
@@ -295,7 +291,7 @@ impl Mutator<'_> {
             return;
         }
         let stats = rt.store().stats();
-        if let Some(b) = &self.ctx.budget {
+        if let Some(b) = self.ctx.heap.budget() {
             if b.would_exceed(size) {
                 b.on_forced_gc();
             }
@@ -316,7 +312,7 @@ impl Mutator<'_> {
         // Attribute the failure to the constraint still violated: the
         // tenant budget (the serving layer's shed signal) if it is the
         // binding one, else the global limit.
-        if let Some(b) = self.ctx.budget.clone() {
+        if let Some(b) = self.ctx.heap.budget() {
             if b.would_exceed(size) {
                 b.on_shed();
                 self.raise_alloc_error(AllocError {

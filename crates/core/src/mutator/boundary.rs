@@ -1,11 +1,13 @@
 //! Per-task GC state and the boundary protocol that keeps it coherent.
 //!
 //! A [`TaskCtx`] is everything one task owns on the mutator/collector
-//! seam — allocation and block caches, the remembered-set write buffer,
-//! task-buffered counters, DAG work, the tenant budget and the cancel
-//! token — plus the [`MutatorSlot`] (root stack + SATB buffer) it
-//! *borrows*: its run's, its session's, or its forker's, unless the
-//! scheduler migrated it (`mpl_gc::roots` has the ownership rule). That
+//! seam — its lazily created heap, allocation and block caches, the
+//! remembered-set write buffer, task-buffered counters and DAG work —
+//! plus what it *borrows* from its forker (or its run) for as long as it
+//! runs: the tenant budget, the cancel token, the DAG recording and the
+//! [`MutatorSlot`] (root stack + SATB buffer) — its run's, its session's,
+//! or its forker's, unless the scheduler migrated it (`mpl_gc::roots` has
+//! the ownership rule). That
 //! state crosses exactly five boundaries, and each boundary is one method
 //! here — the only place its work happens (DESIGN.md "Task boundaries"
 //! tabulates which component does what at which boundary):
@@ -28,15 +30,22 @@
 //! The task's allocation regions settle into their blocks at a refill
 //! (`mutator/alloc.rs`), at `suspend`, before `collect_local` and at
 //! `finish`: the points where the task lets go of them.
+//!
+//! A task's heap is a [`LazyHeap`]: a fork pushes no heap node, and a
+//! task gets one at its first store-path refill, slow-tier barrier,
+//! allocation barrier or local collection ([`TaskCtx::path`],
+//! [`TaskCtx::materialise`]), or when a descendant gets one. Until then
+//! its leaf is [`mpl_heap::NO_HEAP`], which owns no block, so the write
+//! barrier's `owner == leaf` test sends it to the slow tier exactly as a
+//! fresh, empty heap would.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use mpl_gc::lgc::IdSet;
 use mpl_gc::{MutatorSlot, REQ_CANCEL, REQ_CGC};
 use mpl_heap::{
-    Block, Counter, ObjRef, PendingStats, Region, RemsetEntry, TenantBudget, Value,
-    NUM_SIZE_CLASSES,
+    Block, Counter, LazyHeap, ObjRef, PendingStats, Region, RemsetEntry, Value, NUM_SIZE_CLASSES,
 };
 use mpl_sched::{DagBuilder, StrandId};
 
@@ -57,8 +66,8 @@ fn room(limit: usize, used: usize) -> isize {
 /// RAII collector-safe window on a mutator slot: while held, the
 /// concurrent collector's snapshot handshake does not wait on the slot.
 /// Held around every region where the task either blocks (fork branch
-/// suspension, the collection gate) or runs for an unbounded stretch
-/// without reaching a poll point (a local collection).
+/// suspension on the pool, the collection gate) or runs for an unbounded
+/// stretch without reaching a poll point (a local collection).
 ///
 /// Soundness: every pre-window logged pointer is already in the slot's
 /// SATB buffer, which the collector drains in place, and the exit re-acks
@@ -74,29 +83,54 @@ fn room(limit: usize, used: usize) -> isize {
 /// slot nobody runs on rests at depth 1.
 pub(crate) struct SafeWindow<'rt> {
     st: &'rt mpl_gc::CgcState,
-    slot: Arc<MutatorSlot>,
+    slot: &'rt MutatorSlot,
 }
 
 impl Drop for SafeWindow<'_> {
     fn drop(&mut self) {
-        self.st.exit_safe(&self.slot);
+        self.st.exit_safe(self.slot);
     }
 }
 
+/// How a task takes its slot over at [`TaskCtx::enter`] and leaves it at
+/// [`TaskCtx::finish`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Handoff {
+    /// Resumes a paused slot and pauses it again at the end: a root task,
+    /// and every branch on the pool, whose forker may block on a stolen
+    /// sibling and so waits paused.
+    Paused,
+    /// Takes the slot over running and leaves it running: a fork's
+    /// branches with no pool, where the forker runs one after the other
+    /// and never blocks, so the window close and reopen around each
+    /// would buy nothing.
+    Running,
+}
+
 /// Per-task execution state. See the module docs for the protocol.
+///
+/// `'rt` bounds everything the task borrows: the runtime, and what its
+/// forker (suspended until the join) or its run lends it.
 #[derive(Debug)]
 pub(crate) struct TaskCtx<'rt> {
     pub(crate) rt: &'rt Runtime,
-    pub(crate) path: Vec<u32>,
+    /// The task's place in the heap tree; its heap and path exist once
+    /// materialised (module docs). Also carries the tenant budget the
+    /// heap is accounted against (`None` for unbudgeted tasks — the
+    /// common case, which pays one branch).
+    pub(crate) heap: LazyHeap<'rt>,
     /// The slot this task runs on (borrowed — see the module docs), and
     /// where its frame starts on the slot's root stack: roots below
     /// `base` belong to suspended ancestors and are not this task's to
     /// release or to collect from. 0 for a root task, so a session's
-    /// roots from earlier requests are its LGC roots.
-    pub(crate) slot: Arc<MutatorSlot>,
+    /// roots from earlier requests are its LGC roots. `shared_slot` is the
+    /// same slot, for what must hold on to it (a [`super::Handle`], a
+    /// branch's task context); `slot` saves the hot paths a load.
+    pub(crate) slot: &'rt MutatorSlot,
+    pub(crate) shared_slot: &'rt Arc<MutatorSlot>,
     pub(crate) base: usize,
     pub(crate) alloc_since: usize,
-    pub(crate) dag: Option<Arc<DagBuilder>>,
+    pub(crate) dag: Option<&'rt DagBuilder>,
     pub(crate) strand: StrandId,
     pub(crate) work: u64,
     pub(crate) block_cache: [Option<(u32, Arc<Block>)>; 4],
@@ -140,36 +174,36 @@ pub(crate) struct TaskCtx<'rt> {
     /// already buffered since the last flush. Cleared at every flush —
     /// a collection may drop a published entry (source died), so a
     /// later re-write of the same field must be able to re-insert it.
-    remset_seen: HashSet<(u32, ObjRef, u32)>,
-    /// The tenant budget the leaf heap is accounted against (resolved
-    /// once at task setup; child heaps inherit it at fork). `None` for
-    /// unbudgeted tasks — the common case, which pays one branch.
-    pub(crate) budget: Option<Arc<TenantBudget>>,
+    remset_seen: IdSet<(u32, ObjRef, u32)>,
     /// Set for a tenant-session root task: the collection debt is
     /// restored from the session at `enter` and carried back at `finish`.
     session: Option<&'rt TenantSession>,
-    /// Cooperative-cancellation token, inherited at fork (like the
-    /// tenant budget) and checked by [`TaskCtx::poll`], so a tripped
-    /// token unwinds within one poll interval. Runs always carry a
-    /// per-run child of the runtime's root token.
-    pub(crate) cancel: CancelToken,
+    /// How the task leaves its slot at `finish`.
+    handoff: Handoff,
+    /// Cooperative-cancellation token, the forker's (like the tenant
+    /// budget) and checked by [`TaskCtx::poll`], so a tripped token
+    /// unwinds within one poll interval. Runs always carry a per-run
+    /// child of the runtime's root token.
+    pub(crate) cancel: &'rt CancelToken,
 }
 
 impl<'rt> TaskCtx<'rt> {
-    /// **Enter**: builds the state of a task whose leaf heap is the last
-    /// element of `path`, running on the (paused) `slot` it is handed:
-    /// resumes the slot and opens a frame at the top of its root stack —
-    /// at the bottom for a root task, which also restores its session's
-    /// carried collection debt.
+    /// **Enter**: builds the state of a task at `heap`'s place in the
+    /// tree, running on the `slot` it is handed: resumes the slot (unless
+    /// its forker hands it over running) and opens a frame at the top of
+    /// its root stack — at the bottom for a root task, which also restores
+    /// its session's carried collection debt. `recording` is the DAG
+    /// recording, if one is made, and the strand the task starts on.
     pub(crate) fn enter(
         rt: &'rt Runtime,
-        slot: &Arc<MutatorSlot>,
-        path: Vec<u32>,
-        dag: Option<Arc<DagBuilder>>,
-        strand: StrandId,
-        cancel: CancelToken,
+        slot: &'rt Arc<MutatorSlot>,
+        handoff: Handoff,
+        heap: LazyHeap<'rt>,
+        recording: Option<(&'rt DagBuilder, StrandId)>,
+        cancel: &'rt CancelToken,
         session: Option<&'rt TenantSession>,
     ) -> TaskCtx<'rt> {
+        let (dag, strand) = recording.unzip();
         let trigger = rt.config().policy.lgc_trigger_bytes;
         let (alloc_since, lgc_budget) = session.map_or((0, trigger), |s| {
             (
@@ -177,10 +211,9 @@ impl<'rt> TaskCtx<'rt> {
                 s.lgc_budget.load(Ordering::Relaxed).max(trigger),
             )
         });
-        let budget = rt
-            .store()
-            .budget_of(*path.last().expect("task path is never empty"));
-        rt.cgc_state().exit_safe(slot);
+        if handoff == Handoff::Paused {
+            rt.cgc_state().exit_safe(slot);
+        }
         // A trip before this task's slot was open raised no bit on it,
         // and an armed deadline keeps its bit raised: polls read the
         // token only while the bit is up.
@@ -189,12 +222,17 @@ impl<'rt> TaskCtx<'rt> {
         }
         let mut ctx = TaskCtx {
             rt,
-            base: if path.len() == 1 { 0 } else { slot.roots.len() },
-            path,
-            slot: Arc::clone(slot),
+            base: if heap.depth() == 0 {
+                0
+            } else {
+                slot.roots.len()
+            },
+            heap,
+            slot,
+            shared_slot: slot,
             alloc_since,
             dag,
-            strand,
+            strand: strand.unwrap_or(StrandId(0)),
             work: 0,
             block_cache: [None, None, None, None],
             alloc_cache: std::array::from_fn(|_| None),
@@ -204,17 +242,25 @@ impl<'rt> TaskCtx<'rt> {
             allowance: 0,
             saw_remote: false,
             remset_buf: Vec::new(),
-            remset_seen: HashSet::new(),
-            budget,
+            remset_seen: IdSet::default(),
             session,
+            handoff,
             cancel,
         };
         ctx.rearm();
         ctx
     }
 
-    pub(crate) fn leaf_heap(&self) -> u32 {
-        *self.path.last().expect("task path is never empty")
+    /// The task's root-to-leaf heap path (canonical ids, indexed by
+    /// depth), materialising its heap first if it has none.
+    pub(crate) fn path(&self) -> &[u32] {
+        self.heap.path(self.rt.store().heaps())
+    }
+
+    /// The task's heap id, materialising the heap first if need be.
+    pub(crate) fn materialise(&self) -> u32 {
+        let path = self.path();
+        path[path.len() - 1]
     }
 
     /// **Poll**: one relaxed load of the slot's request word; nothing
@@ -245,7 +291,7 @@ impl<'rt> TaskCtx<'rt> {
     #[cold]
     #[inline(never)]
     fn serve_requests(&self) {
-        self.rt.cgc_state().poll_handshake(&self.slot);
+        self.rt.cgc_state().poll_handshake(self.slot);
         if self.slot.requests() & REQ_CANCEL == 0 {
             return;
         }
@@ -283,7 +329,7 @@ impl<'rt> TaskCtx<'rt> {
         if limit != 0 {
             allowance = allowance.min(room(limit, store.stats().live_bytes()));
         }
-        if let Some(b) = self.budget.as_ref().filter(|b| b.limit() != 0) {
+        if let Some(b) = self.heap.budget().filter(|b| b.limit() != 0) {
             allowance = allowance.min(room(b.limit(), b.live_bytes()));
         }
         self.allowance = allowance;
@@ -310,18 +356,19 @@ impl<'rt> TaskCtx<'rt> {
     /// spawning and unwinds here instead of fanning out doomed work —
     /// then everything buffered is published (allocation regions, DAG
     /// work, counters, and the remembered-set entries an ancestor's
-    /// collection may need), and
-    /// a safe window opens so a concurrent collector's snapshot handshake
-    /// does not wait on a task that cannot ack. The window closes
-    /// (resume-at-join) when the returned guard drops.
+    /// collection may need). On the pool (`pooled`) a safe window opens
+    /// so a concurrent collector's snapshot handshake does not wait on a
+    /// task that cannot ack; it closes (resume-at-join) when the returned
+    /// guard drops. With no pool the forker never blocks and its branches
+    /// take the slot over running ([`Handoff::Running`]).
     #[inline]
-    pub(crate) fn suspend(&mut self) -> SafeWindow<'rt> {
+    pub(crate) fn suspend(&mut self, pooled: bool) -> Option<SafeWindow<'rt>> {
         self.poll();
         self.settle_regions();
         self.flush_work();
         self.flush_remset();
         self.debug_assert_flushed();
-        self.safe_window()
+        pooled.then(|| self.safe_window())
     }
 
     /// **CGC safepoint**: gives the concurrent collector a chance to run
@@ -389,7 +436,7 @@ impl<'rt> TaskCtx<'rt> {
         let mut roots = self.slot.roots.snapshot(self.base);
         let nroots = roots.len();
         roots.extend(extra.iter().filter_map(|v| v.as_obj()));
-        let out = mpl_gc::collect_local(rt.store(), self.leaf_heap(), &mut roots);
+        let out = mpl_gc::collect_local(rt.store(), self.materialise(), &mut roots);
         for (i, r) in roots[..nroots].iter().enumerate() {
             self.slot.roots.set(self.base + i, *r);
         }
@@ -425,8 +472,10 @@ impl<'rt> TaskCtx<'rt> {
     /// point into), hands the
     /// collection debt back to the session, and pauses the slot again
     /// (nobody polls it until the forker resumes or the next request
-    /// enters — a running slot would stall the snapshot handshake). The
-    /// frame was popped before this, by whoever caught the task's outcome.
+    /// enters — a running slot would stall the snapshot handshake) unless
+    /// it stays running for the next task on it ([`Handoff::Running`]).
+    /// The frame was popped before this, by whoever caught the task's
+    /// outcome.
     fn finish(&mut self) {
         self.settle_regions();
         self.flush_work();
@@ -436,7 +485,9 @@ impl<'rt> TaskCtx<'rt> {
             s.alloc_debt.store(self.alloc_since, Ordering::Relaxed);
             s.lgc_budget.store(self.lgc_budget, Ordering::Relaxed);
         }
-        self.rt.cgc_state().enter_safe(&self.slot);
+        if self.handoff == Handoff::Paused {
+            self.rt.cgc_state().enter_safe(self.slot);
+        }
         self.debug_assert_flushed();
     }
 
@@ -448,15 +499,15 @@ impl<'rt> TaskCtx<'rt> {
 
     fn safe_window(&self) -> SafeWindow<'rt> {
         let st = self.rt.cgc_state();
-        st.enter_safe(&self.slot);
+        st.enter_safe(self.slot);
         SafeWindow {
             st,
-            slot: Arc::clone(&self.slot),
+            slot: self.slot,
         }
     }
 
     fn flush_work(&mut self) {
-        if let Some(dag) = &self.dag {
+        if let Some(dag) = self.dag {
             if self.work > 0 {
                 dag.add_work(self.strand, self.work);
             }
@@ -472,7 +523,7 @@ impl<'rt> TaskCtx<'rt> {
         p.barrier_read_fast = p.barrier_reads - p.barrier_read_slow;
         p.barrier_write_fast = p.barrier_writes - p.barrier_write_slow;
         // Tenant accounting rides the same batch the global gauge uses.
-        if let Some(budget) = &self.budget {
+        if let Some(budget) = self.heap.budget() {
             budget.charge(self.pending.alloc_bytes as usize);
         }
         self.rt.store().stats().add_pending(&mut self.pending);
@@ -483,7 +534,7 @@ impl<'rt> TaskCtx<'rt> {
     /// current snapshot into the slot's buffer (no-op unless marking).
     #[inline]
     pub(crate) fn log_satb(&self, r: ObjRef) {
-        self.rt.cgc_state().satb_log(&self.slot, r);
+        self.rt.cgc_state().satb_log(self.slot, r);
     }
 
     /// Buffers a down-pointer remembered-set entry targeting `dst_heap`

@@ -51,14 +51,14 @@ mod boundary;
 use std::sync::Arc;
 
 use mpl_gc::MutatorSlot;
-use mpl_heap::Value;
+use mpl_heap::{LazyHeap, Value};
 use mpl_sched::StrandId;
 
 use crate::config::FORK_WORK;
 use crate::runtime::Runtime;
 
 pub(crate) use access::Resolved;
-pub(crate) use boundary::TaskCtx;
+pub(crate) use boundary::{Handoff, TaskCtx};
 
 /// Message used when `Mode::DetectOnly` encounters entanglement, matching
 /// prior MPL's fatal entanglement report.
@@ -142,11 +142,6 @@ impl<'rt> Mutator<'rt> {
         self.rt
     }
 
-    /// The task's root-to-leaf heap path (canonical ids).
-    pub fn path(&self) -> &[u32] {
-        &self.ctx.path
-    }
-
     /// Charges `n` units of modeled computational work to the current
     /// strand (for DAG-based scheduling experiments).
     pub fn work(&mut self, n: u64) {
@@ -186,7 +181,7 @@ impl<'rt> Mutator<'rt> {
         match v {
             Value::Obj(r) => {
                 let i = self.ctx.slot.roots.push(r);
-                Handle(HandleRepr::Slot(Arc::clone(&self.ctx.slot), i))
+                Handle(HandleRepr::Slot(Arc::clone(self.ctx.shared_slot), i))
             }
             imm => Handle(HandleRepr::Imm(imm)),
         }
@@ -231,9 +226,12 @@ impl<'rt> Mutator<'rt> {
 
     // ---- fork-join ---------------------------------------------------------
 
-    /// Runs `f` and `g` as parallel subtasks with fresh child heaps and
-    /// returns both results; the child heaps merge into this task's heap
-    /// at the join, unpinning every object whose entanglement ends here.
+    /// Runs `f` and `g` as parallel subtasks and returns both results.
+    /// Each subtask gets a child heap of this task's heap on first use —
+    /// its first block refill, slow-tier barrier or local collection — so
+    /// a fork whose branches only compute creates none; the child heaps
+    /// that exist merge into this task's heap at the join, unpinning every
+    /// object whose entanglement ends here.
     ///
     /// Values captured from the parent must be passed through rooted
     /// [`Handle`]s — a raw [`Value`] may be stale after a collection.
@@ -259,51 +257,53 @@ impl<'rt> Mutator<'rt> {
         G: FnOnce(&mut Mutator<'_>) -> Value + Send,
     {
         self.ctx.work += FORK_WORK;
+        let rt = self.rt;
+        let pooled = rt.config().threads > 1;
         // The parent is suspended (or running branch bodies under their
         // own task contexts) until the join.
-        let suspended = self.ctx.suspend();
+        let suspended = self.ctx.suspend(pooled);
         let mark = self.ctx.slot.roots.len();
-        let rt = self.rt;
-        let parent_heap = self.ctx.leaf_heap();
-        let (lh, rh) = rt.store().fork_heaps(parent_heap);
-        let (ls, rs) = match &self.ctx.dag {
+        let (ls, rs) = match self.ctx.dag {
             Some(dag) => dag.fork(self.ctx.strand),
             None => (StrandId(0), StrandId(0)),
         };
         // Branch bodies build their task context from this (suspended,
-        // hence frozen) one and their own heap, so which worker executes
-        // a branch is invisible to the heap hierarchy; the scheduler
-        // tells a branch whether it migrated, which decides whose slot it
-        // runs on.
+        // hence frozen) one, borrowing what it lends them and with a heap
+        // cell of their own under its, so which worker executes a branch
+        // is invisible to the heap hierarchy; the scheduler tells a
+        // branch whether it migrated, which decides whose slot it runs on.
         let forker = &self.ctx;
-        let left = move |migrated| run_branch(forker, migrated, lh, ls, f);
-        let right = move |migrated| run_branch(forker, migrated, rh, rs, g);
+        let left = move |migrated| run_branch(forker, migrated, ls, f);
+        let right = move |migrated| run_branch(forker, migrated, rs, g);
         // Parallel path: offer the right branch to thieves on this
         // worker's deque and run the left branch inline (help-first). If
         // nobody steals it, `try_join` pops it back and runs it inline —
         // an un-stolen fork costs two deque operations. Sequential path:
         // no pool (`threads == 1`), or this thread is not a pool worker
         // (a second concurrent `run` that lost the driver slot).
-        let joined = if rt.config().threads > 1 {
+        let joined = if pooled {
             mpl_sched::try_join(left, right)
         } else {
             Err((left, right))
         };
-        let ((lv, lend, lslot), (rv, rend, rslot)) =
+        let ((lv, lend, lslot, lh), (rv, rend, rslot, rh)) =
             joined.unwrap_or_else(|(left, right)| (left(false), right(false)));
 
         // The join merge below mutates heap structure under this task's
         // identity again: close the suspension window first.
         drop(suspended);
 
-        // Cleanup precedes any re-raise: the join must merge both child
-        // heaps (taking their state, entangled indexes included, and applying
-        // unpin-at-join) and take the branches' result roots — one on top
-        // of this task's frame per object a borrowing branch returned,
-        // one in the slot a migrated branch hands back — even when a
-        // branch panicked; otherwise a shed request leaks pins, roots and
-        // registered slots for the runtime's lifetime.
-        let join = rt.store().join(parent_heap, lh, rh);
+        // Cleanup precedes any re-raise: the join must merge the child
+        // heaps that exist (taking their state, entangled indexes
+        // included, and applying unpin-at-join) and take the branches'
+        // result roots — one on top of this task's frame per object a
+        // borrowing branch returned, one in the slot a migrated branch
+        // hands back — even when a branch panicked; otherwise a shed
+        // request leaks pins, roots and registered slots for the
+        // runtime's lifetime. A child with a heap gave this task one too.
+        let join = rt
+            .store()
+            .join(self.ctx.heap.leaf(), lh.into_iter().chain(rh));
         let roots = &self.ctx.slot.roots;
         for (v, own) in [(&rv, &rslot), (&lv, &lslot)] {
             match own {
@@ -320,7 +320,7 @@ impl<'rt> Mutator<'rt> {
             }
         }
         debug_assert_eq!(roots.len(), mark, "a branch left roots behind");
-        if let Some(dag) = &self.ctx.dag {
+        if let Some(dag) = self.ctx.dag {
             self.ctx.strand = dag.join(lend, rend);
         }
         let (lv, rv) = match (lv, rv) {
@@ -338,7 +338,7 @@ impl<'rt> Mutator<'rt> {
         // quiescent point instead (documented deviation, DESIGN.md §2).
         self.ctx.alloc_since = self.ctx.alloc_since.saturating_add(join.merged_bytes);
         self.ctx.rearm();
-        let quiescent = rt.config().threads <= 1 || self.ctx.path.len() == 1;
+        let quiescent = rt.config().threads <= 1 || self.ctx.heap.depth() == 0;
         let mut results = [lv, rv];
         if quiescent && self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(&mut results);
@@ -354,30 +354,42 @@ impl<'rt> Mutator<'rt> {
 /// Runs one fork branch as its own task: enter, poll, body, finish — on
 /// its forker's slot (the forker is suspended directly beneath it on this
 /// native stack), or, if the scheduler migrated it, on a slot of its own,
-/// which it hands back (paused, rooting the result) with its outcome and
-/// last strand for the join to close. The branch inherits the forker's
-/// cancellation token (like the tenant budget): one tripped token unwinds
-/// the whole tree.
+/// which it hands back (paused, rooting the result) with its outcome,
+/// last strand and heap, if it came to have one, for the join to close.
+/// The branch borrows the forker's cancellation token (like the tenant
+/// budget): one tripped token unwinds the whole tree.
 fn run_branch<F>(
     forker: &TaskCtx<'_>,
     migrated: bool,
-    heap: u32,
     strand: StrandId,
     body: F,
 ) -> (
     std::thread::Result<Value>,
     StrandId,
     Option<Arc<MutatorSlot>>,
+    Option<u32>,
 )
 where
     F: FnOnce(&mut Mutator<'_>) -> Value,
 {
+    let handoff = if forker.rt.config().threads > 1 {
+        Handoff::Paused
+    } else {
+        Handoff::Running
+    };
     let own = migrated.then(|| forker.rt.cgc_state().open_slot());
-    let slot = own.as_ref().unwrap_or(&forker.slot);
-    let mut path = forker.path.clone();
-    path.push(heap);
-    let (dag, cancel) = (forker.dag.clone(), forker.cancel.clone());
-    let ctx = TaskCtx::enter(forker.rt, slot, path, dag, strand, cancel, None);
+    let slot = own.as_ref().unwrap_or(forker.shared_slot);
+    let heap = LazyHeap::child(&forker.heap);
+    let recording = forker.dag.map(|d| (d, strand));
+    let ctx = TaskCtx::enter(
+        forker.rt,
+        slot,
+        handoff,
+        heap,
+        recording,
+        forker.cancel,
+        None,
+    );
     let mut m = Mutator::new(ctx);
     // A panicking branch (entanglement abort, AllocError, injected
     // fault, cancellation) is caught here and re-raised by the parent's
@@ -394,7 +406,7 @@ where
     // completion and the join still sees it.
     let result = v.as_ref().ok().and_then(|v| v.as_obj());
     m.ctx.slot.roots.pop_frame(m.ctx.base, result);
-    let end = m.ctx.strand;
+    let (end, heap) = (m.ctx.strand, m.ctx.heap.id());
     drop(m);
-    (v, end, own)
+    (v, end, own, heap)
 }

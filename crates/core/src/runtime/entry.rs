@@ -4,12 +4,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpl_heap::{Counter, Value};
+use mpl_heap::{Counter, LazyHeap, Value};
 use mpl_sched::{Dag, DagBuilder, Executor, StrandId};
 
 use super::{Runtime, TenantSession};
 use crate::cancel::{CancelReason, CancelToken, Cancelled, RunError};
-use crate::mutator::{AllocError, Mutator, TaskCtx};
+use crate::mutator::{AllocError, Handoff, Mutator, TaskCtx};
 use crate::telemetry::note_alloc_error;
 
 impl Runtime {
@@ -67,7 +67,17 @@ impl Runtime {
             }
             None => (self.store.new_root_heap(), self.cgc_state.open_slot()),
         };
-        let ctx = TaskCtx::enter(self, &slot, vec![root_heap], dag, strand, cancel, session);
+        let heap = LazyHeap::root(self.store.heaps(), root_heap);
+        let recording = dag.as_deref().map(|d| (d, strand));
+        let ctx = TaskCtx::enter(
+            self,
+            &slot,
+            Handoff::Paused,
+            heap,
+            recording,
+            &cancel,
+            session,
+        );
         let mut m = Mutator::new(ctx);
         let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m)));
         if session.is_none() {
@@ -84,6 +94,7 @@ impl Runtime {
             result = result.map(|_| escaping[0]);
         }
         drop(m);
+        drop(dag); // `try_unwrap` below needs the runtime's handle to be the last
         if session.is_none() {
             self.cgc_state.close_slot(&self.store, &slot);
         }

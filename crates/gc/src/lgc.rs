@@ -1119,7 +1119,7 @@ mod tests {
         let (l, r) = s.fork_heaps(root_heap);
         let x = s.alloc_values(l, ObjKind::Ref, &[Value::Int(1)]);
         s.pin(x, 0);
-        s.join(root_heap, l, r); // unpins (level 0 >= depth 0)
+        s.join(root_heap, [l, r]); // unpins (level 0 >= depth 0)
         assert!(!s.handle(x).header().is_pinned());
         // But the entangled_space bit was cleared by unpin, so LGC may now
         // move it.

@@ -5,7 +5,7 @@
 //! [`TenantBudget`] scopes the same discipline to a *subtree* of the heap
 //! hierarchy: the budget handle is attached to a tenant's root heap and
 //! inherited by every child heap created under it
-//! ([`crate::heap::HeapTable::fork`]), so the live bytes of a whole
+//! ([`crate::heap::HeapTable::child`]), so the live bytes of a whole
 //! tenant — root heap plus all in-flight request heaps — are accounted
 //! against one limit while other tenants' allocations never touch it.
 //!

@@ -1,8 +1,9 @@
 //! The heap hierarchy: one heap per fork-join task, merged at joins.
 //!
-//! The tree of heaps mirrors the dynamic fork-join task tree. A fork gives
-//! the two subtasks fresh child heaps; a join merges both children into the
-//! parent. Merges are O(1) in the object graph: no objects are touched —
+//! The tree of heaps mirrors the dynamic fork-join task tree. A task's heap
+//! is created on first use ([`LazyHeap`]): a fork records where its two
+//! subtasks would sit, and a join merges whichever children came to exist
+//! into the parent. Merges are O(1) in the object graph: no objects are touched —
 //! the child's identity is *unioned* into the parent (a concurrent
 //! union-find over heap ids), and its block, remembered-set, and
 //! entangled-object lists are spliced onto the parent's.
@@ -189,16 +190,25 @@ impl HeapTable {
         self.push(None, 0, budget)
     }
 
+    /// Creates one child heap of `parent`: a level deeper, accounted
+    /// against the same budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parent` is not canonical (merged heaps cannot fork).
+    pub fn child(&self, parent: u32) -> u32 {
+        let (canon, info) = self.find_node(parent);
+        assert_eq!(canon, parent, "fork from a merged heap");
+        self.push(Some(parent), info.depth + 1, info.budget.clone())
+    }
+
     /// Creates the two child heaps of a fork.
     ///
     /// # Panics
     ///
     /// Panics if `parent` is not canonical (merged heaps cannot fork).
     pub fn fork(&self, parent: u32) -> (u32, u32) {
-        assert_eq!(self.find(parent), parent, "fork from a merged heap");
-        let info = self.info(parent);
-        let child = || self.push(Some(parent), info.depth + 1, info.budget.clone());
-        (child(), child())
+        (self.child(parent), self.child(parent))
     }
 
     /// Returns the node for a (raw or canonical) id.
@@ -297,21 +307,25 @@ impl HeapTable {
         self.with_live_state(dst, |s| s.remset.extend_from_slice(entries));
     }
 
-    /// Joins both children into `parent`, O(1) in the object graph: each
-    /// child's state is taken out under its lock and its id unioned into
-    /// the parent's before the lock is released, then the lists are
-    /// spliced onto the parent's. Returns the ids of the blocks that moved
-    /// and the parent's index entries at level `>=` its depth — the pins
-    /// this join can end. Applying the unpin rule is the caller's job (it
-    /// needs object access).
+    /// Joins the `children` a fork created into `parent`, O(1) in the
+    /// object graph: each child's state is taken out under its lock and its
+    /// id unioned into the parent's before the lock is released, then the
+    /// lists are spliced onto the parent's. Returns the ids of the blocks
+    /// that moved and the parent's index entries at level `>=` its depth —
+    /// the pins this join can end. Applying the unpin rule is the caller's
+    /// job (it needs object access).
     ///
     /// # Panics
     ///
-    /// Panics unless both children's canonical parent is `parent`.
-    pub fn join(&self, parent: u32, left: u32, right: u32) -> (Vec<u32>, Vec<ObjRef>) {
+    /// Panics unless every child's canonical parent is `parent`.
+    pub fn join(
+        &self,
+        parent: u32,
+        children: impl IntoIterator<Item = u32>,
+    ) -> (Vec<u32>, Vec<ObjRef>) {
         let parent = self.find(parent);
         let mut merged = HeapState::default();
-        for child in [left, right] {
+        for child in children {
             let child = self.find(child);
             assert!(
                 child != parent && self.parent_of(child) == parent,
@@ -377,6 +391,90 @@ impl HeapTable {
     }
 }
 
+/// The leaf id of a [`LazyHeap`] that has no heap yet. No heap is ever
+/// issued this id, so no block is owned by it.
+pub const NO_HEAP: u32 = u32::MAX;
+
+/// A task's place in the heap tree, whose heap is created on first use.
+///
+/// A fork records only the child's parent cell, depth and inherited
+/// budget. The task's [`HeapInfo`] is pushed the first time it needs its
+/// leaf or its path ([`LazyHeap::path`]), after those of every ancestor
+/// still without one, top-down: heap depth stays task depth, and the
+/// heaps a task never uses are never issued. Descendants running on other
+/// threads may materialise a suspended ancestor at once; the cell's
+/// `OnceLock` lets exactly one of them push its node.
+#[derive(Debug)]
+pub struct LazyHeap<'a> {
+    parent: Option<&'a LazyHeap<'a>>,
+    depth: u16,
+    budget: Option<&'a TenantBudget>,
+    /// Once materialised, the root-to-leaf path of canonical heap ids,
+    /// ending in the task's own (they stay canonical while the task runs:
+    /// only joins above it, after it is done, merge them away).
+    path: OnceLock<Box<[u32]>>,
+}
+
+impl<'a> LazyHeap<'a> {
+    /// The cell of a task running on the existing root heap `id`.
+    pub fn root(heaps: &'a HeapTable, id: u32) -> LazyHeap<'a> {
+        let info = heaps.info(id);
+        LazyHeap {
+            parent: None,
+            depth: info.depth,
+            budget: info.budget().map(Arc::as_ref),
+            path: OnceLock::from(Box::from([id])),
+        }
+    }
+
+    /// The cell of a fork branch of `parent`'s task: no heap yet.
+    #[inline]
+    pub fn child(parent: &'a LazyHeap<'a>) -> LazyHeap<'a> {
+        LazyHeap {
+            parent: Some(parent),
+            depth: parent.depth + 1,
+            budget: parent.budget,
+            path: OnceLock::new(),
+        }
+    }
+
+    /// The task's depth in the tree (root = 0), which is its heap's.
+    #[inline]
+    pub fn depth(&self) -> u16 {
+        self.depth
+    }
+
+    /// The tenant budget the task's heap is accounted against, if any.
+    #[inline]
+    pub fn budget(&self) -> Option<&'a TenantBudget> {
+        self.budget
+    }
+
+    /// The task's heap id, or [`NO_HEAP`] before it has one.
+    #[inline]
+    pub fn leaf(&self) -> u32 {
+        self.id().unwrap_or(NO_HEAP)
+    }
+
+    /// The task's heap id, if it has one.
+    #[inline]
+    pub fn id(&self) -> Option<u32> {
+        self.path.get().and_then(|p| p.last().copied())
+    }
+
+    /// The task's root-to-leaf path of canonical heap ids, indexed by
+    /// depth, pushing the heaps of this cell and its ancestors first if
+    /// they have none yet.
+    pub fn path(&self, heaps: &HeapTable) -> &[u32] {
+        self.path.get_or_init(|| {
+            let parent = self.parent.expect("a root cell starts materialised");
+            let up = parent.path(heaps);
+            let leaf = heaps.child(up[up.len() - 1]);
+            up.iter().copied().chain([leaf]).collect()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +500,7 @@ mod tests {
         let root = t.new_root(None);
         let (l, r) = t.fork(root);
         assert!(t.is_canonical(l));
-        t.join(root, l, r);
+        t.join(root, [l, r]);
         assert_eq!(t.find(l), root);
         assert_eq!(t.find(r), root);
         assert!(!t.is_canonical(l) && t.is_canonical(root));
@@ -423,7 +521,7 @@ mod tests {
             leaf = l;
         }
         for &(p, l, r) in forks.iter().rev() {
-            t.join(p, l, r);
+            t.join(p, [l, r]);
         }
         assert_eq!(t.find(leaf), root);
         // After compression the chain is one hop.
@@ -442,10 +540,10 @@ mod tests {
         let (l, r) = t.fork(root);
         let (ll, lr) = t.fork(l);
         let (lll, llr) = t.fork(ll);
-        t.join(ll, lll, llr);
+        t.join(ll, [lll, llr]);
         let stale = ll; // what a stalled `find(lll)` saw as the root
-        t.join(l, ll, lr);
-        t.join(root, l, r);
+        t.join(l, [ll, lr]);
+        t.join(root, [l, r]);
         assert_eq!(t.find(lll), root, "the other find: lll now points at root");
         t.compress(lll, stale);
         for merged in [l, ll, lll] {
@@ -497,7 +595,7 @@ mod tests {
         t.info(root).with(|s| s.blocks.push(0));
         t.info(l).with(|s| s.blocks.extend([1, 2]));
         t.info(r).with(|s| s.blocks.push(3));
-        let (moved, candidates) = t.join(root, l, r);
+        let (moved, candidates) = t.join(root, [l, r]);
         assert_eq!(moved, vec![1, 2, 3]);
         assert!(candidates.is_empty());
         assert_eq!(t.info(root).with(|s| s.blocks.clone()), vec![0, 1, 2, 3]);
@@ -511,7 +609,7 @@ mod tests {
         let root = t.new_root(None);
         let (l, _r) = t.fork(root);
         let (ll, lr) = t.fork(l);
-        t.join(root, ll, lr);
+        t.join(root, [ll, lr]);
     }
 
     #[test]
@@ -539,9 +637,9 @@ mod tests {
         // parent's depth are handed back as unpin candidates.
         let (ll, lr) = t.fork(l);
         t.register_entangled(ll, ObjRef::new(0, 4), 1);
-        let (_, candidates) = t.join(l, ll, lr);
+        let (_, candidates) = t.join(l, [ll, lr]);
         assert_eq!(candidates, vec![ObjRef::new(0, 4)], "level 0 stays indexed");
-        let (_, candidates) = t.join(root, l, r);
+        let (_, candidates) = t.join(root, [l, r]);
         assert_eq!(candidates, vec![ObjRef::new(0, 1), ObjRef::new(0, 3)]);
         assert_eq!(t.info(root).with(|s| s.remset.clone()), vec![entry]);
         // Registering or remembering against a merged id lands on the
@@ -550,6 +648,31 @@ mod tests {
         t.remember(lr, &[entry]);
         let (pins, rems) = t.info(root).with(|s| (s.take_entangled(), s.remset.len()));
         assert_eq!((pins, rems), (vec![ObjRef::new(0, 5)], 2));
+    }
+
+    #[test]
+    fn lazy_heaps_materialise_top_down_and_once() {
+        let t = HeapTable::new();
+        let b = TenantBudget::new("tenant", 4096);
+        let root = t.new_root(Some(b.clone()));
+        let top = LazyHeap::root(&t, root);
+        let mid = LazyHeap::child(&top);
+        let (leaf, idle) = (LazyHeap::child(&mid), LazyHeap::child(&mid));
+        assert_eq!((leaf.depth(), leaf.leaf(), t.len()), (2, NO_HEAP, 1));
+        assert!(
+            std::ptr::eq(leaf.budget().unwrap(), &*b),
+            "borrowed, not looked up"
+        );
+        let path = leaf.path(&t).to_vec();
+        assert_eq!(t.len(), 3, "the parent's heap, then the leaf's");
+        assert_eq!(path, [root, mid.id().unwrap(), leaf.leaf()]);
+        assert_eq!(t.parent_of(path[2]), path[1]);
+        assert_eq!(t.info(path[2]).depth(), 2);
+        assert_eq!(leaf.path(&t), path, "a second call pushes nothing");
+        assert_eq!((idle.id(), t.len()), (None, 3), "the idle sibling has none");
+        // The join merges only the children that exist.
+        t.join(path[1], leaf.id().into_iter().chain(idle.id()));
+        assert_eq!(t.find(path[2]), path[1]);
     }
 
     #[test]

@@ -165,7 +165,7 @@ mod tests {
         assert!(rep.live_bytes > 0);
 
         // Joins collapse rows.
-        s.join(root, l, r);
+        s.join(root, [l, r]);
         let rep = report(&s);
         assert_eq!(rep.heaps.len(), 1, "only the root remains canonical");
         let display = rep.to_string();

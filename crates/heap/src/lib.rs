@@ -36,7 +36,7 @@
 //! assert!(newly_pinned);
 //!
 //! // The join makes the tasks non-concurrent and unpins the object.
-//! let unpinned = store.join(root, left, right).unpinned;
+//! let unpinned = store.join(root, [left, right]).unpinned;
 //! assert_eq!(unpinned, 1);
 //! ```
 
@@ -65,7 +65,7 @@ pub use block::{
 pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};
 pub use header::{Header, ObjKind, NO_PIN_LEVEL};
-pub use heap::{HeapInfo, HeapState, HeapTable, RemsetEntry};
+pub use heap::{HeapInfo, HeapState, HeapTable, LazyHeap, RemsetEntry, NO_HEAP};
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;

@@ -565,26 +565,38 @@ impl Store {
         self.heaps.info(self.heaps.find(heap)).budget().cloned()
     }
 
-    /// Creates the two child heaps of a fork from `parent`.
+    /// Creates the two child heaps of a fork from `parent`, eagerly (a
+    /// running task's heaps are [`crate::LazyHeap`]s instead).
     pub fn fork_heaps(&self, parent: u32) -> (u32, u32) {
-        self.heaps.fork(self.heaps.find(parent))
+        let parent = self.heaps.find(parent);
+        (self.heaps.child(parent), self.heaps.child(parent))
     }
 
-    /// Joins both children into `parent`: merges block lists, remembered
-    /// sets, and entangled indexes, and applies the unpin-at-join rule —
-    /// every object pinned at a level `>=` the parent's depth is unpinned,
-    /// because the tasks that entangled it are no longer concurrent.
-    /// Index entries below that level cannot unpin here and are not
-    /// visited, so the join costs in proportion to the pins it resolves.
+    /// Joins the `children` a fork created into `parent`: merges block
+    /// lists, remembered sets, and entangled indexes, and applies the
+    /// unpin-at-join rule — every object pinned at a level `>=` the
+    /// parent's depth is unpinned, because the tasks that entangled it are
+    /// no longer concurrent. Index entries below that level cannot unpin
+    /// here and are not visited, so the join costs in proportion to the
+    /// pins it resolves.
+    ///
+    /// With no children the join is free and `parent` is not read (it may
+    /// be [`crate::NO_HEAP`]): only a task below the parent pins one of its
+    /// objects at its depth or deeper, and a task that pins has a heap, so
+    /// there is nothing this join could unpin.
     ///
     /// Returns the number of objects unpinned and the live bytes merged
     /// in (so the resuming task can charge them toward its next local
     /// collection — merged garbage must not dodge the collector).
-    pub fn join(&self, parent: u32, left: u32, right: u32) -> JoinOutcome {
+    pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> JoinOutcome {
+        let mut children = children.into_iter().peekable();
+        if children.peek().is_none() {
+            return JoinOutcome::default();
+        }
         let parent = self.heaps.find(parent);
         let info = self.heaps.info(parent);
         let join_depth = info.depth();
-        let (moved, candidates) = self.heaps.join(parent, left, right);
+        let (moved, candidates) = self.heaps.join(parent, children);
         let merged_bytes = moved
             .iter()
             .filter_map(|&bid| self.blocks.try_get(bid))
@@ -697,7 +709,7 @@ mod tests {
         let (l, r) = s.fork_heaps(root);
         let in_l = s.alloc_values(l, ObjKind::Tuple, &[]);
         let in_r = s.alloc_values(r, ObjKind::Tuple, &[]);
-        s.join(root, l, r);
+        s.join(root, [l, r]);
         let path = vec![root];
         assert!(s.is_local(&path, in_l));
         assert!(s.is_local(&path, in_r));
@@ -724,7 +736,7 @@ mod tests {
         assert!(!again, "second pin is idempotent");
 
         // Join at depth 0 unpins (level 0 >= join depth 0).
-        let out = s.join(root, l, r);
+        let out = s.join(root, [l, r]);
         assert_eq!(out.unpinned, 1);
         assert!(out.merged_bytes > 0, "children contributed live bytes");
         assert!(!s.handle(in_r).header().is_pinned());
@@ -746,11 +758,11 @@ mod tests {
         s.pin(x, level);
 
         // Inner join at depth 1 must NOT unpin (level 0 < 1).
-        s.join(l, ll, lr);
+        s.join(l, [ll, lr]);
         assert!(s.handle(x).header().is_pinned());
 
         // Outer join at depth 0 unpins.
-        s.join(root, l, r);
+        s.join(root, [l, r]);
         assert!(!s.handle(x).header().is_pinned());
     }
 
@@ -759,7 +771,7 @@ mod tests {
         let s = store();
         let root = s.new_root_heap();
         let (l, r) = s.fork_heaps(root);
-        s.join(root, l, r);
+        s.join(root, [l, r]);
         // Remember against the merged id: lands on the canonical heap.
         let entry = RemsetEntry {
             src: ObjRef::new(0, 0),

@@ -26,7 +26,7 @@ fn merged_heaps_hold_no_state() {
         );
         t.register_entangled(heap, ObjRef::new(block, 0), 0);
     }
-    t.join(root, l, r);
+    t.join(root, [l, r]);
     for child in [l, r] {
         assert!(!t.is_canonical(child));
         assert_eq!(t.find(child), root);
@@ -82,9 +82,9 @@ fn registration_racing_a_join_lands_on_a_live_index() {
             }
             start.wait();
             wait_for(100 + 37 * (round % 8));
-            seen.extend(t.join(l, ll, lr).1);
+            seen.extend(t.join(l, [ll, lr]).1);
             wait_for(600 + 37 * (round % 8));
-            seen.extend(t.join(root, l, r).1);
+            seen.extend(t.join(root, [l, r]).1);
         });
         // Whatever no join handed back is in the only live heap's index.
         seen.extend(t.info(root).with(|s| s.take_entangled()));

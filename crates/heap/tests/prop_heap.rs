@@ -129,7 +129,7 @@ proptest! {
                     });
                     if let Some(pos) = pos {
                         let (p, l, r) = forks.remove(pos);
-                        table.join(p, l, r);
+                        table.join(p, [l, r]);
                         oracle.merged[l as usize] = p as usize;
                         oracle.merged[r as usize] = p as usize;
                         leaves.retain(|&x| x != l && x != r);

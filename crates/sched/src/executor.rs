@@ -11,11 +11,11 @@
 //!
 //! The join protocol (in [`crate::worker`]) keeps the hierarchical-heap
 //! discipline intact: branch *bodies* are closures supplied by the
-//! runtime that build their own task context from the heap path captured
-//! at the fork, so which OS thread executes a branch is invisible to the
-//! heap hierarchy — `fork_heaps`/`join` pairing and entanglement pinning
-//! depend only on fork/join nesting, which the latch-based join
-//! preserves exactly.
+//! runtime that build their own task context from their forker's,
+//! suspended at the fork, so which OS thread executes a branch is
+//! invisible to the heap hierarchy — where child heaps sit, where they
+//! merge and entanglement pinning depend only on fork/join nesting, which
+//! the latch-based join preserves exactly.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -59,7 +59,7 @@ fn main() {
 
     // Join: the heaps merge; had the record still been pinned, the join
     // would have unpinned it here.
-    let unpinned = store.join(root, left, right).unpinned;
+    let unpinned = store.join(root, [left, right]).unpinned;
     println!("join(root): unpinned {unpinned} object(s)");
     println!("\nhierarchy report:\n{}", mpl_heap::report(&store));
     println!("final stats: {:#?}", store.stats().snapshot());

@@ -6,6 +6,10 @@ use mpl_bench::{fmt_bytes, run_mpl, run_seq, scale_bench, write_json, Table};
 use mpl_runtime::{GcPolicy, RuntimeConfig};
 use serde::Serialize;
 
+/// Workers of the `R_3thr` column: exactly this many, whatever the host
+/// (`with_threads_exact`), so the column means the same everywhere.
+const THREADS: usize = 3;
+
 #[derive(Serialize)]
 struct Row {
     name: String,
@@ -13,6 +17,10 @@ struct Row {
     r_seq: usize,
     r_mpl: usize,
     blowup: f64,
+    /// Workers of the `r_threads` run.
+    threads: usize,
+    /// Maximum residency at `threads` workers.
+    r_threads: usize,
     max_pinned: usize,
     pinned_share: f64,
 }
@@ -41,12 +49,14 @@ fn main() {
         let cfg = RuntimeConfig::managed().with_policy(policy);
         let mpl = run_mpl(bench.as_ref(), n, cfg);
         assert_eq!(mpl.checksum, seq.checksum, "{}", bench.name());
-        // Residency with real concurrent tasks (3 threads): parallel
-        // allocation raises the high-water mark, the R_P effect.
+        // Residency with real concurrent tasks: parallel allocation
+        // raises the high-water mark, the R_P effect.
         let thr = run_mpl(
             bench.as_ref(),
             n,
-            RuntimeConfig::managed().with_policy(policy).with_threads(3),
+            RuntimeConfig::managed()
+                .with_policy(policy)
+                .with_threads_exact(THREADS),
         );
         assert_eq!(thr.checksum, seq.checksum, "{} (threads)", bench.name());
         let r_s = seq.stats.max_live_bytes.max(1);
@@ -74,6 +84,8 @@ fn main() {
             r_seq: r_s,
             r_mpl: r_1,
             blowup,
+            threads: THREADS,
+            r_threads: thr.stats.max_live_bytes,
             max_pinned: mpl.stats.max_pinned_bytes,
             pinned_share: share,
         });

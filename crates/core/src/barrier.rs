@@ -132,10 +132,9 @@ impl Mutator<'_> {
             if hdr.is_pinned() && hdr.pin_level() <= level && !hdr.is_forwarded() {
                 return Some(r);
             }
-            match obj.try_pin(level) {
+            match self.rt.store().try_pin(obj, r, level) {
                 PinOutcome::AlreadyPinned { .. } => return Some(r),
                 PinOutcome::NewlyPinned => {
-                    self.rt.store().on_newly_pinned(obj.block(), r, level);
                     self.ctx.log_satb(r);
                     self.ctx.request_cgc_poll();
                     return Some(r);
@@ -170,7 +169,8 @@ impl Mutator<'_> {
             if let Some(level) = lca {
                 self.ctx.pending.entangled_writes += 1;
                 let pinned = self.pin_held(t, level);
-                events::emit_obj(EventKind::AllocPin, pinned, u32::from(level));
+                let serial = self.rt.store().serial();
+                events::emit_obj(serial, EventKind::AllocPin, pinned, u32::from(level));
                 *slot = Value::Obj(pinned);
             } else if Value::Obj(t.r) != raw {
                 *slot = Value::Obj(t.r); // chased forwarding: keep the fresh location

@@ -329,18 +329,14 @@ impl<'rt> Mutator<'rt> {
         };
         // Merged data counts toward this task's collection debt: garbage
         // produced inside the children must not dodge the collector just
-        // because their heaps dissolved into ours. Collecting a *merged*
-        // heap is only safe when no concurrent task can race its
-        // forwarding: always under the sequential executor, and at
-        // root-level joins (global quiescence) under real threads. Inner
-        // merged-heap collection under concurrency would need the
-        // mutator handshakes full MPL performs; we defer it to the next
-        // quiescent point instead (documented deviation, DESIGN.md §2).
+        // because their heaps dissolved into ours. When the debt is due,
+        // the join collects the merged heap, with the branch results as
+        // extra roots — at every depth and thread count, like the
+        // allocation slow path.
         self.ctx.alloc_since = self.ctx.alloc_since.saturating_add(join.merged_bytes);
         self.ctx.rearm();
-        let quiescent = rt.config().threads <= 1 || self.ctx.heap.depth() == 0;
         let mut results = [lv, rv];
-        if quiescent && self.ctx.alloc_since >= self.ctx.lgc_budget {
+        if self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(&mut results);
         } else if self.ctx.slot.requests() & mpl_gc::REQ_CGC != 0 {
             // Joins are safepoints: honor any pin-driven CGC request,

@@ -159,7 +159,7 @@ pub(crate) fn spawn_watchdog(
                                 age_ns as f64 / 1e9,
                                 deadline_ns as f64 / 1e9,
                             );
-                            mpl_gc::audit::dump_events();
+                            mpl_gc::audit::dump_events(None);
                             let snap = overlaid_stats(&stats, executor.as_deref());
                             eprintln!("{}", build_prometheus(&snap, None, None));
                             // Post-mortem artifacts behind the same

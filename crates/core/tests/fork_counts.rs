@@ -2,9 +2,10 @@
 //! gets one at its first store-path refill, slow-tier barrier, allocation
 //! barrier or local collection, after its ancestors, so the counts below
 //! follow from which branches allocate or write, at one and at two
-//! workers.
+//! workers. A join collects the heap its children merged into whenever
+//! the merged bytes make its collection due, at either count.
 
-use mpl_runtime::{Mutator, Runtime, RuntimeConfig, Value};
+use mpl_runtime::{GcPolicy, Mutator, Runtime, RuntimeConfig, Value};
 
 fn runtime(threads: usize) -> Runtime {
     Runtime::new(RuntimeConfig::managed().with_threads_exact(threads))
@@ -101,6 +102,61 @@ fn an_up_pointer_store_takes_the_slow_tier_once(threads: usize) {
     assert_eq!(slow, 1, "{threads} workers");
     assert_eq!(n, 1, "{threads} workers: the writing branch's heap");
     rt.assert_heap_sound();
+}
+
+/// The local-collection trigger of [`a_join_collects_its_merged_heap`].
+const TRIGGER: usize = 16 * 1024;
+
+/// Allocates `n` garbage 2-tuples (32 bytes each).
+fn churn(m: &mut Mutator<'_>, n: i64) -> Value {
+    for i in 0..n {
+        m.alloc_tuple(&[Value::Int(i), Value::Unit]);
+    }
+    Value::Unit
+}
+
+/// A depth-1 task whose two branches each allocate three quarters of the
+/// trigger — neither collects — joins and returns without allocating:
+/// the merged bytes make its collection due, so the join runs it.
+fn a_join_collects_its_merged_heap(threads: usize) {
+    let rt = Runtime::new(
+        RuntimeConfig {
+            policy: GcPolicy {
+                lgc_trigger_bytes: TRIGGER,
+                ..GcPolicy::default()
+            },
+            ..RuntimeConfig::managed()
+        }
+        .with_threads_exact(threads),
+    );
+    let each = (TRIGGER * 3 / 4 / 32) as i64;
+    let runs = rt.run(|m| {
+        let (runs, _) = m.fork(
+            |m| {
+                m.sync_stats();
+                let before = m.runtime().stats();
+                m.fork(|m| churn(m, each), |m| churn(m, each));
+                m.sync_stats();
+                let after = m.runtime().stats();
+                assert!(after.alloc_bytes - before.alloc_bytes > TRIGGER as u64);
+                Value::Int((after.lgc_runs - before.lgc_runs) as i64)
+            },
+            |_| Value::Unit,
+        );
+        runs
+    });
+    assert_eq!(runs, Value::Int(1), "{threads} workers");
+    rt.assert_heap_sound();
+}
+
+#[test]
+fn one_worker_join_collects_its_merged_heap() {
+    a_join_collects_its_merged_heap(1);
+}
+
+#[test]
+fn two_workers_join_collects_its_merged_heap() {
+    a_join_collects_its_merged_heap(2);
 }
 
 #[test]

@@ -10,9 +10,10 @@
 //!    checker: enablement, counters, the event dump and the failure path.
 //! 2. **Event tracing** — switches on the per-worker event rings of
 //!    [`mpl_heap::events`]. On any audit failure (or the collector's own
-//!    corruption assertions) the rings are dumped in global sequence
-//!    order, so a failing run prints the exact pin/unpin/dead-mark
-//!    interleaving that led to the bug.
+//!    corruption assertions) the failing store's events are dumped in
+//!    global sequence order, so a failing run prints the exact
+//!    pin/unpin/dead-mark interleaving that led to the bug — and none of
+//!    the other runtimes' events that share the process-global rings.
 //!
 //! Enablement is either the `MPL_DEBUG_LGC_VALIDATE` environment
 //! variable (read once) or the refcounted programmatic switch
@@ -41,7 +42,13 @@ static FORCED: AtomicUsize = AtomicUsize::new(0);
 /// ring dump show which task interleavings surrounded a failure. A
 /// no-op (one relaxed load) unless tracing is active.
 pub fn note_job_boundary(index: usize) {
-    events::emit(EventKind::TaskBoundary, 0, 0, index as u32);
+    events::emit(
+        events::NO_STORE,
+        EventKind::TaskBoundary,
+        0,
+        0,
+        index as u32,
+    );
 }
 
 fn env_enabled() -> bool {
@@ -104,31 +111,37 @@ pub fn counters() -> AuditCounters {
     }
 }
 
-/// Dumps every recorded event to stderr in global sequence order and
-/// returns how many were printed. Safe to call at any time (a slot being
-/// written right now is left out); the collectors call it before dying on
-/// a corruption assertion.
-pub fn dump_events() -> usize {
-    let all = events::snapshot();
+/// Dumps the recorded events of the store with serial `store` — every
+/// store's, with `None` — to stderr in global sequence order and returns
+/// how many were printed. Safe to call at any time (a slot being written
+/// right now is left out); the collectors call it before dying on a
+/// corruption assertion.
+pub fn dump_events(store: Option<u32>) -> usize {
+    let all: Vec<_> = events::snapshot()
+        .into_iter()
+        .filter(|e| store.is_none_or(|s| e.store == s))
+        .collect();
     if all.is_empty() {
         return 0;
     }
+    let whose = store.map_or_else(|| "all stores".to_string(), |s| format!("store s{s}"));
     eprintln!(
-        "=== mpl-gc event trace ({} events, {} lost to ring wraparound) ===",
+        "=== mpl-gc event trace ({whose}: {} events, {} lost to ring wraparound) ===",
         all.len(),
         events::recorded().1
     );
     for e in &all {
         let (seq, ring, name) = (e.seq, e.ring, e.kind.name());
-        let (block, word, aux) = (e.block, e.word, e.aux);
-        eprintln!("[seq {seq:08} ring {ring:02}] {name:<14} b{block}w{word} aux={aux}");
+        let (store, block, word, aux) = (e.store, e.block, e.word, e.aux);
+        eprintln!("[seq {seq:08} ring {ring:02}] s{store} {name:<14} b{block}w{word} aux={aux}");
     }
     eprintln!("=== end event trace ===");
     all.len()
 }
 
 /// Runs the heap checker at `phase` ([`check()`]). No-op unless
-/// auditing is [`enabled`]; any issue dumps the event rings and panics.
+/// auditing is [`enabled`]; any issue dumps the store's events and
+/// panics.
 pub fn audit(store: &Store, phase: Phase<'_>) {
     if !enabled() {
         return;
@@ -136,13 +149,13 @@ pub fn audit(store: &Store, phase: Phase<'_>) {
     AUDITS.fetch_add(1, Ordering::Relaxed);
     let issues = check(store, phase);
     if !issues.is_empty() {
-        audit_failure(phase, &issues);
+        audit_failure(store, phase, &issues);
     }
 }
 
-fn audit_failure(phase: Phase<'_>, issues: &[String]) -> ! {
+fn audit_failure(store: &Store, phase: Phase<'_>, issues: &[String]) -> ! {
     FAILURES.fetch_add(1, Ordering::Relaxed);
-    dump_events();
+    dump_events(Some(store.serial()));
     // Post-mortem: an audit failure is exactly what the flight recorder
     // exists for — dump the recent-telemetry ring next to the event trace.
     let heap = match phase {
@@ -159,7 +172,8 @@ fn audit_failure(phase: Phase<'_>, issues: &[String]) -> ! {
         eprintln!("flight recorder dumped to {}", path.display());
     }
     panic!(
-        "GC phase audit failed at {phase:?}, {} issue(s):\n{}",
+        "GC phase audit failed at {phase:?} (store s{}), {} issue(s):\n{}",
+        store.serial(),
         issues.len(),
         issues.join("\n")
     );
@@ -173,11 +187,15 @@ mod tests {
     fn rings_record_and_dump_in_order() {
         enable();
         let before = counters().events_recorded;
-        events::emit(events::EventKind::Pin, 1, 2, 3);
-        events::emit(events::EventKind::DeadMark, 4, 5, events::DEAD_BY_LGC);
+        // Serials this high are no store's in this binary.
+        let (mine, other) = (0xFF_FFF0, 0xFF_FFF1);
+        events::emit(mine, events::EventKind::Pin, 1, 2, 3);
+        events::emit(mine, events::EventKind::DeadMark, 4, 5, events::DEAD_BY_LGC);
+        events::emit(other, events::EventKind::Pin, 1, 2, 3);
         let after = counters().events_recorded;
-        assert!(after >= before + 2, "{before} -> {after}");
-        assert!(dump_events() >= 2);
+        assert!(after >= before + 3, "{before} -> {after}");
+        assert!(dump_events(None) >= 3);
+        assert_eq!(dump_events(Some(mine)), 2, "one store's events only");
         // Spans draw from the same global sequence but are not events:
         // closing one leaves the count alone. (Other tests in this binary
         // may emit concurrently, so look for one quiet attempt.)

@@ -70,9 +70,34 @@
 //! keep running and logging into their slots while one worker collects.
 //! Soundness is the usual SATB argument — everything live at the
 //! snapshot is either reached from the snapshot roots or was logged when
-//! a mutator hid it — plus one observation specific to this runtime:
-//! objects can only *enter* a sweepable state (the entangled space) by
-//! being pinned, and the pin path logs them.
+//! a mutator hid it — plus a rule for what the sweep may kill.
+//!
+//! # What the sweep may kill
+//!
+//! [`cgc_begin`] lists the entangled blocks before its handshake, and the
+//! sweep visits only those. An object enters the entangled space — the
+//! sweep's prey — three ways, none of which waits for a cycle:
+//!
+//! 1. a pin (`Object::try_pin` tags the object), which the pin path
+//!    SATB-logs while marking;
+//! 2. a local collection's shield (`Lgc::shield_push`, in Phase A and in
+//!    the re-take), which tags the closure of its heap's pins and logs
+//!    nothing;
+//! 3. a local collection's reclaim, which flags the from-space blocks it
+//!    retains entangled, bringing their objects into the sweep's reach.
+//!
+//! A block is retained only as from-space, and nothing is allocated or
+//! copied into a retained block again, so every object in a listed block
+//! existed at the snapshot. Such an object, if reachable at the sweep, was
+//! reachable at the snapshot, so the tracer marked it where it then lived;
+//! if a local collection moved it since, the listed address holds a
+//! forwarding word, which the sweep keeps. So whichever way, and whenever,
+//! an object entered the entangled space, the sweep kills it only if it is
+//! unreachable. What the listing leaves out is what the marks cannot vouch
+//! for — objects allocated after the snapshot, and to-space copies of
+//! objects the tracer marked at their old address (the mark stays with
+//! the forwarding word) — and those wait in blocks entangled after the
+//! snapshot for the next cycle.
 //!
 //! A cycle that unwinds — the `cgc/mark` failpoint, or packet panics past
 //! the cap — ends the way a finished one does ([`Cycle`]'s drop): flag
@@ -201,6 +226,9 @@ pub struct Cycle<'a> {
     store: &'a Store,
     state: &'a CgcState,
     _gate: MutexGuard<'a, ()>,
+    /// Which cycle of the state this is, counting from 1 (the `aux` of
+    /// its boundary events).
+    number: u32,
     grey: Mutex<Vec<Vec<ObjRef>>>,
     marked: Mutex<Vec<ObjRef>>,
     /// Blocks whose sweep packet panicked; re-swept before the epilogue
@@ -216,6 +244,8 @@ pub struct Cycle<'a> {
     /// A packet panicked anywhere this cycle: the marked list may be
     /// incomplete, so the epilogue clears bitmaps in every live block.
     dirty: AtomicBool,
+    /// The blocks the sweep visits: those entangled before the snapshot.
+    sweepable: Vec<u32>,
     packet_panics: AtomicU64,
     packets: AtomicU64,
     packet_retries: AtomicU64,
@@ -248,6 +278,13 @@ impl Drop for Cycle<'_> {
         if !std::thread::panicking() {
             state.reclaim(store);
         }
+    }
+}
+
+impl Cycle<'_> {
+    /// Emits a cycle-boundary event of `kind`.
+    fn note(&self, kind: EventKind) {
+        events::emit(self.store.serial(), kind, 0, 0, self.number);
     }
 }
 
@@ -361,7 +398,7 @@ impl CgcState {
         }
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let cycle = self.cycles.load(Ordering::SeqCst);
-        let pending = self.graveyard.retire(blocks, epoch, cycle);
+        let pending = self.graveyard.retire(store, blocks, epoch, cycle);
         store.stats().note_retired(pending);
         self.reclaim(store);
     }
@@ -774,10 +811,11 @@ fn clear_block_marks(cycle: &Cycle<'_>, bid: u32) {
 }
 
 /// Begins a cycle unless one is in flight (`None`): raises the marking
-/// flag, handshakes every open slot (the snapshot instant), then
-/// snapshots the slots' root stacks into the grey queue in `PACKET_REFS`
-/// chunks. The cycle holds the state's gate until it ends; finish it with
-/// [`cgc_finish`].
+/// flag, lists the entangled blocks the sweep will visit ("What the sweep
+/// may kill" in the module docs), handshakes every open slot (the
+/// snapshot instant), then snapshots the slots' root stacks into the grey
+/// queue in `PACKET_REFS` chunks. The cycle holds the state's gate until
+/// it ends; finish it with [`cgc_finish`].
 ///
 /// The flag-then-handshake-then-roots order is what makes the snapshot
 /// airtight: any mutator overwrite that skipped logging must have
@@ -795,12 +833,22 @@ pub fn cgc_begin<'a>(store: &'a Store, state: &'a CgcState) -> Option<Cycle<'a>>
 }
 
 fn begin<'a>(store: &'a Store, state: &'a CgcState, gate: MutexGuard<'a, ()>) -> Cycle<'a> {
-    state.cycles.fetch_add(1, Ordering::SeqCst);
+    let count = state.cycles.fetch_add(1, Ordering::SeqCst);
     state.marking.store(true, Ordering::SeqCst);
+    // Listed before the handshake, so every object in a listed block
+    // existed at the snapshot (module docs, "What the sweep may kill").
+    let sweepable = store
+        .blocks()
+        .live_blocks()
+        .into_iter()
+        .filter(|b| b.is_entangled())
+        .map(|b| b.id())
+        .collect();
     let cycle = Cycle {
         store,
         state,
         _gate: gate,
+        number: (count / 2 + 1) as u32,
         grey: Mutex::default(),
         marked: Mutex::default(),
         resweep: Mutex::default(),
@@ -808,6 +856,7 @@ fn begin<'a>(store: &'a Store, state: &'a CgcState, gate: MutexGuard<'a, ()>) ->
         out: OutcomeCells::default(),
         needs_repair: AtomicBool::default(),
         dirty: AtomicBool::default(),
+        sweepable,
         packet_panics: AtomicU64::default(),
         packets: AtomicU64::default(),
         packet_retries: AtomicU64::default(),
@@ -815,15 +864,16 @@ fn begin<'a>(store: &'a Store, state: &'a CgcState, gate: MutexGuard<'a, ()>) ->
     };
     state.handshake();
     *cycle.grey.lock() = state.root_packets();
+    cycle.note(EventKind::CycleBegin);
     cycle
 }
 
 /// Finishes a cycle [`cgc_begin`] began: marks to the fixpoint, lowers
-/// the flag, sweeps every entangled block (and re-sweeps the blocks whose
-/// packet panicked), clears the marks, prunes the entangled indexes and
-/// publishes the stats. Packets fan out on the `mpl-sched` pool when the
-/// caller holds a worker context (install a driver first); otherwise they
-/// run on the calling thread.
+/// the flag, sweeps the blocks entangled at its begin (and re-sweeps the
+/// blocks whose packet panicked), clears the marks, prunes the entangled
+/// indexes and publishes the stats. Packets fan out on the `mpl-sched`
+/// pool when the caller holds a worker context (install a driver first);
+/// otherwise they run on the calling thread.
 pub fn cgc_finish(mut cycle: Cycle<'_>) -> CgcOutcome {
     let store = cycle.store;
     {
@@ -835,19 +885,16 @@ pub fn cgc_finish(mut cycle: Cycle<'_>) -> CgcOutcome {
     // covered every hide while the flag was up), so the sweep proceeds
     // with the flag down.
     cycle.state.marking.store(false, Ordering::SeqCst);
+    cycle.note(EventKind::CycleMarked);
+    mpl_fail::hit_hard("cgc/marked");
     let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcSweep);
     let _stall = crate::stall::guard(crate::stall::CGC_SWEEP);
-    let mut blocks: Vec<u32> = store
-        .blocks()
-        .live_blocks()
-        .into_iter()
-        .filter(|b| b.is_entangled())
-        .map(|b| b.id())
-        .collect();
+    let mut blocks = std::mem::take(&mut cycle.sweepable);
     while !blocks.is_empty() {
         par_each(blocks, &|bid: u32| sweep_packet(&cycle, bid));
         blocks = std::mem::take(&mut *cycle.resweep.lock());
     }
+    cycle.note(EventKind::CycleSwept);
     // Clear mark and line bitmaps block-wise: on a clean cycle only the
     // blocks the marked list touched carry set bits; on a dirty one (a
     // packet panicked, the marked list may be incomplete) every live
@@ -934,7 +981,7 @@ fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) -> Option<u32> {
                 block.add_pinned(-1);
                 store.stats().sub_pinned_bytes(size);
             }
-            events::emit(EventKind::DeadMark, bid, off, DEAD_BY_CGC);
+            events::emit(store.serial(), EventKind::DeadMark, bid, off, DEAD_BY_CGC);
             out.swept_bytes += size as u64;
             out.swept_objects += 1;
             swept_here += size;

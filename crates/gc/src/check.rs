@@ -129,12 +129,15 @@ pub fn check(store: &Store, phase: Phase<'_>) -> Vec<String> {
                         // Reclaims run while other slots mutate: a field
                         // overwritten since it was read may have named a
                         // block freed since. Only a field still holding
-                        // the word dangles.
-                        if obj.field_word(i) != w {
+                        // the word dangles. And a retired block holds
+                        // only garbage and forwarding words, freed block
+                        // by block by the reap that frees its neighbours.
+                        if obj.field_word(i) != w || block.is_retired() {
                             continue;
                         }
                         issues.push(format!(
-                            "dangling: {r} field {i} -> block {freed} (freed; src owner {}, entangled {})",
+                            "dangling: {r} field {i} -> {} -> block {freed} (freed; src owner {}, entangled {}, {h:?})",
+                            w.pointer().expect("a pointer field"),
                             block.owner(),
                             block.is_entangled(),
                         ));

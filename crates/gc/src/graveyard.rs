@@ -44,12 +44,12 @@ pub struct Graveyard {
 }
 
 impl Graveyard {
-    /// Adds `blocks`, retired at `epoch` during cycle count `cycle`, and
-    /// returns how many blocks now wait.
-    pub(crate) fn retire(&self, blocks: &[u32], epoch: u64, cycle: u64) -> usize {
+    /// Adds `store`'s `blocks`, retired at `epoch` during cycle count
+    /// `cycle`, and returns how many blocks now wait.
+    pub(crate) fn retire(&self, store: &Store, blocks: &[u32], epoch: u64, cycle: u64) -> usize {
         let mut pending = self.pending.lock();
         for &block in blocks {
-            events::emit(EventKind::BlockRetire, block, 0, 0);
+            events::emit(store.serial(), EventKind::BlockRetire, block, 0, 0);
             pending.push(Retired {
                 block,
                 epoch,

@@ -286,10 +286,13 @@ pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutco
     // Soundness of stopping at a drain that brings nothing new: every
     // cross-heap acquisition pins and registers its target *before* the
     // reference escapes to the remote task (read barrier, write barrier,
-    // and allocation barrier all pin first), so any object a reader can
-    // possibly hold by the time Phase C's kills run is registered with
-    // this heap's index by the time the final drain observes it empty of
-    // news. The object-level pin CAS in `try_kill` covers the residual
+    // and allocation barrier all pin first), and a new pin is indexed
+    // before its header shows it (`Store::try_pin`), so a second reader
+    // that finds the object pinned and passes it on cannot outrun the
+    // index either. Any object a reader can possibly hold by the time
+    // Phase C's kills run is therefore registered with this heap's index
+    // by the time the final drain observes it empty of news. The
+    // object-level pin CAS in `try_kill` covers the residual
     // window for freshly pinned objects themselves, and such objects'
     // referents are necessarily already in the closure (their reference
     // escaped through an earlier registered pin).
@@ -423,6 +426,11 @@ impl<'s> Lgc<'s> {
                 .is_some()
     }
 
+    /// Emits an event of `kind` about the object at `r`.
+    fn note(&self, kind: EventKind, r: ObjRef, aux: u32) {
+        events::emit_obj(self.store.serial(), kind, r, aux);
+    }
+
     fn count_lookup(&self) {
         self.lookups.set(self.lookups.get() + 1);
     }
@@ -475,12 +483,16 @@ impl<'s> Lgc<'s> {
     /// closure lacks, and returns whether there were any. The pins still
     /// standing go back, each under its current level: a join only visits
     /// the buckets at or above its depth, so an entry filed below its
-    /// pin's level would miss the join that ends it.
+    /// pin's level would miss the join that ends it. An entry whose
+    /// object is alive but not pinned goes back where it was filed: its
+    /// pin may be about to land (`Object::try_pin` indexes a new pin
+    /// before its header shows it), and the join at its level or the
+    /// next drain that finds it dead drops it.
     fn drain_pins(&mut self) -> bool {
         let entries = self.info.with(|s| s.take_entangled());
         let mut kept = Vec::with_capacity(entries.len());
         let mut fresh = false;
-        for r in entries {
+        for (r, filed) in entries {
             // Gone: reclaimed by the concurrent collector, block and all.
             let Some((r, _)) = self.locate(r) else {
                 continue;
@@ -491,7 +503,11 @@ impl<'s> Lgc<'s> {
             else {
                 continue;
             };
-            if header.is_dead() || !header.is_pinned() {
+            if header.is_dead() {
+                continue;
+            }
+            if !header.is_pinned() {
+                kept.push((r, filed));
                 continue;
             }
             kept.push((r, header.pin_level()));
@@ -524,7 +540,7 @@ impl<'s> Lgc<'s> {
                     continue;
                 };
                 if self.shield_push(t) && self.in_heap(t) != local {
-                    events::emit_obj(EventKind::ShieldCross, t, r.block());
+                    self.note(EventKind::ShieldCross, t, r.block());
                 }
             }
         }
@@ -560,7 +576,7 @@ impl<'s> Lgc<'s> {
             Some(i) => {
                 self.closure.insert(r);
                 obj.set_entangled_space();
-                events::emit_obj(EventKind::Entangle, r, self.h);
+                self.note(EventKind::Entangle, r, self.h);
                 self.retained[i] = true;
                 self.out.retained_entangled_bytes += obj.size_bytes() as u64;
             }
@@ -625,16 +641,30 @@ impl<'s> Lgc<'s> {
                 // evacuated through another path must still have its
                 // source field repaired to the forwarded location, or the
                 // field dangles once from-space blocks are freed.
-                if !self.in_heap(t) {
+                let Some(slot) = self.table.slot(t.block()) else {
                     break; // points outside this heap: entry is stale
+                };
+                // A target in to-space is a copy this collection made.
+                // Unpinned, an earlier entry for the same field repaired
+                // the field to it and was kept (a field written again
+                // after its writer's buffer flushed is remembered twice).
+                // Pinned, a remote reader may have chased the forwarding
+                // word, pinned the copy and repaired the field before
+                // this, its only entry, came up (`acquire_loaded`): it
+                // stays, or the copy has no root once that pin ends.
+                if slot >= self.table.from_len
+                    && !self.table.blocks[slot].get(t.word()).header().is_pinned()
+                {
+                    break;
                 }
                 let nt = self.forward(t);
                 if nt != t {
+                    mpl_fail::hit_hard("lgc/remset");
                     let repair = src_obj.cas_field(idx, old_word.decode(), Value::Obj(nt));
                     if repair.is_err() {
                         continue; // concurrent write: re-read and retry
                     }
-                    events::emit_obj(EventKind::RemsetRepair, src, entry.field);
+                    self.note(EventKind::RemsetRepair, src, entry.field);
                 }
                 // Repaired, or shielded in place: either way still a live
                 // down-pointer into this heap.
@@ -736,7 +766,7 @@ impl<'s> Lgc<'s> {
                 obj.block().is_entangled(),
                 obj.block().pinned_count(),
             );
-            crate::audit::dump_events();
+            crate::audit::dump_events(Some(self.store.serial()));
             debug_assert!(false, "traced a dead object {r} (details on stderr)");
         }
         // Copy the payload straight into a to-space reservation, keeping
@@ -792,7 +822,7 @@ impl<'s> Lgc<'s> {
         let block = &self.table.blocks[i];
         let obj = block.get(r.word());
         obj.set_dead();
-        events::emit_obj(EventKind::DeadMark, r, DEAD_BY_ABANDON);
+        self.note(EventKind::DeadMark, r, DEAD_BY_ABANDON);
         block.sub_live_bytes(obj.size_bytes());
     }
 
@@ -862,7 +892,7 @@ impl<'s> Lgc<'s> {
                     // landing after this loop's header load cannot be
                     // overrun.
                     if obj.try_kill().is_some() {
-                        events::emit(EventKind::DeadMark, bid, off, DEAD_BY_LGC);
+                        self.note(EventKind::DeadMark, ObjRef::new(bid, off), DEAD_BY_LGC);
                         block.sub_live_bytes(obj.size_bytes());
                     }
                 }

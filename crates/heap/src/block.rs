@@ -511,6 +511,12 @@ impl Block {
             .is_ok()
     }
 
+    /// Whether [`Block::try_retire`] gave the block up: its objects are all
+    /// forwarded or garbage.
+    pub fn is_retired(&self) -> bool {
+        self.pinned_count.load(Ordering::Acquire) & RETIRED != 0
+    }
+
     /// Counts a pin about to be taken on an object of this block, before
     /// its header shows it; false (and nothing counted) once the block is
     /// retired — the object is garbage a reader loaded before its owner's

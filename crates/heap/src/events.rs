@@ -10,6 +10,11 @@
 //! ring primitive); `mpl-gc`'s `audit` module switches tracing
 //! on and dumps the rings in global sequence order to reconstruct the
 //! exact interleaving behind a GC audit failure.
+//!
+//! The rings are process-global but block and heap ids restart with
+//! every [`crate::Store`], so each event carries the serial of the store
+//! it is about ([`crate::Store::serial`]; [`NO_STORE`] for the scheduler's
+//! task-boundary markers), and a dump can keep one store's events.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -26,6 +31,13 @@ pub const DEAD_BY_CGC: u32 = 1;
 /// `aux` value for [`EventKind::DeadMark`]: an abandoned evacuation copy
 /// (never published, killed by the copying collector's unwind path).
 pub const DEAD_BY_ABANDON: u32 = 2;
+
+/// The store serial of an event no store owns (a scheduler task boundary).
+pub const NO_STORE: u32 = 0;
+
+/// Store serials fit the 24 bits above the kind in an event's first
+/// payload word.
+pub const STORE_SERIAL_BITS: u32 = 24;
 
 /// What happened. Each variant documents how the generic `block`/`word`
 /// (the subject object, when there is one) and `aux` fields are used.
@@ -66,6 +78,14 @@ pub enum EventKind {
     /// pool index). Task-boundary markers let event-ring dumps
     /// reconstruct which task interleavings surround a GC failure.
     TaskBoundary = 11,
+    /// A concurrent cycle took its snapshot: the handshake is done and
+    /// the roots are read (`aux` = the cycle number).
+    CycleBegin = 12,
+    /// A concurrent cycle reached its mark fixpoint and lowered the
+    /// marking flag (`aux` = the cycle number).
+    CycleMarked = 13,
+    /// A concurrent cycle finished sweeping (`aux` = the cycle number).
+    CycleSwept = 14,
 }
 
 impl EventKind {
@@ -84,6 +104,9 @@ impl EventKind {
             EventKind::AllocPin => "alloc-pin",
             EventKind::RemsetFlush => "remset-flush",
             EventKind::TaskBoundary => "task-boundary",
+            EventKind::CycleBegin => "cgc-begin",
+            EventKind::CycleMarked => "cgc-marked",
+            EventKind::CycleSwept => "cgc-swept",
         }
     }
 
@@ -102,6 +125,9 @@ impl EventKind {
             9 => EventKind::AllocPin,
             10 => EventKind::RemsetFlush,
             11 => EventKind::TaskBoundary,
+            12 => EventKind::CycleBegin,
+            13 => EventKind::CycleMarked,
+            14 => EventKind::CycleSwept,
             _ => return None,
         })
     }
@@ -114,6 +140,8 @@ pub struct Event {
     pub seq: u64,
     /// The ring shard (emitting worker's id modulo the shard count).
     pub ring: usize,
+    /// The serial of the store the event is about ([`NO_STORE`] if none).
+    pub store: u32,
     /// What happened.
     pub kind: EventKind,
     /// Block id of the subject (or the block itself for block events).
@@ -129,7 +157,7 @@ pub struct Event {
 const RING_CAP: usize = 16384;
 
 static TRACING: AtomicBool = AtomicBool::new(false);
-/// Payload: `kind << 32 | block`, `aux << 32 | word`.
+/// Payload: `store << 40 | kind << 32 | block`, `aux << 32 | word`.
 static RINGS: Ring<2, RING_CAP, SHARDS> = Ring::new();
 
 /// Turns event emission on or off. Off is the default; emission sites
@@ -143,14 +171,15 @@ pub fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// Emits one event into the calling worker's ring if tracing is enabled.
+/// Emits one event about the store with serial `store` into the calling
+/// worker's ring if tracing is enabled.
 #[inline]
-pub fn emit(kind: EventKind, block: u32, word: u32, aux: u32) {
+pub fn emit(store: u32, kind: EventKind, block: u32, word: u32, aux: u32) {
     if !TRACING.load(Ordering::Relaxed) {
         return;
     }
     RINGS.push([
-        (u64::from(kind as u8) << 32) | u64::from(block),
+        (u64::from(store) << 40) | (u64::from(kind as u8) << 32) | u64::from(block),
         (u64::from(aux) << 32) | u64::from(word),
     ]);
 }
@@ -163,6 +192,7 @@ pub fn snapshot() -> Vec<Event> {
         Some(Event {
             seq: r.seq,
             ring: r.shard,
+            store: (a >> 40) as u32,
             kind: EventKind::from_bits((a >> 32) as u8)?,
             block: a as u32,
             word: b as u32,
@@ -180,8 +210,8 @@ pub fn recorded() -> (u64, u64) {
 
 /// Emits one event about an object reference.
 #[inline]
-pub fn emit_obj(kind: EventKind, r: ObjRef, aux: u32) {
-    emit(kind, r.block(), r.word(), aux);
+pub fn emit_obj(store: u32, kind: EventKind, r: ObjRef, aux: u32) {
+    emit(store, kind, r.block(), r.word(), aux);
 }
 
 #[cfg(test)]
@@ -203,6 +233,9 @@ mod tests {
             EventKind::AllocPin,
             EventKind::RemsetFlush,
             EventKind::TaskBoundary,
+            EventKind::CycleBegin,
+            EventKind::CycleMarked,
+            EventKind::CycleSwept,
         ] {
             assert_eq!(EventKind::from_bits(k as u8), Some(k), "{}", k.name());
         }
@@ -212,7 +245,7 @@ mod tests {
     #[test]
     fn emission_with_tracing_off_records_nothing() {
         // Nothing in this test binary turns tracing on.
-        emit(EventKind::Pin, 1, 2, 3);
+        emit(1, EventKind::Pin, 1, 2, 3);
         assert_eq!(recorded(), (0, 0));
         assert!(snapshot().is_empty());
     }

@@ -80,9 +80,14 @@ impl HeapState {
         self.entangled[idx].push(r);
     }
 
-    /// Drains every entangled-object entry (collections rebuild the index).
-    pub fn take_entangled(&mut self) -> Vec<ObjRef> {
-        self.take_entangled_from(0)
+    /// Drains every entangled-object entry with the level it was filed
+    /// under (collections rebuild the index).
+    pub fn take_entangled(&mut self) -> Vec<(ObjRef, u16)> {
+        let mut out = Vec::new();
+        for (level, bucket) in self.entangled.iter_mut().enumerate() {
+            out.extend(bucket.drain(..).map(|r| (r, level as u16)));
+        }
+        out
     }
 
     /// Drains the entries indexed at level `>= depth`: the candidates for
@@ -647,7 +652,7 @@ mod tests {
         t.register_entangled(ll, ObjRef::new(0, 5), 0);
         t.remember(lr, &[entry]);
         let (pins, rems) = t.info(root).with(|s| (s.take_entangled(), s.remset.len()));
-        assert_eq!((pins, rems), (vec![ObjRef::new(0, 5)], 2));
+        assert_eq!((pins, rems), (vec![(ObjRef::new(0, 5), 0)], 2));
     }
 
     #[test]

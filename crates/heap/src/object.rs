@@ -270,7 +270,15 @@ impl<'a> Object<'a> {
     /// before the header shows it ([`Block::reserve_pin`]), so it and the
     /// block's retirement exclude each other the same way: an unforwarded
     /// object in a retired block is garbage, and reads as dead.
-    pub fn try_pin(&self, level: u16) -> PinOutcome {
+    ///
+    /// `index` runs at most once, after the block counted a new pin and
+    /// before the CAS that shows it: whoever sees the pin — a second
+    /// reader that finds it already pinned and passes the object on —
+    /// sees it indexed too ([`crate::Store::try_pin`]). If the CAS then
+    /// loses, the entry names an object pinned by someone else, moved or
+    /// dead, which the index's readers skip.
+    pub fn try_pin(&self, level: u16, index: impl FnOnce()) -> PinOutcome {
+        let mut index = Some(index);
         debug_assert!(level != NO_PIN_LEVEL, "NO_PIN_LEVEL is a sentinel");
         // Enter the barrier's slow set *before* the pin becomes visible:
         // a reader classifying this object after the CAS below must take
@@ -298,6 +306,9 @@ impl<'a> Object<'a> {
                     return PinOutcome::Dead;
                 }
                 reserved = true;
+                if let Some(index) = index.take() {
+                    index();
+                }
                 continue;
             }
             let next = cur.with_pin(level).with_entangled_space();
@@ -567,14 +578,20 @@ mod tests {
     fn pin_is_idempotent_and_lowers() {
         let b = block();
         let o = alloc(&b, ObjKind::Ref, &[Value::Unit]);
-        assert_eq!(o.try_pin(5), PinOutcome::NewlyPinned);
+        assert_eq!(o.try_pin(5, || {}), PinOutcome::NewlyPinned);
         assert!(o.header().is_pinned());
         assert!(o.header().in_entangled_space());
         assert!(o.is_slow(), "a pinned object is in the slow set");
         assert_eq!(o.header().pin_level(), 5);
-        assert_eq!(o.try_pin(7), PinOutcome::AlreadyPinned { lowered: false });
+        assert_eq!(
+            o.try_pin(7, || {}),
+            PinOutcome::AlreadyPinned { lowered: false }
+        );
         assert_eq!(o.header().pin_level(), 5);
-        assert_eq!(o.try_pin(2), PinOutcome::AlreadyPinned { lowered: true });
+        assert_eq!(
+            o.try_pin(2, || {}),
+            PinOutcome::AlreadyPinned { lowered: true }
+        );
         assert_eq!(o.header().pin_level(), 2);
     }
 
@@ -582,7 +599,7 @@ mod tests {
     fn unpin_at_join_respects_level() {
         let b = block();
         let o = alloc(&b, ObjKind::Ref, &[Value::Unit]);
-        o.try_pin(3);
+        o.try_pin(3, || {});
         assert!(!o.try_unpin_at_join(4), "level 3 < join depth 4: keep pin");
         assert!(o.try_unpin_at_join(3), "level 3 >= join depth 3: unpin");
         assert!(!o.header().is_pinned());
@@ -594,7 +611,7 @@ mod tests {
     fn forwarding_excludes_pinned() {
         let b = block();
         let o = alloc(&b, ObjKind::Tuple, &[Value::Unit]);
-        o.try_pin(1);
+        o.try_pin(1, || {});
         let err = o.try_forward(ObjRef::new(1, 1)).unwrap_err();
         assert!(err.is_pinned());
         assert_eq!(o.forward_ref(), None);
@@ -610,7 +627,7 @@ mod tests {
         assert_eq!(o.forward_ref(), Some(dst));
         assert_eq!(b.forwarded_count(), 1);
         assert!(o.try_forward(ObjRef::new(3, 3)).is_err());
-        assert_eq!(o.try_pin(0), PinOutcome::Forwarded(dst));
+        assert_eq!(o.try_pin(0, || {}), PinOutcome::Forwarded(dst));
     }
 
     #[test]
@@ -618,7 +635,7 @@ mod tests {
         let b = block();
         let o = alloc(&b, ObjKind::Tuple, &[Value::Unit]);
         assert!(o.try_kill().is_some());
-        assert_eq!(o.try_pin(1), PinOutcome::Dead);
+        assert_eq!(o.try_pin(1, || {}), PinOutcome::Dead);
         assert!(!o.header().is_pinned(), "no pinned corpse");
     }
 

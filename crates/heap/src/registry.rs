@@ -23,21 +23,25 @@ pub struct BlockRegistry {
     /// write lock so `live` need not walk every id ever issued.
     live: AtomicUsize,
     stats: Arc<StoreStats>,
+    /// The owning store's serial, for the events the registry emits.
+    serial: u32,
 }
 
 impl Default for BlockRegistry {
     fn default() -> Self {
-        BlockRegistry::new(Arc::new(StoreStats::new()))
+        BlockRegistry::new(Arc::new(StoreStats::new()), crate::events::NO_STORE)
     }
 }
 
 impl BlockRegistry {
-    /// Creates an empty registry reporting block churn into `stats`.
-    pub fn new(stats: Arc<StoreStats>) -> BlockRegistry {
+    /// Creates an empty registry reporting block churn into `stats`, for
+    /// the store with serial `serial`.
+    pub fn new(stats: Arc<StoreStats>, serial: u32) -> BlockRegistry {
         BlockRegistry {
             blocks: RwLock::new(Vec::new()),
             live: AtomicUsize::new(0),
             stats,
+            serial,
         }
     }
 
@@ -78,7 +82,8 @@ impl BlockRegistry {
                 self.live.fetch_sub(1, Ordering::Relaxed);
                 block.on_free();
                 self.stats.add(Counter::blocks_freed, 1);
-                crate::events::emit(crate::events::EventKind::BlockFree, id, 0, block.owner());
+                let kind = crate::events::EventKind::BlockFree;
+                crate::events::emit(self.serial, kind, id, 0, block.owner());
             }
         }
     }
@@ -119,7 +124,7 @@ mod tests {
     fn registry() -> (BlockRegistry, Arc<SftTable>, Arc<StoreStats>) {
         let stats = Arc::new(StoreStats::new());
         (
-            BlockRegistry::new(Arc::clone(&stats)),
+            BlockRegistry::new(Arc::clone(&stats), crate::events::NO_STORE),
             Arc::new(SftTable::new()),
             stats,
         )

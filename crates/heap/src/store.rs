@@ -7,6 +7,7 @@
 //! resolution, remoteness and LCA queries against a task's heap path, the
 //! pin protocol, and the O(1) join.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::block::{
@@ -142,9 +143,10 @@ impl ObjHandle {
         self.obj().is_suspect()
     }
 
-    /// Attempts to pin the object at `level`.
+    /// Attempts to pin the object at `level`, indexing nothing: a pin
+    /// the heap's index lacks, as a test plants one.
     pub fn try_pin(&self, level: u16) -> PinOutcome {
-        self.obj().try_pin(level)
+        self.obj().try_pin(level, || {})
     }
 }
 
@@ -169,6 +171,9 @@ pub struct Store {
     // and with the barriers (lock-free classification).
     sft: Arc<SftTable>,
     config: StoreConfig,
+    /// Tells this store's events from other stores' in the process-global
+    /// event rings.
+    serial: u32,
 }
 
 impl Default for Store {
@@ -184,14 +189,25 @@ impl Store {
             config.block_words >= OBJECT_HEADER_WORDS,
             "block_words must fit at least one header"
         );
+        static SERIALS: AtomicU32 = AtomicU32::new(0);
+        // 1 ..= 2^24 - 1: zero is `events::NO_STORE`.
+        let serial =
+            SERIALS.fetch_add(1, Ordering::Relaxed) % ((1 << events::STORE_SERIAL_BITS) - 1) + 1;
         let stats = Arc::new(StoreStats::new());
         Store {
-            blocks: BlockRegistry::new(Arc::clone(&stats)),
+            blocks: BlockRegistry::new(Arc::clone(&stats), serial),
             heaps: HeapTable::new(),
             stats,
             sft: Arc::new(SftTable::new()),
             config,
+            serial,
         }
+    }
+
+    /// This store's serial: distinct among the stores a process creates
+    /// (up to 2^24 - 1 of them), and what its events carry.
+    pub fn serial(&self) -> u32 {
+        self.serial
     }
 
     /// The block registry.
@@ -415,25 +431,29 @@ impl Store {
         let mut cur = r;
         loop {
             let h = self.handle(cur);
-            match h.obj().try_pin(level) {
+            match self.try_pin(h.obj(), cur, level) {
                 PinOutcome::Forwarded(next) => cur = next,
-                PinOutcome::NewlyPinned => {
-                    self.on_newly_pinned(h.block(), cur, level);
-                    return (cur, true);
-                }
+                PinOutcome::NewlyPinned => return (cur, true),
                 PinOutcome::AlreadyPinned { .. } | PinOutcome::Dead => return (cur, false),
             }
         }
     }
 
-    /// The bookkeeping owed by whoever's `try_pin` on the object at `r`
-    /// (in `block`) returned [`PinOutcome::NewlyPinned`]: index it on its
-    /// heap, count it in the gauges, trace it. (The pin already counts on
-    /// its block: `try_pin` reserved it there.)
-    pub fn on_newly_pinned(&self, block: &Block, r: ObjRef, level: u16) {
-        self.heaps.register_entangled(block.owner(), r, level);
-        self.stats.on_pin(block.get(r.word()).size_bytes());
-        events::emit_obj(EventKind::Pin, r, u32::from(level));
+    /// [`Object::try_pin`] on `obj`, the object at `r`, with the
+    /// bookkeeping a new pin owes: its entry in its heap's index — filed
+    /// before the header shows the pin, so a task that sees the pin and
+    /// passes the object on can never get it past a local collection's
+    /// shield unindexed — then the gauges and the trace. (The pin counts
+    /// on its block already: `try_pin` reserved it there.)
+    pub fn try_pin(&self, obj: Object<'_>, r: ObjRef, level: u16) -> PinOutcome {
+        let owner = obj.block().owner();
+        let outcome = obj.try_pin(level, || self.heaps.register_entangled(owner, r, level));
+        if outcome == PinOutcome::NewlyPinned {
+            mpl_fail::hit_hard("heap/pin");
+            self.stats.on_pin(obj.size_bytes());
+            events::emit_obj(self.serial, EventKind::Pin, r, u32::from(level));
+        }
+        outcome
     }
 
     // ---- remembered sets ------------------------------------------------
@@ -451,9 +471,10 @@ impl Store {
             .add(Counter::remset_inserts, entries.len() as u64);
         if events::tracing_enabled() {
             for e in entries {
-                events::emit_obj(EventKind::RemsetInsert, e.src, e.field);
+                events::emit_obj(self.serial, EventKind::RemsetInsert, e.src, e.field);
             }
             events::emit(
+                self.serial,
                 EventKind::RemsetFlush,
                 self.heaps.find(dst_heap),
                 0,
@@ -614,7 +635,7 @@ impl Store {
             if h.obj().try_unpin_at_join(join_depth) {
                 h.block().add_pinned(-1);
                 self.stats.on_unpin(h.obj().size_bytes());
-                events::emit_obj(EventKind::Unpin, r, u32::from(join_depth));
+                events::emit_obj(self.serial, EventKind::Unpin, r, u32::from(join_depth));
                 unpinned += 1;
             } else if h.obj().header().is_pinned() {
                 // A lowered pin: re-home it at its authoritative level.

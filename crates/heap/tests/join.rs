@@ -87,7 +87,12 @@ fn registration_racing_a_join_lands_on_a_live_index() {
             seen.extend(t.join(root, [l, r]).1);
         });
         // Whatever no join handed back is in the only live heap's index.
-        seen.extend(t.info(root).with(|s| s.take_entangled()));
+        seen.extend(
+            t.info(root)
+                .with(|s| s.take_entangled())
+                .into_iter()
+                .map(|(r, _)| r),
+        );
         for merged in [l, r, ll, lr] {
             assert!(t.info(merged).try_with(|_| ()).is_none());
         }

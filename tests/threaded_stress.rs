@@ -4,7 +4,9 @@
 //! join lands on a merged-away index" (found and fixed during
 //! development) stay fixed.
 
-use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, StoreConfig, Value};
+use mpl_runtime::{
+    FailAction, FailPlan, FailWhen, GcPolicy, Runtime, RuntimeConfig, StoreConfig, Value,
+};
 
 // `with_threads_exact`: these tests deliberately oversubscribe small
 // hosts — concurrency bugs need concurrency, not host-sized pools.
@@ -166,22 +168,61 @@ fn entangled_suite_work_stealing_worker_sweep() {
     }
 }
 
+/// Rounds of [`lgc_dead_object_race_repro`] at each worker count.
+const REPRO_ROUNDS: u64 = 4;
+
+/// The schedule [`lgc_dead_object_race_repro`] runs each round under,
+/// seeded by the round: thieves yield, so which worker runs what varies,
+/// and each window of the three races behind a join's collection of its
+/// merged heap is stretched.
+/// * `cgc/marked`: the mark is done, the sweep has not begun. Local
+///   collections meanwhile shield copies the tracer never marked (it
+///   marked their old address), which a sweep that listed its blocks
+///   only now would kill while reachable.
+/// * `lgc/remset`: a remembered-set entry's target is evacuated and its
+///   source field not yet repaired. A reader that chases the forwarding
+///   word meanwhile repairs the field to the copy, which the collection
+///   must still take for a live entry.
+/// * `heap/pin`: a new pin is visible in its header. A pin indexed only
+///   after this point could be passed on by a second reader that finds
+///   the object pinned, past a local collection's shield.
+fn repro_schedule(seed: u64) -> FailPlan {
+    FailPlan::new(seed)
+        .with("sched/steal", FailAction::Yield, FailWhen::OneIn(3))
+        .with("cgc/marked", FailAction::Delay(2_000_000), FailWhen::Always)
+        .with("lgc/remset", FailAction::Delay(50_000), FailWhen::OneIn(2))
+        .with(
+            "heap/pin",
+            FailAction::Delay(2_000_000),
+            FailWhen::OneIn(64),
+        )
+}
+
 #[test]
 fn lgc_dead_object_race_repro() {
     // Regression test for the LGC dead-object race (formerly #[ignore]d:
     // dedup at full small_n under 4 threads killed the referents of
-    // objects pinned mid-collection in roughly 2 of 3 debug runs). The
-    // fix is the shield fixpoint's re-take before Phase C's kills
-    // (lgc.rs); `lgc_dead_traced` is the always-on detector and must
-    // stay zero. The rest of the suite runs at small_n / 2; this is the
-    // one test at full small_n.
-    for round in 0..5 {
-        let bench = mpl_bench_suite::by_name("dedup").unwrap();
-        let n = bench.small_n();
-        let rt = Runtime::new(threaded_pressure(4));
-        let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
-        assert_eq!(got, Value::Int(bench.run_native(n)), "round {round}");
-        rt.assert_heap_sound();
+    // objects pinned mid-collection in roughly 2 of 3 debug runs), and for
+    // the three races a join's collection of its merged heap exposed
+    // (`repro_schedule`). `lgc_dead_traced` is the always-on detector and
+    // must stay zero; the audited loop (`MPL_DEBUG_LGC_VALIDATE=1`) also
+    // checks every collector phase. The rest of the suite runs at
+    // small_n / 2; this is the one test at full small_n.
+    let bench = mpl_bench_suite::by_name("dedup").unwrap();
+    let n = bench.small_n();
+    for workers in [2, 4, 8] {
+        for round in 0..REPRO_ROUNDS {
+            let seed = workers as u64 * 1000 + round;
+            let cfg = threaded_pressure(workers).with_failpoints(repro_schedule(seed));
+            let rt = Runtime::new(cfg);
+            let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
+            assert_eq!(
+                got,
+                Value::Int(bench.run_native(n)),
+                "{workers} workers, round {round}"
+            );
+            rt.assert_heap_sound();
+        }
     }
 }
 

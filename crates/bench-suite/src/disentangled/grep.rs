@@ -110,8 +110,9 @@ impl Benchmark for Grep {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
-        let text = util::random_text(n, 23);
-        let words: Vec<u64> = text.bytes().map(u64::from).collect();
+        // The text is dropped once widened: one copy of the input is held,
+        // as in `run_seq`.
+        let words: Vec<u64> = util::random_text(n, 23).bytes().map(u64::from).collect();
         let ha = crate::mplutil::alloc_filled_raw(m, &words);
         let arr = m.get(&ha);
         go_mpl(m, arr, 0, n)

@@ -145,8 +145,12 @@ impl Benchmark for Mcss {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
-        let data = util::random_small_ints(n, 11);
-        let words: Vec<u64> = data.iter().map(|&x| x as u64).collect();
+        // Reinterpreted in place (same element size): the input is held
+        // once, as in `run_seq`.
+        let words: Vec<u64> = util::random_small_ints(n, 11)
+            .into_iter()
+            .map(|x| x as u64)
+            .collect();
         let ha = crate::mplutil::alloc_filled_raw(m, &words);
         let arr = m.get(&ha);
         let s = go_mpl(m, arr, 0, n);

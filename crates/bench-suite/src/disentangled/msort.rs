@@ -279,8 +279,12 @@ impl Benchmark for Msort {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
-        let data = util::random_ints(n, 21);
-        let words: Vec<u64> = data.iter().map(|&x| x as u64).collect();
+        // Reinterpreted in place (same element size): the input is held
+        // once, as in `run_seq`.
+        let words: Vec<u64> = util::random_ints(n, 21)
+            .into_iter()
+            .map(|x| x as u64)
+            .collect();
         let ha = crate::mplutil::alloc_filled_raw(m, &words);
         let arr = m.get(&ha);
         let sorted = sort_mpl(m, arr, 0, n);

@@ -128,9 +128,11 @@ impl Benchmark for Nbody {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
+        // Reinterpreted in place (same element size): the input is held
+        // once, as in `run_seq`.
         let (px, py) = positions(n);
-        let xw: Vec<u64> = px.iter().map(|&v| v as u64).collect();
-        let yw: Vec<u64> = py.iter().map(|&v| v as u64).collect();
+        let xw: Vec<u64> = px.into_iter().map(|v| v as u64).collect();
+        let yw: Vec<u64> = py.into_iter().map(|v| v as u64).collect();
         let hx = crate::mplutil::alloc_filled_raw(m, &xw);
         let hy = crate::mplutil::alloc_filled_raw(m, &yw);
         go_mpl(m, &hx, &hy, n, 0, n)

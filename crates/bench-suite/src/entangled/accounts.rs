@@ -150,8 +150,14 @@ mod tests {
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
         let s = rt.stats();
-        assert!(s.entangled_reads > 0, "deposits entangle: {s:?}");
-        assert!(s.unpins >= s.pins - 64, "pins resolve by the end");
+        // One worker: each right branch runs in its left sibling's heap.
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
+        crate::for_stolen_runs(&b, n, RuntimeConfig::managed(), 3, |rt, got| {
+            assert_eq!(got.unwrap(), native);
+            let s = rt.stats();
+            assert!(s.entangled_reads > 0, "deposits entangle: {s:?}");
+            assert!(s.unpins + 64 >= s.pins, "pins resolve by the end");
+        });
     }
 
     #[test]

@@ -327,8 +327,15 @@ mod tests {
         assert_eq!(b.run_seq(&mut seq, n), native);
         assert_eq!(glob.expect_int(), native);
         let s = rt.stats();
-        assert!(s.entangled_reads > 0, "contended claims entangle: {s:?}");
+        // One worker: each right branch runs in its left sibling's heap.
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
+        crate::for_stolen_runs(&b, n, RuntimeConfig::managed(), 3, |rt, got| {
+            assert_eq!(got.unwrap(), native);
+            let s = rt.stats();
+            assert!(s.entangled_reads > 0, "contended claims entangle: {s:?}");
+            rt.assert_heap_sound();
+        });
     }
 
     #[test]

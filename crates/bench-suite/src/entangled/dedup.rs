@@ -224,18 +224,30 @@ mod tests {
         assert_eq!(b.run_seq(&mut seq, n), native);
         assert_eq!(glob.expect_int(), native);
         let s = rt.stats();
-        assert!(s.entangled_reads > 0, "dedup must entangle: {s:?}");
-        assert!(s.pins > 0);
+        // One worker: each right branch runs in its left sibling's heap.
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
+        crate::for_stolen_runs(&b, n, RuntimeConfig::managed(), 3, |rt, got| {
+            assert_eq!(got.unwrap(), native);
+            let s = rt.stats();
+            assert!(s.entangled_reads > 0, "dedup must entangle: {s:?}");
+            assert!(s.pins > 0);
+            rt.assert_heap_sound();
+        });
     }
 
     #[test]
     fn detect_only_aborts_on_dedup() {
         let b = Dedup;
         let rt = Runtime::new(RuntimeConfig::detect_only());
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run(|m| Value::Int(b.run_mpl(m, 8000)))
-        }));
-        assert!(r.is_err(), "prior-MPL semantics abort on entanglement");
+        let got = rt.run(|m| Value::Int(b.run_mpl(m, 8000)));
+        assert_eq!(
+            got.expect_int(),
+            b.run_native(8000),
+            "one worker: nothing entangles"
+        );
+        crate::for_stolen_runs(&b, 8000, RuntimeConfig::detect_only(), 3, |_, got| {
+            assert!(got.is_err(), "prior-MPL semantics abort on entanglement");
+        });
     }
 }

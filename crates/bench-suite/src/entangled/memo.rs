@@ -145,10 +145,30 @@ mod tests {
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
         let s = rt.stats();
-        assert!(
-            s.entangled_reads > 0,
-            "memo hits from siblings entangle: {s:?}"
-        );
+        // One worker: each right branch runs in its left sibling's heap.
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
+        // Two workers: memo's forks end before a thief wakes, so the top
+        // one is forced to steal. Both halves then fill the table at once
+        // and, whichever publishes an entry first, the other reads it.
+        for _ in 0..3 {
+            let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
+            let mpl = rt.run(|m| {
+                let table = m.alloc_array(n + 1, Value::Unit);
+                let ht = m.root(table);
+                let (a, b) = m.fork_stolen(
+                    |m| Value::Int(memo_fib_mpl(m, m.get(&ht), n - 1)),
+                    |m| Value::Int(memo_fib_mpl(m, m.get(&ht), n - 2)),
+                );
+                Value::Int(a.expect_int() + b.expect_int())
+            });
+            assert_eq!(mpl.expect_int(), native);
+            let s = rt.stats();
+            assert!(
+                s.entangled_reads > 0,
+                "memo hits from siblings entangle: {s:?}"
+            );
+            rt.assert_heap_sound();
+        }
     }
 
     #[test]

@@ -229,8 +229,15 @@ mod tests {
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
         let s = rt.stats();
-        assert!(s.entangled_reads > 0, "queue traffic entangles: {s:?}");
+        // One worker: each right branch runs in its left sibling's heap.
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
+        crate::for_stolen_runs(&b, n, RuntimeConfig::managed(), 3, |rt, got| {
+            assert_eq!(got.unwrap(), native);
+            let s = rt.stats();
+            assert!(s.entangled_reads > 0, "queue traffic entangles: {s:?}");
+            rt.assert_heap_sound();
+        });
     }
 
     #[test]

@@ -286,8 +286,15 @@ mod tests {
         // The random graph has the chain i -> i+1, so everything merges
         // into one component — and finds must cross task boundaries.
         assert_eq!(native, 1);
-        assert!(rt.stats().entangled_reads > 0, "finds read sibling links");
+        // One worker: each right branch runs in its left sibling's heap.
+        let s = rt.stats();
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
+        crate::for_stolen_runs(&b, n, RuntimeConfig::managed(), 3, |rt, got| {
+            assert_eq!(got.unwrap(), native);
+            assert!(rt.stats().entangled_reads > 0, "finds read sibling links");
+            rt.assert_heap_sound();
+        });
     }
 
     #[test]

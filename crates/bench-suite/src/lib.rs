@@ -68,7 +68,7 @@ pub mod entangled {
 }
 
 use mpl_baselines::{GlobalMutator, SeqRuntime};
-use mpl_runtime::Mutator;
+use mpl_runtime::{FailAction, FailPlan, FailWhen, Mutator, Runtime, RuntimeConfig, Value};
 
 /// A suite benchmark, runnable on every runtime with a common checksum.
 pub trait Benchmark: Sync {
@@ -137,6 +137,62 @@ pub fn all() -> Vec<Box<dyn Benchmark>> {
 /// Looks a benchmark up by name.
 pub fn by_name(name: &str) -> Option<Box<dyn Benchmark>> {
     all().into_iter().find(|b| b.name() == name)
+}
+
+/// A failpoint schedule under which two workers steal: every block refill
+/// sleeps 200 µs (the `heap/alloc` failpoint), long enough for the idle
+/// worker to wake and steal the branch its forker left on the deque. Only
+/// a stolen branch runs beside its sibling, in a heap of its own, so this
+/// is what whole-program entanglement is measured and tested under.
+pub fn steal_schedule() -> FailPlan {
+    FailPlan::new(0).with("heap/alloc", FailAction::Delay(200_000), FailWhen::Always)
+}
+
+/// Runs `b` at `n` on fresh two-worker runtimes built from `config`, under
+/// [`steal_schedule`], until `k` runs have stolen a task, handing each
+/// such run's runtime and outcome (its checksum, or the panic it unwound
+/// with) to `check`. A run that steals nothing runs every right branch
+/// after its left sibling, in its heap, so nothing in it can entangle: it
+/// must return the native checksum with no pin, and another run is made,
+/// up to `4 k` in all.
+///
+/// # Panics
+///
+/// Panics if a run without a steal pins or misses the native checksum,
+/// or if fewer than `k` of the `4 k` runs steal.
+pub fn for_stolen_runs(
+    b: &dyn Benchmark,
+    n: usize,
+    config: RuntimeConfig,
+    k: usize,
+    mut check: impl FnMut(&Runtime, std::thread::Result<i64>),
+) {
+    let native = b.run_native(n);
+    let config = config
+        .with_threads_exact(2)
+        .with_failpoints(steal_schedule());
+    let mut stolen = 0;
+    for _ in 0..4 * k {
+        let rt = Runtime::new(config);
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int()
+        }));
+        if rt.sched_stats().steals == 0 {
+            assert_eq!(got.ok(), Some(native), "{}: a run with no steal", b.name());
+            assert_eq!(rt.stats().pins, 0, "{}: a run with no steal", b.name());
+            continue;
+        }
+        check(&rt, got);
+        stolen += 1;
+        if stolen == k {
+            return;
+        }
+    }
+    panic!(
+        "{}: {stolen} of {} runs at two workers stole",
+        b.name(),
+        4 * k
+    );
 }
 
 #[cfg(test)]

@@ -5,9 +5,12 @@
 //!   overhead and confirms zero pins.
 //! * **entangled suite** — `Managed` runs (with pin/unpin/CGC activity
 //!   reported); `DetectOnly` (prior MPL) *aborts*, demonstrating why
-//!   management is needed at all.
+//!   management is needed at all. At one worker every right branch runs
+//!   after its left sibling, in its heap, so nothing entangles: the
+//!   entanglement rows are two-worker runs under
+//!   [`mpl_bench_suite::steal_schedule`], beside the one-worker pins.
 
-use mpl_bench::{fmt_bytes, fmt_dur, run_mpl, scale_bench, write_json, Table};
+use mpl_bench::{fmt_bytes, fmt_dur, run_mpl, scale_bench, write_json, MplRun, Table};
 use mpl_runtime::{Runtime, RuntimeConfig, Value};
 use serde::Serialize;
 
@@ -22,6 +25,8 @@ struct Row {
     entangled_writes: u64,
     pins: u64,
     unpins: u64,
+    pins_at_1_worker: u64,
+    steals: u64,
     max_pinned_bytes: usize,
     lgc_pause_ns_total: u64,
     lgc_pause_ns_max: u64,
@@ -37,6 +42,8 @@ fn main() {
         "T detect-only",
         "T no-barrier",
         "barrier ovh",
+        "pins@1w",
+        "steals",
         "ent.reads",
         "pins",
         "unpins",
@@ -47,9 +54,27 @@ fn main() {
         "prior MPL",
     ]);
     let mut rows = Vec::new();
+    let stolen = RuntimeConfig::managed()
+        .with_threads_exact(2)
+        .with_failpoints(mpl_bench_suite::steal_schedule());
     for bench in mpl_bench_suite::all() {
         let n = scale_bench(bench.as_ref());
-        let managed = run_mpl(bench.as_ref(), n, RuntimeConfig::managed());
+        let one = run_mpl(bench.as_ref(), n, RuntimeConfig::managed());
+        let pins_at_1_worker = one.stats.pins;
+        // Entanglement needs a branch running beside its sibling: an
+        // entangled benchmark's counts come from a two-worker run that
+        // steals (its time stays the one-worker run's).
+        let managed = if bench.entangled() {
+            let two = run_mpl(bench.as_ref(), n, stolen);
+            assert_eq!(two.checksum, one.checksum, "{}", bench.name());
+            MplRun {
+                wall: one.wall,
+                ..two
+            }
+        } else {
+            one
+        };
+        let steals = managed.stats.sched_steals;
 
         // The no-barrier runtime is only sound for disentangled programs.
         let (t_nb, ovh) = if !bench.entangled() {
@@ -67,9 +92,12 @@ fn main() {
         } else {
             None
         };
-        // ...and an abort on the entangled suite.
+        // ...and an abort on the entangled suite, once a branch is stolen.
         let aborts = if bench.entangled() {
-            let rt = Runtime::new(RuntimeConfig::detect_only());
+            let rt = Runtime::new(RuntimeConfig {
+                mode: RuntimeConfig::detect_only().mode,
+                ..stolen
+            });
             // The abort is the expected outcome; keep its backtrace out of
             // the report.
             let hook = std::panic::take_hook();
@@ -92,6 +120,8 @@ fn main() {
             t_nb.map(fmt_dur).unwrap_or_else(|| "unsound".into()),
             ovh.map(|o| format!("{:+.1}%", o * 100.0))
                 .unwrap_or_else(|| "-".into()),
+            pins_at_1_worker.to_string(),
+            steals.to_string(),
             managed.stats.entangled_reads.to_string(),
             managed.stats.pins.to_string(),
             managed.stats.unpins.to_string(),
@@ -119,12 +149,20 @@ fn main() {
             entangled_writes: managed.stats.entangled_writes,
             pins: managed.stats.pins,
             unpins: managed.stats.unpins,
+            pins_at_1_worker,
+            steals,
             max_pinned_bytes: managed.stats.max_pinned_bytes,
             lgc_pause_ns_total: managed.stats.lgc_pause_ns_total,
             lgc_pause_ns_max: managed.stats.lgc_pause_ns_max,
             detect_only_aborts: aborts,
         });
         // Invariants the paper proves, checked on every run:
+        assert_eq!(
+            pins_at_1_worker,
+            0,
+            "{}: one worker never pins",
+            bench.name()
+        );
         if !bench.entangled() {
             assert_eq!(
                 managed.stats.pins,
@@ -157,14 +195,13 @@ fn main() {
         "max pause",
         "peak pinned",
     ]);
-    // msqueue needs the real-thread executor here: under the sequential
-    // schedule its consumer is a non-allocating loop, so no safepoint
-    // falls inside the pin-growth phase (CGC is safepoint-based; see
-    // DESIGN.md, decision 8).
-    for (name, threads) in [("dedup", 1), ("bfs", 1), ("msqueue", 2)] {
+    // Two workers under the steal schedule: at one worker nothing
+    // entangles.
+    for name in ["dedup", "bfs", "msqueue"] {
         let bench = mpl_bench_suite::by_name(name).expect("known benchmark");
         let n = scale_bench(bench.as_ref());
-        let mut cfg = RuntimeConfig::managed().with_threads(threads);
+        let threads = stolen.threads;
+        let mut cfg = stolen;
         cfg.policy.cgc_trigger_pinned_bytes = 64 * 1024;
         let out = run_mpl(bench.as_ref(), n, cfg);
         pause.row(vec![

@@ -1,6 +1,9 @@
 //! E1 — Benchmark inventory table: name, class (disentangled/entangled),
 //! default size, and the memory-behaviour profile measured on a small run
-//! (allocations, barriered accesses, entangled accesses, pins).
+//! (allocations, barriered accesses, entangled accesses, pins). Tasks
+//! entangle only when they run at once — at one worker each right branch
+//! runs in its left sibling's heap — so entangled benchmarks are profiled
+//! on two workers under `mpl_bench_suite::steal_schedule()`.
 
 use mpl_bench::{run_mpl, run_native, write_json, Table};
 use mpl_runtime::RuntimeConfig;
@@ -31,7 +34,14 @@ fn main() {
     let mut rows = Vec::new();
     for bench in mpl_bench_suite::all() {
         let n = bench.small_n();
-        let run = run_mpl(bench.as_ref(), n, RuntimeConfig::managed());
+        let config = if bench.entangled() {
+            RuntimeConfig::managed()
+                .with_threads_exact(2)
+                .with_failpoints(mpl_bench_suite::steal_schedule())
+        } else {
+            RuntimeConfig::managed()
+        };
+        let run = run_mpl(bench.as_ref(), n, config);
         let (native, _) = run_native(bench.as_ref(), n);
         assert_eq!(run.checksum, native, "{}: checksum mismatch", bench.name());
         let class = if bench.entangled() {

@@ -1,6 +1,9 @@
 //! E4 — Space: maximum residency of the managed runtime vs the sequential
 //! baseline (`R_1/R_s`), plus the pinned-footprint high-water mark that
-//! bounds entanglement's extra space (the paper's space-cost claim).
+//! bounds entanglement's extra space (the paper's space-cost claim). Only
+//! tasks that run at once entangle — at one worker each right branch runs
+//! in its left sibling's heap — so the pinned columns come from the
+//! multi-worker run, made under `mpl_bench_suite::steal_schedule()`.
 
 use mpl_bench::{fmt_bytes, run_mpl, run_seq, scale_bench, write_json, Table};
 use mpl_runtime::{GcPolicy, RuntimeConfig};
@@ -21,7 +24,9 @@ struct Row {
     threads: usize,
     /// Maximum residency at `threads` workers.
     r_threads: usize,
+    /// Peak pinned bytes of the `threads` run (one worker pins nothing).
     max_pinned: usize,
+    /// `max_pinned` over `r_threads`.
     pinned_share: f64,
 }
 
@@ -34,8 +39,8 @@ fn main() {
         "R_1",
         "R_1/R_s",
         "R_3thr",
-        "peak pinned",
-        "pinned/R_1",
+        "peak pinned (3thr)",
+        "pinned/R_3thr",
     ]);
     // Equal collection aggressiveness on both runtimes.
     let policy = GcPolicy {
@@ -56,14 +61,17 @@ fn main() {
             n,
             RuntimeConfig::managed()
                 .with_policy(policy)
-                .with_threads_exact(THREADS),
+                .with_threads_exact(THREADS)
+                .with_failpoints(mpl_bench_suite::steal_schedule()),
         );
         assert_eq!(thr.checksum, seq.checksum, "{} (threads)", bench.name());
         let r_s = seq.stats.max_live_bytes.max(1);
         let r_1 = mpl.stats.max_live_bytes;
         let blowup = r_1 as f64 / r_s as f64;
         let tiny = r_s < 1024 && r_1 < 1024; // no residency to speak of
-        let share = mpl.stats.max_pinned_bytes as f64 / r_1.max(1) as f64;
+        assert_eq!(mpl.stats.pins, 0, "{}: one worker never pins", bench.name());
+        let pinned = thr.stats.max_pinned_bytes;
+        let share = pinned as f64 / thr.stats.max_live_bytes.max(1) as f64;
         table.row(vec![
             bench.name().into(),
             if bench.entangled() { "ent" } else { "dis" }.into(),
@@ -75,7 +83,7 @@ fn main() {
                 format!("{blowup:.2}x")
             },
             fmt_bytes(thr.stats.max_live_bytes),
-            fmt_bytes(mpl.stats.max_pinned_bytes),
+            fmt_bytes(pinned),
             format!("{:.1}%", share * 100.0),
         ]);
         rows.push(Row {
@@ -86,7 +94,7 @@ fn main() {
             blowup,
             threads: THREADS,
             r_threads: thr.stats.max_live_bytes,
-            max_pinned: mpl.stats.max_pinned_bytes,
+            max_pinned: pinned,
             pinned_share: share,
         });
     }

@@ -3,11 +3,50 @@
 //! under GC pressure, and on the real-thread executor.
 
 use mpl_compile::run_source;
-use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, StoreConfig};
+use mpl_runtime::{FailAction, FailPlan, FailWhen, GcPolicy, Runtime, RuntimeConfig, StoreConfig};
 
 fn program(name: &str) -> String {
     let path = format!("{}/../../programs/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// Runs `src` on two workers under a schedule that has a fork's right
+/// branch stolen and started after its sibling's effects — every block
+/// refill sleeps 5 ms (`heap/alloc`), so the idle worker wakes and steals
+/// the branch left on the deque, and a stolen branch sleeps 20 ms on
+/// entry (`sched/migrated`) — until `k` runs have stolen, and returns
+/// those runs' runtimes and results. A run that steals nothing runs every
+/// right branch after its left sibling, in its heap: it must pin nothing,
+/// and another run is made, up to `4 k` in all.
+fn stolen_runs(
+    src: &str,
+    cfg: RuntimeConfig,
+    k: usize,
+) -> Vec<(Runtime, std::thread::Result<String>)> {
+    let steal = FailPlan::new(0)
+        .with("heap/alloc", FailAction::Delay(5_000_000), FailWhen::Always)
+        .with(
+            "sched/migrated",
+            FailAction::Delay(20_000_000),
+            FailWhen::Always,
+        );
+    let mut runs = Vec::new();
+    for _ in 0..4 * k {
+        let rt = Runtime::new(cfg.with_threads_exact(2).with_failpoints(steal));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_source(&rt, src, 10_000_000).unwrap().rendered
+        }));
+        if rt.sched_stats().steals == 0 {
+            assert!(out.is_ok(), "a run with no steal");
+            assert_eq!(rt.stats().pins, 0, "a run with no steal");
+            continue;
+        }
+        runs.push((rt, out));
+        if runs.len() == k {
+            return runs;
+        }
+    }
+    panic!("{} of {} runs at two workers stole", runs.len(), 4 * k);
 }
 
 fn configs() -> Vec<(&'static str, RuntimeConfig)> {
@@ -84,9 +123,8 @@ fn primes_program() {
 
 #[test]
 fn histogram_program_entangles() {
-    // Sequential schedules only: the refresh/bump race is resolved
-    // deterministically (left first) under depth-first execution, but is
-    // a genuine data race under real threads.
+    // One worker: the refresh runs first and the bumps after it, in its
+    // heap, so they read local cells.
     let src = program("histogram.mpl");
     for cfg in [
         RuntimeConfig::managed(),
@@ -106,34 +144,50 @@ fn histogram_program_entangles() {
         let out = run_source(&rt, &src, 10_000_000).unwrap();
         assert_eq!(out.rendered, "64");
         let s = rt.stats();
-        assert_eq!(s.entangled_reads, 64, "every bump reads a sibling cell");
-        assert_eq!(s.pins, 8, "one pin per bucket cell");
+        assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
+        // Two workers: the bumps are stolen and start after the refresh,
+        // beside it. (The bumps race each other, so an update can be
+        // lost.)
+        for (rt, out) in stolen_runs(&src, cfg, 3) {
+            let total: i64 = out.unwrap().parse().unwrap();
+            assert!((1..=64).contains(&total), "{total}");
+            let s = rt.stats();
+            assert_eq!(s.entangled_reads, 64, "every bump reads a sibling cell");
+            assert_eq!(s.pins, 8, "one pin per bucket cell");
+            rt.assert_heap_sound();
+        }
     }
-    // Prior MPL rejects it.
+    // Prior MPL accepts it at one worker and rejects it stolen.
     let rt = Runtime::new(RuntimeConfig::detect_only());
-    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_source(&rt, &src, 10_000_000)
-    }))
-    .is_err();
-    assert!(refused);
+    assert_eq!(run_source(&rt, &src, 10_000_000).unwrap().rendered, "64");
+    for (_, out) in stolen_runs(&src, RuntimeConfig::detect_only(), 3) {
+        assert!(out.is_err());
+    }
 }
 
 #[test]
 fn entangled_program_requires_management() {
     let src = program("entangled.mpl");
+    // One worker: the consumer runs after the producer, in its heap, so
+    // nothing entangles and prior MPL accepts the run too.
+    for cfg in [RuntimeConfig::managed(), RuntimeConfig::detect_only()] {
+        let rt = Runtime::new(cfg);
+        let out = run_source(&rt, &src, 1_000_000).unwrap();
+        assert_eq!(out.rendered, "42");
+        assert_eq!(rt.stats().pins, 0);
+    }
+    // Two workers, the consumer stolen and run after the producer.
     // Managed: works.
-    let rt = Runtime::new(RuntimeConfig::managed());
-    let out = run_source(&rt, &src, 1_000_000).unwrap();
-    assert_eq!(out.rendered, "42");
-    assert!(rt.stats().pins >= 1);
+    for (rt, out) in stolen_runs(&src, RuntimeConfig::managed(), 3) {
+        assert_eq!(out.unwrap(), "42");
+        assert!(rt.stats().pins >= 1);
+        rt.assert_heap_sound();
+    }
     // Prior MPL: aborts.
-    let rt = Runtime::new(RuntimeConfig::detect_only());
-    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_source(&rt, &src, 1_000_000)
-    }))
-    .is_err();
-    assert!(refused, "DetectOnly must reject the entangled program");
+    for (_, out) in stolen_runs(&src, RuntimeConfig::detect_only(), 3) {
+        assert!(out.is_err(), "DetectOnly must reject the entangled program");
+    }
 }
 
 #[test]

@@ -117,8 +117,9 @@ pub(crate) struct TaskCtx<'rt> {
     /// The task's place in the heap tree; its heap and path exist once
     /// materialised (module docs). Also carries the tenant budget the
     /// heap is accounted against (`None` for unbudgeted tasks — the
-    /// common case, which pays one branch).
-    pub(crate) heap: LazyHeap<'rt>,
+    /// common case, which pays one branch). Borrowed: a fork's branches
+    /// that run one after the other share one cell (`Mutator::fork`).
+    pub(crate) heap: &'rt LazyHeap<'rt>,
     /// The slot this task runs on (borrowed — see the module docs), and
     /// where its frame starts on the slot's root stack: roots below
     /// `base` belong to suspended ancestors and are not this task's to
@@ -190,15 +191,17 @@ pub(crate) struct TaskCtx<'rt> {
 impl<'rt> TaskCtx<'rt> {
     /// **Enter**: builds the state of a task at `heap`'s place in the
     /// tree, running on the `slot` it is handed: resumes the slot (unless
-    /// its forker hands it over running) and opens a frame at the top of
-    /// its root stack — at the bottom for a root task, which also restores
+    /// its forker hands it over running) and opens a frame at `base` of
+    /// its root stack — the bottom for a root task, which also restores
     /// its session's carried collection debt. `recording` is the DAG
     /// recording, if one is made, and the strand the task starts on.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn enter(
         rt: &'rt Runtime,
         slot: &'rt Arc<MutatorSlot>,
         handoff: Handoff,
-        heap: LazyHeap<'rt>,
+        heap: &'rt LazyHeap<'rt>,
+        base: usize,
         recording: Option<(&'rt DagBuilder, StrandId)>,
         cancel: &'rt CancelToken,
         session: Option<&'rt TenantSession>,
@@ -222,11 +225,7 @@ impl<'rt> TaskCtx<'rt> {
         }
         let mut ctx = TaskCtx {
             rt,
-            base: if heap.depth() == 0 {
-                0
-            } else {
-                slot.roots.len()
-            },
+            base,
             heap,
             slot,
             shared_slot: slot,

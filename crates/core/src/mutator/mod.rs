@@ -48,6 +48,7 @@ mod access;
 mod alloc;
 mod boundary;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mpl_gc::MutatorSlot;
@@ -227,11 +228,16 @@ impl<'rt> Mutator<'rt> {
     // ---- fork-join ---------------------------------------------------------
 
     /// Runs `f` and `g` as parallel subtasks and returns both results.
-    /// Each subtask gets a child heap of this task's heap on first use —
-    /// its first block refill, slow-tier barrier or local collection — so
-    /// a fork whose branches only compute creates none; the child heaps
-    /// that exist merge into this task's heap at the join, unpinning every
-    /// object whose entanglement ends here.
+    ///
+    /// The branches get a child heap of this task's heap on first use —
+    /// their first block refill, slow-tier barrier or local collection —
+    /// so a fork whose branches only compute creates none. Only a right
+    /// branch that migrated (was stolen) can run beside its sibling, so
+    /// only it gets a heap of its own; an un-stolen right branch runs
+    /// after the left one, in the left one's heap, and sees what the left
+    /// allocated as local. At the join the child heaps that exist (one,
+    /// or two after a steal) merge into this task's heap, unpinning
+    /// every object whose entanglement ends here.
     ///
     /// Values captured from the parent must be passed through rooted
     /// [`Handle`]s — a raw [`Value`] may be stale after a collection.
@@ -268,13 +274,14 @@ impl<'rt> Mutator<'rt> {
             None => (StrandId(0), StrandId(0)),
         };
         // Branch bodies build their task context from this (suspended,
-        // hence frozen) one, borrowing what it lends them and with a heap
-        // cell of their own under its, so which worker executes a branch
-        // is invisible to the heap hierarchy; the scheduler tells a
-        // branch whether it migrated, which decides whose slot it runs on.
-        let forker = &self.ctx;
-        let left = move |migrated| run_branch(forker, migrated, ls, f);
-        let right = move |migrated| run_branch(forker, migrated, rs, g);
+        // hence frozen) one, borrowing what it lends them. The scheduler
+        // tells a branch whether it migrated, which decides whose slot it
+        // runs on and whether it shares `cell`, the heap cell under this
+        // task's that the left branch runs in.
+        let cell = LazyHeap::child(self.ctx.heap);
+        let (forker, shared) = (&self.ctx, (&cell, mark));
+        let left = move |migrated| run_branch(forker, shared, migrated, ls, f);
+        let right = move |migrated| run_branch(forker, shared, migrated, rs, g);
         // Parallel path: offer the right branch to thieves on this
         // worker's deque and run the left branch inline (help-first). If
         // nobody steals it, `try_join` pops it back and runs it inline —
@@ -286,7 +293,7 @@ impl<'rt> Mutator<'rt> {
         } else {
             Err((left, right))
         };
-        let ((lv, lend, lslot, lh), (rv, rend, rslot, rh)) =
+        let ((mut lv, lend, lslot, lh), (mut rv, rend, rslot, rh)) =
             joined.unwrap_or_else(|(left, right)| (left(false), right(false)));
 
         // The join merge below mutates heap structure under this task's
@@ -301,22 +308,27 @@ impl<'rt> Mutator<'rt> {
         // hands back — even when a branch panicked; otherwise a shed
         // request leaks pins, roots and registered slots for the
         // runtime's lifetime. A child with a heap gave this task one too.
-        let join = rt
-            .store()
-            .join(self.ctx.heap.leaf(), lh.into_iter().chain(rh));
+        let join = rt.store().join(
+            self.ctx.heap.leaf(),
+            cell.id().into_iter().chain(lh).chain(rh),
+        );
         let roots = &self.ctx.slot.roots;
-        for (v, own) in [(&rv, &rslot), (&lv, &lslot)] {
-            match own {
-                Some(own) => {
-                    // A CGC request the stolen branch left unanswered
-                    // moves to this task, whose join answers it below.
-                    if own.requests() & mpl_gc::REQ_CGC != 0 {
-                        self.ctx.request_cgc_poll();
-                    }
-                    rt.cgc_state().close_slot(rt.store(), own);
+        for (v, own) in [(&mut rv, &rslot), (&mut lv, &lslot)] {
+            if let Some(own) = own {
+                // A CGC request the stolen branch left unanswered moves
+                // to this task, whose join answers it below.
+                if own.requests() & mpl_gc::REQ_CGC != 0 {
+                    self.ctx.request_cgc_poll();
                 }
-                None if matches!(v, Ok(Value::Obj(_))) => roots.truncate(roots.len() - 1),
-                None => {}
+                rt.cgc_state().close_slot(rt.store(), own);
+            } else if let Ok(Value::Obj(_)) = v {
+                // Read the result back from its root, not from the
+                // branch's return: an un-stolen right branch that ran
+                // after the left one in its heap may have collected it,
+                // moving the left's result.
+                let top = roots.len() - 1;
+                *v = Ok(Value::Obj(roots.get(top)));
+                roots.truncate(top);
             }
         }
         debug_assert_eq!(roots.len(), mark, "a branch left roots behind");
@@ -345,6 +357,37 @@ impl<'rt> Mutator<'rt> {
         }
         (results[0], results[1])
     }
+
+    /// [`Mutator::fork`] with the right branch forced to migrate (tests
+    /// and experiments): the left branch waits until the right one has
+    /// started on another worker, so the two run in heaps of their own,
+    /// as two concurrent tasks do. With no pool to migrate to (one
+    /// worker, or a thread that is not a pool worker) it is a plain
+    /// `fork`. A pool needs a worker idle to steal the right branch, and
+    /// the branches must not force a steal again, or they may wait on
+    /// each other with no worker left to steal.
+    pub fn fork_stolen<F, G>(&mut self, f: F, g: G) -> (Value, Value)
+    where
+        F: FnOnce(&mut Mutator<'_>) -> Value + Send,
+        G: FnOnce(&mut Mutator<'_>) -> Value + Send,
+    {
+        if self.rt.config().threads < 2 || !mpl_sched::on_worker_thread() {
+            return self.fork(f, g);
+        }
+        let started = AtomicBool::new(false);
+        self.fork(
+            |m| {
+                while !started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                f(m)
+            },
+            |m| {
+                started.store(true, Ordering::Release);
+                g(m)
+            },
+        )
+    }
 }
 
 /// Runs one fork branch as its own task: enter, poll, body, finish — on
@@ -354,8 +397,18 @@ impl<'rt> Mutator<'rt> {
 /// last strand and heap, if it came to have one, for the join to close.
 /// The branch borrows the forker's cancellation token (like the tenant
 /// budget): one tripped token unwinds the whole tree.
+///
+/// `shared` is the fork's heap cell and the forker's root-stack height at
+/// the fork. A branch that did not migrate runs in that cell: the left
+/// one, and the right one after it, which finds the left's result rooted
+/// just below its own roots. That result lives in the heap the right one
+/// allocates into, so the right one's frame starts at the fork's height
+/// and takes it in: its collections root and update the result, which the
+/// join then reads back from the root. A migrated branch may run beside
+/// its sibling, so it gets a cell of its own under the forker's.
 fn run_branch<F>(
     forker: &TaskCtx<'_>,
+    (cell, mark): (&LazyHeap<'_>, usize),
     migrated: bool,
     strand: StrandId,
     body: F,
@@ -375,13 +428,19 @@ where
     };
     let own = migrated.then(|| forker.rt.cgc_state().open_slot());
     let slot = own.as_ref().unwrap_or(forker.shared_slot);
-    let heap = LazyHeap::child(&forker.heap);
+    let own_cell = migrated.then(|| LazyHeap::child(forker.heap));
+    let (heap, base) = match &own_cell {
+        Some(own_cell) => (own_cell, 0),
+        None => (cell, mark),
+    };
+    let top = slot.roots.len();
     let recording = forker.dag.map(|d| (d, strand));
     let ctx = TaskCtx::enter(
         forker.rt,
         slot,
         handoff,
         heap,
+        base,
         recording,
         forker.cancel,
         None,
@@ -389,20 +448,26 @@ where
     let mut m = Mutator::new(ctx);
     // A panicking branch (entanglement abort, AllocError, injected
     // fault, cancellation) is caught here and re-raised by the parent's
-    // join *after* both child heaps merged and both branches' result
+    // join *after* the child heaps merged and both branches' result
     // roots were taken — the caught payload rides back as a value so
     // the fork can run its cleanup unconditionally. Branch entry is a
     // poll point, so a branch stolen after the trip unwinds immediately.
+    // A failpoint there can hold a stolen branch back, to order it after
+    // its sibling's effects.
     let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         m.ctx.poll();
+        if migrated {
+            mpl_fail::hit_hard("sched/migrated");
+        }
         body(&mut m)
     }));
     // The frame collapses to the result before the task finishes (and
     // pauses the slot), so a concurrent collection between branch
-    // completion and the join still sees it.
+    // completion and the join still sees it. A sibling's result below
+    // `top` stays.
     let result = v.as_ref().ok().and_then(|v| v.as_obj());
-    m.ctx.slot.roots.pop_frame(m.ctx.base, result);
-    let (end, heap) = (m.ctx.strand, m.ctx.heap.id());
+    m.ctx.slot.roots.pop_frame(top, result);
+    let end = m.ctx.strand;
     drop(m);
-    (v, end, own, heap)
+    (v, end, own, own_cell.as_ref().and_then(LazyHeap::id))
 }

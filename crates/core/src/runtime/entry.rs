@@ -73,7 +73,8 @@ impl Runtime {
             self,
             &slot,
             Handoff::Paused,
-            heap,
+            &heap,
+            0,
             recording,
             &cancel,
             session,

@@ -4,6 +4,7 @@
 //! are the forced one and the run's final one, so every block is
 //! accounted for below.
 
+use mpl_heap::{DEFAULT_BLOCK_WORDS, FIRST_BLOCK_WORDS};
 use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, Value};
 
 /// Fields of the tuples in the 4-field stream.
@@ -17,9 +18,19 @@ fn bytes(fields: usize) -> u64 {
     16 + 8 * fields as u64
 }
 
+/// Blocks one heap takes for `n` tuples of `fields` fields in one size
+/// class: a first block of `FIRST_BLOCK_WORDS`, then full-size ones.
+fn blocks(n: usize, fields: usize) -> u64 {
+    let words = 2 + fields;
+    let first = FIRST_BLOCK_WORDS / words;
+    1 + (n - first).div_ceil(DEFAULT_BLOCK_WORDS / words) as u64
+}
+
 /// Allocates 10 000 `tuple4`, 1 000 `tuple14` and one raw array, forces a
 /// local collection with the array rooted, then forks with each branch
-/// allocating 1 000 `tuple4`; the array is the run's result.
+/// allocating 1 000 `tuple4`; the array is the run's result. With no pool
+/// the right branch runs in the left one's heap; at two workers it is
+/// stolen and takes a heap of its own.
 fn program(threads: usize) -> Runtime {
     let cfg = RuntimeConfig::managed()
         .with_policy(GcPolicy::disabled())
@@ -41,7 +52,7 @@ fn program(threads: usize) -> Runtime {
             }
             Value::Unit
         };
-        m.fork(branch, branch);
+        m.fork_stolen(branch, branch);
         m.get(&raw)
     });
     assert!(matches!(result, Value::Obj(_)));
@@ -56,11 +67,21 @@ fn assert_counts(rt: &Runtime) {
         s.alloc_bytes,
         10_000 * bytes(T4) + 1_000 * bytes(T14) + raw + 2_000 * bytes(T4)
     );
-    // A 512-word block holds 85 six-word tuples or 32 sixteen-word ones:
-    // 118 blocks for the first stream, 32 for the second, 12 per branch;
-    // the raw array gets a dedicated block when allocated and another
-    // each time a collection copies it (forced, then at the run's end).
-    assert_eq!(s.blocks_allocated, 118 + 32 + 1 + 1 + 2 * 12 + 1);
+    // A 64-word first block holds 10 six-word tuples or 4 sixteen-word
+    // ones, a 512-word block 85 or 32: 1 + 118 blocks for the first
+    // stream, 1 + 32 for the second, 1 + 24 for the branches sharing a
+    // heap or 1 + 12 for each branch in its own; the raw array gets a
+    // dedicated block when allocated and another each time a collection
+    // copies it (forced, then at the run's end).
+    let (first, second) = (blocks(10_000, T4), blocks(1_000, T14));
+    assert_eq!((first, second), (119, 33));
+    let branches = if rt.config().threads > 1 {
+        2 * blocks(1_000, T4)
+    } else {
+        blocks(2_000, T4)
+    };
+    assert_eq!(branches, if rt.config().threads > 1 { 26 } else { 25 });
+    assert_eq!(s.blocks_allocated, first + second + 1 + 1 + branches + 1);
     assert_eq!(s.lgc_copied_bytes, 2 * raw);
     // Every region settled: the blocks' live bytes add up to the gauge,
     // which holds exactly the surviving array.

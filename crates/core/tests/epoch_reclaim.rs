@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use mpl_heap::FIRST_BLOCK_WORDS;
 use mpl_runtime::{FailAction, FailPlan, FailWhen, Runtime, RuntimeConfig, Value};
 
 /// Spins until the pool reports a steal beyond `steals0`: called by the
@@ -53,8 +54,13 @@ fn a_short_lived_stream_at_two_workers_frees_as_it_goes() {
         Value::Int((m.runtime().stats().blocks_freed - before) as i64)
     });
     let s = rt.stats();
-    let block_bytes = config.store.block_words * 8;
-    let from_space = config.policy.lgc_trigger_bytes.div_ceil(block_bytes) as u64 + 1;
+    // One collection's from-space: the trigger's worth of 48-byte tuples
+    // in a first block of `FIRST_BLOCK_WORDS` (nothing survives, so every
+    // collection leaves the class without a block), then full-size ones.
+    let tuple_bytes = |block_words: usize| block_words / 6 * 48;
+    let first = tuple_bytes(FIRST_BLOCK_WORDS);
+    let rest = config.policy.lgc_trigger_bytes - first;
+    let from_space = 1 + rest.div_ceil(tuple_bytes(config.store.block_words)) as u64;
     assert!(s.lgc_runs >= 100, "{s:?}");
     assert!(
         2 * freed_in_run.expect_int() as u64 >= s.blocks_allocated,

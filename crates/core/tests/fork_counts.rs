@@ -2,7 +2,8 @@
 //! gets one at its first store-path refill, slow-tier barrier, allocation
 //! barrier or local collection, after its ancestors, so the counts below
 //! follow from which branches allocate or write, at one and at two
-//! workers. A join collects the heap its children merged into whenever
+//! workers; an un-stolen right branch runs in its left sibling's heap and
+//! issues none of its own. A join collects the heap its children merged into whenever
 //! the merged bytes make its collection due, at either count.
 
 use mpl_runtime::{GcPolicy, Mutator, Runtime, RuntimeConfig, Value};
@@ -102,6 +103,47 @@ fn an_up_pointer_store_takes_the_slow_tier_once(threads: usize) {
     assert_eq!(slow, 1, "{threads} workers");
     assert_eq!(n, 1, "{threads} workers: the writing branch's heap");
     rt.assert_heap_sound();
+}
+
+/// A fork whose two branches both allocate: un-stolen, the right branch
+/// runs after the left one, in its heap, so the fork issues one heap;
+/// stolen (forced, or by chance at two workers), the right branch runs
+/// beside the left one in a heap of its own: two.
+fn both_allocating_branches(threads: usize, force_steal: bool) {
+    let rt = runtime(threads);
+    let steals0 = rt.sched_stats().steals;
+    let n = issued(&rt, |m| {
+        let alloc = |m: &mut Mutator<'_>| m.alloc_tuple(&[Value::Int(1)]);
+        let (l, r) = if force_steal {
+            m.fork_stolen(alloc, alloc)
+        } else {
+            m.fork(alloc, alloc)
+        };
+        assert!(matches!((l, r), (Value::Obj(_), Value::Obj(_))));
+    });
+    let stolen = rt.sched_stats().steals > steals0;
+    assert!(stolen || !force_steal, "a forced steal steals");
+    assert_eq!(
+        n,
+        1 + usize::from(stolen),
+        "{threads} workers, stolen: {stolen}"
+    );
+    rt.assert_heap_sound();
+}
+
+#[test]
+fn one_worker_both_allocating_branches_share_one_heap() {
+    both_allocating_branches(1, false);
+}
+
+#[test]
+fn two_workers_both_allocating_branches_share_one_heap_unless_stolen() {
+    both_allocating_branches(2, false);
+}
+
+#[test]
+fn two_workers_forced_steal_issues_a_heap_per_branch() {
+    both_allocating_branches(2, true);
 }
 
 /// The local-collection trigger of [`a_join_collects_its_merged_heap`].

@@ -1,7 +1,11 @@
 //! Behavioral tests for the entanglement-managed runtime: barriers,
 //! pinning, unpin-at-join, collector interaction, modes, and executors.
 
-use mpl_runtime::{GcPolicy, ObjRef, Runtime, RuntimeConfig, SimParams, StoreConfig, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use mpl_runtime::{
+    GcPolicy, Mutator, ObjRef, Runtime, RuntimeConfig, SimParams, StoreConfig, Value,
+};
 
 fn tiny_gc() -> GcPolicy {
     GcPolicy {
@@ -46,35 +50,46 @@ fn nested_forks_fib() {
     assert_eq!(rt.run(|m| fib(m, 12)), Value::Int(144));
 }
 
+/// Spins until `flag` is set: a stolen branch waiting for its sibling's
+/// write, which depth-first order would have made certain.
+fn await_flag(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+}
+
 /// The canonical entanglement scenario: a pre-fork mutable cell, one task
-/// writes a fresh allocation into it, the sibling reads it.
+/// writes a fresh allocation into it, the sibling reads it. On a pool the
+/// right branch is forced to migrate and waits for the write, so the
+/// read reveals a remote object; with no pool it runs after the left one,
+/// in the left one's heap, and the same read is local.
 fn entangling_program(rt: &Runtime) -> Value {
     rt.run(|m| {
         let cell = m.alloc_ref(Value::Unit);
         let c = m.root(cell);
-        let (_, got) = m.fork(
-            |m| {
-                let boxed = m.alloc_tuple(&[Value::Int(7)]);
-                m.write_ref(m.get(&c), boxed);
-                Value::Unit
-            },
-            |m| {
-                // Depth-first execution guarantees the sibling's write is
-                // visible: the read reveals a remote object.
-                let v = m.read_ref(m.get(&c));
-                match v {
-                    Value::Obj(_) => m.tuple_get(v, 0),
-                    _ => Value::Int(-1),
-                }
-            },
-        );
+        let written = AtomicBool::new(false);
+        let left = |m: &mut Mutator<'_>| {
+            let boxed = m.alloc_tuple(&[Value::Int(7)]);
+            m.write_ref(m.get(&c), boxed);
+            written.store(true, Ordering::Release);
+            Value::Unit
+        };
+        let right = |m: &mut Mutator<'_>| {
+            await_flag(&written);
+            let v = m.read_ref(m.get(&c));
+            match v {
+                Value::Obj(_) => m.tuple_get(v, 0),
+                _ => Value::Int(-1),
+            }
+        };
+        let (_, got) = m.fork_stolen(left, right);
         got
     })
 }
 
 #[test]
 fn managed_mode_pins_and_unpins() {
-    let rt = Runtime::new(RuntimeConfig::managed());
+    let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
     let got = entangling_program(&rt);
     assert_eq!(got, Value::Int(7));
     let s = rt.stats();
@@ -82,14 +97,25 @@ fn managed_mode_pins_and_unpins() {
     assert!(s.pins >= 1, "the remote object must have been pinned");
     assert!(s.unpins >= 1, "the join must unpin it");
     rt.assert_heap_sound();
+
+    // Un-stolen, the sibling's object is local: nothing pins.
+    let rt = Runtime::new(RuntimeConfig::managed());
+    assert_eq!(entangling_program(&rt), Value::Int(7));
+    let s = rt.stats();
+    assert_eq!((s.entangled_reads, s.pins, s.unpins), (0, 0, 0), "{s:?}");
+    rt.assert_heap_sound();
 }
 
 #[test]
 fn detect_only_mode_aborts_on_entanglement() {
-    let rt = Runtime::new(RuntimeConfig::detect_only());
+    let rt = Runtime::new(RuntimeConfig::detect_only().with_threads_exact(2));
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entangling_program(&rt)));
     let msg = *r.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("entanglement detected"), "got: {msg}");
+
+    // Un-stolen there is no entanglement to detect.
+    let rt = Runtime::new(RuntimeConfig::detect_only());
+    assert_eq!(entangling_program(&rt), Value::Int(7));
 }
 
 #[test]
@@ -196,35 +222,44 @@ fn cgc_reclaims_dropped_entangled_objects() {
         },
         ..RuntimeConfig::managed()
     };
-    let rt = Runtime::new(cfg);
-    rt.run(|m| {
-        let cell = m.alloc_ref(Value::Unit);
-        let c = m.root(cell);
-        m.fork(
-            |m| {
+    for threads in [2, 1] {
+        let rt = Runtime::new(cfg.with_threads_exact(threads));
+        rt.run(|m| {
+            let cell = m.alloc_ref(Value::Unit);
+            let c = m.root(cell);
+            let written = AtomicBool::new(false);
+            let left = |m: &mut Mutator<'_>| {
                 let boxed = m.alloc_tuple(&[Value::Int(1)]);
                 m.write_ref(m.get(&c), boxed);
+                written.store(true, Ordering::Release);
                 // Force a local collection so the pinned object is
                 // shielded in place in an entangled chunk.
                 for _ in 0..300 {
                     let _ = m.alloc_tuple(&[Value::Int(0)]);
                 }
                 Value::Unit
-            },
-            |m| {
+            };
+            let right = |m: &mut Mutator<'_>| {
+                await_flag(&written);
                 let _ = m.read_ref(m.get(&c));
                 // Drop the entangled pointer.
                 m.write_ref(m.get(&c), Value::Unit);
                 Value::Unit
-            },
-        );
-        Value::Unit
-    });
-    // After the run the object is unpinned (join) — force CGC to account.
-    rt.force_cgc();
-    let s = rt.stats();
-    assert!(s.pins >= 1);
-    assert!(s.cgc_runs >= 1);
+            };
+            m.fork_stolen(left, right);
+            Value::Unit
+        });
+        // After the run the object is unpinned (join) — force CGC to account.
+        rt.force_cgc();
+        let s = rt.stats();
+        assert!(s.cgc_runs >= 1);
+        if threads > 1 {
+            assert!(s.pins >= 1, "{s:?}");
+        } else {
+            assert_eq!(s.pins, 0, "un-stolen, the read is local: {s:?}");
+        }
+        rt.assert_heap_sound();
+    }
 }
 
 #[test]
@@ -335,7 +370,6 @@ fn alloc_raw_is_zero_initialized() {
 /// copies stay readable.
 #[test]
 fn stale_values_reach_the_current_copy_through_every_accessor() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let cfg = RuntimeConfig::managed().with_threads_exact(2);
     let rt = Runtime::new(cfg);
     let (running, done) = (AtomicBool::new(false), AtomicBool::new(false));
@@ -673,37 +707,46 @@ fn threaded_executor_handles_entanglement() {
 #[test]
 fn entanglement_level_respects_lca() {
     // Entangle across depth-2 subtrees and check pins survive the inner
-    // join but not the outer one (via the pinned-bytes gauge).
-    let rt = Runtime::new(RuntimeConfig::managed());
-    rt.run(|m| {
-        let cell = m.alloc_ref(Value::Unit);
-        let c = m.root(cell);
-        let (_, _) = m.fork(
-            |m| {
+    // join but not the outer one (via the pinned-bytes gauge). The outer
+    // right branch is stolen: un-stolen, it would run in the heap its left
+    // sibling's inner join merged into, and read locally.
+    for threads in [2, 1] {
+        let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(threads));
+        rt.run(|m| {
+            let cell = m.alloc_ref(Value::Unit);
+            let c = m.root(cell);
+            let written = AtomicBool::new(false);
+            let left = |m: &mut Mutator<'_>| {
                 // Left subtree forks again; the inner-left task publishes.
                 let (x, _) = m.fork(
                     |m| {
                         let boxed = m.alloc_tuple(&[Value::Int(3)]);
                         m.write_ref(m.get(&c), boxed);
+                        written.store(true, Ordering::Release);
                         Value::Unit
                     },
                     |_| Value::Unit,
                 );
                 x
-            },
-            |m| {
+            };
+            let right = |m: &mut Mutator<'_>| {
                 // Right task reads: entanglement level = 0 (root LCA).
+                await_flag(&written);
                 let v = m.read_ref(m.get(&c));
+                assert!(matches!(v, Value::Obj(_)));
                 let pinned_now = m.runtime().stats().pinned_bytes;
-                if let Value::Obj(_) = v {
+                if threads > 1 {
                     assert!(pinned_now > 0, "pin active while concurrent");
+                } else {
+                    assert_eq!(pinned_now, 0, "un-stolen, the read is local");
                 }
                 Value::Unit
-            },
-        );
-        Value::Unit
-    });
-    rt.assert_heap_sound();
+            };
+            m.fork_stolen(left, right);
+            Value::Unit
+        });
+        rt.assert_heap_sound();
+    }
 }
 
 #[test]
@@ -739,47 +782,54 @@ fn root_marks_release_in_bulk() {
 #[test]
 fn task_boundaries_leave_nothing_behind() {
     use faults::*;
-    use mpl_runtime::{Mutator, RunError};
+    use mpl_runtime::RunError;
     use std::time::Duration;
 
+    /// On a pool the outer right branch is stolen and its inner left
+    /// task waits for the cousin's publication, polling (allocating) so a
+    /// cancellation still reaches it; with no pool it runs after the
+    /// cousin, in the cousin's heap, and its read is local.
     fn program(m: &mut Mutator<'_>, fault: Fault) -> Value {
         let cell = m.alloc_ref(Value::Unit);
         let c = m.root(cell);
-        let (a, b) = m.fork(
-            |m| {
-                // A down-pointer into the parent's cell (buffered remset
-                // entry), then churn through several local collections.
-                let boxed = m.alloc_tuple(&[Value::Int(7)]);
-                m.write_ref(m.get(&c), boxed);
-                let mut acc = 0;
-                for i in 0..200 {
-                    let t = m.alloc_tuple(&[Value::Int(i), Value::Unit]);
-                    acc += m.tuple_get(t, 0).expect_int();
-                }
-                Value::Int(acc)
-            },
-            |m| {
-                let (x, y) = m.fork(
-                    |m| {
-                        // Entangled read (a pin, hence a CGC request) once
-                        // the cousin has published; same answer if not.
-                        let seen = match m.read_ref(m.get(&c)) {
-                            v @ Value::Obj(_) => m.tuple_get(v, 0).expect_int(),
-                            _ => 7,
-                        };
-                        for _ in 0..200 {
-                            let _ = m.alloc_tuple(&[Value::Int(0), Value::Unit]);
-                        }
-                        Value::Int(seen)
-                    },
-                    |m| {
-                        fault(m);
-                        Value::Int(1)
-                    },
-                );
-                Value::Int(x.expect_int() + y.expect_int())
-            },
-        );
+        let left = |m: &mut Mutator<'_>| {
+            // A down-pointer into the parent's cell (buffered remset
+            // entry), then churn through several local collections.
+            let boxed = m.alloc_tuple(&[Value::Int(7)]);
+            m.write_ref(m.get(&c), boxed);
+            let mut acc = 0;
+            for i in 0..200 {
+                let t = m.alloc_tuple(&[Value::Int(i), Value::Unit]);
+                acc += m.tuple_get(t, 0).expect_int();
+            }
+            Value::Int(acc)
+        };
+        let right = |m: &mut Mutator<'_>| {
+            let (x, y) = m.fork(
+                |m| {
+                    while !matches!(m.read_ref(m.get(&c)), Value::Obj(_)) {
+                        let _ = m.alloc_tuple(&[Value::Unit]);
+                        std::thread::yield_now();
+                    }
+                    // Entangled read once stolen: a pin, hence a CGC
+                    // request.
+                    let seen = match m.read_ref(m.get(&c)) {
+                        v @ Value::Obj(_) => m.tuple_get(v, 0).expect_int(),
+                        _ => unreachable!(),
+                    };
+                    for _ in 0..200 {
+                        let _ = m.alloc_tuple(&[Value::Int(0), Value::Unit]);
+                    }
+                    Value::Int(seen)
+                },
+                |m| {
+                    fault(m);
+                    Value::Int(1)
+                },
+            );
+            Value::Int(x.expect_int() + y.expect_int())
+        };
+        let (a, b) = m.fork_stolen(left, right);
         Value::Int(a.expect_int() + b.expect_int())
     }
 
@@ -823,7 +873,9 @@ fn task_boundaries_leave_nothing_behind() {
         let s = rt.stats();
         assert!(s.lgc_runs > 0 && s.remset_flushes > 0, "{s:?}");
         if threads == 1 {
-            // Depth-first order makes the entangled read certain.
+            assert_eq!(s.pins, 0, "{s:?}");
+        } else {
+            // The forced steal and the wait make the entangled read certain.
             assert!(s.pins > 0 && s.cgc_runs > 0, "{s:?}");
         }
         assert_eq!(mpl_gc::audit::counters().failures, audit_failures);
@@ -934,7 +986,6 @@ fn stolen_branches_register_and_withdraw_their_own_slot() {
 /// sibling has to be concurrent: the right branch is stolen.)
 #[test]
 fn a_finished_branchs_result_stays_rooted_until_the_join() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let rt = Runtime::new(
         RuntimeConfig {
             policy: GcPolicy {

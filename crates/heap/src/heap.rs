@@ -1,8 +1,10 @@
-//! The heap hierarchy: one heap per fork-join task, merged at joins.
+//! The heap hierarchy: one heap per fork-join task that may run beside
+//! another, merged at joins.
 //!
 //! The tree of heaps mirrors the dynamic fork-join task tree. A task's heap
-//! is created on first use ([`LazyHeap`]): a fork records where its two
-//! subtasks would sit, and a join merges whichever children came to exist
+//! is created on first use ([`LazyHeap`]): a fork records where its
+//! subtasks sit — one cell for both, unless the right one was stolen and
+//! takes its own — and a join merges whichever children came to exist
 //! into the parent. Merges are O(1) in the object graph: no objects are touched —
 //! the child's identity is *unioned* into the parent (a concurrent
 //! union-find over heap ids), and its block, remembered-set, and

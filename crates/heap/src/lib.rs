@@ -71,5 +71,5 @@ pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;
 pub use sft::{SftEntry, SftTable};
 pub use stats::{Counter, PendingStats, StatsSnapshot, StoreStats};
-pub use store::{JoinOutcome, ObjHandle, Store, StoreConfig};
+pub use store::{JoinOutcome, ObjHandle, Store, StoreConfig, FIRST_BLOCK_WORDS};
 pub use value::{ObjRef, Value, Word, INT_MAX, INT_MIN};

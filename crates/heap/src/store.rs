@@ -23,6 +23,10 @@ use crate::sft::SftTable;
 use crate::stats::{Counter, StoreStats};
 use crate::value::{ObjRef, Value, Word};
 
+/// Words in the first allocation block a heap takes in a size class
+/// ([`Store::region`]); later blocks hold `block_words`.
+pub const FIRST_BLOCK_WORDS: usize = 64;
+
 /// Store configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
@@ -259,6 +263,13 @@ impl Store {
     /// replaces it (the old one is retired full). An object larger than a
     /// block gets a dedicated block of its own, never an allocation block.
     ///
+    /// A heap with no allocation block in the class — a fresh heap, or one
+    /// whose last collection copied nothing of that class — starts it on a
+    /// block of [`FIRST_BLOCK_WORDS`] (or the object, if larger), capped at
+    /// `block_words`; every later block is full size. A heap that holds a
+    /// few objects, as most fork branches' do, then costs about what it
+    /// holds instead of a full block per class.
+    ///
     /// The caller becomes the block's one allocator, so it must not hold
     /// another region of the same heap and class (a task retires its own
     /// before it refills). Takes the heap's lock once to read the current
@@ -273,14 +284,18 @@ impl Store {
             return Region::adopt(block);
         }
         let class = size_class(nwords);
-        if let Some(current) = info.with(|s| s.alloc_blocks[class].clone()) {
-            let region = Region::adopt(current);
-            if region.room() >= nwords {
-                return region;
+        let capacity = match info.with(|s| s.alloc_blocks[class].clone()) {
+            Some(current) => {
+                let region = Region::adopt(current);
+                if region.room() >= nwords {
+                    return region;
+                }
+                region.retire();
+                self.config.block_words
             }
-            region.retire();
-        }
-        let block = self.new_block(heap, class, self.config.block_words);
+            None => FIRST_BLOCK_WORDS.max(nwords).min(self.config.block_words),
+        };
+        let block = self.new_block(heap, class, capacity);
         info.with(|s| {
             s.blocks.push(block.id());
             s.alloc_blocks[class] = Some(Arc::clone(&block));
@@ -675,6 +690,46 @@ mod tests {
         assert!(s.blocks().issued() >= 3, "12-word blocks must spill");
         assert_eq!(s.stats().snapshot().allocs, 10);
         assert!(s.stats().snapshot().blocks_allocated >= 3);
+    }
+
+    #[test]
+    fn a_heaps_first_block_in_a_class_is_small() {
+        let s = Store::default();
+        let h = s.new_root_heap();
+        // 3-word tuples (class 0): 21 fit the 64-word first block, the
+        // 22nd opens a full-size one.
+        let refs: Vec<ObjRef> = (0..22)
+            .map(|i| s.alloc_values(h, ObjKind::Tuple, &[Value::Int(i)]))
+            .collect();
+        let capacity = |r: ObjRef| s.handle(r).block().capacity();
+        assert_eq!(capacity(refs[0]), FIRST_BLOCK_WORDS);
+        assert_eq!(refs[20].block(), refs[0].block());
+        assert_ne!(refs[21].block(), refs[0].block());
+        assert_eq!(capacity(refs[21]), DEFAULT_BLOCK_WORDS);
+        // The first block of the overflow class fits an object larger
+        // than 64 words exactly.
+        let big = s.alloc_values(h, ObjKind::Tuple, &[Value::Unit; 98]);
+        assert_eq!(capacity(big), 100);
+        // Another heap starts small again.
+        let other = s.new_root_heap();
+        let r = s.alloc_values(other, ObjKind::Tuple, &[Value::Int(0)]);
+        assert_eq!(capacity(r), FIRST_BLOCK_WORDS);
+    }
+
+    #[test]
+    fn blocks_below_the_first_block_size_keep_their_layout() {
+        // 12-word blocks: the first block is capped at 12 words, so ten
+        // 3-word tuples take three blocks of four, as every block did.
+        let s = store();
+        let h = s.new_root_heap();
+        let refs: Vec<ObjRef> = (0..10)
+            .map(|i| s.alloc_values(h, ObjKind::Tuple, &[Value::Int(i)]))
+            .collect();
+        assert_eq!(s.blocks().issued(), 3);
+        for (i, r) in refs.iter().enumerate() {
+            assert_eq!(r.block(), refs[i / 4 * 4].block());
+            assert_eq!(s.handle(*r).block().capacity(), 12);
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! tree.
 //!
 //! Each global step picks one runnable task (per the configured
-//! [`Schedule`]) and advances its machine. `par` splits a task in two;
-//! when both children finish, their heaps merge into the parent
-//! (unpinning by the join rule) and the parent resumes with the result
-//! pair allocated in its own heap.
+//! [`Schedule`]) and advances its machine. `par` splits a task in two —
+//! the right one running in the left one's heap if it starts after the
+//! left one finished, as in the runtime; when both children finish, their
+//! heaps merge into the parent (unpinning by the join rule) and the
+//! parent resumes with the result pair allocated in its own heap.
 //!
 //! Because entanglement depends on the interleaving of reads and writes,
 //! different schedules may produce different entanglement *costs* — but
@@ -134,6 +135,12 @@ struct Task {
     /// True if this task is a future (absorbed into its tree parent at
     /// completion rather than joining a sibling).
     is_future: bool,
+    /// True for a right branch that has not taken a step. Until then its
+    /// id is its left sibling's: a right branch whose first step comes
+    /// after the left one finished runs in the left one's heap, as the
+    /// runtime runs an un-stolen right branch; one that starts sooner gets
+    /// a heap of its own.
+    unstarted_right: bool,
 }
 
 /// Runs an already-parsed expression.
@@ -148,6 +155,7 @@ pub fn run_expr(e: &Expr, opts: Options) -> Result<Outcome, LangError> {
         span: 0,
         pending_futures: Vec::new(),
         is_future: false,
+        unstarted_right: false,
     }];
     let mut rng = match opts.schedule {
         Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
@@ -202,6 +210,13 @@ pub fn run_expr(e: &Expr, opts: Options) -> Result<Outcome, LangError> {
         }
         fuel -= 1;
 
+        // `pick - 1` is the left sibling of a right branch.
+        if std::mem::take(&mut tasks[pick].unstarted_right)
+            && !matches!(tasks[pick - 1].state, TState::Done(_))
+        {
+            let parent = tasks[pick].parent.expect("a fork branch has a parent");
+            tasks[pick].id = tree.child(tasks[parent].id);
+        }
         let tid = tasks[pick].id;
         let TState::Run(machine) = &mut tasks[pick].state else {
             unreachable!()
@@ -212,7 +227,7 @@ pub fn run_expr(e: &Expr, opts: Options) -> Result<Outcome, LangError> {
         match event {
             StepEvent::Continue => {}
             StepEvent::Fork(a, b, env) => {
-                let (lt, rt) = tree.fork(tid);
+                let lt = tree.child(tid);
                 let span = tasks[pick].span;
                 let TState::Run(machine) =
                     std::mem::replace(&mut tasks[pick].state, TState::Done(Val::Unit))
@@ -233,18 +248,20 @@ pub fn run_expr(e: &Expr, opts: Options) -> Result<Outcome, LangError> {
                     span,
                     pending_futures: Vec::new(),
                     is_future: false,
+                    unstarted_right: false,
                 });
                 tasks.push(Task {
-                    id: rt,
+                    id: lt,
                     parent: Some(pick),
                     state: TState::Run(Machine::new(b, env)),
                     span,
                     pending_futures: Vec::new(),
                     is_future: false,
+                    unstarted_right: true,
                 });
             }
             StepEvent::SpawnFuture(body, env) => {
-                let ftid = tree.spawn_one(tid);
+                let ftid = tree.child(tid);
                 let fidx = tasks.len();
                 let span = tasks[pick].span;
                 tasks[pick].pending_futures.push(fidx);
@@ -259,6 +276,7 @@ pub fn run_expr(e: &Expr, opts: Options) -> Result<Outcome, LangError> {
                     span,
                     pending_futures: Vec::new(),
                     is_future: true,
+                    unstarted_right: false,
                 });
             }
             StepEvent::Touch(fi) => {

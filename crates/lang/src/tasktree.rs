@@ -1,7 +1,8 @@
 //! The dynamic task tree, which doubles as the heap hierarchy of the
 //! formal semantics: each task owns the objects it allocates, `par`
-//! extends the tree with two children, and a join merges both children
-//! into the parent.
+//! extends the tree with a child per branch (one, when the right branch
+//! runs in its left sibling's heap), and a join merges the children into
+//! the parent.
 
 /// A task (equivalently, heap) identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -34,28 +35,9 @@ impl TaskTree {
         (t, TaskId(0))
     }
 
-    /// Forks two children under `parent`.
-    pub fn fork(&mut self, parent: TaskId) -> (TaskId, TaskId) {
-        let p = self.find(parent).0;
-        let depth = self.nodes[p].depth + 1;
-        let l = self.nodes.len();
-        self.nodes.push(TNode {
-            parent: p,
-            depth,
-            merged_into: l,
-        });
-        let r = self.nodes.len();
-        self.nodes.push(TNode {
-            parent: p,
-            depth,
-            merged_into: r,
-        });
-        (TaskId(l), TaskId(r))
-    }
-
-    /// Spawns a *single* child under `parent` (a future task). The parent
-    /// keeps running concurrently with the child.
-    pub fn spawn_one(&mut self, parent: TaskId) -> TaskId {
+    /// Adds one child task (heap) under `parent`: a fork branch, or a
+    /// future, whose parent keeps running concurrently with it.
+    pub fn child(&mut self, parent: TaskId) -> TaskId {
         let p = self.find(parent).0;
         let depth = self.nodes[p].depth + 1;
         let c = self.nodes.len();
@@ -76,11 +58,15 @@ impl TaskTree {
         self.nodes[c].merged_into = p;
     }
 
-    /// Merges both children into `parent` (the join).
+    /// Merges both children into `parent` (the join). The two may be one
+    /// task id: a right branch that ran in its left sibling's heap.
     pub fn join(&mut self, parent: TaskId, left: TaskId, right: TaskId) {
         let p = self.find(parent).0;
         for c in [left, right] {
             let c = self.find(c).0;
+            if c == p {
+                continue; // the shared heap, merged on the first pass
+            }
             debug_assert_eq!(self.nodes[c].parent, p, "join of a non-child");
             self.nodes[c].merged_into = p;
         }
@@ -158,10 +144,14 @@ impl TaskTree {
 mod tests {
     use super::*;
 
+    fn fork(t: &mut TaskTree, parent: TaskId) -> (TaskId, TaskId) {
+        (t.child(parent), t.child(parent))
+    }
+
     #[test]
     fn fork_join_canonicalizes() {
         let (mut t, root) = TaskTree::new();
-        let (l, r) = t.fork(root);
+        let (l, r) = fork(&mut t, root);
         assert_eq!(t.depth(l), 1);
         assert!(t.is_on_path(root, l));
         assert!(!t.is_on_path(l, r), "siblings are not on each other's path");
@@ -171,20 +161,29 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_branch_heap_joins_once() {
+        let (mut t, root) = TaskTree::new();
+        let l = t.child(root);
+        t.join(root, l, l);
+        assert_eq!(t.find(l), root);
+        assert_eq!(t.depth(l), 0);
+    }
+
+    #[test]
     fn lca_depth_of_cousins() {
         let (mut t, root) = TaskTree::new();
-        let (l, r) = t.fork(root);
-        let (ll, _lr) = t.fork(l);
-        let (rl, _rr) = t.fork(r);
+        let (l, r) = fork(&mut t, root);
+        let (ll, _lr) = fork(&mut t, l);
+        let (rl, _rr) = fork(&mut t, r);
         assert_eq!(t.lca_depth(ll, rl), 0, "cousins meet at the root");
         assert_eq!(t.lca_depth(ll, l), 1);
         assert_eq!(t.lca_depth(ll, ll), 2);
     }
 
     #[test]
-    fn spawn_one_and_absorb() {
+    fn child_and_absorb() {
         let (mut t, root) = TaskTree::new();
-        let f = t.spawn_one(root);
+        let f = t.child(root);
         assert_eq!(t.depth(f), 1);
         assert!(t.is_on_path(root, f), "the future is under its creator");
         assert!(!t.is_on_path(f, root), "but not vice versa");
@@ -196,8 +195,8 @@ mod tests {
     #[test]
     fn future_under_fork_absorbs_into_the_branch() {
         let (mut t, root) = TaskTree::new();
-        let (l, r) = t.fork(root);
-        let f = t.spawn_one(l);
+        let (l, r) = fork(&mut t, root);
+        let f = t.child(l);
         assert!(!t.is_on_path(f, r), "siblings cannot see the future's heap");
         assert_eq!(t.lca_depth(f, r), 0, "they meet at the root");
         t.absorb(f);
@@ -207,12 +206,12 @@ mod tests {
     #[test]
     fn path_through_merged_nodes() {
         let (mut t, root) = TaskTree::new();
-        let (l, r) = t.fork(root);
-        let (ll, lr) = t.fork(l);
+        let (l, r) = fork(&mut t, root);
+        let (ll, lr) = fork(&mut t, l);
         t.join(l, ll, lr);
         // ll merged into l; objects owned by ll are now on the path of
         // any descendant of l.
-        let (l2, _r2) = t.fork(l);
+        let (l2, _r2) = fork(&mut t, l);
         assert!(t.is_on_path(ll, l2));
         assert!(!t.is_on_path(ll, r));
     }

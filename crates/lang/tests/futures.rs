@@ -86,12 +86,18 @@ fn future_pipeline_is_deterministic() {
 fn cross_family_touch_entangles_and_unpins() {
     // The left par branch publishes a future handle (whose result is a
     // heap pair) through a pre-fork cell; the right branch touches it.
-    // The revealed pair belongs to the left family: an entangled read,
-    // pinned, and released by the join.
+    // Depth-first, the right branch runs after the left one, in its heap,
+    // and the touch is local. Under a schedule that starts the right
+    // branch first (so in a heap of its own) but reads the cell after the
+    // write, the revealed pair belongs to the left family: an entangled
+    // read, pinned, and released by the join.
     let src = "let c = ref 0 in \
                let p = par((c := future (1, 2); 0), fst (touch !c)) in \
                snd p";
     let out = run(src, Schedule::DepthFirst);
+    assert_eq!(out.render(), "1");
+    assert_eq!((out.costs.entangled_reads, out.costs.pins), (0, 0));
+    let out = run(src, Schedule::Random(3));
     assert_eq!(out.render(), "1");
     assert!(out.costs.entangled_reads >= 1, "the touch crossed families");
     assert!(out.costs.pins >= 1);
@@ -105,14 +111,18 @@ fn cross_family_touch_aborts_under_detect_only() {
     let src = "let c = ref 0 in \
                let p = par((c := future (1, 2); 0), fst (touch !c)) in \
                snd p";
-    let res = run_program(
-        src,
-        Options {
-            schedule: Schedule::DepthFirst,
-            mode: LangMode::DetectOnly,
-            fuel: 1_000_000,
-        },
-    );
+    let detect = |schedule| {
+        run_program(
+            src,
+            Options {
+                schedule,
+                mode: LangMode::DetectOnly,
+                fuel: 1_000_000,
+            },
+        )
+    };
+    assert!(detect(Schedule::DepthFirst).is_ok(), "nothing entangles");
+    let res = detect(Schedule::Random(3));
     assert!(
         matches!(res, Err(RunError::Eval(LangError::Entangled))),
         "prior MPL rejects entangling touches: {res:?}"

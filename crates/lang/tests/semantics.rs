@@ -92,15 +92,34 @@ fn span_is_less_than_work_for_parallel_programs() {
     assert!(out.costs.span > 0);
 }
 
+/// A schedule under which the reader of `ENTANGLE_PUBLISH` (and of the
+/// futures' cross-family touch) starts before the writer finishes — so it
+/// runs in a heap of its own — and still reads after the write.
+const PUBLISH_SEED: u64 = 3;
+
+/// The same for `ENTANGLE_DEEP`: the far subtree's reader starts before
+/// its cousin publishes and reads after.
+const DEEP_SEED: u64 = 15;
+
 #[test]
 fn entangled_publish_is_managed() {
+    // Depth-first, the reader starts after the writer finished and runs
+    // in its heap: the read is local.
     let out = run_with(
         examples::ENTANGLE_PUBLISH,
         Schedule::DepthFirst,
         LangMode::Managed,
     )
     .unwrap();
-    // Left-first: the write lands before the sibling's read.
+    assert_eq!(out.result, Val::Int(3));
+    assert_eq!((out.costs.entangled_reads, out.costs.pins), (0, 0));
+    let out = run_with(
+        examples::ENTANGLE_PUBLISH,
+        Schedule::Random(PUBLISH_SEED),
+        LangMode::Managed,
+    )
+    .unwrap();
+    // The write lands before the concurrent sibling's read.
     assert_eq!(out.result, Val::Int(3));
     assert!(out.costs.entangled_reads >= 1);
     assert_eq!(out.costs.pins, 1, "one object (the pair) gets pinned");
@@ -115,11 +134,17 @@ fn entangled_publish_is_managed() {
 fn entangled_publish_aborts_under_detect_only() {
     let err = run_with(
         examples::ENTANGLE_PUBLISH,
-        Schedule::DepthFirst,
+        Schedule::Random(PUBLISH_SEED),
         LangMode::DetectOnly,
     )
     .unwrap_err();
     assert_eq!(err, RunError::Eval(LangError::Entangled));
+    let ok = run_with(
+        examples::ENTANGLE_PUBLISH,
+        Schedule::DepthFirst,
+        LangMode::DetectOnly,
+    );
+    assert!(ok.is_ok(), "depth-first, nothing entangles: {ok:?}");
 }
 
 #[test]
@@ -159,6 +184,14 @@ fn deep_entanglement_pins_at_root_level() {
     )
     .unwrap();
     assert_eq!(out.result, Val::Int(42));
+    assert_eq!(out.costs.pins, 0, "depth-first, the reader shares the heap");
+    let out = run_with(
+        examples::ENTANGLE_DEEP,
+        Schedule::Random(DEEP_SEED),
+        LangMode::Managed,
+    )
+    .unwrap();
+    assert_eq!(out.result, Val::Int(42));
     assert!(out.costs.pins >= 1);
     assert!(out.costs.max_pinned >= 1);
     assert!(out.store.pinned_locs().is_empty());
@@ -172,6 +205,20 @@ fn footprint_bounds_pinned_set() {
         LangMode::Managed,
     )
     .unwrap();
+    assert_eq!(out.result, Val::Int(1));
+    assert!(out.costs.max_footprint >= out.costs.max_pinned);
+    // `ENTANGLE_LIST` with a reader that waits: round-robin starts it
+    // first, in a heap of its own, and it reads the published list.
+    let waiting_reader = r#"
+let cell = ref (0, (0, (0, (0, 0)))) in
+let wait = fix wait n => if n = 0 then 0 else wait (n - 1) in
+let p = par(
+  (cell := (1, (2, (3, (4, 5)))); 0),
+  (wait 20; fst !cell)
+) in
+snd p
+"#;
+    let out = run_with(waiting_reader, Schedule::RoundRobin, LangMode::Managed).unwrap();
     assert_eq!(out.result, Val::Int(1));
     assert!(out.costs.max_footprint >= out.costs.max_pinned);
     assert!(

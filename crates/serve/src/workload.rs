@@ -312,10 +312,14 @@ pub fn requests_counted(m: &mut Mutator<'_>, st: &SessionState) -> u64 {
 mod tests {
     use super::*;
     use crate::traffic::RequestKind;
-    use mpl_runtime::{Runtime, RuntimeConfig};
+    use mpl_runtime::{FailAction, FailPlan, FailWhen, Runtime, RuntimeConfig};
 
     fn drive(profile: Profile) -> (u64, mpl_heap::StatsSnapshot) {
-        let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
+        drive_on(profile, RuntimeConfig::managed().with_threads_exact(2))
+    }
+
+    fn drive_on(profile: Profile, config: RuntimeConfig) -> (u64, mpl_heap::StatsSnapshot) {
+        let rt = Runtime::new(config);
         let session = rt.new_tenant("w", 0);
         let mut states = Vec::new();
         rt.run_session(&session, |m| {
@@ -358,9 +362,24 @@ mod tests {
 
     #[test]
     fn entangled_requests_pin_and_unpin() {
-        let (counted, stats) = drive(Profile::Entangled);
+        // One worker: each right branch runs after its sibling, in its
+        // heap, and reads what the sibling published locally.
+        let (counted, stats) = drive_on(Profile::Entangled, RuntimeConfig::managed());
         assert_eq!(counted, 60);
+        assert_eq!(stats.pins, 0, "{stats:?}");
+        // Two workers, with every block refill sleeping 200 µs so the idle
+        // worker steals the branch left on the deque: the stolen branches
+        // read their running siblings' publications.
+        let steal =
+            FailPlan::new(0).with("heap/alloc", FailAction::Delay(200_000), FailWhen::Always);
+        let config = RuntimeConfig::managed()
+            .with_threads_exact(2)
+            .with_failpoints(steal);
+        let (counted, stats) = drive_on(Profile::Entangled, config);
+        assert_eq!(counted, 60);
+        assert!(stats.sched_steals > 0, "{stats:?}");
         assert!(stats.pins > 0, "entangled profile never entangled");
+        assert_eq!(stats.pins, stats.unpins, "every pin ends at a join");
     }
 
     #[test]

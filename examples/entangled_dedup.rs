@@ -11,8 +11,17 @@ fn main() {
     let bench = by_name("dedup").expect("dedup benchmark");
     let n = 50_000;
 
+    // Tasks entangle only when they run at once: on two workers, under a
+    // schedule that makes the idle worker steal (at one worker each right
+    // task runs after its sibling, in its heap, and nothing entangles).
+    let stealing = |config: RuntimeConfig| {
+        config
+            .with_threads_exact(2)
+            .with_failpoints(mpl_bench_suite::steal_schedule())
+    };
+
     // Managed entanglement: works, and reports its management costs.
-    let rt = Runtime::new(RuntimeConfig::managed());
+    let rt = Runtime::new(stealing(RuntimeConfig::managed()));
     let unique = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
     let s = rt.stats();
     println!("deduplicated {n} items -> {unique:?} unique");
@@ -22,7 +31,7 @@ fn main() {
     println!("  all unpinned?   : {}", s.pinned_bytes == 0);
 
     // Prior MPL (detect-only) rejects the same program.
-    let rt = Runtime::new(RuntimeConfig::detect_only());
+    let rt = Runtime::new(stealing(RuntimeConfig::detect_only()));
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         rt.run(|m| Value::Int(bench.run_mpl(m, n)))
     }))

@@ -8,9 +8,9 @@
 //! sequential executor even the *same* store stays structurally sound
 //! enough to inspect.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use mpl_runtime::{Runtime, RuntimeConfig, Value};
+use mpl_runtime::{Mutator, Runtime, RuntimeConfig, Value};
 
 mod common;
 use common::quietly;
@@ -128,40 +128,53 @@ fn sequential_store_remains_inspectable_after_a_panic() {
     // and accounting must stay consistent (no negative counters,
     // live <= allocated). Unwinding joins merge the panicking task's
     // heaps into the root heap and the end-of-run reclaim collects it,
-    // so nothing the run allocated outlives it.
-    let rt = Runtime::new(RuntimeConfig::managed());
-    let _ = quietly(|| {
-        rt.run(|m| {
-            let shared = m.alloc_array(2, Value::Unit);
-            let hs = m.root(shared);
-            m.fork(
-                |m| {
+    // so nothing the run allocated outlives it. With no pool the reader
+    // runs in its sibling's heap and reads locally; at two workers it is
+    // stolen, waits for the write, and its read pins before the panic.
+    for threads in [1, 2] {
+        let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(threads));
+        let _ = quietly(|| {
+            rt.run(|m| {
+                let shared = m.alloc_array(2, Value::Unit);
+                let hs = m.root(shared);
+                let written = AtomicBool::new(false);
+                let left = |m: &mut Mutator<'_>| {
                     let cell = m.alloc_ref(Value::Int(9));
                     let arr = m.get(&hs);
                     m.arr_set(arr, 0, cell);
+                    written.store(true, Ordering::Release);
                     Value::Unit
-                },
-                |m| {
+                };
+                let right = |m: &mut Mutator<'_>| {
+                    while !written.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     let arr = m.get(&hs);
                     let v = m.arr_get(arr, 0);
-                    let _ = m.read_ref(v); // pins (entangled)
+                    let _ = m.read_ref(v); // pins (entangled) when stolen
                     panic!("injected after pinning");
-                },
-            );
-            Value::Unit
-        })
-    });
-    let stats = rt.stats();
-    assert!(stats.live_bytes <= stats.alloc_bytes as usize);
-    let report = rt.heap_report();
-    assert_eq!(
-        report.blocks_live, 0,
-        "the unwound run's heap was fully reclaimed"
-    );
-    // Unwinding released the pin.
-    rt.assert_heap_sound();
-    // The entangled read did pin before the panic (cumulative counter).
-    assert!(stats.pins >= 1);
+                };
+                m.fork_stolen(left, right);
+                Value::Unit
+            })
+        });
+        let stats = rt.stats();
+        assert!(stats.live_bytes <= stats.alloc_bytes as usize);
+        let report = rt.heap_report();
+        assert_eq!(
+            report.blocks_live, 0,
+            "the unwound run's heap was fully reclaimed"
+        );
+        // Unwinding released the pin.
+        rt.assert_heap_sound();
+        if threads > 1 {
+            // The entangled read did pin before the panic (cumulative
+            // counter).
+            assert!(stats.pins >= 1);
+        } else {
+            assert_eq!(stats.pins, 0);
+        }
+    }
 }
 
 #[test]

@@ -38,11 +38,13 @@ fn check(bench: &dyn mpl_bench_suite::Benchmark, cfg: RuntimeConfig, label: &str
         bench.name(),
         label
     );
-    if !bench.entangled() {
+    // Disentangled benchmarks never pin, and at one worker no benchmark
+    // does: each right branch runs after its left sibling, in its heap.
+    if !bench.entangled() || cfg.threads == 1 {
         assert_eq!(
             s.pins,
             0,
-            "{} [{}]: disentangled benchmarks never pin",
+            "{} [{}]: nothing ran beside what it shares with",
             bench.name(),
             label
         );
@@ -106,21 +108,33 @@ fn disentangled_benchmarks_in_detect_only_mode() {
     }
 }
 
+/// At one worker every right branch runs after its left sibling, in its
+/// heap: nothing entangles, and prior MPL accepts the run. Once a branch
+/// is stolen and runs beside its sibling, it rejects it.
 #[test]
 fn entangled_benchmarks_abort_in_detect_only_mode() {
     for bench in mpl_bench_suite::all() {
         if !bench.entangled() {
             continue;
         }
-        let rt = Runtime::new(RuntimeConfig::detect_only());
         let n = bench.small_n();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run(|m| Value::Int(bench.run_mpl(m, n)))
-        }));
-        assert!(
-            result.is_err(),
-            "{}: prior MPL must reject this entangled program",
-            bench.name()
+        check(
+            bench.as_ref(),
+            RuntimeConfig::detect_only(),
+            "detect-only, one worker",
+        );
+        mpl_bench_suite::for_stolen_runs(
+            bench.as_ref(),
+            n,
+            RuntimeConfig::detect_only(),
+            2,
+            |_, got| {
+                assert!(
+                    got.is_err(),
+                    "{}: prior MPL must reject this entangled program",
+                    bench.name()
+                );
+            },
         );
     }
 }

@@ -150,7 +150,7 @@ pub type CoreProgram = Arc<CExpr>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_runtime::{FailAction, FailWhen, RuntimeConfig};
+    use mpl_runtime::RuntimeConfig;
 
     fn run(src: &str) -> RunOutput {
         let rt = Runtime::new(RuntimeConfig::managed());
@@ -227,39 +227,22 @@ mod tests {
         let s = rt.stats();
         assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");
         rt.assert_heap_sound();
-        // Two workers, under a schedule that has the reader stolen (every
-        // block refill sleeps, the writer's first among them) and started
-        // only after the writer is done (a stolen branch's entry sleeps
-        // longer). A run that steals nothing pins nothing and is retried.
-        let steal = mpl_runtime::FailPlan::new(0)
-            .with("heap/alloc", FailAction::Delay(5_000_000), FailWhen::Always)
-            .with(
-                "sched/migrated",
-                FailAction::Delay(20_000_000),
-                FailWhen::Always,
-            );
-        let cfg = RuntimeConfig::managed()
-            .with_threads_exact(2)
-            .with_failpoints(steal);
-        let mut stolen = 0;
-        for _ in 0..12 {
-            let rt = Runtime::new(cfg);
-            let out = run_source(&rt, mpl_lang::examples::ENTANGLE_PUBLISH, 1_000_000).unwrap();
-            let s = rt.stats();
-            if rt.sched_stats().steals == 0 {
-                assert_eq!(s.pins, 0, "{s:?}");
-                continue;
-            }
+        // Two workers, the reader forced onto the second one and started
+        // after the writer is done: the read entangles.
+        let src = format!(
+            "let cell = ref (0, 0) in let p = {} in snd p",
+            mpl_lang::examples::forced_steal("(cell := (1, 2); 0)", "(fst !cell) + (snd !cell)")
+        );
+        for _ in 0..3 {
+            let rt = Runtime::new(RuntimeConfig::managed().with_threads_exact(2));
+            let out = run_source(&rt, &src, 2_000_000_000).unwrap();
             assert_eq!(out.rendered, "3");
+            let s = rt.stats();
+            assert!(rt.sched_stats().steals > 0);
             assert!(s.entangled_reads >= 1, "compiled deref entangles: {s:?}");
             assert!(s.pins >= 1);
             rt.assert_heap_sound();
-            stolen += 1;
-            if stolen == 3 {
-                return;
-            }
         }
-        panic!("{stolen} of 12 runs at two workers stole");
     }
 
     #[test]

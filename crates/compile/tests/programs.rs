@@ -3,50 +3,38 @@
 //! under GC pressure, and on the real-thread executor.
 
 use mpl_compile::run_source;
-use mpl_runtime::{FailAction, FailPlan, FailWhen, GcPolicy, Runtime, RuntimeConfig, StoreConfig};
+use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, StoreConfig};
 
 fn program(name: &str) -> String {
     let path = format!("{}/../../programs/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-/// Runs `src` on two workers under a schedule that has a fork's right
-/// branch stolen and started after its sibling's effects — every block
-/// refill sleeps 5 ms (`heap/alloc`), so the idle worker wakes and steals
-/// the branch left on the deque, and a stolen branch sleeps 20 ms on
-/// entry (`sched/migrated`) — until `k` runs have stolen, and returns
-/// those runs' runtimes and results. A run that steals nothing runs every
-/// right branch after its left sibling, in its heap: it must pin nothing,
-/// and another run is made, up to `4 k` in all.
+/// `src` with its first fork, `par`, replaced by a forced steal
+/// ([`mpl_lang::examples::forced_steal`]) of `left` and `right`.
+fn with_forced_steal(src: &str, par: &str, left: &str, right: &str) -> String {
+    assert!(src.contains(par), "the program forks as {par}");
+    src.replacen(par, &mpl_lang::examples::forced_steal(left, right), 1)
+}
+
+/// Runs `src`, a program whose first fork is a forced steal, `k` times on
+/// fresh two-worker runtimes built from `cfg`, and returns each run's
+/// runtime and result. The fuel bounds the steal's waits.
 fn stolen_runs(
     src: &str,
     cfg: RuntimeConfig,
     k: usize,
 ) -> Vec<(Runtime, std::thread::Result<String>)> {
-    let steal = FailPlan::new(0)
-        .with("heap/alloc", FailAction::Delay(5_000_000), FailWhen::Always)
-        .with(
-            "sched/migrated",
-            FailAction::Delay(20_000_000),
-            FailWhen::Always,
-        );
-    let mut runs = Vec::new();
-    for _ in 0..4 * k {
-        let rt = Runtime::new(cfg.with_threads_exact(2).with_failpoints(steal));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_source(&rt, src, 10_000_000).unwrap().rendered
-        }));
-        if rt.sched_stats().steals == 0 {
-            assert!(out.is_ok(), "a run with no steal");
-            assert_eq!(rt.stats().pins, 0, "a run with no steal");
-            continue;
-        }
-        runs.push((rt, out));
-        if runs.len() == k {
-            return runs;
-        }
-    }
-    panic!("{} of {} runs at two workers stole", runs.len(), 4 * k);
+    (0..k)
+        .map(|_| {
+            let rt = Runtime::new(cfg.with_threads_exact(2));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_source(&rt, src, 2_000_000_000).unwrap().rendered
+            }));
+            assert!(rt.sched_stats().steals > 0, "a forced steal steals");
+            (rt, out)
+        })
+        .collect()
 }
 
 fn configs() -> Vec<(&'static str, RuntimeConfig)> {
@@ -126,6 +114,12 @@ fn histogram_program_entangles() {
     // One worker: the refresh runs first and the bumps after it, in its
     // heap, so they read local cells.
     let src = program("histogram.mpl");
+    let stolen = with_forced_steal(
+        &src,
+        "par(refresh 0, count (0, 64))",
+        "refresh 0",
+        "count (0, 64)",
+    );
     for cfg in [
         RuntimeConfig::managed(),
         RuntimeConfig {
@@ -149,7 +143,7 @@ fn histogram_program_entangles() {
         // Two workers: the bumps are stolen and start after the refresh,
         // beside it. (The bumps race each other, so an update can be
         // lost.)
-        for (rt, out) in stolen_runs(&src, cfg, 3) {
+        for (rt, out) in stolen_runs(&stolen, cfg, 3) {
             let total: i64 = out.unwrap().parse().unwrap();
             assert!((1..=64).contains(&total), "{total}");
             let s = rt.stats();
@@ -161,7 +155,7 @@ fn histogram_program_entangles() {
     // Prior MPL accepts it at one worker and rejects it stolen.
     let rt = Runtime::new(RuntimeConfig::detect_only());
     assert_eq!(run_source(&rt, &src, 10_000_000).unwrap().rendered, "64");
-    for (_, out) in stolen_runs(&src, RuntimeConfig::detect_only(), 3) {
+    for (_, out) in stolen_runs(&stolen, RuntimeConfig::detect_only(), 3) {
         assert!(out.is_err());
     }
 }
@@ -169,6 +163,12 @@ fn histogram_program_entangles() {
 #[test]
 fn entangled_program_requires_management() {
     let src = program("entangled.mpl");
+    let stolen = with_forced_steal(
+        &src,
+        "par(\n  (cell := (6, 7); 0),\n  (fst !cell) * (snd !cell)\n)",
+        "(cell := (6, 7); 0)",
+        "(fst !cell) * (snd !cell)",
+    );
     // One worker: the consumer runs after the producer, in its heap, so
     // nothing entangles and prior MPL accepts the run too.
     for cfg in [RuntimeConfig::managed(), RuntimeConfig::detect_only()] {
@@ -179,13 +179,13 @@ fn entangled_program_requires_management() {
     }
     // Two workers, the consumer stolen and run after the producer.
     // Managed: works.
-    for (rt, out) in stolen_runs(&src, RuntimeConfig::managed(), 3) {
+    for (rt, out) in stolen_runs(&stolen, RuntimeConfig::managed(), 3) {
         assert_eq!(out.unwrap(), "42");
         assert!(rt.stats().pins >= 1);
         rt.assert_heap_sound();
     }
     // Prior MPL: aborts.
-    for (_, out) in stolen_runs(&src, RuntimeConfig::detect_only(), 3) {
+    for (_, out) in stolen_runs(&stolen, RuntimeConfig::detect_only(), 3) {
         assert!(out.is_err(), "DetectOnly must reject the entangled program");
     }
 }

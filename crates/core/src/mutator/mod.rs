@@ -262,6 +262,17 @@ impl<'rt> Mutator<'rt> {
         F: FnOnce(&mut Mutator<'_>) -> Value + Send,
         G: FnOnce(&mut Mutator<'_>) -> Value + Send,
     {
+        self.fork_signalling(f, g, None)
+    }
+
+    /// [`Mutator::fork`], raising `signal` (if given) as the right branch
+    /// begins on a worker that stole it, before anything in the branch
+    /// can unwind.
+    fn fork_signalling<F, G>(&mut self, f: F, g: G, signal: Option<&AtomicBool>) -> (Value, Value)
+    where
+        F: FnOnce(&mut Mutator<'_>) -> Value + Send,
+        G: FnOnce(&mut Mutator<'_>) -> Value + Send,
+    {
         self.ctx.work += FORK_WORK;
         let rt = self.rt;
         let pooled = rt.config().threads > 1;
@@ -280,8 +291,8 @@ impl<'rt> Mutator<'rt> {
         // task's that the left branch runs in.
         let cell = LazyHeap::child(self.ctx.heap);
         let (forker, shared) = (&self.ctx, (&cell, mark));
-        let left = move |migrated| run_branch(forker, shared, migrated, ls, f);
-        let right = move |migrated| run_branch(forker, shared, migrated, rs, g);
+        let left = move |migrated| run_branch(forker, shared, migrated, None, ls, f);
+        let right = move |migrated| run_branch(forker, shared, migrated, signal, rs, g);
         // Parallel path: offer the right branch to thieves on this
         // worker's deque and run the left branch inline (help-first). If
         // nobody steals it, `try_join` pops it back and runs it inline —
@@ -359,13 +370,23 @@ impl<'rt> Mutator<'rt> {
     }
 
     /// [`Mutator::fork`] with the right branch forced to migrate (tests
-    /// and experiments): the left branch waits until the right one has
-    /// started on another worker, so the two run in heaps of their own,
-    /// as two concurrent tasks do. With no pool to migrate to (one
-    /// worker, or a thread that is not a pool worker) it is a plain
-    /// `fork`. A pool needs a worker idle to steal the right branch, and
-    /// the branches must not force a steal again, or they may wait on
-    /// each other with no worker left to steal.
+    /// and experiments): the left branch waits until another worker has
+    /// taken the right one, so the two run in heaps of their own, as two
+    /// concurrent tasks do. With no pool to migrate to (one worker, or a
+    /// thread that is not a pool worker) it is a plain `fork`.
+    ///
+    /// The wait ends when the right branch begins on the thief, before
+    /// its entry poll, so a branch that unwinds there (a tripped token,
+    /// an injected fault) still releases it; the waiting branch polls, so
+    /// a cancellation unwinds it too. A pool needs a worker free to steal
+    /// the right branch: if none takes it within ten seconds (every
+    /// worker busy, or nested forced steals waiting on each other), the
+    /// left branch panics rather than wait forever.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a branch panics, or if no worker steals the right
+    /// branch within ten seconds.
     pub fn fork_stolen<F, G>(&mut self, f: F, g: G) -> (Value, Value)
     where
         F: FnOnce(&mut Mutator<'_>) -> Value + Send,
@@ -374,21 +395,29 @@ impl<'rt> Mutator<'rt> {
         if self.rt.config().threads < 2 || !mpl_sched::on_worker_thread() {
             return self.fork(f, g);
         }
-        let started = AtomicBool::new(false);
-        self.fork(
+        let stolen = AtomicBool::new(false);
+        self.fork_signalling(
             |m| {
-                while !started.load(Ordering::Acquire) {
+                let deadline = std::time::Instant::now() + STEAL_WAIT;
+                while !stolen.load(Ordering::Acquire) {
+                    m.ctx.poll();
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "fork_stolen: no worker stole the right branch within {STEAL_WAIT:?}"
+                    );
                     std::thread::yield_now();
                 }
                 f(m)
             },
-            |m| {
-                started.store(true, Ordering::Release);
-                g(m)
-            },
+            g,
+            Some(&stolen),
         )
     }
 }
+
+/// How long [`Mutator::fork_stolen`]'s left branch waits for a worker to
+/// steal the right one before it panics.
+const STEAL_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Runs one fork branch as its own task: enter, poll, body, finish — on
 /// its forker's slot (the forker is suspended directly beneath it on this
@@ -405,11 +434,13 @@ impl<'rt> Mutator<'rt> {
 /// allocates into, so the right one's frame starts at the fork's height
 /// and takes it in: its collections root and update the result, which the
 /// join then reads back from the root. A migrated branch may run beside
-/// its sibling, so it gets a cell of its own under the forker's.
+/// its sibling, so it gets a cell of its own under the forker's; it
+/// raises `signal`, if given, first thing.
 fn run_branch<F>(
     forker: &TaskCtx<'_>,
     (cell, mark): (&LazyHeap<'_>, usize),
     migrated: bool,
+    signal: Option<&AtomicBool>,
     strand: StrandId,
     body: F,
 ) -> (
@@ -421,6 +452,9 @@ fn run_branch<F>(
 where
     F: FnOnce(&mut Mutator<'_>) -> Value,
 {
+    if let (true, Some(signal)) = (migrated, signal) {
+        signal.store(true, Ordering::Release);
+    }
     let handoff = if forker.rt.config().threads > 1 {
         Handoff::Paused
     } else {
@@ -452,8 +486,7 @@ where
     // roots were taken — the caught payload rides back as a value so
     // the fork can run its cleanup unconditionally. Branch entry is a
     // poll point, so a branch stolen after the trip unwinds immediately.
-    // A failpoint there can hold a stolen branch back, to order it after
-    // its sibling's effects.
+    // A failpoint there can fail a stolen branch before its body runs.
     let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         m.ctx.poll();
         if migrated {

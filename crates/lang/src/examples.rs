@@ -171,3 +171,24 @@ pub const SEMANTICS_ONLY: &[(&str, &str)] = &[
     ("future_pipeline", FUTURE_PIPELINE),
     ("future_publish", FUTURE_PUBLISH),
 ];
+
+/// The source of `par(left, right)` with its right branch forced onto a
+/// second worker and started only after the left one finished, for
+/// running an entangled program on the runtime at two workers, where a
+/// right branch nobody steals runs after its left sibling, in its heap,
+/// and entangles nothing. The left branch waits until the right one has
+/// begun, which only a thief can make happen while it waits; the right
+/// one then waits until the left one is done. The waits are events, not
+/// delays, so the order holds on any machine. It needs a second worker
+/// free to steal: on one worker, or under a schedule that runs a left
+/// branch to its end first (`DepthFirst`), the left branch waits until
+/// its fuel runs out.
+pub fn forced_steal(left: &str, right: &str) -> String {
+    format!(
+        "(let steal_begun = ref 0 in \
+         let steal_done = ref 0 in \
+         let steal_wait = fix steal_wait r => if !r = 0 then steal_wait r else 0 in \
+         par((steal_wait steal_begun; let steal_v = {left} in (steal_done := 1; steal_v)), \
+         (steal_begun := 1; steal_wait steal_done; {right})))"
+    )
+}

@@ -271,13 +271,12 @@ impl Benchmark for Quickhull {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
+        // Filled straight from `points`: the run stages no copy of its
+        // input beside the raw arrays, as `run_seq` stages none.
         let points = util::random_points(n, RADIUS, 61);
-        let xdata: Vec<u64> = points.iter().map(|&(x, _)| x as u64).collect();
-        let ydata: Vec<u64> = points.iter().map(|&(_, y)| y as u64).collect();
-        let idata: Vec<u64> = (0..n as u64).collect();
-        let hx = crate::mplutil::alloc_filled_raw(m, &xdata);
-        let hy = crate::mplutil::alloc_filled_raw(m, &ydata);
-        let hi = crate::mplutil::alloc_filled_raw(m, &idata);
+        let hx = crate::mplutil::alloc_raw_with(m, n, |i| points[i].0 as u64);
+        let hy = crate::mplutil::alloc_raw_with(m, n, |i| points[i].1 as u64);
+        let hi = crate::mplutil::alloc_raw_with(m, n, |i| i as u64);
         let amin = (0..n).min_by_key(|&i| points[i]).unwrap();
         let amax = (0..n).max_by_key(|&i| points[i]).unwrap();
         let (xs, ys, idx) = (m.get(&hx), m.get(&hy), m.get(&hi));

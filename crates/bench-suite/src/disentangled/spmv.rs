@@ -94,11 +94,12 @@ impl Benchmark for Spmv {
     }
 
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
+        // Filled straight from the graph, which then goes: the run holds
+        // its input once, in the raw arrays, as `run_seq` does.
         let g = util::random_graph(n, DEGREE, 31);
-        let offs: Vec<u64> = g.offsets.iter().map(|&o| u64::from(o)).collect();
-        let tgts: Vec<u64> = g.targets.iter().map(|&t| u64::from(t)).collect();
-        let ho = crate::mplutil::alloc_filled_raw(m, &offs);
-        let ht = crate::mplutil::alloc_filled_raw(m, &tgts);
+        let ho = crate::mplutil::alloc_raw_with(m, g.offsets.len(), |i| u64::from(g.offsets[i]));
+        let ht = crate::mplutil::alloc_raw_with(m, g.targets.len(), |i| u64::from(g.targets[i]));
+        drop(g);
         let y = m.alloc_raw(n);
         let hy = m.root(y);
         let arrays = Arrays {
@@ -169,10 +170,10 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let total = rt.run(|m| {
             let g = util::random_graph(n, DEGREE, 31);
-            let offs: Vec<u64> = g.offsets.iter().map(|&o| u64::from(o)).collect();
-            let tgts: Vec<u64> = g.targets.iter().map(|&t| u64::from(t)).collect();
-            let ho = crate::mplutil::alloc_filled_raw(m, &offs);
-            let ht = crate::mplutil::alloc_filled_raw(m, &tgts);
+            let ho =
+                crate::mplutil::alloc_raw_with(m, g.offsets.len(), |i| u64::from(g.offsets[i]));
+            let ht =
+                crate::mplutil::alloc_raw_with(m, g.targets.len(), |i| u64::from(g.targets[i]));
             let y = m.alloc_raw(n);
             let hy = m.root(y);
             let arrays = Arrays {

@@ -7,36 +7,49 @@ use mpl_runtime::{Handle, Mutator, Value};
 
 const FILL_GRAIN: usize = 8192;
 
-/// Fills `arr[lo..hi)` from `data` in parallel.
-pub fn fill_raw_par(m: &mut Mutator<'_>, arr: &Handle, data: &[u64], lo: usize, hi: usize) {
+/// Fills `arr[lo..hi)` in parallel, word `i` with `word(i)`.
+pub fn fill_raw_par<F>(m: &mut Mutator<'_>, arr: &Handle, word: &F, lo: usize, hi: usize)
+where
+    F: Fn(usize) -> u64 + Sync,
+{
     if hi - lo <= FILL_GRAIN {
         m.work((hi - lo) as u64);
         let a = m.get(arr);
-        for (k, &d) in data[lo..hi].iter().enumerate() {
-            m.raw_set(a, lo + k, d);
+        for i in lo..hi {
+            m.raw_set(a, i, word(i));
         }
         return;
     }
     let mid = lo + (hi - lo) / 2;
     m.fork(
         |m| {
-            fill_raw_par(m, arr, data, lo, mid);
+            fill_raw_par(m, arr, word, lo, mid);
             Value::Unit
         },
         |m| {
-            fill_raw_par(m, arr, data, mid, hi);
+            fill_raw_par(m, arr, word, mid, hi);
             Value::Unit
         },
     );
 }
 
+/// Allocates a raw array of `len` words and fills it in parallel, word
+/// `i` with `word(i)`; returns a rooted handle. Reading the input where it
+/// lies stages no copy of it beside the array.
+pub fn alloc_raw_with<F>(m: &mut Mutator<'_>, len: usize, word: F) -> Handle
+where
+    F: Fn(usize) -> u64 + Sync,
+{
+    let arr = m.alloc_raw(len);
+    let h = m.root(arr);
+    fill_raw_par(m, &h, &word, 0, len);
+    h
+}
+
 /// Allocates a raw array and fills it from `data` in parallel; returns a
 /// rooted handle.
 pub fn alloc_filled_raw(m: &mut Mutator<'_>, data: &[u64]) -> Handle {
-    let arr = m.alloc_raw(data.len());
-    let h = m.root(arr);
-    fill_raw_par(m, &h, data, 0, data.len());
-    h
+    alloc_raw_with(m, data.len(), |i| data[i])
 }
 
 /// Parallel sum of `f(i)` over `lo..hi` with the given grain.

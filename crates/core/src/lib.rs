@@ -69,6 +69,10 @@ pub use mpl_fail::{FailAction, FailPlan, FailWhen, Failpoint};
 
 // Re-export the value types users interact with.
 pub use mpl_gc::GcPolicy;
+/// A heap's collection debt record, for the runtime's own tests
+/// ([`Mutator::collection_debt`]).
+#[doc(hidden)]
+pub use mpl_heap::DebtRecord;
 pub use mpl_heap::{
     to_dot as heap_dot, BudgetSnapshot, ObjKind, ObjRef, StatsSnapshot, StoreConfig, TenantBudget,
     Value,

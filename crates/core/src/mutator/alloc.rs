@@ -140,6 +140,13 @@ impl Mutator<'_> {
         if self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(fields);
         }
+        if self.ctx.alloc_since == 0 {
+            // A collection above ran before the object exists and
+            // restarted the debt that counted it: the heap holds it as if
+            // that collection had kept it, so a join above still charges
+            // it and the budget grows with it.
+            self.ctx.hold(size);
+        }
         self.ctx.poll();
         let nwords = OBJECT_HEADER_WORDS + len;
         let cached = self.ctx.alloc_cache[size_class(nwords)]

@@ -20,9 +20,9 @@
 //! | local collection | [`TaskCtx::collect_local`] | allocation, joins, the pressure ladder, run end |
 //! | task end | [`TaskCtx::finish`] | `Drop` (normal return and every unwind) |
 //!
-//! [`TaskCtx::enter`] is the one constructor. The remembered-set buffer,
-//! its dedup set and the session link are private to this module, so no
-//! other file can flush or drop them. Nothing here registers anything:
+//! [`TaskCtx::enter`] is the one constructor. The remembered-set buffer
+//! and its dedup set are private to this module, so no other file can
+//! flush or drop them. Nothing here registers anything:
 //! slots are opened and closed by the run, the session and the steal
 //! (`runtime/`, `Mutator::fork`), and whoever catches a task's outcome
 //! pops its frame (`run_branch`, `run_root`).
@@ -38,20 +38,26 @@
 //! its leaf is [`mpl_heap::NO_HEAP`], which owns no block, so the write
 //! barrier's `owner == leaf` test sends it to the slow tier exactly as a
 //! fresh, empty heap would.
+//!
+//! The collection debt is the heap's, not the task's ([`DebtRecord`]):
+//! `enter` continues the record its heap's last task left — an un-stolen
+//! right branch its left sibling's, a session request the previous
+//! request's — `finish` stores it back, and a join charges the
+//! children's (see [`TaskCtx::join_debt`]).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mpl_gc::lgc::IdSet;
 use mpl_gc::{MutatorSlot, REQ_CANCEL, REQ_CGC};
 use mpl_heap::{
-    Block, Counter, LazyHeap, ObjRef, PendingStats, Region, RemsetEntry, Value, NUM_SIZE_CLASSES,
+    Block, Counter, DebtRecord, LazyHeap, ObjRef, PendingStats, Region, RemsetEntry, Value,
+    NUM_SIZE_CLASSES,
 };
 use mpl_sched::{DagBuilder, StrandId};
 
 use super::Mutator;
 use crate::cancel::{CancelReason, CancelToken, Cancelled};
-use crate::runtime::{Runtime, TenantSession};
+use crate::runtime::Runtime;
 
 /// Buffered remembered-set entries are published once the buffer reaches
 /// this size, bounding the memory a write-heavy task can defer.
@@ -148,9 +154,12 @@ pub(crate) struct TaskCtx<'rt> {
     /// safepoints — every refill is one — and task end) so the hot path
     /// pays no global atomics.
     pub(crate) pending: PendingStats,
-    /// Size-proportional collection budget: collect once `alloc_since`
-    /// exceeds `max(policy trigger, 2 × last survivors)`. Keeps total
-    /// copying linear even when joins repeatedly merge surviving data.
+    /// The heap's collection debt record while this task runs in it is
+    /// `alloc_since` (its debt), `kept`, and `siblings + survivors`.
+    /// Collect once the debt reaches `lgc_budget`, [`DebtRecord::budget`]
+    /// of the record: `max(policy trigger, 2 × (siblings + survivors))`,
+    /// so every collection is paid for by at least twice what the
+    /// collections feeding the heap kept.
     pub(crate) lgc_budget: usize,
     /// Bytes the allocation fast path may still hand out before an
     /// allocation must take the slow path and run the trigger checks: the
@@ -176,9 +185,22 @@ pub(crate) struct TaskCtx<'rt> {
     /// a collection may drop a published entry (source died), so a
     /// later re-write of the same field must be able to re-insert it.
     remset_seen: IdSet<(u32, ObjRef, u32)>,
-    /// Set for a tenant-session root task: the collection debt is
-    /// restored from the session at `enter` and carried back at `finish`.
-    session: Option<&'rt TenantSession>,
+    /// What the heap's last collection kept, until a join above charges
+    /// it ([`DebtRecord::kept`]). This and the next two are declared after
+    /// the fields the allocation fast path touches: declared beside
+    /// `lgc_budget`, they moved them and slowed a stream of short-lived
+    /// tuples by about 8 %.
+    kept: usize,
+    /// The budget base the heap's earlier tasks left: a left sibling's,
+    /// which this un-stolen right branch adds its own to, as the two
+    /// branches of a fork hold their data side by side.
+    siblings: usize,
+    /// This task's own budget base: what the heap's last collection kept,
+    /// or the most that one of this task's joins brought in, whichever is
+    /// larger. A maximum, not a sum: what one join brings in may be dead
+    /// by the next, so summing a loop's joins would raise the budget
+    /// without bound while the garbage piled up.
+    survivors: usize,
     /// How the task leaves its slot at `finish`.
     handoff: Handoff,
     /// Cooperative-cancellation token, the forker's (like the tenant
@@ -191,11 +213,10 @@ pub(crate) struct TaskCtx<'rt> {
 impl<'rt> TaskCtx<'rt> {
     /// **Enter**: builds the state of a task at `heap`'s place in the
     /// tree, running on the `slot` it is handed: resumes the slot (unless
-    /// its forker hands it over running) and opens a frame at `base` of
-    /// its root stack — the bottom for a root task, which also restores
-    /// its session's carried collection debt. `recording` is the DAG
-    /// recording, if one is made, and the strand the task starts on.
-    #[allow(clippy::too_many_arguments)]
+    /// its forker hands it over running), opens a frame at `base` of its
+    /// root stack — the bottom for a root task — and continues the heap's
+    /// collection debt record (empty in a fresh cell). `recording` is the
+    /// DAG recording, if one is made, and the strand the task starts on.
     pub(crate) fn enter(
         rt: &'rt Runtime,
         slot: &'rt Arc<MutatorSlot>,
@@ -204,16 +225,8 @@ impl<'rt> TaskCtx<'rt> {
         base: usize,
         recording: Option<(&'rt DagBuilder, StrandId)>,
         cancel: &'rt CancelToken,
-        session: Option<&'rt TenantSession>,
     ) -> TaskCtx<'rt> {
         let (dag, strand) = recording.unzip();
-        let trigger = rt.config().policy.lgc_trigger_bytes;
-        let (alloc_since, lgc_budget) = session.map_or((0, trigger), |s| {
-            (
-                s.alloc_debt.load(Ordering::Relaxed),
-                s.lgc_budget.load(Ordering::Relaxed).max(trigger),
-            )
-        });
         if handoff == Handoff::Paused {
             rt.cgc_state().exit_safe(slot);
         }
@@ -229,7 +242,7 @@ impl<'rt> TaskCtx<'rt> {
             heap,
             slot,
             shared_slot: slot,
-            alloc_since,
+            alloc_since: 0,
             dag,
             strand: strand.unwrap_or(StrandId(0)),
             work: 0,
@@ -237,17 +250,75 @@ impl<'rt> TaskCtx<'rt> {
             alloc_cache: std::array::from_fn(|_| None),
             scratch_vals: Vec::new(),
             pending: PendingStats::default(),
-            lgc_budget,
+            kept: 0,
+            siblings: 0,
+            survivors: 0,
+            lgc_budget: 0,
             allowance: 0,
             saw_remote: false,
             remset_buf: Vec::new(),
             remset_seen: IdSet::default(),
-            session,
             handoff,
             cancel,
         };
-        ctx.rearm();
+        let record = heap.debt.get();
+        ctx.alloc_since = record.debt;
+        ctx.kept = record.kept;
+        // A root task continues its session's previous request as one
+        // task would; a branch adds to what its left sibling left.
+        if heap.depth() == 0 {
+            ctx.survivors = record.survivors;
+        } else {
+            ctx.siblings = record.survivors;
+        }
+        ctx.rebudget();
         ctx
+    }
+
+    /// The collection debt record of the task's heap, as the task has
+    /// carried it on.
+    pub(crate) fn debt(&self) -> DebtRecord {
+        DebtRecord {
+            debt: self.alloc_since,
+            kept: self.kept,
+            survivors: self.siblings.saturating_add(self.survivors),
+        }
+    }
+
+    /// Recomputes the collection budget from the debt record, and the
+    /// allowance from both.
+    fn rebudget(&mut self) {
+        self.lgc_budget = self
+            .debt()
+            .budget(self.rt.config().policy.lgc_trigger_bytes);
+        self.rearm();
+    }
+
+    /// A join's fold of the `children`'s debt records into this task's:
+    /// each child's debt and what its last collection kept come due here
+    /// ([`DebtRecord::due`]), and what they hold between them raises this
+    /// task's budget base to at least its sum. So garbage made in the
+    /// children, or kept by their collections and dead since, cannot dodge
+    /// the collector because their heaps dissolved into this one; and
+    /// data they kept is charged once, not again at every level it rises
+    /// through.
+    pub(crate) fn join_debt(&mut self, children: impl IntoIterator<Item = DebtRecord>) {
+        let (mut due, mut held) = (0usize, 0usize);
+        for child in children {
+            due = due.saturating_add(child.due());
+            held = held.saturating_add(child.survivors);
+        }
+        self.alloc_since = self.alloc_since.saturating_add(due);
+        self.survivors = self.survivors.max(held);
+        self.rebudget();
+    }
+
+    /// Counts `bytes` allocated right after a local collection as kept by
+    /// it (see `Mutator::alloc_staged`).
+    pub(crate) fn hold(&mut self, bytes: usize) {
+        self.kept = self.kept.saturating_add(bytes);
+        self.survivors = self.survivors.saturating_add(bytes);
+        self.rebudget();
     }
 
     /// The task's root-to-leaf heap path (canonical ids, indexed by
@@ -408,7 +479,8 @@ impl<'rt> TaskCtx<'rt> {
     /// entries targeting this task's own heaps are roots too, so they are
     /// published first, and the allocation regions settle and are dropped
     /// (the collection replaces or frees their blocks). Afterwards the
-    /// collection debt restarts and the block cache is dropped.
+    /// heap's debt restarts at zero, what this collection kept is its
+    /// `kept` and its budget base, and the block cache is dropped.
     pub(crate) fn collect_local(&mut self, extra: &mut [Value]) {
         self.flush_stats();
         self.flush_remset();
@@ -448,17 +520,18 @@ impl<'rt> TaskCtx<'rt> {
         // from-space one. With no other slot running and no cycle in
         // flight, they are freed right here.
         rt.cgc_state().retire(rt.store(), &out.dead_blocks);
-        self.alloc_since = 0;
-        // Size-proportional budget: next collection once we allocate
-        // about as much as survived this one. (Collection work is
-        // deliberately NOT charged to the strand: in MPL, local
+        // Size-proportional budget: the next collection comes once the
+        // heap's debt reaches twice what survived this one. (Collection
+        // work is deliberately NOT charged to the strand: in MPL, local
         // collections are distributed across otherwise idle processors,
         // so they do not serialize the computation the way charging them
         // to the recorded mutator strand would. Wall-clock measurements
         // still include the full collection cost.)
-        let survivors = (out.copied_bytes + out.retained_entangled_bytes) as usize;
-        self.lgc_budget = rt.config().policy.lgc_trigger_bytes.max(2 * survivors);
-        self.rearm();
+        self.alloc_since = 0;
+        self.kept = (out.copied_bytes + out.retained_entangled_bytes) as usize;
+        self.siblings = 0;
+        self.survivors = self.kept;
+        self.rebudget();
         self.block_cache = [None, None, None, None];
         self.debug_assert_flushed();
     }
@@ -468,22 +541,20 @@ impl<'rt> TaskCtx<'rt> {
     /// Publishes everything buffered (the allocation regions, whose
     /// blocks a join hands to the parent's heap; and the remembered-set
     /// entries, since an ancestor may resume and collect a heap they
-    /// point into), hands the
-    /// collection debt back to the session, and pauses the slot again
-    /// (nobody polls it until the forker resumes or the next request
-    /// enters — a running slot would stall the snapshot handshake) unless
-    /// it stays running for the next task on it ([`Handoff::Running`]).
+    /// point into), stores the collection debt back in the heap cell for
+    /// the next task to run in it or the join that merges it, and pauses
+    /// the slot again (nobody polls it until the forker resumes or the
+    /// next request enters — a running slot would stall the snapshot
+    /// handshake) unless it stays running for the next task on it
+    /// ([`Handoff::Running`]).
     /// The frame was popped before this, by whoever caught the task's
     /// outcome.
     fn finish(&mut self) {
         self.settle_regions();
         self.flush_work();
         self.flush_remset();
-        if let Some(s) = self.session {
-            // Even after a shed request: the garbage is still there.
-            s.alloc_debt.store(self.alloc_since, Ordering::Relaxed);
-            s.lgc_budget.store(self.lgc_budget, Ordering::Relaxed);
-        }
+        // Even after an unwind: the garbage is still there.
+        self.heap.debt.set(self.debt());
         if self.handoff == Handoff::Paused {
             self.rt.cgc_state().enter_safe(self.slot);
         }
@@ -610,5 +681,12 @@ impl Mutator<'_> {
     /// values are treated as roots and updated.
     pub fn force_lgc(&mut self, extra: &mut [Value]) {
         self.ctx.collect_local(extra);
+    }
+
+    /// The collection debt record of this task's heap as the task has
+    /// carried it on so far. For the runtime's own tests.
+    #[doc(hidden)]
+    pub fn collection_debt(&self) -> DebtRecord {
+        self.ctx.debt()
     }
 }

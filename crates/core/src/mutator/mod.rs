@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mpl_gc::MutatorSlot;
-use mpl_heap::{LazyHeap, Value};
+use mpl_heap::{DebtRecord, LazyHeap, Value};
 use mpl_sched::StrandId;
 
 use crate::config::FORK_WORK;
@@ -237,7 +237,11 @@ impl<'rt> Mutator<'rt> {
     /// after the left one, in the left one's heap, and sees what the left
     /// allocated as local. At the join the child heaps that exist (one,
     /// or two after a steal) merge into this task's heap, unpinning
-    /// every object whose entanglement ends here.
+    /// every object whose entanglement ends here, and their collection
+    /// debt records fold into this task's: what the children owe and what
+    /// their collections kept is charged to this task's debt, once. An
+    /// un-stolen right branch continues the record its left sibling left
+    /// in their shared heap, so the join sees one record per heap.
     ///
     /// Values captured from the parent must be passed through rooted
     /// [`Handle`]s — a raw [`Value`] may be stale after a collection.
@@ -306,6 +310,7 @@ impl<'rt> Mutator<'rt> {
         };
         let ((mut lv, lend, lslot, lh), (mut rv, rend, rslot, rh)) =
             joined.unwrap_or_else(|(left, right)| (left(false), right(false)));
+        let own_heaps = [lh, rh];
 
         // The join merge below mutates heap structure under this task's
         // identity again: close the suspension window first.
@@ -319,10 +324,9 @@ impl<'rt> Mutator<'rt> {
         // hands back — even when a branch panicked; otherwise a shed
         // request leaks pins, roots and registered slots for the
         // runtime's lifetime. A child with a heap gave this task one too.
-        let join = rt.store().join(
-            self.ctx.heap.leaf(),
-            cell.id().into_iter().chain(lh).chain(rh),
-        );
+        let migrated = own_heaps.iter().flatten().map(|&(id, _)| id);
+        rt.store()
+            .join(self.ctx.heap.leaf(), cell.id().into_iter().chain(migrated));
         let roots = &self.ctx.slot.roots;
         for (v, own) in [(&mut rv, &rslot), (&mut lv, &lslot)] {
             if let Some(own) = own {
@@ -350,14 +354,16 @@ impl<'rt> Mutator<'rt> {
             (Ok(l), Ok(r)) => (l, r),
             (Err(p), _) | (_, Err(p)) => std::panic::resume_unwind(p),
         };
-        // Merged data counts toward this task's collection debt: garbage
-        // produced inside the children must not dodge the collector just
-        // because their heaps dissolved into ours. When the debt is due,
+        // The children's debt records fold into this task's: what they
+        // owe, and what their collections kept, comes due here, so garbage
+        // made in them cannot dodge the collector just because their heaps
+        // dissolved into ours (`TaskCtx::join_debt`). When the debt is due,
         // the join collects the merged heap, with the branch results as
         // extra roots — at every depth and thread count, like the
         // allocation slow path.
-        self.ctx.alloc_since = self.ctx.alloc_since.saturating_add(join.merged_bytes);
-        self.ctx.rearm();
+        let children = own_heaps.into_iter().flatten().map(|(_, d)| d);
+        self.ctx
+            .join_debt(std::iter::once(cell.debt.get()).chain(children));
         let mut results = [lv, rv];
         if self.ctx.alloc_since >= self.ctx.lgc_budget {
             self.ctx.collect_local(&mut results);
@@ -419,11 +425,16 @@ impl<'rt> Mutator<'rt> {
 /// steal the right one before it panics.
 const STEAL_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
 
+/// A migrated branch's own heap, and that heap's collection debt record,
+/// for the join to merge.
+type OwnHeap = (u32, DebtRecord);
+
 /// Runs one fork branch as its own task: enter, poll, body, finish — on
 /// its forker's slot (the forker is suspended directly beneath it on this
 /// native stack), or, if the scheduler migrated it, on a slot of its own,
 /// which it hands back (paused, rooting the result) with its outcome,
-/// last strand and heap, if it came to have one, for the join to close.
+/// last strand and heap, if it came to have one ([`OwnHeap`]), for the
+/// join to close.
 /// The branch borrows the forker's cancellation token (like the tenant
 /// budget): one tripped token unwinds the whole tree.
 ///
@@ -447,7 +458,7 @@ fn run_branch<F>(
     std::thread::Result<Value>,
     StrandId,
     Option<Arc<MutatorSlot>>,
-    Option<u32>,
+    Option<OwnHeap>,
 )
 where
     F: FnOnce(&mut Mutator<'_>) -> Value,
@@ -477,7 +488,6 @@ where
         base,
         recording,
         forker.cancel,
-        None,
     );
     let mut m = Mutator::new(ctx);
     // A panicking branch (entanglement abort, AllocError, injected
@@ -502,5 +512,6 @@ where
     m.ctx.slot.roots.pop_frame(top, result);
     let end = m.ctx.strand;
     drop(m);
-    (v, end, own, own_cell.as_ref().and_then(LazyHeap::id))
+    let own_heap = own_cell.and_then(|c| Some((c.id()?, c.debt.get())));
+    (v, end, own, own_heap)
 }

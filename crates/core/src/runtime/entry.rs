@@ -68,17 +68,11 @@ impl Runtime {
             None => (self.store.new_root_heap(), self.cgc_state.open_slot()),
         };
         let heap = LazyHeap::root(self.store.heaps(), root_heap);
+        if let Some(s) = session {
+            heap.debt.set(s.debt.get());
+        }
         let recording = dag.as_deref().map(|d| (d, strand));
-        let ctx = TaskCtx::enter(
-            self,
-            &slot,
-            Handoff::Paused,
-            &heap,
-            0,
-            recording,
-            &cancel,
-            session,
-        );
+        let ctx = TaskCtx::enter(self, &slot, Handoff::Paused, &heap, 0, recording, &cancel);
         let mut m = Mutator::new(ctx);
         let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m)));
         if session.is_none() {
@@ -88,7 +82,8 @@ impl Runtime {
             // deferred to the concurrent collector's next cycle via the
             // shield phase) and repeated runs — and cancellation storms —
             // don't strand their garbage forever. Session heaps persist
-            // by design; their carried collection debt owns them.
+            // by design; the root heap's debt record, carried from request
+            // to request, owns them.
             slot.roots.truncate(0);
             let mut escaping = [*result.as_ref().unwrap_or(&Value::Unit)];
             m.ctx.collect_local(&mut escaping);
@@ -96,8 +91,10 @@ impl Runtime {
         }
         drop(m);
         drop(dag); // `try_unwrap` below needs the runtime's handle to be the last
-        if session.is_none() {
-            self.cgc_state.close_slot(&self.store, &slot);
+        match session {
+            // Even after a shed request: the garbage is still there.
+            Some(s) => s.debt.set(heap.debt.get()),
+            None => self.cgc_state.close_slot(&self.store, &slot),
         }
         if let Some(builder) = self.dag.lock().take() {
             // A panic can leave strands un-joined; the partial recording

@@ -1,12 +1,11 @@
 //! Persistent tenant sessions: a dedicated root heap and mutator slot
 //! that outlive individual requests.
 
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mpl_gc::MutatorSlot;
-use mpl_heap::{TenantBudget, Value};
+use mpl_heap::{DebtCell, TenantBudget, Value};
 
 use super::Runtime;
 use crate::cancel::RunError;
@@ -20,17 +19,20 @@ use crate::mutator::Mutator;
 /// stay CGC roots — in the next. Each request's root task borrows the
 /// slot; between requests it rests paused.
 ///
-/// Collection debt (`alloc_since` / the size-proportional LGC budget) is
-/// carried across requests: garbage accumulated in the tenant's root
-/// heap over many small requests still triggers local collections, which
-/// is what keeps a minutes-long serving run's memory flat.
+/// The root heap's collection debt record (`mpl_heap::DebtRecord`) is
+/// carried across requests: each request's root task continues it as one
+/// long task would, and the session keeps it between requests, when no
+/// cell holds the root heap. So garbage accumulated in the tenant's root
+/// heap over many small requests still triggers local collections, and
+/// what a request's forks kept comes due at their joins even when it dies
+/// with the request, which is what keeps a minutes-long serving run's
+/// memory flat.
 #[derive(Debug)]
 pub struct TenantSession {
     pub(crate) root_heap: u32,
     pub(crate) slot: Arc<MutatorSlot>,
     budget: Option<Arc<TenantBudget>>,
-    pub(crate) alloc_debt: AtomicUsize,
-    pub(crate) lgc_budget: AtomicUsize,
+    pub(crate) debt: DebtCell,
 }
 
 impl TenantSession {
@@ -61,16 +63,15 @@ impl Runtime {
             // request stay CGC roots until `retire_session`.
             slot: self.cgc_state.open_slot(),
             budget: Some(budget),
-            alloc_debt: AtomicUsize::new(0),
-            lgc_budget: AtomicUsize::new(self.config.policy.lgc_trigger_bytes),
+            debt: DebtCell::default(),
         }
     }
 
     /// Runs one request on a tenant session. Like [`Runtime::run`], but
     /// the root task executes on the session's persistent root heap and
     /// mutator slot: handles rooted in earlier requests resolve, objects
-    /// they reference survive collections, and the session's carried
-    /// collection debt keeps the root heap's LGC firing across requests.
+    /// they reference survive collections, and the root heap's carried
+    /// collection debt keeps its LGC firing across requests.
     ///
     /// Requests on the *same* session must not run concurrently (the
     /// slot is single-owner); different sessions are independent.
@@ -105,7 +106,7 @@ impl Runtime {
     /// token trips `deadline` from now — the per-request timeout a
     /// serving layer puts on tenant work. A request that outlives the
     /// deadline unwinds at its next poll point with the session's heap
-    /// coherent and its carried collection debt intact.
+    /// coherent and its root heap's collection debt intact.
     pub fn try_run_session_deadline<F>(
         &self,
         session: &TenantSession,

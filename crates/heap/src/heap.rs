@@ -19,7 +19,7 @@
 //! * the **entanglement level** of a remote access is the depth of the
 //!   least common ancestor of the task's leaf heap and the object's heap.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -38,6 +38,82 @@ pub struct RemsetEntry {
     pub src: ObjRef,
     /// The field index within `src`.
     pub field: u32,
+}
+
+/// A heap's collection debt: what pays for its next local collection.
+///
+/// A collection is due once `debt` reaches [`DebtRecord::budget`], the
+/// trigger or twice `survivors`, whichever is larger, so each collection
+/// is paid for by at least twice what the collections feeding the heap
+/// kept. The record belongs to the heap, not to a task: every task that
+/// runs in the heap continues it (it is kept in the heap's [`LazyHeap`]
+/// cell), and a join folds its children's records into the parent's.
+///
+/// The join charges each child's `debt` and `kept` to the parent's debt:
+/// what a collection kept comes due once more, at the join directly above
+/// it, so garbage that survived a child's collection and died later is
+/// still paid for, and collected, in the parent. It is charged once: a
+/// parent that does not collect carries it up as debt, not as `kept`.
+/// What the children kept also raises the parent's `survivors`, to at
+/// least their sum, so the charge alone does not make the join collect
+/// the data again (see `TaskCtx` in the runtime for how the tasks of a
+/// heap combine them).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DebtRecord {
+    /// Bytes allocated into the heap, or charged to it at joins, since its
+    /// last local collection.
+    pub debt: usize,
+    /// Bytes the heap's last local collection kept, not yet charged to an
+    /// ancestor's debt.
+    pub kept: usize,
+    /// The budget's base: about what the heap holds live, as the
+    /// collections that fed it measured it.
+    pub survivors: usize,
+}
+
+impl DebtRecord {
+    /// The debt at which the heap is due for a local collection under the
+    /// allocation `trigger`: `max(trigger, 2 × survivors)`.
+    pub fn budget(&self, trigger: usize) -> usize {
+        trigger.max(self.survivors.saturating_mul(2))
+    }
+
+    /// What a join charges to the parent's debt for this child: its debt
+    /// and what its last collection kept.
+    pub fn due(&self) -> usize {
+        self.debt.saturating_add(self.kept)
+    }
+}
+
+/// Where a [`DebtRecord`] waits between the tasks that continue it: three
+/// relaxed words. Only the task running in the heap writes them, when it
+/// finishes; the next task to run in it (an un-stolen right branch, a
+/// session's next request) and the join that merges it read them after
+/// that finish, ordered by the fork's join or the session's request
+/// sequence, so no lock guards them.
+#[derive(Debug, Default)]
+pub struct DebtCell {
+    debt: AtomicUsize,
+    kept: AtomicUsize,
+    survivors: AtomicUsize,
+}
+
+impl DebtCell {
+    /// The record as its last writer left it.
+    pub fn get(&self) -> DebtRecord {
+        DebtRecord {
+            debt: self.debt.load(Ordering::Relaxed),
+            kept: self.kept.load(Ordering::Relaxed),
+            survivors: self.survivors.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Replaces the record.
+    pub fn set(&self, record: DebtRecord) {
+        self.debt.store(record.debt, Ordering::Relaxed);
+        self.kept.store(record.kept, Ordering::Relaxed);
+        self.survivors.store(record.survivors, Ordering::Relaxed);
+    }
 }
 
 /// One node of the heap tree. Everything but `state` is fixed at creation
@@ -117,12 +193,11 @@ impl HeapState {
         self.entangled.iter().map(Vec::len).sum()
     }
 
-    /// Splices a joined child's lists onto this heap's (the child's block
-    /// list is copied, not drained: the join hands it to its caller). The
-    /// child's allocation blocks are not taken over: those bump cursors
-    /// belonged to the finished task.
+    /// Splices a joined child's lists onto this heap's. The child's
+    /// allocation blocks are not taken over: those bump cursors belonged
+    /// to the finished task.
     fn absorb(&mut self, child: &mut HeapState) {
-        self.blocks.extend_from_slice(&child.blocks);
+        self.blocks.append(&mut child.blocks);
         self.remset.append(&mut child.remset);
         if self.entangled.len() < child.entangled.len() {
             self.entangled.resize_with(child.entangled.len(), Vec::new);
@@ -317,19 +392,15 @@ impl HeapTable {
     /// Joins the `children` a fork created into `parent`, O(1) in the
     /// object graph: each child's state is taken out under its lock and its
     /// id unioned into the parent's before the lock is released, then the
-    /// lists are spliced onto the parent's. Returns the ids of the blocks
-    /// that moved and the parent's index entries at level `>=` its depth —
-    /// the pins this join can end. Applying the unpin rule is the caller's
-    /// job (it needs object access).
+    /// lists are spliced onto the parent's. Returns the parent's index
+    /// entries at level `>=` its depth — the pins this join can end.
+    /// Applying the unpin rule is the caller's job (it needs object
+    /// access).
     ///
     /// # Panics
     ///
     /// Panics unless every child's canonical parent is `parent`.
-    pub fn join(
-        &self,
-        parent: u32,
-        children: impl IntoIterator<Item = u32>,
-    ) -> (Vec<u32>, Vec<ObjRef>) {
+    pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> Vec<ObjRef> {
         let parent = self.find(parent);
         let mut merged = HeapState::default();
         for child in children {
@@ -344,11 +415,10 @@ impl HeapTable {
             node.merged_into.store(parent, Ordering::Release);
         }
         let info = self.info(parent);
-        let candidates = info.with(|p| {
+        info.with(|p| {
             p.absorb(&mut merged);
             p.take_entangled_from(info.depth)
-        });
-        (merged.blocks, candidates)
+        })
     }
 
     /// Number of heap ids ever issued, merged heaps included.
@@ -420,6 +490,11 @@ pub struct LazyHeap<'a> {
     /// ending in the task's own (they stay canonical while the task runs:
     /// only joins above it, after it is done, merge them away).
     path: OnceLock<Box<[u32]>>,
+    /// The heap's collection debt record, as the last task to run in it
+    /// left it (empty in a fresh cell). Kept in the cell rather than the
+    /// heap's node: it is needed only while the fork that made the cell
+    /// lasts, and a node outlives its merge for good.
+    pub debt: DebtCell,
 }
 
 impl<'a> LazyHeap<'a> {
@@ -431,6 +506,7 @@ impl<'a> LazyHeap<'a> {
             depth: info.depth,
             budget: info.budget().map(Arc::as_ref),
             path: OnceLock::from(Box::from([id])),
+            debt: DebtCell::default(),
         }
     }
 
@@ -442,6 +518,7 @@ impl<'a> LazyHeap<'a> {
             depth: parent.depth + 1,
             budget: parent.budget,
             path: OnceLock::new(),
+            debt: DebtCell::default(),
         }
     }
 
@@ -602,11 +679,33 @@ mod tests {
         t.info(root).with(|s| s.blocks.push(0));
         t.info(l).with(|s| s.blocks.extend([1, 2]));
         t.info(r).with(|s| s.blocks.push(3));
-        let (moved, candidates) = t.join(root, [l, r]);
-        assert_eq!(moved, vec![1, 2, 3]);
+        let candidates = t.join(root, [l, r]);
         assert!(candidates.is_empty());
         assert_eq!(t.info(root).with(|s| s.blocks.clone()), vec![0, 1, 2, 3]);
         assert!(t.info(l).try_with(|_| ()).is_none(), "merged: no state");
+    }
+
+    #[test]
+    fn debt_records_set_a_budget_and_wait_in_their_cell() {
+        let record = |debt, kept, survivors| DebtRecord {
+            debt,
+            kept,
+            survivors,
+        };
+        assert_eq!(record(0, 0, 3).budget(4), 6);
+        assert_eq!(record(0, 0, 1).budget(4), 4);
+        assert_eq!(record(0, 0, usize::MAX).budget(4), usize::MAX);
+        assert_eq!(record(10, 5, 7).due(), 15);
+        assert_eq!(record(usize::MAX, 5, 7).due(), usize::MAX, "saturating");
+        let t = HeapTable::new();
+        let root = LazyHeap::root(&t, t.new_root(None));
+        let cell = LazyHeap::child(&root);
+        assert_eq!(cell.debt.get(), DebtRecord::default(), "a fresh cell");
+        cell.debt.set(record(5, 6, 7));
+        assert_eq!(
+            (cell.debt.get(), root.debt.get()),
+            (record(5, 6, 7), DebtRecord::default())
+        );
     }
 
     #[test]
@@ -644,9 +743,9 @@ mod tests {
         // parent's depth are handed back as unpin candidates.
         let (ll, lr) = t.fork(l);
         t.register_entangled(ll, ObjRef::new(0, 4), 1);
-        let (_, candidates) = t.join(l, [ll, lr]);
+        let candidates = t.join(l, [ll, lr]);
         assert_eq!(candidates, vec![ObjRef::new(0, 4)], "level 0 stays indexed");
-        let (_, candidates) = t.join(root, [l, r]);
+        let candidates = t.join(root, [l, r]);
         assert_eq!(candidates, vec![ObjRef::new(0, 1), ObjRef::new(0, 3)]);
         assert_eq!(t.info(root).with(|s| s.remset.clone()), vec![entry]);
         // Registering or remembering against a merged id lands on the

@@ -65,7 +65,9 @@ pub use block::{
 pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};
 pub use header::{Header, ObjKind, NO_PIN_LEVEL};
-pub use heap::{HeapInfo, HeapState, HeapTable, LazyHeap, RemsetEntry, NO_HEAP};
+pub use heap::{
+    DebtCell, DebtRecord, HeapInfo, HeapState, HeapTable, LazyHeap, RemsetEntry, NO_HEAP,
+};
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;

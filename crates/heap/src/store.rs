@@ -159,8 +159,6 @@ impl ObjHandle {
 pub struct JoinOutcome {
     /// Objects unpinned by the unpin-at-join rule.
     pub unpinned: usize,
-    /// Live bytes merged from the children into the parent.
-    pub merged_bytes: usize,
 }
 
 /// The global store.
@@ -621,9 +619,7 @@ impl Store {
     /// objects at its depth or deeper, and a task that pins has a heap, so
     /// there is nothing this join could unpin.
     ///
-    /// Returns the number of objects unpinned and the live bytes merged
-    /// in (so the resuming task can charge them toward its next local
-    /// collection — merged garbage must not dodge the collector).
+    /// Returns the number of objects unpinned.
     pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> JoinOutcome {
         let mut children = children.into_iter().peekable();
         if children.peek().is_none() {
@@ -632,12 +628,7 @@ impl Store {
         let parent = self.heaps.find(parent);
         let info = self.heaps.info(parent);
         let join_depth = info.depth();
-        let (moved, candidates) = self.heaps.join(parent, children);
-        let merged_bytes = moved
-            .iter()
-            .filter_map(|&bid| self.blocks.try_get(bid))
-            .map(|b| b.live_bytes())
-            .sum();
+        let candidates = self.heaps.join(parent, children);
         let mut unpinned = 0;
         for r in candidates {
             let Some(r) = self.try_resolve(r) else {
@@ -658,10 +649,7 @@ impl Store {
                 info.with(|s| s.add_entangled(r, level));
             }
         }
-        JoinOutcome {
-            unpinned,
-            merged_bytes,
-        }
+        JoinOutcome { unpinned }
     }
 }
 
@@ -814,7 +802,6 @@ mod tests {
         // Join at depth 0 unpins (level 0 >= join depth 0).
         let out = s.join(root, [l, r]);
         assert_eq!(out.unpinned, 1);
-        assert!(out.merged_bytes > 0, "children contributed live bytes");
         assert!(!s.handle(in_r).header().is_pinned());
         assert_eq!(s.stats().snapshot().unpins, 1);
         assert_eq!(s.stats().snapshot().pinned_bytes, 0);

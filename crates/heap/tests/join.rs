@@ -82,9 +82,9 @@ fn registration_racing_a_join_lands_on_a_live_index() {
             }
             start.wait();
             wait_for(100 + 37 * (round % 8));
-            seen.extend(t.join(l, [ll, lr]).1);
+            seen.extend(t.join(l, [ll, lr]));
             wait_for(600 + 37 * (round % 8));
-            seen.extend(t.join(root, [l, r]).1);
+            seen.extend(t.join(root, [l, r]));
         });
         // Whatever no join handed back is in the only live heap's index.
         seen.extend(

@@ -12,9 +12,9 @@
 //!   task-local block cache — **zero lock acquisitions, zero `Arc`
 //!   clones, zero heap-table or registry queries**. The read fast path
 //!   is the paper's entanglement-candidates check: one load of the
-//!   block's `slow` bitmap (suspect ∪ pinned, maintained by
-//!   `mark_suspect`/`try_pin`) for an object already resident in the
-//!   block cache. The write fast paths are (1) storing an immediate
+//!   block's `slow` bitmap (down ∪ cross ∪ pinned, maintained by
+//!   `mark_down`/`mark_cross`/`try_pin` and ended by the join and the
+//!   unpin) for an object already resident in the block cache. The write fast paths are (1) storing an immediate
 //!   under managed semantics, and (2) a pointer store where source and
 //!   target both provably live in this task's own leaf heap — the
 //!   target classified by the SFT-style block table
@@ -30,6 +30,18 @@
 //!   an elision. [`crate::RuntimeConfig::force_slow_path`] disables
 //!   every fast-tier exit so a property test can check the two tiers
 //!   agree.
+//!
+//! # How long an object stays slow
+//!
+//! A down-pointer write marks its source `down`, and buffers an entry
+//! tagged with the source heap's depth. The pointer is internal once the
+//! target's heap is merged into the source's, at the join into the heap
+//! at that depth; that join drops the entry and ends the mark
+//! (`mpl_heap::Store::join`), so a cache an ancestor keeps reads on the
+//! fast tier again between the forks that write it. A store of a pointer
+//! into a heap off the source's path marks it `cross`, for life. A pin
+//! keeps an object slow until the pin ends (`mpl_heap::block` argues why
+//! the join's clear can never leave a pinned object fast).
 //!
 //! Remembered-set entries are not published directly: the write barrier
 //! hands them to `TaskCtx::buffer_remset` (task-private, deduplicated),
@@ -198,16 +210,17 @@ impl Mutator<'_> {
         let slow = obj.is_slow();
         self.ctx.pending.barrier_reads += 1;
         // FAST TIER, entanglement-candidates check (ICFP 2022): an object
-        // that never received a down-pointer write and is not pinned can
-        // only hold pointers up its own path — no remote check needed.
-        // Every remote acquisition necessarily flows through a suspect or
-        // pinned object, so nothing is missed. One shifted load of the
-        // block's `slow` side-metadata bitmap (suspect ∪ pinned); no
-        // table, no lock, no Arc clone, no header traffic.
+        // that holds no down-pointer its join has not yet made internal,
+        // never received a cross-pointer and is not pinned can only hold
+        // pointers up its own path — no remote check needed. Every remote
+        // acquisition necessarily flows through a slow object, so nothing
+        // is missed. One shifted load of the block's `slow` side-metadata
+        // bitmap (down ∪ cross ∪ pinned); no table, no lock, no Arc
+        // clone, no header traffic.
         if !cfg.force_slow_path && cfg.suspects && !slow {
             return raw;
         }
-        // An immediate loaded from a suspect/pinned object still never
+        // An immediate loaded from a slow object still never
         // touches the heap table: fast tier by construction. (Under
         // `force_slow_path` it counts as slow so the diagnostic mode
         // reports zero fast-tier entries.)
@@ -420,14 +433,16 @@ impl Mutator<'_> {
                 if t_depth > o_depth {
                     // Down-pointer: root for the deeper heap's collections,
                     // and the written-to object becomes an entanglement
-                    // candidate — its reads must check. (Resolve again: the
-                    // target lookup above may have evicted the source's
-                    // cache slot.) The entry goes to the task-private
-                    // buffer, published at the next safepoint flush.
+                    // candidate until the join into its heap — its reads
+                    // must check. (Resolve again: the target lookup above
+                    // may have evicted the source's cache slot.) The entry
+                    // goes to the task-private buffer, published at the
+                    // next safepoint flush, under the source's depth.
                     let src = self.resolve_at(Value::Obj(src.r), "mutable write");
-                    self.view(src).mark_suspect();
+                    self.view(src).mark_down();
                     self.ctx.buffer_remset(
                         t_heap,
+                        o_depth,
                         RemsetEntry {
                             src: src.r,
                             field: idx as u32,
@@ -444,7 +459,7 @@ impl Mutator<'_> {
                 let pinned = self.pin_held(t, level);
                 self.provenance_sample(pinned, t_depth, newly);
                 let src = self.resolve_at(Value::Obj(src.r), "mutable write");
-                self.view(src).mark_suspect();
+                self.view(src).mark_cross();
                 return src;
             } else if mode == Mode::DetectOnly {
                 panic!("{ENTANGLEMENT_PANIC}");

@@ -57,10 +57,11 @@ pub struct RuntimeConfig {
     /// they were retired at, which with one slot running is at once.
     pub threads: usize,
     /// Enables the entanglement-candidates ("suspects") read-barrier fast
-    /// path (ICFP 2022): reads of objects that never received a
-    /// down-pointer write and are not pinned skip the remote check
-    /// entirely. Sound because every remote acquisition passes through a
-    /// suspect or pinned object. Disable for the E9 ablation.
+    /// path (ICFP 2022): reads of objects that hold no down-pointer its
+    /// join has not yet made internal, never received a cross-pointer and
+    /// are not pinned skip the remote check entirely. Sound because every
+    /// remote acquisition passes through such a slow object. Disable for
+    /// the E9 ablation.
     pub suspects: bool,
     /// Forces every barriered access onto the slow tier (full
     /// locate/LCA machinery), bypassing the fast-tier exits in

@@ -179,7 +179,7 @@ pub(crate) struct TaskCtx<'rt> {
     /// `flush_remset`. Entries only ever target heaps on this task's own
     /// path, which is why deferring publication to the task's own
     /// boundaries is sound (see `flush_remset`).
-    remset_buf: Vec<(u32, RemsetEntry)>,
+    remset_buf: Vec<(u32, u16, RemsetEntry)>,
     /// Per-object dedup for the buffer: (dst heap, src, field) triples
     /// already buffered since the last flush. Cleared at every flush —
     /// a collection may drop a published entry (source died), so a
@@ -608,13 +608,13 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// Buffers a down-pointer remembered-set entry targeting `dst_heap`
-    /// (a heap on this task's own path), deduplicating repeated writes
-    /// of the same field. Publication happens at the next boundary, or
-    /// here on capacity (which only bounds memory — publishing early is
-    /// always sound).
-    pub(crate) fn buffer_remset(&mut self, dst_heap: u32, entry: RemsetEntry) {
+    /// (a heap on this task's own path) from a source in the heap at
+    /// depth `src_depth`, deduplicating repeated writes of the same field.
+    /// Publication happens at the next boundary, or here on capacity
+    /// (which only bounds memory — publishing early is always sound).
+    pub(crate) fn buffer_remset(&mut self, dst_heap: u32, src_depth: u16, entry: RemsetEntry) {
         if self.remset_seen.insert((dst_heap, entry.src, entry.field)) {
-            self.remset_buf.push((dst_heap, entry));
+            self.remset_buf.push((dst_heap, src_depth, entry));
             self.pending.remset_buffered += 1;
             if self.remset_buf.len() >= REMSET_BUFFER_CAP {
                 self.flush_remset();
@@ -650,12 +650,14 @@ impl<'rt> TaskCtx<'rt> {
         }
         let _span = mpl_obs::span_guard(mpl_obs::Metric::RemsetFlush);
         let mut buf = std::mem::take(&mut self.remset_buf);
-        // Group by destination heap so each heap's lock is taken once.
-        buf.sort_unstable_by_key(|(dst, _)| *dst);
+        // Group by destination heap and source depth so each heap's lock
+        // is taken once per bucket. (A source's depth is its heap's, and
+        // the buffered sources sit on this task's path: few depths.)
+        buf.sort_by_key(|&(dst, depth, _)| (dst, depth));
         let store = self.rt.store();
-        for group in buf.chunk_by(|a, b| a.0 == b.0) {
-            let entries: Vec<RemsetEntry> = group.iter().map(|(_, e)| *e).collect();
-            store.remember(group[0].0, &entries);
+        for group in buf.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let entries: Vec<RemsetEntry> = group.iter().map(|(_, _, e)| *e).collect();
+            store.remember(group[0].0, group[0].1, &entries);
         }
         buf.clear();
         self.remset_buf = buf;

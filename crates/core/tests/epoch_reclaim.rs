@@ -215,7 +215,7 @@ fn a_read_that_loaded_before_a_retirement_reloads_after_its_ack() {
             |m| {
                 await_steal(m.runtime(), steals0);
                 // A down-pointer into this branch's heap: the cell turns
-                // suspect, and its remembered-set entry keeps `y` alive.
+                // slow, and its remembered-set entry keeps `y` alive.
                 let y = m.alloc_tuple(&[Value::Int(7)]);
                 let c = m.get(&owner_cell);
                 m.write_ref(c, y);

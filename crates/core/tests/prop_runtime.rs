@@ -127,6 +127,63 @@ fn configs() -> Vec<(&'static str, RuntimeConfig)> {
     ]
 }
 
+/// Runs `progs` in sequence over a fresh table, with the fast tiers on
+/// and with `force_slow_path`, and checks that the two agree on the
+/// summed result and on every final cell, that every counted access
+/// lands in exactly one tier, and that forcing leaves none fast. Returns
+/// the summed result.
+fn tiers_agree(progs: &[Prog]) -> Result<i64, TestCaseError> {
+    let run_with = |cfg: RuntimeConfig| {
+        let rt = Runtime::new(cfg);
+        let mut acc = 0;
+        let cells = rt.run(|m| {
+            let table = m.alloc_array(NCELLS, Value::Unit);
+            let h = m.root(table);
+            for c in 0..NCELLS {
+                let zero = m.alloc_tuple(&[Value::Int(0)]);
+                let table = m.get(&h);
+                m.arr_set(table, c, zero);
+            }
+            acc = progs.iter().map(|p| run_prog(m, &h, p)).sum();
+            // Fold the final heap contents (every cell's boxed int) into
+            // a digest so the comparison covers state, not just results.
+            let mut digest = 0i64;
+            for c in 0..NCELLS {
+                let table = m.get(&h);
+                let boxed = m.arr_get(table, c);
+                let v = m.tuple_get(boxed, 0).expect_int();
+                digest = digest.wrapping_mul(31).wrapping_add(v);
+            }
+            m.sync_stats();
+            let s = m.runtime().stats();
+            assert_eq!(
+                s.barrier_read_fast + s.barrier_read_slow,
+                s.barrier_reads,
+                "every counted read lands in exactly one tier"
+            );
+            assert_eq!(
+                s.barrier_write_fast + s.barrier_write_slow,
+                s.barrier_writes,
+                "every counted write lands in exactly one tier"
+            );
+            Value::Int(digest)
+        });
+        rt.assert_heap_sound();
+        let fast = rt.stats().barrier_write_fast + rt.stats().barrier_read_fast;
+        (acc, cells, fast)
+    };
+    let (acc, cells, _) = run_with(RuntimeConfig::managed());
+    let (slow_acc, slow_cells, slow_fast) =
+        run_with(RuntimeConfig::managed().with_force_slow_path());
+    prop_assert_eq!(
+        (acc, cells),
+        (slow_acc, slow_cells),
+        "results and final heap contents agree across tiers"
+    );
+    prop_assert_eq!(slow_fast, 0, "force_slow_path leaves no fast-tier entries");
+    Ok(acc)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -154,7 +211,7 @@ proptest! {
         }
     }
 
-    /// Tier agreement: the barrier's fast-tier exits (suspects check,
+    /// Tier agreement: the barrier's fast-tier exits (the slow-bit check,
     /// immediate-store exit, same-leaf pointer-store exit) are pure
     /// elisions of the slow tier. Running the same mutation trace with
     /// the fast tiers enabled and with `force_slow_path` (every access
@@ -162,47 +219,32 @@ proptest! {
     /// results and identical final heap contents.
     #[test]
     fn fast_and_forced_slow_tiers_agree(p in prog(4)) {
-        let run_with = |cfg: RuntimeConfig| {
-            let rt = Runtime::new(cfg);
-            let out = rt.run(|m| {
-                let table = m.alloc_array(NCELLS, Value::Unit);
-                let h = m.root(table);
-                for c in 0..NCELLS {
-                    let zero = m.alloc_tuple(&[Value::Int(0)]);
-                    let table = m.get(&h);
-                    m.arr_set(table, c, zero);
-                }
-                let acc = run_prog(m, &h, &p);
-                // Fold the final heap contents (every cell's boxed int)
-                // into the digest so the comparison covers state, not
-                // just the accumulated result.
-                let mut digest = acc;
-                for c in 0..NCELLS {
-                    let table = m.get(&h);
-                    let boxed = m.arr_get(table, c);
-                    let v = m.tuple_get(boxed, 0).expect_int();
-                    digest = digest.wrapping_mul(31).wrapping_add(v);
-                }
-                m.sync_stats();
-                let s = m.runtime().stats();
-                assert_eq!(
-                    s.barrier_read_fast + s.barrier_read_slow,
-                    s.barrier_reads,
-                    "every counted read lands in exactly one tier"
-                );
-                assert_eq!(
-                    s.barrier_write_fast + s.barrier_write_slow,
-                    s.barrier_writes,
-                    "every counted write lands in exactly one tier"
-                );
-                Value::Int(digest)
-            });
-            (out, rt.stats().barrier_write_fast + rt.stats().barrier_read_fast)
-        };
-        let (fast_out, _) = run_with(RuntimeConfig::managed());
-        let (slow_out, slow_count) = run_with(RuntimeConfig::managed().with_force_slow_path());
-        prop_assert_eq!(fast_out, slow_out, "results and final heap contents agree across tiers");
-        prop_assert_eq!(slow_count, 0, "force_slow_path leaves no fast-tier entries");
+        tiers_agree(std::slice::from_ref(&p))?;
+    }
+
+    /// Tier agreement across joins: rounds of fork → write → join → read.
+    /// Each round's branches box fresh values into the root's cells
+    /// (down-pointers, which make the table slow until the join), and the
+    /// reads after the round's join find the table fast again. Both tiers
+    /// match the depth-first oracle.
+    #[test]
+    fn fast_and_forced_slow_tiers_agree_across_joins(
+        rounds in proptest::collection::vec(
+            (
+                prog(2),
+                prog(2),
+                proptest::collection::vec((0..NCELLS).prop_map(Step::ReadAdd), 1..6),
+            ),
+            1..5,
+        ),
+    ) {
+        let progs: Vec<Prog> = rounds
+            .into_iter()
+            .flat_map(|(a, b, reads)| [Prog::Fork(Box::new(a), Box::new(b)), Prog::Leaf(reads)])
+            .collect();
+        let mut cells = [0i64; NCELLS];
+        let expect: i64 = progs.iter().map(|p| oracle(p, &mut cells)).sum();
+        prop_assert_eq!(tiers_agree(&progs)?, expect, "the result matches the oracle");
     }
 
     /// The same programs agree between the sequential executor and the

@@ -4,12 +4,12 @@
 //! every collector phase boundary; `Runtime::assert_heap_sound` runs it
 //! at a quiescent point.
 //!
-//! | phase | shield | dangling | dead-reachable | quiescent | traversal roots |
-//! |---|---|---|---|---|---|
-//! | `LgcShield`, `LgcEvacuate` | ✓ | | | | — |
-//! | `LgcReclaim` | ✓ | ✓ | ✓ | | pin bits |
-//! | `CgcSweep`, `GraveyardReap` | | ✓ | ✓ | | pin bits |
-//! | `Quiescent` | | ✓ | ✓ | ✓ | pin bits + open slots' root stacks |
+//! | phase | shield | dangling | slow | dead-reachable | quiescent | traversal roots |
+//! |---|---|---|---|---|---|---|
+//! | `LgcShield`, `LgcEvacuate` | ✓ | | | | | — |
+//! | `LgcReclaim` | ✓ | ✓ | ✓ | ✓ | | pin bits |
+//! | `CgcSweep`, `GraveyardReap` | | ✓ | ✓ | ✓ | | pin bits |
+//! | `Quiescent` | | ✓ | ✓ | ✓ | ✓ | pin bits + open slots' root stacks |
 //!
 //! * **Shield** — every member of a local collection's shield closure is
 //!   tagged entangled-space and unmoved (concurrent readers never see it
@@ -18,6 +18,16 @@
 //!   through forwarding words, into a freed block. A hit is re-confirmed
 //!   against the field's current word: a mutator that overwrote the field
 //!   since it was read may have let its old target's block be freed.
+//! * **Slow** — a live traced object whose field points into a heap that
+//!   is not an ancestor-or-self of its own carries the barrier's `slow`
+//!   bit, unless the target is pinned at a level no deeper than the two
+//!   heaps' LCA (the allocation barrier's edges: the pin covers every
+//!   reader). Otherwise a fast-tier read hands out a pointer into another
+//!   heap unpinned — what a join that ended a `down` mark too early, or
+//!   a `cross` mark at all, would leave. A hit is re-confirmed after
+//!   reading the bit: the field still holds the word and the heaps are
+//!   still so related, so a racing write (which marks before it stores)
+//!   or join (which merges before it clears) is not reported.
 //! * **Dead-reachable** — no dead-marked object is reachable from the
 //!   roots through current fields, crossing heap boundaries. This catches
 //!   a reclaim mis-mark at the marking site, not cycles later when a
@@ -125,22 +135,39 @@ pub fn check(store: &Store, phase: Phase<'_>) -> Vec<String> {
                     continue;
                 }
                 for (i, w) in obj.field_words().enumerate() {
-                    if let Some(Err(freed)) = w.pointer().map(|t| chase(store, t)) {
-                        // Reclaims run while other slots mutate: a field
-                        // overwritten since it was read may have named a
-                        // block freed since. Only a field still holding
-                        // the word dangles. And a retired block holds
-                        // only garbage and forwarding words, freed block
-                        // by block by the reap that frees its neighbours.
-                        if obj.field_word(i) != w || block.is_retired() {
-                            continue;
+                    let Some(to) = w.pointer() else { continue };
+                    // Reclaims run while other slots mutate: a field
+                    // overwritten since it was read may have named a
+                    // block freed since. Only a field still holding the
+                    // word dangles, or lacks a mark. And a retired block
+                    // holds only garbage and forwarding words, freed block
+                    // by block by the reap that frees its neighbours.
+                    match chase(store, to) {
+                        Err(freed) => {
+                            if obj.field_word(i) != w || block.is_retired() {
+                                continue;
+                            }
+                            issues.push(format!(
+                                "dangling: {r} field {i} -> {to} -> block {freed} (freed; src owner {}, entangled {}, {h:?})",
+                                block.owner(),
+                                block.is_entangled(),
+                            ));
                         }
-                        issues.push(format!(
-                            "dangling: {r} field {i} -> {} -> block {freed} (freed; src owner {}, entangled {}, {h:?})",
-                            w.pointer().expect("a pointer field"),
-                            block.owner(),
-                            block.is_entangled(),
-                        ));
+                        Ok((t, t_block)) => {
+                            if block.is_retired()
+                                || uncovered(store, &block, t, &t_block).is_none()
+                                || obj.is_slow()
+                                || obj.field_word(i) != w
+                            {
+                                continue;
+                            }
+                            let Some((home, there)) = uncovered(store, &block, t, &t_block) else {
+                                continue;
+                            };
+                            issues.push(format!(
+                                "not slow: {r} field {i} -> {t} points into heap {there}, off the path of its own heap {home}, and {r} is not in the barrier's slow set ({h:?})",
+                            ));
+                        }
                     }
                 }
             }
@@ -194,6 +221,42 @@ fn chase(store: &Store, mut r: ObjRef) -> Result<(ObjRef, Arc<Block>), u32> {
             None => return Ok((r, block)),
         }
     }
+}
+
+/// The slow rule's test of one edge from an object in `block` to `t` in
+/// `t_block`: the canonical heaps of both ends if the target's heap is
+/// not an ancestor-or-self of the source's and no pin covers the edge.
+fn uncovered(store: &Store, block: &Block, t: ObjRef, t_block: &Block) -> Option<(u32, u32)> {
+    let heaps = store.heaps();
+    let (home, there) = (heaps.find(block.owner()), heaps.find(t_block.owner()));
+    if home == there {
+        return None;
+    }
+    // Climb from the deeper side to the least common ancestor. Two
+    // forests (the roots of distinct runs or sessions) have none, and the
+    // barrier relates no access across them: the rule leaves such an
+    // edge alone.
+    let depth = |h: u32| heaps.info(h).depth();
+    let (mut a, mut b) = (home, there);
+    let lca = loop {
+        if a == b {
+            break a;
+        }
+        let deeper = if depth(a) >= depth(b) { &mut a } else { &mut b };
+        let up = heaps.parent_of(*deeper);
+        if up == *deeper {
+            return None;
+        }
+        *deeper = up;
+    };
+    if lca == there {
+        return None; // an ancestor-or-self
+    }
+    let covered = t_block
+        .try_get(t.word())
+        .map(|o| o.header())
+        .is_some_and(|h| h.is_pinned() && h.pin_level() <= depth(lca));
+    (!covered).then_some((home, there))
 }
 
 /// The shield rule; returns the number of members visited. The CGC sweep
@@ -325,6 +388,7 @@ mod tests {
     const DANGLE: &[&str] = &["dangling"];
     const UNTAGGED: &[&str] = &["entangled-space tag"];
     const KILLED: &[&str] = &["dead-marked"];
+    const FAST: &[&str] = &["not slow"];
 
     fn phases<'a>(state: &'a CgcState, closure: &'a IdSet<ObjRef>) -> [Phase<'a>; 6] {
         let s = Shield { heap: 0, closure };
@@ -379,7 +443,7 @@ mod tests {
 
     #[test]
     fn every_planted_state_fails_exactly_the_phases_whose_rules_see_it() {
-        let cases: [(&str, Plant, Expect); 17] = [
+        let cases: [(&str, Plant, Expect); 20] = [
             (
                 "clean_heap_validates",
                 |s, _, _| {
@@ -533,6 +597,53 @@ mod tests {
                     region.alloc(ObjKind::Tuple, &[Word::UNIT]).unwrap();
                 },
                 [OK, OK, OK, OK, OK, &["unsettled region", "live bytes"]],
+            ),
+            (
+                "a_down_pointer_from_a_fast_object_fails_every_walk",
+                |s, _, _| {
+                    // A join that ended the holder's `down` mark while its
+                    // target's heap was still below the holder's.
+                    let h = s.new_root_heap();
+                    let (l, _r) = s.fork_heaps(h);
+                    let deep = tuple(s, l, &[Value::Int(1)]);
+                    s.alloc_values(h, ObjKind::Ref, &[Value::Obj(deep)]);
+                },
+                [OK, OK, FAST, FAST, FAST, FAST],
+            ),
+            (
+                "a_marked_down_pointer_and_a_cross_pointer_to_a_pin_pass",
+                |s, _, _| {
+                    let h = s.new_root_heap();
+                    let (l, r) = s.fork_heaps(h);
+                    let deep = tuple(s, l, &[Value::Int(1)]);
+                    let holder = s.alloc_values(h, ObjKind::Ref, &[Value::Obj(deep)]);
+                    s.handle(holder).obj().mark_down();
+                    // The allocation barrier's edge: pinned at the LCA.
+                    let remote = tuple(s, r, &[Value::Int(2)]);
+                    s.pin(remote, 0);
+                    tuple(s, l, &[Value::Obj(remote)]);
+                },
+                [OK, OK, OK, OK, OK, LEAK],
+            ),
+            (
+                "a_cross_pointer_pinned_too_deep_fails_every_walk",
+                |s, _, _| {
+                    // Pinned for readers below `r` only: a reader of the
+                    // holder in `l` is not covered.
+                    let h = s.new_root_heap();
+                    let (l, r) = s.fork_heaps(h);
+                    let remote = tuple(s, r, &[Value::Int(2)]);
+                    s.pin(remote, 1);
+                    tuple(s, l, &[Value::Obj(remote)]);
+                },
+                [
+                    OK,
+                    OK,
+                    FAST,
+                    FAST,
+                    FAST,
+                    &["not slow", "leaked pin", "pinned_bytes"],
+                ],
             ),
             (
                 "skipped_live_bytes_settle_fails_quiescence",

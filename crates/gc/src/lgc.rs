@@ -600,82 +600,13 @@ impl<'s> Lgc<'s> {
         // the source fields must be repaired after the move. Entries come
         // in runs from one source block (an ancestor array's elements, a
         // table's buckets), so the registry is asked once per run, and a
-        // source is resolved with one header load.
+        // source is resolved with one header load. Each bucket keeps its
+        // source depth: the join into that depth drops the entries.
         self.phase = "remset";
-        let remset = self.info.with(|s| std::mem::take(&mut s.remset));
-        let mut kept: Vec<RemsetEntry> = Vec::new();
-        let mut run: Option<(u32, Option<Arc<Block>>)> = None;
-        for entry in remset {
-            let id = entry.src.block();
-            if run.as_ref().is_none_or(|(b, _)| *b != id) {
-                self.count_lookup();
-                run = Some((id, self.store.blocks().try_get(id)));
-            }
-            let Some(block) = run.as_ref().and_then(|(_, b)| b.as_ref()) else {
-                continue; // source block reclaimed: entry is stale
-            };
-            let moved;
-            let (src, src_obj) = match block.resolve(entry.src.word()) {
-                Ok(obj) => (entry.src, obj),
-                Err(_) => {
-                    // The source itself was evacuated since the write.
-                    self.count_lookup();
-                    let src = self.store.resolve(entry.src);
-                    moved = self.store.handle(src);
-                    (src, moved.obj())
-                }
-            };
-            if self.in_heap(src) {
-                // The source merged into this very heap; the pointer is
-                // now internal and ordinary tracing covers it.
-                continue;
-            }
-            let idx = entry.field as usize;
-            if src_obj.header().is_dead() || idx >= src_obj.len() {
-                continue;
-            }
-            loop {
-                let old_word = src_obj.field_word(idx);
-                let Some(t) = old_word.pointer() else { break };
-                // The raw target decides membership: a target already
-                // evacuated through another path must still have its
-                // source field repaired to the forwarded location, or the
-                // field dangles once from-space blocks are freed.
-                let Some(slot) = self.table.slot(t.block()) else {
-                    break; // points outside this heap: entry is stale
-                };
-                // A target in to-space is a copy this collection made.
-                // Unpinned, an earlier entry for the same field repaired
-                // the field to it and was kept (a field written again
-                // after its writer's buffer flushed is remembered twice).
-                // Pinned, a remote reader may have chased the forwarding
-                // word, pinned the copy and repaired the field before
-                // this, its only entry, came up (`acquire_loaded`): it
-                // stays, or the copy has no root once that pin ends.
-                if slot >= self.table.from_len
-                    && !self.table.blocks[slot].get(t.word()).header().is_pinned()
-                {
-                    break;
-                }
-                let nt = self.forward(t);
-                if nt != t {
-                    mpl_fail::hit_hard("lgc/remset");
-                    let repair = src_obj.cas_field(idx, old_word.decode(), Value::Obj(nt));
-                    if repair.is_err() {
-                        continue; // concurrent write: re-read and retry
-                    }
-                    self.note(EventKind::RemsetRepair, src, entry.field);
-                }
-                // Repaired, or shielded in place: either way still a live
-                // down-pointer into this heap.
-                kept.push(RemsetEntry {
-                    src,
-                    field: entry.field,
-                });
-                break;
-            }
-        }
-        self.info.with(|s| s.remset.append(&mut kept));
+        let mut remset = self.info.with(|s| std::mem::take(&mut s.remset));
+        let mut run = None;
+        remset.retain_map(|entry| self.remset_root(entry, &mut run));
+        self.info.with(|s| s.remset.append(&mut remset));
 
         // Transitive scan of evacuated objects, field by field in place:
         // forwarding a field may copy an object and add a to-space block
@@ -718,6 +649,84 @@ impl<'s> Lgc<'s> {
         }
     }
 
+    /// Forwards the target of one remembered-set entry and repairs its
+    /// source field; returns the entry to keep, or `None` once it is
+    /// stale. `run` caches the last source block looked up.
+    fn remset_root(
+        &mut self,
+        entry: RemsetEntry,
+        run: &mut Option<(u32, Option<Arc<Block>>)>,
+    ) -> Option<RemsetEntry> {
+        let id = entry.src.block();
+        if run.as_ref().is_none_or(|(b, _)| *b != id) {
+            self.count_lookup();
+            *run = Some((id, self.store.blocks().try_get(id)));
+        }
+        // A reclaimed source block: the entry is stale.
+        let block = run.as_ref().and_then(|(_, b)| b.as_ref())?;
+        let moved;
+        let (src, src_obj) = match block.resolve(entry.src.word()) {
+            Ok(obj) => (entry.src, obj),
+            Err(_) => {
+                // The source itself was evacuated since the write.
+                self.count_lookup();
+                let src = self.store.resolve(entry.src);
+                moved = self.store.handle(src);
+                (src, moved.obj())
+            }
+        };
+        // The join into the source's heap drops the entry, and this heap
+        // has no descendants while it collects: every source is in a
+        // shallower heap.
+        debug_assert!(
+            !self.in_heap(src),
+            "remembered-set source {src} sits in the collected heap {}",
+            self.h
+        );
+        let idx = entry.field as usize;
+        if src_obj.header().is_dead() || idx >= src_obj.len() {
+            return None;
+        }
+        loop {
+            let old_word = src_obj.field_word(idx);
+            let t = old_word.pointer()?;
+            // The raw target decides membership: a target already
+            // evacuated through another path must still have its
+            // source field repaired to the forwarded location, or the
+            // field dangles once from-space blocks are freed.
+            // A target outside this heap: the entry is stale.
+            let slot = self.table.slot(t.block())?;
+            // A target in to-space is a copy this collection made.
+            // Unpinned, an earlier entry for the same field repaired
+            // the field to it and was kept (a field written again
+            // after its writer's buffer flushed is remembered twice).
+            // Pinned, a remote reader may have chased the forwarding
+            // word, pinned the copy and repaired the field before
+            // this, its only entry, came up (`acquire_loaded`): it
+            // stays, or the copy has no root once that pin ends.
+            if slot >= self.table.from_len
+                && !self.table.blocks[slot].get(t.word()).header().is_pinned()
+            {
+                return None;
+            }
+            let nt = self.forward(t);
+            if nt != t {
+                mpl_fail::hit_hard("lgc/remset");
+                let repair = src_obj.cas_field(idx, old_word.decode(), Value::Obj(nt));
+                if repair.is_err() {
+                    continue; // concurrent write: re-read and retry
+                }
+                self.note(EventKind::RemsetRepair, src, entry.field);
+            }
+            // Repaired, or shielded in place: either way still a live
+            // down-pointer into this heap.
+            return Some(RemsetEntry {
+                src,
+                field: entry.field,
+            });
+        }
+    }
+
     /// [`Lgc::forward_one`] of `r`'s current location.
     fn forward(&mut self, r: ObjRef) -> ObjRef {
         match self.locate(r) {
@@ -755,12 +764,12 @@ impl<'s> Lgc<'s> {
             // the event trace, and die in debug builds.
             self.store.stats().add(Counter::lgc_dead_traced, 1);
             eprintln!(
-                "mpl-gc ERROR: LGC({})[{}] traced a dead object {r}: kind {:?} len {} suspect {} entspace {} block(owner {} entangled {} pinned_count {})",
+                "mpl-gc ERROR: LGC({})[{}] traced a dead object {r}: kind {:?} len {} slow {} entspace {} block(owner {} entangled {} pinned_count {})",
                 self.h,
                 self.phase,
                 header.kind(),
                 obj.len(),
-                obj.is_suspect(),
+                obj.is_slow(),
                 header.in_entangled_space(),
                 obj.block().owner(),
                 obj.block().is_entangled(),
@@ -770,10 +779,11 @@ impl<'s> Lgc<'s> {
             debug_assert!(false, "traced a dead object {r} (details on stderr)");
         }
         // Copy the payload straight into a to-space reservation, keeping
-        // the suspect bit (part of the object's identity for the read
-        // barrier), then claim the original.
-        let (kind, len, suspect, size) =
-            (header.kind(), obj.len(), obj.is_suspect(), obj.size_bytes());
+        // the cross bit (part of the object's identity for the read
+        // barrier), then claim the original. Not the down bit: this heap
+        // has no descendants now, so every down-pointer it held was made
+        // internal by its join.
+        let (kind, len, cross, size) = (header.kind(), obj.len(), obj.is_cross(), obj.size_bytes());
         let (slot, region, off) = self
             .tospace
             .reserve(&mut self.table, OBJECT_HEADER_WORDS + len);
@@ -782,8 +792,8 @@ impl<'s> Lgc<'s> {
             region.write(off, f, w);
         }
         let nr = region.publish(off, kind, len);
-        if suspect {
-            self.table.blocks[slot].set_suspect(off);
+        if cross {
+            self.table.blocks[slot].set_cross(off);
         }
         let claim = self.table.blocks[i]
             .view_resolved(r.word(), len)
@@ -1087,7 +1097,9 @@ mod tests {
         // pinned p (in l) -> q (in r) -> back_home (in l); nothing roots
         // back_home, so only a shield that passes through r keeps it.
         let back_home = s.alloc_values(l, ObjKind::Tuple, &[Value::Int(4)]);
-        let q = s.alloc_values(r, ObjKind::Tuple, &[Value::Obj(back_home)]);
+        let q = s.alloc_values(r, ObjKind::Ref, &[Value::Obj(back_home)]);
+        // As the write barrier leaves a store into another heap's object.
+        s.handle(q).obj().mark_cross();
         let p = s.alloc_values(l, ObjKind::Ref, &[Value::Obj(q)]);
         s.pin(p, 0);
         let mut roots: [ObjRef; 0] = [];
@@ -1107,8 +1119,10 @@ mod tests {
         let cell = s.alloc_values(root_heap, ObjKind::Ref, &[Value::Unit]);
         let deep = s.alloc_values(l, ObjKind::Tuple, &[Value::Int(5)]);
         s.handle(cell).set_field(0, Value::Obj(deep));
+        s.handle(cell).obj().mark_down();
         s.remember(
             l,
+            0,
             &[RemsetEntry {
                 src: cell,
                 field: 0,

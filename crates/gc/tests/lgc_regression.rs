@@ -32,8 +32,10 @@ fn remset_repairs_target_already_evacuated_via_roots() {
     let cell = s.alloc_values(root_heap, ObjKind::Ref, &[Value::Unit]);
     let x = s.alloc_values(l, ObjKind::Tuple, &[Value::Int(5)]);
     s.handle(cell).set_field(0, Value::Obj(x));
+    s.handle(cell).obj().mark_down(); // as the write barrier does
     s.remember(
         l,
+        0,
         &[RemsetEntry {
             src: cell,
             field: 0,
@@ -78,8 +80,10 @@ fn repeated_collections_with_bucket_rewrites() {
         let head = s.handle(table).field(b);
         let node = s.alloc_values(l, ObjKind::Tuple, &[Value::Int(round as i64), head]);
         s.handle(table).set_field(b, Value::Obj(node));
+        s.handle(table).obj().mark_down();
         s.remember(
             l,
+            0,
             &[RemsetEntry {
                 src: table,
                 field: b as u32,
@@ -147,13 +151,14 @@ fn remembered_set_runs_cost_one_lookup_per_source_block() {
         .map(|i| {
             let x = s.alloc_values(l, ObjKind::Tuple, &[Value::Int(i as i64)]);
             s.handle(arr).set_field(i, Value::Obj(x));
+            s.handle(arr).obj().mark_down();
             RemsetEntry {
                 src: arr,
                 field: i as u32,
             }
         })
         .collect();
-    s.remember(l, &entries);
+    s.remember(l, 0, &entries);
     let source_blocks = 1; // an array larger than a block gets its own
     let out = collect_local(&s, l, &mut []);
     assert_eq!(out.copied_objects, N);

@@ -343,7 +343,9 @@ proptest! {
                 Op::Remset(i) => {
                     if let Some(r) = alive(objs[i % objs.len()]) {
                         let cell = s.alloc_values(root_heap, ObjKind::Ref, &[Value::Obj(r)]);
-                        s.remember(l, &[RemsetEntry { src: cell, field: 0 }]);
+                        s.handle(cell).obj().mark_down(); // as the write barrier does
+                        s.remember(
+l, 0, &[RemsetEntry { src: cell, field: 0 }]);
                     }
                 }
                 Op::Garbage => {

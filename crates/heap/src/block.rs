@@ -52,8 +52,8 @@
 //!
 //! ## Side metadata
 //!
-//! Three more bitmaps (one bit per word, indexed by an object's header
-//! offset) carry the GC state that moved out of the header. All four
+//! Four more bitmaps (one bit per word, indexed by an object's header
+//! offset) carry the GC state that moved out of the header. All five
 //! bitmaps share one allocation, interleaved so that the words covering
 //! the same 64 offsets sit side by side:
 //!
@@ -61,14 +61,38 @@
 //!   the header CAS because marks are only read for reclamation *after*
 //!   the mark-termination handshake, when no marker is running and the
 //!   bits are stable (see `mpl-gc`'s phase ordering).
-//! * `suspect` — sticky entanglement-candidate bit (received a
-//!   down-pointer write). Set-only for an object's lifetime; the LGC
-//!   re-establishes it on the evacuated copy.
+//! * `down` — the object received a down-pointer write: one of its
+//!   fields may point into a heap below its own. It lasts until the join
+//!   that merges that heap into the object's, which makes every such
+//!   pointer internal and clears the bit ([`Block::clear_down`]); a local
+//!   collection drops it, as the collected heap has no descendants.
+//! * `cross` — the object received a pointer into a heap off its own
+//!   path (the write barrier's entangled store). Set-only for the
+//!   object's lifetime; the local collector copies it to the evacuated
+//!   copy.
 //! * `slow` — the barrier fast tier's single-load classifier:
-//!   `suspect ∪ pinned`, maintained conservatively (set before a pin
-//!   CAS, re-derived from `suspect` after an unpin). A spurious slow
-//!   bit only costs a slow-tier trip; a missing one is impossible by
-//!   the update order.
+//!   `down ∪ cross ∪ pinned`, maintained conservatively. A spurious slow
+//!   bit only costs a slow-tier trip; a missing one would let a reader
+//!   load a pointer into another heap without pinning it.
+//!
+//! ## Why a pinned object is never fast
+//!
+//! Two paths clear `slow`, and each re-derives it: an unpin keeps it for
+//! `down` or `cross`, a join's [`Block::clear_down`] for `cross`. Neither
+//! races a mark: only a task the object is local to marks it, and at a
+//! join of the object's heap that is the joining task alone. An unpin
+//! only ends a pin. The join's clear races the one writer it cannot see
+//! coming: a task outside the joining heap pinning the very object it
+//! clears. The pin count of the block decides that race. A join clears
+//! `slow` only while it holds the block's pins off ([`Block::clear_down`]
+//! claims the count from zero, as [`Block::try_retire`] does), so no
+//! object of the block is pinned while it clears. A pinner that counted
+//! its pin on the block ([`Block::reserve_pin`]) while the claim was held
+//! waits for its release and then sets `slow` again before its pin CAS:
+//! the release orders the clear before that second set. A pinner that
+//! counted first makes the claim fail, and the join leaves `slow` set.
+//! Either way the pin becomes visible only with `slow` set, and stays so
+//! until it ends.
 //!
 //! Line marks divide the block into [`LINE_WORDS`]-word lines; the
 //! marker paints every line an object spans, so a sweep can free a
@@ -102,6 +126,10 @@ pub const NUM_SIZE_CLASSES: usize = 4;
 /// The pin-count bit [`Block::try_retire`] sets.
 const RETIRED: u32 = 1 << 31;
 
+/// The pin-count bit [`Block::clear_down`] holds while it clears `slow`
+/// bits: pins wait for its release.
+const CLEARING: u32 = 1 << 30;
+
 /// Upper bounds (inclusive, in total words) of the non-overflow classes.
 pub const SIZE_CLASS_WORDS: [usize; NUM_SIZE_CLASSES - 1] = [4, 8, 16];
 
@@ -117,11 +145,12 @@ pub fn size_class(nwords: usize) -> usize {
 /// The bitmaps of [`Bitmaps`], by position in an interleaved group.
 const OBJ_START: usize = 0;
 const MARK: usize = 1;
-const SUSPECT: usize = 2;
-const SLOW: usize = 3;
-const MAPS: usize = 4;
+const DOWN: usize = 2;
+const CROSS: usize = 3;
+const SLOW: usize = 4;
+const MAPS: usize = 5;
 
-/// The block's four side-metadata bitmaps — one bit per word offset each
+/// The block's five side-metadata bitmaps — one bit per word offset each
 /// — in one allocation: word `MAPS * w + map` holds offsets `64w..64w+63`
 /// of bitmap `map`.
 #[derive(Debug)]
@@ -218,7 +247,7 @@ pub struct Block {
     forwarded_count: AtomicU32,
     words: Zeroed<AtomicU64>,
     /// Publication (`obj_start`: set at an object's header offset once it
-    /// is fully initialized), concurrent mark, suspect and slow bits.
+    /// is fully initialized), concurrent mark, down, cross and slow bits.
     maps: Bitmaps,
     /// One mark byte per line, painted during concurrent marking.
     line_marks: Zeroed<AtomicU8>,
@@ -465,9 +494,13 @@ impl Block {
         self.maps.count(MARK)
     }
 
-    /// Number of sticky entanglement suspects in this block.
+    /// Number of entanglement suspects in this block: objects that hold
+    /// a down-pointer not yet made internal by its join, or a pointer
+    /// into a heap off their own path.
     pub fn suspect_count(&self) -> usize {
-        self.maps.count(SUSPECT)
+        (0..self.maps.len())
+            .map(|w| (self.maps.word(DOWN, w) | self.maps.word(CROSS, w)).count_ones() as usize)
+            .sum()
     }
 
     /// Logical live bytes currently attributed to this block, as last
@@ -497,7 +530,7 @@ impl Block {
     /// Number of currently pinned objects.
     #[inline]
     pub fn pinned_count(&self) -> u32 {
-        self.pinned_count.load(Ordering::Acquire) & !RETIRED
+        self.pinned_count.load(Ordering::Acquire) & !(RETIRED | CLEARING)
     }
 
     /// Gives the block up to its local collection's retirement, unless a
@@ -521,13 +554,20 @@ impl Block {
     /// its header shows it; false (and nothing counted) once the block is
     /// retired — the object is garbage a reader loaded before its owner's
     /// collection, which must not escape pinned into a block about to be
-    /// freed.
+    /// freed. A join clearing `slow` bits in the block
+    /// ([`Block::clear_down`]) is waited out: the caller sets `slow` again
+    /// after this returns (see the module docs).
     pub fn reserve_pin(&self) -> bool {
-        if self.pinned_count.fetch_add(1, Ordering::AcqRel) & RETIRED == 0 {
-            return true;
+        let mut count = self.pinned_count.fetch_add(1, Ordering::AcqRel);
+        if count & RETIRED != 0 {
+            self.pinned_count.fetch_sub(1, Ordering::AcqRel);
+            return false;
         }
-        self.pinned_count.fetch_sub(1, Ordering::AcqRel);
-        false
+        while count & CLEARING != 0 {
+            std::hint::spin_loop();
+            count = self.pinned_count.load(Ordering::Acquire);
+        }
+        true
     }
 
     /// Adjusts the pinned-object count.
@@ -582,45 +622,89 @@ impl Block {
         }
     }
 
-    /// Marks the object at `off` as an entanglement suspect (it also
-    /// joins the barrier slow set). Used by the store's allocation paths
-    /// and by the local collector's to-space when copying suspects.
+    /// Marks the object at `off` as the source of a down-pointer (it also
+    /// joins the barrier slow set) until [`Block::clear_down`].
     #[inline]
-    pub fn set_suspect(&self, off: u32) {
-        // Order: suspect first, then slow — `clear_slow_unless_suspect`
-        // rechecks suspect after clearing, so a racing unpin can never
-        // strand a suspect object outside the slow set.
-        self.maps.set(SUSPECT, off);
+    pub(crate) fn set_down(&self, off: u32) {
+        // Order: the mark, then slow, then the caller's store of the
+        // pointer: whoever reads the pointer sees the object slow.
+        self.maps.set(DOWN, off);
         self.maps.set(SLOW, off);
     }
 
+    /// Marks the object at `off` as holding a pointer into a heap off its
+    /// own path, for the object's lifetime (it also joins the barrier
+    /// slow set). Used by the write barrier and by the local collector's
+    /// to-space when copying such an object.
     #[inline]
-    pub(crate) fn is_suspect(&self, off: u32) -> bool {
-        self.maps.get(SUSPECT, off)
+    pub fn set_cross(&self, off: u32) {
+        // Order: as in `set_down`.
+        self.maps.set(CROSS, off);
+        self.maps.set(SLOW, off);
+    }
+
+    #[cfg(test)]
+    fn is_down(&self, off: u32) -> bool {
+        self.maps.get(DOWN, off)
+    }
+
+    #[inline]
+    pub(crate) fn is_cross(&self, off: u32) -> bool {
+        self.maps.get(CROSS, off)
     }
 
     /// The barrier fast tier's one-load classification: true if the
-    /// object needs the slow path (suspect or possibly pinned).
+    /// object needs the slow path (down, cross or possibly pinned).
     #[inline]
     pub(crate) fn is_slow(&self, off: u32) -> bool {
         self.maps.get(SLOW, off)
     }
 
-    /// Flags the object slow *before* a pin attempt (conservative: set
-    /// even if the pin CAS then fails — a stray slow bit is harmless).
+    /// Flags the object slow around a pin attempt (conservative: set even
+    /// if the pin CAS then fails — a stray slow bit is harmless).
     #[inline]
     pub(crate) fn set_slow(&self, off: u32) {
         self.maps.set(SLOW, off);
     }
 
-    /// Clears the slow bit after an unpin, unless the sticky suspect
-    /// bit keeps the object in the slow set.
+    /// Clears the slow bit after an unpin, unless `down` or `cross` keeps
+    /// the object in the slow set.
     #[inline]
-    pub(crate) fn clear_slow_unless_suspect(&self, off: u32) {
+    pub(crate) fn clear_slow_after_unpin(&self, off: u32) {
         self.maps.clear(SLOW, off);
-        if self.maps.get(SUSPECT, off) {
+        if self.maps.get(DOWN, off) || self.maps.get(CROSS, off) {
             self.maps.set(SLOW, off);
         }
+    }
+
+    /// Ends the `down` marks of the objects at `offs`: a join made every
+    /// down-pointer they held internal. Each object leaves the slow set
+    /// unless `cross` keeps it there — but only while the block's pins are
+    /// held off (see the module docs): with a pin counted on the block,
+    /// or being taken, `slow` stays as it is.
+    pub fn clear_down(&self, offs: impl IntoIterator<Item = u32>) {
+        /// Releases the claim, on unwinding out of the failpoint too.
+        struct Held<'a>(&'a AtomicU32);
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_and(!CLEARING, Ordering::AcqRel);
+            }
+        }
+        let held = self
+            .pinned_count
+            .compare_exchange(0, CLEARING, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+            .then(|| Held(&self.pinned_count));
+        for off in offs {
+            self.maps.clear(DOWN, off);
+            if held.is_some() && !self.maps.get(CROSS, off) {
+                self.maps.clear(SLOW, off);
+            }
+        }
+        // Between the clears and the release: a pinner of one of these
+        // objects that counted its pin meanwhile waits here.
+        mpl_fail::hit_hard("heap/join_clear");
+        drop(held);
     }
 
     // ---- line map -------------------------------------------------------
@@ -920,31 +1004,58 @@ mod tests {
             b.try_set_mark(off, 3);
         }
         for &off in offs.iter().step_by(5) {
-            b.set_suspect(off);
+            b.set_down(off);
+        }
+        for &off in offs.iter().step_by(10) {
+            b.set_cross(off);
         }
         assert_eq!(b.marked_count(), 20);
         assert_eq!(b.suspect_count(), 12);
         assert_eq!(b.unmarked_offsets().count(), 40);
-        assert!(offs.iter().all(|&off| b.is_slow(off) == b.is_suspect(off)));
+        assert!(offs
+            .iter()
+            .all(|&off| b.is_slow(off) == (b.is_down(off) || b.is_cross(off))));
         assert_eq!(b.objects().map(|(off, _)| off).collect::<Vec<_>>(), offs);
         b.clear_all_marks();
         assert_eq!((b.marked_count(), b.suspect_count()), (0, 12));
     }
 
     #[test]
-    fn suspect_and_slow_bits() {
+    fn down_cross_and_slow_bits() {
         let b = block(0, 0, 32);
         let r = alloc_once(&b, ObjKind::Ref, &[Word::UNIT]).unwrap();
         let off = r.word();
         assert!(!b.is_slow(off));
         b.set_slow(off); // pin path
         assert!(b.is_slow(off));
-        b.clear_slow_unless_suspect(off); // unpin, never suspected
+        b.clear_slow_after_unpin(off); // unpin, never suspected
         assert!(!b.is_slow(off));
-        b.set_suspect(off);
-        assert!(b.is_slow(off) && b.is_suspect(off));
-        b.clear_slow_unless_suspect(off); // unpin of a suspect: stays slow
-        assert!(b.is_slow(off), "suspect bit is sticky through unpins");
+        b.set_down(off);
+        assert!(b.is_slow(off) && b.is_down(off));
+        b.clear_slow_after_unpin(off); // unpin of a down source: stays slow
+        assert!(b.is_slow(off), "down keeps the object slow through unpins");
+        b.clear_down([off]); // its join
+        assert!(!b.is_slow(off) && !b.is_down(off));
+        b.set_cross(off);
+        b.set_down(off);
+        b.clear_down([off]);
+        assert!(b.is_slow(off) && b.is_cross(off), "cross is for life");
+    }
+
+    #[test]
+    fn a_join_clears_no_slow_bit_while_a_pin_is_counted() {
+        let b = block(0, 0, 32);
+        let x = alloc_once(&b, ObjKind::Ref, &[Word::UNIT]).unwrap().word();
+        b.set_down(x);
+        assert!(b.reserve_pin(), "a pin in flight on another object");
+        b.clear_down([x]);
+        assert!(!b.is_down(x) && b.is_slow(x), "down ends, slow stays");
+        b.add_pinned(-1);
+        b.set_down(x);
+        b.clear_down([x]);
+        assert!(!b.is_slow(x));
+        assert!(b.reserve_pin(), "released: pins go on");
+        assert_eq!(b.pinned_count(), 1);
     }
 
     #[test]

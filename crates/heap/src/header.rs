@@ -14,8 +14,8 @@
 //! bits 32..56 field count (the object is self-describing inline)
 //! ```
 //!
-//! The concurrent collector's **mark** bit and the barrier's **suspect**
-//! bit used to live here too; both moved to per-block side-metadata
+//! The concurrent collector's **mark** bit and the barrier's suspect
+//! state used to live here too; both moved to per-block side-metadata
 //! bitmaps (see [`crate::block::Block`]) so the collectors can sweep and
 //! the barrier can classify without touching object headers. The bits
 //! that *remain* in the header are exactly the ones that must stay under

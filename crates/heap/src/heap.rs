@@ -8,7 +8,9 @@
 //! into the parent. Merges are O(1) in the object graph: no objects are touched —
 //! the child's identity is *unioned* into the parent (a concurrent
 //! union-find over heap ids), and its block, remembered-set, and
-//! entangled-object lists are spliced onto the parent's.
+//! entangled-object lists are spliced onto the parent's — all but the
+//! remembered-set entries whose source is the parent itself, which the
+//! join makes internal and hands back to its caller.
 //!
 //! Disentanglement, remoteness, and entanglement levels are all phrased in
 //! terms of this tree:
@@ -38,6 +40,108 @@ pub struct RemsetEntry {
     pub src: ObjRef,
     /// The field index within `src`.
     pub field: u32,
+}
+
+/// A heap's remembered set, in buckets by the depth of the heap each
+/// entry's source was in when the pointer was written.
+///
+/// A source's heap is an ancestor of the heap its pointer leads into, so
+/// it cannot merge away while the entry lasts: the depth stays the
+/// source's. The entries in bucket `d` become internal at the join into
+/// the heap at depth `d` — the source's own — and that join takes exactly
+/// that bucket ([`HeapTable::join`]). Every entry a heap holds therefore
+/// has a source shallower than the heap. A remembered set with no entries
+/// has no buckets, so a join of heaps without down-pointers splices
+/// nothing.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Remset {
+    buckets: Vec<Vec<RemsetEntry>>,
+}
+
+impl Remset {
+    /// Adds entries whose sources sit at depth `depth`.
+    pub fn extend(&mut self, depth: u16, entries: &[RemsetEntry]) {
+        let idx = depth as usize;
+        if self.buckets.len() <= idx {
+            self.buckets.resize_with(idx + 1, Vec::new);
+        }
+        self.buckets[idx].extend_from_slice(entries);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum()
+    }
+
+    /// True if the set holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.buckets.iter().all(Vec::is_empty)
+    }
+
+    /// Keeps, in place, the entries `f` maps to `Some`, as rewritten.
+    pub fn retain_map(&mut self, mut f: impl FnMut(RemsetEntry) -> Option<RemsetEntry>) {
+        for bucket in &mut self.buckets {
+            let mut kept = 0;
+            for i in 0..bucket.len() {
+                if let Some(entry) = f(bucket[i]) {
+                    bucket[kept] = entry;
+                    kept += 1;
+                }
+            }
+            bucket.truncate(kept);
+        }
+    }
+
+    /// Every entry with its source depth.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (u16, RemsetEntry)> + '_ {
+        (0u16..)
+            .zip(&self.buckets)
+            .flat_map(|(d, b)| b.iter().map(move |e| (d, *e)))
+    }
+
+    /// Removes and returns bucket `depth`, and any deeper one (there is
+    /// none: see the type's docs).
+    fn take_from(&mut self, depth: u16) -> Vec<RemsetEntry> {
+        let mut out = Vec::new();
+        for bucket in self
+            .buckets
+            .drain((depth as usize).min(self.buckets.len())..)
+        {
+            if out.is_empty() {
+                out = bucket;
+            } else {
+                out.extend(bucket);
+            }
+        }
+        out
+    }
+
+    /// Moves `other`'s entries into this set, bucket by bucket.
+    pub fn append(&mut self, other: &mut Remset) {
+        if self.buckets.is_empty() {
+            std::mem::swap(&mut self.buckets, &mut other.buckets);
+            return;
+        }
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize_with(other.buckets.len(), Vec::new);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&mut other.buckets) {
+            mine.append(theirs);
+        }
+        other.buckets.clear();
+    }
+}
+
+/// What a join hands back for the work that needs object access.
+#[derive(Debug, Default)]
+pub struct Joined {
+    /// The parent's pinned-object index entries at level `>=` its depth:
+    /// the pins this join can end.
+    pub unpin: Vec<ObjRef>,
+    /// The children's remembered-set entries whose source is the parent:
+    /// the down-pointers this join made internal.
+    pub internal: Vec<RemsetEntry>,
 }
 
 /// A heap's collection debt: what pays for its next local collection.
@@ -141,7 +245,7 @@ pub struct HeapState {
     /// The current bump-allocation block of each size class.
     pub alloc_blocks: [Option<Arc<Block>>; NUM_SIZE_CLASSES],
     /// Down-pointers into this heap.
-    pub remset: Vec<RemsetEntry>,
+    pub remset: Remset,
     /// Pinned objects homed here, bucketed by a level no lower than the
     /// pin's current one (pin levels only fall), so a join at depth `d`
     /// only touches buckets `>= d` — the pins that can end there.
@@ -384,23 +488,26 @@ impl HeapTable {
         self.with_live_state(heap, |s| s.add_entangled(r, level));
     }
 
-    /// Records remembered-set entries on the canonical heap for `dst`.
-    pub fn remember(&self, dst: u32, entries: &[RemsetEntry]) {
-        self.with_live_state(dst, |s| s.remset.extend_from_slice(entries));
+    /// Records remembered-set entries, whose sources sit at depth
+    /// `src_depth`, on the canonical heap for `dst`.
+    pub fn remember(&self, dst: u32, src_depth: u16, entries: &[RemsetEntry]) {
+        self.with_live_state(dst, |s| s.remset.extend(src_depth, entries));
     }
 
     /// Joins the `children` a fork created into `parent`, O(1) in the
     /// object graph: each child's state is taken out under its lock and its
     /// id unioned into the parent's before the lock is released, then the
     /// lists are spliced onto the parent's. Returns the parent's index
-    /// entries at level `>=` its depth — the pins this join can end.
-    /// Applying the unpin rule is the caller's job (it needs object
-    /// access).
+    /// entries at level `>=` its depth — the pins this join can end — and
+    /// the children's remembered-set bucket at the parent's depth, which
+    /// the parent does not take over: those pointers are now internal.
+    /// Applying the unpin rule and ending the sources' `down` marks is the
+    /// caller's job (both need object access).
     ///
     /// # Panics
     ///
     /// Panics unless every child's canonical parent is `parent`.
-    pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> Vec<ObjRef> {
+    pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> Joined {
         let parent = self.find(parent);
         let mut merged = HeapState::default();
         for child in children {
@@ -415,10 +522,12 @@ impl HeapTable {
             node.merged_into.store(parent, Ordering::Release);
         }
         let info = self.info(parent);
-        info.with(|p| {
+        let internal = merged.remset.take_from(info.depth);
+        let unpin = info.with(|p| {
             p.absorb(&mut merged);
             p.take_entangled_from(info.depth)
-        })
+        });
+        Joined { unpin, internal }
     }
 
     /// Number of heap ids ever issued, merged heaps included.
@@ -679,8 +788,8 @@ mod tests {
         t.info(root).with(|s| s.blocks.push(0));
         t.info(l).with(|s| s.blocks.extend([1, 2]));
         t.info(r).with(|s| s.blocks.push(3));
-        let candidates = t.join(root, [l, r]);
-        assert!(candidates.is_empty());
+        let joined = t.join(root, [l, r]);
+        assert!(joined.unpin.is_empty() && joined.internal.is_empty());
         assert_eq!(t.info(root).with(|s| s.blocks.clone()), vec![0, 1, 2, 3]);
         assert!(t.info(l).try_with(|_| ()).is_none(), "merged: no state");
     }
@@ -727,11 +836,11 @@ mod tests {
             src: ObjRef::new(0, 0),
             field: 1,
         };
-        t.remember(l, &[entry]);
+        t.remember(l, 0, &[entry]);
         assert_eq!(t.info(l).with(|s| s.remset.len()), 1);
         let drained = t.info(l).with(|s| std::mem::take(&mut s.remset));
-        assert_eq!(drained, vec![entry]);
-        t.info(l).with(|s| s.remset.extend(drained));
+        assert_eq!(drained.iter().collect::<Vec<_>>(), vec![(0, entry)]);
+        t.info(l).with(|s| s.remset = drained);
 
         t.register_entangled(l, ObjRef::new(0, 1), 0);
         t.register_entangled(l, ObjRef::new(0, 2), 3);
@@ -740,20 +849,59 @@ mod tests {
         assert_eq!(t.info(l).with(|s| s.entangled_len()), 1);
 
         // The join carries both lists up; only entries at level >= the
-        // parent's depth are handed back as unpin candidates.
+        // parent's depth are handed back as unpin candidates, and only
+        // remembered-set entries whose source is the parent as internal.
         let (ll, lr) = t.fork(l);
         t.register_entangled(ll, ObjRef::new(0, 4), 1);
-        let candidates = t.join(l, [ll, lr]);
-        assert_eq!(candidates, vec![ObjRef::new(0, 4)], "level 0 stays indexed");
-        let candidates = t.join(root, [l, r]);
-        assert_eq!(candidates, vec![ObjRef::new(0, 1), ObjRef::new(0, 3)]);
-        assert_eq!(t.info(root).with(|s| s.remset.clone()), vec![entry]);
+        let inner = RemsetEntry {
+            src: ObjRef::new(0, 6),
+            field: 0,
+        };
+        t.remember(ll, 1, &[inner]);
+        t.remember(lr, 0, &[entry]);
+        let joined = t.join(l, [ll, lr]);
+        assert_eq!(
+            joined.unpin,
+            vec![ObjRef::new(0, 4)],
+            "level 0 stays indexed"
+        );
+        assert_eq!(joined.internal, vec![inner]);
+        let joined = t.join(root, [l, r]);
+        assert_eq!(joined.unpin, vec![ObjRef::new(0, 1), ObjRef::new(0, 3)]);
+        assert_eq!(joined.internal, vec![entry, entry]);
+        assert!(t.info(root).with(|s| s.remset.is_empty()));
         // Registering or remembering against a merged id lands on the
         // heap it was merged into.
         t.register_entangled(ll, ObjRef::new(0, 5), 0);
-        t.remember(lr, &[entry]);
+        t.remember(lr, 0, &[entry]);
         let (pins, rems) = t.info(root).with(|s| (s.take_entangled(), s.remset.len()));
-        assert_eq!((pins, rems), (vec![(ObjRef::new(0, 5), 0)], 2));
+        assert_eq!((pins, rems), (vec![(ObjRef::new(0, 5), 0)], 1));
+    }
+
+    #[test]
+    fn remset_buckets_append_and_take_by_depth() {
+        let e = |w| RemsetEntry {
+            src: ObjRef::new(0, w),
+            field: 0,
+        };
+        let mut a = Remset::default();
+        let mut b = Remset::default();
+        b.extend(2, &[e(1)]);
+        b.extend(0, &[e(2)]);
+        a.append(&mut b);
+        assert!(
+            b.is_empty() && a.len() == 2,
+            "an empty set takes the buckets"
+        );
+        let mut c = Remset::default();
+        c.extend(2, &[e(3)]);
+        a.append(&mut c);
+        assert_eq!(a.take_from(2), vec![e(1), e(3)]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(0, e(2))]);
+        assert!(a.take_from(1).is_empty());
+        a.extend(1, &[e(4), e(5)]);
+        a.retain_map(|x| (x.src.word() != 4).then_some(e(x.src.word() + 10)));
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(0, e(12)), (1, e(15))]);
     }
 
     #[test]

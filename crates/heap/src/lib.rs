@@ -66,7 +66,8 @@ pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};
 pub use header::{Header, ObjKind, NO_PIN_LEVEL};
 pub use heap::{
-    DebtCell, DebtRecord, HeapInfo, HeapState, HeapTable, LazyHeap, RemsetEntry, NO_HEAP,
+    DebtCell, DebtRecord, HeapInfo, HeapState, HeapTable, Joined, LazyHeap, Remset, RemsetEntry,
+    NO_HEAP,
 };
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};

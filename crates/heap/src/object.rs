@@ -11,11 +11,12 @@
 //! (who may read what, and when) is enforced by the hierarchical heap
 //! discipline, not by this module.
 //!
-//! The concurrent mark bit and the suspect bit live in the block's side
-//! metadata, not the header; the view routes `try_mark`/`is_marked`/
-//! `mark_suspect`/`is_suspect` there. The pin/forward/dead/
-//! entangled-space state machine stays a single header word under CAS —
-//! see `crate::header` for why that split is where it is.
+//! The concurrent mark bit and the barrier's `down`, `cross` and `slow`
+//! bits live in the block's side metadata, not the header; the view
+//! routes `try_mark`/`is_marked`/`mark_down`/`mark_cross`/`is_slow`
+//! there. The pin/forward/dead/entangled-space state machine stays a
+//! single header word under CAS — see `crate::header` for why that split
+//! is where it is.
 
 use std::sync::atomic::Ordering;
 
@@ -285,6 +286,7 @@ impl<'a> Object<'a> {
         // the slow tier. A stray slow bit (forwarded object, lost race)
         // only costs a spurious slow-tier trip.
         self.block.set_slow(self.off);
+        mpl_fail::hit_hard("heap/pin_slow");
         let mut reserved = false;
         let outcome = loop {
             let cur = self.header();
@@ -305,6 +307,11 @@ impl<'a> Object<'a> {
                 if !self.block.reserve_pin() {
                     return PinOutcome::Dead;
                 }
+                // Again, now that the pin is counted: a join may have
+                // cleared the bit since the first set, and its release
+                // of the block's pins orders that clear before this set
+                // (see `crate::block`'s module docs).
+                self.block.set_slow(self.off);
                 reserved = true;
                 if let Some(index) = index.take() {
                     index();
@@ -336,9 +343,9 @@ impl<'a> Object<'a> {
             }
             let next = cur.without_pin().without_entangled_space();
             if self.cas_header(cur, next) {
-                // Leave the slow set unless the sticky suspect bit keeps
-                // the object a slow-path candidate.
-                self.block.clear_slow_unless_suspect(self.off);
+                // Leave the slow set unless `down` or `cross` keeps the
+                // object a slow-path candidate.
+                self.block.clear_slow_after_unpin(self.off);
                 return true;
             }
         }
@@ -476,22 +483,30 @@ impl<'a> Object<'a> {
         }
     }
 
-    /// Marks the object as an entanglement suspect (it received a
-    /// down-pointer write). Sticky side-metadata bit; the local collector
-    /// re-establishes it on evacuated copies.
+    /// Marks the object as the source of a down-pointer, until the join
+    /// that makes the pointer internal clears it (see `crate::block`).
     #[inline]
-    pub fn mark_suspect(&self) {
-        self.block.set_suspect(self.off);
+    pub fn mark_down(&self) {
+        self.block.set_down(self.off);
     }
 
-    /// Whether the object is an entanglement suspect.
+    /// Marks the object as holding a pointer into a heap off its own
+    /// path, for life; the local collector copies the bit.
     #[inline]
-    pub fn is_suspect(&self) -> bool {
-        self.block.is_suspect(self.off)
+    pub fn mark_cross(&self) {
+        self.block.set_cross(self.off);
+    }
+
+    /// Whether the object ever received a pointer into a heap off its
+    /// own path.
+    #[inline]
+    pub fn is_cross(&self) -> bool {
+        self.block.is_cross(self.off)
     }
 
     /// The barrier fast tier's one-load classification: true if reads of
-    /// this object must take the slow path (suspect or possibly pinned).
+    /// this object must take the slow path (down, cross or possibly
+    /// pinned).
     #[inline]
     pub fn is_slow(&self) -> bool {
         self.block.is_slow(self.off)
@@ -666,16 +681,17 @@ mod tests {
     }
 
     #[test]
-    fn suspect_is_sticky_side_metadata() {
+    fn down_and_cross_are_side_metadata() {
         let b = block();
         let o = alloc(&b, ObjKind::Ref, &[Value::Unit]);
-        assert!(!o.is_suspect());
-        o.mark_suspect();
-        assert!(o.is_suspect());
+        assert!(!o.is_slow() && !o.is_cross());
+        o.mark_down();
         assert!(o.is_slow());
+        o.mark_cross();
+        assert!(o.is_cross());
         assert!(
             !o.header().is_pinned(),
-            "suspect state lives outside the header now"
+            "suspect state lives outside the header"
         );
     }
 

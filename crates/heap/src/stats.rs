@@ -151,8 +151,9 @@ counter_table! {
         alloc_bytes: Monotonic, Store, "Bytes allocated";
         barrier_reads: Monotonic, Store, "Barriered mutable reads";
         barrier_writes: Monotonic, Store, "Barriered mutable writes";
-        /// No lock, no heap-table acquisition, no `Arc` clone: the suspects
-        /// header check passed, or the loaded value was an immediate.
+        /// No lock, no heap-table acquisition, no `Arc` clone: the object
+        /// was not slow (the suspects check), or the loaded value was an
+        /// immediate.
         /// Not counted per access: a task's flush derives it as
         /// `barrier_reads - barrier_read_slow`.
         barrier_read_fast: Monotonic, Store, "Reads completed on the fast tier";

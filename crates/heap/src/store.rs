@@ -142,9 +142,9 @@ impl ObjHandle {
         self.obj().forward_ref()
     }
 
-    /// Whether the object is an entanglement suspect.
-    pub fn is_suspect(&self) -> bool {
-        self.obj().is_suspect()
+    /// Whether reads of the object take the barrier's slow tier.
+    pub fn is_slow(&self) -> bool {
+        self.obj().is_slow()
     }
 
     /// Attempts to pin the object at `level`, indexing nothing: a pin
@@ -472,13 +472,14 @@ impl Store {
     // ---- remembered sets ------------------------------------------------
 
     /// Publishes remembered-set entries — each `src[field]` holds a
-    /// down-pointer into `dst_heap` — under one acquisition of that heap's
-    /// lock. Mutators buffer entries privately and flush them here.
-    pub fn remember(&self, dst_heap: u32, entries: &[RemsetEntry]) {
+    /// down-pointer into `dst_heap`, from a source in the heap at depth
+    /// `src_depth` — under one acquisition of that heap's lock. Mutators
+    /// buffer entries privately and flush them here.
+    pub fn remember(&self, dst_heap: u32, src_depth: u16, entries: &[RemsetEntry]) {
         if entries.is_empty() {
             return;
         }
-        self.heaps.remember(dst_heap, entries);
+        self.heaps.remember(dst_heap, src_depth, entries);
         self.stats.add(Counter::remset_flushes, 1);
         self.stats
             .add(Counter::remset_inserts, entries.len() as u64);
@@ -614,12 +615,17 @@ impl Store {
     /// here and are not visited, so the join costs in proportion to the
     /// pins it resolves.
     ///
+    /// The children's remembered-set entries whose source is the parent
+    /// are dropped: the parent now holds both ends. Their sources end
+    /// their `down` marks ([`Block::clear_down`]), and leave the barrier's
+    /// slow set unless a cross-pointer or a pin keeps them in it. Entries
+    /// come in runs from one source block, so the registry is asked once
+    /// per run; a join whose children hold no such entry visits nothing.
+    ///
     /// With no children the join is free and `parent` is not read (it may
     /// be [`crate::NO_HEAP`]): only a task below the parent pins one of its
     /// objects at its depth or deeper, and a task that pins has a heap, so
     /// there is nothing this join could unpin.
-    ///
-    /// Returns the number of objects unpinned.
     pub fn join(&self, parent: u32, children: impl IntoIterator<Item = u32>) -> JoinOutcome {
         let mut children = children.into_iter().peekable();
         if children.peek().is_none() {
@@ -628,9 +634,9 @@ impl Store {
         let parent = self.heaps.find(parent);
         let info = self.heaps.info(parent);
         let join_depth = info.depth();
-        let candidates = self.heaps.join(parent, children);
+        let joined = self.heaps.join(parent, children);
         let mut unpinned = 0;
-        for r in candidates {
+        for r in joined.unpin {
             let Some(r) = self.try_resolve(r) else {
                 continue; // the concurrent collector reclaimed it
             };
@@ -647,6 +653,18 @@ impl Store {
                 // A lowered pin: re-home it at its authoritative level.
                 let level = h.obj().header().pin_level();
                 info.with(|s| s.add_entangled(r, level));
+            }
+        }
+        // After the unpins, so that a pin this join ended does not keep
+        // its block's sources slow. A source is never forwarded here: its
+        // heap, the parent, has not run since the fork. (A reclaimed one
+        // has nothing left to clear.)
+        for run in joined
+            .internal
+            .chunk_by(|a, b| a.src.block() == b.src.block())
+        {
+            if let Some(block) = self.blocks.try_get(run[0].src.block()) {
+                block.clear_down(run.iter().map(|e| e.src.word()));
             }
         }
         JoinOutcome { unpinned }
@@ -830,6 +848,38 @@ mod tests {
     }
 
     #[test]
+    fn a_join_ends_the_down_marks_it_makes_internal() {
+        let s = store();
+        let root = s.new_root_heap();
+        let (l, r) = s.fork_heaps(root);
+        let (ll, lr) = s.fork_heaps(l);
+        let deep = s.alloc_values(ll, ObjKind::Tuple, &[Value::Int(1)]);
+        // Two sources: one in the root, one in `l`, both pointing into `ll`.
+        let [top, mid] = [root, l].map(|h| {
+            let src = s.alloc_values(h, ObjKind::Ref, &[Value::Obj(deep)]);
+            s.handle(src).obj().mark_down();
+            src
+        });
+        for (src, depth) in [(top, 0), (mid, 1)] {
+            s.remember(ll, depth, &[RemsetEntry { src, field: 0 }]);
+        }
+        s.join(l, [ll, lr]);
+        assert!(
+            !s.handle(mid).is_slow(),
+            "the join into depth 1 ends `mid`'s mark"
+        );
+        assert!(s.handle(top).is_slow());
+        assert_eq!(
+            s.heaps().info(l).with(|h| h.remset.len()),
+            1,
+            "`top`'s entry moves up"
+        );
+        s.join(root, [l, r]);
+        assert!(!s.handle(top).is_slow());
+        assert!(s.heaps().info(root).with(|h| h.remset.is_empty()));
+    }
+
+    #[test]
     fn remember_lands_on_the_canonical_heap() {
         let s = store();
         let root = s.new_root_heap();
@@ -840,8 +890,8 @@ mod tests {
             src: ObjRef::new(0, 0),
             field: 0,
         };
-        s.remember(l, &[entry]);
-        s.remember(l, &[]);
+        s.remember(l, 0, &[entry]);
+        s.remember(l, 0, &[]);
         assert_eq!(s.heaps().info(root).with(|h| h.remset.len()), 1);
         assert_eq!(s.stats().snapshot().remset_inserts, 1);
         assert_eq!(s.stats().snapshot().remset_flushes, 1, "empty: no flush");

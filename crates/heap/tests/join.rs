@@ -19,6 +19,7 @@ fn merged_heaps_hold_no_state() {
         t.info(heap).with(|s| s.blocks.push(block));
         t.remember(
             heap,
+            0,
             &[RemsetEntry {
                 src: ObjRef::new(0, 0),
                 field: block,
@@ -26,18 +27,20 @@ fn merged_heaps_hold_no_state() {
         );
         t.register_entangled(heap, ObjRef::new(block, 0), 0);
     }
-    t.join(root, [l, r]);
+    let joined = t.join(root, [l, r]);
     for child in [l, r] {
         assert!(!t.is_canonical(child));
         assert_eq!(t.find(child), root);
         assert!(t.info(child).try_with(|_| ()).is_none(), "state is gone");
     }
-    // Everything the children held is the parent's now (the level-0 pins
-    // were handed back as unpin candidates of this depth-0 join).
+    // Everything the children held is the parent's now, or was handed
+    // back: the level-0 pins as unpin candidates of this depth-0 join, the
+    // entries from depth-0 sources as the down-pointers it made internal.
     let (blocks, remset, pins) = t
         .info(root)
         .with(|s| (s.blocks.clone(), s.remset.len(), s.entangled_len()));
-    assert_eq!((blocks, remset, pins), (vec![1, 2], 2, 0));
+    assert_eq!((blocks, remset, pins), (vec![1, 2], 0, 0));
+    assert_eq!((joined.unpin.len(), joined.internal.len()), (2, 2));
 }
 
 /// Registrars hammer `register_entangled(child, …)` while another thread
@@ -82,9 +85,9 @@ fn registration_racing_a_join_lands_on_a_live_index() {
             }
             start.wait();
             wait_for(100 + 37 * (round % 8));
-            seen.extend(t.join(l, [ll, lr]));
+            seen.extend(t.join(l, [ll, lr]).unpin);
             wait_for(600 + 37 * (round % 8));
-            seen.extend(t.join(root, [l, r]));
+            seen.extend(t.join(root, [l, r]).unpin);
         });
         // Whatever no join handed back is in the only live heap's index.
         seen.extend(

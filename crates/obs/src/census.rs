@@ -64,7 +64,8 @@ pub struct ClassCensus {
     pub objects: u64,
     /// Currently pinned objects.
     pub pinned_objects: u64,
-    /// Sticky entanglement suspects.
+    /// Entanglement suspects: objects holding a down-pointer not yet made
+    /// internal by its join, or a pointer into a heap off their path.
     pub suspect_objects: u64,
     /// Logical live bytes attributed to the class's blocks.
     pub live_bytes: u64,

@@ -67,6 +67,23 @@ fn program() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op_strategy(3), 1..12)
 }
 
+/// Rounds of fork → write → join → read: each round's branches allocate,
+/// mutate and publish into the root's mailboxes (down-pointers, which
+/// make the mailbox array slow until the join), and the parent then
+/// acquires every mailbox and reads its cells after the join, when the
+/// pointers are internal and the array is fast again.
+fn joined_rounds() -> impl Strategy<Value = Vec<Op>> {
+    let branch = proptest::collection::vec(op_strategy(1), 0..6);
+    let reads = proptest::collection::vec(any::<usize>().prop_map(Op::Get), 0..4);
+    let round = (branch.clone(), branch, reads).prop_map(|(l, r, reads)| {
+        let mut ops = vec![Op::New(0), Op::Fork(l, r)];
+        ops.extend((0..SHARED).map(Op::Acquire));
+        ops.extend(reads);
+        ops
+    });
+    proptest::collection::vec(round, 1..5).prop_map(|rounds| rounds.concat())
+}
+
 /// Pure oracle: cells are plain integers; mailboxes hold cell ids.
 struct Model {
     cells: Vec<i64>,
@@ -222,6 +239,16 @@ proptest! {
     #[test]
     fn random_programs_agree_with_oracle(ops in program()) {
         run_fuzz(&ops, RuntimeConfig::managed(), true);
+        run_fuzz(&ops, pressure(), true);
+    }
+
+    /// Tier agreement across joins: with the fast tiers and with every
+    /// access forced through the slow tier, fork → write → join → read
+    /// rounds agree with the oracle read for read.
+    #[test]
+    fn joined_rounds_agree_across_tiers(ops in joined_rounds()) {
+        run_fuzz(&ops, RuntimeConfig::managed(), true);
+        run_fuzz(&ops, RuntimeConfig::managed().with_force_slow_path(), true);
         run_fuzz(&ops, pressure(), true);
     }
 

@@ -141,41 +141,6 @@ fn main() {
     println!("\nCGC-trigger sweep (dedup, n={dn}):");
     print!("{}", t3.render());
 
-    // Suspects (entanglement candidates) on/off.
-    let mut t4 = Table::new(&["benchmark", "suspects", "wall", "ent.reads", "pins"]);
-    for name in ["dedup", "unionfind", "conc_stack", "tokens"] {
-        let bench = mpl_bench_suite::by_name(name).unwrap();
-        let n = scaled(bench.default_n()) / 2;
-        for suspects in [true, false] {
-            let cfg = RuntimeConfig {
-                suspects,
-                ..RuntimeConfig::managed()
-            };
-            let run = run_mpl(bench.as_ref(), n, cfg);
-            t4.row(vec![
-                name.to_string(),
-                if suspects { "on" } else { "off" }.into(),
-                fmt_dur(run.wall),
-                run.stats.entangled_reads.to_string(),
-                run.stats.pins.to_string(),
-            ]);
-            rows.push(Row {
-                ablation: "suspects".into(),
-                benchmark: name.to_string(),
-                setting: suspects.to_string(),
-                wall_us: run.wall.as_micros(),
-                max_live: run.stats.max_live_bytes,
-                lgc_runs: run.stats.lgc_runs,
-                cgc_runs: run.stats.cgc_runs,
-                max_pinned: run.stats.max_pinned_bytes,
-                lgc_pause_ns_total: run.stats.lgc_pause_ns_total,
-                lgc_pause_ns_max: run.stats.lgc_pause_ns_max,
-            });
-        }
-    }
-    println!("\nentanglement-candidates (suspects) fast path:");
-    print!("{}", t4.render());
-
     write_json("e9_ablation", &rows);
     println!("\nwrote results/e9_ablation.json");
 }

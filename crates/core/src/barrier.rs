@@ -24,12 +24,13 @@
 //!   entanglement nor a down-pointer.
 //!
 //! * **Slow tier** (`barrier_read_slow` / `barrier_write_slow`): the
-//!   full machinery — resolve the target, query the heap table for the
-//!   path relation / LCA, pin, buffer remembered-set entries. The slow
-//!   tier is semantically complete on its own; the fast tier is purely
-//!   an elision. [`crate::RuntimeConfig::force_slow_path`] disables
-//!   every fast-tier exit so a property test can check the two tiers
-//!   agree.
+//!   full machinery — resolve the target, relate its heap to the task by
+//!   their fork-path labels (`mpl_heap::HeapTable::relation`: on the
+//!   task's path, or entangled at the LCA depth), pin, buffer
+//!   remembered-set entries. The slow tier is semantically complete on
+//!   its own; the fast tier is purely an elision.
+//!   [`crate::RuntimeConfig::force_slow_path`] disables every fast-tier
+//!   exit so a property test can check the two tiers agree.
 //!
 //! # How long an object stays slow
 //!
@@ -172,13 +173,7 @@ impl Mutator<'_> {
             let raw = *slot;
             let Value::Obj(_) = raw else { continue };
             let t = self.resolve_at(raw, "allocation barrier");
-            let owner = self.view(t).block().owner();
-            let (_, _, lca) = self
-                .rt
-                .store()
-                .heaps()
-                .path_relation(self.ctx.path(), owner);
-            if let Some(level) = lca {
+            if let (_, _, Some(level)) = self.ctx.relate(self.view(t).block().owner()) {
                 self.ctx.pending.entangled_writes += 1;
                 let pinned = self.pin_held(t, level);
                 let serial = self.rt.store().serial();
@@ -217,7 +212,7 @@ impl Mutator<'_> {
         // is missed. One shifted load of the block's `slow` side-metadata
         // bitmap (down ∪ cross ∪ pinned); no table, no lock, no Arc
         // clone, no header traffic.
-        if !cfg.force_slow_path && cfg.suspects && !slow {
+        if !cfg.force_slow_path && !slow {
             return raw;
         }
         // An immediate loaded from a slow object still never
@@ -268,11 +263,7 @@ impl Mutator<'_> {
         loop {
             let raw = Value::Obj(loaded);
             let t = self.resolve_at(raw, "read target");
-            let (_, t_depth, lca) = self
-                .rt
-                .store()
-                .heaps()
-                .path_relation(self.ctx.path(), self.view(t).block().owner());
+            let (_, t_depth, lca) = self.ctx.relate(self.view(t).block().owner());
             let acquired = match lca {
                 None => Some(t.r), // local target
                 Some(level) => {
@@ -395,17 +386,14 @@ impl Mutator<'_> {
                 }
             }
         }
-        // SLOW TIER: full resolve + path-relation machinery. (Counted
+        // SLOW TIER: full resolve + label-relation machinery. (Counted
         // before the poll, as on the read side.)
         self.ctx.pending.barrier_write_slow += 1;
         self.ctx.poll();
         mpl_fail::hit_hard("barrier/write_slow");
         let _t = mpl_obs::timer(mpl_obs::Metric::BarrierSlow);
-        let (o_heap, o_depth, o_lca) = store
-            .heaps()
-            .path_relation(self.ctx.path(), self.view(src).block().owner());
-        let o_local = o_lca.is_none();
-        if !o_local {
+        let (o_heap, o_depth, o_lca) = self.ctx.relate(self.view(src).block().owner());
+        if o_lca.is_some() {
             match mode {
                 Mode::DetectOnly => panic!("{ENTANGLEMENT_PANIC}"),
                 Mode::NoEntanglementBarrier => {}
@@ -415,8 +403,7 @@ impl Mutator<'_> {
                         let t = self.resolve_at(v, "written value");
                         // The written pointer becomes visible to the
                         // remote object's owner: pin at the heaps' LCA.
-                        let t_heap = store.heaps().find(self.view(t).block().owner());
-                        let level = store.heaps().lca_of(o_heap, t_heap);
+                        let level = store.entanglement_level(&store.heaps().label(o_heap), t.r);
                         let _ = self.pin_held(t, level);
                     }
                 }
@@ -425,11 +412,8 @@ impl Mutator<'_> {
         }
         if let Value::Obj(_) = v {
             let t = self.resolve_at(v, "written value");
-            let (t_heap, t_depth, t_lca) = store
-                .heaps()
-                .path_relation(self.ctx.path(), self.view(t).block().owner());
-            let t_local = t_lca.is_none();
-            if t_local {
+            let (t_heap, t_depth, t_lca) = self.ctx.relate(self.view(t).block().owner());
+            if t_lca.is_none() {
                 if t_depth > o_depth {
                     // Down-pointer: root for the deeper heap's collections,
                     // and the written-to object becomes an entanglement
@@ -454,7 +438,7 @@ impl Mutator<'_> {
                 // pointer: ensure its level covers this object's readers,
                 // and mark the holder a candidate.
                 self.ctx.pending.entangled_writes += 1;
-                let level = store.heaps().lca_of(o_heap, t_heap);
+                let level = store.entanglement_level(&store.heaps().label(o_heap), t.r);
                 let newly = mpl_obs::enabled() && !self.view(t).header().is_pinned();
                 let pinned = self.pin_held(t, level);
                 self.provenance_sample(pinned, t_depth, newly);

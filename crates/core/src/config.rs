@@ -56,13 +56,6 @@ pub struct RuntimeConfig {
     /// are freed once every open mutator slot has moved past the epoch
     /// they were retired at, which with one slot running is at once.
     pub threads: usize,
-    /// Enables the entanglement-candidates ("suspects") read-barrier fast
-    /// path (ICFP 2022): reads of objects that hold no down-pointer its
-    /// join has not yet made internal, never received a cross-pointer and
-    /// are not pinned skip the remote check entirely. Sound because every
-    /// remote acquisition passes through such a slow object. Disable for
-    /// the E9 ablation.
-    pub suspects: bool,
     /// Forces every barriered access onto the slow tier (full
     /// locate/LCA machinery), bypassing the fast-tier exits in
     /// `crates/core/src/barrier.rs`. The slow tier is semantically
@@ -117,7 +110,6 @@ impl Default for RuntimeConfig {
             store: StoreConfig::default(),
             record_dag: false,
             threads: 1,
-            suspects: true,
             force_slow_path: false,
             audit: false,
             telemetry: false,

@@ -33,11 +33,12 @@
 //!
 //! A task's heap is a [`LazyHeap`]: a fork pushes no heap node, and a
 //! task gets one at its first store-path refill, slow-tier barrier,
-//! allocation barrier or local collection ([`TaskCtx::path`],
-//! [`TaskCtx::materialise`]), or when a descendant gets one. Until then
-//! its leaf is [`mpl_heap::NO_HEAP`], which owns no block, so the write
-//! barrier's `owner == leaf` test sends it to the slow tier exactly as a
-//! fresh, empty heap would.
+//! allocation barrier or local collection ([`TaskCtx::relate`],
+//! [`TaskCtx::materialise`]), or when a descendant gets one: with it, its
+//! fork-path [`mpl_heap::Label`], which the barriers relate heaps to.
+//! Until then its leaf is [`mpl_heap::NO_HEAP`], which owns no block, so
+//! the write barrier's `owner == leaf` test sends it to the slow tier
+//! exactly as a fresh, empty heap would.
 //!
 //! The collection debt is the heap's, not the task's ([`DebtRecord`]):
 //! `enter` continues the record its heap's last task left — an un-stolen
@@ -120,7 +121,7 @@ pub(crate) enum Handoff {
 #[derive(Debug)]
 pub(crate) struct TaskCtx<'rt> {
     pub(crate) rt: &'rt Runtime,
-    /// The task's place in the heap tree; its heap and path exist once
+    /// The task's place in the heap tree; its heap and label exist once
     /// materialised (module docs). Also carries the tenant budget the
     /// heap is accounted against (`None` for unbudgeted tasks — the
     /// common case, which pays one branch). Borrowed: a fork's branches
@@ -321,16 +322,16 @@ impl<'rt> TaskCtx<'rt> {
         self.rebudget();
     }
 
-    /// The task's root-to-leaf heap path (canonical ids, indexed by
-    /// depth), materialising its heap first if it has none.
-    pub(crate) fn path(&self) -> &[u32] {
-        self.heap.path(self.rt.store().heaps())
+    /// Relates heap `h` to this task ([`mpl_heap::HeapTable::relation`]),
+    /// materialising the task's heap first if it has none.
+    pub(crate) fn relate(&self, h: u32) -> (u32, u16, Option<u16>) {
+        let heaps = self.rt.store().heaps();
+        heaps.relation(&self.heap.heap(heaps).1, h)
     }
 
     /// The task's heap id, materialising the heap first if need be.
     pub(crate) fn materialise(&self) -> u32 {
-        let path = self.path();
-        path[path.len() - 1]
+        self.heap.heap(self.rt.store().heaps()).0
     }
 
     /// **Poll**: one relaxed load of the slot's request word; nothing

@@ -293,7 +293,7 @@ impl<'rt> Mutator<'rt> {
         // tells a branch whether it migrated, which decides whose slot it
         // runs on and whether it shares `cell`, the heap cell under this
         // task's that the left branch runs in.
-        let cell = LazyHeap::child(self.ctx.heap);
+        let cell = LazyHeap::child(self.ctx.heap, false);
         let (forker, shared) = (&self.ctx, (&cell, mark));
         let left = move |migrated| run_branch(forker, shared, migrated, None, ls, f);
         let right = move |migrated| run_branch(forker, shared, migrated, signal, rs, g);
@@ -473,7 +473,7 @@ where
     };
     let own = migrated.then(|| forker.rt.cgc_state().open_slot());
     let slot = own.as_ref().unwrap_or(forker.shared_slot);
-    let own_cell = migrated.then(|| LazyHeap::child(forker.heap));
+    let own_cell = migrated.then(|| LazyHeap::child(forker.heap, true));
     let (heap, base) = match &own_cell {
         Some(own_cell) => (own_cell, 0),
         None => (cell, mark),

@@ -67,7 +67,8 @@ impl Runtime {
             }
             None => (self.store.new_root_heap(), self.cgc_state.open_slot()),
         };
-        let heap = LazyHeap::root(self.store.heaps(), root_heap);
+        let budget = session.and_then(|s| s.budget()).map(|b| &**b);
+        let heap = LazyHeap::root(self.store.heaps(), root_heap, budget);
         if let Some(s) = session {
             heap.debt.set(s.debt.get());
         }

@@ -994,7 +994,7 @@ fn sweep_block(store: &Store, bid: u32, out: &mut CgcOutcome) -> Option<u32> {
     let lines = block.lines_in_use().saturating_sub(block.marked_lines());
     store.stats().add(Counter::lines_swept, lines as u64);
     let killed_in = (swept_here != 0).then(|| store.heaps().find(block.owner()));
-    if let Some(budget) = killed_in.and_then(|owner| store.heaps().info(owner).budget()) {
+    if let Some(budget) = killed_in.and_then(|owner| store.heaps().budget(owner)) {
         // Mirror the global live-bytes adjustment onto the tenant budget
         // of the block's (canonical) owning heap.
         budget.credit(swept_here);

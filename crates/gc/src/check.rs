@@ -232,30 +232,17 @@ fn uncovered(store: &Store, block: &Block, t: ObjRef, t_block: &Block) -> Option
     if home == there {
         return None;
     }
-    // Climb from the deeper side to the least common ancestor. Two
-    // forests (the roots of distinct runs or sessions) have none, and the
-    // barrier relates no access across them: the rule leaves such an
-    // edge alone.
-    let depth = |h: u32| heaps.info(h).depth();
-    let (mut a, mut b) = (home, there);
-    let lca = loop {
-        if a == b {
-            break a;
-        }
-        let deeper = if depth(a) >= depth(b) { &mut a } else { &mut b };
-        let up = heaps.parent_of(*deeper);
-        if up == *deeper {
-            return None;
-        }
-        *deeper = up;
-    };
-    if lca == there {
+    // Two forests (the roots of distinct runs or sessions) have no
+    // common ancestor, and the barrier relates no access across them:
+    // the rule leaves such an edge alone.
+    let lca = heaps.common_depth(heaps.label(home), heaps.label(there))?;
+    if lca == heaps.info(there).depth() {
         return None; // an ancestor-or-self
     }
     let covered = t_block
         .try_get(t.word())
         .map(|o| o.header())
-        .is_some_and(|h| h.is_pinned() && h.pin_level() <= depth(lca));
+        .is_some_and(|h| h.is_pinned() && h.pin_level() <= lca);
     (!covered).then_some((home, there))
 }
 

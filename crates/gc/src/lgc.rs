@@ -947,7 +947,7 @@ impl<'s> Lgc<'s> {
         );
         // Mirror the global live-bytes adjustment onto the tenant budget
         // this heap is accounted against, if any.
-        if let Some(budget) = self.info.budget() {
+        if let Some(budget) = store.heaps().budget(self.h) {
             budget.credit(out.reclaimed_bytes as usize);
         }
         // Census piggyback: the reclaim already computed this collection's

@@ -13,13 +13,13 @@
 //! join makes internal and hands back to its caller.
 //!
 //! Disentanglement, remoteness, and entanglement levels are all phrased in
-//! terms of this tree:
+//! terms of this tree, by one rule on fork-path [`Label`]s:
 //!
-//! * a task's *path* is the root-to-leaf list of canonical heap ids;
-//! * an object is **local** to a task iff its (canonical) heap is on the
-//!   task's path, and **remote** otherwise;
-//! * the **entanglement level** of a remote access is the depth of the
-//!   least common ancestor of the task's leaf heap and the object's heap.
+//! * an object is **local** to a task iff its (canonical) heap's label is a
+//!   prefix of the task's, and **remote** otherwise;
+//! * the **entanglement level** of a remote access is the length of the
+//!   two labels' common prefix: the depth of the least common ancestor of
+//!   the task's leaf heap and the object's heap.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -220,6 +220,40 @@ impl DebtCell {
     }
 }
 
+/// A heap's place in the tree, fixed by the fork that creates it: its
+/// depth, an anchor heap on its path, and one bit per level below the
+/// anchor (level `base + 1 + k` in bit `63 - k`): 0 for a fork's shared
+/// cell, 1 for a migrated branch's own. The anchor is the root (its own)
+/// up to depth 64, and past it the ancestor at the last multiple of 64.
+/// Live labels are unique: a forker has at most one shared and one
+/// migrated child cell, a repeat fork reuses a position only after the
+/// earlier fork's join, and a session's requests never overlap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Label {
+    bits: u64,
+    anchor: u32,
+    depth: u16,
+}
+
+impl Label {
+    /// The label of a child, on side `migrated`, of the heap `id` this one
+    /// labels. A child at depth `64 k + 1` starts a run anchored at `id`.
+    fn child(&self, id: u32, migrated: bool) -> Label {
+        let k = self.depth % 64;
+        let bits = if k == 0 { 0 } else { self.bits };
+        Label {
+            bits: bits | u64::from(migrated) << (63 - k),
+            anchor: if k == 0 { id } else { self.anchor },
+            depth: self.depth + 1,
+        }
+    }
+
+    /// The anchor's depth.
+    fn base(&self) -> u16 {
+        self.depth.saturating_sub(1) / 64 * 64
+    }
+}
+
 /// One node of the heap tree. Everything but `state` is fixed at creation
 /// or a single atomic word, so the tree is walked without locks; a merged
 /// heap is just this node — its [`HeapState`] moved into the parent.
@@ -227,10 +261,7 @@ impl DebtCell {
 pub struct HeapInfo {
     merged_into: AtomicU32,
     parent: u32,
-    depth: u16,
-    /// The tenant budget this heap's live bytes are accounted against:
-    /// given to a tenant's root heap and inherited by every child at fork.
-    budget: Option<Arc<TenantBudget>>,
+    label: Label,
     /// `None` once the heap has been joined into its parent. The join
     /// publishes `merged_into` while holding this lock, so whoever finds
     /// `None` here re-canonicalizes and lands on a live heap.
@@ -246,6 +277,8 @@ pub struct HeapState {
     pub alloc_blocks: [Option<Arc<Block>>; NUM_SIZE_CLASSES],
     /// Down-pointers into this heap.
     pub remset: Remset,
+    /// A root's tenant budget, shared by every heap forked under it.
+    budget: Option<Arc<TenantBudget>>,
     /// Pinned objects homed here, bucketed by a level no lower than the
     /// pin's current one (pin levels only fall), so a join at depth `d`
     /// only touches buckets `>= d` — the pins that can end there.
@@ -312,15 +345,14 @@ impl HeapState {
     }
 }
 
+// Merged nodes are kept for the runtime's life: 8 more bytes a node cost
+// one `serve-open` child 0.27 MB (CHANGES.md, `FOUND:` on `HeapInfo`).
+const _: () = assert!(std::mem::size_of::<HeapInfo>() <= 40);
+
 impl HeapInfo {
     /// The heap's depth in the hierarchy (root = 0).
     pub fn depth(&self) -> u16 {
-        self.depth
-    }
-
-    /// The tenant budget this heap is accounted against, if any.
-    pub fn budget(&self) -> Option<&Arc<TenantBudget>> {
-        self.budget.as_ref()
+        self.label.depth
     }
 
     /// Runs `f` on the heap's state under its lock, or returns `None` if
@@ -355,14 +387,18 @@ impl HeapTable {
         HeapTable::default()
     }
 
-    fn push(&self, parent: Option<u32>, depth: u16, budget: Option<Arc<TenantBudget>>) -> u32 {
+    fn push(&self, parent: Option<(u32, Label)>, migrated: bool) -> u32 {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         assert_ne!(id, u32::MAX, "heap id overflow");
+        let root = Label {
+            bits: 0,
+            anchor: id,
+            depth: 0,
+        };
         let node = HeapInfo {
             merged_into: AtomicU32::new(id),
-            parent: parent.unwrap_or(id),
-            depth,
-            budget,
+            parent: parent.map_or(id, |(p, _)| p),
+            label: parent.map_or(root, |(p, l)| l.child(p, migrated)),
             state: Mutex::new(Some(Box::default())),
         };
         let fresh = self.nodes.get_or_grow(id).set(node).is_ok();
@@ -373,28 +409,41 @@ impl HeapTable {
     /// Creates a root heap (depth 0, its own parent), accounted against
     /// `budget` along with every heap later forked under it.
     pub fn new_root(&self, budget: Option<Arc<TenantBudget>>) -> u32 {
-        self.push(None, 0, budget)
+        let id = self.push(None, false);
+        self.info(id).with(|s| s.budget = budget);
+        id
     }
 
-    /// Creates one child heap of `parent`: a level deeper, accounted
-    /// against the same budget.
+    /// Creates one child heap of `parent`, a level deeper, on the fork's
+    /// side `migrated` names (a migrated branch's own, or the shared one).
     ///
     /// # Panics
     ///
     /// Panics if `parent` is not canonical (merged heaps cannot fork).
-    pub fn child(&self, parent: u32) -> u32 {
+    pub fn child(&self, parent: u32, migrated: bool) -> u32 {
         let (canon, info) = self.find_node(parent);
         assert_eq!(canon, parent, "fork from a merged heap");
-        self.push(Some(parent), info.depth + 1, info.budget.clone())
+        self.push(Some((parent, info.label)), migrated)
     }
 
-    /// Creates the two child heaps of a fork.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not canonical (merged heaps cannot fork).
+    /// Creates the two child heaps of a fork, shared and migrated, as
+    /// [`HeapTable::child`] does.
     pub fn fork(&self, parent: u32) -> (u32, u32) {
-        (self.child(parent), self.child(parent))
+        (self.child(parent, false), self.child(parent, true))
+    }
+
+    /// The label of a (raw or canonical) heap id.
+    pub fn label(&self, id: u32) -> Label {
+        self.info(id).label
+    }
+
+    /// The tenant budget a heap is accounted against, its root's, if any.
+    pub fn budget(&self, id: u32) -> Option<Arc<TenantBudget>> {
+        let mut label = self.label(id);
+        while label.base() > 0 {
+            label = self.label(label.anchor);
+        }
+        self.info(label.anchor).with(|s| s.budget.clone())
     }
 
     /// Returns the node for a (raw or canonical) id.
@@ -439,12 +488,12 @@ impl HeapTable {
     /// only ever pointed at a strictly shallower one, which is what keeps
     /// the forest acyclic.
     fn compress(&self, id: u32, root: u32) {
-        let root_depth = self.info(root).depth;
+        let root_depth = self.info(root).depth();
         let mut cur = id;
         loop {
             let node = self.info(cur);
             let next = node.merged_into.load(Ordering::Acquire);
-            if self.info(next).depth <= root_depth {
+            if self.info(next).depth() <= root_depth {
                 break;
             }
             node.merged_into.store(root, Ordering::Release);
@@ -462,13 +511,6 @@ impl HeapTable {
     /// Canonical parent of a canonical heap id (itself for a root).
     pub fn parent_of(&self, id: u32) -> u32 {
         self.find(self.info(id).parent)
-    }
-
-    /// One step up from a canonical heap that must have a parent.
-    fn climb(&self, id: u32, node: &HeapInfo) -> (u32, &HeapInfo) {
-        let up = self.find_node(node.parent);
-        assert_ne!(up.0, id, "no common ancestor: disjoint heap forests");
-        up
     }
 
     /// Runs `f` on the state of the canonical heap for `id`. A join that
@@ -522,10 +564,10 @@ impl HeapTable {
             node.merged_into.store(parent, Ordering::Release);
         }
         let info = self.info(parent);
-        let internal = merged.remset.take_from(info.depth);
+        let internal = merged.remset.take_from(info.depth());
         let unpin = info.with(|p| {
             p.absorb(&mut merged);
-            p.take_entangled_from(info.depth)
+            p.take_entangled_from(info.depth())
         });
         Joined { unpin, internal }
     }
@@ -540,40 +582,40 @@ impl HeapTable {
         self.len() == 0
     }
 
-    /// Depth of the least common ancestor of two heaps.
+    /// The one ancestry rule: the depth of the least common ancestor of
+    /// the (canonical) heaps labelled `a` and `b` — the length of the
+    /// labels' common prefix — or `None` if they are in different trees.
+    /// A heap is on a task's path iff this is the heap's own depth.
+    pub fn common_depth(&self, mut a: Label, mut b: Label) -> Option<u16> {
+        // Paths with different anchors part at or above the deeper one:
+        // step up to it. Two roots share nothing.
+        while a.anchor != b.anchor {
+            if a.base().max(b.base()) == 0 {
+                return None;
+            }
+            if a.base() >= b.base() {
+                a = self.label(a.anchor);
+            } else {
+                b = self.label(b.anchor);
+            }
+        }
+        let (base, same) = (a.base(), (a.bits ^ b.bits).leading_zeros() as u16);
+        Some(base + same.min(a.depth.min(b.depth) - base))
+    }
+
+    /// Relates heap `h` to the task labelled `task`: returns `h`'s
+    /// canonical id and depth, and `None` if it lies on the task's path
+    /// (local) or else the depth of its least common ancestor with the
+    /// task's heap (the entanglement level).
     ///
     /// # Panics
     ///
     /// Panics if the heaps belong to disjoint forests.
-    pub fn lca_of(&self, a: u32, b: u32) -> u16 {
-        let ((mut a, mut na), (mut b, mut nb)) = (self.find_node(a), self.find_node(b));
-        while a != b {
-            // Climb from the deeper side (two distinct roots: `climb`
-            // reports the disjoint forests).
-            if na.depth >= nb.depth {
-                (a, na) = self.climb(a, na);
-            } else {
-                (b, nb) = self.climb(b, nb);
-            }
-        }
-        na.depth
-    }
-
-    /// Relates heap `h` to a task's `path` (its root-to-leaf canonical
-    /// heap ids, indexed by depth): returns `h`'s canonical id and depth,
-    /// and `None` if it lies on the path (local) or else the depth of its
-    /// least common ancestor with the leaf (the entanglement level).
-    pub fn path_relation(&self, path: &[u32], h: u32) -> (u32, u16, Option<u16>) {
-        let (canon, canon_node) = self.find_node(h);
-        let (mut cur, mut node) = (canon, canon_node);
-        loop {
-            let d = node.depth;
-            let on_path = |&p: &u32| p == cur || self.find(p) == cur;
-            if path.get(d as usize).is_some_and(on_path) {
-                return (canon, canon_node.depth, (cur != canon).then_some(d));
-            }
-            (cur, node) = self.climb(cur, node);
-        }
+    pub fn relation(&self, task: &Label, h: u32) -> (u32, u16, Option<u16>) {
+        let (canon, node) = self.find_node(h);
+        let lca = self.common_depth(*task, node.label);
+        let lca = lca.expect("no common ancestor: disjoint heap forests");
+        (canon, node.depth(), (lca < node.depth()).then_some(lca))
     }
 }
 
@@ -583,9 +625,9 @@ pub const NO_HEAP: u32 = u32::MAX;
 
 /// A task's place in the heap tree, whose heap is created on first use.
 ///
-/// A fork records only the child's parent cell, depth and inherited
+/// A fork records only the child's parent cell, depth, side and inherited
 /// budget. The task's [`HeapInfo`] is pushed the first time it needs its
-/// leaf or its path ([`LazyHeap::path`]), after those of every ancestor
+/// heap or its label ([`LazyHeap::heap`]), after those of every ancestor
 /// still without one, top-down: heap depth stays task depth, and the
 /// heaps a task never uses are never issued. Descendants running on other
 /// threads may materialise a suspended ancestor at once; the cell's
@@ -594,11 +636,12 @@ pub const NO_HEAP: u32 = u32::MAX;
 pub struct LazyHeap<'a> {
     parent: Option<&'a LazyHeap<'a>>,
     depth: u16,
+    /// The fork's side: a migrated branch's own cell, or the shared one.
+    migrated: bool,
     budget: Option<&'a TenantBudget>,
-    /// Once materialised, the root-to-leaf path of canonical heap ids,
-    /// ending in the task's own (they stay canonical while the task runs:
-    /// only joins above it, after it is done, merge them away).
-    path: OnceLock<Box<[u32]>>,
+    /// Once materialised, the task's heap id and label (canonical while
+    /// the task runs: only joins above it, after it is done, merge it).
+    heap: OnceLock<(u32, Label)>,
     /// The heap's collection debt record, as the last task to run in it
     /// left it (empty in a fresh cell). Kept in the cell rather than the
     /// heap's node: it is needed only while the fork that made the cell
@@ -607,26 +650,30 @@ pub struct LazyHeap<'a> {
 }
 
 impl<'a> LazyHeap<'a> {
-    /// The cell of a task running on the existing root heap `id`.
-    pub fn root(heaps: &'a HeapTable, id: u32) -> LazyHeap<'a> {
-        let info = heaps.info(id);
+    /// The cell of a task running on the existing root heap `id`, whose
+    /// tenant budget, if any, is `budget`.
+    pub fn root(heaps: &HeapTable, id: u32, budget: Option<&'a TenantBudget>) -> LazyHeap<'a> {
+        let label = heaps.label(id);
         LazyHeap {
             parent: None,
-            depth: info.depth,
-            budget: info.budget().map(Arc::as_ref),
-            path: OnceLock::from(Box::from([id])),
+            depth: label.depth,
+            migrated: false,
+            budget,
+            heap: OnceLock::from((id, label)),
             debt: DebtCell::default(),
         }
     }
 
-    /// The cell of a fork branch of `parent`'s task: no heap yet.
+    /// The cell of a fork branch of `parent`'s task, on the fork's side
+    /// `migrated` names: no heap yet.
     #[inline]
-    pub fn child(parent: &'a LazyHeap<'a>) -> LazyHeap<'a> {
+    pub fn child(parent: &'a LazyHeap<'a>, migrated: bool) -> LazyHeap<'a> {
         LazyHeap {
             parent: Some(parent),
             depth: parent.depth + 1,
+            migrated,
             budget: parent.budget,
-            path: OnceLock::new(),
+            heap: OnceLock::new(),
             debt: DebtCell::default(),
         }
     }
@@ -652,18 +699,16 @@ impl<'a> LazyHeap<'a> {
     /// The task's heap id, if it has one.
     #[inline]
     pub fn id(&self) -> Option<u32> {
-        self.path.get().and_then(|p| p.last().copied())
+        self.heap.get().map(|&(id, _)| id)
     }
 
-    /// The task's root-to-leaf path of canonical heap ids, indexed by
-    /// depth, pushing the heaps of this cell and its ancestors first if
-    /// they have none yet.
-    pub fn path(&self, heaps: &HeapTable) -> &[u32] {
-        self.path.get_or_init(|| {
+    /// The task's heap id and label, pushing the heaps of this cell and
+    /// its ancestors first if they have none yet.
+    pub fn heap(&self, heaps: &HeapTable) -> &(u32, Label) {
+        self.heap.get_or_init(|| {
             let parent = self.parent.expect("a root cell starts materialised");
-            let up = parent.path(heaps);
-            let leaf = heaps.child(up[up.len() - 1]);
-            up.iter().copied().chain([leaf]).collect()
+            let id = heaps.child(parent.heap(heaps).0, self.migrated);
+            (id, heaps.label(id))
         })
     }
 }
@@ -698,7 +743,7 @@ mod tests {
         assert_eq!(t.find(r), root);
         assert!(!t.is_canonical(l) && t.is_canonical(root));
         assert!(!t.is_canonical(99), "never issued");
-        let (_, depth, lca) = t.path_relation(&[root], l);
+        let (_, depth, lca) = t.relation(&t.label(root), l);
         assert_eq!((depth, lca), (0, None), "depth follows the canonical heap");
     }
 
@@ -742,7 +787,7 @@ mod tests {
         for merged in [l, ll, lll] {
             let into = t.info(merged).merged_into.load(Ordering::Relaxed);
             assert!(
-                t.info(into).depth < t.info(merged).depth,
+                t.info(into).depth() < t.info(merged).depth(),
                 "{merged} -> {into}"
             );
         }
@@ -751,33 +796,33 @@ mod tests {
     }
 
     #[test]
-    fn path_relation_tells_ancestors_from_strangers() {
+    fn relation_tells_ancestors_from_strangers() {
         let t = HeapTable::new();
         let root = t.new_root(None);
         let (l, r) = t.fork(root);
         let (ll, lr) = t.fork(l);
-        let path = vec![root, l, ll];
-        assert_eq!(t.path_relation(&path, root), (root, 0, None));
-        assert_eq!(t.path_relation(&path, l), (l, 1, None));
-        assert_eq!(t.path_relation(&path, ll), (ll, 2, None));
+        let task = t.label(ll);
+        assert_eq!(t.relation(&task, root), (root, 0, None));
+        assert_eq!(t.relation(&task, l), (l, 1, None));
+        assert_eq!(t.relation(&task, ll), (ll, 2, None));
         assert_eq!(
-            t.path_relation(&path, r),
+            t.relation(&task, r),
             (r, 1, Some(0)),
             "sibling subtree meets at root"
         );
-        assert_eq!(t.path_relation(&path, lr), (lr, 2, Some(1)));
-        assert_eq!(t.path_relation(&[root, r], ll), (ll, 2, Some(0)));
-        assert_eq!(t.lca_of(ll, lr), 1);
-        assert_eq!(t.lca_of(ll, r), 0);
-        assert_eq!(t.lca_of(l, ll), 1);
+        assert_eq!(t.relation(&task, lr), (lr, 2, Some(1)));
+        assert_eq!(t.relation(&t.label(r), ll), (ll, 2, Some(0)));
+        assert_eq!(t.common_depth(t.label(l), t.label(ll)), Some(1));
+        let other = t.new_root(None);
+        assert_eq!(t.common_depth(t.label(ll), t.label(other)), None);
     }
 
     #[test]
     #[should_panic(expected = "disjoint heap forests")]
-    fn lca_of_two_roots_panics() {
+    fn relation_across_two_roots_panics() {
         let t = HeapTable::new();
         let (a, b) = (t.new_root(None), t.new_root(None));
-        t.lca_of(a, b);
+        t.relation(&t.label(a), b);
     }
 
     #[test]
@@ -807,8 +852,8 @@ mod tests {
         assert_eq!(record(10, 5, 7).due(), 15);
         assert_eq!(record(usize::MAX, 5, 7).due(), usize::MAX, "saturating");
         let t = HeapTable::new();
-        let root = LazyHeap::root(&t, t.new_root(None));
-        let cell = LazyHeap::child(&root);
+        let root = LazyHeap::root(&t, t.new_root(None), None);
+        let cell = LazyHeap::child(&root, false);
         assert_eq!(cell.debt.get(), DebtRecord::default(), "a fresh cell");
         cell.debt.set(record(5, 6, 7));
         assert_eq!(
@@ -909,24 +954,34 @@ mod tests {
         let t = HeapTable::new();
         let b = TenantBudget::new("tenant", 4096);
         let root = t.new_root(Some(b.clone()));
-        let top = LazyHeap::root(&t, root);
-        let mid = LazyHeap::child(&top);
-        let (leaf, idle) = (LazyHeap::child(&mid), LazyHeap::child(&mid));
+        let top = LazyHeap::root(&t, root, Some(&b));
+        let mid = LazyHeap::child(&top, false);
+        let (leaf, idle) = (LazyHeap::child(&mid, true), LazyHeap::child(&mid, false));
         assert_eq!((leaf.depth(), leaf.leaf(), t.len()), (2, NO_HEAP, 1));
         assert!(
             std::ptr::eq(leaf.budget().unwrap(), &*b),
             "borrowed, not looked up"
         );
-        let path = leaf.path(&t).to_vec();
+        let &(id, label) = leaf.heap(&t);
         assert_eq!(t.len(), 3, "the parent's heap, then the leaf's");
-        assert_eq!(path, [root, mid.id().unwrap(), leaf.leaf()]);
-        assert_eq!(t.parent_of(path[2]), path[1]);
-        assert_eq!(t.info(path[2]).depth(), 2);
-        assert_eq!(leaf.path(&t), path, "a second call pushes nothing");
-        assert_eq!((idle.id(), t.len()), (None, 3), "the idle sibling has none");
+        assert_eq!((leaf.leaf(), label), (id, t.label(id)));
+        assert_eq!(t.parent_of(id), mid.id().unwrap());
+        assert_eq!(label.depth, 2);
+        assert_eq!(t.relation(&label, id), (id, 2, None));
+        let twin = t.child(mid.id().unwrap(), false);
+        assert_eq!(
+            t.relation(&label, twin),
+            (twin, 2, Some(1)),
+            "the other side"
+        );
+        assert_eq!(leaf.heap(&t).0, id, "a second call pushes nothing");
+        assert_eq!((idle.id(), t.len()), (None, 4), "the idle sibling has none");
         // The join merges only the children that exist.
-        t.join(path[1], leaf.id().into_iter().chain(idle.id()));
-        assert_eq!(t.find(path[2]), path[1]);
+        t.join(
+            mid.leaf(),
+            leaf.id().into_iter().chain(idle.id()).chain([twin]),
+        );
+        assert_eq!(t.find(id), mid.leaf());
     }
 
     #[test]
@@ -936,13 +991,17 @@ mod tests {
         let root = t.new_root(Some(b.clone()));
         let (l, r) = t.fork(root);
         let (ll, lr) = t.fork(l);
-        for h in [root, l, r, ll, lr] {
-            let got = t.info(h).budget().expect("child inherits budget");
-            assert!(Arc::ptr_eq(got, &b), "one shared budget per subtree");
+        let mut deep = ll;
+        for _ in 0..130 {
+            deep = t.child(deep, true);
+        }
+        for h in [root, l, r, ll, lr, deep] {
+            let got = t.budget(h).expect("child inherits budget");
+            assert!(Arc::ptr_eq(&got, &b), "one shared budget per subtree");
         }
         // A different root stays unbudgeted, and so do its children.
         let other = t.new_root(None);
-        assert!(t.info(other).budget().is_none());
-        assert!(t.info(t.fork(other).0).budget().is_none());
+        assert!(t.budget(other).is_none());
+        assert!(t.budget(t.fork(other).0).is_none());
     }
 }

@@ -11,9 +11,9 @@
 //!   GC bits ([`block`], [`registry`]);
 //! * an SFT-style block-classification table so the barriers map any
 //!   pointer to its heap with one shifted load ([`sft`]);
-//! * the **heap hierarchy** mirroring the fork-join task tree, with O(1)
-//!   joins via a concurrent union-find, per-heap remembered sets for
-//!   down-pointers, and per-heap entangled-object indexes ([`heap`]);
+//! * the **heap hierarchy** mirroring the fork-join task tree: O(1) joins
+//!   (a concurrent union-find), O(1) ancestry (fork-path labels), per-heap
+//!   remembered sets and entangled-object indexes ([`heap`]);
 //! * the [`store::Store`] facade combining all of the above, plus the
 //!   measured cost metrics ([`stats`]).
 //!
@@ -29,9 +29,9 @@
 //! // The "right" task allocates a mutable cell; a task on the left path
 //! // that acquires it sees it as remote and pins it.
 //! let cell = store.alloc_values(right, ObjKind::Ref, &[Value::Int(42)]);
-//! let left_path = [root, left];
-//! assert!(!store.is_local(&left_path, cell));
-//! let level = store.entanglement_level(&left_path, cell);
+//! let left_task = store.heaps().label(left);
+//! assert!(!store.is_local(&left_task, cell));
+//! let level = store.entanglement_level(&left_task, cell);
 //! let (_, newly_pinned) = store.pin(cell, level);
 //! assert!(newly_pinned);
 //!
@@ -66,8 +66,8 @@ pub use budget::{BudgetSnapshot, TenantBudget};
 pub use events::{Event, EventKind};
 pub use header::{Header, ObjKind, NO_PIN_LEVEL};
 pub use heap::{
-    DebtCell, DebtRecord, HeapInfo, HeapState, HeapTable, Joined, LazyHeap, Remset, RemsetEntry,
-    NO_HEAP,
+    DebtCell, DebtRecord, HeapInfo, HeapState, HeapTable, Joined, Label, LazyHeap, Remset,
+    RemsetEntry, NO_HEAP,
 };
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};

@@ -103,12 +103,6 @@ impl<'a> Object<'a> {
         self.off
     }
 
-    /// The object's reference.
-    #[inline]
-    pub fn objref(&self) -> ObjRef {
-        ObjRef::new(self.block.id(), self.off)
-    }
-
     /// Total inline words (header + fwd + fields).
     #[inline]
     pub fn nwords(&self) -> usize {

@@ -394,12 +394,6 @@ impl StatsSnapshot {
         TABLE.iter().zip(self.values()).map(with_value)
     }
 
-    /// Entangled accesses (reads + writes) — the paper's primary time-cost
-    /// metric for entanglement.
-    pub fn entangled_accesses(&self) -> u64 {
-        self.entangled_reads + self.entangled_writes
-    }
-
     /// The per-interval view between an `earlier` snapshot and this one:
     /// [`Kind::Monotonic`] rows are subtracted (saturating, so reset
     /// counters or snapshot skew never underflow), gauges and high-water

@@ -16,7 +16,7 @@ use crate::block::{
 use crate::budget::TenantBudget;
 use crate::events::{self, EventKind};
 use crate::header::{Header, ObjKind};
-use crate::heap::{HeapTable, RemsetEntry};
+use crate::heap::{HeapTable, Label, RemsetEntry};
 use crate::object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 use crate::registry::BlockRegistry;
 use crate::sft::SftTable;
@@ -73,11 +73,6 @@ impl ObjHandle {
     /// The object's word offset in its block.
     pub fn word(&self) -> u32 {
         self.word
-    }
-
-    /// The object's location.
-    pub fn objref(&self) -> ObjRef {
-        ObjRef::new(self.block.id(), self.word)
     }
 
     // Delegation to the object view (see `Object` for docs).
@@ -420,18 +415,18 @@ impl Store {
 
     // ---- remoteness ---------------------------------------------------
 
-    /// True if the object is on the task's root-to-leaf heap `path`
-    /// (canonical ids, indexed by depth).
-    pub fn is_local(&self, path: &[u32], r: ObjRef) -> bool {
+    /// True if the object's heap is on the path of the task labelled
+    /// `task`.
+    pub fn is_local(&self, task: &Label, r: ObjRef) -> bool {
         let owner = self.blocks.get(r.block()).owner();
-        self.heaps.path_relation(path, owner).2.is_none()
+        self.heaps.relation(task, owner).2.is_none()
     }
 
-    /// The entanglement level of an access from `path` to the object: the
-    /// depth of the least common ancestor heap.
-    pub fn entanglement_level(&self, path: &[u32], r: ObjRef) -> u16 {
+    /// The entanglement level of an access from the task labelled `task`
+    /// to the object: the depth of the least common ancestor heap.
+    pub fn entanglement_level(&self, task: &Label, r: ObjRef) -> u16 {
         let owner = self.blocks.get(r.block()).owner();
-        let (_, depth, lca) = self.heaps.path_relation(path, owner);
+        let (_, depth, lca) = self.heaps.relation(task, owner);
         lca.unwrap_or(depth)
     }
 
@@ -542,7 +537,7 @@ impl Store {
             c.live_bytes += live;
             // Attribution: the block's (canonicalized) owner heap either
             // sits under a tenant budget or counts as runtime-internal.
-            match self.budget_of(b.owner()) {
+            match self.heaps.budget(b.owner()) {
                 Some(budget) => {
                     let row = tenants.entry(budget.name().to_string()).or_insert_with(|| {
                         mpl_obs::TenantCensus {
@@ -594,17 +589,10 @@ impl Store {
         self.heaps.new_root(Some(budget))
     }
 
-    /// The tenant budget the (canonicalized) heap is accounted against,
-    /// if any.
-    pub fn budget_of(&self, heap: u32) -> Option<Arc<TenantBudget>> {
-        self.heaps.info(self.heaps.find(heap)).budget().cloned()
-    }
-
     /// Creates the two child heaps of a fork from `parent`, eagerly (a
     /// running task's heaps are [`crate::LazyHeap`]s instead).
     pub fn fork_heaps(&self, parent: u32) -> (u32, u32) {
-        let parent = self.heaps.find(parent);
-        (self.heaps.child(parent), self.heaps.child(parent))
+        self.heaps.fork(self.heaps.find(parent))
     }
 
     /// Joins the `children` a fork created into `parent`: merges block
@@ -777,11 +765,11 @@ mod tests {
         let in_l = s.alloc_values(l, ObjKind::Tuple, &[]);
         let in_r = s.alloc_values(r, ObjKind::Tuple, &[]);
 
-        let path_l = vec![root, l];
-        assert!(s.is_local(&path_l, in_root));
-        assert!(s.is_local(&path_l, in_l));
-        assert!(!s.is_local(&path_l, in_r), "sibling allocation is remote");
-        assert_eq!(s.entanglement_level(&path_l, in_r), 0);
+        let task_l = s.heaps().label(l);
+        assert!(s.is_local(&task_l, in_root));
+        assert!(s.is_local(&task_l, in_l));
+        assert!(!s.is_local(&task_l, in_r), "sibling allocation is remote");
+        assert_eq!(s.entanglement_level(&task_l, in_r), 0);
     }
 
     #[test]
@@ -792,9 +780,9 @@ mod tests {
         let in_l = s.alloc_values(l, ObjKind::Tuple, &[]);
         let in_r = s.alloc_values(r, ObjKind::Tuple, &[]);
         s.join(root, [l, r]);
-        let path = vec![root];
-        assert!(s.is_local(&path, in_l));
-        assert!(s.is_local(&path, in_r));
+        let task = s.heaps().label(root);
+        assert!(s.is_local(&task, in_l));
+        assert!(s.is_local(&task, in_r));
         assert_eq!(s.heap_of(in_l), root);
         assert_eq!(s.heap_of(in_r), root);
     }
@@ -807,8 +795,8 @@ mod tests {
         let in_r = s.alloc_values(r, ObjKind::Ref, &[Value::Unit]);
         // Task on the left path reads a pointer into the right heap:
         // entanglement at LCA depth 0.
-        let path_l = vec![root, l];
-        let level = s.entanglement_level(&path_l, in_r);
+        let task_l = s.heaps().label(l);
+        let level = s.entanglement_level(&task_l, in_r);
         let (pinned_ref, newly) = s.pin(in_r, level);
         assert!(newly);
         assert_eq!(pinned_ref, in_r);
@@ -833,8 +821,8 @@ mod tests {
         let (ll, lr) = s.fork_heaps(l);
         // Object in ll entangled with the far-right task: LCA is the root.
         let x = s.alloc_values(ll, ObjKind::Ref, &[Value::Unit]);
-        let path_r = vec![root, r];
-        let level = s.entanglement_level(&path_r, x);
+        let task_r = s.heaps().label(r);
+        let level = s.entanglement_level(&task_r, x);
         assert_eq!(level, 0);
         s.pin(x, level);
 

@@ -43,7 +43,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Naive oracle mirroring forks/joins with plain parent vectors.
-#[derive(Default)]
 struct Oracle {
     parent: Vec<usize>,
     depth: Vec<u16>,
@@ -51,6 +50,14 @@ struct Oracle {
 }
 
 impl Oracle {
+    fn new(root: u32) -> Oracle {
+        Oracle {
+            parent: vec![root as usize],
+            depth: vec![0],
+            merged: vec![root as usize],
+        }
+    }
+
     fn find(&self, mut i: usize) -> usize {
         while self.merged[i] != i {
             i = self.merged[i];
@@ -58,33 +65,80 @@ impl Oracle {
         i
     }
 
-    fn on_path(&self, anc: usize, mut node: usize) -> bool {
-        let anc = self.find(anc);
-        node = self.find(node);
-        loop {
-            if node == anc {
-                return true;
-            }
-            let p = self.find(self.parent[node]);
-            if p == node {
-                return false;
-            }
-            node = p;
+    /// Records a fork of `leaf` into `l` and `r`.
+    fn fork(&mut self, leaf: u32, l: u32, r: u32) {
+        let d = self.depth[self.find(leaf as usize)] + 1;
+        for child in [l, r] {
+            self.parent.push(leaf as usize);
+            self.depth.push(d);
+            self.merged.push(child as usize);
         }
     }
 
-    fn lca_depth(&self, a: usize, b: usize) -> u16 {
-        let mut a = self.find(a);
-        let mut b = self.find(b);
-        while a != b {
-            if self.depth[a] >= self.depth[b] {
-                a = self.find(self.parent[a]);
-            } else {
-                b = self.find(self.parent[b]);
-            }
-        }
-        self.depth[a]
+    /// Records the join of `l` and `r` into `p`.
+    fn join(&mut self, p: u32, l: u32, r: u32) {
+        self.merged[l as usize] = p as usize;
+        self.merged[r as usize] = p as usize;
     }
+
+    /// The canonical heaps from `i`'s canonical heap up to its root.
+    fn ancestors(&self, i: usize) -> Vec<usize> {
+        let mut out = vec![self.find(i)];
+        loop {
+            let cur = out[out.len() - 1];
+            let p = self.find(self.parent[cur]);
+            if p == cur {
+                return out;
+            }
+            out.push(p);
+        }
+    }
+}
+
+/// Checks the table against the oracle: canonicalization and canonical
+/// depth for every id ever issued (merged ones included), and, for every
+/// such `i` against each `j` of `tasks`, ancestry and LCA depth. Ancestry
+/// is asked the way the runtime asks it — is `i` on the path of the task
+/// labelled like `j`'s canonical heap? — so every heap, not only the live
+/// leaves, ends a path.
+fn check_against(
+    table: &HeapTable,
+    oracle: &Oracle,
+    tasks: impl Iterator<Item = u32>,
+) -> Result<(), TestCaseError> {
+    let n = oracle.parent.len();
+    prop_assert_eq!(table.len(), n);
+    let canon: Vec<usize> = (0..n).map(|i| oracle.find(i)).collect();
+    for j in 0..n as u32 {
+        let c = canon[j as usize];
+        prop_assert_eq!(table.find(j) as usize, c, "find({})", j);
+        prop_assert_eq!(table.is_canonical(j), c == j as usize);
+        prop_assert_eq!(table.info(table.find(j)).depth(), oracle.depth[c]);
+    }
+    for j in tasks {
+        // `j`'s canonical path, indexed by depth.
+        let mut path = oracle.ancestors(j as usize);
+        path.reverse();
+        let task = table.label(table.find(j));
+        for i in 0..n as u32 {
+            let ci = canon[i as usize];
+            let mut up = ci;
+            let lca = loop {
+                let d = oracle.depth[up] as usize;
+                if path.get(d) == Some(&up) {
+                    break d as u16;
+                }
+                up = canon[oracle.parent[up]];
+            };
+            let (c, d, rel) = table.relation(&task, i);
+            prop_assert_eq!(c as usize, ci);
+            prop_assert_eq!(d, oracle.depth[ci]);
+            let on_path = up == ci;
+            prop_assert_eq!(rel.is_none(), on_path, "relation({}, task {})", i, j);
+            prop_assert_eq!(rel.unwrap_or(d), lca, "level({}, task {})", i, j);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -96,11 +150,7 @@ proptest! {
     fn hierarchy_matches_oracle(script in ops()) {
         let table = HeapTable::new();
         let root = table.new_root(None);
-        let mut oracle = Oracle {
-            parent: vec![root as usize],
-            depth: vec![0],
-            merged: vec![root as usize],
-        };
+        let mut oracle = Oracle::new(root);
         // Live leaves + stack of unjoined forks (parent, l, r).
         let mut leaves: Vec<u32> = vec![root];
         let mut forks: Vec<(u32, u32, u32)> = Vec::new();
@@ -110,13 +160,7 @@ proptest! {
                 Op::Fork(k) => {
                     let leaf = leaves[k % leaves.len()];
                     let (l, r) = table.fork(leaf);
-                    oracle.parent.push(leaf as usize);
-                    oracle.parent.push(leaf as usize);
-                    let d = oracle.depth[oracle.find(leaf as usize)] + 1;
-                    oracle.depth.push(d);
-                    oracle.depth.push(d);
-                    oracle.merged.push(l as usize);
-                    oracle.merged.push(r as usize);
+                    oracle.fork(leaf, l, r);
                     leaves.retain(|&x| x != leaf);
                     leaves.push(l);
                     leaves.push(r);
@@ -130,49 +174,55 @@ proptest! {
                     if let Some(pos) = pos {
                         let (p, l, r) = forks.remove(pos);
                         table.join(p, [l, r]);
-                        oracle.merged[l as usize] = p as usize;
-                        oracle.merged[r as usize] = p as usize;
+                        oracle.join(p, l, r);
                         leaves.retain(|&x| x != l && x != r);
                         leaves.push(p);
                     }
                 }
             }
         }
+        check_against(&table, &oracle, 0..oracle.parent.len() as u32)?;
+    }
+}
 
-        // Canonicalization, canonical depth, ancestry and LCA, for every
-        // pair of ids ever issued (merged ones included). Ancestry is
-        // asked the way the runtime asks it — is `i` on the root path of
-        // `j`? — so every heap, not only the live leaves, ends a path.
-        let n = oracle.parent.len();
-        prop_assert_eq!(table.len(), n);
-        for j in 0..n as u32 {
-            let canon = oracle.find(j as usize);
-            prop_assert_eq!(table.find(j) as usize, canon, "find({})", j);
-            prop_assert_eq!(table.is_canonical(j), canon == j as usize);
-            prop_assert_eq!(table.info(table.find(j)).depth(), oracle.depth[canon]);
-            // The root path of `j`'s canonical heap, from the oracle.
-            let mut path = Vec::new();
-            let mut cur = canon;
-            loop {
-                path.push(cur as u32);
-                let p = oracle.find(oracle.parent[cur]);
-                if p == cur {
-                    break;
-                }
-                cur = p;
-            }
-            path.reverse();
-            for i in 0..n as u32 {
-                let lca = oracle.lca_depth(i as usize, j as usize);
-                prop_assert_eq!(table.lca_of(i, j), lca, "lca({}, {})", i, j);
-                let (c, d, rel) = table.path_relation(&path, i);
-                prop_assert_eq!(c as usize, oracle.find(i as usize));
-                prop_assert_eq!(d, oracle.depth[oracle.find(i as usize)]);
-                let on_path = oracle.on_path(i as usize, j as usize);
-                prop_assert_eq!(rel.is_none(), on_path, "relation({}, path of {})", i, j);
-                prop_assert_eq!(rel.unwrap_or(d), lca, "level({}, path of {})", i, j);
-            }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Labels past 64 levels: a spine of 200 to 260 forks, each going on
+    /// down the shared or the migrated side as `sides` says, then the
+    /// `joins` innermost forks joined. Every heap is checked against
+    /// tasks at every depth that crosses a 64-level boundary and a spread
+    /// of others, on both sides.
+    #[test]
+    fn deep_spines_match_oracle(
+        sides in proptest::collection::vec(any::<bool>(), 200..=260),
+        joins in 0usize..80,
+    ) {
+        let table = HeapTable::new();
+        let root = table.new_root(None);
+        let mut oracle = Oracle::new(root);
+        let mut forks = Vec::new();
+        let mut leaf = root;
+        for &migrated in &sides {
+            let (l, r) = table.fork(leaf);
+            oracle.fork(leaf, l, r);
+            forks.push((leaf, l, r));
+            leaf = if migrated { r } else { l };
         }
+        for (p, l, r) in forks.iter().rev().take(joins) {
+            table.join(*p, [*l, *r]);
+            oracle.join(*p, *l, *r);
+        }
+        // Both children of the forks at depths 62..=66, 126..=130 and
+        // 190..=194, the deepest ones, and every 17th fork's.
+        let near_boundary = |d: usize| [63, 127, 191].iter().any(|&b| d + 2 >= b && d <= b + 2);
+        let tasks: Vec<u32> = forks
+            .iter()
+            .enumerate()
+            .filter(|&(d, _)| near_boundary(d) || d % 17 == 0 || d + 3 >= forks.len())
+            .flat_map(|(_, &(_, l, r))| [l, r])
+            .collect();
+        check_against(&table, &oracle, tasks.into_iter())?;
     }
 }
 

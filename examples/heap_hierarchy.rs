@@ -18,12 +18,12 @@ fn main() {
 
     // The left task allocates a record; the right task acquires it.
     let record = store.alloc_values(left, ObjKind::Ref, &[Value::Int(99)]);
-    let right_path = [root, right];
+    let right_task = store.heaps().label(right);
     println!(
         "record {record} local to right task? {}",
-        store.is_local(&right_path, record)
+        store.is_local(&right_task, record)
     );
-    let level = store.entanglement_level(&right_path, record);
+    let level = store.entanglement_level(&right_task, record);
     let (pinned, newly) = store.pin(record, level);
     println!("pinned {pinned} at level {level} (newly: {newly})");
 

@@ -252,12 +252,12 @@ proptest! {
         run_fuzz(&ops, pressure(), true);
     }
 
-    /// The suspects fast path is semantics-preserving on random programs.
+    /// The candidates ("suspects") fast path is semantics-preserving on
+    /// random programs: with every access forced through the slow tier,
+    /// they agree with the oracle too.
     #[test]
     fn random_programs_suspects_off(ops in program()) {
-        let mut cfg = RuntimeConfig::managed();
-        cfg.suspects = false;
-        run_fuzz(&ops, cfg, true);
+        run_fuzz(&ops, RuntimeConfig::managed().with_force_slow_path(), true);
     }
 }
 

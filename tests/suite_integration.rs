@@ -154,9 +154,10 @@ fn threaded_executor_runs_the_suite() {
 
 #[test]
 fn suspects_optimization_preserves_entanglement_accounting() {
-    // The candidates fast path must not change WHAT entangles — only how
-    // fast non-candidates are read. Pins and entangled accesses must be
-    // identical with the optimization on and off.
+    // The candidates ("suspects") fast path must not change WHAT
+    // entangles — only how fast non-candidates are read. Pins and
+    // entangled accesses must be identical with every fast tier on and
+    // with every access forced through the slow tier.
     for bench in mpl_bench_suite::all() {
         let n = bench.small_n();
         let on = {
@@ -165,11 +166,7 @@ fn suspects_optimization_preserves_entanglement_accounting() {
             (c, rt.stats())
         };
         let off = {
-            let cfg = RuntimeConfig {
-                suspects: false,
-                ..RuntimeConfig::managed()
-            };
-            let rt = Runtime::new(cfg);
+            let rt = Runtime::new(RuntimeConfig::managed().with_force_slow_path());
             let c = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
             (c, rt.stats())
         };

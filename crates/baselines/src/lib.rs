@@ -1,17 +1,11 @@
-//! # mpl-baselines — comparison runtimes
+//! # mpl-baselines — the sequential baseline
 //!
-//! The stand-ins for the paper's cross-system comparison (experiment E6)
-//! and sequential-overhead baselines (E2):
-//!
-//! * [`seq`] — a **sequential** single-heap runtime with mark-sweep
-//!   collection and zero barriers: the MLton stand-in defining `T_s` and
-//!   `R_s`.
-//! * [`global`] — a **shared-heap parallel** runtime: global allocation
-//!   lock, stop-the-world collection over all task roots — the
-//!   Java/OCaml-style monolithic-GC stand-in.
-//!
-//! Native Rust implementations of individual benchmarks (the C++/Go
-//! stand-in) live next to their workloads in `mpl-bench-suite`.
+//! [`seq`] is a **sequential** single-heap runtime with mark-sweep
+//! collection and zero barriers: the MLton stand-in that defines `T_s`
+//! and `R_s`. The benchmark (`benchmark/`) times every suite program on
+//! it as the `ts` child that `overhead_x` divides by, and the tests check
+//! each program's `run_seq` checksum against its plain-Rust `run_native`
+//! in `mpl-bench-suite`.
 //!
 //! # Example
 //!
@@ -32,8 +26,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod global;
 pub mod seq;
 
-pub use global::{GHandle, GValue, GlobalMutator, GlobalRuntime, GlobalStats};
 pub use seq::{SeqHandle, SeqRuntime, SeqStats, SeqValue};

@@ -3,10 +3,9 @@
 //! `O(log³ n)` span profile. Each recursion level allocates fresh output
 //! arrays in the task's own heap (the hierarchical allocator's bread and
 //! butter); merge workers write into the parent-allocated output, which
-//! is a *local* down-path effect, not entanglement. Part of the
-//! comparison set.
+//! is a *local* down-path effect, not entanglement.
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Mutator, Value};
 
 use crate::util;
@@ -215,56 +214,6 @@ fn sort_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> SeqValu
     out
 }
 
-// ---- global ------------------------------------------------------------------
-
-fn sort_global(m: &mut GlobalMutator, arr: GValue, lo: usize, hi: usize) -> GValue {
-    let len = hi - lo;
-    if len <= GRAIN {
-        let mut data: Vec<i64> = (lo..hi).map(|i| m.raw_get(arr, i) as i64).collect();
-        data.sort_unstable();
-        let out = m.alloc_raw(len);
-        for (i, &x) in data.iter().enumerate() {
-            m.raw_set(out, i, x as u64);
-        }
-        return out;
-    }
-    let mid = lo + len / 2;
-    let mark = m.mark();
-    let keep = m.root(arr);
-    let (kl, kr) = (keep.clone(), keep);
-    let (lv, rv) = m.fork(
-        move |m| {
-            let arr = m.get(&kl);
-            sort_global(m, arr, lo, mid)
-        },
-        move |m| {
-            let arr = m.get(&kr);
-            sort_global(m, arr, mid, hi)
-        },
-    );
-    let hl = m.root(lv);
-    let hr = m.root(rv);
-    let out = m.alloc_raw(len);
-    let (lv, rv) = (m.get(&hl), m.get(&hr));
-    let (ll, rl) = (m.len(lv), m.len(rv));
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while k < len {
-        let take_left = j >= rl || (i < ll && m.raw_get(lv, i) as i64 <= m.raw_get(rv, j) as i64);
-        if take_left {
-            let a = m.raw_get(lv, i);
-            m.raw_set(out, k, a);
-            i += 1;
-        } else {
-            let b = m.raw_get(rv, j);
-            m.raw_set(out, k, b);
-            j += 1;
-        }
-        k += 1;
-    }
-    m.release(mark);
-    out
-}
-
 impl Benchmark for Msort {
     fn name(&self) -> &'static str {
         "msort"
@@ -308,22 +257,11 @@ impl Benchmark for Msort {
         data.sort_unstable();
         checksum(data.into_iter())
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let data = util::random_ints(n, 21);
-        let arr = m.alloc_raw(n);
-        for (i, &x) in data.iter().enumerate() {
-            m.raw_set(arr, i, x as u64);
-        }
-        let sorted = sort_global(m, arr, 0, n);
-        Some(checksum((0..n).map(|i| m.raw_get(sorted, i) as i64)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -334,11 +272,8 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
         let mut seq = SeqRuntime::default();
-        let grt = GlobalRuntime::new(1 << 22, 2);
-        let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
-        assert_eq!(glob.expect_int(), native);
         assert_eq!(rt.stats().pins, 0, "msort is disentangled");
     }
 

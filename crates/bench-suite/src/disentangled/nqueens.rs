@@ -1,8 +1,8 @@
 //! `nqueens` — count all placements of `n` queens. Search-tree
 //! parallelism with list-allocated board paths (GC churn without any
-//! shared mutation). Part of the cross-runtime comparison set.
+//! shared mutation).
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Mutator, Value};
 
 use crate::Benchmark;
@@ -131,46 +131,6 @@ fn solve_seq(rt: &mut SeqRuntime, st: State, board: SeqValue) -> i64 {
     total
 }
 
-// ---- global baseline --------------------------------------------------------
-
-fn solve_global(m: &mut GlobalMutator, st: State, board: GValue) -> i64 {
-    if st.row == st.n {
-        return 1;
-    }
-    let cands = st.candidates();
-    if st.row < PAR_ROWS && cands.len() > 1 {
-        let keep = m.root(board);
-        let (lo, hi) = cands.split_at(cands.len() / 2);
-        let half = |m: &mut GlobalMutator, half: &[u32], keep: &mpl_baselines::GHandle| {
-            let mut total = 0;
-            for &bit in half {
-                let b = m.get(keep);
-                let board2 = m.alloc(&[GValue::Int(bit as i64), b]);
-                total += solve_global(m, st.place(bit), board2);
-            }
-            total
-        };
-        let kl = keep.clone();
-        let kr = keep;
-        let (a, b) = m.fork(
-            move |m| GValue::Int(half(m, lo, &kl)),
-            move |m| GValue::Int(half(m, hi, &kr)),
-        );
-        a.expect_int() + b.expect_int()
-    } else {
-        let mut total = 0;
-        let mark = m.mark();
-        let keep = m.root(board);
-        for bit in cands {
-            let b = m.get(&keep);
-            let board2 = m.alloc(&[GValue::Int(bit as i64), b]);
-            total += solve_global(m, st.place(bit), board2);
-        }
-        m.release(mark);
-        total
-    }
-}
-
 // ---- native ------------------------------------------------------------------
 
 fn solve_native(st: State) -> i64 {
@@ -221,16 +181,11 @@ impl Benchmark for Nqueens {
     fn run_native(&self, n: usize) -> i64 {
         solve_native(State::initial(n))
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        Some(solve_global(m, State::initial(n), GValue::Unit))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -241,11 +196,8 @@ mod tests {
             let rt = Runtime::new(RuntimeConfig::managed());
             let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
             let mut seq = SeqRuntime::default();
-            let grt = GlobalRuntime::new(1 << 20, 2);
-            let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
             assert_eq!(mpl, native, "n={n}");
             assert_eq!(b.run_seq(&mut seq, n), native, "n={n}");
-            assert_eq!(glob.expect_int(), native, "n={n}");
             assert_eq!(rt.stats().pins, 0);
         }
         assert_eq!(b.run_native(8), 92);

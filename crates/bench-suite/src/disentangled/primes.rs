@@ -1,8 +1,8 @@
 //! `primes` — count primes below `n` with a segmented sieve: base primes
 //! up to `√n` are computed sequentially, then segments are sieved in
-//! parallel, each into a task-local bitset. Part of the comparison set.
+//! parallel, each into a task-local bitset.
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime};
+use mpl_baselines::SeqRuntime;
 use mpl_runtime::{Mutator, Value};
 
 use crate::Benchmark;
@@ -108,7 +108,7 @@ fn go_mpl(m: &mut Mutator<'_>, base: Value, lo: usize, hi: usize) -> i64 {
     a.expect_int() + b.expect_int()
 }
 
-// ---- seq / global / native ---------------------------------------------------
+// ---- seq / native -----------------------------------------------------------
 
 fn go_seq(rt: &mut SeqRuntime, base: &[usize], lo: usize, hi: usize) -> i64 {
     if hi - lo <= SEGMENT {
@@ -143,44 +143,6 @@ fn go_seq(rt: &mut SeqRuntime, base: &[usize], lo: usize, hi: usize) -> i64 {
     }
     let mid = lo + (hi - lo) / 2;
     go_seq(rt, base, lo, mid) + go_seq(rt, base, mid, hi)
-}
-
-fn go_global(m: &mut GlobalMutator, base: std::sync::Arc<Vec<usize>>, lo: usize, hi: usize) -> i64 {
-    if hi - lo <= SEGMENT {
-        let len = hi - lo;
-        let bits = m.alloc_raw(len.div_ceil(64));
-        for &p in base.iter() {
-            if p * p >= hi {
-                break;
-            }
-            let start = (lo.div_ceil(p) * p).max(p * p);
-            let mut q = start;
-            while q < hi {
-                let idx = q - lo;
-                let w = m.raw_get(bits, idx / 64);
-                m.raw_set(bits, idx / 64, w | (1 << (idx % 64)));
-                q += p;
-            }
-        }
-        let mut count = 0;
-        for i in lo..hi {
-            if i < 2 {
-                continue;
-            }
-            let idx = i - lo;
-            if m.raw_get(bits, idx / 64) & (1 << (idx % 64)) == 0 {
-                count += 1;
-            }
-        }
-        return count;
-    }
-    let mid = lo + (hi - lo) / 2;
-    let (b1, b2) = (std::sync::Arc::clone(&base), base);
-    let (a, b) = m.fork(
-        move |m| GValue::Int(go_global(m, b1, lo, mid)),
-        move |m| GValue::Int(go_global(m, b2, mid, hi)),
-    );
-    a.expect_int() + b.expect_int()
 }
 
 impl Benchmark for Primes {
@@ -225,17 +187,11 @@ impl Benchmark for Primes {
         }
         total
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let base = std::sync::Arc::new(base_primes((n as f64).sqrt() as usize + 1));
-        Some(go_global(m, base, 0, n))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -253,11 +209,8 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
         let mut seq = SeqRuntime::default();
-        let grt = GlobalRuntime::new(1 << 22, 2);
-        let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
-        assert_eq!(glob.expect_int(), native);
         assert_eq!(rt.stats().pins, 0);
     }
 }

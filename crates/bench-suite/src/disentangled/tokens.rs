@@ -1,8 +1,8 @@
 //! `tokens` — count tokens (maximal runs of non-space bytes) in a text,
 //! parallelized over byte ranges with boundary-aware counting. The text
-//! lives in a heap string (raw array). Part of the comparison set.
+//! lives in a heap string (raw array).
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Mutator, Value};
 
 use crate::util;
@@ -88,41 +88,6 @@ fn go_seq(rt: &mut SeqRuntime, s: SeqValue, lo: usize, hi: usize) -> i64 {
     go_seq(rt, s, lo, mid) + go_seq(rt, s, mid, hi)
 }
 
-fn pack_str_global(m: &mut GlobalMutator, text: &str) -> GValue {
-    let bytes = text.as_bytes();
-    let s = m.alloc_raw(1 + bytes.len().div_ceil(8));
-    m.raw_set(s, 0, bytes.len() as u64);
-    for (w, chunk) in bytes.chunks(8).enumerate() {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        m.raw_set(s, 1 + w, u64::from_le_bytes(buf));
-    }
-    s
-}
-
-fn go_global(m: &mut GlobalMutator, s: GValue, lo: usize, hi: usize) -> i64 {
-    let byte_at = |m: &mut GlobalMutator, i: usize| -> u8 {
-        (m.raw_get(s, 1 + i / 8) >> (8 * (i % 8))) as u8
-    };
-    if hi - lo <= GRAIN {
-        let mut count = 0;
-        for i in lo..hi {
-            let c = byte_at(m, i);
-            let prev = if i == 0 { b' ' } else { byte_at(m, i - 1) };
-            if c != b' ' && prev == b' ' {
-                count += 1;
-            }
-        }
-        return count;
-    }
-    let mid = lo + (hi - lo) / 2;
-    let (a, b) = m.fork(
-        move |m| GValue::Int(go_global(m, s, lo, mid)),
-        move |m| GValue::Int(go_global(m, s, mid, hi)),
-    );
-    a.expect_int() + b.expect_int()
-}
-
 impl Benchmark for Tokens {
     fn name(&self) -> &'static str {
         "tokens"
@@ -167,18 +132,11 @@ impl Benchmark for Tokens {
         let text = util::random_text(n, 31);
         count_starts(text.as_bytes(), 0, n)
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let text = util::random_text(n, 31);
-        let s = pack_str_global(m, &text);
-        Some(go_global(m, s, 0, n))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -203,11 +161,8 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
         let mut seq = SeqRuntime::default();
-        let grt = GlobalRuntime::new(1 << 22, 2);
-        let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
-        assert_eq!(glob.expect_int(), native);
         assert_eq!(rt.stats().pins, 0);
     }
 }

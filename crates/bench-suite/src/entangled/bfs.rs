@@ -2,9 +2,8 @@
 //! vertices by CAS-publishing freshly allocated distance records into a
 //! shared array; losers read the winner's record — entanglement on every
 //! contended vertex (the paper's motivating graph-algorithm pattern).
-//! Part of the comparison set.
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Handle, Mutator, Value};
 
 use crate::util::{self, CsrGraph};
@@ -262,55 +261,11 @@ impl Benchmark for Bfs {
     fn run_native(&self, n: usize) -> i64 {
         bfs_native(n)
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let g = graph(n);
-        let claims = m.alloc_n(n, GValue::Unit);
-        let _hold = m.root(claims); // survives the stop-the-world collections
-        let rec0 = m.alloc(&[GValue::Int(0)]);
-        m.set_field(claims, 0, rec0);
-        let mut frontier = vec![0u32];
-        let mut level = 0i64;
-        let mut csum = 0i64;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                let lo = g.offsets[u as usize] as usize;
-                let hi = g.offsets[u as usize + 1] as usize;
-                for e in lo..hi {
-                    let v = g.targets[e] as usize;
-                    match m.get_field(claims, v) {
-                        GValue::Unit => {
-                            let rec = m.alloc(&[GValue::Int(level + 1)]);
-                            if m.cas_field(claims, v, GValue::Unit, rec) {
-                                next.push(v as u32);
-                            } else {
-                                let r = m.get_field(claims, v);
-                                csum += m.get_field(r, 0).expect_int();
-                            }
-                        }
-                        taken => csum += m.get_field(taken, 0).expect_int(),
-                    }
-                }
-            }
-            frontier = next;
-            level += 1;
-        }
-        let mut total = 0i64;
-        for v in 0..n {
-            if let GValue::Obj(_) = m.get_field(claims, v) {
-                let rec = m.get_field(claims, v);
-                total += m.get_field(rec, 0).expect_int();
-            }
-        }
-        Some(total + csum)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -321,11 +276,8 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
         let mut seq = SeqRuntime::default();
-        let grt = GlobalRuntime::new(1 << 22, 2);
-        let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
-        assert_eq!(glob.expect_int(), native);
         let s = rt.stats();
         // One worker: each right branch runs in its left sibling's heap.
         assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");

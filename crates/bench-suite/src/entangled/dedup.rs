@@ -1,9 +1,9 @@
 //! `dedup` — parallel deduplication through a concurrent hash set with
 //! CAS-linked bucket chains. Sibling tasks insert nodes and *read each
 //! other's freshly allocated nodes* while walking chains: the archetypal
-//! entangled workload. Part of the comparison set.
+//! entangled workload.
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Mutator, Value};
 
 use crate::util;
@@ -119,53 +119,6 @@ fn go_seq(rt: &mut SeqRuntime, n: usize) -> i64 {
     unique
 }
 
-// ---- global ------------------------------------------------------------------
-
-fn insert_global(m: &mut GlobalMutator, table: GValue, nbuckets: usize, key: u64) -> i64 {
-    let b = hash(key, nbuckets);
-    loop {
-        let head = m.get_field(table, b);
-        let mut cur = head;
-        while let GValue::Obj(_) = cur {
-            if m.get_field(cur, 0).expect_int() as u64 == key {
-                return 0;
-            }
-            cur = m.get_field(cur, 1);
-        }
-        let mark = m.mark();
-        let _ht = m.root(table);
-        let _hh = m.root(head);
-        let node = m.alloc(&[GValue::Int(key as i64), head]);
-        let won = m.cas_field(table, b, head, node);
-        m.release(mark);
-        if won {
-            return 1;
-        }
-    }
-}
-
-fn go_global(m: &mut GlobalMutator, table: GValue, nbuckets: usize, items: &[u64]) -> i64 {
-    if items.len() <= GRAIN {
-        let mut unique = 0;
-        let mark = m.mark();
-        let _ht = m.root(table);
-        for &key in items {
-            unique += insert_global(m, table, nbuckets, key);
-        }
-        m.release(mark);
-        return unique;
-    }
-    let (lo, hi) = items.split_at(items.len() / 2);
-    let mark = m.mark();
-    let _ht = m.root(table);
-    let (a, b) = m.fork(
-        move |m| GValue::Int(go_global(m, table, nbuckets, lo)),
-        move |m| GValue::Int(go_global(m, table, nbuckets, hi)),
-    );
-    m.release(mark);
-    a.expect_int() + b.expect_int()
-}
-
 impl Benchmark for Dedup {
     fn name(&self) -> &'static str {
         "dedup"
@@ -195,19 +148,11 @@ impl Benchmark for Dedup {
         let set: std::collections::HashSet<u64> = items.into_iter().collect();
         set.len() as i64
     }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let items = util::dedup_stream(n, 71);
-        let nbuckets = buckets_for(n);
-        let table = m.alloc_n(nbuckets, GValue::Unit);
-        Some(go_global(m, table, nbuckets, &items))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_baselines::GlobalRuntime;
     use mpl_runtime::{Runtime, RuntimeConfig};
 
     #[test]
@@ -218,11 +163,8 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::managed());
         let mpl = rt.run(|m| Value::Int(b.run_mpl(m, n))).expect_int();
         let mut seq = SeqRuntime::default();
-        let grt = GlobalRuntime::new(1 << 22, 2);
-        let glob = grt.run(|m| GValue::Int(b.run_global(m, n).unwrap()));
         assert_eq!(mpl, native);
         assert_eq!(b.run_seq(&mut seq, n), native);
-        assert_eq!(glob.expect_int(), native);
         let s = rt.stats();
         // One worker: each right branch runs in its left sibling's heap.
         assert_eq!((s.entangled_reads, s.pins), (0, 0), "{s:?}");

@@ -7,7 +7,7 @@
 //! the defining entangled access pattern. The component count is
 //! schedule-independent even though the union trees are not.
 
-use mpl_baselines::{GValue, GlobalMutator, SeqRuntime, SeqValue};
+use mpl_baselines::{SeqRuntime, SeqValue};
 use mpl_runtime::{Handle, Mutator, Value};
 
 use crate::util;
@@ -212,52 +212,6 @@ impl Benchmark for UnionFind {
 
     fn run_native(&self, n: usize) -> i64 {
         components_native(n, &edges(n))
-    }
-
-    fn run_global(&self, m: &mut GlobalMutator, n: usize) -> Option<i64> {
-        let es = edges(n);
-        let parents = m.alloc_n(n, GValue::Unit);
-        let _hold = m.root(parents);
-        for i in 0..n {
-            m.set_field(parents, i, GValue::Int(i as i64));
-        }
-        fn find(m: &mut GlobalMutator, parents: GValue, mut i: usize) -> usize {
-            loop {
-                let next = match m.get_field(parents, i) {
-                    GValue::Int(j) => j as usize,
-                    link => m.get_field(link, 0).expect_int() as usize,
-                };
-                if next == i {
-                    return i;
-                }
-                i = next;
-            }
-        }
-        let mut merges = 0i64;
-        for &(a, b) in &es {
-            loop {
-                let ra = find(m, parents, a as usize);
-                let rb = find(m, parents, b as usize);
-                if ra == rb {
-                    break;
-                }
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                let expected = m.get_field(parents, hi);
-                let is_root = match expected {
-                    GValue::Int(j) => j as usize == hi,
-                    link => m.get_field(link, 0).expect_int() as usize == hi,
-                };
-                if !is_root {
-                    continue;
-                }
-                let link = m.alloc(&[GValue::Int(lo as i64)]);
-                if m.cas_field(parents, hi, expected, link) {
-                    merges += 1;
-                    break;
-                }
-            }
-        }
-        Some(n as i64 - merges)
     }
 }
 

@@ -11,15 +11,16 @@
 //!
 //! * `run_mpl` — against the entanglement-managed runtime's [`Mutator`];
 //! * `run_seq` — the same algorithm, single-threaded, on the barrier-free
-//!   sequential baseline (`T_s` in the overhead tables);
-//! * `run_native` — plain Rust (the C++/Go stand-in and the checksum
-//!   oracle);
-//! * `run_global` — on the shared-heap stop-the-world runtime, for the
-//!   cross-runtime comparison benchmarks.
+//!   sequential baseline;
+//! * `run_native` — plain Rust, the checksum oracle.
 //!
 //! All workloads are seeded and deterministic; each `run_*` returns a
 //! checksum that must agree across every implementation (verified by each
 //! module's tests and the integration suite).
+//!
+//! The repository's benchmark (`benchmark/`, named by `BENCHMARK.json`)
+//! times `run_mpl` as its `t1`/`tp` children and `run_seq` as its `ts`
+//! child; the tests check `run_mpl` and `run_seq` against `run_native`.
 //!
 //! # Example
 //!
@@ -67,7 +68,7 @@ pub mod entangled {
     pub mod unionfind;
 }
 
-use mpl_baselines::{GlobalMutator, SeqRuntime};
+use mpl_baselines::SeqRuntime;
 use mpl_runtime::{FailAction, FailPlan, FailWhen, Mutator, Runtime, RuntimeConfig, Value};
 
 /// A suite benchmark, runnable on every runtime with a common checksum.
@@ -99,13 +100,8 @@ pub trait Benchmark: Sync {
     /// Runs on the sequential baseline; returns the checksum.
     fn run_seq(&self, rt: &mut SeqRuntime, n: usize) -> i64;
 
-    /// Plain-Rust implementation (oracle + native comparison).
+    /// Plain-Rust implementation (the checksum oracle).
     fn run_native(&self, n: usize) -> i64;
-
-    /// Runs on the global-heap runtime, if supported (comparison set).
-    fn run_global(&self, _m: &mut GlobalMutator, _n: usize) -> Option<i64> {
-        None
-    }
 }
 
 /// All benchmarks, disentangled first.

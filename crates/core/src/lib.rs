@@ -77,4 +77,4 @@ pub use mpl_heap::{
     to_dot as heap_dot, BudgetSnapshot, ObjKind, ObjRef, StatsSnapshot, StoreConfig, TenantBudget,
     Value,
 };
-pub use mpl_sched::{simulate, sweep, Dag, SchedSnapshot, SimParams, SimResult};
+pub use mpl_sched::{simulate, Dag, SchedSnapshot, SimParams, SimResult};

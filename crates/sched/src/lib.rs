@@ -44,7 +44,7 @@ pub mod worker;
 
 pub use dag::{Dag, DagBuilder, StrandId};
 pub use executor::{Executor, SchedSnapshot, SchedStats};
-pub use simsched::{simulate, sweep, SimParams, SimResult};
+pub use simsched::{simulate, SimParams, SimResult};
 pub use worker::{
     on_worker_thread, set_job_finish_hook, try_join, DriverGuard, WorkerCtx, PARK_INTERVAL,
 };

@@ -158,32 +158,6 @@ pub fn simulate(dag: &Dag, params: SimParams) -> SimResult {
     }
 }
 
-/// Convenience: `T_P` for each processor count in `procs`, with shared
-/// parameters otherwise.
-pub fn sweep(
-    dag: &Dag,
-    procs: &[usize],
-    steal_overhead: u64,
-    seed: u64,
-) -> Vec<(usize, SimResult)> {
-    procs
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                simulate(
-                    dag,
-                    SimParams {
-                        procs: p,
-                        steal_overhead,
-                        seed,
-                    },
-                ),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,9 +226,16 @@ mod tests {
     #[test]
     fn speedup_is_monotonic_in_shape() {
         let d = fork_tree(8, 500);
-        let series = sweep(&d, &[1, 2, 4, 8, 16], 8, 7);
-        let t1 = series[0].1.time as f64;
-        let speedups: Vec<f64> = series.iter().map(|(_, r)| t1 / r.time as f64).collect();
+        let time = |procs| {
+            let p = SimParams {
+                procs,
+                steal_overhead: 8,
+                seed: 7,
+            };
+            simulate(&d, p).time as f64
+        };
+        let t1 = time(1);
+        let speedups: Vec<f64> = [1, 2, 4, 8, 16].map(|p| t1 / time(p)).to_vec();
         assert!(speedups[1] > 1.5, "2 procs should speed up: {speedups:?}");
         assert!(
             speedups[4] > speedups[1],

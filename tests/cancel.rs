@@ -154,6 +154,43 @@ fn deadline_cancels_a_spinning_tree_promptly() {
     assert_eq!(got, Value::Int(bench.run_native(n)));
 }
 
+/// Cancel-to-unwound latency is bounded at every tree depth: each of
+/// eight deadline-cancelled runs of a spinning tree of depth 2, 4, 6 and
+/// 8 on four workers records one `CancelUnwind` sample, and their p99
+/// stays under 50 ms (a debug-build bound).
+#[test]
+fn unwind_latency_is_bounded_at_every_depth() {
+    let _guard = CANCEL_LOCK.lock().unwrap();
+    let unwind = || mpl_obs::histogram(mpl_obs::Metric::CancelUnwind);
+    let rt = Runtime::new(
+        RuntimeConfig::managed()
+            .with_threads_exact(4)
+            .with_telemetry(),
+    );
+    let cancel = |depth| {
+        let err = rt
+            .try_run_deadline(Duration::from_micros(500), |m| spin_tree(m, depth))
+            .expect_err("a spinning tree can only end by cancellation");
+        assert!(
+            matches!(&err, RunError::Cancelled(c) if c.reason == CancelReason::Deadline),
+            "{err}"
+        );
+    };
+    for depth in [2, 4, 6, 8] {
+        // The first run pays for waking the workers, not for unwinding.
+        cancel(depth);
+        unwind().reset();
+        for _ in 0..8 {
+            cancel(depth);
+        }
+        let h = unwind().snapshot();
+        assert_eq!(h.count, 8, "depth {depth}: one sample per cancelled run");
+        let p99_ms = h.p99() as f64 / 1e6;
+        assert!(p99_ms < 50.0, "depth {depth}: unwind p99 {p99_ms:.2} ms");
+    }
+    assert_clean(&rt, "unwind latency");
+}
+
 #[test]
 fn explicit_root_cancel_unwinds_and_poisons_future_runs() {
     let _guard = CANCEL_LOCK.lock().unwrap();

@@ -14,9 +14,15 @@
 //! 3. **Post-mortem** — the two automatic dump triggers (a GC-watchdog
 //!    stall and a heap-limit `AllocError`) each leave a decodable flight
 //!    recording on disk containing the anomaly event that tripped them.
+//! 4. **Exports** — a census of a heap of over 100 k objects, taken
+//!    while an entangled pin is live, sees the pin and the sampled
+//!    provenance, and its JSON and Prometheus documents carry every field
+//!    and family.
 //!
 //! The flight ring, dump counter, and `MPL_FLIGHT_DIR` are process-global,
 //! so everything here serializes on [`CENSUS_LOCK`].
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -29,6 +35,12 @@ use mpl_runtime::{
 };
 
 static CENSUS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Live objects in the exported census's heap.
+const CENSUS_OBJECTS: i64 = 120_000;
+/// Entangled reads by the stolen reader: enough that the 1-in-64
+/// provenance sampler keeps some.
+const ENTANGLED_READS: usize = 10_000;
 
 /// Small blocks and low triggers so collections actually happen at the
 /// scales proptest drives.
@@ -295,4 +307,141 @@ fn heap_limit_alloc_error_dumps_a_parseable_flight_recording() {
     drop(rt);
     std::env::remove_var("MPL_FLIGHT_DIR");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A census of a heap of over 100 k objects, taken by a stolen reader
+/// while its entangled pin is live, sees the pin and the sampled
+/// provenance. Its JSON carries every top-level and class-row field, its
+/// Prometheus document every `mpl_census_*` family in well-formed lines,
+/// and the run has fed the flight ring a decodable recording.
+#[test]
+fn census_under_a_live_pin_exports_every_field_and_family() {
+    let _guard = CENSUS_LOCK.lock().unwrap();
+    mpl_obs::reset_provenance();
+    mpl_obs::clear_flight();
+    let rt = Runtime::new(
+        RuntimeConfig::managed()
+            .with_telemetry()
+            .with_threads_exact(2),
+    );
+    let mut captured = None;
+    rt.run(|m| {
+        let mut list = Value::Unit;
+        for i in 0..CENSUS_OBJECTS {
+            list = m.alloc_tuple(&[Value::Int(i), list]);
+        }
+        let _keep = m.root(list);
+        // The left branch publishes a pair from its own heap; the stolen
+        // right branch reads it, pinning it at the fork, and takes the
+        // census before the join releases the pin.
+        let cell = m.alloc_ref(Value::Unit);
+        let c = m.root(cell);
+        m.fork_stolen(
+            |m| {
+                let pair = m.alloc_tuple(&[Value::Int(40), Value::Int(2)]);
+                m.write_ref(m.get(&c), pair);
+                Value::Unit
+            },
+            |m| {
+                let mut done = 0;
+                while done < ENTANGLED_READS {
+                    let v = m.read_ref(m.get(&c));
+                    if let Value::Obj(_) = v {
+                        assert_eq!(m.tuple_get(v, 0).expect_int(), 40);
+                        done += 1;
+                    }
+                }
+                m.sync_stats();
+                captured = Some(m.runtime().heap_census());
+                Value::Unit
+            },
+        );
+        Value::Unit
+    });
+    let census = captured.expect("the reader took a census");
+    assert!(census.objects() >= 100_000, "{} objects", census.objects());
+    assert!(census.pinned_objects() >= 1, "the reader's pin is live");
+    let prov = mpl_obs::provenance_summary();
+    assert!(prov.recorded > 0, "no entangled read was sampled");
+
+    let json = census.to_json();
+    let has = |doc: &str, key: &str| doc.contains(&format!("\"{key}\":"));
+    for key in [
+        "at_ns",
+        "heaps",
+        "blocks",
+        "blocks_issued",
+        "live_bytes",
+        "objects",
+        "pinned_objects",
+        "fragmentation",
+        "clean_block_ratio",
+        "classes",
+        "tenants",
+        "unattributed",
+        "provenance",
+        "last_gc",
+        "recorded",
+        "retained",
+        "pinned",
+        "by_class",
+        "max_depth_gap",
+        "mean_depth_gap",
+    ] {
+        assert!(has(&json, key), "census JSON lacks {key:?}: {json}");
+    }
+    let classes = &json[json.find("\"classes\":[").unwrap()..json.find("],\"tenants\"").unwrap()];
+    let rows: Vec<&str> = classes.split("},{").collect();
+    assert_eq!(rows.len(), census.classes.len(), "{classes}");
+    for row in rows {
+        for key in [
+            "class",
+            "blocks",
+            "entangled_blocks",
+            "full_blocks",
+            "clean_blocks",
+            "capacity_words",
+            "allocated_words",
+            "lines_total",
+            "lines_in_use",
+            "lines_marked",
+            "objects",
+            "pinned_objects",
+            "suspect_objects",
+            "live_bytes",
+            "occupancy",
+            "fragmentation",
+        ] {
+            assert!(has(row, key), "class row lacks {key:?}: {row}");
+        }
+    }
+
+    let mut prom = mpl_obs::PromWriter::new();
+    census.write_prometheus(&mut prom);
+    let prom = prom.finish();
+    for family in [
+        "mpl_census_live_bytes",
+        "mpl_census_blocks",
+        "mpl_census_objects",
+        "mpl_census_pinned_objects",
+        "mpl_census_fragmentation_ratio",
+        "mpl_census_clean_block_ratio",
+        "mpl_census_class_blocks",
+        "mpl_census_class_live_bytes",
+        "mpl_census_class_occupancy_ratio",
+    ] {
+        let header = format!("# TYPE {family} gauge\n");
+        assert!(prom.contains(&header), "no family {family}");
+    }
+    assert!(prom.contains("# TYPE mpl_census_entanglement_samples_total counter\n"));
+    assert!(common::prometheus_samples(&prom) > 0);
+
+    let flight = mpl_obs::flight_snapshot();
+    assert!(!flight.is_empty(), "the run fed the flight ring nothing");
+    let decoded = mpl_obs::flight_decode(&mpl_obs::flight_encode(&flight)).unwrap();
+    let trace = mpl_obs::flight_chrome_trace(&decoded);
+    assert!(
+        trace.starts_with("{\"traceEvents\":[{"),
+        "empty flight trace"
+    );
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use mpl_runtime::{FailAction, FailPlan, FailWhen, Runtime, RuntimeConfig};
 use mpl_serve::{
-    schedule, schedule_digest, ArrivalProcess, Profile, RequestMix, Server, TenantSpec,
-    TrafficConfig,
+    schedule, schedule_digest, ArrivalProcess, Profile, RequestMix, Server, ServerReport,
+    TenantSpec, TrafficConfig,
 };
 
 /// The failpoint registry is process-global: a plan armed by one test
@@ -113,6 +113,83 @@ fn budget_isolation_adversary_sheds_victims_serve() {
     );
     srv.shutdown();
     rt.assert_heap_sound();
+}
+
+/// The serving smoke schedule, audited: the three-tenant mix for 2 s at
+/// 300 rps, then the same victims beside a benign fourth tenant and
+/// beside an over-budget adversary. No run traces a dead object, fails an
+/// audit or leaks a pin; the adversary is shed; the sampler samples; and
+/// the debug-build bounds hold: the victims' p99 under 250 ms and the
+/// mix's live-bytes slope under 4 MiB/s.
+#[test]
+fn audited_smoke_schedule_sheds_the_adversary_and_stays_flat() {
+    // Exclusive, so that the latency bound sees no other test's load.
+    let _guard = REGISTRY_LOCK.write().unwrap_or_else(|e| e.into_inner());
+    const SEED: u64 = 0x0e12_5eed;
+    let victims = || {
+        vec![
+            TenantSpec::new("web", 8 << 20).cache_slots(128),
+            TenantSpec::new("feed", 8 << 20).profile(Profile::Entangled),
+            TenantSpec::new("batch", 16 << 20).payload_scale(4),
+        ]
+    };
+    let traffic = |seed, tenants| TrafficConfig {
+        seed,
+        rate_hz: 300.0,
+        requests: 600,
+        process: ArrivalProcess::Poisson,
+        tenants,
+        sessions_per_tenant: 2,
+        ..TrafficConfig::default()
+    };
+    let audit0 = mpl_gc::audit::counters();
+    let serve = |specs: Vec<TenantSpec>, traffic: &TrafficConfig| -> ServerReport {
+        let rt = Runtime::new(RuntimeConfig::managed().with_telemetry().with_audit());
+        let mut srv = Server::new(&rt, specs);
+        let rep = srv.run(traffic);
+        srv.shutdown();
+        assert_eq!(rt.live_root_stacks(), 0, "leaked session roots");
+        rt.assert_heap_sound();
+        let s = rt.stats();
+        assert_eq!((s.lgc_dead_traced, s.pinned_bytes), (0, 0));
+        assert!(rep.live_samples > 0, "the sampler took no sample");
+        assert!(!rt.telemetry_samples().is_empty());
+        rep
+    };
+    let victims_p99_ms = |rep: &ServerReport| {
+        let worst = rep.tenants[..3].iter().map(|t| t.p99_ns).max().unwrap();
+        worst as f64 / 1e6
+    };
+
+    let mix = serve(victims(), &traffic(SEED, 3));
+    let slope = mix.live_slope_bytes_per_s.abs();
+    assert!(
+        slope < 4.0 * 1024.0 * 1024.0,
+        "live bytes drift {slope} B/s"
+    );
+    let mut control = victims();
+    control.push(TenantSpec::new("ctrl", 16 << 20));
+    let control = serve(control, &traffic(SEED ^ 0xadd, 4));
+    let mut adversary = victims();
+    adversary.push(
+        TenantSpec::new("hog", 256 * 1024)
+            .profile(Profile::Entangled)
+            .payload_scale(64)
+            .cache_slots(256),
+    );
+    let adversary = serve(adversary, &traffic(SEED ^ 0xadd, 4));
+    let hog = &adversary.tenants[3].counts;
+    assert!(
+        hog.shed_budget + hog.shed_injected > 0,
+        "adversary never shed"
+    );
+    for rep in [&mix, &control, &adversary] {
+        assert_eq!(rep.gc.lgc_dead_traced, 0);
+        let p99 = victims_p99_ms(rep);
+        assert!(p99 < 250.0, "victims' p99 {p99:.1} ms");
+    }
+    let audit1 = mpl_gc::audit::counters();
+    assert_eq!(audit1.failures - audit0.failures, 0, "phase audits");
 }
 
 /// Sessions persist across schedules: a second run on the same server

@@ -5,6 +5,8 @@
 //! several configurations) and on the sequential baseline, and the
 //! runtime invariants the paper proves must hold after every run.
 
+mod common;
+
 use mpl_baselines::SeqRuntime;
 use mpl_runtime::{GcPolicy, Runtime, RuntimeConfig, StoreConfig, Value};
 
@@ -48,7 +50,13 @@ fn check(bench: &dyn mpl_bench_suite::Benchmark, cfg: RuntimeConfig, label: &str
             bench.name(),
             label
         );
-        assert_eq!(s.entangled_reads, 0, "{} [{}]", bench.name(), label);
+        assert_eq!(
+            s.entangled_reads + s.entangled_writes,
+            0,
+            "{} [{}]",
+            bench.name(),
+            label
+        );
     }
     // Independent whole-heap certification: no collection left a
     // reachable dangling reference.
@@ -66,6 +74,62 @@ fn all_benchmarks_default_config() {
 fn all_benchmarks_under_gc_pressure() {
     for bench in mpl_bench_suite::all() {
         check(bench.as_ref(), gc_pressure(), "gc-pressure");
+    }
+}
+
+/// The telemetry layer perturbs no accounting: with it on, the
+/// disentangled suite still pins nothing and makes no entangled access.
+#[test]
+fn disentangled_benchmarks_with_telemetry() {
+    for bench in mpl_bench_suite::all() {
+        if bench.entangled() {
+            continue;
+        }
+        let cfg = RuntimeConfig::managed().with_telemetry();
+        check(bench.as_ref(), cfg, "telemetry");
+    }
+}
+
+/// A run's telemetry report renders every row of the counter table in
+/// the Prometheus family its kind dictates, in well-formed sample lines
+/// beside the pause histograms, and its Chrome trace closes every span
+/// it opens.
+#[test]
+fn telemetry_report_of_a_run_exports_every_counter_row() {
+    use mpl_heap::stats::{Kind, ROWS};
+    let bench = mpl_bench_suite::by_name("dedup").unwrap();
+    let n = bench.small_n();
+    let rt = Runtime::new(RuntimeConfig::managed().with_telemetry());
+    let got = rt.run(|m| Value::Int(bench.run_mpl(m, n))).expect_int();
+    assert_eq!(got, bench.run_native(n));
+    let report = rt.telemetry_report();
+
+    let prom = &report.prometheus;
+    let mut families = 0;
+    for row in rt.stats().rows() {
+        let family = match row.kind {
+            Kind::Monotonic => format!("# TYPE mpl_{}_total counter\n", row.name),
+            Kind::Gauge | Kind::HighWater => format!("# TYPE mpl_{} gauge\n", row.name),
+        };
+        assert!(prom.contains(&family), "no family: {family}");
+        families += 1;
+    }
+    assert_eq!(families, ROWS, "every counter-table row is exported");
+    assert!(prom.contains("# TYPE mpl_lgc_pause_seconds histogram\n"));
+    assert!(common::prometheus_samples(prom) >= ROWS);
+
+    let trace = &report.chrome_trace;
+    assert!(
+        trace.starts_with("{\"traceEvents\":["),
+        "chrome trace shape"
+    );
+    let b = trace.matches(r#""ph":"B""#).count();
+    let e = trace.matches(r#""ph":"E""#).count();
+    assert!(b > 0 && b == e, "unbalanced spans: {b} B, {e} E");
+    let events = trace.matches(r#""ph":"#).count();
+    for key in ["name", "ts", "pid", "tid"] {
+        let n = trace.matches(&format!("\"{key}\":")).count();
+        assert!(n >= events, "{events} events but {n} carry {key:?}");
     }
 }
 

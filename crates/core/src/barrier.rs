@@ -17,9 +17,9 @@
 //!   unpin) for an object already resident in the block cache. The write fast paths are (1) storing an immediate
 //!   under managed semantics, and (2) a pointer store where source and
 //!   target both provably live in this task's own leaf heap — the
-//!   target classified by the SFT-style block table
-//!   ([`mpl_heap::SftTable::owner_of`], one shifted load), the source by
-//!   cached block owner; heap ids are globally unique and a leaf stays
+//!   target classified by the registry's lock-free block-owner index
+//!   ([`mpl_heap::BlockRegistry::owner_of`], two dependent loads), the
+//!   source by cached block owner; heap ids are globally unique and a leaf stays
 //!   canonical while its task runs, so locality can neither create
 //!   entanglement nor a down-pointer.
 //!
@@ -372,15 +372,15 @@ impl Mutator<'_> {
         // means no entanglement, in every mode. (Forwarding never leaves
         // a heap, so the check holds even for a stale target ref — and
         // the slow tier stores the caller's `v` unresolved in the local
-        // case too.) The target is classified by the SFT block table —
-        // one shifted load into the side-metadata segment array, no
-        // registry lock, and no cache traffic that could evict the
-        // source's slot (which the caller's store views).
+        // case too.) The target is classified by the registry's owner
+        // index — a segment load and an entry load, no registry lock, and
+        // no cache traffic that could evict the source's slot (which the
+        // caller's store views).
         if !cfg.force_slow_path && matches!(v, Value::Obj(_)) {
             let leaf = self.ctx.heap.leaf();
             if let Value::Obj(t) = v {
                 if self.view(src).block().owner() == leaf
-                    && store.sft().owner_of(t.block()) == Some(leaf)
+                    && store.blocks().owner_of(t.block()) == Some(leaf)
                 {
                     return src;
                 }

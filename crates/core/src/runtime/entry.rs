@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpl_heap::{Counter, LazyHeap, Value};
-use mpl_sched::{Dag, DagBuilder, Executor, StrandId};
+use mpl_sched::{Dag, DagBuilder, Executor};
 
 use super::{Runtime, TenantSession};
 use crate::cancel::{CancelReason, CancelToken, Cancelled, RunError};
@@ -31,10 +31,12 @@ impl Runtime {
     /// panicking program needs running unconditionally — the root task
     /// finishes (`TaskCtx::finish`: buffers flush, the slot pauses), an
     /// anonymous run's slot closes — which frees the retired blocks no
-    /// other running slot holds back — and a half-built DAG recording is
-    /// discarded — before the payload is re-raised. By the time a panic
-    /// reaches here every fork inside `f` has already joined (joins
-    /// complete both branches and merge their heaps before re-raising).
+    /// other running slot holds back — before the payload is re-raised.
+    /// By the time a panic reaches here every fork inside `f` has already
+    /// joined (joins complete both branches and merge their heaps before
+    /// re-raising). A recorded run finishes its own DAG into `last_dag`:
+    /// the builder is this call's, so runs that overlap on one runtime
+    /// never finish each other's.
     pub(super) fn run_root<F>(
         &self,
         session: Option<&TenantSession>,
@@ -49,14 +51,7 @@ impl Runtime {
         // slot, forks from this call fall back to inline sequential
         // execution — correct, just not parallel.
         let _driver = self.executor.as_deref().and_then(Executor::install_driver);
-        let (dag, strand) = if self.config.record_dag {
-            let (builder, root_strand) = DagBuilder::new();
-            let builder = Arc::new(builder);
-            *self.dag.lock() = Some(Arc::clone(&builder));
-            (Some(builder), root_strand)
-        } else {
-            (None, StrandId(0))
-        };
+        let dag = self.config.record_dag.then(DagBuilder::new);
         let (root_heap, slot) = match session {
             Some(s) => {
                 // Nothing scans a retired session's stack any more: a
@@ -72,7 +67,7 @@ impl Runtime {
         if let Some(s) = session {
             heap.debt.set(s.debt.get());
         }
-        let recording = dag.as_deref().map(|d| (d, strand));
+        let recording = dag.as_ref().map(|(d, strand)| (d, *strand));
         let ctx = TaskCtx::enter(self, &slot, Handoff::Paused, &heap, 0, recording, &cancel);
         let mut m = Mutator::new(ctx);
         let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m)));
@@ -91,16 +86,13 @@ impl Runtime {
             result = result.map(|_| escaping[0]);
         }
         drop(m);
-        drop(dag); // `try_unwrap` below needs the runtime's handle to be the last
         match session {
             // Even after a shed request: the garbage is still there.
             Some(s) => s.debt.set(heap.debt.get()),
             None => self.cgc_state.close_slot(&self.store, &slot),
         }
-        if let Some(builder) = self.dag.lock().take() {
-            // A panic can leave strands un-joined; the partial recording
-            // is useless — drop it rather than poisoning the next run.
-            *self.last_dag.lock() = Arc::try_unwrap(builder).ok().map(DagBuilder::finish);
+        if let Some((builder, _)) = dag {
+            *self.last_dag.lock() = Some(builder.finish());
         }
         match result {
             Ok(v) => v,
@@ -208,8 +200,8 @@ impl Runtime {
         }
     }
 
-    /// The computation DAG recorded by the most recent `run` (if
-    /// `record_dag` was set).
+    /// The computation DAG of the recorded run (`record_dag` set) that
+    /// returned most recently, if no earlier call took it.
     pub fn take_dag(&self) -> Option<Dag> {
         self.last_dag.lock().take()
     }

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use mpl_gc::CgcState;
 use mpl_heap::{Counter, StatsSnapshot, Store};
-use mpl_sched::{Dag, DagBuilder, Executor, SchedSnapshot};
+use mpl_sched::{Dag, Executor, SchedSnapshot};
 
 use crate::cancel::CancelToken;
 use crate::config::RuntimeConfig;
@@ -38,7 +38,7 @@ pub struct Runtime {
     /// runs in flight, stolen branches) among it. Shared with the root
     /// cancel token's kick, which raises the cancel bit on every slot.
     cgc_state: Arc<CgcState>,
-    dag: Mutex<Option<Arc<DagBuilder>>>,
+    /// The DAG the most recently returned recorded run finished.
     last_dag: Mutex<Option<Dag>>,
     /// Pinned footprint after the previous concurrent collection; the
     /// next one triggers only once the footprint has doubled (amortizing
@@ -122,7 +122,6 @@ impl Runtime {
         Runtime {
             store,
             cgc_state,
-            dag: Mutex::new(None),
             last_dag: Mutex::new(None),
             cgc_baseline: std::sync::atomic::AtomicUsize::new(0),
             sampler,

@@ -1,6 +1,6 @@
 //! Telemetry assembly for a [`crate::Runtime`]: the GC stall watchdog
-//! thread, the gauge sampler thread, and the Prometheus / JSON exporter
-//! documents. Everything here reads shared counters; nothing touches
+//! thread, the gauge sampler thread, and the Chrome-trace / Prometheus
+//! exporter documents. Everything here reads shared counters; nothing touches
 //! mutator or collector state.
 
 use std::sync::Arc;
@@ -27,15 +27,10 @@ pub struct TelemetryReport {
     /// Prometheus text-exposition document: runtime counters and gauges
     /// plus the pause/latency histograms.
     pub prometheus: String,
-    /// Machine-readable JSON document: the same counters and gauges,
-    /// histogram percentile summaries (p50/p90/p99/p999/max in
-    /// nanoseconds), and the sampler's gauge series — what the E12 SLO
-    /// reporter and CI assertions parse instead of scraping text.
-    pub json: String,
 }
 
 impl TelemetryReport {
-    /// Renders the three documents: every row of `stats` plus, from the
+    /// Renders the two documents: every row of `stats` plus, from the
     /// process-global telemetry registry, the recorded spans and the
     /// duration histograms. [`crate::Runtime::telemetry_report`] is this
     /// over the runtime's own snapshot, samples and census.
@@ -47,7 +42,6 @@ impl TelemetryReport {
         TelemetryReport {
             chrome_trace: mpl_obs::chrome_trace(&mpl_obs::snapshot_spans(), samples),
             prometheus: build_prometheus(stats, samples.last(), census),
-            json: build_json(stats, samples, census),
         }
     }
 }
@@ -162,12 +156,11 @@ pub(crate) fn spawn_watchdog(
                             mpl_gc::audit::dump_events(None);
                             let snap = overlaid_stats(&stats, executor.as_deref());
                             eprintln!("{}", build_prometheus(&snap, None, None));
-                            // Post-mortem artifacts behind the same
-                            // stderr report: a stall event in the flight
-                            // ring, the ring as a binary dump, and a
-                            // Chrome-trace snapshot of recent spans. All
-                            // no-ops with telemetry disabled, and dumps
-                            // are bounded per process (`dump_flight`).
+                            // Post-mortem behind the same stderr report: a
+                            // stall event in the flight ring, and the ring
+                            // dumped as Chrome-trace JSON. Both no-ops
+                            // with telemetry disabled, and dumps are
+                            // bounded per process (`dump_flight`).
                             mpl_obs::flight_record(
                                 mpl_obs::FlightKind::Event,
                                 mpl_obs::EV_WATCHDOG_STALL,
@@ -179,17 +172,6 @@ pub(crate) fn spawn_watchdog(
                                     "mpl-gc-watchdog: flight recorder dumped to {}",
                                     path.display()
                                 );
-                                let trace = mpl_obs::chrome_trace(&mpl_obs::snapshot_spans(), &[]);
-                                let trace_path = path.with_extension("trace.json");
-                                match std::fs::write(&trace_path, trace) {
-                                    Ok(()) => eprintln!(
-                                        "mpl-gc-watchdog: chrome trace written to {}",
-                                        trace_path.display()
-                                    ),
-                                    Err(e) => {
-                                        eprintln!("mpl-gc-watchdog: chrome trace write failed: {e}")
-                                    }
-                                }
                             }
                         }
                     }
@@ -277,63 +259,6 @@ fn build_prometheus(
             &snap,
         );
     }
-    w.finish()
-}
-
-/// Assembles the machine-readable JSON telemetry document: every
-/// `StatsSnapshot` row (monotonic rows under `"counters"`, gauges and
-/// high-water marks under `"gauges"`), per-metric histogram percentile summaries (nanoseconds), and
-/// the sampler's gauge series. Consumed by the E12 SLO reporter and CI
-/// assertions (live-bytes slope, pause percentiles) instead of scraping
-/// the Prometheus text.
-fn build_json(
-    s: &StatsSnapshot,
-    samples: &[mpl_obs::Sample],
-    census: Option<&mpl_obs::HeapCensus>,
-) -> String {
-    let mut w = mpl_obs::JsonWriter::new();
-    w.begin_object();
-    w.field_u64("sampler_interval_ns", SAMPLER_INTERVAL.as_nanos() as u64);
-    for (section, monotonic) in [("counters", true), ("gauges", false)] {
-        w.key(section).begin_object();
-        for row in s
-            .rows()
-            .filter(|r| (r.kind == Kind::Monotonic) == monotonic)
-        {
-            w.field_u64(row.name, row.value);
-        }
-        w.end_object();
-    }
-    w.key("histograms_ns").begin_object();
-    for (metric, snap) in mpl_obs::metric_snapshots() {
-        w.key(metric.name()).begin_object();
-        w.field_u64("count", snap.count);
-        w.field_u64("p50", snap.percentile(0.50));
-        w.field_u64("p90", snap.percentile(0.90));
-        w.field_u64("p99", snap.percentile(0.99));
-        w.field_u64("p999", snap.percentile(0.999));
-        w.field_u64("max", snap.max);
-        w.field_f64("mean", snap.mean());
-        w.end_object();
-    }
-    w.end_object();
-    if let Some(census) = census {
-        // Rendered by the census itself; spliced in verbatim so the
-        // schema stays owned by one place (`HeapCensus::to_json`).
-        w.key("census").value_raw(&census.to_json());
-    }
-    w.key("samples").begin_array();
-    for sample in samples {
-        w.begin_object();
-        w.field_u64("t_ns", sample.t_ns);
-        w.field_u64("live_bytes", sample.live_bytes);
-        w.field_u64("pinned_bytes", sample.pinned_bytes);
-        w.field_f64("alloc_bytes_per_s", sample.alloc_bytes_per_s);
-        w.field_f64("worker_utilization", sample.worker_utilization);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
     w.finish()
 }
 

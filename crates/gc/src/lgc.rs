@@ -64,8 +64,9 @@
 //! block freed under the collection — the CGC sweep reclaims retained
 //! blocks whose every object it proved unreachable, pinned garbage
 //! included, concurrently with the owner's collection — so a from-space
-//! block is live only while its SFT `PRESENT` bit says so, and a freed
-//! one reads as gone everywhere, exactly as a registry miss did.
+//! block is live only while the registry's lock-free owner index
+//! (`BlockRegistry::is_live`) holds an owner for it, and a freed one
+//! reads as gone everywhere, exactly as a registry miss did.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -183,12 +184,7 @@ struct ToSpace<'s> {
 
 impl ToSpace<'_> {
     fn register(&self, table: &mut BlockTable, capacity: usize, class: usize) -> (usize, Region) {
-        let heap = self.heap;
-        let sft = Arc::clone(self.store.sft());
-        let block = self
-            .store
-            .blocks()
-            .register(|id| Block::new(id, heap, capacity, class, sft));
+        let block = self.store.blocks().register(self.heap, capacity, class);
         (table.insert(Arc::clone(&block)), Region::adopt(block))
     }
 
@@ -415,15 +411,10 @@ impl<'s> Lgc<'s> {
     /// Whether table slot `i` still holds a live block. To-space is the
     /// collection's own until it installs it; a from-space block may have
     /// been freed by the concurrent collector's sweep since the collection
-    /// began, which its SFT entry shows without the registry.
+    /// began, which the registry's owner index shows without its lock.
     #[inline]
     fn live(&self, i: usize) -> bool {
-        i >= self.table.from_len
-            || self
-                .store
-                .sft()
-                .classify(self.table.blocks[i].id())
-                .is_some()
+        i >= self.table.from_len || self.store.blocks().is_live(self.table.blocks[i].id())
     }
 
     /// Emits an event of `kind` about the object at `r`.

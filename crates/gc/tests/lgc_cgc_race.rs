@@ -72,10 +72,7 @@ fn a_block_the_cgc_frees_mid_collection_reads_as_gone() {
     assert_eq!(swept.swept_objects, 4);
     assert_eq!(swept.freed_blocks, 1);
     assert!(s.blocks().try_get(block).is_none());
-    assert!(
-        s.sft().classify(block).is_none(),
-        "freed block stays retracted"
-    );
+    assert!(!s.blocks().is_live(block), "freed block stays retracted");
     assert_eq!(out.retained_blocks, 0, "{out:?}");
     assert!(out.dead_blocks.is_empty(), "{out:?}");
     assert!(!s.heaps().info(h).with(|st| st.blocks.contains(&block)));

@@ -11,6 +11,11 @@
 //! stores; there is no locked instruction, no per-object `OnceLock`, no
 //! boxed `Object`, no `Vec`.
 //!
+//! A block's owner heap is a plain field, fixed when the registry builds
+//! the block ([`crate::BlockRegistry::register`]); the registry keeps the
+//! same value in its lock-free owner index for readers that have only a
+//! block id.
+//!
 //! ## One allocator per block
 //!
 //! At any time a block has at most one allocator: the task whose leaf
@@ -104,7 +109,6 @@ use std::sync::Arc;
 
 use crate::header::{Header, ObjKind};
 use crate::object::Object;
-use crate::sft::SftTable;
 use crate::value::{ObjRef, Word};
 use crate::zeroed::Zeroed;
 
@@ -227,9 +231,10 @@ impl Bitmaps {
 pub struct Block {
     id: u32,
     size_class: u8,
-    /// Owner heap id. Written at allocation; read by barriers and
-    /// collectors. NOT canonicalized at merges (see `HeapTable::find`).
-    owner: AtomicU32,
+    /// Owner heap id, fixed at allocation; the registry's owner index
+    /// holds the same value. NOT canonicalized at merges (see
+    /// `HeapTable::find`).
+    owner: u32,
     /// Retained by a local collection: swept by the concurrent collector.
     entangled: AtomicBool,
     /// The settled extent: every word below it belongs to a published
@@ -251,26 +256,18 @@ pub struct Block {
     maps: Bitmaps,
     /// One mark byte per line, painted during concurrent marking.
     line_marks: Zeroed<AtomicU8>,
-    /// Write-through classification table (see [`SftTable`]).
-    sft: Arc<SftTable>,
 }
 
 impl Block {
     /// Creates an empty block of `capacity` words owned by heap `owner`
-    /// and publishes it in the SFT.
-    pub fn new(
-        id: u32,
-        owner: u32,
-        capacity: usize,
-        size_class: usize,
-        sft: Arc<SftTable>,
-    ) -> Block {
+    /// (the registry's [`crate::BlockRegistry::register`] is the one
+    /// caller outside tests).
+    pub(crate) fn new(id: u32, owner: u32, capacity: usize, size_class: usize) -> Block {
         let capacity = capacity.max(OBJECT_HEADER_WORDS);
-        sft.publish(id, owner, false);
         Block {
             id,
             size_class: size_class as u8,
-            owner: AtomicU32::new(owner),
+            owner,
             entangled: AtomicBool::new(false),
             cursor: AtomicU32::new(0),
             live_bytes: AtomicUsize::new(0),
@@ -279,7 +276,6 @@ impl Block {
             words: Zeroed::new(capacity),
             maps: Bitmaps::new(capacity),
             line_marks: Zeroed::new(capacity.div_ceil(LINE_WORDS)),
-            sft,
         }
     }
 
@@ -298,15 +294,7 @@ impl Block {
     /// The owning heap id (uncanonicalized).
     #[inline]
     pub fn owner(&self) -> u32 {
-        self.owner.load(Ordering::Acquire)
-    }
-
-    /// Re-homes the block to a different heap (merge bookkeeping),
-    /// writing the SFT entry through.
-    pub fn set_owner(&self, heap: u32) {
-        self.owner.store(heap, Ordering::Release);
-        self.sft
-            .publish(self.id, heap, self.entangled.load(Ordering::Acquire));
+        self.owner
     }
 
     /// Whether the block was retained into the entangled space.
@@ -315,17 +303,9 @@ impl Block {
         self.entangled.load(Ordering::Acquire)
     }
 
-    /// Flags the block as entangled (retained; swept by the CGC),
-    /// writing the SFT entry through.
+    /// Flags the block as entangled (retained; swept by the CGC).
     pub fn set_entangled(&self, v: bool) {
         self.entangled.store(v, Ordering::Release);
-        self.sft.publish(self.id, self.owner(), v);
-    }
-
-    /// Called by the registry when the block is freed: retracts the SFT
-    /// entry so stale classifications fail closed.
-    pub(crate) fn on_free(&self) {
-        self.sft.retract(self.id);
     }
 
     /// Capacity in words.
@@ -862,13 +842,7 @@ mod tests {
     use crate::value::Value;
 
     fn block(id: u32, owner: u32, capacity: usize) -> Arc<Block> {
-        Arc::new(Block::new(
-            id,
-            owner,
-            capacity,
-            0,
-            Arc::new(SftTable::new()),
-        ))
+        Arc::new(Block::new(id, owner, capacity, 0))
     }
 
     #[test]
@@ -1067,19 +1041,6 @@ mod tests {
         assert_eq!(size_class(16), 2);
         assert_eq!(size_class(17), 3);
         assert_eq!(size_class(10_000), 3);
-    }
-
-    #[test]
-    fn sft_write_through() {
-        let t = Arc::new(SftTable::new());
-        let b = Block::new(12, 5, 32, 0, Arc::clone(&t));
-        assert_eq!(t.owner_of(12), Some(5));
-        b.set_owner(9);
-        assert_eq!(t.owner_of(12), Some(9));
-        b.set_entangled(true);
-        assert!(t.classify(12).unwrap().entangled);
-        b.on_free();
-        assert_eq!(t.classify(12), None);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   atomic headers carrying the **pin bit** and **entanglement level**;
 //! * segregated size-class **blocks** with bump-pointer allocation,
 //!   Immix-style line marks, and per-block side-metadata bitmaps for the
-//!   GC bits ([`block`], [`registry`]);
-//! * an SFT-style block-classification table so the barriers map any
-//!   pointer to its heap with one shifted load ([`sft`]);
+//!   GC bits ([`block`]), and a registry of them whose lock-free owner
+//!   index maps any pointer to its heap ([`registry`]);
 //! * the **heap hierarchy** mirroring the fork-join task tree: O(1) joins
 //!   (a concurrent union-find), O(1) ancestry (fork-path labels), per-heap
 //!   remembered sets and entangled-object indexes ([`heap`]);
@@ -52,7 +51,6 @@ pub mod inspect;
 pub mod object;
 pub mod registry;
 mod segtable;
-pub mod sft;
 pub mod stats;
 pub mod store;
 pub mod value;
@@ -72,7 +70,6 @@ pub use heap::{
 pub use inspect::{report, to_dot, HeapReport, StoreReport};
 pub use object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 pub use registry::BlockRegistry;
-pub use sft::{SftEntry, SftTable};
 pub use stats::{Counter, PendingStats, StatsSnapshot, StoreStats};
 pub use store::{JoinOutcome, ObjHandle, Store, StoreConfig, FIRST_BLOCK_WORDS};
 pub use value::{ObjRef, Value, Word, INT_MAX, INT_MIN};

@@ -541,11 +541,10 @@ fn field_out_of_bounds(i: usize, len: u32) -> ! {
 mod tests {
     use super::*;
     use crate::block::Block;
-    use crate::sft::SftTable;
     use std::sync::Arc;
 
     fn block() -> Arc<Block> {
-        Arc::new(Block::new(0, 0, 256, 0, Arc::new(SftTable::new())))
+        Arc::new(Block::new(0, 0, 256, 0))
     }
 
     fn alloc<'a>(b: &'a Arc<Block>, kind: ObjKind, vals: &[Value]) -> Object<'a> {

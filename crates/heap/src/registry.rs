@@ -1,24 +1,40 @@
 //! The global block registry: an append-only table mapping block ids to
-//! live size-class blocks.
+//! live size-class blocks, with a lock-free index of their owner heaps.
 //!
 //! Block ids are monotonically increasing and never reused, so a freed slot
 //! (`None`) unambiguously means the block was reclaimed; touching it through
 //! a stale `ObjRef` panics loudly, which turns use-after-free bugs into
-//! immediate test failures. Freeing a block also retracts its SFT entry, so
-//! the barrier's side-metadata classification fails closed on stale ids.
+//! immediate test failures.
+//!
+//! The owner index is the one other fact the registry keeps per block id:
+//! its owner heap plus one, 0 for an id with no live block. The owner never
+//! changes after construction, so only [`BlockRegistry::register`] and
+//! [`BlockRegistry::free`] write it, under the table's write lock, and
+//! readers take no lock: [`BlockRegistry::owner_of`] is a segment load and
+//! an entry load (`segtable.rs`). Its two readers are the write barrier's
+//! fast exit for a store between two blocks of the task's own leaf heap,
+//! and the local collector's test of whether a from-space block was freed
+//! under it by the concurrent sweep. A stale read (a block freed between
+//! the load and the access) fails closed: to the slow tier, or to the
+//! registry's own freed-block panic, never to a wrong fast path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::block::Block;
+use crate::segtable::SegTable;
 use crate::stats::{Counter, StoreStats};
 
 /// Append-only table of all blocks ever allocated.
 #[derive(Debug)]
 pub struct BlockRegistry {
     blocks: RwLock<Vec<Option<Arc<Block>>>>,
+    /// Owner heap + 1 of each live block, 0 for a freed or unknown id.
+    /// Written only under `blocks`' write lock (release stores); read
+    /// without a lock (acquire loads).
+    owners: SegTable<AtomicU32>,
     /// Occupied slots of `blocks`, kept by `register`/`free` under the
     /// write lock so `live` need not walk every id ever issued.
     live: AtomicUsize,
@@ -39,17 +55,23 @@ impl BlockRegistry {
     pub fn new(stats: Arc<StoreStats>, serial: u32) -> BlockRegistry {
         BlockRegistry {
             blocks: RwLock::new(Vec::new()),
+            owners: SegTable::default(),
             live: AtomicUsize::new(0),
             stats,
             serial,
         }
     }
 
-    /// Allocates a fresh block id and registers the block built by `make`.
-    pub fn register(&self, make: impl FnOnce(u32) -> Block) -> Arc<Block> {
+    /// Allocates a fresh block id and registers an empty block of
+    /// `capacity` words in size class `class`, owned by heap `owner`.
+    pub fn register(&self, owner: u32, capacity: usize, class: usize) -> Arc<Block> {
         let mut table = self.blocks.write();
         let id = u32::try_from(table.len()).expect("block id overflow");
-        let block = Arc::new(make(id));
+        let entry = owner
+            .checked_add(1)
+            .expect("a block's owner is a heap, not NO_HEAP");
+        let block = Arc::new(Block::new(id, owner, capacity, class));
+        self.owners.get_or_grow(id).store(entry, Ordering::Release);
         table.push(Some(Arc::clone(&block)));
         self.live.fetch_add(1, Ordering::Relaxed);
         self.stats.add(Counter::blocks_allocated, 1);
@@ -72,15 +94,29 @@ impl BlockRegistry {
         self.blocks.read().get(id as usize).cloned().flatten()
     }
 
-    /// Frees a block, dropping the registry's reference and retracting
-    /// its SFT entry. Outstanding `Arc`s keep the memory alive until they
-    /// are released; subsequent `get` calls panic.
+    /// The owner heap (uncanonicalized, as [`Block::owner`] holds it) of
+    /// live block `id`, or `None` if freed or unknown. Takes no lock.
+    #[inline]
+    pub fn owner_of(&self, id: u32) -> Option<u32> {
+        self.owners.get(id)?.load(Ordering::Acquire).checked_sub(1)
+    }
+
+    /// Whether block `id` is live: registered and not yet freed. Takes no
+    /// lock.
+    #[inline]
+    pub fn is_live(&self, id: u32) -> bool {
+        self.owner_of(id).is_some()
+    }
+
+    /// Frees a block, dropping the registry's reference and its owner
+    /// entry. Outstanding `Arc`s keep the memory alive until they are
+    /// released; subsequent `get` calls panic.
     pub fn free(&self, id: u32) {
         let mut table = self.blocks.write();
         if let Some(slot) = table.get_mut(id as usize) {
             if let Some(block) = slot.take() {
                 self.live.fetch_sub(1, Ordering::Relaxed);
-                block.on_free();
+                self.owners.get_or_grow(id).store(0, Ordering::Release);
                 self.stats.add(Counter::blocks_freed, 1);
                 let kind = crate::events::EventKind::BlockFree;
                 crate::events::emit(self.serial, kind, id, 0, block.owner());
@@ -118,23 +154,19 @@ impl BlockRegistry {
 mod tests {
     use super::*;
     use crate::header::ObjKind;
-    use crate::sft::SftTable;
     use crate::value::Word;
 
-    fn registry() -> (BlockRegistry, Arc<SftTable>, Arc<StoreStats>) {
+    fn registry() -> (BlockRegistry, Arc<StoreStats>) {
         let stats = Arc::new(StoreStats::new());
-        (
-            BlockRegistry::new(Arc::clone(&stats), crate::events::NO_STORE),
-            Arc::new(SftTable::new()),
-            stats,
-        )
+        let reg = BlockRegistry::new(Arc::clone(&stats), crate::events::NO_STORE);
+        (reg, stats)
     }
 
     #[test]
     fn register_and_get() {
-        let (reg, sft, stats) = registry();
-        let b0 = reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
-        let b1 = reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
+        let (reg, stats) = registry();
+        let b0 = reg.register(0, 16, 0);
+        let b1 = reg.register(0, 16, 0);
         assert_eq!(b0.id(), 0);
         assert_eq!(b1.id(), 1);
         assert_eq!(reg.get(1).id(), 1);
@@ -144,24 +176,57 @@ mod tests {
     }
 
     #[test]
-    fn free_makes_access_panic_and_retracts_sft() {
-        let (reg, sft, stats) = registry();
-        reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
-        assert!(sft.classify(0).is_some());
+    fn free_makes_access_panic_and_retracts_the_owner() {
+        let (reg, stats) = registry();
+        reg.register(3, 16, 0);
+        assert_eq!(reg.owner_of(0), Some(3));
         reg.free(0);
         assert_eq!(reg.live(), 0);
         assert!(reg.try_get(0).is_none());
-        assert!(sft.classify(0).is_none(), "freed block leaves the SFT");
+        assert_eq!(reg.owner_of(0), None, "a freed block has no owner");
+        assert!(!reg.is_live(0));
         assert_eq!(stats.snapshot().blocks_freed, 1);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.get(0)));
         assert!(res.is_err(), "freed block access must panic");
     }
 
+    /// The owner index spans segments: ids in a later segment resolve,
+    /// their neighbours and untouched segments read as absent.
+    #[test]
+    fn owner_lookup_across_segments() {
+        let (reg, _) = registry();
+        let far = 4096 * 3 + 17;
+        for owner in 0..=far {
+            reg.register(owner % 100, 2, 0);
+        }
+        assert_eq!(reg.owner_of(0), Some(0));
+        assert_eq!(reg.owner_of(4095), Some(95));
+        assert_eq!(reg.owner_of(4096), Some(96));
+        assert_eq!(reg.owner_of(far), Some(far % 100));
+        assert_eq!(reg.owner_of(far + 1), None, "never issued");
+        assert_eq!(reg.owner_of(far * 2), None, "untouched segment");
+    }
+
+    /// Block ids are never reused, so a long-lived process walks past any
+    /// fixed capacity: the 16 777 216th id once panicked ("beyond SFT
+    /// capacity"). The index is a `SegTable`, which these ids reach
+    /// without issuing 2^24 blocks.
+    #[test]
+    fn ids_past_two_to_the_24_resolve() {
+        let reg = BlockRegistry::default();
+        for id in [1 << 24, (1 << 24) + 4097] {
+            assert_eq!(reg.owner_of(id), None);
+            reg.owners.get_or_grow(id).store(7 + 1, Ordering::Release);
+            assert_eq!(reg.owner_of(id), Some(7));
+        }
+        assert_eq!(reg.owner_of(u32::MAX), None, "the spine covers every id");
+    }
+
     #[test]
     fn live_counts_registrations_minus_frees() {
-        let (reg, sft, _) = registry();
+        let (reg, _) = registry();
         for _ in 0..3 {
-            reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
+            reg.register(0, 16, 0);
         }
         reg.free(1);
         reg.free(1); // a second free of the same id is a no-op
@@ -169,12 +234,14 @@ mod tests {
         assert_eq!(reg.live(), 2);
         assert_eq!(reg.live(), reg.live_blocks().len());
         assert_eq!(reg.issued(), 3);
+        assert!(reg.is_live(0) && !reg.is_live(1) && reg.is_live(2));
+        assert!(!reg.is_live(7));
     }
 
     #[test]
     fn total_live_bytes_sums() {
-        let (reg, sft, _) = registry();
-        let b = reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
+        let (reg, _) = registry();
+        let b = reg.register(0, 16, 0);
         crate::block::alloc_once(&b, ObjKind::Tuple, &[Word::UNIT; 2]).unwrap();
         assert_eq!(reg.total_live_bytes(), b.live_bytes());
         assert!(reg.total_live_bytes() > 0);
@@ -182,9 +249,9 @@ mod tests {
 
     #[test]
     fn live_blocks_snapshot() {
-        let (reg, sft, _) = registry();
-        reg.register(|id| Block::new(id, 0, 16, 0, Arc::clone(&sft)));
-        reg.register(|id| Block::new(id, 1, 16, 0, Arc::clone(&sft)));
+        let (reg, _) = registry();
+        reg.register(0, 16, 0);
+        reg.register(1, 16, 0);
         reg.free(0);
         let live = reg.live_blocks();
         assert_eq!(live.len(), 1);

@@ -2,8 +2,8 @@
 //! moving, covers the whole id range.
 //!
 //! Both id spaces of the store are dense and never reused (block ids,
-//! heap ids), so both side tables — the SFT and the heap table — are one
-//! of these. Segments are geometric: the first holds `1 << FIRST_SHIFT`
+//! heap ids), so both side tables — the registry's block-owner index and
+//! the heap table — are one of these. Segments are geometric: the first holds `1 << FIRST_SHIFT`
 //! slots and segment `k >= 1` holds ids `[1 << (FIRST_SHIFT + k - 1),
 //! 1 << (FIRST_SHIFT + k))`, so a 21-entry spine stored inline reaches
 //! `u32::MAX` and a lookup is two dependent loads (spine entry, slot).

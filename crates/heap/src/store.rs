@@ -1,7 +1,7 @@
 //! The store: the facade over blocks, heaps, and statistics.
 //!
-//! A [`Store`] owns the global block registry, the SFT classification
-//! table, and the heap table, and provides the operations the runtime and
+//! A [`Store`] owns the global block registry (with its lock-free
+//! block-owner index) and the heap table, and provides the operations the runtime and
 //! the collectors are built from: synchronization-free bump allocation
 //! into a heap's size-class blocks, object access with forwarding
 //! resolution, remoteness and LCA queries against a task's heap path, the
@@ -19,7 +19,6 @@ use crate::header::{Header, ObjKind};
 use crate::heap::{HeapTable, Label, RemsetEntry};
 use crate::object::{Object, PinOutcome, OBJECT_OVERHEAD_BYTES};
 use crate::registry::BlockRegistry;
-use crate::sft::SftTable;
 use crate::stats::{Counter, StoreStats};
 use crate::value::{ObjRef, Value, Word};
 
@@ -164,9 +163,6 @@ pub struct Store {
     // Shared so long-lived observers (the telemetry sampler thread) can
     // hold the counters without borrowing the store.
     stats: Arc<StoreStats>,
-    // Shared with every block (write-through on owner/entangled changes)
-    // and with the barriers (lock-free classification).
-    sft: Arc<SftTable>,
     config: StoreConfig,
     /// Tells this store's events from other stores' in the process-global
     /// event rings.
@@ -195,7 +191,6 @@ impl Store {
             blocks: BlockRegistry::new(Arc::clone(&stats), serial),
             heaps: HeapTable::new(),
             stats,
-            sft: Arc::new(SftTable::new()),
             config,
             serial,
         }
@@ -210,12 +205,6 @@ impl Store {
     /// The block registry.
     pub fn blocks(&self) -> &BlockRegistry {
         &self.blocks
-    }
-
-    /// The block-classification table (the barrier fast tier's O(1)
-    /// pointer → heap map).
-    pub fn sft(&self) -> &Arc<SftTable> {
-        &self.sft
     }
 
     /// The heap table.
@@ -245,9 +234,7 @@ impl Store {
     /// The caller attributes it to the heap.
     fn new_block(&self, heap: u32, class: usize, capacity: usize) -> Arc<Block> {
         mpl_fail::hit_hard("heap/block_map");
-        let sft = Arc::clone(&self.sft);
-        self.blocks
-            .register(|id| Block::new(id, heap, capacity, class, sft))
+        self.blocks.register(heap, capacity, class)
     }
 
     /// A region of `heap` (raw or canonical id) with room for an object of

@@ -5,16 +5,17 @@
 //! `"ph":"B"`/`"ph":"E"` duration-event pair per recorded span
 //! (timestamps in microseconds, one track per worker id) plus `"ph":"C"`
 //! counter events for sampler gauges and `"ph":"M"` metadata events naming
-//! the tracks; [`flight_chrome_trace`] renders a decoded flight
-//! recording. Both go through the one event [`Emitter`].
+//! the tracks; [`flight_chrome_trace`] renders a flight recording, the
+//! format of a flight dump: its spans on the same worker tracks, its
+//! anomaly and census records as instants. Both go through the one event
+//! [`Emitter`].
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::collections::BTreeMap;
 
-use crate::flight::{event_name, FlightEvent, FlightKind};
+use crate::flight::{describe, FlightRecord};
 use crate::json::JsonWriter;
-use crate::metrics::Metric;
 use crate::sampler::Sample;
 use crate::span::SpanRecord;
 
@@ -55,6 +56,44 @@ impl Emitter {
         );
     }
 
+    /// Spans grouped per worker track; within a track they are emitted
+    /// as properly nested `B`/`E` pairs (a span closing before the next
+    /// one opens is closed first), which is what the viewer's per-thread
+    /// stack expects.
+    fn spans<'a>(&mut self, spans: impl IntoIterator<Item = &'a SpanRecord>) {
+        let mut tracks: BTreeMap<u32, Vec<&SpanRecord>> = BTreeMap::new();
+        for s in spans {
+            tracks.entry(s.worker).or_default().push(s);
+        }
+        for (tid, mut track) in tracks {
+            self.event(("thread_name", "__metadata", "M"), 0, tid, |w| {
+                w.key("args").begin_object();
+                w.field_str("name", &format!("worker-{tid}")).end_object();
+            });
+            // Outer-first order: by start ascending, longer span first on
+            // ties.
+            track.sort_by(|a, b| {
+                a.start_ns
+                    .cmp(&b.start_ns)
+                    .then(b.end_ns.cmp(&a.end_ns))
+                    .then(a.seq.cmp(&b.seq))
+            });
+            // Sweep with an open-span stack so every B gets its E at the
+            // right depth (innermost spans close first).
+            let mut stack: Vec<&SpanRecord> = Vec::new();
+            for s in track {
+                while let Some(open) = stack.pop_if(|open| open.end_ns <= s.start_ns) {
+                    self.edge(open, "E", open.end_ns);
+                }
+                self.edge(s, "B", s.start_ns);
+                stack.push(s);
+            }
+            while let Some(open) = stack.pop() {
+                self.edge(open, "E", open.end_ns);
+            }
+        }
+    }
+
     fn finish(mut self) -> String {
         self.0.end_array().end_object();
         self.0.finish()
@@ -62,47 +101,11 @@ impl Emitter {
 }
 
 /// Render spans and sampler history as a `chrome://tracing`-loadable JSON
-/// document (`{"traceEvents":[...]}`).
-///
-/// Spans are grouped per worker track; within a track they are emitted as
-/// properly nested `B`/`E` pairs (a span closing before the next one opens
-/// is closed first), which is what the viewer's per-thread stack expects.
-/// Sampler gauges become counter tracks on tid 0.
+/// document (`{"traceEvents":[...]}`): spans on their worker tracks
+/// (`Emitter::spans`), sampler gauges as counter tracks on tid 0.
 pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
     let mut em = Emitter::new();
-
-    // Group spans by worker track.
-    let mut tracks: BTreeMap<u32, Vec<&SpanRecord>> = BTreeMap::new();
-    for s in spans {
-        tracks.entry(s.worker).or_default().push(s);
-    }
-
-    for (&tid, track) in &mut tracks {
-        em.event(("thread_name", "__metadata", "M"), 0, tid, |w| {
-            w.key("args").begin_object();
-            w.field_str("name", &format!("worker-{tid}")).end_object();
-        });
-        // Outer-first order: by start ascending, longer span first on ties.
-        track.sort_by(|a, b| {
-            a.start_ns
-                .cmp(&b.start_ns)
-                .then(b.end_ns.cmp(&a.end_ns))
-                .then(a.seq.cmp(&b.seq))
-        });
-        // Sweep with an open-span stack so every B gets its E at the right
-        // depth (innermost spans close first).
-        let mut stack: Vec<&SpanRecord> = Vec::new();
-        for s in track.iter() {
-            while let Some(open) = stack.pop_if(|open| open.end_ns <= s.start_ns) {
-                em.edge(open, "E", open.end_ns);
-            }
-            em.edge(s, "B", s.start_ns);
-            stack.push(s);
-        }
-        while let Some(open) = stack.pop() {
-            em.edge(open, "E", open.end_ns);
-        }
-    }
+    em.spans(spans);
 
     for s in samples {
         for (name, value) in [
@@ -124,28 +127,23 @@ pub fn chrome_trace(spans: &[SpanRecord], samples: &[Sample]) -> String {
     em.finish()
 }
 
-/// Render decoded flight records as `chrome://tracing`-loadable JSON:
-/// spans become complete (`"X"`) events on their metric's category
-/// track; anomaly events and census deltas become global instants.
-pub fn flight_chrome_trace(events: &[FlightEvent]) -> String {
+/// Render a flight recording ([`crate::flight_snapshot`]) as
+/// `chrome://tracing`-loadable JSON, the format of a flight dump: spans
+/// on their worker tracks as in [`chrome_trace`]; anomaly events and
+/// census deltas as global instants whose args name their payload words.
+pub fn flight_chrome_trace(records: &[FlightRecord]) -> String {
     let mut em = Emitter::new();
-    for e in events {
-        match e.kind {
-            FlightKind::Span => {
-                let metric = Metric::from_index(e.code as usize);
-                let name = metric.map_or("span", |m| m.name());
-                let cat = metric.map_or("flight", |m| m.category());
-                em.event((name, cat, "X"), e.a, 0, |w| {
-                    w.field_f64("dur", e.b.saturating_sub(e.a) as f64 / 1e3);
-                });
-            }
-            FlightKind::Event | FlightKind::Census => {
-                let name = event_name(e.kind, e.code);
-                em.event((name, "flight", "i"), e.t_ns, 0, |w| {
-                    w.field_str("s", "g").key("args").begin_object();
-                    w.field_u64("a", e.a).field_u64("b", e.b).end_object();
-                });
-            }
+    em.spans(records.iter().filter_map(|r| match r {
+        FlightRecord::Span(s) => Some(s),
+        FlightRecord::Event(_) => None,
+    }));
+    for r in records {
+        if let FlightRecord::Event(e) = r {
+            let (name, [a, b]) = describe(e.kind, e.code);
+            em.event((name, "flight", "i"), e.t_ns, 0, |w| {
+                w.field_str("s", "g").key("args").begin_object();
+                w.field_u64(a, e.a).field_u64(b, e.b).end_object();
+            });
         }
     }
     em.finish()

@@ -1,13 +1,13 @@
-//! The GC flight recorder: a bounded binary ring of recent telemetry.
+//! The GC flight recorder: a bounded ring of recent telemetry.
 //!
 //! Aviation-style black box for the runtime: while telemetry is enabled,
 //! every closed span, every GC census delta, and every anomaly event
 //! (allocation failure, watchdog stall, audit failure) is retained in a
-//! bounded ring. When something goes wrong the recording is **dumped** to a
-//! compact binary file — automatically on a GC-watchdog stall, an
-//! `AllocError`, or a chaos-detected audit failure — so a post-mortem
-//! has the last few thousand things the runtime did, in order, without
-//! anyone having had to arrange tracing in advance.
+//! bounded ring. When something goes wrong the recording is **dumped** —
+//! automatically on a GC-watchdog stall, an `AllocError`, or a
+//! chaos-detected audit failure — so a post-mortem has the last few
+//! thousand things the runtime did, in order, without anyone having had
+//! to arrange tracing in advance.
 //!
 //! Closed spans are not copied: the recording *is* the span rings' newest
 //! records merged, by global sequence number, with one small [`Ring`] of
@@ -15,23 +15,21 @@
 //! the newest [`FLIGHT_CAP`]. Disabled cost is the usual one relaxed load
 //! upstream.
 //!
-//! The dump format is deliberately simple — a magic header, a record
-//! count, and fixed 32-byte little-endian records — decodable by
-//! [`flight_decode`] and renderable as Chrome-trace JSON by
-//! [`crate::chrome::flight_chrome_trace`] (see `examples/flight_decode.rs`).
+//! A dump is Chrome-trace JSON ([`crate::chrome::flight_chrome_trace`]),
+//! loadable at `chrome://tracing` or <https://ui.perfetto.dev> as it is:
+//! spans on their worker tracks, anomaly and census records as global
+//! instants whose args name their two payload words.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ring::{self, Ring};
+use crate::span::SpanRecord;
 use crate::{enabled, now_ns};
 
-/// Record kinds in the ring / dump format.
+/// Kinds of the records the flight ring keeps beside the spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A closed telemetry span: `code` = metric index, `a` = start ns,
-    /// `b` = end ns.
-    Span = 1,
     /// A point anomaly event (`EV_*` code); `a`/`b` carry context.
     Event = 2,
     /// A GC census delta: `a` = live bytes after, `b` = reclaimed bytes.
@@ -41,7 +39,6 @@ pub enum FlightKind {
 impl FlightKind {
     fn from_u32(v: u32) -> Option<FlightKind> {
         match v {
-            1 => Some(FlightKind::Span),
             2 => Some(FlightKind::Event),
             3 => Some(FlightKind::Census),
             _ => None,
@@ -50,12 +47,13 @@ impl FlightKind {
 }
 
 /// Event code: a recoverable allocation failure surfaced as `AllocError`
-/// (`a` = requested bytes, `b` = live bytes at failure).
+/// (`a` = requested bytes, `b` = the exhausted limit in bytes).
 pub const EV_ALLOC_ERROR: u32 = 1;
 /// Event code: the GC watchdog declared a phase stalled (`a` = phase
 /// age ns, `b` = deadline ns).
 pub const EV_WATCHDOG_STALL: u32 = 2;
-/// Event code: a heap audit failed (`a` = issue count).
+/// Event code: a heap audit failed (`a` = issue count, `b` = the
+/// collected heap).
 pub const EV_AUDIT_FAILURE: u32 = 3;
 /// Census code: LGC reclaim epilogue.
 pub const EV_LGC_CENSUS: u32 = 4;
@@ -69,34 +67,45 @@ pub const EV_BREAKER_OPEN: u32 = 6;
 /// length in requests).
 pub const EV_DEADLINE_STORM: u32 = 7;
 
-/// Human-readable name for an event/census code.
-pub fn event_name(kind: FlightKind, code: u32) -> &'static str {
+/// The name of an event/census code and of its two payload words, as a
+/// dump's instants carry them.
+pub(crate) fn describe(kind: FlightKind, code: u32) -> (&'static str, [&'static str; 2]) {
     match (kind, code) {
-        (FlightKind::Event, EV_ALLOC_ERROR) => "alloc_error",
-        (FlightKind::Event, EV_WATCHDOG_STALL) => "watchdog_stall",
-        (FlightKind::Event, EV_AUDIT_FAILURE) => "audit_failure",
-        (FlightKind::Event, EV_BREAKER_OPEN) => "breaker_open",
-        (FlightKind::Event, EV_DEADLINE_STORM) => "deadline_storm",
-        (FlightKind::Census, EV_LGC_CENSUS) => "lgc_census",
-        (FlightKind::Census, EV_CGC_CENSUS) => "cgc_census",
-        (FlightKind::Span, _) => "span",
-        _ => "unknown",
+        (FlightKind::Event, EV_ALLOC_ERROR) => ("alloc_error", ["requested_bytes", "limit_bytes"]),
+        (FlightKind::Event, EV_WATCHDOG_STALL) => {
+            ("watchdog_stall", ["phase_age_ns", "deadline_ns"])
+        }
+        (FlightKind::Event, EV_AUDIT_FAILURE) => ("audit_failure", ["issues", "heap"]),
+        (FlightKind::Event, EV_BREAKER_OPEN) => ("breaker_open", ["tenant", "failures"]),
+        (FlightKind::Event, EV_DEADLINE_STORM) => ("deadline_storm", ["timeouts", "window"]),
+        (FlightKind::Census, EV_LGC_CENSUS) => ("lgc_census", ["live_bytes", "reclaimed_bytes"]),
+        (FlightKind::Census, EV_CGC_CENSUS) => ("cgc_census", ["live_bytes", "reclaimed_bytes"]),
+        _ => ("unknown", ["a", "b"]),
     }
 }
 
-/// One decoded flight record.
+/// An anomaly or census record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Record timestamp, ns since the telemetry epoch.
     pub t_ns: u64,
     /// Record kind.
     pub kind: FlightKind,
-    /// Kind-specific code (metric index for spans, `EV_*` otherwise).
+    /// The `EV_*` code.
     pub code: u32,
-    /// First payload word (see the kind docs).
+    /// First payload word (see the code's docs).
     pub a: u64,
     /// Second payload word.
     pub b: u64,
+}
+
+/// One record of a flight recording.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlightRecord {
+    /// A closed span.
+    Span(SpanRecord),
+    /// An anomaly or census record.
+    Event(FlightEvent),
 }
 
 /// Records in a flight recording; older records are dropped.
@@ -132,36 +141,29 @@ pub fn flight_record(kind: FlightKind, code: u32, a: u64, b: u64) {
 
 /// The newest [`FLIGHT_CAP`] records — closed spans and anomaly/census
 /// records interleaved — in global sequence (arrival) order.
-pub fn flight_snapshot() -> Vec<FlightEvent> {
-    let mut all: Vec<(u64, FlightEvent)> = EVENTS
+pub fn flight_snapshot() -> Vec<FlightRecord> {
+    let mut all: Vec<(u64, FlightRecord)> = EVENTS
         .snapshot()
         .into_iter()
         .filter_map(|r| {
             let [t_ns, meta, a, b] = r.words;
             let kind = FlightKind::from_u32((meta >> 32) as u32)?;
             let code = meta as u32;
-            Some((
-                r.seq,
-                FlightEvent {
-                    t_ns,
-                    kind,
-                    code,
-                    a,
-                    b,
-                },
-            ))
+            let event = FlightEvent {
+                t_ns,
+                kind,
+                code,
+                a,
+                b,
+            };
+            Some((r.seq, FlightRecord::Event(event)))
         })
         .collect();
-    all.extend(crate::span::snapshot_spans().into_iter().map(|s| {
-        let span = FlightEvent {
-            t_ns: s.end_ns,
-            kind: FlightKind::Span,
-            code: s.kind as u32,
-            a: s.start_ns,
-            b: s.end_ns,
-        };
-        (s.seq, span)
-    }));
+    all.extend(
+        crate::span::snapshot_spans()
+            .into_iter()
+            .map(|s| (s.seq, FlightRecord::Span(s))),
+    );
     let floor = FLOOR.load(Ordering::Relaxed);
     all.retain(|(seq, _)| *seq > floor);
     all.sort_unstable_by_key(|(seq, _)| *seq);
@@ -176,68 +178,11 @@ pub fn clear_flight() {
     FLOOR.store(ring::current_seq(), Ordering::Relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Binary dump format.
-// ---------------------------------------------------------------------------
-
-/// Magic bytes opening every flight dump (format version in the tail).
-pub const FLIGHT_MAGIC: &[u8; 8] = b"MPLFLT01";
-
-/// Encode records into the dump format: magic, little-endian u32 count,
-/// then fixed 32-byte records (`t_ns`, `kind`, `code`, `a`, `b`).
-pub fn flight_encode(events: &[FlightEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FLIGHT_MAGIC.len() + 4 + events.len() * 32);
-    out.extend_from_slice(FLIGHT_MAGIC);
-    out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    for e in events {
-        out.extend_from_slice(&e.t_ns.to_le_bytes());
-        out.extend_from_slice(&(e.kind as u32).to_le_bytes());
-        out.extend_from_slice(&e.code.to_le_bytes());
-        out.extend_from_slice(&e.a.to_le_bytes());
-        out.extend_from_slice(&e.b.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a dump produced by [`flight_encode`].
-pub fn flight_decode(bytes: &[u8]) -> Result<Vec<FlightEvent>, String> {
-    if bytes.len() < FLIGHT_MAGIC.len() + 4 {
-        return Err("truncated flight dump: missing header".to_string());
-    }
-    if &bytes[..FLIGHT_MAGIC.len()] != FLIGHT_MAGIC {
-        return Err("not a flight dump (bad magic)".to_string());
-    }
-    let mut off = FLIGHT_MAGIC.len();
-    let read_u32 = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    let read_u64 = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-    let count = read_u32(off) as usize;
-    off += 4;
-    if bytes.len() < off + count * 32 {
-        return Err(format!(
-            "truncated flight dump: header promises {count} records, payload holds {}",
-            (bytes.len() - off) / 32
-        ));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let base = off + i * 32;
-        let kind = FlightKind::from_u32(read_u32(base + 8))
-            .ok_or_else(|| format!("record {i}: unknown kind"))?;
-        out.push(FlightEvent {
-            t_ns: read_u64(base),
-            kind,
-            code: read_u32(base + 12),
-            a: read_u64(base + 16),
-            b: read_u64(base + 24),
-        });
-    }
-    Ok(out)
-}
-
-/// Dump the current ring to a file and return its path.
+/// Dump the current recording as Chrome-trace JSON to a file and return
+/// its path.
 ///
 /// The dump lands in `MPL_FLIGHT_DIR` if set, else the OS temp dir, as
-/// `mpl-flight-<reason>-<pid>-<n>.bin`. Returns `None` when telemetry
+/// `mpl-flight-<reason>-<pid>-<n>.json`. Returns `None` when telemetry
 /// is disabled, the per-process dump cap is exhausted, or the write
 /// fails — automatic dumping must never take down the process it is
 /// trying to explain.
@@ -253,11 +198,11 @@ pub fn dump_flight(reason: &str) -> Option<PathBuf> {
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
     let path = dir.join(format!(
-        "mpl-flight-{reason}-{}-{n}.bin",
+        "mpl-flight-{reason}-{}-{n}.json",
         std::process::id()
     ));
-    let events = flight_snapshot();
-    std::fs::write(&path, flight_encode(&events)).ok()?;
+    let trace = crate::chrome::flight_chrome_trace(&flight_snapshot());
+    std::fs::write(&path, trace).ok()?;
     Some(path)
 }
 
@@ -270,51 +215,7 @@ pub fn flight_dumps() -> u64 {
 mod tests {
     use super::*;
     use crate::chrome::flight_chrome_trace;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let events = vec![
-            FlightEvent {
-                t_ns: 10,
-                kind: FlightKind::Span,
-                code: 0,
-                a: 5,
-                b: 10,
-            },
-            FlightEvent {
-                t_ns: 20,
-                kind: FlightKind::Event,
-                code: EV_ALLOC_ERROR,
-                a: 4096,
-                b: 1 << 20,
-            },
-            FlightEvent {
-                t_ns: 30,
-                kind: FlightKind::Census,
-                code: EV_LGC_CENSUS,
-                a: 12345,
-                b: 678,
-            },
-        ];
-        let bytes = flight_encode(&events);
-        assert_eq!(flight_decode(&bytes).unwrap(), events);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(flight_decode(b"short").is_err());
-        assert!(flight_decode(b"NOTMAGIC\x00\x00\x00\x00").is_err());
-        // Count promising more records than the payload holds.
-        let mut bytes = FLIGHT_MAGIC.to_vec();
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        assert!(flight_decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn empty_dump_is_parseable() {
-        let bytes = flight_encode(&[]);
-        assert_eq!(flight_decode(&bytes).unwrap(), Vec::new());
-    }
+    use crate::metrics::Metric;
 
     #[test]
     fn ring_records_in_order_and_survives_wrap() {
@@ -324,37 +225,55 @@ mod tests {
         for i in 0..(FLIGHT_CAP as u64 + 10) {
             flight_record_at(i, FlightKind::Event, EV_WATCHDOG_STALL, i, 0);
         }
-        let snap = flight_snapshot();
+        let a = |r: &FlightRecord| match r {
+            FlightRecord::Event(e) => e.a,
+            FlightRecord::Span(_) => unreachable!("no span was closed"),
+        };
+        let snap: Vec<u64> = flight_snapshot().iter().map(a).collect();
         assert_eq!(snap.len(), FLIGHT_CAP);
         // In arrival order, and only the newest CAP retained.
-        assert!(snap.windows(2).all(|w| w[0].a < w[1].a));
-        assert_eq!(snap.last().unwrap().a, FLIGHT_CAP as u64 + 9);
+        assert!(snap.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(*snap.last().unwrap(), FLIGHT_CAP as u64 + 9);
         clear_flight();
         assert!(flight_snapshot().is_empty());
     }
 
     #[test]
     fn chrome_trace_renders_all_kinds() {
-        let events = vec![
-            FlightEvent {
-                t_ns: 10_000,
-                kind: FlightKind::Span,
-                code: 0,
-                a: 5_000,
-                b: 10_000,
-            },
-            FlightEvent {
+        let records = [
+            FlightRecord::Span(SpanRecord {
+                seq: 1,
+                kind: Metric::LgcPause,
+                worker: 3,
+                start_ns: 5_000,
+                end_ns: 10_000,
+            }),
+            FlightRecord::Event(FlightEvent {
                 t_ns: 20_000,
                 kind: FlightKind::Event,
-                code: EV_WATCHDOG_STALL,
-                a: 1,
-                b: 2,
-            },
+                code: EV_ALLOC_ERROR,
+                a: 48,
+                b: 65_536,
+            }),
+            FlightRecord::Event(FlightEvent {
+                t_ns: 30_000,
+                kind: FlightKind::Census,
+                code: EV_LGC_CENSUS,
+                a: 12_345,
+                b: 678,
+            }),
         ];
-        let json = flight_chrome_trace(&events);
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"lgc_pause\""), "{json}");
-        assert!(json.contains("\"watchdog_stall\""), "{json}");
+        let json = flight_chrome_trace(&records);
+        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
+        assert!(
+            json.contains("\"name\":\"lgc_pause\",\"cat\":\"gc.lgc\",\"ph\":\"B\",\"ts\":5.000000,\"pid\":1,\"tid\":3"),
+            "the span sits on its worker's track: {json}"
+        );
+        assert!(
+            json.contains("\"args\":{\"requested_bytes\":48,\"limit_bytes\":65536}"),
+            "{json}"
+        );
+        assert!(json.contains("\"name\":\"lgc_census\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

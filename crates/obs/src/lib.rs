@@ -17,7 +17,8 @@
 //! * [`span`] — per-worker begin/end spans (worker id + monotonic
 //!   timestamps) covering GC phases, scheduler park/steal/run and remset
 //!   flushes.
-//! * [`chrome`] — `chrome://tracing`-loadable trace-event JSON exporter.
+//! * [`chrome`] — `chrome://tracing`-loadable trace-event JSON exporter,
+//!   also the format of [`flight`] recorder dumps.
 //! * [`prom`] — Prometheus text-exposition exporter for counters, gauges
 //!   and histograms.
 //! * [`sampler`] — a periodic background sampler thread for rate/gauge
@@ -58,9 +59,9 @@ pub use family::{
     family_counter, family_counter_add, family_counters, family_histogram, family_snapshots,
 };
 pub use flight::{
-    clear_flight, dump_flight, event_name, flight_decode, flight_dumps, flight_encode,
-    flight_record, flight_snapshot, FlightEvent, FlightKind, EV_ALLOC_ERROR, EV_AUDIT_FAILURE,
-    EV_BREAKER_OPEN, EV_CGC_CENSUS, EV_DEADLINE_STORM, EV_LGC_CENSUS, EV_WATCHDOG_STALL,
+    clear_flight, dump_flight, flight_dumps, flight_record, flight_snapshot, FlightEvent,
+    FlightKind, FlightRecord, EV_ALLOC_ERROR, EV_AUDIT_FAILURE, EV_BREAKER_OPEN, EV_CGC_CENSUS,
+    EV_DEADLINE_STORM, EV_LGC_CENSUS, EV_WATCHDOG_STALL,
 };
 pub use hist::{bucket_bound, bucket_index, HistSnapshot, Histogram, BUCKETS};
 pub use json::JsonWriter;

@@ -11,7 +11,7 @@ use std::sync::{Barrier, Mutex};
 use std::thread;
 
 use mpl_obs::ring::{Ring, UNREGISTERED_BASE};
-use mpl_obs::{FlightKind, Metric};
+use mpl_obs::{FlightKind, FlightRecord, Metric};
 
 /// Serialises the tests that use the process-global span rings.
 static SPANS_LOCK: Mutex<()> = Mutex::new(());
@@ -108,8 +108,14 @@ fn flight_snapshot_merges_spans_and_events_by_sequence() {
     let first_pair = PAIRS - 2048;
     for (k, pair) in snap.chunks(2).enumerate() {
         let i = first_pair + k as u64;
-        assert_eq!((pair[0].kind, pair[0].a), (FlightKind::Span, i));
-        assert_eq!((pair[1].kind, pair[1].a), (FlightKind::Event, i));
+        assert!(
+            matches!(pair[0], FlightRecord::Span(s) if s.start_ns == i),
+            "{pair:?}"
+        );
+        assert!(
+            matches!(pair[1], FlightRecord::Event(e) if e.a == i),
+            "{pair:?}"
+        );
     }
     mpl_obs::clear_flight();
     assert!(mpl_obs::flight_snapshot().is_empty());

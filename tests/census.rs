@@ -12,8 +12,9 @@
 //!    the whole-heap totals; a budgeted tenant session's blocks show up
 //!    under its name, keyed off `TenantBudget` heap ownership.
 //! 3. **Post-mortem** — the two automatic dump triggers (a GC-watchdog
-//!    stall and a heap-limit `AllocError`) each leave a decodable flight
-//!    recording on disk containing the anomaly event that tripped them.
+//!    stall and a heap-limit `AllocError`) each leave a flight recording
+//!    on disk, as Chrome-trace JSON, holding an instant for the anomaly
+//!    event that tripped them.
 //! 4. **Exports** — a census of a heap of over 100 k objects, taken
 //!    while an entangled pin is live, sees the pin and the sampled
 //!    provenance, and its JSON and Prometheus documents carry every field
@@ -67,7 +68,7 @@ fn wait_for_dump(dir: &std::path::Path, reason: &str) -> PathBuf {
         if let Ok(entries) = std::fs::read_dir(dir) {
             for e in entries.flatten() {
                 let name = e.file_name().to_string_lossy().into_owned();
-                if name.contains(reason) && name.ends_with(".bin") {
+                if name.contains(reason) && name.ends_with(".json") {
                     return e.path();
                 }
             }
@@ -79,6 +80,33 @@ fn wait_for_dump(dir: &std::path::Path, reason: &str) -> PathBuf {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// The args of the first `name` instant in the flight dump at `path`
+/// (Chrome-trace JSON), after checking the document is well-formed
+/// enough to brace-balance.
+fn dump_instant_args(path: &std::path::Path, name: &str) -> Vec<(String, u64)> {
+    let trace = std::fs::read_to_string(path).unwrap();
+    assert!(trace.starts_with("{\"traceEvents\":[") && trace.ends_with("]}"));
+    assert_eq!(
+        trace.matches('{').count(),
+        trace.matches('}').count(),
+        "unbalanced dump {}",
+        path.display()
+    );
+    let instant = format!("\"name\":\"{name}\",\"cat\":\"flight\",\"ph\":\"i\"");
+    let at = trace
+        .find(&instant)
+        .unwrap_or_else(|| panic!("no {name} instant in {}", path.display()));
+    let args = &trace[at..];
+    let args = &args[args.find("\"args\":{").unwrap() + "\"args\":{".len()..];
+    args[..args.find('}').unwrap()]
+        .split(',')
+        .map(|kv| {
+            let (k, v) = kv.split_once(':').unwrap();
+            (k.trim_matches('"').to_string(), v.parse().unwrap())
+        })
+        .collect()
 }
 
 /// A fresh per-test dump directory, exported via `MPL_FLIGHT_DIR`.
@@ -226,8 +254,8 @@ fn census_attributes_budgeted_tenant_sessions() {
 }
 
 /// An injected GC-phase stall trips the watchdog, which must leave a
-/// decodable flight recording containing the stall event (and the run
-/// itself still completes correctly).
+/// flight dump holding the stall instant with the deadline it overran
+/// (and the run itself still completes correctly).
 #[test]
 fn watchdog_stall_dumps_a_parseable_flight_recording() {
     let _guard = CENSUS_LOCK.lock().unwrap();
@@ -248,31 +276,22 @@ fn watchdog_stall_dumps_a_parseable_flight_recording() {
     let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
     assert_eq!(got, Value::Int(bench.run_native(n)));
     let path = wait_for_dump(&dir, "watchdog-stall");
-    let events = mpl_obs::flight_decode(&std::fs::read(&path).unwrap())
-        .unwrap_or_else(|e| panic!("undecodable stall dump {}: {e}", path.display()));
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == mpl_obs::FlightKind::Event && e.code == mpl_obs::EV_WATCHDOG_STALL),
-        "stall dump holds {} records but no watchdog event",
-        events.len()
-    );
-    // The decoder's rendering of the same records is valid Chrome-trace
-    // JSON (well-formed enough to brace-balance).
-    let trace = mpl_obs::flight_chrome_trace(&events);
-    assert!(trace.starts_with("{\"traceEvents\":["));
+    let args = dump_instant_args(&path, "watchdog_stall");
+    let deadline_ns = 40_000_000;
     assert_eq!(
-        trace.matches('{').count(),
-        trace.matches('}').count(),
-        "unbalanced chrome trace"
+        args[1],
+        ("deadline_ns".to_string(), deadline_ns),
+        "{args:?}"
     );
+    assert_eq!(args[0].0, "phase_age_ns");
+    assert!(args[0].1 > deadline_ns, "the phase overran: {args:?}");
     drop(rt);
     std::env::remove_var("MPL_FLIGHT_DIR");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A heap-limit `AllocError` dumps a decodable flight recording whose
-/// alloc-error event carries the budget that was exhausted.
+/// A heap-limit `AllocError` dumps a flight recording whose alloc-error
+/// instant carries the request size and the budget that was exhausted.
 #[test]
 fn heap_limit_alloc_error_dumps_a_parseable_flight_recording() {
     let _guard = CENSUS_LOCK.lock().unwrap();
@@ -296,14 +315,18 @@ fn heap_limit_alloc_error_dumps_a_parseable_flight_recording() {
     let err = err.alloc_error().expect("typed outcome is an alloc error");
     assert_eq!(err.limit, limit);
     let path = wait_for_dump(&dir, "alloc-error");
-    let events = mpl_obs::flight_decode(&std::fs::read(&path).unwrap())
-        .unwrap_or_else(|e| panic!("undecodable alloc dump {}: {e}", path.display()));
-    let ev = events
-        .iter()
-        .find(|e| e.kind == mpl_obs::FlightKind::Event && e.code == mpl_obs::EV_ALLOC_ERROR)
-        .expect("alloc-error dump holds the alloc-error event");
-    assert_eq!(ev.b, limit as u64, "the event records the exhausted limit");
-    assert!(ev.a > 0, "the event records the failing request size");
+    let args = dump_instant_args(&path, "alloc_error");
+    let (request, limit_arg) = (&args[0], &args[1]);
+    assert_eq!(request.0, "requested_bytes");
+    assert!(
+        request.1 > 0,
+        "the instant records the failing request size"
+    );
+    assert_eq!(
+        *limit_arg,
+        ("limit_bytes".to_string(), limit as u64),
+        "the instant records the exhausted limit"
+    );
     drop(rt);
     std::env::remove_var("MPL_FLIGHT_DIR");
     let _ = std::fs::remove_dir_all(&dir);
@@ -313,7 +336,8 @@ fn heap_limit_alloc_error_dumps_a_parseable_flight_recording() {
 /// while its entangled pin is live, sees the pin and the sampled
 /// provenance. Its JSON carries every top-level and class-row field, its
 /// Prometheus document every `mpl_census_*` family in well-formed lines,
-/// and the run has fed the flight ring a decodable recording.
+/// and the run has fed the flight ring a recording that renders as
+/// Chrome-trace JSON.
 #[test]
 fn census_under_a_live_pin_exports_every_field_and_family() {
     let _guard = CENSUS_LOCK.lock().unwrap();
@@ -438,8 +462,7 @@ fn census_under_a_live_pin_exports_every_field_and_family() {
 
     let flight = mpl_obs::flight_snapshot();
     assert!(!flight.is_empty(), "the run fed the flight ring nothing");
-    let decoded = mpl_obs::flight_decode(&mpl_obs::flight_encode(&flight)).unwrap();
-    let trace = mpl_obs::flight_chrome_trace(&decoded);
+    let trace = mpl_obs::flight_chrome_trace(&flight);
     assert!(
         trace.starts_with("{\"traceEvents\":[{"),
         "empty flight trace"

@@ -215,8 +215,9 @@ fn sessions_persist_across_runs() {
     rt.assert_heap_sound();
 }
 
-/// Satellite: the JSON telemetry mode is machine-readable and the server
-/// report's JSON carries the SLO fields CI parses.
+/// The server report's JSON carries the SLO fields, and the runtime's
+/// Prometheus document the counter, gauge and histogram families a
+/// scraper reads.
 #[test]
 fn json_reports_are_machine_readable() {
     let _guard = REGISTRY_LOCK.read().unwrap_or_else(|e| e.into_inner());
@@ -241,21 +242,21 @@ fn json_reports_are_machine_readable() {
     ] {
         assert!(j.contains(key), "server report JSON missing {key}: {j}");
     }
-    let t = rt.telemetry_report();
-    assert!(t.json.starts_with('{') && t.json.ends_with('}'));
-    for key in [
-        "\"counters\"",
-        "\"gauges\"",
-        "\"histograms_ns\"",
-        "\"samples\"",
-        "\"live_bytes\"",
-        "\"lgc_dead_traced\"",
-        "\"blocks_allocated\"",
-        "\"blocks_freed\"",
-        "\"lines_swept\"",
-        "\"cgc_packets\"",
+    let prom = rt.telemetry_report().prometheus;
+    for family in [
+        "mpl_live_bytes gauge",
+        "mpl_lgc_dead_traced_total counter",
+        "mpl_blocks_allocated_total counter",
+        "mpl_blocks_freed_total counter",
+        "mpl_lines_swept_total counter",
+        "mpl_cgc_packets_total counter",
+        "mpl_lgc_pause_seconds histogram",
     ] {
-        assert!(t.json.contains(key), "telemetry JSON missing {key}");
+        let header = format!("# TYPE {family}\n");
+        assert!(
+            prom.contains(&header),
+            "Prometheus document missing {family}"
+        );
     }
     srv.shutdown();
 }

@@ -49,16 +49,11 @@ impl Runtime {
         let _driver = (!mpl_sched::on_worker_thread())
             .then(|| self.executor.as_deref().and_then(Executor::install_driver))
             .flatten();
-        let start = std::time::Instant::now();
-        let span = mpl_obs::span_start();
+        let pause = mpl_obs::gc_pause(mpl_obs::Metric::CgcPause);
         if !cycle() {
-            return;
+            return pause.discard();
         }
-        self.store
-            .stats()
-            .on_cgc_pause(start.elapsed().as_nanos() as u64);
-        // `on_cgc_pause` fed the histogram; timeline entry only.
-        mpl_obs::span_only(mpl_obs::Metric::CgcPause, span);
+        self.store.stats().on_cgc_pause(pause.close());
     }
 
     /// The pinned-bytes gauge: one load, not a full [`Runtime::stats`]

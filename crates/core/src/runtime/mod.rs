@@ -75,9 +75,7 @@ impl Runtime {
         if config.audit {
             mpl_gc::audit::enable(); // balanced by Drop
         }
-        // Process-wide telemetry opt-in via MPL_TELEMETRY, then the
-        // per-runtime refcounted switch (balanced by Drop).
-        mpl_obs::init_from_env();
+        // The refcounted telemetry switch (balanced by Drop).
         if config.telemetry {
             mpl_obs::enable();
         }
@@ -155,9 +153,7 @@ impl Runtime {
     }
 
     /// Number of times this runtime's GC stall watchdog has fired
-    /// (zero when no watchdog is configured). Per-runtime — unlike
-    /// `mpl_gc::stall::reports()`, which is process-global and
-    /// accumulates across runtimes.
+    /// (zero when no watchdog is configured).
     pub fn watchdog_reports(&self) -> u64 {
         self.watchdog
             .as_ref()

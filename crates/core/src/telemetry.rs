@@ -86,17 +86,15 @@ pub(crate) fn note_alloc_error(e: &crate::mutator::AllocError) {
     }
 }
 
-/// The GC stall watchdog thread: polls the process-global GC phase clock
-/// ([`mpl_gc::stall`]) and, when a phase has been in flight longer than
+/// The GC stall watchdog thread: polls the process-global open-phase slot
+/// ([`mpl_obs::open_phase`]) and, when a phase has been in flight longer than
 /// the configured deadline, flags it on stderr and dumps the audit event
 /// rings plus a Prometheus counter snapshot — the post-mortem a hung
 /// chaos run would otherwise take to the grave.
 #[derive(Debug)]
 pub(crate) struct Watchdog {
     stop: Arc<std::sync::atomic::AtomicBool>,
-    /// Stalls this runtime's watchdog flagged (one per stalled phase,
-    /// like the process-global `mpl_gc::stall::reports()` — but scoped
-    /// to this runtime so tests and operators can attribute a report).
+    /// Stalls this runtime's watchdog flagged (one per stalled phase).
     pub(crate) reports: Arc<std::sync::atomic::AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -133,11 +131,10 @@ pub(crate) fn spawn_watchdog(
             let mut flagged = false;
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 std::thread::sleep(tick);
-                match mpl_gc::stall::current() {
+                match mpl_obs::open_phase() {
                     Some((phase, age_ns)) if age_ns > deadline_ns => {
                         if !flagged {
                             flagged = true;
-                            mpl_gc::stall::note_report();
                             reports2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             // Opt-in escalation: a stalled collector
                             // means in-flight runs are likely wedged
@@ -148,8 +145,9 @@ pub(crate) fn spawn_watchdog(
                                 token.trip_watchdog();
                             }
                             eprintln!(
-                                "mpl-gc-watchdog: phase '{phase}' in flight for {:.3}s \
+                                "mpl-gc-watchdog: phase '{}' in flight for {:.3}s \
                                  (deadline {:.3}s); dumping audit rings + telemetry",
+                                phase.name(),
                                 age_ns as f64 / 1e9,
                                 deadline_ns as f64 / 1e9,
                             );

@@ -113,6 +113,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use mpl_heap::events::{self, EventKind, DEAD_BY_CGC};
 use mpl_heap::{Counter, ObjRef, Store};
+use mpl_obs::{gc_phase, Metric};
 
 use crate::graveyard::{Graveyard, Retired};
 use crate::roots::RootStack;
@@ -549,7 +550,7 @@ impl CgcState {
     fn handshake(&self) {
         let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.request_all(REQ_HANDSHAKE);
-        let _stall = crate::stall::guard(crate::stall::CGC_MARK);
+        let _phase = gc_phase(Metric::CgcHandshake);
         let mut spins = 0u32;
         loop {
             let pending =
@@ -664,10 +665,9 @@ fn run_trace_packet(cycle: &Cycle<'_>, mut local: Vec<ObjRef>) {
 /// pass, and re-enqueues a clone of the packet (marking is idempotent).
 fn trace_packet(cycle: &Cycle<'_>, packet: Vec<ObjRef>) {
     cycle.packets.fetch_add(1, Ordering::Relaxed);
-    let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcPacket);
-    // Re-arm the stall clock per packet so a long parallel mark never
+    // Each packet is a phase of its own, so a long parallel mark never
     // looks like one stalled phase to the watchdog.
-    let _stall = crate::stall::guard(crate::stall::CGC_MARK);
+    let _phase = gc_phase(Metric::CgcPacket);
     let retry = packet.clone();
     let res = catch_unwind(AssertUnwindSafe(|| run_trace_packet(cycle, packet)));
     if let Err(payload) = res {
@@ -774,8 +774,7 @@ fn mark(cycle: &Cycle<'_>) {
 /// idempotent CAS transitions).
 fn sweep_packet(cycle: &Cycle<'_>, bid: u32) {
     cycle.packets.fetch_add(1, Ordering::Relaxed);
-    let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcPacket);
-    let _stall = crate::stall::guard(crate::stall::CGC_SWEEP);
+    let _phase = gc_phase(Metric::CgcPacket);
     let res = catch_unwind(AssertUnwindSafe(|| {
         mpl_fail::hit_hard("cgc/packet");
         let mut local = CgcOutcome::default();
@@ -803,8 +802,7 @@ fn sweep_packet(cycle: &Cycle<'_>, bid: u32) {
 /// store per 64 objects — no object walk.
 fn clear_block_marks(cycle: &Cycle<'_>, bid: u32) {
     cycle.packets.fetch_add(1, Ordering::Relaxed);
-    let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcPacket);
-    let _stall = crate::stall::guard(crate::stall::CGC_SWEEP);
+    let _phase = gc_phase(Metric::CgcPacket);
     if let Some(block) = cycle.store.blocks().try_get(bid) {
         block.clear_all_marks();
     }
@@ -877,8 +875,7 @@ fn begin<'a>(store: &'a Store, state: &'a CgcState, gate: MutexGuard<'a, ()>) ->
 pub fn cgc_finish(mut cycle: Cycle<'_>) -> CgcOutcome {
     let store = cycle.store;
     {
-        let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcMark);
-        let _stall = crate::stall::guard(crate::stall::CGC_MARK);
+        let _phase = gc_phase(Metric::CgcMark);
         mark(&cycle);
     }
     // Mark fixpoint reached. Reachability can only shrink from here (SATB
@@ -887,8 +884,7 @@ pub fn cgc_finish(mut cycle: Cycle<'_>) -> CgcOutcome {
     cycle.state.marking.store(false, Ordering::SeqCst);
     cycle.note(EventKind::CycleMarked);
     mpl_fail::hit_hard("cgc/marked");
-    let _span = mpl_obs::span_guard(mpl_obs::Metric::CgcSweep);
-    let _stall = crate::stall::guard(crate::stall::CGC_SWEEP);
+    let _phase = gc_phase(Metric::CgcSweep);
     let mut blocks = std::mem::take(&mut cycle.sweepable);
     while !blocks.is_empty() {
         par_each(blocks, &|bid: u32| sweep_packet(&cycle, bid));

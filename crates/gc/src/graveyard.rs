@@ -82,7 +82,7 @@ impl Graveyard {
         if freed.is_empty() {
             return 0;
         }
-        let _stall = crate::stall::guard(crate::stall::GRAVEYARD);
+        let _phase = mpl_obs::gc_phase(mpl_obs::Metric::GraveyardReap);
         for &id in &freed {
             store.blocks().free(id);
         }

@@ -78,6 +78,7 @@ use mpl_heap::{
     size_class, Block, Counter, HeapInfo, ObjRef, Region, RemsetEntry, Store, Value,
     NUM_SIZE_CLASSES, OBJECT_HEADER_WORDS,
 };
+use mpl_obs::Metric;
 
 use crate::check::{Phase, Shield};
 
@@ -244,17 +245,15 @@ impl ToSpace<'_> {
 pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutcome {
     // The whole call is the stop-the-task pause: timed here (not at call
     // sites) so allocation-triggered and forced collections are equally
-    // covered. Phase spans are telemetry-gated; the pause counter is
-    // always on (two clock reads per collection, noise next to the
-    // collection itself).
-    let pause_begin = std::time::Instant::now();
-    let span_pause = mpl_obs::span_start();
-    let span_phase = mpl_obs::span_start();
+    // covered. The pause counter is always on (two clock reads per
+    // collection, noise next to the collection itself); each phase is
+    // published to the stall watchdog and, under telemetry, spanned.
+    let pause = mpl_obs::gc_pause(Metric::LgcPause);
+    let phase = mpl_obs::gc_phase(Metric::LgcShield);
     let mut lgc = Lgc::new(store, heap);
     let h = lgc.h;
 
     // ---- Phase A: shield the entangled region --------------------------
-    let mut stall = crate::stall::enter(crate::stall::LGC_SHIELD);
     lgc.shield();
     mpl_fail::hit_hard("lgc/shield");
     crate::audit::audit(
@@ -264,10 +263,8 @@ pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutco
             closure: &lgc.closure,
         }),
     );
-    mpl_obs::span_close(mpl_obs::Metric::LgcShield, span_phase);
-    let span_phase = mpl_obs::span_start();
-    crate::stall::exit(stall);
-    stall = crate::stall::enter(crate::stall::LGC_EVACUATE);
+    drop(phase);
+    let phase = mpl_obs::gc_phase(Metric::LgcEvacuate);
 
     // ---- Phase B: evacuate, then re-take the shield --------------------
     lgc.evacuate(roots);
@@ -302,10 +299,8 @@ pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutco
             closure: &lgc.closure,
         }),
     );
-    mpl_obs::span_close(mpl_obs::Metric::LgcEvacuate, span_phase);
-    let span_phase = mpl_obs::span_start();
-    crate::stall::exit(stall);
-    stall = crate::stall::enter(crate::stall::LGC_RECLAIM);
+    drop(phase);
+    let phase = mpl_obs::gc_phase(Metric::LgcReclaim);
 
     // ---- Phase C: reclaim ------------------------------------------------
     lgc.reclaim();
@@ -323,14 +318,8 @@ pub fn collect_local(store: &Store, heap: u32, roots: &mut [ObjRef]) -> LgcOutco
             closure: &lgc.closure,
         }),
     );
-    mpl_obs::span_close(mpl_obs::Metric::LgcReclaim, span_phase);
-    crate::stall::exit(stall);
-    store
-        .stats()
-        .on_lgc_pause(pause_begin.elapsed().as_nanos() as u64);
-    // `on_lgc_pause` already fed the pause histogram; record the timeline
-    // span only.
-    mpl_obs::span_only(mpl_obs::Metric::LgcPause, span_pause);
+    drop(phase);
+    store.stats().on_lgc_pause(pause.close());
     lgc.out
 }
 

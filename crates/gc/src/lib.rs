@@ -73,7 +73,6 @@ pub mod graveyard;
 pub mod lgc;
 pub mod policy;
 pub mod roots;
-pub mod stall;
 
 pub use audit::{audit, AuditCounters};
 pub use cgc::{

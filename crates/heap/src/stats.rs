@@ -368,21 +368,19 @@ impl StoreStats {
         self.sub_live_bytes(swept_bytes as usize);
     }
 
-    /// Records a concurrent-collection pause duration. Also feeds the
-    /// telemetry pause histogram (a no-op unless telemetry is enabled).
+    /// Records a concurrent-collection pause duration (the length its
+    /// `mpl_obs::gc_pause` section closed with).
     pub fn on_cgc_pause(&self, ns: u64) {
         self.add(Counter::cgc_pause_ns_total, ns);
         self.cell(Counter::cgc_pause_ns_max).fetch_max(ns, Relaxed);
-        mpl_obs::record_duration(mpl_obs::Metric::CgcPause, ns);
     }
 
     /// Records a local-collection pause duration (the whole
-    /// `collect_local` stop-the-task window). Also feeds the telemetry
-    /// pause histogram (a no-op unless telemetry is enabled).
+    /// `collect_local` stop-the-task window, timed by its
+    /// `mpl_obs::gc_pause` section).
     pub fn on_lgc_pause(&self, ns: u64) {
         self.add(Counter::lgc_pause_ns_total, ns);
         self.cell(Counter::lgc_pause_ns_max).fetch_max(ns, Relaxed);
-        mpl_obs::record_duration(mpl_obs::Metric::LgcPause, ns);
     }
 }
 

@@ -25,7 +25,6 @@
 //! gated on [`crate::enabled`] upstream; the ring write is one
 //! [`Ring::push`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::flight;
@@ -473,7 +472,6 @@ pub struct GcCensus {
 }
 
 static LAST_GC: Mutex<Option<GcCensus>> = Mutex::new(None);
-static GC_CENSUSES: AtomicU64 = AtomicU64::new(0);
 
 /// Record a collection-epilogue census delta: updates the last-value
 /// cell and appends a census event to the flight recorder. Callers gate
@@ -488,7 +486,6 @@ pub fn note_gc_census(kind: GcCensusKind, live_bytes: u64, blocks: u64, reclaime
         reclaimed_bytes,
     };
     *LAST_GC.lock().unwrap() = Some(rec);
-    GC_CENSUSES.fetch_add(1, Ordering::Relaxed);
     let code = match kind {
         GcCensusKind::Lgc => flight::EV_LGC_CENSUS,
         GcCensusKind::Cgc => flight::EV_CGC_CENSUS,
@@ -506,11 +503,6 @@ pub fn note_gc_census(kind: GcCensusKind, live_bytes: u64, blocks: u64, reclaime
 /// while telemetry was enabled.
 pub fn last_gc_census() -> Option<GcCensus> {
     *LAST_GC.lock().unwrap()
-}
-
-/// Total GC census deltas recorded since process start.
-pub fn gc_censuses() -> u64 {
-    GC_CENSUSES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -125,7 +125,7 @@ const MAX_DUMPS: u64 = 16;
 
 /// Append one record with an explicit timestamp (collectors pass the
 /// timestamp they already took). No enabled gate — callers apply it.
-pub fn flight_record_at(t_ns: u64, kind: FlightKind, code: u32, a: u64, b: u64) {
+pub(crate) fn flight_record_at(t_ns: u64, kind: FlightKind, code: u32, a: u64, b: u64) {
     EVENTS.push([t_ns, (kind as u64) << 32 | u64::from(code), a, b]);
 }
 
@@ -204,11 +204,6 @@ pub fn dump_flight(reason: &str) -> Option<PathBuf> {
     let trace = crate::chrome::flight_chrome_trace(&flight_snapshot());
     std::fs::write(&path, trace).ok()?;
     Some(path)
-}
-
-/// Number of automatic dumps attempted since process start.
-pub fn flight_dumps() -> u64 {
-    DUMPS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -141,6 +141,20 @@ impl HistSnapshot {
         }
     }
 
+    /// The recordings made after `earlier`, a snapshot of the same
+    /// histogram: bucket-wise differences (saturating, should the
+    /// histogram be reset in between). The max stays this snapshot's,
+    /// an upper bound (a maximum cannot be subtracted).
+    pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        let mut out = *self;
+        out.count = out.count.saturating_sub(earlier.count);
+        out.sum = out.sum.saturating_sub(earlier.sum);
+        for (o, e) in out.buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *o = o.saturating_sub(*e);
+        }
+        out
+    }
+
     /// Upper bound of the value at quantile `q` in `[0, 1]`: the inclusive
     /// bound of the bucket holding the rank-`ceil(q·count)` value, clamped
     /// to the exact recorded max. Returns 0 for an empty snapshot.
@@ -237,5 +251,20 @@ mod tests {
             both.record(v);
         }
         assert_eq!(a.snapshot().merge(&b.snapshot()), both.snapshot());
+    }
+
+    #[test]
+    fn since_holds_the_later_recordings() {
+        let h = Histogram::new();
+        let later = Histogram::new();
+        h.record(5);
+        let earlier = h.snapshot();
+        for v in [9u64, 1 << 20] {
+            h.record(v);
+            later.record(v);
+        }
+        let got = h.snapshot().since(&earlier);
+        assert_eq!(got, later.snapshot());
+        assert_eq!(got.p99(), later.snapshot().p99());
     }
 }

@@ -17,6 +17,9 @@
 //! * [`span`] — per-worker begin/end spans (worker id + monotonic
 //!   timestamps) covering GC phases, scheduler park/steal/run and remset
 //!   flushes.
+//! * [`phase`] — the one clock of collector phases and pauses: a guard
+//!   that feeds the span, the histogram, the caller's pause counter and
+//!   the open-phase slot the GC stall watchdog polls from one start.
 //! * [`chrome`] — `chrome://tracing`-loadable trace-event JSON exporter,
 //!   also the format of [`flight`] recorder dumps.
 //! * [`prom`] — Prometheus text-exposition exporter for counters, gauges
@@ -30,37 +33,35 @@
 //! module: every emission site pays **one relaxed atomic load and a
 //! predicted-not-taken branch** when telemetry is off. Nothing is allocated,
 //! no timestamps are taken, and [`span_start`] returns `None` without
-//! reading the clock. `mpl-obs` is a leaf crate — it depends on no other
+//! reading the clock. The one exception is the GC phase clock ([`phase`]),
+//! whose entry read the stall watchdog and the pause counters need
+//! whatever the setting. `mpl-obs` is a leaf crate — it depends on no other
 //! workspace crate, so heap, gc, sched and core can all emit into it.
 //!
 //! Enablement is refcounted ([`enable`]/[`disable`]) so nested runtimes
-//! compose, mirroring the audit layer; the `MPL_TELEMETRY` environment
-//! variable force-enables collection for a whole process.
+//! compose, mirroring the audit layer.
 
 pub mod census;
 pub mod chrome;
-pub mod family;
 pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod metrics;
+pub mod phase;
 pub mod prom;
 pub mod ring;
 pub mod sampler;
 pub mod span;
 
 pub use census::{
-    gc_censuses, last_gc_census, note_gc_census, provenance_record, provenance_summary,
-    reset_provenance, ClassCensus, GcCensus, GcCensusKind, HeapCensus, ProvenanceSample,
-    ProvenanceSummary, TenantCensus, CENSUS_MAX_CLASSES,
+    last_gc_census, note_gc_census, provenance_record, provenance_summary, reset_provenance,
+    ClassCensus, GcCensus, GcCensusKind, HeapCensus, ProvenanceSample, ProvenanceSummary,
+    TenantCensus, CENSUS_MAX_CLASSES,
 };
 pub use chrome::{chrome_trace, flight_chrome_trace};
-pub use family::{
-    family_counter, family_counter_add, family_counters, family_histogram, family_snapshots,
-};
 pub use flight::{
-    clear_flight, dump_flight, flight_dumps, flight_record, flight_snapshot, FlightEvent,
-    FlightKind, FlightRecord, EV_ALLOC_ERROR, EV_AUDIT_FAILURE, EV_BREAKER_OPEN, EV_CGC_CENSUS,
+    clear_flight, dump_flight, flight_record, flight_snapshot, FlightEvent, FlightKind,
+    FlightRecord, EV_ALLOC_ERROR, EV_AUDIT_FAILURE, EV_BREAKER_OPEN, EV_CGC_CENSUS,
     EV_DEADLINE_STORM, EV_LGC_CENSUS, EV_WATCHDOG_STALL,
 };
 pub use hist::{bucket_bound, bucket_index, HistSnapshot, Histogram, BUCKETS};
@@ -68,12 +69,12 @@ pub use json::JsonWriter;
 pub use metrics::{
     histogram, metric_snapshots, record_duration, reset_metrics, timer, Metric, Timer, METRIC_COUNT,
 };
+pub use phase::{gc_pause, gc_phase, open_phase, GcSection};
 pub use prom::PromWriter;
 pub use ring::register_worker;
 pub use sampler::{Sample, Sampler};
 pub use span::{
-    clear_spans, snapshot_spans, span_close, span_guard, span_only, span_start, SpanGuard,
-    SpanRecord,
+    clear_spans, snapshot_spans, span_close, span_guard, span_start, SpanGuard, SpanRecord,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -84,8 +85,7 @@ use std::time::Instant;
 /// sites check only this (one relaxed load).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Refcount of active enablers ([`enable`] calls minus [`disable`] calls,
-/// plus one permanent reference if `MPL_TELEMETRY` is set).
+/// Refcount of active enablers ([`enable`] calls minus [`disable`] calls).
 static REFS: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether telemetry collection is currently enabled.
@@ -122,21 +122,6 @@ pub fn disable() {
             Err(seen) => cur = seen,
         }
     }
-}
-
-/// Apply the `MPL_TELEMETRY` environment opt-in once per process. If the
-/// variable is set to anything but `0`/empty, a permanent enable reference
-/// is taken so collection is on for the whole process lifetime.
-pub fn init_from_env() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let on = std::env::var("MPL_TELEMETRY")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if on {
-            enable();
-        }
-    });
 }
 
 fn epoch() -> &'static Instant {

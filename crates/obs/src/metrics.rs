@@ -57,6 +57,10 @@ metric_table! {
     AllocRefill: "alloc_refill", "alloc", "Allocation-cache refill (store-path block overflow fallback)";
     /// Ends at `Runtime::try_run*` catching the `Cancelled` payload.
     CancelUnwind: "cancel_unwind", "cancel", "Cancellation latency (token trip to run fully unwound)";
+    /// From the epoch bump to the last open slot's acknowledgement.
+    CgcHandshake: "cgc_handshake", "gc.cgc", "CGC handshake duration";
+    /// Freeing the evacuated blocks whose epoch rule is met.
+    GraveyardReap: "graveyard_reap", "gc", "Graveyard reap duration";
 }
 
 /// Number of [`Metric`] variants.

@@ -61,18 +61,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Like [`span_close`] but records only the timeline entry, not the
-/// duration histogram. Used for sections whose duration already reaches
-/// the histogram through an always-on stats counter (LGC/CGC pauses go
-/// through `StoreStats::on_*_pause`), so the distribution is not
-/// double-counted.
-#[inline]
-pub fn span_only(kind: Metric, start: Option<u64>) {
-    let Some(start) = start else { return };
-    record_span(kind, start, now_ns());
-}
-
-fn record_span(kind: Metric, start: u64, end: u64) {
+pub(crate) fn record_span(kind: Metric, start: u64, end: u64) {
     let meta = ((kind as u64) << 32) | (worker_id() as u64 & 0xffff_ffff);
     SPANS.push([meta, start, end]);
 }

@@ -8,8 +8,8 @@
 use std::time::Instant;
 
 use mpl_obs::{
-    enabled, histogram, metric_snapshots, record_duration, snapshot_spans, span_close, span_start,
-    timer, Metric,
+    enabled, gc_pause, gc_phase, histogram, metric_snapshots, record_duration, snapshot_spans,
+    span_close, span_start, timer, Metric,
 };
 
 #[test]
@@ -32,6 +32,10 @@ fn disabled_telemetry_records_nothing_and_is_cheap() {
         "span_start must not observe a clock when disabled"
     );
     span_close(Metric::SchedRun, None);
+    // A GC section still times itself (its length feeds always-on pause
+    // counters) but records no span and no histogram.
+    drop(gc_phase(Metric::LgcShield));
+    let _ = gc_pause(Metric::LgcPause).close();
     assert_eq!(metric_snapshots(), before);
     assert!(snapshot_spans().is_empty());
     assert_eq!(histogram(Metric::LgcPause).snapshot().count, 0);

@@ -123,9 +123,12 @@ impl<'rt> Server<'rt> {
         let stats0 = self.rt.stats();
         let samples0 = self.rt.telemetry_samples().len();
         let ntenants = self.tenants.len().max(1);
-        let lat0: Vec<_> = self.tenants.iter().map(|t| t.latency.snapshot()).collect();
-        // Tenant counters accumulate for the server's lifetime; the
-        // report covers this run only.
+        // A tenant's latency histogram covers one run; its counters
+        // accumulate for the server's lifetime, and the report takes
+        // this run's share.
+        for t in &self.tenants {
+            t.latency.reset();
+        }
         let counts0: Vec<_> = self.tenants.iter().map(|t| t.counts).collect();
         // Retry jitter is seeded from the traffic seed so overload runs
         // replay deterministically.
@@ -309,13 +312,9 @@ impl<'rt> Server<'rt> {
         let tenants = self
             .tenants
             .iter()
-            .zip(lat0.iter())
             .zip(counts0.iter())
-            .map(|((t, l0), c0)| {
-                let snap = t.latency.snapshot();
-                // This run's own recordings: the family histogram is
-                // process-global, so subtract the pre-run snapshot.
-                let lat = diff_hist(&snap, l0);
+            .map(|(t, c0)| {
+                let lat = t.latency.snapshot();
                 let counts = t.counts.since(c0);
                 TenantReport {
                     name: t.spec.name.clone(),
@@ -406,9 +405,7 @@ fn brownout_level(
         // Latency pressure: the pause p99 over this window only.
         let lgc = histogram(Metric::LgcPause).snapshot();
         let cgc = histogram(Metric::CgcPause).snapshot();
-        let p99 = diff_hist(&lgc, &pause0.0)
-            .percentile(0.99)
-            .max(diff_hist(&cgc, &pause0.1).percentile(0.99));
+        let p99 = lgc.since(&pause0.0).p99().max(cgc.since(&pause0.1).p99());
         level = level.max(if p99 >= 20_000_000 {
             Brownout::Degraded
         } else if p99 >= 5_000_000 {
@@ -419,18 +416,6 @@ fn brownout_level(
         *pause0 = (lgc, cgc);
     }
     level
-}
-
-/// Bucket-wise difference of two snapshots of one (monotone) histogram:
-/// the recordings that happened between them.
-fn diff_hist(now: &mpl_obs::HistSnapshot, then: &mpl_obs::HistSnapshot) -> mpl_obs::HistSnapshot {
-    let mut out = *now;
-    out.count = now.count.saturating_sub(then.count);
-    out.sum = now.sum.saturating_sub(then.sum);
-    for (o, t) in out.buckets.iter_mut().zip(then.buckets.iter()) {
-        *o = o.saturating_sub(*t);
-    }
-    out
 }
 
 #[cfg(test)]

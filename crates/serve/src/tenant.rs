@@ -1,9 +1,7 @@
 //! Tenants: a budgeted session group on one persistent runtime.
 
-use std::sync::Arc;
-
 use mpl_heap::Value;
-use mpl_obs::{family_histogram, Histogram};
+use mpl_obs::Histogram;
 use mpl_runtime::Runtime;
 use mpl_runtime::TenantSession;
 
@@ -250,9 +248,8 @@ pub struct Tenant {
     /// Per-session workload state, `spec.sessions` entries.
     pub states: Vec<SessionState>,
     /// Request latency (ns), measured from scheduled arrival to
-    /// completion. Registered in the `"serve_latency"` histogram family
-    /// under the tenant name, so exporters see it too.
-    pub latency: Arc<Histogram>,
+    /// completion, over the current [`crate::Server::run`].
+    pub latency: Histogram,
     /// The dispatcher's admission counters, accumulated over the
     /// server's lifetime.
     pub counts: TenantCounts,
@@ -282,12 +279,11 @@ impl Tenant {
                 Value::Unit
             });
         }
-        let latency = family_histogram("serve_latency", &spec.name);
         Tenant {
             spec,
             session,
             states,
-            latency,
+            latency: Histogram::new(),
             counts: TenantCounts::default(),
             breaker: Breaker::default(),
             futile_at: None,

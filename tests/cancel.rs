@@ -256,9 +256,8 @@ fn watchdog_fire_cancels_the_stalled_run_when_opted_in() {
     assert_clean(&rt, "watchdog");
     drop(rt);
     // Per-runtime isolation (regression): a fresh runtime's report
-    // counter starts at zero even though the process-global tally has
-    // advanced, and stays zero across a healthy run.
-    assert!(mpl_gc::stall::reports() >= 1, "global tally advanced");
+    // counter starts at zero even though another runtime's watchdog has
+    // fired, and stays zero across a healthy run.
     let rt2 = Runtime::new(cancel_config(2).with_gc_watchdog(Duration::from_millis(500)));
     assert_eq!(
         rt2.watchdog_reports(),

@@ -162,16 +162,15 @@ fn entangled_suite_under_cgc_packet_fault_chaos() {
 }
 
 /// Watchdog false-positive regression: a whole CGC cycle under load at
-/// two workers runs longer than the deadline, and without the per-packet
-/// re-arm the phase clock would treat it as one ever-aging phase,
-/// producing stall dumps for healthy cycles. With benign delays
-/// stretching the mark phase and packets until a cycle outlasts the
-/// deadline, the watchdog must stay quiet — every packet and handshake
-/// re-arms the clock.
+/// two workers runs longer than the deadline, and were the cycle one
+/// phase the watchdog would see it as ever-aging and dump healthy
+/// cycles. With benign delays stretching the mark phase and packets
+/// until a cycle outlasts the deadline, no runtime's watchdog may report
+/// — every packet and handshake is a phase of its own.
 #[test]
 fn whole_cgc_cycle_under_load_does_not_false_stall() {
     let _guard = CHAOS_LOCK.lock().unwrap();
-    let before = mpl_gc::stall::reports();
+    let mut reports = 0;
     let deadline = Duration::from_millis(50);
     let plan = FailPlan::new(5)
         .with("cgc/mark", FailAction::Delay(3_000_000), FailWhen::OneIn(2))
@@ -196,6 +195,7 @@ fn whole_cgc_cycle_under_load_does_not_false_stall() {
         let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
         assert_eq!(got, Value::Int(bench.run_native(n)));
         rt.assert_heap_sound();
+        reports += rt.watchdog_reports();
         longest = rt.stats().cgc_pause_ns_max;
         if longest > deadline.as_nanos() as u64 {
             break;
@@ -205,11 +205,7 @@ fn whole_cgc_cycle_under_load_does_not_false_stall() {
         longest > deadline.as_nanos() as u64,
         "no cycle outlasted the deadline"
     );
-    assert_eq!(
-        mpl_gc::stall::reports(),
-        before,
-        "healthy cycle must not trip the stall watchdog"
-    );
+    assert_eq!(reports, 0, "healthy cycle must not trip the stall watchdog");
 }
 
 #[test]

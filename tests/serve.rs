@@ -215,6 +215,50 @@ fn sessions_persist_across_runs() {
     rt.assert_heap_sound();
 }
 
+/// A tenant's latency histogram is its own and covers one run: a second
+/// server on a fresh runtime, with the same tenant name as the first,
+/// reports none of the first server's latencies, its maximum included.
+#[test]
+fn tenant_latency_does_not_leak_across_servers() {
+    // Exclusive: the first server arms a failpoint.
+    let _guard = REGISTRY_LOCK.write().unwrap_or_else(|e| e.into_inner());
+    let name = "latency-leak";
+    let traffic = TrafficConfig {
+        requests: 100,
+        rate_hz: 50_000.0,
+        tenants: 1,
+        ..TrafficConfig::default()
+    };
+    // The first admission stalls 50 ms, so the first server's maximum is
+    // at least that.
+    let stall = FailPlan::new(1).with(
+        "serve/admit",
+        FailAction::Delay(50_000_000),
+        FailWhen::Nth(1),
+    );
+    let first_max = {
+        let rt = Runtime::new(RuntimeConfig::managed().with_failpoints(stall));
+        let mut srv = Server::new(&rt, vec![TenantSpec::new(name, 0)]);
+        let rep = srv.run(&traffic);
+        srv.shutdown();
+        rep.tenants[0].max_ns
+    };
+    assert!(first_max >= 50_000_000, "first max {first_max} ns");
+    let rt = Runtime::new(RuntimeConfig::managed());
+    let mut srv = Server::new(&rt, vec![TenantSpec::new(name, 0)]);
+    let rep = srv.run(&traffic);
+    srv.shutdown();
+    let t = &rep.tenants[0];
+    assert_eq!(t.counts.completed, 100);
+    assert!(
+        t.max_ns < first_max,
+        "the second server reports the first one's maximum: {} ns (its p99 {} ns)",
+        t.max_ns,
+        t.p99_ns
+    );
+    assert!(t.p99_ns <= t.max_ns);
+}
+
 /// The server report's JSON carries the SLO fields, and the runtime's
 /// Prometheus document the counter, gauge and histogram families a
 /// scraper reads.

@@ -28,4 +28,4 @@
 
 pub mod seq;
 
-pub use seq::{SeqHandle, SeqRuntime, SeqStats, SeqValue};
+pub use seq::{SeqHandle, SeqRawView, SeqRuntime, SeqStats, SeqValue};

@@ -8,6 +8,7 @@
 //! work (the paper's overhead tables compare against a collected
 //! sequential runtime, not against malloc-and-leak).
 
+use std::cell::Cell;
 use std::fmt;
 
 /// Values of the sequential runtime.
@@ -282,6 +283,40 @@ impl SeqRuntime {
         }
     }
 
+    /// Runs `f` on a view of each raw array in `arrs` (parity with
+    /// `Mutator::with_raw`): each view access charges the work of a
+    /// [`SeqRuntime::raw_get`] or [`SeqRuntime::raw_set`]. The same array
+    /// may appear more than once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is not a live raw array.
+    pub fn with_raw<const N: usize, R>(
+        &mut self,
+        arrs: [SeqValue; N],
+        f: impl FnOnce([SeqRawView<'_>; N]) -> R,
+    ) -> R {
+        let objs = &mut self.objs;
+        let words = arrs.map(|a| match &mut objs[a.expect_obj()] {
+            Some(SeqObj::Raw(f)) => (f.as_mut_ptr(), f.len()),
+            _ => panic!("raw view of a boxed or freed object"),
+        });
+        let work = Cell::new(0);
+        let out = f(words.map(|(p, len)| SeqRawView {
+            // SAFETY: `p` is the buffer of a live raw array's `Vec<u64>`,
+            // of `len` words, and `Cell<u64>` has `u64`'s layout. The
+            // buffers stay put while `f` runs: `self` is borrowed mutably
+            // and `f` cannot reach it, so nothing frees, grows or reads
+            // them but the views. Views of one array alias, which shared
+            // `Cell`s allow; `Vec::as_mut_ptr` takes no reference to the
+            // buffer, so a second pointer into it leaves the first valid.
+            words: unsafe { std::slice::from_raw_parts(p.cast::<Cell<u64>>(), len) },
+            work: &work,
+        }));
+        self.stats.work += work.get();
+        out
+    }
+
     /// Charges modeled computational work (parity with `Mutator::work`).
     pub fn work(&mut self, n: u64) {
         self.stats.work += n;
@@ -300,6 +335,49 @@ impl SeqRuntime {
         let b = g(self);
         self.release(mark);
         (a, b)
+    }
+}
+
+/// A raw array lent by [`SeqRuntime::with_raw`].
+#[derive(Clone, Copy)]
+pub struct SeqRawView<'v> {
+    words: &'v [Cell<u64>],
+    work: &'v Cell<u64>,
+}
+
+impl SeqRawView<'_> {
+    /// Number of words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// True if the array has no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Reads word `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        self.work.set(self.work.get() + 1);
+        self.words[i].get()
+    }
+
+    /// Writes word `i`.
+    #[inline]
+    pub fn set(&self, i: usize, bits: u64) {
+        self.work.set(self.work.get() + 1);
+        self.words[i].set(bits);
+    }
+}
+
+impl fmt::Debug for SeqRawView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SeqRawView")
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -359,5 +437,19 @@ mod tests {
         rt.raw_set(r, 2, 99);
         assert_eq!(rt.raw_get(r, 2), 99);
         assert_eq!(rt.raw_get(r, 0), 0);
+    }
+
+    #[test]
+    fn raw_views_alias_and_charge_per_access() {
+        let mut rt = SeqRuntime::default();
+        let r = rt.alloc_raw(3);
+        let before = rt.stats().work;
+        let read = rt.with_raw([r, r], |[a, b]| {
+            a.set(1, 7);
+            b.get(1)
+        });
+        assert_eq!(read, 7);
+        assert_eq!(rt.stats().work - before, 2);
+        assert_eq!(rt.raw_get(r, 1), 7);
     }
 }

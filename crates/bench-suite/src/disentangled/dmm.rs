@@ -42,17 +42,17 @@ fn checksum(c: impl Fn(usize, usize) -> i64, n: usize) -> i64 {
 fn rows_mpl(m: &mut Mutator<'_>, a: Value, b: Value, c: Value, n: usize, lo: usize, hi: usize) {
     if hi - lo <= ROW_GRAIN {
         m.work(((hi - lo) * n * n) as u64);
-        for i in lo..hi {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for k in 0..n {
-                    let x = m.raw_get(a, i * n + k) as i64;
-                    let y = m.raw_get(b, k * n + j) as i64;
-                    acc += x * y;
+        m.with_raw([a, b, c], |[a, b, c]| {
+            for i in lo..hi {
+                for j in 0..n {
+                    let mut acc = 0i64;
+                    for k in 0..n {
+                        acc += a.get(i * n + k) as i64 * b.get(k * n + j) as i64;
+                    }
+                    c.set(i * n + j, acc as u64);
                 }
-                m.raw_set(c, i * n + j, acc as u64);
             }
-        }
+        });
         return;
     }
     let mid = lo + (hi - lo) / 2;
@@ -77,24 +77,26 @@ fn rows_mpl(m: &mut Mutator<'_>, a: Value, b: Value, c: Value, n: usize, lo: usi
 
 fn rows_seq(rt: &mut SeqRuntime, a: SeqValue, b: SeqValue, c: SeqValue, n: usize) {
     rt.work((n * n * n) as u64);
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0i64;
-            for k in 0..n {
-                let x = rt.raw_get(a, i * n + k) as i64;
-                let y = rt.raw_get(b, k * n + j) as i64;
-                acc += x * y;
+    rt.with_raw([a, b, c], |[a, b, c]| {
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0i64;
+                for k in 0..n {
+                    acc += a.get(i * n + k) as i64 * b.get(k * n + j) as i64;
+                }
+                c.set(i * n + j, acc as u64);
             }
-            rt.raw_set(c, i * n + j, acc as u64);
         }
-    }
+    });
 }
 
 fn fill_raw_mpl(m: &mut Mutator<'_>, data: &[i64]) -> Value {
     let arr = m.alloc_raw(data.len());
-    for (i, &x) in data.iter().enumerate() {
-        m.raw_set(arr, i, x as u64);
-    }
+    m.with_raw([arr], |[arr]| {
+        for (i, &x) in data.iter().enumerate() {
+            arr.set(i, x as u64);
+        }
+    });
     arr
 }
 
@@ -132,10 +134,8 @@ impl Benchmark for Dmm {
         let (av, bv, cv) = (m.get(&ha), m.get(&hb), m.get(&hc));
         rows_mpl(m, av, bv, cv, n, 0, n);
         let cv = m.get(&hc);
-        let mut vals = vec![0i64; n * n];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = m.raw_get(cv, i) as i64;
-        }
+        let vals: Vec<i64> =
+            m.with_raw([cv], |[cv]| (0..n * n).map(|i| cv.get(i) as i64).collect());
         checksum(|i, j| vals[i * n + j], n)
     }
 
@@ -143,23 +143,25 @@ impl Benchmark for Dmm {
         let (a, b) = inputs(n);
         let av = rt.alloc_raw(n * n);
         let ha = rt.root(av);
-        for (i, &x) in a.iter().enumerate() {
-            rt.raw_set(av, i, x as u64);
-        }
+        rt.with_raw([av], |[av]| {
+            for (i, &x) in a.iter().enumerate() {
+                av.set(i, x as u64);
+            }
+        });
         let bv = rt.alloc_raw(n * n);
         let hb = rt.root(bv);
-        for (i, &x) in b.iter().enumerate() {
-            rt.raw_set(bv, i, x as u64);
-        }
+        rt.with_raw([bv], |[bv]| {
+            for (i, &x) in b.iter().enumerate() {
+                bv.set(i, x as u64);
+            }
+        });
         let cv = rt.alloc_raw(n * n);
         let hc = rt.root(cv);
         let (av, bv, cv) = (rt.get(ha), rt.get(hb), rt.get(hc));
         rows_seq(rt, av, bv, cv, n);
         let cv = rt.get(hc);
-        let mut vals = vec![0i64; n * n];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = rt.raw_get(cv, i) as i64;
-        }
+        let vals: Vec<i64> =
+            rt.with_raw([cv], |[cv]| (0..n * n).map(|i| cv.get(i) as i64).collect());
         checksum(|i, j| vals[i * n + j], n)
     }
 

@@ -31,7 +31,7 @@ fn count_in(text: &[u8]) -> i64 {
 // ---- mpl -----------------------------------------------------------------
 
 fn read_window(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> Vec<u8> {
-    (lo..hi).map(|i| m.raw_get(arr, i) as u8).collect()
+    m.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as u8).collect())
 }
 
 fn go_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> i64 {
@@ -75,10 +75,14 @@ fn go_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> i64 {
 
 // ---- seq -----------------------------------------------------------------
 
+fn read_window_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> Vec<u8> {
+    rt.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as u8).collect())
+}
+
 fn go_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> i64 {
     if hi - lo <= GRAIN {
         rt.work((hi - lo) as u64);
-        let text: Vec<u8> = (lo..hi).map(|i| rt.raw_get(arr, i) as u8).collect();
+        let text = read_window_seq(rt, arr, lo, hi);
         return count_in(&text);
     }
     let mid = lo + (hi - lo) / 2;
@@ -86,7 +90,7 @@ fn go_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> i64 {
     let r = go_seq(rt, arr, mid, hi);
     let wlo = mid.saturating_sub(PATTERN.len() - 1).max(lo);
     let whi = (mid + PATTERN.len() - 1).min(hi);
-    let w: Vec<u8> = (wlo..whi).map(|i| rt.raw_get(arr, i) as u8).collect();
+    let w = read_window_seq(rt, arr, wlo, whi);
     let mut boundary = 0;
     for (k, win) in w.windows(PATTERN.len()).enumerate() {
         if win == PATTERN && wlo + k < mid && wlo + k + PATTERN.len() > mid {
@@ -122,9 +126,11 @@ impl Benchmark for Grep {
         let text = util::random_text(n, 23);
         let arr = rt.alloc_raw(n);
         let h = rt.root(arr);
-        for (i, b) in text.bytes().enumerate() {
-            rt.raw_set(arr, i, u64::from(b));
-        }
+        rt.with_raw([arr], |[arr]| {
+            for (i, b) in text.bytes().enumerate() {
+                arr.set(i, u64::from(b));
+            }
+        });
         let arr = rt.get(h);
         go_seq(rt, arr, 0, n)
     }

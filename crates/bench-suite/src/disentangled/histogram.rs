@@ -37,12 +37,13 @@ fn go_mpl(m: &mut Mutator<'_>, data: Value, lo: usize, hi: usize) -> Value {
         let hd = m.root(data);
         let hist = m.alloc_raw(BUCKETS);
         let data = m.get(&hd);
-        for i in lo..hi {
-            let w = m.raw_get(data, i / 8);
-            let v = ((w >> (8 * (i % 8))) & 0xFF) as usize;
-            let c = m.raw_get(hist, v);
-            m.raw_set(hist, v, c + 1);
-        }
+        m.with_raw([data, hist], |[data, hist]| {
+            for i in lo..hi {
+                let w = data.get(i / 8);
+                let v = ((w >> (8 * (i % 8))) & 0xFF) as usize;
+                hist.set(v, hist.get(v) + 1);
+            }
+        });
         m.release(mark);
         return hist;
     }
@@ -64,11 +65,11 @@ fn go_mpl(m: &mut Mutator<'_>, data: Value, lo: usize, hi: usize) -> Value {
     let hr = m.root(r);
     let out = m.alloc_raw(BUCKETS);
     let (l, r) = (m.get(&hl), m.get(&hr));
-    for v in 0..BUCKETS {
-        let a = m.raw_get(l, v);
-        let b = m.raw_get(r, v);
-        m.raw_set(out, v, a + b);
-    }
+    m.with_raw([l, r, out], |[l, r, out]| {
+        for v in 0..BUCKETS {
+            out.set(v, l.get(v) + r.get(v));
+        }
+    });
     m.release(mark);
     out
 }
@@ -82,12 +83,13 @@ fn go_seq(rt: &mut SeqRuntime, data: SeqValue, lo: usize, hi: usize) -> SeqValue
         let hd = rt.root(data);
         let hist = rt.alloc_raw(BUCKETS);
         let data = rt.get(hd);
-        for i in lo..hi {
-            let w = rt.raw_get(data, i / 8);
-            let v = ((w >> (8 * (i % 8))) & 0xFF) as usize;
-            let c = rt.raw_get(hist, v);
-            rt.raw_set(hist, v, c + 1);
-        }
+        rt.with_raw([data, hist], |[data, hist]| {
+            for i in lo..hi {
+                let w = data.get(i / 8);
+                let v = ((w >> (8 * (i % 8))) & 0xFF) as usize;
+                hist.set(v, hist.get(v) + 1);
+            }
+        });
         rt.release(mark);
         return hist;
     }
@@ -101,11 +103,11 @@ fn go_seq(rt: &mut SeqRuntime, data: SeqValue, lo: usize, hi: usize) -> SeqValue
     let hr = rt.root(r);
     let out = rt.alloc_raw(BUCKETS);
     let (l, r) = (rt.get(hl), rt.get(hr));
-    for v in 0..BUCKETS {
-        let a = rt.raw_get(l, v);
-        let b = rt.raw_get(r, v);
-        rt.raw_set(out, v, a + b);
-    }
+    rt.with_raw([l, r, out], |[l, r, out]| {
+        for v in 0..BUCKETS {
+            out.set(v, l.get(v) + r.get(v));
+        }
+    });
     rt.release(mark);
     out
 }
@@ -140,19 +142,25 @@ impl Benchmark for Histogram {
         let bytes = values(n);
         let data = pack_bytes_mpl(m, &bytes);
         let hist = go_mpl(m, data, 0, n);
-        checksum_hist((0..BUCKETS).map(|v| m.raw_get(hist, v) as i64))
+        m.with_raw([hist], |[hist]| {
+            checksum_hist((0..BUCKETS).map(|v| hist.get(v) as i64))
+        })
     }
 
     fn run_seq(&self, rt: &mut SeqRuntime, n: usize) -> i64 {
         let bytes = values(n);
         let data = rt.alloc_raw(bytes.len().div_ceil(8));
-        for (w, chunk) in bytes.chunks(8).enumerate() {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            rt.raw_set(data, w, u64::from_le_bytes(buf));
-        }
+        rt.with_raw([data], |[data]| {
+            for (w, chunk) in bytes.chunks(8).enumerate() {
+                let mut buf = [0u8; 8];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                data.set(w, u64::from_le_bytes(buf));
+            }
+        });
         let hist = go_seq(rt, data, 0, n);
-        checksum_hist((0..BUCKETS).map(|v| rt.raw_get(hist, v) as i64))
+        rt.with_raw([hist], |[hist]| {
+            checksum_hist((0..BUCKETS).map(|v| hist.get(v) as i64))
+        })
     }
 
     fn run_native(&self, n: usize) -> i64 {

@@ -81,10 +81,8 @@ fn tuple_to_summary(m: &mut Mutator<'_>, v: Value) -> Summary {
 fn go_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> Value {
     if hi - lo <= GRAIN {
         m.work((hi - lo) as u64 * 2);
-        let mut data = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            data.push(m.raw_get(arr, i) as i64);
-        }
+        let data: Vec<i64> =
+            m.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as i64).collect());
         let s = leaf(&data);
         return summary_to_tuple(m, s);
     }
@@ -112,10 +110,8 @@ fn go_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> Value {
 fn go_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> Summary {
     if hi - lo <= GRAIN {
         rt.work((hi - lo) as u64 * 2);
-        let mut data = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            data.push(rt.raw_get(arr, i) as i64);
-        }
+        let data: Vec<i64> =
+            rt.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as i64).collect());
         return leaf(&data);
     }
     let mid = lo + (hi - lo) / 2;
@@ -161,9 +157,11 @@ impl Benchmark for Mcss {
         let data = util::random_small_ints(n, 11);
         let arr = rt.alloc_raw(n);
         let h = rt.root(arr);
-        for (i, &x) in data.iter().enumerate() {
-            rt.raw_set(arr, i, x as u64);
-        }
+        rt.with_raw([arr], |[arr]| {
+            for (i, &x) in data.iter().enumerate() {
+                arr.set(i, x as u64);
+            }
+        });
         let arr = rt.get(h);
         go_seq(rt, arr, 0, n).best
     }

@@ -6,7 +6,7 @@
 //! is a *local* down-path effect, not entanglement.
 
 use mpl_baselines::{SeqRuntime, SeqValue};
-use mpl_runtime::{Mutator, Value};
+use mpl_runtime::{Mutator, RawView, Value};
 
 use crate::util;
 use crate::Benchmark;
@@ -30,13 +30,16 @@ fn checksum(sorted: impl Iterator<Item = i64>) -> i64 {
 fn sort_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> Value {
     let len = hi - lo;
     if len <= GRAIN {
-        let mut data: Vec<i64> = (lo..hi).map(|i| m.raw_get(arr, i) as i64).collect();
+        let mut data: Vec<i64> =
+            m.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as i64).collect());
         data.sort_unstable();
         m.work((len as u64).saturating_mul(12));
         let out = m.alloc_raw(len);
-        for (i, &x) in data.iter().enumerate() {
-            m.raw_set(out, i, x as u64);
-        }
+        m.with_raw([out], |[out]| {
+            for (i, &x) in data.iter().enumerate() {
+                out.set(i, x as u64);
+            }
+        });
         return out;
     }
     let mid = lo + len / 2;
@@ -66,16 +69,10 @@ fn sort_mpl(m: &mut Mutator<'_>, arr: Value, lo: usize, hi: usize) -> Value {
 }
 
 /// Binary search: first index in `arr[lo..hi)` whose value is `>= key`.
-fn lower_bound_mpl(
-    m: &mut Mutator<'_>,
-    arr: Value,
-    mut lo: usize,
-    mut hi: usize,
-    key: i64,
-) -> usize {
+fn lower_bound_mpl(arr: RawView<'_>, mut lo: usize, mut hi: usize, key: i64) -> usize {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if (m.raw_get(arr, mid) as i64) < key {
+        if (arr.get(mid) as i64) < key {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -101,43 +98,43 @@ fn pmerge_mpl(
     let total = (a1 - a0) + (b1 - b0);
     if total <= GRAIN {
         m.work(total as u64 * 2);
-        let (mut i, mut j, mut k) = (a0, b0, o0);
-        while i < a1 && j < b1 {
-            let x = m.raw_get(a, i) as i64;
-            let y = m.raw_get(b, j) as i64;
-            if x <= y {
-                m.raw_set(out, k, x as u64);
-                i += 1;
-            } else {
-                m.raw_set(out, k, y as u64);
-                j += 1;
+        m.with_raw([a, b, out], |[a, b, out]| {
+            let (mut i, mut j, mut k) = (a0, b0, o0);
+            while i < a1 && j < b1 {
+                let x = a.get(i) as i64;
+                let y = b.get(j) as i64;
+                if x <= y {
+                    out.set(k, x as u64);
+                    i += 1;
+                } else {
+                    out.set(k, y as u64);
+                    j += 1;
+                }
+                k += 1;
             }
-            k += 1;
-        }
-        while i < a1 {
-            let x = m.raw_get(a, i);
-            m.raw_set(out, k, x);
-            i += 1;
-            k += 1;
-        }
-        while j < b1 {
-            let y = m.raw_get(b, j);
-            m.raw_set(out, k, y);
-            j += 1;
-            k += 1;
-        }
+            while i < a1 {
+                out.set(k, a.get(i));
+                i += 1;
+                k += 1;
+            }
+            while j < b1 {
+                out.set(k, b.get(j));
+                j += 1;
+                k += 1;
+            }
+        });
         return;
     }
     // Split on the larger side's median; binary-search the other side.
-    let (am, bm) = if a1 - a0 >= b1 - b0 {
-        let am = a0 + (a1 - a0) / 2;
-        let key = m.raw_get(a, am) as i64;
-        (am, lower_bound_mpl(m, b, b0, b1, key))
-    } else {
-        let bm = b0 + (b1 - b0) / 2;
-        let key = m.raw_get(b, bm) as i64;
-        (lower_bound_mpl(m, a, a0, a1, key), bm)
-    };
+    let (am, bm) = m.with_raw([a, b], |[a, b]| {
+        if a1 - a0 >= b1 - b0 {
+            let am = a0 + (a1 - a0) / 2;
+            (am, lower_bound_mpl(b, b0, b1, a.get(am) as i64))
+        } else {
+            let bm = b0 + (b1 - b0) / 2;
+            (lower_bound_mpl(a, a0, a1, b.get(bm) as i64), bm)
+        }
+    });
     m.work(((a1 - a0).max(b1 - b0) as u64).ilog2() as u64 + 1);
     let osplit = o0 + (am - a0) + (bm - b0);
     let mark = m.mark();
@@ -162,16 +159,19 @@ fn pmerge_mpl(
 fn sort_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> SeqValue {
     let len = hi - lo;
     if len <= GRAIN {
-        let mut data: Vec<i64> = (lo..hi).map(|i| rt.raw_get(arr, i) as i64).collect();
+        let mut data: Vec<i64> =
+            rt.with_raw([arr], |[arr]| (lo..hi).map(|i| arr.get(i) as i64).collect());
         data.sort_unstable();
         rt.work((len as u64).saturating_mul(12));
         let mark = rt.mark();
         let _keep = rt.root(arr);
         let out = rt.alloc_raw(len);
         rt.release(mark);
-        for (i, &x) in data.iter().enumerate() {
-            rt.raw_set(out, i, x as u64);
-        }
+        rt.with_raw([out], |[out]| {
+            for (i, &x) in data.iter().enumerate() {
+                out.set(i, x as u64);
+            }
+        });
         return out;
     }
     let mid = lo + len / 2;
@@ -185,31 +185,31 @@ fn sort_seq(rt: &mut SeqRuntime, arr: SeqValue, lo: usize, hi: usize) -> SeqValu
     let out = rt.alloc_raw(len);
     let (lv, rv) = (rt.get(hl), rt.get(hr));
     let (ll, rl) = (rt.len(lv), rt.len(rv));
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while i < ll && j < rl {
-        let a = rt.raw_get(lv, i) as i64;
-        let b = rt.raw_get(rv, j) as i64;
-        if a <= b {
-            rt.raw_set(out, k, a as u64);
-            i += 1;
-        } else {
-            rt.raw_set(out, k, b as u64);
-            j += 1;
+    rt.with_raw([lv, rv, out], |[lv, rv, out]| {
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < ll && j < rl {
+            let a = lv.get(i) as i64;
+            let b = rv.get(j) as i64;
+            if a <= b {
+                out.set(k, a as u64);
+                i += 1;
+            } else {
+                out.set(k, b as u64);
+                j += 1;
+            }
+            k += 1;
         }
-        k += 1;
-    }
-    while i < ll {
-        let a = rt.raw_get(lv, i);
-        rt.raw_set(out, k, a);
-        i += 1;
-        k += 1;
-    }
-    while j < rl {
-        let b = rt.raw_get(rv, j);
-        rt.raw_set(out, k, b);
-        j += 1;
-        k += 1;
-    }
+        while i < ll {
+            out.set(k, lv.get(i));
+            i += 1;
+            k += 1;
+        }
+        while j < rl {
+            out.set(k, rv.get(j));
+            j += 1;
+            k += 1;
+        }
+    });
     rt.release(mark);
     out
 }
@@ -237,19 +237,25 @@ impl Benchmark for Msort {
         let ha = crate::mplutil::alloc_filled_raw(m, &words);
         let arr = m.get(&ha);
         let sorted = sort_mpl(m, arr, 0, n);
-        checksum((0..n).map(|i| m.raw_get(sorted, i) as i64))
+        m.with_raw([sorted], |[sorted]| {
+            checksum((0..n).map(|i| sorted.get(i) as i64))
+        })
     }
 
     fn run_seq(&self, rt: &mut SeqRuntime, n: usize) -> i64 {
         let data = util::random_ints(n, 21);
         let arr = rt.alloc_raw(n);
         let h = rt.root(arr);
-        for (i, &x) in data.iter().enumerate() {
-            rt.raw_set(arr, i, x as u64);
-        }
+        rt.with_raw([arr], |[arr]| {
+            for (i, &x) in data.iter().enumerate() {
+                arr.set(i, x as u64);
+            }
+        });
         let arr = rt.get(h);
         let sorted = sort_seq(rt, arr, 0, n);
-        checksum((0..n).map(|i| rt.raw_get(sorted, i) as i64))
+        rt.with_raw([sorted], |[sorted]| {
+            checksum((0..n).map(|i| sorted.get(i) as i64))
+        })
     }
 
     fn run_native(&self, n: usize) -> i64 {

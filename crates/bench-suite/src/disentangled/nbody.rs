@@ -59,24 +59,25 @@ fn accel_checksum(px: &[i64], py: &[i64], lo: usize, hi: usize) -> i64 {
 fn go_mpl(m: &mut Mutator<'_>, hx: &Handle, hy: &Handle, n: usize, lo: usize, hi: usize) -> i64 {
     if hi - lo <= GRAIN {
         m.work(((hi - lo) * n) as u64);
-        let px = m.get(hx);
-        let py = m.get(hy);
-        let mut sum = 0i64;
-        for i in lo..hi {
-            let (xi, yi) = (m.raw_get(px, i) as i64, m.raw_get(py, i) as i64);
-            let (mut ax, mut ay) = (0i64, 0i64);
-            for j in 0..n {
-                if j != i {
-                    let dx = m.raw_get(px, j) as i64 - xi;
-                    let dy = m.raw_get(py, j) as i64 - yi;
-                    let d2 = dx * dx + dy * dy + 1;
-                    ax += dx * 1_000_000 / d2;
-                    ay += dy * 1_000_000 / d2;
+        let (px, py) = (m.get(hx), m.get(hy));
+        return m.with_raw([px, py], |[px, py]| {
+            let mut sum = 0i64;
+            for i in lo..hi {
+                let (xi, yi) = (px.get(i) as i64, py.get(i) as i64);
+                let (mut ax, mut ay) = (0i64, 0i64);
+                for j in 0..n {
+                    if j != i {
+                        let dx = px.get(j) as i64 - xi;
+                        let dy = py.get(j) as i64 - yi;
+                        let d2 = dx * dx + dy * dy + 1;
+                        ax += dx * 1_000_000 / d2;
+                        ay += dy * 1_000_000 / d2;
+                    }
                 }
+                sum = sum.wrapping_add(ax.abs() + ay.abs());
             }
-            sum = sum.wrapping_add(ax.abs() + ay.abs());
-        }
-        return sum;
+            sum
+        });
     }
     let mid = lo + (hi - lo) / 2;
     let (l, r) = m.fork(
@@ -89,23 +90,25 @@ fn go_mpl(m: &mut Mutator<'_>, hx: &Handle, hy: &Handle, n: usize, lo: usize, hi
 // ---- seq -----------------------------------------------------------------
 
 fn go_seq(rt: &mut SeqRuntime, px: SeqValue, py: SeqValue, n: usize) -> i64 {
-    let mut sum = 0i64;
-    for i in 0..n {
-        rt.work(n as u64);
-        let (xi, yi) = (rt.raw_get(px, i) as i64, rt.raw_get(py, i) as i64);
-        let (mut ax, mut ay) = (0i64, 0i64);
-        for j in 0..n {
-            if j != i {
-                let dx = rt.raw_get(px, j) as i64 - xi;
-                let dy = rt.raw_get(py, j) as i64 - yi;
-                let d2 = dx * dx + dy * dy + 1;
-                ax += dx * 1_000_000 / d2;
-                ay += dy * 1_000_000 / d2;
+    rt.work((n * n) as u64);
+    rt.with_raw([px, py], |[px, py]| {
+        let mut sum = 0i64;
+        for i in 0..n {
+            let (xi, yi) = (px.get(i) as i64, py.get(i) as i64);
+            let (mut ax, mut ay) = (0i64, 0i64);
+            for j in 0..n {
+                if j != i {
+                    let dx = px.get(j) as i64 - xi;
+                    let dy = py.get(j) as i64 - yi;
+                    let d2 = dx * dx + dy * dy + 1;
+                    ax += dx * 1_000_000 / d2;
+                    ay += dy * 1_000_000 / d2;
+                }
             }
+            sum = sum.wrapping_add(ax.abs() + ay.abs());
         }
-        sum = sum.wrapping_add(ax.abs() + ay.abs());
-    }
-    sum
+        sum
+    })
 }
 
 impl Benchmark for Nbody {
@@ -144,10 +147,12 @@ impl Benchmark for Nbody {
         let hx = rt.root(px);
         let py = rt.alloc_raw(n);
         let hy = rt.root(py);
-        for i in 0..n {
-            rt.raw_set(rt.get(hx), i, pxv[i] as u64);
-            rt.raw_set(rt.get(hy), i, pyv[i] as u64);
-        }
+        rt.with_raw([rt.get(hx), rt.get(hy)], |[px, py]| {
+            for i in 0..n {
+                px.set(i, pxv[i] as u64);
+                py.set(i, pyv[i] as u64);
+            }
+        });
         go_seq(rt, rt.get(hx), rt.get(hy), n)
     }
 

@@ -58,30 +58,32 @@ fn segment_mpl(m: &mut Mutator<'_>, base: Value, lo: usize, hi: usize) -> i64 {
     let bits = m.alloc_raw(len.div_ceil(64));
     let base = m.get(&hb);
     let nbase = m.len(base);
-    for bi in 0..nbase {
-        let p = m.raw_get(base, bi) as usize;
-        if p * p >= hi {
-            break;
+    let count = m.with_raw([base, bits], |[base, bits]| {
+        for bi in 0..nbase {
+            let p = base.get(bi) as usize;
+            if p * p >= hi {
+                break;
+            }
+            let start = (lo.div_ceil(p) * p).max(p * p);
+            let mut q = start;
+            while q < hi {
+                let idx = q - lo;
+                bits.set(idx / 64, bits.get(idx / 64) | (1 << (idx % 64)));
+                q += p;
+            }
         }
-        let start = (lo.div_ceil(p) * p).max(p * p);
-        let mut q = start;
-        while q < hi {
-            let idx = q - lo;
-            let w = m.raw_get(bits, idx / 64);
-            m.raw_set(bits, idx / 64, w | (1 << (idx % 64)));
-            q += p;
+        let mut count = 0;
+        for i in lo..hi {
+            if i < 2 {
+                continue;
+            }
+            let idx = i - lo;
+            if bits.get(idx / 64) & (1 << (idx % 64)) == 0 {
+                count += 1;
+            }
         }
-    }
-    let mut count = 0;
-    for i in lo..hi {
-        if i < 2 {
-            continue;
-        }
-        let idx = i - lo;
-        if m.raw_get(bits, idx / 64) & (1 << (idx % 64)) == 0 {
-            count += 1;
-        }
-    }
+        count
+    });
     m.release(mark);
     m.work(len as u64);
     count
@@ -115,29 +117,31 @@ fn go_seq(rt: &mut SeqRuntime, base: &[usize], lo: usize, hi: usize) -> i64 {
         // Same heap behaviour: allocate the segment bitset in the heap.
         let len = hi - lo;
         let bits = rt.alloc_raw(len.div_ceil(64));
-        for &p in base {
-            if p * p >= hi {
-                break;
+        let count = rt.with_raw([bits], |[bits]| {
+            for &p in base {
+                if p * p >= hi {
+                    break;
+                }
+                let start = (lo.div_ceil(p) * p).max(p * p);
+                let mut q = start;
+                while q < hi {
+                    let idx = q - lo;
+                    bits.set(idx / 64, bits.get(idx / 64) | (1 << (idx % 64)));
+                    q += p;
+                }
             }
-            let start = (lo.div_ceil(p) * p).max(p * p);
-            let mut q = start;
-            while q < hi {
-                let idx = q - lo;
-                let w = rt.raw_get(bits, idx / 64);
-                rt.raw_set(bits, idx / 64, w | (1 << (idx % 64)));
-                q += p;
+            let mut count = 0;
+            for i in lo..hi {
+                if i < 2 {
+                    continue;
+                }
+                let idx = i - lo;
+                if bits.get(idx / 64) & (1 << (idx % 64)) == 0 {
+                    count += 1;
+                }
             }
-        }
-        let mut count = 0;
-        for i in lo..hi {
-            if i < 2 {
-                continue;
-            }
-            let idx = i - lo;
-            if rt.raw_get(bits, idx / 64) & (1 << (idx % 64)) == 0 {
-                count += 1;
-            }
-        }
+            count
+        });
         rt.work(len as u64);
         return count;
     }
@@ -165,9 +169,11 @@ impl Benchmark for Primes {
     fn run_mpl(&self, m: &mut Mutator<'_>, n: usize) -> i64 {
         let base = base_primes((n as f64).sqrt() as usize + 1);
         let arr = m.alloc_raw(base.len());
-        for (i, &p) in base.iter().enumerate() {
-            m.raw_set(arr, i, p as u64);
-        }
+        m.with_raw([arr], |[arr]| {
+            for (i, &p) in base.iter().enumerate() {
+                arr.set(i, p as u64);
+            }
+        });
         go_mpl(m, arr, 0, n)
     }
 

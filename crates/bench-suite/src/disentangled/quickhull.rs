@@ -97,24 +97,25 @@ fn scan_mpl(
 ) -> (Vec<usize>, i64, Option<usize>) {
     if hi - lo <= GRAIN {
         m.work((hi - lo) as u64);
-        let mut left_ids = Vec::new();
-        let mut best: Option<usize> = None;
-        let mut best_d = 0;
-        for k in lo..hi {
-            let idx = m.get(hi_idx);
-            let i = m.raw_get(idx, k) as usize;
-            let (xs, ys) = (m.get(hx), m.get(hy));
-            let pi = (m.raw_get(xs, i) as i64, m.raw_get(ys, i) as i64);
-            let d = cross(pa, pb, pi);
-            if d > 0 {
-                left_ids.push(i);
-                if d > best_d {
-                    best_d = d;
-                    best = Some(i);
+        let arrays = [m.get(hi_idx), m.get(hx), m.get(hy)];
+        return m.with_raw(arrays, |[idx, xs, ys]| {
+            let mut left_ids = Vec::new();
+            let mut best: Option<usize> = None;
+            let mut best_d = 0;
+            for k in lo..hi {
+                let i = idx.get(k) as usize;
+                let pi = (xs.get(i) as i64, ys.get(i) as i64);
+                let d = cross(pa, pb, pi);
+                if d > 0 {
+                    left_ids.push(i);
+                    if d > best_d {
+                        best_d = d;
+                        best = Some(i);
+                    }
                 }
             }
-        }
-        return (left_ids, best_d, best);
+            (left_ids, best_d, best)
+        });
     }
     let mid = lo + (hi - lo) / 2;
     let out = std::sync::Mutex::new(((Vec::new(), 0i64, None), (Vec::new(), 0i64, None)));
@@ -151,9 +152,11 @@ fn fill_sub_mpl(
     if hi - lo <= 4 * GRAIN {
         m.work((hi - lo) as u64);
         let sub = m.get(hs);
-        for (k, &id) in ids[lo..hi].iter().enumerate() {
-            m.raw_set(sub, lo + k, id as u64);
-        }
+        m.with_raw([sub], |[sub]| {
+            for (k, &id) in ids[lo..hi].iter().enumerate() {
+                sub.set(lo + k, id as u64);
+            }
+        });
         return;
     }
     let mid = lo + (hi - lo) / 2;
@@ -171,8 +174,10 @@ fn fill_sub_mpl(
 
 fn hull_mpl(m: &mut Mutator<'_>, xs: Value, ys: Value, idx: Value, a: usize, b: usize) -> i64 {
     let len = m.len(idx);
-    let pa = point_mpl(m, xs, ys, a);
-    let pb = point_mpl(m, xs, ys, b);
+    let (pa, pb) = m.with_raw([xs, ys], |[xs, ys]| {
+        let point = |i: usize| (xs.get(i) as i64, ys.get(i) as i64);
+        (point(a), point(b))
+    });
     let mark_scan = m.mark();
     let (shx, shy, shi) = (m.root(xs), m.root(ys), m.root(idx));
     let (left_ids, _best_d, best) = scan_mpl(m, &shx, &shy, &shi, 0, len, pa, pb);
@@ -208,10 +213,6 @@ fn hull_mpl(m: &mut Mutator<'_>, xs: Value, ys: Value, idx: Value, a: usize, b: 
     total
 }
 
-fn point_mpl(m: &mut Mutator<'_>, xs: Value, ys: Value, i: usize) -> (i64, i64) {
-    (m.raw_get(xs, i) as i64, m.raw_get(ys, i) as i64)
-}
-
 // ---- seq -----------------------------------------------------------------
 
 fn hull_seq(
@@ -223,32 +224,36 @@ fn hull_seq(
     b: usize,
 ) -> i64 {
     let len = rt.len(idx);
-    let pa = (rt.raw_get(xs, a) as i64, rt.raw_get(ys, a) as i64);
-    let pb = (rt.raw_get(xs, b) as i64, rt.raw_get(ys, b) as i64);
-    let mut left_ids = Vec::new();
-    let mut best: Option<usize> = None;
-    let mut best_d = 0;
-    for k in 0..len {
-        let i = rt.raw_get(idx, k) as usize;
-        let pi = (rt.raw_get(xs, i) as i64, rt.raw_get(ys, i) as i64);
-        let d = cross(pa, pb, pi);
-        if d > 0 {
-            left_ids.push(i);
-            if d > best_d {
-                best_d = d;
-                best = Some(i);
+    let (left_ids, best) = rt.with_raw([idx, xs, ys], |[idx, xs, ys]| {
+        let point = |i: usize| (xs.get(i) as i64, ys.get(i) as i64);
+        let (pa, pb) = (point(a), point(b));
+        let mut left_ids = Vec::new();
+        let mut best: Option<usize> = None;
+        let mut best_d = 0;
+        for k in 0..len {
+            let i = idx.get(k) as usize;
+            let d = cross(pa, pb, point(i));
+            if d > 0 {
+                left_ids.push(i);
+                if d > best_d {
+                    best_d = d;
+                    best = Some(i);
+                }
             }
         }
-    }
+        (left_ids, best)
+    });
     rt.work(len as u64);
     let Some(c) = best else { return 1 };
     let mark = rt.mark();
     let (hx, hy) = (rt.root(xs), rt.root(ys));
     let sub = rt.alloc_raw(left_ids.len());
     let hs = rt.root(sub);
-    for (k, &i) in left_ids.iter().enumerate() {
-        rt.raw_set(sub, k, i as u64);
-    }
+    rt.with_raw([sub], |[sub]| {
+        for (k, &i) in left_ids.iter().enumerate() {
+            sub.set(k, i as u64);
+        }
+    });
     let (xs1, ys1, sub1) = (rt.get(hx), rt.get(hy), rt.get(hs));
     let l = hull_seq(rt, xs1, ys1, sub1, a, c);
     let (xs2, ys2, sub2) = (rt.get(hx), rt.get(hy), rt.get(hs));
@@ -293,17 +298,21 @@ impl Benchmark for Quickhull {
         let ys = rt.alloc_raw(n);
         let hy = rt.root(ys);
         let (xs, ys) = (rt.get(hx), rt.get(hy));
-        for (i, &(x, y)) in points.iter().enumerate() {
-            rt.raw_set(xs, i, x as u64);
-            rt.raw_set(ys, i, y as u64);
-        }
+        rt.with_raw([xs, ys], |[xs, ys]| {
+            for (i, &(x, y)) in points.iter().enumerate() {
+                xs.set(i, x as u64);
+                ys.set(i, y as u64);
+            }
+        });
         let amin = (0..n).min_by_key(|&i| points[i]).unwrap();
         let amax = (0..n).max_by_key(|&i| points[i]).unwrap();
         let idx = rt.alloc_raw(n);
         let hidx = rt.root(idx);
-        for i in 0..n {
-            rt.raw_set(idx, i, i as u64);
-        }
+        rt.with_raw([idx], |[idx]| {
+            for i in 0..n {
+                idx.set(i, i as u64);
+            }
+        });
         let (xs, ys, idx) = (rt.get(hx), rt.get(hy), rt.get(hidx));
         let upper = hull_seq(rt, xs, ys, idx, amin, amax);
         let (xs, ys, idx) = (rt.get(hx), rt.get(hy), rt.get(hidx));

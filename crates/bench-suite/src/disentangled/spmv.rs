@@ -35,22 +35,24 @@ struct Arrays<'a> {
 
 fn go_mpl(m: &mut Mutator<'_>, a: &Arrays<'_>, lo: usize, hi: usize) -> i64 {
     if hi - lo <= GRAIN {
-        let offsets = m.get(a.offsets);
-        let targets = m.get(a.targets);
-        let y = m.get(a.y);
-        let mut sum = 0i64;
-        for row in lo..hi {
-            let start = m.raw_get(offsets, row) as usize;
-            let end = m.raw_get(offsets, row + 1) as usize;
-            m.work((end - start) as u64);
-            let mut acc = 0i64;
-            for k in start..end {
-                let col = m.raw_get(targets, k) as usize;
-                acc = acc.wrapping_add(val(row, col).wrapping_mul(x_of(col)));
+        let arrays = [m.get(a.offsets), m.get(a.targets), m.get(a.y)];
+        let (sum, edges) = m.with_raw(arrays, |[offsets, targets, y]| {
+            let (mut sum, mut edges) = (0i64, 0u64);
+            for row in lo..hi {
+                let start = offsets.get(row) as usize;
+                let end = offsets.get(row + 1) as usize;
+                edges += (end - start) as u64;
+                let mut acc = 0i64;
+                for k in start..end {
+                    let col = targets.get(k) as usize;
+                    acc = acc.wrapping_add(val(row, col).wrapping_mul(x_of(col)));
+                }
+                y.set(row, acc as u64);
+                sum = sum.wrapping_add(acc);
             }
-            m.raw_set(y, row, acc as u64);
-            sum = sum.wrapping_add(acc);
-        }
+            (sum, edges)
+        });
+        m.work(edges);
         return sum;
     }
     let mid = lo + (hi - lo) / 2;
@@ -64,19 +66,23 @@ fn go_mpl(m: &mut Mutator<'_>, a: &Arrays<'_>, lo: usize, hi: usize) -> i64 {
 // ---- seq -----------------------------------------------------------------
 
 fn go_seq(rt: &mut SeqRuntime, offsets: SeqValue, targets: SeqValue, y: SeqValue, n: usize) -> i64 {
-    let mut sum = 0i64;
-    for row in 0..n {
-        let start = rt.raw_get(offsets, row) as usize;
-        let end = rt.raw_get(offsets, row + 1) as usize;
-        rt.work((end - start) as u64);
-        let mut acc = 0i64;
-        for k in start..end {
-            let col = rt.raw_get(targets, k) as usize;
-            acc = acc.wrapping_add(val(row, col).wrapping_mul(x_of(col)));
+    let (sum, edges) = rt.with_raw([offsets, targets, y], |[offsets, targets, y]| {
+        let (mut sum, mut edges) = (0i64, 0u64);
+        for row in 0..n {
+            let start = offsets.get(row) as usize;
+            let end = offsets.get(row + 1) as usize;
+            edges += (end - start) as u64;
+            let mut acc = 0i64;
+            for k in start..end {
+                let col = targets.get(k) as usize;
+                acc = acc.wrapping_add(val(row, col).wrapping_mul(x_of(col)));
+            }
+            y.set(row, acc as u64);
+            sum = sum.wrapping_add(acc);
         }
-        rt.raw_set(y, row, acc as u64);
-        sum = sum.wrapping_add(acc);
-    }
+        (sum, edges)
+    });
+    rt.work(edges);
     sum
 }
 
@@ -118,12 +124,14 @@ impl Benchmark for Spmv {
         let ht = rt.root(targets);
         let y = rt.alloc_raw(n);
         let hy = rt.root(y);
-        for (i, &o) in g.offsets.iter().enumerate() {
-            rt.raw_set(rt.get(ho), i, u64::from(o));
-        }
-        for (i, &t) in g.targets.iter().enumerate() {
-            rt.raw_set(rt.get(ht), i, u64::from(t));
-        }
+        rt.with_raw([rt.get(ho), rt.get(ht)], |[offsets, targets]| {
+            for (i, &o) in g.offsets.iter().enumerate() {
+                offsets.set(i, u64::from(o));
+            }
+            for (i, &t) in g.targets.iter().enumerate() {
+                targets.set(i, u64::from(t));
+            }
+        });
         go_seq(rt, rt.get(ho), rt.get(ht), rt.get(hy), n)
     }
 

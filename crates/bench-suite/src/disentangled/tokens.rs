@@ -2,8 +2,8 @@
 //! parallelized over byte ranges with boundary-aware counting. The text
 //! lives in a heap string (raw array).
 
-use mpl_baselines::{SeqRuntime, SeqValue};
-use mpl_runtime::{Mutator, Value};
+use mpl_baselines::{SeqRawView, SeqRuntime, SeqValue};
+use mpl_runtime::{Mutator, RawView, Value};
 
 use crate::util;
 use crate::Benchmark;
@@ -23,27 +23,25 @@ fn count_starts(text: &[u8], lo: usize, hi: usize) -> i64 {
 
 /// Reads byte `i` from a string object laid out as
 /// `[len, packed-words...]`.
-fn byte_at_mpl(m: &mut Mutator<'_>, s: Value, i: usize) -> u8 {
-    let w = m.raw_get(s, 1 + i / 8);
+fn byte_at_mpl(s: RawView<'_>, i: usize) -> u8 {
+    let w = s.get(1 + i / 8);
     (w >> (8 * (i % 8))) as u8
 }
 
 fn go_mpl(m: &mut Mutator<'_>, s: Value, lo: usize, hi: usize) -> i64 {
     if hi - lo <= GRAIN {
         m.work((hi - lo) as u64);
-        let mut count = 0;
-        for i in lo..hi {
-            let c = byte_at_mpl(m, s, i);
-            let prev = if i == 0 {
-                b' '
-            } else {
-                byte_at_mpl(m, s, i - 1)
-            };
-            if c != b' ' && prev == b' ' {
-                count += 1;
+        return m.with_raw([s], |[s]| {
+            let mut count = 0;
+            for i in lo..hi {
+                let c = byte_at_mpl(s, i);
+                let prev = if i == 0 { b' ' } else { byte_at_mpl(s, i - 1) };
+                if c != b' ' && prev == b' ' {
+                    count += 1;
+                }
             }
-        }
-        return count;
+            count
+        });
     }
     let mid = lo + (hi - lo) / 2;
     let mark = m.mark();
@@ -62,27 +60,25 @@ fn go_mpl(m: &mut Mutator<'_>, s: Value, lo: usize, hi: usize) -> i64 {
     a.expect_int() + b.expect_int()
 }
 
-fn byte_at_seq(rt: &mut SeqRuntime, s: SeqValue, i: usize) -> u8 {
-    let w = rt.raw_get(s, 1 + i / 8);
+fn byte_at_seq(s: SeqRawView<'_>, i: usize) -> u8 {
+    let w = s.get(1 + i / 8);
     (w >> (8 * (i % 8))) as u8
 }
 
 fn go_seq(rt: &mut SeqRuntime, s: SeqValue, lo: usize, hi: usize) -> i64 {
     if hi - lo <= GRAIN {
         rt.work((hi - lo) as u64);
-        let mut count = 0;
-        for i in lo..hi {
-            let c = byte_at_seq(rt, s, i);
-            let prev = if i == 0 {
-                b' '
-            } else {
-                byte_at_seq(rt, s, i - 1)
-            };
-            if c != b' ' && prev == b' ' {
-                count += 1;
+        return rt.with_raw([s], |[s]| {
+            let mut count = 0;
+            for i in lo..hi {
+                let c = byte_at_seq(s, i);
+                let prev = if i == 0 { b' ' } else { byte_at_seq(s, i - 1) };
+                if c != b' ' && prev == b' ' {
+                    count += 1;
+                }
             }
-        }
-        return count;
+            count
+        });
     }
     let mid = lo + (hi - lo) / 2;
     go_seq(rt, s, lo, mid) + go_seq(rt, s, mid, hi)
@@ -119,12 +115,14 @@ impl Benchmark for Tokens {
         let text = util::random_text(n, 31);
         let bytes = text.as_bytes();
         let s = rt.alloc_raw(1 + bytes.len().div_ceil(8));
-        rt.raw_set(s, 0, bytes.len() as u64);
-        for (w, chunk) in bytes.chunks(8).enumerate() {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            rt.raw_set(s, 1 + w, u64::from_le_bytes(buf));
-        }
+        rt.with_raw([s], |[s]| {
+            s.set(0, bytes.len() as u64);
+            for (w, chunk) in bytes.chunks(8).enumerate() {
+                let mut buf = [0u8; 8];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                s.set(1 + w, u64::from_le_bytes(buf));
+            }
+        });
         go_seq(rt, s, 0, n)
     }
 

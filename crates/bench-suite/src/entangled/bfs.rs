@@ -33,9 +33,11 @@ fn fill_raw_par(m: &mut Mutator<'_>, arr: &Handle, data: &[u32], lo: usize, hi: 
     if hi - lo <= 4 * GRAIN {
         m.work((hi - lo) as u64);
         let a = m.get(arr);
-        for (k, &d) in data[lo..hi].iter().enumerate() {
-            m.raw_set(a, lo + k, d as u64);
-        }
+        m.with_raw([a], |[a]| {
+            for (k, &d) in data[lo..hi].iter().enumerate() {
+                a.set(lo + k, d as u64);
+            }
+        });
         return;
     }
     let mid = lo + (hi - lo) / 2;
@@ -78,15 +80,25 @@ fn sum_dists_par(m: &mut Mutator<'_>, claims: &Handle, lo: usize, hi: usize) -> 
 /// Processes frontier vertices `slice`; returns `(next-frontier ids, collision sum)`.
 fn level_mpl(m: &mut Mutator<'_>, cx: &MplCtx, slice: &[u32], dist: i64) -> (Vec<u32>, i64) {
     if slice.len() <= GRAIN {
+        // The slice's out-edges, read through one view: the claims below
+        // allocate, so no view may be held across them.
+        let arrays = [m.get(&cx.offsets), m.get(&cx.targets)];
+        let (ends, nbrs) = m.with_raw(arrays, |[offsets, targets]| {
+            let mut ends = Vec::with_capacity(slice.len());
+            let mut nbrs = Vec::new();
+            for &u in slice {
+                let lo = offsets.get(u as usize) as usize;
+                let hi = offsets.get(u as usize + 1) as usize;
+                nbrs.extend((lo..hi).map(|e| targets.get(e) as usize));
+                ends.push(nbrs.len());
+            }
+            (ends, nbrs)
+        });
         let mut next = Vec::new();
         let mut csum = 0i64;
-        for &u in slice {
-            let offsets = m.get(&cx.offsets);
-            let lo = m.raw_get(offsets, u as usize) as usize;
-            let hi = m.raw_get(offsets, u as usize + 1) as usize;
-            for e in lo..hi {
-                let targets = m.get(&cx.targets);
-                let v = m.raw_get(targets, e) as usize;
+        let mut start = 0;
+        for end in ends {
+            for &v in &nbrs[start..end] {
                 // Check-then-claim: only allocate a record when the slot
                 // looks empty (the sequential algorithm allocates per
                 // claim, not per edge; the CAS still arbitrates races).
@@ -109,7 +121,8 @@ fn level_mpl(m: &mut Mutator<'_>, cx: &MplCtx, slice: &[u32], dist: i64) -> (Vec
                     }
                 }
             }
-            m.work((hi - lo) as u64 + 1);
+            m.work((end - start) as u64 + 1);
+            start = end;
         }
         return (next, csum);
     }

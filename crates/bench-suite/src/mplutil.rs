@@ -15,9 +15,11 @@ where
     if hi - lo <= FILL_GRAIN {
         m.work((hi - lo) as u64);
         let a = m.get(arr);
-        for i in lo..hi {
-            m.raw_set(a, i, word(i));
-        }
+        m.with_raw([a], |[a]| {
+            for i in lo..hi {
+                a.set(i, word(i));
+            }
+        });
         return;
     }
     let mid = lo + (hi - lo) / 2;

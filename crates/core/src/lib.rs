@@ -60,7 +60,7 @@ mod telemetry;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, RunError};
 pub use config::{Mode, RuntimeConfig};
-pub use mutator::{AllocError, Handle, Mutator, RootMark, ENTANGLEMENT_PANIC};
+pub use mutator::{AllocError, Handle, Mutator, RawView, RootMark, ENTANGLEMENT_PANIC};
 pub use runtime::{Runtime, TelemetryReport, TenantSession};
 
 // Re-export the fault-injection plan types so harnesses configure

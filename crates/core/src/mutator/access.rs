@@ -1,14 +1,45 @@
 //! Object access: resolving values through the task-local block cache,
 //! immutable reads, the barriered mutable accessors (thin wrappers over
-//! `crate::barrier`), and raw word arrays.
+//! `crate::barrier`), and raw word arrays — one word at a time, or
+//! through views that resolve once for many accesses.
 //!
 //! Every access resolves its object exactly once: [`Mutator::resolve`]
 //! is one cache-slot compare plus [`mpl_heap::Block::resolve`] (one
 //! publication check, one header load giving both the forwarded bit and
 //! the field count) on the hit path, which inlines into each accessor; a
 //! cache miss and the forwarding chase share one out-of-line function.
+//!
+//! # Raw views
+//!
+//! [`Mutator::with_raw`] resolves a few raw arrays once and lends a
+//! closure a [`RawView`] of each, whose accesses are a bounds check and
+//! one atomic load or store. A view holds the array's current location
+//! for the whole closure, which is sound for two reasons:
+//!
+//! * **The borrow checker.** The views borrow the mutator mutably, so the
+//!   closure cannot allocate, fork, poll or collect through this task:
+//!   nothing this task does can move the arrays while a view lives.
+//! * **The heap invariant.** An object moves only by its own heap's local
+//!   collection, and a local collection moves only its task's leaf heap.
+//!   The arrays this task reaches lie in its own leaf, in its suspended
+//!   ancestors' heaps (their tasks wait at a join and collect nothing) or
+//!   in a concurrent task's heap through a pinned object, which does not
+//!   move; the concurrent collector never moves anything. This is the
+//!   same invariant [`Mutator::raw_get`] relies on between its resolve
+//!   and its load — a view only stretches that window over the closure.
+//!
+//! A view keeps its array's block alive with an `Arc`, so a block that a
+//! concurrent collection retires stays readable until the closure
+//! returns, as the cached block does for a single access. Work is
+//! charged as if each access were a [`Mutator::raw_get`] or
+//! [`Mutator::raw_set`]: the views count into one task-local cell that is
+//! added to the task's work when the closure returns.
 
-use mpl_heap::{ObjKind, ObjRef, Object, Value};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use mpl_heap::{Block, ObjKind, ObjRef, Object, Value};
 
 use super::Mutator;
 use crate::config::{READ_WORK, WRITE_WORK};
@@ -84,10 +115,17 @@ impl Mutator<'_> {
     /// The view of an object resolved by the last [`Mutator::resolve_at`].
     #[inline(always)]
     pub(crate) fn view(&self, at: Resolved) -> Object<'_> {
+        self.cached_block(at).view_resolved(at.r.word(), at.len)
+    }
+
+    /// The cached block of an object resolved by the last
+    /// [`Mutator::resolve_at`].
+    #[inline(always)]
+    fn cached_block(&self, at: Resolved) -> &Arc<Block> {
         match &self.ctx.block_cache[(at.r.block() & 3) as usize] {
             Some((id, block)) => {
                 debug_assert_eq!(*id, at.r.block(), "a view of an evicted resolution");
-                block.view_resolved(at.r.word(), at.len)
+                block
             }
             None => unreachable!("a view of an evicted resolution"),
         }
@@ -210,6 +248,135 @@ impl Mutator<'_> {
         debug_assert_raw(obj);
         obj.fetch_add_raw(i, delta)
     }
+
+    /// Resolves the raw arrays `arrs` once and runs `f` on a view of
+    /// each: a loop over raw arrays pays one resolution per array instead
+    /// of one per access (see the `access` module docs for why the views
+    /// stay valid). The same array may appear more than once.
+    ///
+    /// A view's [`RawView::get`] and [`RawView::set`] charge the work of
+    /// a [`Mutator::raw_get`] or [`Mutator::raw_set`], so a loop does the
+    /// same work either way. Views are for loops over raw arrays; single
+    /// accesses keep `raw_get`/`raw_set`, and boxed arrays keep the
+    /// barriered [`Mutator::arr_get`]/[`Mutator::arr_set`] — a view has
+    /// no barrier, so it is only for pointer-free words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is not a raw array (in every build), and, like
+    /// `raw_get`, on a dangling reference.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mpl_runtime::{Runtime, RuntimeConfig, Value};
+    ///
+    /// let rt = Runtime::new(RuntimeConfig::managed());
+    /// let sum = rt.run(|m| {
+    ///     let a = m.alloc_raw(100);
+    ///     let ha = m.root(a);
+    ///     let b = m.alloc_raw(100); // may collect, moving `a`
+    ///     let a = m.get(&ha);
+    ///     let sum = m.with_raw([a, b], |[a, b]| {
+    ///         for i in 0..a.len() {
+    ///             a.set(i, i as u64);
+    ///             b.set(i, 2 * a.get(i));
+    ///         }
+    ///         (0..b.len()).map(|i| b.get(i)).sum::<u64>()
+    ///     });
+    ///     Value::Int(sum as i64)
+    /// });
+    /// assert_eq!(sum, Value::Int(9900));
+    /// ```
+    ///
+    /// The closure cannot reach the mutator, so nothing in it can move
+    /// the arrays:
+    ///
+    /// ```compile_fail,E0500
+    /// use mpl_runtime::{Runtime, RuntimeConfig, Value};
+    ///
+    /// let rt = Runtime::new(RuntimeConfig::managed());
+    /// rt.run(|m| {
+    ///     let a = m.alloc_raw(4);
+    ///     m.with_raw([a], |[v]| {
+    ///         let _b = m.alloc_raw(4); // may collect, moving `a`
+    ///         v.set(0, 1);
+    ///     });
+    ///     Value::Unit
+    /// });
+    /// ```
+    pub fn with_raw<const N: usize, R>(
+        &mut self,
+        arrs: [Value; N],
+        f: impl FnOnce([RawView<'_>; N]) -> R,
+    ) -> R {
+        let held = arrs.map(|a| {
+            let at = self.resolve_at(a, "raw view");
+            let kind = self.view(at).kind();
+            if kind != ObjKind::RawArr {
+                not_a_raw_array(kind);
+            }
+            (Arc::clone(self.cached_block(at)), at)
+        });
+        let work = Cell::new(0);
+        let out = f(held.each_ref().map(|(block, at)| RawView {
+            words: block.view_resolved(at.r.word(), at.len).field_slice(),
+            work: &work,
+        }));
+        self.ctx.work += work.get();
+        out
+    }
+}
+
+/// A raw array lent by [`Mutator::with_raw`]: the array's words, resolved
+/// once. [`RawView::get`] and [`RawView::set`] are a bounds check and one
+/// atomic load or store, with the orderings of `raw_get` and `raw_set`.
+#[derive(Clone, Copy)]
+pub struct RawView<'v> {
+    words: &'v [AtomicU64],
+    work: &'v Cell<u64>,
+}
+
+impl RawView<'_> {
+    /// Number of words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// True if the array has no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Reads word `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        self.work.set(self.work.get() + READ_WORK);
+        self.words[i].load(Ordering::Acquire)
+    }
+
+    /// Writes word `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn set(&self, i: usize, bits: u64) {
+        self.work.set(self.work.get() + WRITE_WORK);
+        self.words[i].store(bits, Ordering::Release);
+    }
+}
+
+impl std::fmt::Debug for RawView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RawView").field("len", &self.len()).finish()
+    }
 }
 
 #[inline]
@@ -220,6 +387,12 @@ fn debug_assert_raw(obj: Object<'_>) {
         "raw access on {:?}",
         obj.kind()
     );
+}
+
+#[cold]
+#[inline(never)]
+fn not_a_raw_array(kind: ObjKind) -> ! {
+    panic!("raw view of a {kind:?}, not a raw array")
 }
 
 #[cold]

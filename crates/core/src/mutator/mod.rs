@@ -58,6 +58,7 @@ use mpl_sched::StrandId;
 use crate::config::FORK_WORK;
 use crate::runtime::Runtime;
 
+pub use access::RawView;
 pub(crate) use access::Resolved;
 pub(crate) use boundary::{Handoff, TaskCtx};
 

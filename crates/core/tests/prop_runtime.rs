@@ -271,3 +271,144 @@ proptest! {
         prop_assert_eq!(got, Value::Int(expect));
     }
 }
+
+// ---- raw views --------------------------------------------------------------
+
+/// Raw arrays the view programs run over, and their length in words.
+const NRAW: usize = 3;
+const RAW_LEN: usize = 16;
+
+/// One access inside a view: read or write word `i` of the view's first
+/// (`false`) or second (`true`) array.
+#[derive(Clone, Debug)]
+enum ViewOp {
+    Get(bool, usize),
+    Set(bool, usize, u64),
+}
+
+#[derive(Clone, Debug)]
+enum RawStep {
+    /// `raw_get` of word `i` of array `a`, added to the accumulator.
+    Get(usize, usize),
+    /// `raw_set` of word `i` of array `a`.
+    Set(usize, usize, u64),
+    /// A view of arrays `a` and `b` (possibly the same one) running `ops`;
+    /// reads are added to the accumulator.
+    View(usize, usize, Vec<ViewOp>),
+    /// Allocate garbage: collections move the arrays between views.
+    Churn(u8),
+}
+
+fn raw_step() -> impl Strategy<Value = RawStep> {
+    let view_op = prop_oneof![
+        (any::<bool>(), 0..RAW_LEN).prop_map(|(s, i)| ViewOp::Get(s, i)),
+        (any::<bool>(), 0..RAW_LEN, 0u64..1000).prop_map(|(s, i, v)| ViewOp::Set(s, i, v)),
+    ];
+    prop_oneof![
+        (0..NRAW, 0..RAW_LEN).prop_map(|(a, i)| RawStep::Get(a, i)),
+        (0..NRAW, 0..RAW_LEN, 0u64..1000).prop_map(|(a, i, v)| RawStep::Set(a, i, v)),
+        (0..NRAW, 0..NRAW, proptest::collection::vec(view_op, 0..12))
+            .prop_map(|(a, b, ops)| RawStep::View(a, b, ops)),
+        (1u8..32).prop_map(RawStep::Churn),
+    ]
+}
+
+/// Oracle: the steps over plain Rust arrays. Returns the accumulator.
+fn raw_oracle(steps: &[RawStep], arrs: &mut [[u64; RAW_LEN]; NRAW]) -> u64 {
+    let mut acc = 0u64;
+    for s in steps {
+        match s {
+            RawStep::Get(a, i) => acc = acc.wrapping_add(arrs[*a][*i]),
+            RawStep::Set(a, i, v) => arrs[*a][*i] = *v,
+            RawStep::View(a, b, ops) => {
+                for op in ops {
+                    match *op {
+                        ViewOp::Get(s, i) => {
+                            acc = acc.wrapping_add(arrs[if s { *b } else { *a }][i])
+                        }
+                        ViewOp::Set(s, i, v) => arrs[if s { *b } else { *a }][i] = v,
+                    }
+                }
+            }
+            RawStep::Churn(_) => {}
+        }
+    }
+    acc
+}
+
+/// The steps on the runtime, the arrays rooted in `hs`.
+fn run_raw(m: &mut Mutator<'_>, hs: &[Handle], steps: &[RawStep]) -> u64 {
+    let mut acc = 0u64;
+    for s in steps {
+        match s {
+            RawStep::Get(a, i) => {
+                let arr = m.get(&hs[*a]);
+                acc = acc.wrapping_add(m.raw_get(arr, *i));
+            }
+            RawStep::Set(a, i, v) => {
+                let arr = m.get(&hs[*a]);
+                m.raw_set(arr, *i, *v);
+            }
+            RawStep::View(a, b, ops) => {
+                let arrs = [m.get(&hs[*a]), m.get(&hs[*b])];
+                acc = m.with_raw(arrs, |[va, vb]| {
+                    for op in ops {
+                        match *op {
+                            ViewOp::Get(s, i) => {
+                                acc = acc.wrapping_add(if s { vb } else { va }.get(i))
+                            }
+                            ViewOp::Set(s, i, v) => if s { vb } else { va }.set(i, v),
+                        }
+                    }
+                    acc
+                });
+            }
+            RawStep::Churn(n) => {
+                for k in 0..*n {
+                    m.alloc_tuple(&[Value::Int(i64::from(k)), Value::Unit]);
+                }
+            }
+        }
+    }
+    acc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Views and single accesses interleaved with allocations agree with
+    /// plain arrays under a low collection trigger: a view reads and
+    /// writes the current copy of an array however often it moved, and
+    /// two views of one array see each other's writes.
+    #[test]
+    fn views_and_accessors_agree_under_collections(
+        steps in proptest::collection::vec(raw_step(), 0..40),
+    ) {
+        let mut arrs = [[0u64; RAW_LEN]; NRAW];
+        let expect = raw_oracle(&steps, &mut arrs);
+        let rt = Runtime::new(RuntimeConfig {
+            policy: GcPolicy {
+                lgc_trigger_bytes: 512,
+                cgc_trigger_pinned_bytes: usize::MAX,
+            },
+            ..RuntimeConfig::managed()
+        });
+        let got = rt.run(|m| {
+            let hs: Vec<Handle> = (0..NRAW)
+                .map(|_| {
+                    let arr = m.alloc_raw(RAW_LEN);
+                    m.root(arr)
+                })
+                .collect();
+            let acc = run_raw(m, &hs, &steps);
+            for (a, h) in arrs.iter().zip(&hs) {
+                let arr = m.get(h);
+                let words: Vec<u64> = (0..RAW_LEN).map(|i| m.raw_get(arr, i)).collect();
+                assert_eq!(&words[..], &a[..], "final contents");
+            }
+            Value::Int(acc as i64)
+        });
+        prop_assert_eq!(got, Value::Int(expect as i64));
+        rt.assert_heap_sound();
+    }
+}

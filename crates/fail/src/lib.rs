@@ -12,7 +12,7 @@
 //! Same rule as `mpl-obs`: a disarmed site costs **one relaxed atomic load
 //! and a predicted-not-taken branch**. No string hashing, no registry
 //! lookup, no clock. Sites are always compiled in; arming is a runtime
-//! decision ([`install`], [`RuntimeConfig::with_failpoints`] upstream, or
+//! decision ([`install`], `mpl_runtime::RuntimeConfig::with_failpoints` upstream, or
 //! the `MPL_FAILPOINTS` environment variable).
 //!
 //! ## Determinism
@@ -243,7 +243,7 @@ pub fn uninstall(owner: u64) {
 }
 
 /// Drain the recorded fire log (site, hit number, action — in fire order;
-/// capped at [`FIRE_LOG_CAP`] records between drains).
+/// capped at `FIRE_LOG_CAP` records between drains).
 pub fn take_fire_log() -> Vec<FireRecord> {
     std::mem::take(&mut *FIRE_LOG.lock().unwrap())
 }

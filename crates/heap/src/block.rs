@@ -363,6 +363,12 @@ impl Block {
         &self.words[off as usize]
     }
 
+    /// The `len` raw atomic words from `off` on.
+    #[inline]
+    pub(crate) fn words_at(&self, off: u32, len: usize) -> &[AtomicU64] {
+        &self.words[off as usize..off as usize + len]
+    }
+
     /// Returns a view of the published object whose header sits at
     /// `off`, or `None` for never-published or out-of-range offsets.
     #[inline]

@@ -245,6 +245,16 @@ impl<'a> Object<'a> {
         self.field_atom(i).fetch_add(delta, Ordering::AcqRel)
     }
 
+    /// The fields as one slice of atomic words: what a caller that
+    /// resolved the object once indexes for many accesses, with the same
+    /// orderings as [`Object::load_raw`]/[`Object::store_raw`]. Valid for
+    /// as long as the object stays where it is: the caller answers for
+    /// that, as for every view.
+    #[inline]
+    pub fn field_slice(&self) -> &'a [std::sync::atomic::AtomicU64] {
+        self.block.words_at(self.off + 2, self.len as usize)
+    }
+
     /// Iterates over the current field words (a racy snapshot, one atomic
     /// load per field). Collectors use this for tracing.
     pub fn field_words(&self) -> impl Iterator<Item = Word> + 'a {

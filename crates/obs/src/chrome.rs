@@ -8,7 +8,7 @@
 //! the tracks; [`flight_chrome_trace`] renders a flight recording, the
 //! format of a flight dump: its spans on the same worker tracks, its
 //! anomaly and census records as instants. Both go through the one event
-//! [`Emitter`].
+//! `Emitter`.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

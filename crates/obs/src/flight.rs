@@ -12,7 +12,7 @@
 //! Closed spans are not copied: the recording *is* the span rings' newest
 //! records merged, by global sequence number, with one small [`Ring`] of
 //! anomaly/census records (slot protocol: [`crate::ring`]), truncated to
-//! the newest [`FLIGHT_CAP`]. Disabled cost is the usual one relaxed load
+//! the newest `FLIGHT_CAP`. Disabled cost is the usual one relaxed load
 //! upstream.
 //!
 //! A dump is Chrome-trace JSON ([`crate::chrome::flight_chrome_trace`]),
@@ -139,7 +139,7 @@ pub fn flight_record(kind: FlightKind, code: u32, a: u64, b: u64) {
     flight_record_at(now_ns(), kind, code, a, b);
 }
 
-/// The newest [`FLIGHT_CAP`] records — closed spans and anomaly/census
+/// The newest `FLIGHT_CAP` records — closed spans and anomaly/census
 /// records interleaved — in global sequence (arrival) order.
 pub fn flight_snapshot() -> Vec<FlightRecord> {
     let mut all: Vec<(u64, FlightRecord)> = EVENTS

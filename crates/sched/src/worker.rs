@@ -4,9 +4,9 @@
 //!
 //! # Safety architecture
 //!
-//! A forked branch is represented by a [`StackJob`] that lives in the
+//! A forked branch is represented by a `StackJob` that lives in the
 //! forking caller's stack frame; the deque holds a type-erased pointer
-//! to it ([`JobRef`]). This is sound because [`WorkerCtx::join`] never
+//! to it (`JobRef`). This is sound because [`WorkerCtx::join`] never
 //! returns until the job's latch is set — either the owner popped the
 //! job back and ran it inline, or a thief ran it and set the latch — so
 //! the pointee outlives every access. The same argument erases the
@@ -390,7 +390,7 @@ pub fn on_worker_thread() -> bool {
 /// [`set_job_finish_hook`] wins; later calls are ignored.
 static JOB_FINISH_HOOK: OnceLock<fn(usize)> = OnceLock::new();
 
-/// Installs the process-wide job-finish hook (see [`JOB_FINISH_HOOK`]).
+/// Installs the process-wide job-finish hook (see `JOB_FINISH_HOOK`).
 /// Idempotent for the same function; a second, different hook is
 /// ignored.
 pub fn set_job_finish_hook(hook: fn(usize)) {

@@ -164,48 +164,53 @@ fn entangled_suite_under_cgc_packet_fault_chaos() {
 /// Watchdog false-positive regression: a whole CGC cycle under load at
 /// two workers runs longer than the deadline, and were the cycle one
 /// phase the watchdog would see it as ever-aging and dump healthy
-/// cycles. With benign delays stretching the mark phase and packets
-/// until a cycle outlasts the deadline, no runtime's watchdog may report
-/// — every packet and handshake is a phase of its own.
+/// cycles. With benign delays stretching the mark phase and every packet
+/// until a cycle outlasts the deadline, no watchdog report may follow —
+/// every packet and handshake is a phase of its own.
 #[test]
 fn whole_cgc_cycle_under_load_does_not_false_stall() {
     let _guard = CHAOS_LOCK.lock().unwrap();
-    let mut reports = 0;
     let deadline = Duration::from_millis(50);
-    let plan = FailPlan::new(5)
+    // `steal_schedule`'s refill delay lets the idle worker steal, which
+    // puts msqueue's consumer beside its producer: the load entangles and
+    // cycles run mid-run (a run that still steals nothing is load enough
+    // for what follows).
+    let plan = mpl_bench_suite::steal_schedule()
         .with("cgc/mark", FailAction::Delay(3_000_000), FailWhen::OneIn(2))
-        .with(
-            "cgc/packet",
-            FailAction::Delay(5_000_000),
-            FailWhen::OneIn(2),
-        );
+        .with("cgc/packet", FailAction::Delay(5_000_000), FailWhen::Always);
     let bench = mpl_bench_suite::by_name("msqueue").unwrap();
     let n = bench.small_n();
-    // A cycle runs mid-run only once a steal puts the consumer beside the
-    // producer, and it may run early and short; the doubling baseline
-    // then holds off any other. A run now and then has no long cycle:
-    // take fresh runtimes until one has.
-    let mut longest = 0;
-    for _ in 0..4 {
-        let rt = Runtime::new(
-            cgc_chaos_config(2)
-                .with_failpoints(plan)
-                .with_gc_watchdog(deadline),
-        );
-        let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
-        assert_eq!(got, Value::Int(bench.run_native(n)));
-        rt.assert_heap_sound();
-        reports += rt.watchdog_reports();
-        longest = rt.stats().cgc_pause_ns_max;
-        if longest > deadline.as_nanos() as u64 {
-            break;
+    let rt = Runtime::new(
+        cgc_chaos_config(2)
+            .with_failpoints(plan)
+            .with_gc_watchdog(deadline),
+    );
+    let got = rt.run(|m| Value::Int(bench.run_mpl(m, n)));
+    assert_eq!(got, Value::Int(bench.run_native(n)));
+    // A mid-run cycle may run early and short. A forced cycle over a
+    // session-rooted probe of 16 trace packets (128 refs each), run from
+    // this thread one after another, takes at least 16 × 5 ms: it
+    // outlasts the deadline by construction.
+    let session = rt.new_tenant("probe", 0);
+    rt.run_session(&session, |m| {
+        for i in 0..16 * 128 {
+            let v = m.alloc_tuple(&[Value::Int(i)]);
+            m.root(v);
         }
-    }
+        Value::Unit
+    });
+    rt.force_cgc();
+    rt.retire_session(&session);
+    rt.assert_heap_sound();
     assert!(
-        longest > deadline.as_nanos() as u64,
+        rt.stats().cgc_pause_ns_max > deadline.as_nanos() as u64,
         "no cycle outlasted the deadline"
     );
-    assert_eq!(reports, 0, "healthy cycle must not trip the stall watchdog");
+    assert_eq!(
+        rt.watchdog_reports(),
+        0,
+        "healthy cycle must not trip the stall watchdog"
+    );
 }
 
 #[test]
